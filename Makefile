@@ -21,43 +21,50 @@ test-full:
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
 
-# Seed the perf trajectory: parallel-exec + buffer-pool benchmarks as JSON
-# (op, ns/op, hit rate) into BENCH_pool.json, the eviction-policy
-# comparison (LRU vs segmented hot-set hit rate under a flooding scan) into
-# BENCH_cache.json, the sharded-vs-single-directory parallel-read benchmark
-# into BENCH_shard.json, the replication benchmarks (k-way write
-# amplification, healthy vs degraded-fallback read latency) into
-# BENCH_replica.json, and the network block-service round-trip benchmarks
-# (remote read/write vs local dir, pipelined vs serial under device
-# latency) into BENCH_remote.json, the telemetry overhead benchmark
-# (instrumented vs no-op registry on the pipelined exec path — the two
-# must stay within a few percent of each other) into BENCH_telemetry.json,
-# the three-tier planner benchmark (full Apriori search vs budgeted
-# greedy vs warm cache-served query) into BENCH_planner.json, and the
-# streamed-results delivery benchmark (a result 4x the pool's capacity
-# streamed with flat pool residency — the benchmark itself fails if the
-# pool's high-water mark exceeds capacity) into BENCH_stream.json.
-# CI uploads all eight as artifacts and gates on them via bench-check.
-# Each step runs separately so a failing benchmark fails the target.
+# The perf-trajectory micro-benchmarks, one row per `go test -bench` run:
+#
+#   file | package | -bench pattern | run flags (-benchtime / -benchmem)
+#
+# Rows naming the same file are concatenated into it. What each file
+# tracks: BENCH_pool (in-order vs DAG schedule; buffer-pool ops with hit
+# rate), BENCH_cache (LRU vs segmented hot-set hit rate under a flooding
+# scan), BENCH_shard (sharded vs single-directory parallel reads),
+# BENCH_replica (k-way write amplification, healthy vs degraded-fallback
+# read latency), BENCH_remote (network block-service round trips vs a local
+# dir, pipelined vs serial under device latency), BENCH_telemetry
+# (instrumented vs no-op registry on the pipelined exec path — the two must
+# stay within a few percent), BENCH_planner (full Apriori search vs budgeted
+# greedy vs warm cache-served query), BENCH_stream (a result 4x the pool's
+# capacity streamed with flat pool residency — the benchmark itself fails
+# if the pool's high-water mark exceeds capacity).
+define BENCH_TABLE
+BENCH_pool.json      .                  BenchmarkParallelExec                            -benchtime 3x
+BENCH_pool.json      ./internal/buffer  BenchmarkPool                                    -benchmem
+BENCH_cache.json     ./internal/buffer  BenchmarkCachePolicy                             -benchmem
+BENCH_shard.json     ./internal/storage BenchmarkShardedRead                             -benchtime 5x
+BENCH_replica.json   ./internal/storage BenchmarkReplicatedWrite|BenchmarkDegradedRead   -benchtime 5x
+BENCH_remote.json    ./internal/blockd  BenchmarkRemote                                  -benchtime 20x
+BENCH_telemetry.json .                  BenchmarkTelemetryOverhead                       -benchtime 5x
+BENCH_planner.json   .                  BenchmarkPlannerTiers                            -benchtime 3x
+BENCH_stream.json    .                  BenchmarkStreamedResults                         -benchtime 20x
+endef
+export BENCH_TABLE
+BENCH_FILES := $(sort $(filter BENCH_%,$(BENCH_TABLE)))
+
+# Run every table row and convert each file's output to JSON (op, ns/op,
+# extra metrics). CI uploads the files as artifacts and gates on them via
+# bench-check. Each row runs separately so a failing benchmark fails the
+# target.
 bench-json:
-	$(GO) test -run '^$$' -bench 'BenchmarkParallelExec' -benchtime 3x . > .bench-exec.txt
-	$(GO) test -run '^$$' -bench 'BenchmarkPool' -benchmem ./internal/buffer > .bench-pool.txt
-	cat .bench-exec.txt .bench-pool.txt | $(GO) run ./cmd/benchjson -out BENCH_pool.json
-	$(GO) test -run '^$$' -bench 'BenchmarkCachePolicy' -benchmem ./internal/buffer > .bench-cache.txt
-	$(GO) run ./cmd/benchjson -out BENCH_cache.json < .bench-cache.txt
-	$(GO) test -run '^$$' -bench 'BenchmarkShardedRead' -benchtime 5x ./internal/storage > .bench-shard.txt
-	$(GO) run ./cmd/benchjson -out BENCH_shard.json < .bench-shard.txt
-	$(GO) test -run '^$$' -bench 'BenchmarkReplicatedWrite|BenchmarkDegradedRead' -benchtime 5x ./internal/storage > .bench-replica.txt
-	$(GO) run ./cmd/benchjson -out BENCH_replica.json < .bench-replica.txt
-	$(GO) test -run '^$$' -bench 'BenchmarkRemote' -benchtime 20x ./internal/blockd > .bench-remote.txt
-	$(GO) run ./cmd/benchjson -out BENCH_remote.json < .bench-remote.txt
-	$(GO) test -run '^$$' -bench 'BenchmarkTelemetryOverhead' -benchtime 5x . > .bench-telemetry.txt
-	$(GO) run ./cmd/benchjson -out BENCH_telemetry.json < .bench-telemetry.txt
-	$(GO) test -run '^$$' -bench 'BenchmarkPlannerTiers' -benchtime 3x . > .bench-planner.txt
-	$(GO) run ./cmd/benchjson -out BENCH_planner.json < .bench-planner.txt
-	$(GO) test -run '^$$' -bench 'BenchmarkStreamedResults' -benchtime 20x . > .bench-stream.txt
-	$(GO) run ./cmd/benchjson -out BENCH_stream.json < .bench-stream.txt
-	@rm -f .bench-exec.txt .bench-pool.txt .bench-cache.txt .bench-shard.txt .bench-replica.txt .bench-remote.txt .bench-telemetry.txt .bench-planner.txt .bench-stream.txt
+	@rm -rf .bench-out && mkdir -p .bench-out
+	@set -e; echo "$$BENCH_TABLE" | while read -r file pkg pat flags; do \
+		echo "$(GO) test -run '^\$$' -bench '$$pat' $$flags $$pkg"; \
+		$(GO) test -run '^$$' -bench "$$pat" $$flags $$pkg < /dev/null >> .bench-out/$$file.txt; \
+	done
+	@set -e; for file in $(BENCH_FILES); do \
+		$(GO) run ./cmd/benchjson -out $$file < .bench-out/$$file.txt; \
+	done
+	@rm -rf .bench-out
 
 # Bench-regression gate: stash the committed baselines, rerun the
 # benchmarks, and fail on a >25% ns/op regression against any baseline.
@@ -65,16 +72,11 @@ bench-json:
 # baseline deliberately.
 bench-check:
 	@mkdir -p .bench-base
-	cp BENCH_pool.json BENCH_cache.json BENCH_shard.json BENCH_replica.json BENCH_remote.json BENCH_telemetry.json BENCH_planner.json BENCH_stream.json .bench-base/
+	cp $(BENCH_FILES) .bench-base/
 	$(MAKE) bench-json
-	$(GO) run ./cmd/benchjson -compare .bench-base/BENCH_pool.json BENCH_pool.json -tolerance 0.25
-	$(GO) run ./cmd/benchjson -compare .bench-base/BENCH_cache.json BENCH_cache.json -tolerance 0.25
-	$(GO) run ./cmd/benchjson -compare .bench-base/BENCH_shard.json BENCH_shard.json -tolerance 0.25
-	$(GO) run ./cmd/benchjson -compare .bench-base/BENCH_replica.json BENCH_replica.json -tolerance 0.25
-	$(GO) run ./cmd/benchjson -compare .bench-base/BENCH_remote.json BENCH_remote.json -tolerance 0.25
-	$(GO) run ./cmd/benchjson -compare .bench-base/BENCH_telemetry.json BENCH_telemetry.json -tolerance 0.25
-	$(GO) run ./cmd/benchjson -compare .bench-base/BENCH_planner.json BENCH_planner.json -tolerance 0.25
-	$(GO) run ./cmd/benchjson -compare .bench-base/BENCH_stream.json BENCH_stream.json -tolerance 0.25
+	@set -e; for file in $(BENCH_FILES); do \
+		$(GO) run ./cmd/benchjson -compare .bench-base/$$file $$file -tolerance 0.25; \
+	done
 	@rm -rf .bench-base
 
 # Godoc completeness over the public surface: the facade, the planner

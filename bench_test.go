@@ -233,14 +233,15 @@ func BenchmarkStorageFormats(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelExec compares the sequential interpreter against the
-// pipelined parallel engine on the two-multiplication workload (C = A·B;
-// E = A·D) in two regimes. "io-bound" simulates the paper's slow device
-// with a per-request latency, the regime RIOTShare targets: the prefetcher
-// overlaps block reads with compute and with each other, so wall clock
-// drops sharply with workers while logical I/O volumes stay identical.
-// "cpu-bound" uses raw local storage, where speedup instead tracks the
-// machine's core count (kernels run concurrently across workers).
+// BenchmarkParallelExec compares the execution engine's in-order schedule
+// (workers=1) against its pipelined DAG schedule on the two-multiplication
+// workload (C = A·B; E = A·D) in two regimes. "io-bound" simulates the
+// paper's slow device with a per-request latency, the regime RIOTShare
+// targets: the prefetcher overlaps block reads with compute and with each
+// other, so wall clock drops sharply with workers while logical I/O volumes
+// stay identical. "cpu-bound" uses raw local storage, where speedup instead
+// tracks the machine's core count (kernels run concurrently across
+// workers).
 func BenchmarkParallelExec(b *testing.B) {
 	p := riotshare.TwoMM(riotshare.TwoMMConfig{
 		N1: 4, N2: 4, N3: 4, N4: 4,
@@ -289,7 +290,7 @@ func BenchmarkParallelExec(b *testing.B) {
 						(r.ReadBytes != seq.ReadBytes || r.WriteBytes != seq.WriteBytes ||
 							r.ReadReqs != seq.ReadReqs || r.WriteReqs != seq.WriteReqs ||
 							r.PeakMemoryBytes != seq.PeakMemoryBytes) {
-						b.Fatalf("workers=%d: logical accounting diverged from sequential", workers)
+						b.Fatalf("workers=%d: logical accounting diverged from the in-order schedule", workers)
 					}
 				}
 			})

@@ -26,7 +26,7 @@ func main() {
 		full     = flag.Bool("full", false, "run full plan-space searches (linreg explores ~16k combinations)")
 		seed     = flag.Int64("seed", 1, "synthetic data seed")
 		dir      = flag.String("data", "", "directory for physical block files (default: temp)")
-		workers  = flag.Int("workers", 1, "parallel kernel workers for physical runs (1 = sequential engine)")
+		workers  = flag.Int("workers", 1, "parallel kernel workers for physical runs (1 = in-order schedule)")
 		prefetch = flag.Int("prefetch", 0, "I/O prefetch window in blocks (0 = 2x workers)")
 	)
 	flag.Parse()

@@ -53,7 +53,7 @@ func run() error {
 	planIdx := fs.Int("plan", -1, "plan index for run (-1 = best)")
 	full := fs.Bool("full", false, "full plan-space search (slow for linreg)")
 	asJSON := fs.Bool("json", false, "emit the lowered plan as JSON (codegen subcommand)")
-	workers := fs.Int("workers", 1, "parallel kernel workers for run (1 = sequential engine)")
+	workers := fs.Int("workers", 1, "parallel kernel workers for run (1 = in-order schedule)")
 	prefetch := fs.Int("prefetch", 0, "I/O prefetch window in blocks (0 = 2x workers)")
 	shards := fs.Int("shards", 1, "stripe the run's block store across N shard dirs (per-shard I/O is reported)")
 	replicas := fs.Int("replicas", 1, "mirror each block on k shards (needs -shards >= k); write amplification and degraded reads are reported")

@@ -28,8 +28,8 @@ type Options struct {
 	DataDir string
 	// Seed for synthetic input data.
 	Seed int64
-	// Workers and PrefetchDepth select the pipelined parallel engine for
-	// physical runs (Workers <= 1 keeps the sequential interpreter);
+	// Workers and PrefetchDepth select the pipelined DAG schedule for
+	// physical runs (Workers <= 1 keeps the in-order schedule);
 	// measured logical volumes are identical either way.
 	Workers       int
 	PrefetchDepth int

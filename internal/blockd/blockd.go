@@ -320,8 +320,12 @@ func (s *Server) handle(version, op byte, payload []byte) (byte, []byte) {
 		if err := d.Err(); err != nil {
 			return errStatus(blockproto.StatusBadRequest, err)
 		}
+		path, err := s.storePath(name)
+		if err != nil {
+			return errStatus(blockproto.StatusBadRequest, err)
+		}
 		exists := byte(0)
-		if _, err := os.Stat(s.storePath(name)); err == nil {
+		if _, err := os.Stat(path); err == nil {
 			exists = 1
 		} else if !errors.Is(err, fs.ErrNotExist) {
 			return errStatus(blockproto.StatusErr, err)
@@ -333,10 +337,14 @@ func (s *Server) handle(version, op byte, payload []byte) (byte, []byte) {
 		if err := d.Err(); err != nil {
 			return errStatus(blockproto.StatusBadRequest, err)
 		}
+		path, err := s.storePath(name)
+		if err != nil {
+			return errStatus(blockproto.StatusBadRequest, err)
+		}
 		// Close an open store first so the removal cannot race a write
 		// through a surviving descriptor; an unregistered array is fine.
 		_ = s.mgr.Drop(name, false)
-		if err := os.Remove(s.storePath(name)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		if err := os.Remove(path); err != nil && !errors.Is(err, fs.ErrNotExist) {
 			return errStatus(blockproto.StatusErr, err)
 		}
 		return blockproto.StatusOK, nil
@@ -399,9 +407,13 @@ func sameGeometry(a, b *prog.Array) bool {
 		a.LogicalBlockBytes == b.LogicalBlockBytes
 }
 
-// storePath is the on-disk store file of one array under this root.
-func (s *Server) storePath(name string) string {
-	return filepath.Join(s.root, name+"."+s.opt.Format.String())
+// storePath is the on-disk store file of one array under this root; it
+// refuses names that would resolve outside it.
+func (s *Server) storePath(name string) (string, error) {
+	if err := storage.CheckArrayName(name); err != nil {
+		return "", err
+	}
+	return filepath.Join(s.root, name+"."+s.opt.Format.String()), nil
 }
 
 // readErrStatus classifies a Manager error for the wire: "unknown array"

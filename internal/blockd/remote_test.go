@@ -8,8 +8,11 @@ package blockd_test
 import (
 	"errors"
 	"io"
+	"io/fs"
 	"math/rand"
 	"net"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -586,5 +589,43 @@ func TestRemoteBadVersionError(t *testing.T) {
 	}
 	if !strings.Contains(string(rest), "version") {
 		t.Errorf("bad-version error %q does not mention the version", rest)
+	}
+}
+
+// Array names arrive over the wire and become file names under the server
+// root: a name that would resolve outside it is refused as an application
+// error (never retried, never degrading) by every op that builds a path,
+// and touches nothing.
+func TestRemoteArrayNameCannotEscapeRoot(t *testing.T) {
+	parent := t.TempDir()
+	sentinel := filepath.Join(parent, "x.daf")
+	if err := os.WriteFile(sentinel, []byte("keep"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv := startServer(t, filepath.Join(parent, "root"))
+	rs := storage.NewRemoteShard(srv.Addr(), storage.RemoteOptions{})
+	defer rs.Close()
+
+	appError := func(op string, err error) {
+		t.Helper()
+		var se *storage.ServerError
+		if !errors.As(err, &se) {
+			t.Errorf("%s = %v, want a server-side application error", op, err)
+		}
+	}
+	appError(`WipeStore("../x")`, rs.WipeStore("../x"))
+	_, err := rs.StoreExists("../x")
+	appError(`StoreExists("../x")`, err)
+	appError(`Create("../x")`, rs.Create(testArray("../x")))
+	appError(`Create("../y")`, rs.Create(testArray("../y")))
+
+	if got, err := os.ReadFile(sentinel); err != nil || string(got) != "keep" {
+		t.Errorf("sentinel outside the root = %q, %v; want it intact", got, err)
+	}
+	if _, err := os.Stat(filepath.Join(parent, "y.daf")); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("Create(\"../y\") left a file outside the root (stat err %v)", err)
+	}
+	if rst := rs.RemoteStats(); rst.Retries != 0 {
+		t.Errorf("application errors were retried %d times", rst.Retries)
 	}
 }

@@ -8,7 +8,7 @@ import (
 
 // BlockAccess is one block touched by one event, resolved to concrete
 // block coordinates under the timeline's parameter binding. It is the unit
-// the pipelined executor reasons about: dependence edges between events are
+// the execution engine reasons about: dependence edges between events are
 // derived from intersecting read/write block sets, and the prefetcher walks
 // the DoIO reads ahead of execution.
 type BlockAccess struct {
@@ -44,10 +44,10 @@ func (tl *Timeline) AccessSets() [][]BlockAccess {
 }
 
 // HoldInterval is a maximal span of events during which one block stays
-// buffered. It is the static form of the sequential engine's runtime hold
-// bookkeeping: the block enters the buffer when the event at Start
-// completes and leaves it after the event at End completes, so events in
-// (Start, End] observe it as memory-resident.
+// buffered. It is the static form of the execution engine's hold
+// bookkeeping (exec.accountRun): the block enters the buffer when the event
+// at Start completes and leaves it after the event at End completes, so
+// events in (Start, End] observe it as memory-resident.
 type HoldInterval struct {
 	Array string
 	R, C  int64
@@ -57,7 +57,7 @@ type HoldInterval struct {
 }
 
 // HoldIntervals merges the timeline's holds per block into maximal
-// intervals, mirroring the sequential engine exactly: a hold activating at
+// intervals under the same rule as exec.accountRun: a hold activating at
 // or before the current merged end extends it (activation happens at the
 // top of its start event, expiry at the bottom of the end event, so
 // Start2 <= End1 chains them), while a later hold opens a new interval.

@@ -1,16 +1,32 @@
-// Package exec physically executes lowered plans (timelines): it walks the
-// scheduled statement instances in order, performs block I/O through the
-// storage manager under the plan's per-access actions, keeps shared blocks
-// buffered exactly for their hold intervals (the paper's "RIOTShare injects
+// Package exec physically executes lowered plans (timelines). It is one
+// interpreter of the paper's §5.5 execution rule ("RIOTShare injects
 // additional code to ensure that all array block accesses are fulfilled
-// either by blocks already buffered in memory or by I/O", §5.5), runs the
-// in-core kernels on real data, and accounts logical I/O volumes and peak
-// memory. Execution validates the cost model: measured volumes must equal
-// predicted volumes byte for byte.
+// either by blocks already buffered in memory or by I/O") in two halves:
+//
+//   - accountRun replays the timeline's per-access actions and hold
+//     bookkeeping in timeline order and computes everything logical: I/O
+//     volumes and request counts, the peak buffered working set, the
+//     memory-cap check and the FromMemory invariant. It runs before any
+//     physical I/O, so a plan that violates the cap is refused untouched.
+//   - execEvent carries one statement instance out physically: it acquires
+//     the operand blocks (shared buffer, pool, prefetch cache or storage),
+//     runs the in-core kernel on real data, writes back, and keeps shared
+//     blocks buffered — and their pool frames pinned — exactly for their
+//     hold intervals.
+//
+// Two schedules drive execEvent. The in-order schedule (Workers <= 1) calls
+// it for events 0..n-1 on the caller's goroutine. The DAG schedule
+// (Workers > 1, pipeline.go) calls it from a worker pool as the event
+// dependence graph allows, with an asynchronous prefetcher reading ahead.
+// Logical volumes are the plan's, not an artifact of interleaving, so
+// Result is the same under either schedule and must equal the cost model's
+// prediction byte for byte.
 package exec
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"riotshare/internal/blas"
@@ -38,17 +54,9 @@ type Result struct {
 	// PrefetchIssued counts prefetchable block reads the async
 	// prefetcher issued ahead of use; PrefetchInline counts the ones a
 	// consumer reached first and claimed inline (prefetch arrived too
-	// late). Both are zero for sequential runs; PrefetchInline stays
-	// zero in pool mode, where the pool coalesces the in-flight read.
+	// late). Both are zero under the in-order schedule; PrefetchInline
+	// stays zero in pool mode, where the pool coalesces the in-flight read.
 	PrefetchIssued, PrefetchInline int64
-}
-
-// addStageTime accumulates one kernel's wall time under its stage name.
-func (r *Result) addStageTime(stage string, d time.Duration) {
-	if r.StageTimes == nil {
-		r.StageTimes = make(map[string]time.Duration)
-	}
-	r.StageTimes[stage] += d
 }
 
 // Engine executes timelines against a storage backend (a single-directory
@@ -56,9 +64,9 @@ func (r *Result) addStageTime(stage string, d time.Duration) {
 type Engine struct {
 	Store storage.Backend
 	Model disk.Model
-	// MemCapBytes, when nonzero, makes execution fail if the buffered
-	// working set ever exceeds the cap (the optimizer must have chosen a
-	// plan that fits, §4.2).
+	// MemCapBytes, when nonzero, makes execution fail — before any physical
+	// I/O — if the plan's buffered working set ever exceeds the cap (the
+	// optimizer must have chosen a plan that fits, §4.2).
 	MemCapBytes int64
 	// Pool, when non-nil, routes every physical block read and write
 	// through a sharing-aware buffer pool instead of raw storage, so
@@ -78,54 +86,97 @@ type Engine struct {
 	OnBlockWritten func(array string, r, c int64)
 }
 
-// buffered is one memory-resident block.
-type buffered struct {
-	blk   *blas.Matrix
-	bytes int64
+// Options selects the schedule of one run.
+type Options struct {
+	// Workers is the number of concurrent kernel workers of the DAG
+	// schedule; values <= 1 select the in-order schedule.
+	Workers int
+	// PrefetchDepth caps the number of prefetched-but-unconsumed blocks
+	// (<= 0 selects 2*Workers). A nonzero Engine.MemCapBytes additionally
+	// shrinks the window to the cap's headroom above the plan's peak.
+	PrefetchDepth int
+	// Pool, when non-nil, routes physical block I/O through a
+	// sharing-aware buffer pool (overrides Engine.Pool for this run). With
+	// a pool the prefetcher warms pool frames instead of holding a private
+	// cache, so prefetched blocks are shared with concurrent queries too.
+	Pool BlockPool
 }
 
-// Run executes the timeline.
+// Run executes the timeline under the in-order schedule.
 func (e *Engine) Run(tl *codegen.Timeline) (Result, error) {
-	var res Result
-	p := tl.Prog
+	return e.RunOptions(tl, Options{})
+}
 
-	var finalize [][]blockRef
-	if e.OnBlockWritten != nil {
-		finalize = finalWrites(tl)
+// RunOptions executes the timeline: accountRun computes the logical Result
+// and refuses an invalid or over-cap plan, then the schedule opt selects
+// drives execEvent over every event. Result is identical under either
+// schedule (modulo CPUTime and StageTimes, which are measured wall time
+// inside kernels, and the prefetch counters).
+func (e *Engine) RunOptions(tl *codegen.Timeline, opt Options) (Result, error) {
+	eng := *e
+	if opt.Pool != nil {
+		eng.Pool = opt.Pool
 	}
+	sets := tl.AccessSets()
+	res, err := accountRun(tl, sets, eng.MemCapBytes)
+	if err != nil {
+		return res, err
+	}
+	rs := &runState{
+		e: &eng, tl: tl, sets: sets,
+		buf:    make(map[string]*blas.Matrix),
+		ivPins: newPinSet(eng.Pool),
+	}
+	defer rs.ivPins.releaseAll()
+	intervals, err := rs.coverHolds()
+	if err != nil {
+		return res, err
+	}
+	if eng.OnBlockWritten != nil {
+		rs.finalize = finalWrites(sets)
+	}
+	if opt.Workers <= 1 {
+		for i := range tl.Events {
+			if err = rs.execEvent(i); err != nil {
+				break
+			}
+		}
+	} else {
+		err = rs.runDAG(intervals, opt, res.PeakMemoryBytes)
+	}
+	if err != nil {
+		return res, err
+	}
+	res.CPUTime = rs.cpuTime
+	res.StageTimes = rs.stageTimes
+	res.PrefetchIssued = rs.pfIssued.Load()
+	res.PrefetchInline = rs.pfInline.Load()
+	res.SimulatedIOSec = eng.Model.Time(res.ReadBytes, res.WriteBytes, res.ReadReqs, res.WriteReqs)
+	return res, nil
+}
 
-	// Pool pins owned by this run: one per block acquired at each event,
-	// reduced to a single hold-scoped pin while the block's hold interval
-	// is active, released when it expires (and unconditionally on exit).
-	pins := newPinSet(e.Pool)
-	defer pins.releaseAll()
+// accountRun replays the timeline's actions in timeline order and returns
+// the logical Result of the run: I/O volumes and request counts summed over
+// DoIO actions, and the peak buffered working set under the hold
+// bookkeeping (a hold activates at the top of its start event and expires
+// at the bottom of its end event). It fails for a FromMemory read with no
+// buffered source and for a working set above memCapBytes — a plan the
+// optimizer would have rejected. Every schedule derives its accounting
+// here, so worker interleaving can never distort the paper-scale volumes.
+func accountRun(tl *codegen.Timeline, sets [][]codegen.BlockAccess, memCapBytes int64) (Result, error) {
+	var res Result
+	arrays := tl.Prog.Arrays
 
-	// holdsUntil[blockKey] = latest event index through which the block must
-	// stay buffered (merged over the plan's hold intervals), indexed as the
-	// execution reaches each hold's start.
-	type holdIv struct{ start, end int }
 	holdsByStart := make(map[int][]codegen.Hold)
 	for _, h := range tl.Holds {
 		holdsByStart[h.StartEvent] = append(holdsByStart[h.StartEvent], h)
 	}
-	holdEnd := make(map[string]int) // active holds: block key -> max end event
-
-	buf := make(map[string]buffered)
+	holdEnd := make(map[string]int)    // active holds: block key -> max end event
+	buffered := make(map[string]int64) // held blocks -> logical bytes
 	bufBytes := int64(0)
+	local := make(map[string]int64) // blocks live for one event -> logical bytes
 
-	account := func(peakExtra int64) error {
-		if bufBytes+peakExtra > res.PeakMemoryBytes {
-			res.PeakMemoryBytes = bufBytes + peakExtra
-		}
-		if e.MemCapBytes > 0 && bufBytes+peakExtra > e.MemCapBytes {
-			return fmt.Errorf("exec: memory cap exceeded: %d > %d bytes", bufBytes+peakExtra, e.MemCapBytes)
-		}
-		return nil
-	}
-
-	for i, ev := range tl.Events {
-		st := ev.St
-		actions := tl.Actions[i]
+	for i, set := range sets {
 		// Activate holds starting here (they may refer to blocks acquired at
 		// this very event).
 		for _, h := range holdsByStart[i] {
@@ -135,152 +186,290 @@ func (e *Engine) Run(tl *codegen.Timeline) (Result, error) {
 			}
 		}
 
-		// Acquire all input blocks plus the write target.
-		local := make(map[string]*blas.Matrix) // blocks live for this event
-		localBytes := int64(0)
-		var kernelIn []*blas.Matrix // active read operands in access order
-		var outBlk *blas.Matrix
-		var writeAcc *prog.Access
-		var writeAction codegen.AccessAction
-		var accRead *blas.Matrix // accumulator read operand, nil when inactive
-
-		for ai := range st.Accesses {
-			ac := &st.Accesses[ai]
-			action := actions[ai]
-			if action == codegen.Inactive {
-				if ac.Type == prog.Read && isAccumulatorRead(st, ai) {
-					accRead = nil
-				}
-				continue
-			}
-			arr := p.Arrays[ac.Array]
-			r, c := ac.BlockAt(ev.X, tl.Params)
-			key := codegen.BlockKey(ac.Array, r, c)
-
-			if ac.Type == prog.Read {
-				blk, held := buf[key]
-				var m *blas.Matrix
-				switch {
-				case action == codegen.FromMemory:
-					if !held {
-						if lm, ok := local[key]; ok {
-							m = lm
-						} else {
-							return res, fmt.Errorf("exec: %s%v expects %s in memory but it is not buffered",
-								st.Name, ev.X, key)
-						}
-					} else {
-						m = blk.blk
-					}
-				case action == codegen.DoIO:
-					var err error
-					var pinned bool
-					m, pinned, err = e.readThrough(ac.Array, r, c)
-					if err != nil {
-						return res, err
-					}
-					if pinned {
-						pins.add(key, ac.Array, r, c)
-					}
-					res.ReadBytes += arr.LogicalBlockBytes
-					res.ReadReqs++
-				}
-				if _, dup := local[key]; !dup {
-					local[key] = m
-					if !held {
-						localBytes += arr.LogicalBlockBytes
-					}
-				}
-				if isAccumulatorRead(st, ai) {
-					accRead = m
-				} else {
-					kernelIn = append(kernelIn, m)
-				}
-				continue
-			}
-			// Write access: the output block materializes in memory.
-			writeAcc = ac
-			writeAction = action
-			if b, held := buf[key]; held {
-				outBlk = b.blk
-			} else {
-				outBlk = blas.NewMatrix(arr.BlockRows, arr.BlockCols)
-				if _, dup := local[key]; !dup {
-					localBytes += arr.LogicalBlockBytes
-				}
-			}
-			local[key] = outBlk
-		}
-		if err := account(localBytes); err != nil {
-			return res, err
-		}
-
-		// Run the kernel on real data.
-		t0 := time.Now()
-		if err := RunKernel(st, kernelIn, accRead, outBlk); err != nil {
-			return res, fmt.Errorf("exec: %s%v: %w", st.Name, ev.X, err)
-		}
-		kd := time.Since(t0)
-		res.CPUTime += kd
-		res.addStageTime(st.Name, kd)
-
-		// Write-back.
-		if writeAcc != nil && writeAction == codegen.DoIO {
-			arr := p.Arrays[writeAcc.Array]
-			r, c := writeAcc.BlockAt(ev.X, tl.Params)
-			pinned, err := e.writeThrough(writeAcc.Array, r, c, outBlk)
-			if err != nil {
-				return res, err
-			}
-			if pinned {
-				pins.add(codegen.BlockKey(writeAcc.Array, r, c), writeAcc.Array, r, c)
-			}
-			res.WriteBytes += arr.LogicalBlockBytes
-			res.WriteReqs++
-		}
-
-		// Retain blocks with active holds; release everything else.
-		for key, m := range local {
-			end, heldNow := holdEnd[key]
-			_, already := buf[key]
+		clear(local)
+		localBytes := int64(0) // event-local blocks not already held
+		for _, ba := range set {
+			b := arrays[ba.Array].LogicalBlockBytes
+			_, held := buffered[ba.Key]
+			_, dup := local[ba.Key]
 			switch {
-			case heldNow && end > i && !already:
-				buf[key] = buffered{blk: m, bytes: blockBytesOf(p, key, st, ev, m)}
-				bufBytes += buf[key].bytes
-			case heldNow && end > i && already:
-				buf[key] = buffered{blk: m, bytes: buf[key].bytes}
+			case ba.Action == codegen.DoIO && ba.Type == prog.Read:
+				res.ReadBytes += b
+				res.ReadReqs++
+			case ba.Action == codegen.DoIO:
+				res.WriteBytes += b
+				res.WriteReqs++
+			case ba.Action == codegen.FromMemory && !held && !dup:
+				ev := tl.Events[i]
+				return res, fmt.Errorf("exec: %s%v expects %s in memory but it is not buffered",
+					ev.St.Name, ev.X, ba.Key)
+			}
+			if !dup {
+				local[ba.Key] = b
+				if !held {
+					localBytes += b
+				}
 			}
 		}
-		// Pool pins follow the holds: blocks acquired this event keep one
-		// pin while their hold extends past it, none otherwise.
-		for key := range local {
-			keep := 0
-			if end, heldNow := holdEnd[key]; heldNow && end > i {
-				keep = 1
-			}
-			pins.drop(key, keep)
+		if bufBytes+localBytes > res.PeakMemoryBytes {
+			res.PeakMemoryBytes = bufBytes + localBytes
 		}
-		// Expire holds ending at this event.
+		if memCapBytes > 0 && bufBytes+localBytes > memCapBytes {
+			return res, fmt.Errorf("exec: memory cap exceeded: %d > %d bytes", bufBytes+localBytes, memCapBytes)
+		}
+
+		// Retain blocks with active holds; expire holds ending here.
+		for key, b := range local {
+			if _, already := buffered[key]; !already && holdEnd[key] > i {
+				buffered[key] = b
+				bufBytes += b
+			}
+		}
 		for key, end := range holdEnd {
 			if end <= i {
-				if b, ok := buf[key]; ok {
-					bufBytes -= b.bytes
-					delete(buf, key)
-				}
+				bufBytes -= buffered[key]
+				delete(buffered, key)
 				delete(holdEnd, key)
-				pins.drop(key, 0)
-			}
-		}
-
-		// Announce blocks whose final physical write was this event.
-		if finalize != nil {
-			for _, br := range finalize[i] {
-				e.OnBlockWritten(br.array, br.r, br.c)
 			}
 		}
 	}
-	res.SimulatedIOSec = e.Model.Time(res.ReadBytes, res.WriteBytes, res.ReadReqs, res.WriteReqs)
 	return res, nil
+}
+
+// ivState is one merged hold interval plus its runtime refcount: the
+// buffered block is released when every event that touches it inside the
+// interval has completed ("expire holds ending at this event", in a form
+// that does not depend on completion order).
+type ivState struct {
+	iv        codegen.HoldInterval
+	accessors []int // events in [iv.Start, iv.End] touching the block, ascending
+	refs      int32
+}
+
+// runState is the state of one run, shared by the events of either
+// schedule.
+type runState struct {
+	e    *Engine
+	tl   *codegen.Timeline
+	sets [][]codegen.BlockAccess
+	// cover[i][key] is the merged hold interval covering event i for key
+	// (Start <= i <= End and event i touches key); nil map when event i
+	// covers nothing.
+	cover []map[string]*ivState
+	// finalize[i] lists blocks whose final physical write is event i
+	// (nil when the engine has no OnBlockWritten callback).
+	finalize [][]blockRef
+
+	mu  sync.Mutex // guards buf, ivPins, interval refcounts and the DAG scheduler's bookkeeping
+	buf map[string]*blas.Matrix
+	// ivPins holds pool pins owned by active hold intervals (pool mode):
+	// event-local pins transfer here while an interval stays active and
+	// are released when its last accessor completes.
+	ivPins *pinSet
+
+	kernelMu   sync.Mutex
+	stageTimes map[string]time.Duration // becomes Result.StageTimes
+	cpuTime    time.Duration            // guarded by kernelMu
+
+	// Everything below belongs to the DAG schedule (pipeline.go) and stays
+	// zero under the in-order one.
+
+	pp *pipeline
+
+	cacheMu sync.Mutex
+	cache   map[string]*pfEntry
+	slots   chan struct{}
+	// pfWG tracks the prefetcher and every read goroutine it spawned;
+	// runDAG joins it so no straggler touches the pool or storage after
+	// the run returns.
+	pfWG sync.WaitGroup
+
+	cancel  chan struct{}
+	failErr error
+	once    sync.Once
+
+	// pfIssued/pfInline count prefetch reads issued ahead of use vs.
+	// claimed inline by a consumer.
+	pfIssued atomic.Int64
+	pfInline atomic.Int64
+}
+
+// coverHolds indexes the timeline's merged hold intervals by the events
+// that touch them (rs.cover) and returns them sorted by (Key, Start). An interval must begin at an event that accesses its block:
+// that event is what buffers it.
+func (rs *runState) coverHolds() ([]*ivState, error) {
+	rs.cover = make([]map[string]*ivState, len(rs.sets))
+	var out []*ivState
+	for _, iv := range rs.tl.HoldIntervals() {
+		st := &ivState{iv: iv}
+		for i := iv.Start; i <= iv.End; i++ {
+			if r, w := touch(rs.sets[i], iv.Key); !r && !w {
+				continue
+			}
+			st.accessors = append(st.accessors, i)
+			if rs.cover[i] == nil {
+				rs.cover[i] = make(map[string]*ivState)
+			}
+			rs.cover[i][iv.Key] = st
+		}
+		if len(st.accessors) == 0 || st.accessors[0] != iv.Start {
+			return nil, fmt.Errorf("exec: hold interval %s[%d..%d] start event does not access the block",
+				iv.Key, iv.Start, iv.End)
+		}
+		st.refs = int32(len(st.accessors))
+		out = append(out, st)
+	}
+	return out, nil
+}
+
+// touch reports whether an event's access set reads and writes the block.
+func touch(set []codegen.BlockAccess, key string) (read, write bool) {
+	for i := range set {
+		if set[i].Key != key {
+			continue
+		}
+		if set[i].Type == prog.Read {
+			read = true
+		} else {
+			write = true
+		}
+	}
+	return read, write
+}
+
+// execEvent runs one statement instance: acquire operands (shared buffer,
+// pool, prefetch cache or storage), run the kernel, write back, then retain
+// and release held blocks. It is the only code that does so, under either
+// schedule; the schedule guarantees that every event this one depends on
+// has completed.
+func (rs *runState) execEvent(i int) error {
+	tl := rs.tl
+	ev := tl.Events[i]
+	set := rs.sets[i]
+	cover := rs.cover[i]
+
+	// Pool pins acquired by this event; pins for blocks whose hold
+	// interval extends past the event transfer to interval ownership
+	// (rs.ivPins), the rest release when the event finishes.
+	evPins := newPinSet(rs.e.Pool)
+	defer evPins.releaseAll()
+
+	local := make(map[string]*blas.Matrix, len(set)) // blocks live for this event
+	var kernelIn []*blas.Matrix                      // read operands in access order
+	var outBlk *blas.Matrix
+	var writeBA *codegen.BlockAccess
+	var accRead *blas.Matrix // accumulator read operand, nil when inactive
+
+	// buffered returns the block an earlier event of key's hold interval
+	// left in the shared buffer; ok reports whether there was such an
+	// event.
+	buffered := func(key string) (m *blas.Matrix, ok bool) {
+		if iv, covered := cover[key]; !covered || i == iv.iv.Start {
+			return nil, false
+		}
+		rs.mu.Lock()
+		defer rs.mu.Unlock()
+		return rs.buf[key], true
+	}
+
+	for bi := range set {
+		ba := &set[bi]
+		if ba.Type == prog.Read {
+			var m *blas.Matrix
+			switch ba.Action {
+			case codegen.FromMemory:
+				if m, _ = buffered(ba.Key); m == nil {
+					if m = local[ba.Key]; m == nil {
+						return fmt.Errorf("exec: %s%v expects %s in memory but it is not buffered",
+							ev.St.Name, ev.X, ba.Key)
+					}
+				}
+			case codegen.DoIO:
+				var err error
+				var pinned bool
+				m, pinned, err = rs.readBlock(i, ba)
+				if err != nil {
+					return err
+				}
+				if pinned {
+					evPins.add(ba.Key, ba.Array, ba.R, ba.C)
+				}
+			}
+			if _, dup := local[ba.Key]; !dup {
+				local[ba.Key] = m
+			}
+			if isAccumulatorRead(ev.St, ba.Acc) {
+				accRead = m
+			} else {
+				kernelIn = append(kernelIn, m)
+			}
+			continue
+		}
+		// Write access: the output block materializes in memory.
+		writeBA = ba
+		var held bool
+		if outBlk, held = buffered(ba.Key); !held {
+			arr := tl.Prog.Arrays[ba.Array]
+			outBlk = blas.NewMatrix(arr.BlockRows, arr.BlockCols)
+		} else if outBlk == nil {
+			return fmt.Errorf("exec: %s%v writes held block %s but it is not buffered",
+				ev.St.Name, ev.X, ba.Key)
+		}
+		local[ba.Key] = outBlk
+	}
+
+	// Run the kernel on real data.
+	t0 := time.Now()
+	if err := RunKernel(ev.St, kernelIn, accRead, outBlk); err != nil {
+		return fmt.Errorf("exec: %s%v: %w", ev.St.Name, ev.X, err)
+	}
+	kd := time.Since(t0)
+	rs.kernelMu.Lock()
+	if rs.stageTimes == nil {
+		rs.stageTimes = make(map[string]time.Duration)
+	}
+	rs.stageTimes[ev.St.Name] += kd
+	rs.cpuTime += kd
+	rs.kernelMu.Unlock()
+
+	// Write-back.
+	if writeBA != nil && writeBA.Action == codegen.DoIO {
+		pinned, err := rs.e.writeThrough(writeBA.Array, writeBA.R, writeBA.C, outBlk)
+		if err != nil {
+			return err
+		}
+		if pinned {
+			evPins.add(writeBA.Key, writeBA.Array, writeBA.R, writeBA.C)
+		}
+	}
+
+	// Retain blocks whose hold interval extends past this event; release
+	// interval references and evict fully consumed blocks. Pool pins for
+	// retained blocks move to interval ownership and are released when the
+	// interval's last accessor completes.
+	rs.mu.Lock()
+	for key, iv := range cover {
+		if i < iv.iv.End {
+			rs.buf[key] = local[key]
+			evPins.transfer(key, rs.ivPins)
+		}
+		if iv.refs--; iv.refs == 0 {
+			delete(rs.buf, key)
+			rs.ivPins.drop(key)
+		}
+	}
+	rs.mu.Unlock()
+
+	// Announce blocks whose final physical write was this event. Every
+	// earlier write of the block is ordered before it (timeline order, or
+	// the DAG's WAW and dataflow edges), so the value observed through
+	// Pool/Store from here on is final.
+	if rs.finalize != nil {
+		for _, br := range rs.finalize[i] {
+			rs.e.OnBlockWritten(br.array, br.r, br.c)
+		}
+	}
+	return nil
 }
 
 // blockRef names one block of one array.
@@ -293,19 +482,19 @@ type blockRef struct {
 // event performs and persists (the last write access of the block across
 // the whole timeline, with action DoIO — through the pool that is a
 // deferred dirty install, directly it is the disk write itself). After
-// such an event completes, the block's value is final and readable; both
-// engines drive Engine.OnBlockWritten off these lists. Blocks whose last
-// write stays memory-only are omitted.
-func finalWrites(tl *codegen.Timeline) [][]blockRef {
+// such an event completes, the block's value is final and readable;
+// execEvent drives Engine.OnBlockWritten off these lists. Blocks whose
+// last write stays memory-only are omitted.
+func finalWrites(sets [][]codegen.BlockAccess) [][]blockRef {
 	type lastWrite struct {
 		event int
 		doIO  bool
 		ref   blockRef
 	}
 	last := make(map[string]lastWrite)
-	for i, set := range tl.AccessSets() {
+	for i, set := range sets {
 		for _, ba := range set {
-			if ba.Type != prog.Write || ba.Action == codegen.Inactive {
+			if ba.Type != prog.Write {
 				continue
 			}
 			last[ba.Key] = lastWrite{
@@ -315,24 +504,13 @@ func finalWrites(tl *codegen.Timeline) [][]blockRef {
 			}
 		}
 	}
-	out := make([][]blockRef, len(tl.Events))
+	out := make([][]blockRef, len(sets))
 	for _, lw := range last {
 		if lw.doIO {
 			out[lw.event] = append(out[lw.event], lw.ref)
 		}
 	}
 	return out
-}
-
-// blockBytesOf resolves the logical byte size of a block key by searching
-// the event's arrays (the key embeds the array name before '[').
-func blockBytesOf(p *prog.Program, key string, st *prog.Statement, ev codegen.Event, m *blas.Matrix) int64 {
-	for name, arr := range p.Arrays {
-		if len(key) > len(name) && key[:len(name)] == name && key[len(name)] == '[' {
-			return arr.LogicalBlockBytes
-		}
-	}
-	return int64(m.Rows) * int64(m.Cols) * 8
 }
 
 // isAccumulatorRead reports whether access ai is a read of the same array

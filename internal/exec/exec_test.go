@@ -231,7 +231,8 @@ func TestLinRegEndToEnd(t *testing.T) {
 	}
 }
 
-// The memory cap must be enforced at execution time.
+// The memory cap must be enforced at execution time, before any physical
+// I/O: a refused plan leaves no partial outputs.
 func TestMemoryCapEnforced(t *testing.T) {
 	p := addMulProgram(2, 3, 1)
 	res, err := core.Optimize(p, core.Options{BindParams: true})
@@ -248,9 +249,13 @@ func TestMemoryCapEnforced(t *testing.T) {
 		t.Fatal(err)
 	}
 	fillInputs(t, p, m, 3)
+	before := m.Stats()
 	eng := &Engine{Store: m, Model: disk.PaperModel(), MemCapBytes: pl.Cost.PeakMemoryBytes - 1}
 	if _, err := eng.Run(pl.Timeline); err == nil {
 		t.Fatal("cap below the plan's peak must fail")
+	}
+	if after := m.Stats(); after != before {
+		t.Fatalf("refused plan touched the store: %+v -> %+v", before, after)
 	}
 	eng.MemCapBytes = pl.Cost.PeakMemoryBytes
 	if _, err := eng.Run(pl.Timeline); err != nil {

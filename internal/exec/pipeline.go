@@ -1,21 +1,18 @@
-// pipeline.go turns the sequential timeline interpreter into a pipelined
-// parallel engine. The timeline stays the single source of truth: a
-// dependence graph over its events — derived from per-event block access
-// sets (memory dataflow inside hold intervals, RAW/WAR/WAW on disk state)
-// — lets independent in-core kernels run on a worker pool while an
-// asynchronous prefetcher walks the timeline ahead of execution and issues
-// block reads early.
+// pipeline.go is the DAG schedule of the interpreter in exec.go. The
+// timeline stays the single source of truth: a dependence graph over its
+// events — derived from per-event block access sets (memory dataflow inside
+// hold intervals, RAW/WAR/WAW on disk state) — lets independent events run
+// execEvent on a worker pool while an asynchronous prefetcher walks the
+// timeline ahead of execution and issues block reads early.
 //
-// Two invariants make the parallel engine a validation of the paper rather
-// than a departure from it:
+// Two invariants make this schedule a validation of the paper rather than a
+// departure from it:
 //
 //  1. Logical I/O accounting is byte-for-byte equal to the cost model's
-//     prediction regardless of worker count. Volumes are the plan's, not an
-//     artifact of interleaving, so Result is computed by replaying the
-//     timeline's actions with sequential semantics (accountRun) — exactly
-//     what Engine.Run measures — and the physical run only carries them
-//     out.
-//  2. Numerics are bit-identical to sequential execution. Every kernel
+//     prediction regardless of worker count: Result comes from accountRun,
+//     which never sees the schedule, and the physical run only carries the
+//     plan out.
+//  2. Numerics are bit-identical to the in-order schedule. Every kernel
 //     consumes the same operand values in the same order: accumulator
 //     chains are serialized by write-write edges, shared buffers by
 //     producer→consumer edges, so floating-point summation order never
@@ -23,198 +20,26 @@
 //
 // PeakMemoryBytes therefore reports the plan's logical working-set peak
 // (what the optimizer bounded with the memory cap, §4.2). The physical
-// resident set of a parallel run can transiently exceed it by the worker
-// pool's per-event operand blocks plus the prefetch window; the prefetch
-// window is bounded by the cap's spare headroom (cap − logical peak) and
-// never issues a read past an unexecuted write of the same block.
+// resident set of a DAG-scheduled run can transiently exceed it by the
+// worker pool's per-event operand blocks plus the prefetch window; the
+// prefetch window is bounded by the cap's spare headroom (cap − logical
+// peak) and never issues a read past an unexecuted write of the same block.
 package exec
 
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"riotshare/internal/blas"
 	"riotshare/internal/codegen"
 	"riotshare/internal/prog"
 )
 
-// Options configures pipelined parallel execution.
-type Options struct {
-	// Workers is the number of concurrent kernel workers; values <= 1 run
-	// the sequential interpreter.
-	Workers int
-	// PrefetchDepth caps the number of prefetched-but-unconsumed blocks
-	// (<= 0 selects 2*Workers). A nonzero Engine.MemCapBytes additionally
-	// shrinks the window to the cap's headroom above the plan's peak.
-	PrefetchDepth int
-	// Pool, when non-nil, routes physical block I/O through a
-	// sharing-aware buffer pool (overrides Engine.Pool for this run). With
-	// a pool the prefetcher warms pool frames instead of holding a private
-	// cache, so prefetched blocks are shared with concurrent queries too.
-	Pool BlockPool
-}
-
-// RunOptions executes the timeline with the given parallelism. Workers <= 1
-// is exactly Engine.Run; otherwise the pipelined engine runs and returns an
-// identical Result (modulo CPUTime, which is measured wall time inside
-// kernels either way).
-func (e *Engine) RunOptions(tl *codegen.Timeline, opt Options) (Result, error) {
-	eng := *e
-	if opt.Pool != nil {
-		eng.Pool = opt.Pool
-	}
-	if opt.Workers <= 1 {
-		return eng.Run(tl)
-	}
-	return eng.runParallel(tl, opt)
-}
-
-// accountRun replays the timeline's actions with sequential semantics and
-// returns the logical Result the sequential interpreter would measure:
-// I/O volumes and request counts summed over DoIO actions, and the peak
-// buffered working set under the hold bookkeeping — including the memory
-// cap check, which must fail for a plan the optimizer would have rejected.
-// It is a transliteration of Engine.Run minus the physical I/O and
-// kernels; the pipelined engine derives its accounting here so that worker
-// interleaving can never distort the paper-scale volumes.
-func accountRun(tl *codegen.Timeline, memCapBytes int64) (Result, error) {
-	var res Result
-	p := tl.Prog
-
-	holdsByStart := make(map[int][]codegen.Hold)
-	for _, h := range tl.Holds {
-		holdsByStart[h.StartEvent] = append(holdsByStart[h.StartEvent], h)
-	}
-	holdEnd := make(map[string]int)
-	bufBytesBy := make(map[string]int64) // buffered keys -> logical bytes
-	bufBytes := int64(0)
-
-	account := func(extra int64) error {
-		if bufBytes+extra > res.PeakMemoryBytes {
-			res.PeakMemoryBytes = bufBytes + extra
-		}
-		if memCapBytes > 0 && bufBytes+extra > memCapBytes {
-			return fmt.Errorf("exec: memory cap exceeded: %d > %d bytes", bufBytes+extra, memCapBytes)
-		}
-		return nil
-	}
-
-	for i, ev := range tl.Events {
-		st := ev.St
-		actions := tl.Actions[i]
-		for _, h := range holdsByStart[i] {
-			key := codegen.BlockKey(h.Array, h.R, h.C)
-			if h.EndEvent > holdEnd[key] {
-				holdEnd[key] = h.EndEvent
-			}
-		}
-
-		local := make(map[string]bool)
-		localBytes := int64(0)
-		var writeArr *prog.Array
-		var writeAction codegen.AccessAction
-		haveWrite := false
-
-		for ai := range st.Accesses {
-			ac := &st.Accesses[ai]
-			action := actions[ai]
-			if action == codegen.Inactive {
-				continue
-			}
-			arr := p.Arrays[ac.Array]
-			r, c := ac.BlockAt(ev.X, tl.Params)
-			key := codegen.BlockKey(ac.Array, r, c)
-			_, held := bufBytesBy[key]
-
-			if ac.Type == prog.Read {
-				if action == codegen.FromMemory && !held && !local[key] {
-					return res, fmt.Errorf("exec: %s%v expects %s in memory but it is not buffered",
-						st.Name, ev.X, key)
-				}
-				if action == codegen.DoIO {
-					res.ReadBytes += arr.LogicalBlockBytes
-					res.ReadReqs++
-				}
-				if !local[key] {
-					local[key] = true
-					if !held {
-						localBytes += arr.LogicalBlockBytes
-					}
-				}
-				continue
-			}
-			// Write access: the output block materializes in memory.
-			writeArr, writeAction, haveWrite = arr, action, true
-			if !held && !local[key] {
-				localBytes += arr.LogicalBlockBytes
-			}
-			local[key] = true
-		}
-		if err := account(localBytes); err != nil {
-			return res, err
-		}
-		if haveWrite && writeAction == codegen.DoIO {
-			res.WriteBytes += writeArr.LogicalBlockBytes
-			res.WriteReqs++
-		}
-
-		// Retain blocks with active holds; expire holds ending here.
-		for key := range local {
-			if end, heldNow := holdEnd[key]; heldNow && end > i {
-				if _, already := bufBytesBy[key]; !already {
-					b := keyLogicalBytes(p, key)
-					bufBytesBy[key] = b
-					bufBytes += b
-				}
-			}
-		}
-		for key, end := range holdEnd {
-			if end <= i {
-				if b, ok := bufBytesBy[key]; ok {
-					bufBytes -= b
-					delete(bufBytesBy, key)
-				}
-				delete(holdEnd, key)
-			}
-		}
-	}
-	return res, nil
-}
-
-// keyLogicalBytes resolves a block key's logical byte size via its array
-// name prefix (the key embeds the array name before '[').
-func keyLogicalBytes(p *prog.Program, key string) int64 {
-	for name, arr := range p.Arrays {
-		if len(key) > len(name) && key[:len(name)] == name && key[len(name)] == '[' {
-			return arr.LogicalBlockBytes
-		}
-	}
-	return 0
-}
-
-// ivState is one merged hold interval plus its runtime refcount: the
-// buffered block is released when every event that touches it inside the
-// interval has completed (the parallel form of "expire holds ending at
-// this event").
-type ivState struct {
-	iv   codegen.HoldInterval
-	refs int32
-}
-
-// pipeline is the static schedule the parallel engine executes: access
-// sets, the event dependence DAG, hold-interval coverage, and the prefetch
-// walk.
+// pipeline is what the DAG schedule adds to the interpreter's access sets
+// and hold coverage: the event dependence DAG and the prefetch walk.
 type pipeline struct {
-	sets  [][]codegen.BlockAccess
 	succs [][]int
 	indeg []int32
-	// cover[i][key] is the merged hold interval covering event i for key
-	// (Start <= i <= End); nil map when event i covers nothing.
-	cover []map[string]*ivState
-	// release[i] lists intervals in which event i is an accessor.
-	release [][]*ivState
 	// prefetch is the ordered walk of coalesced prefetchable reads;
 	// consumers counts the DoIO reads each entry must serve.
 	prefetch  []pfReq
@@ -233,7 +58,8 @@ type pfReq struct {
 }
 
 // buildPipeline derives the dependence DAG from the timeline's block
-// access sets. Three edge families preserve sequential semantics:
+// access sets and merged hold intervals (sorted by key and start). Three
+// edge families preserve timeline-order semantics:
 //
 //   - memory dataflow inside each merged hold interval: the interval's
 //     start event produces the buffered block; readers depend on the
@@ -246,14 +72,11 @@ type pfReq struct {
 //     reads → next DoIO write (WAR), DoIO write → DoIO write (WAW).
 //
 // All edges point forward in timeline order, so the graph is a DAG.
-func buildPipeline(tl *codegen.Timeline) (*pipeline, error) {
-	n := len(tl.Events)
+func buildPipeline(tl *codegen.Timeline, sets [][]codegen.BlockAccess, intervals []*ivState) (*pipeline, error) {
+	n := len(sets)
 	pp := &pipeline{
-		sets:      tl.AccessSets(),
 		succs:     make([][]int, n),
 		indeg:     make([]int32, n),
-		cover:     make([]map[string]*ivState, n),
-		release:   make([][]*ivState, n),
 		consumers: make(map[string]int),
 	}
 	seen := make(map[int64]bool)
@@ -274,78 +97,37 @@ func buildPipeline(tl *codegen.Timeline) (*pipeline, error) {
 		return nil
 	}
 
-	// Per-event key → (reads, writes) flags for interval accessor scans.
-	type rw struct{ read, write bool }
-	touch := make([]map[string]rw, n)
-	for i, set := range pp.sets {
-		touch[i] = make(map[string]rw, len(set))
-		for _, ba := range set {
-			t := touch[i][ba.Key]
-			if ba.Type == prog.Read {
-				t.read = true
-			} else {
-				t.write = true
-			}
-			touch[i][ba.Key] = t
-		}
-	}
-
 	// Memory dataflow within and between hold intervals.
-	intervals := tl.HoldIntervals()
-	var prev *codegen.HoldInterval
-	var prevAccessors []int
-	for idx := range intervals {
-		iv := intervals[idx]
-		st := &ivState{iv: iv}
-		var accessors []int
-		for i := iv.Start; i <= iv.End; i++ {
-			if _, ok := touch[i][iv.Key]; !ok {
-				continue
-			}
-			accessors = append(accessors, i)
-			if pp.cover[i] == nil {
-				pp.cover[i] = make(map[string]*ivState)
-			}
-			pp.cover[i][iv.Key] = st
-			pp.release[i] = append(pp.release[i], st)
-		}
-		if len(accessors) == 0 || accessors[0] != iv.Start {
-			return nil, fmt.Errorf("exec: hold interval %s[%d..%d] start event does not access the block",
-				iv.Key, iv.Start, iv.End)
-		}
-		st.refs = int32(len(accessors))
-
-		producer := iv.Start
+	var prev *ivState
+	for _, st := range intervals {
+		producer := st.iv.Start
 		var readers []int
-		for _, i := range accessors[1:] {
-			if touch[i][iv.Key].write {
-				if err := addEdge(producer, i); err != nil {
-					return nil, err
-				}
-				for _, r := range readers {
-					if err := addEdge(r, i); err != nil {
-						return nil, err
-					}
-				}
-				producer, readers = i, readers[:0]
-				continue
-			}
+		for _, i := range st.accessors[1:] {
 			if err := addEdge(producer, i); err != nil {
 				return nil, err
 			}
-			readers = append(readers, i)
+			if _, w := touch(sets[i], st.iv.Key); !w {
+				readers = append(readers, i)
+				continue
+			}
+			for _, r := range readers {
+				if err := addEdge(r, i); err != nil {
+					return nil, err
+				}
+			}
+			producer, readers = i, readers[:0]
 		}
 
 		// Buffer-slot reuse: the previous interval of this block must fully
 		// release before the next one buffers.
-		if prev != nil && prev.Key == iv.Key {
-			for _, a := range prevAccessors {
-				if err := addEdge(a, iv.Start); err != nil {
+		if prev != nil && prev.iv.Key == st.iv.Key {
+			for _, a := range prev.accessors {
+				if err := addEdge(a, st.iv.Start); err != nil {
 					return nil, err
 				}
 			}
 		}
-		prev, prevAccessors = &intervals[idx], accessors
+		prev = st
 	}
 
 	// Disk-state dependences per block over DoIO actions.
@@ -354,7 +136,7 @@ func buildPipeline(tl *codegen.Timeline) (*pipeline, error) {
 		read, write bool
 	}
 	diskByKey := make(map[string][]diskAcc)
-	for i, set := range pp.sets {
+	for i, set := range sets {
 		for _, ba := range set {
 			if ba.Action != codegen.DoIO {
 				continue
@@ -408,7 +190,7 @@ func buildPipeline(tl *codegen.Timeline) (*pipeline, error) {
 	// past a disk write are left to the executor, whose RAW edge orders
 	// them.
 	inWalk := make(map[string]bool)
-	for i, set := range pp.sets {
+	for i, set := range sets {
 		for _, ba := range set {
 			if ba.Type != prog.Read || ba.Action != codegen.DoIO {
 				continue
@@ -442,53 +224,6 @@ type pfEntry struct {
 	err      error
 }
 
-// runState is the shared state of one parallel run.
-type runState struct {
-	e  *Engine
-	tl *codegen.Timeline
-	pp *pipeline
-
-	mu  sync.Mutex // guards buf, ivPins and scheduler bookkeeping
-	buf map[string]*blas.Matrix
-	// ivPins holds pool pins owned by active hold intervals (pool mode):
-	// event-local pins transfer here while an interval stays active and
-	// are released when its last accessor completes.
-	ivPins *pinSet
-
-	cacheMu sync.Mutex
-	cache   map[string]*pfEntry
-	slots   chan struct{}
-	// pfWG tracks the prefetcher and every read goroutine it spawned;
-	// runParallel joins it so no straggler touches the pool or storage
-	// after the run returns.
-	pfWG sync.WaitGroup
-
-	// finalize[i] lists blocks whose final physical write is event i
-	// (nil when the engine has no OnBlockWritten callback).
-	finalize [][]blockRef
-
-	cancel  chan struct{}
-	failErr error
-	once    sync.Once
-
-	cpuNanos atomic.Int64
-
-	// stageMu guards stageNanos, the per-statement kernel time sums
-	// that become Result.StageTimes. pfIssued/pfInline count prefetch
-	// reads issued ahead of use vs. claimed inline by a consumer.
-	stageMu    sync.Mutex
-	stageNanos map[string]int64
-	pfIssued   atomic.Int64
-	pfInline   atomic.Int64
-}
-
-// addStageTime accumulates one kernel's wall time under its stage.
-func (rs *runState) addStageTime(stage string, d time.Duration) {
-	rs.stageMu.Lock()
-	rs.stageNanos[stage] += int64(d)
-	rs.stageMu.Unlock()
-}
-
 func (rs *runState) fail(err error) {
 	rs.once.Do(func() {
 		rs.failErr = err
@@ -496,24 +231,21 @@ func (rs *runState) fail(err error) {
 	})
 }
 
-// runParallel executes the timeline on a worker pool with I/O prefetch.
-func (e *Engine) runParallel(tl *codegen.Timeline, opt Options) (Result, error) {
-	res, err := accountRun(tl, e.MemCapBytes)
+// runDAG drives execEvent over the dependence DAG on opt.Workers workers,
+// with I/O prefetch into the memory cap's headroom above peakBytes.
+func (rs *runState) runDAG(intervals []*ivState, opt Options, peakBytes int64) error {
+	pp, err := buildPipeline(rs.tl, rs.sets, intervals)
 	if err != nil {
-		return res, err
-	}
-	pp, err := buildPipeline(tl)
-	if err != nil {
-		return res, err
+		return err
 	}
 
 	depth := opt.PrefetchDepth
 	if depth <= 0 {
 		depth = 2 * opt.Workers
 	}
-	if e.MemCapBytes > 0 && pp.maxBlock > 0 {
+	if memCap := rs.e.MemCapBytes; memCap > 0 && pp.maxBlock > 0 {
 		// Prefetch only into the cap's headroom above the plan's peak.
-		if spare := int((e.MemCapBytes - res.PeakMemoryBytes) / pp.maxBlock); spare < depth {
+		if spare := int((memCap - peakBytes) / pp.maxBlock); spare < depth {
 			depth = spare
 		}
 	}
@@ -521,29 +253,23 @@ func (e *Engine) runParallel(tl *codegen.Timeline, opt Options) (Result, error) 
 		depth = 0
 	}
 
-	rs := &runState{
-		e: e, tl: tl, pp: pp,
-		buf:        make(map[string]*blas.Matrix),
-		ivPins:     newPinSet(e.Pool),
-		cache:      make(map[string]*pfEntry, len(pp.prefetch)),
-		slots:      make(chan struct{}, max(depth, 1)),
-		cancel:     make(chan struct{}),
-		stageNanos: make(map[string]int64),
-	}
-	if e.OnBlockWritten != nil {
-		rs.finalize = finalWrites(tl)
-	}
-	defer rs.ivPins.releaseAll()
+	rs.pp = pp
+	rs.slots = make(chan struct{}, max(depth, 1))
+	rs.cancel = make(chan struct{})
+	cache := make(map[string]*pfEntry, len(pp.prefetch))
 	for _, req := range pp.prefetch {
 		c := pp.consumers[req.key]
-		rs.cache[req.key] = &pfEntry{refs: int32(c), shared: c > 1, done: make(chan struct{})}
+		cache[req.key] = &pfEntry{refs: int32(c), shared: c > 1, done: make(chan struct{})}
 	}
+	rs.cacheMu.Lock()
+	rs.cache = cache
+	rs.cacheMu.Unlock()
 	if depth > 0 {
 		rs.pfWG.Add(1)
 		go rs.prefetcher()
 	}
 
-	n := len(tl.Events)
+	n := len(rs.sets)
 	ready := make(chan int, n)
 	remaining := n
 	for i := 0; i < n; i++ {
@@ -589,17 +315,7 @@ func (e *Engine) runParallel(tl *codegen.Timeline, opt Options) (Result, error) 
 	wg.Wait()
 	rs.fail(nil)   // release the prefetcher if it is still walking
 	rs.pfWG.Wait() // join prefetch reads so none outlives the run
-	if rs.failErr != nil {
-		return res, rs.failErr
-	}
-	res.CPUTime = time.Duration(rs.cpuNanos.Load())
-	for stage, ns := range rs.stageNanos {
-		res.addStageTime(stage, time.Duration(ns))
-	}
-	res.PrefetchIssued = rs.pfIssued.Load()
-	res.PrefetchInline = rs.pfInline.Load()
-	res.SimulatedIOSec = e.Model.Time(res.ReadBytes, res.WriteBytes, res.ReadReqs, res.WriteReqs)
-	return res, nil
+	return rs.failErr
 }
 
 // prefetcher walks the timeline's prefetchable reads in first-use order,
@@ -669,52 +385,56 @@ func (rs *runState) noteConsumed(key string) {
 	}
 }
 
-// readBlock serves one DoIO read at event i: from the prefetch cache when
-// the read is prefetchable (claiming the entry inline if the prefetcher
-// has not reached it yet), from storage otherwise — in particular, a read
-// scheduled after a disk write of the same block must bypass the cache,
-// whose entry predates the write. Shared entries hand out clones so a
-// consumer installing its block into the mutable buffer pool cannot
+// readBlock serves one DoIO read at event i, from the pool or from
+// storage. Under the DAG schedule a prefetchable read also retires its
+// prefetch-cache reference and, without a pool, takes the block from the
+// cache (claiming the entry inline if the prefetcher has not reached it
+// yet); a read scheduled after a disk write of the same block must bypass
+// the cache, whose entry predates the write. Shared entries hand out clones
+// so a consumer installing its block into the mutable shared buffer cannot
 // corrupt the others. The pinned result reports that the caller owns one
 // pool pin (pool mode only). In pool mode every read — including
 // post-disk-write bypass reads — goes through the pool, whose frame always
 // holds the current value (disk writes are deferred write-backs there).
-func (rs *runState) readBlock(i int, array string, r, c int64, key string) (*blas.Matrix, bool, error) {
+func (rs *runState) readBlock(i int, ba *codegen.BlockAccess) (*blas.Matrix, bool, error) {
+	prefetchable := false
+	if rs.pp != nil {
+		w, written := rs.pp.firstDiskWrite[ba.Key]
+		prefetchable = !written || w >= i
+	}
 	if pool := rs.e.Pool; pool != nil {
-		if w, ok := rs.pp.firstDiskWrite[key]; !ok || w >= i {
-			rs.noteConsumed(key)
+		if prefetchable {
+			rs.noteConsumed(ba.Key)
 		}
-		m, err := pool.Acquire(array, r, c)
+		m, err := pool.Acquire(ba.Array, ba.R, ba.C)
 		return m, err == nil, err
 	}
-	if w, ok := rs.pp.firstDiskWrite[key]; ok && w < i {
-		m, err := rs.e.Store.ReadBlock(array, r, c)
-		return m, false, err
-	}
-	rs.cacheMu.Lock()
-	en := rs.cache[key]
-	if en == nil {
+	var en *pfEntry
+	claimed, last := false, false
+	if prefetchable {
+		rs.cacheMu.Lock()
+		if en = rs.cache[ba.Key]; en != nil {
+			if !en.issued {
+				en.issued = true
+				claimed = true
+				rs.pfInline.Add(1)
+			}
+			en.refs--
+			if last = en.refs == 0; last {
+				// Evict so the block is not pinned for the rest of the run; a
+				// latecomer simply misses the cache and reads inline.
+				delete(rs.cache, ba.Key)
+			}
+		}
 		rs.cacheMu.Unlock()
-		m, err := rs.e.Store.ReadBlock(array, r, c)
+	}
+	if en == nil {
+		m, err := rs.e.Store.ReadBlock(ba.Array, ba.R, ba.C)
 		return m, false, err
 	}
-	claimed := false
-	if !en.issued {
-		en.issued = true
-		claimed = true
-		rs.pfInline.Add(1)
-	}
-	en.refs--
-	last := en.refs == 0
-	if last {
-		// Evict so the block is not pinned for the rest of the run; a
-		// latecomer simply misses the cache and reads inline.
-		delete(rs.cache, key)
-	}
-	rs.cacheMu.Unlock()
 
 	if claimed {
-		en.blk, en.err = rs.e.Store.ReadBlock(array, r, c)
+		en.blk, en.err = rs.e.Store.ReadBlock(ba.Array, ba.R, ba.C)
 		close(en.done)
 	} else {
 		select {
@@ -733,136 +453,4 @@ func (rs *runState) readBlock(i int, array string, r, c int64, key string) (*bla
 		return en.blk.Clone(), false, nil
 	}
 	return en.blk, false, nil
-}
-
-// execEvent runs one statement instance: acquire operands (shared buffer,
-// prefetch cache, or disk), run the kernel, write back, then retain and
-// release held blocks. It mirrors Engine.Run's per-event logic exactly;
-// only the sourcing of blocks differs.
-func (rs *runState) execEvent(i int) error {
-	tl := rs.tl
-	ev := tl.Events[i]
-	set := rs.pp.sets[i]
-	cover := rs.pp.cover[i]
-
-	// Pool pins acquired by this event; pins for blocks whose hold
-	// interval extends past the event transfer to interval ownership
-	// (rs.ivPins), the rest release when the event finishes.
-	evPins := newPinSet(rs.e.Pool)
-	defer evPins.releaseAll()
-
-	local := make(map[string]*blas.Matrix, len(set))
-	var kernelIn []*blas.Matrix
-	var outBlk *blas.Matrix
-	var writeBA *codegen.BlockAccess
-	var accRead *blas.Matrix
-
-	heldBefore := func(key string) bool {
-		iv, ok := cover[key]
-		return ok && i > iv.iv.Start
-	}
-
-	for bi := range set {
-		ba := &set[bi]
-		if ba.Type == prog.Read {
-			var m *blas.Matrix
-			switch ba.Action {
-			case codegen.FromMemory:
-				if heldBefore(ba.Key) {
-					rs.mu.Lock()
-					m = rs.buf[ba.Key]
-					rs.mu.Unlock()
-				}
-				if m == nil {
-					if lm, ok := local[ba.Key]; ok {
-						m = lm
-					} else {
-						return fmt.Errorf("exec: %s%v expects %s in memory but it is not buffered",
-							ev.St.Name, ev.X, ba.Key)
-					}
-				}
-			case codegen.DoIO:
-				var err error
-				var pinned bool
-				m, pinned, err = rs.readBlock(i, ba.Array, ba.R, ba.C, ba.Key)
-				if err != nil {
-					return err
-				}
-				if pinned {
-					evPins.add(ba.Key, ba.Array, ba.R, ba.C)
-				}
-			}
-			if _, dup := local[ba.Key]; !dup {
-				local[ba.Key] = m
-			}
-			if isAccumulatorRead(ev.St, ba.Acc) {
-				accRead = m
-			} else {
-				kernelIn = append(kernelIn, m)
-			}
-			continue
-		}
-		// Write access: the output block materializes in memory.
-		writeBA = ba
-		if heldBefore(ba.Key) {
-			rs.mu.Lock()
-			outBlk = rs.buf[ba.Key]
-			rs.mu.Unlock()
-			if outBlk == nil {
-				return fmt.Errorf("exec: %s%v writes held block %s but it is not buffered",
-					ev.St.Name, ev.X, ba.Key)
-			}
-		} else {
-			arr := tl.Prog.Arrays[ba.Array]
-			outBlk = blas.NewMatrix(arr.BlockRows, arr.BlockCols)
-		}
-		local[ba.Key] = outBlk
-	}
-
-	t0 := time.Now()
-	if err := RunKernel(ev.St, kernelIn, accRead, outBlk); err != nil {
-		return fmt.Errorf("exec: %s%v: %w", ev.St.Name, ev.X, err)
-	}
-	kd := time.Since(t0)
-	rs.cpuNanos.Add(int64(kd))
-	rs.addStageTime(ev.St.Name, kd)
-
-	if writeBA != nil && writeBA.Action == codegen.DoIO {
-		pinned, err := rs.e.writeThrough(writeBA.Array, writeBA.R, writeBA.C, outBlk)
-		if err != nil {
-			return err
-		}
-		if pinned {
-			evPins.add(writeBA.Key, writeBA.Array, writeBA.R, writeBA.C)
-		}
-	}
-
-	// Retain blocks whose hold interval extends past this event; release
-	// interval references and evict fully consumed blocks. Pool pins for
-	// retained blocks move to interval ownership and are released when the
-	// interval's last accessor completes.
-	rs.mu.Lock()
-	for key, m := range local {
-		if iv, ok := cover[key]; ok && i < iv.iv.End {
-			rs.buf[key] = m
-			evPins.transfer(key, rs.ivPins)
-		}
-	}
-	for _, st := range rs.pp.release[i] {
-		if st.refs--; st.refs == 0 {
-			delete(rs.buf, st.iv.Key)
-			rs.ivPins.drop(st.iv.Key, 0)
-		}
-	}
-	rs.mu.Unlock()
-
-	// Announce blocks whose final physical write was this event. The WAW
-	// and dataflow edges ordered every earlier write before it, so the
-	// value observed through Pool/Store from here on is final.
-	if rs.finalize != nil {
-		for _, br := range rs.finalize[i] {
-			rs.e.OnBlockWritten(br.array, br.r, br.c)
-		}
-	}
-	return nil
 }

@@ -145,9 +145,9 @@ func comparable(r Result) Result {
 	return r
 }
 
-// assertIdentical checks the parallel engine's central invariant: logical
-// I/O accounting and numerics are byte-for-byte identical to sequential
-// execution, for any worker count.
+// assertIdentical checks the DAG schedule's central invariant: logical I/O
+// accounting and numerics are byte-for-byte identical to the in-order
+// schedule, for any worker count.
 func assertIdentical(t *testing.T, label string, workers int, seq, par Result, seqOut, parOut map[string]*blas.Matrix) {
 	t.Helper()
 	if !reflect.DeepEqual(comparable(seq), comparable(par)) {
@@ -188,8 +188,8 @@ func planSample(res *core.Result, n int) []*core.EvaluatedPlan {
 	return out
 }
 
-// TestParallelMatchesSequential is the property test for the pipelined
-// engine: across the example programs, a sample of their plans, and both
+// TestParallelMatchesSequential is the property test for the DAG
+// schedule: across the example programs, a sample of their plans, and both
 // on-disk formats (DAF and LAB-tree), a Workers=4 run — with or without a
 // sharing-aware buffer pool — must produce the same Result (ReadBytes/
 // WriteBytes/ReadReqs/WriteReqs/PeakMemoryBytes/SimulatedIOSec) and
@@ -365,9 +365,9 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// The parallel engine must enforce the memory cap exactly like the
-// sequential one: a cap below the plan's peak fails, at the peak it runs —
-// and the prefetch window must degrade gracefully to zero headroom.
+// The DAG schedule enforces the memory cap exactly like the in-order one: a
+// cap below the plan's peak fails before any physical I/O, at the peak it
+// runs — and the prefetch window must degrade gracefully to zero headroom.
 func TestParallelMemoryCap(t *testing.T) {
 	p := addMulProgram(2, 3, 1)
 	res, err := core.Optimize(p, core.Options{BindParams: true})
@@ -384,9 +384,13 @@ func TestParallelMemoryCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	fillInputs(t, p, m, 3)
+	before := m.Stats()
 	eng := &Engine{Store: m, Model: disk.PaperModel(), MemCapBytes: pl.Cost.PeakMemoryBytes - 1}
 	if _, err := eng.RunOptions(pl.Timeline, Options{Workers: 4}); err == nil {
 		t.Fatal("cap below the plan's peak must fail")
+	}
+	if after := m.Stats(); after != before {
+		t.Fatalf("refused plan touched the store: %+v -> %+v", before, after)
 	}
 	eng.MemCapBytes = pl.Cost.PeakMemoryBytes
 	if _, err := eng.RunOptions(pl.Timeline, Options{Workers: 4}); err != nil {
@@ -395,7 +399,7 @@ func TestParallelMemoryCap(t *testing.T) {
 }
 
 // A corrupted timeline (holds dropped under FromMemory actions) must fail
-// the buffered-block invariant in the parallel engine too.
+// the buffered-block invariant under the DAG schedule too.
 func TestParallelFromMemoryInvariant(t *testing.T) {
 	p := addMulProgram(2, 2, 1)
 	res, err := core.Optimize(p, core.Options{BindParams: true})
@@ -429,38 +433,58 @@ func TestParallelFromMemoryInvariant(t *testing.T) {
 	}
 }
 
-// The dry-run accounting must agree with what the sequential interpreter
-// physically measures, plan by plan — it is the bridge that keeps parallel
-// Results equal to sequential ones.
-func TestAccountRunMatchesSequential(t *testing.T) {
-	p := addMulProgram(3, 4, 2)
-	res, err := core.Optimize(p, core.Options{BindParams: true})
-	if err != nil {
-		t.Fatal(err)
+// Physical-counter cross-check on the store-direct path: for every plan of
+// addmul and twomm, the block requests the store actually served equal the
+// Result accountRun reported, which equals cost.Evaluate's independent
+// prediction. The in-order schedule is request-exact; the DAG schedule
+// writes exactly as many blocks and may read fewer (the prefetch cache
+// coalesces reads of one block that see the same disk state).
+func TestPhysicalCountersMatchAccounting(t *testing.T) {
+	progs := map[string]*prog.Program{
+		"addmul": addMulProgram(3, 4, 2),
+		"twomm": ops.TwoMM(ops.TwoMMConfig{
+			N1: 3, N2: 4, N3: 3, N4: 4,
+			ABlock: ops.Dims{Rows: 4, Cols: 4}, BBlock: ops.Dims{Rows: 4, Cols: 4},
+			DBlock: ops.Dims{Rows: 4, Cols: 4},
+		}),
 	}
-	for _, pl := range res.Plans {
-		m, err := storage.NewManager(t.TempDir(), storage.FormatDAF)
+	for name, p := range progs {
+		res, err := core.Optimize(p, core.Options{BindParams: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := m.CreateAll(p); err != nil {
-			t.Fatal(err)
+		for _, pl := range res.Plans {
+			for _, workers := range []int{1, 4} {
+				m, err := storage.NewManager(t.TempDir(), storage.FormatDAF)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := m.CreateAll(p); err != nil {
+					t.Fatal(err)
+				}
+				fillInputs(t, p, m, 42)
+				before := m.Stats()
+				eng := &Engine{Store: m, Model: disk.PaperModel()}
+				r, err := eng.RunOptions(pl.Timeline, Options{Workers: workers})
+				if err != nil {
+					t.Fatalf("%s plan %s workers=%d: %v", name, pl.Label, workers, err)
+				}
+				after := m.Stats()
+				m.Close()
+				reads, writes := after.ReadReqs-before.ReadReqs, after.WriteReqs-before.WriteReqs
+				if r.ReadReqs != pl.Cost.ReadReqs || r.WriteReqs != pl.Cost.WriteReqs {
+					t.Errorf("%s plan %s workers=%d: Result requests (%d,%d) != predicted (%d,%d)",
+						name, pl.Label, workers, r.ReadReqs, r.WriteReqs, pl.Cost.ReadReqs, pl.Cost.WriteReqs)
+				}
+				if writes != r.WriteReqs {
+					t.Errorf("%s plan %s workers=%d: store served %d writes, Result says %d",
+						name, pl.Label, workers, writes, r.WriteReqs)
+				}
+				if reads > r.ReadReqs || (workers == 1 && reads != r.ReadReqs) {
+					t.Errorf("%s plan %s workers=%d: store served %d reads, Result says %d",
+						name, pl.Label, workers, reads, r.ReadReqs)
+				}
+			}
 		}
-		fillInputs(t, p, m, 42)
-		eng := &Engine{Store: m, Model: disk.PaperModel()}
-		measured, err := eng.Run(pl.Timeline)
-		if err != nil {
-			t.Fatalf("plan %s: %v", pl.Label, err)
-		}
-		accounted, err := accountRun(pl.Timeline, 0)
-		if err != nil {
-			t.Fatalf("plan %s: accountRun: %v", pl.Label, err)
-		}
-		accounted.SimulatedIOSec = eng.Model.Time(accounted.ReadBytes, accounted.WriteBytes, accounted.ReadReqs, accounted.WriteReqs)
-		if !reflect.DeepEqual(comparable(measured), comparable(accounted)) {
-			t.Errorf("plan %s: accounting diverged\nmeasured:  %+v\naccounted: %+v",
-				pl.Label, comparable(measured), comparable(accounted))
-		}
-		m.Close()
 	}
 }

@@ -1,8 +1,8 @@
-// pool.go hooks the execution engines into a sharing-aware block pool.
-// When Engine.Pool is set, every physical block read and write goes through
-// the pool instead of raw storage, so a block read by one query is a cache
-// hit for the next (the cross-query extension of the paper's intra-program
-// I/O sharing). The engines pin pool frames for exactly the plan's hold
+// pool.go hooks the interpreter into a sharing-aware block pool. When
+// Engine.Pool is set, every physical block read and write goes through the
+// pool instead of raw storage, so a block read by one query is a cache hit
+// for the next (the cross-query extension of the paper's intra-program I/O
+// sharing). execEvent pins pool frames for exactly the plan's hold
 // intervals: while a block sits in a plan's working set the pool may not
 // evict it, and when the hold expires the frame returns to LRU order.
 package exec
@@ -11,7 +11,7 @@ import (
 	"riotshare/internal/blas"
 )
 
-// BlockPool is the block cache the engines acquire blocks through when
+// BlockPool is the block cache the engine acquires blocks through when
 // Engine.Pool is set. Acquire returns a private copy of the block with one
 // pin held on the underlying frame; Put installs a written block (the pool
 // keeps its own copy, marked dirty for write-back) also with one pin held;
@@ -23,20 +23,9 @@ type BlockPool interface {
 	Unpin(array string, r, c int64, n int)
 }
 
-// readThrough serves one physical block read through the pool when present.
-// The returned pinned flag tells the caller it owns one pool pin.
-func (e *Engine) readThrough(array string, r, c int64) (m *blas.Matrix, pinned bool, err error) {
-	if e.Pool != nil {
-		m, err = e.Pool.Acquire(array, r, c)
-		return m, err == nil, err
-	}
-	m, err = e.Store.ReadBlock(array, r, c)
-	return m, false, err
-}
-
 // writeThrough performs one physical block write through the pool when
-// present (deferred write-back) or directly to storage. As with
-// readThrough, the caller owns one pool pin on success.
+// present (deferred write-back) or directly to storage. The returned pinned
+// flag tells the caller it owns one pool pin.
 func (e *Engine) writeThrough(array string, r, c int64, blk *blas.Matrix) (pinned bool, err error) {
 	if e.Pool != nil {
 		err = e.Pool.Put(array, r, c, blk)
@@ -45,8 +34,8 @@ func (e *Engine) writeThrough(array string, r, c int64, blk *blas.Matrix) (pinne
 	return false, e.Store.WriteBlock(array, r, c, blk)
 }
 
-// pinSet tracks the pool pins one run owns, keyed by block key. It lets the
-// engines drive pin lifetimes off the plan's hold intervals and guarantees
+// pinSet tracks the pool pins one run owns, keyed by block key. It lets
+// execEvent drive pin lifetimes off the plan's hold intervals and guarantees
 // nothing stays pinned after the run (releaseAll on every exit path).
 type pinSet struct {
 	pool BlockPool
@@ -66,7 +55,7 @@ func newPinSet(pool BlockPool) *pinSet {
 	return &pinSet{pool: pool, pins: make(map[string]*pinInfo)}
 }
 
-// add records one owned pin for the block (acquired via readThrough or
+// add records one owned pin for the block (acquired via readBlock or
 // writeThrough).
 func (ps *pinSet) add(key, array string, r, c int64) {
 	if ps == nil {
@@ -79,24 +68,19 @@ func (ps *pinSet) add(key, array string, r, c int64) {
 	ps.pins[key] = &pinInfo{array: array, r: r, c: c, n: 1}
 }
 
-// drop releases owned pins for key down to keep.
-func (ps *pinSet) drop(key string, keep int) {
+// drop releases every owned pin for key.
+func (ps *pinSet) drop(key string) {
 	if ps == nil {
 		return
 	}
-	pi, ok := ps.pins[key]
-	if !ok || pi.n <= keep {
-		return
-	}
-	ps.pool.Unpin(pi.array, pi.r, pi.c, pi.n-keep)
-	pi.n = keep
-	if pi.n == 0 {
+	if pi, ok := ps.pins[key]; ok {
+		ps.pool.Unpin(pi.array, pi.r, pi.c, pi.n)
 		delete(ps.pins, key)
 	}
 }
 
-// transfer moves count owned pins for key into another pinSet (the parallel
-// engine hands event-local pins to interval-scoped ownership).
+// transfer moves the owned pins for key into another pinSet (execEvent hands
+// event-local pins to interval-scoped ownership).
 func (ps *pinSet) transfer(key string, to *pinSet) {
 	if ps == nil || to == nil {
 		return
@@ -118,10 +102,7 @@ func (ps *pinSet) releaseAll() {
 	if ps == nil {
 		return
 	}
-	for key, pi := range ps.pins {
-		if pi.n > 0 {
-			ps.pool.Unpin(pi.array, pi.r, pi.c, pi.n)
-		}
-		delete(ps.pins, key)
+	for key := range ps.pins {
+		ps.drop(key)
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"riotshare/internal/prog"
@@ -236,5 +238,61 @@ func TestHTTPRepair(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK || rep.Repaired != 1 {
 		t.Fatalf("POST /repair?shard=1 = %d %+v, want 200 repaired=1", resp.StatusCode, rep)
+	}
+}
+
+// A submitted spec whose array name would resolve outside the store root is
+// a 400, and nothing is created outside Config.Dir.
+func TestHTTPSubmitRejectsEscapingArrayName(t *testing.T) {
+	parent := t.TempDir()
+	s, err := New(Config{Dir: filepath.Join(parent, "store"), Seed: testSeed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer func() {
+		ts.Close()
+		s.Close()
+	}()
+
+	ij := func(v string) ExprSpec { return ExprSpec{Terms: map[string]int64{v: 1}} }
+	for _, name := range []string{"../x", "../../x", "a/b", ".."} {
+		spec := &ProgramSpec{
+			Name:   "escape",
+			Params: []string{"n"},
+			Bind:   map[string]int64{"n": 2},
+			Arrays: []ArraySpec{
+				{Name: name, BlockRows: 4, BlockCols: 4, GridRows: 2, GridCols: 1},
+				{Name: "C", BlockRows: 4, BlockCols: 4, GridRows: 2, GridCols: 1},
+			},
+			Stmts: []StmtSpec{{
+				Name:   "s1",
+				Vars:   []string{"i"},
+				Ranges: []RangeSpec{{Var: "i", Lo: ExprSpec{}, Hi: ij("n")}},
+				Accesses: []AccessSpec{
+					{Type: "read", Array: name, Row: ij("i"), Col: ExprSpec{}},
+					{Type: "read", Array: name, Row: ij("i"), Col: ExprSpec{}},
+					{Type: "write", Array: "C", Row: ij("i"), Col: ExprSpec{}},
+				},
+				Kernel: "add",
+			}},
+		}
+		body, _ := json.Marshal(Request{Spec: spec})
+		resp, err := http.Post(ts.URL+"/submit", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("submit with array %q: status = %d, want 400", name, resp.StatusCode)
+		}
+	}
+	s.Close() // drain anything a wrongly admitted query is still doing
+	entries, err := os.ReadDir(parent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "store" {
+		t.Errorf("files created outside Config.Dir: %v", entries)
 	}
 }

@@ -14,7 +14,7 @@
 // queries — and concurrent ones — read the very same blocks through the
 // pool. Written arrays are namespaced per query ("q3.E"), so concurrent
 // executions of the same program cannot collide, while their ExecResults
-// stay identical to standalone sequential runs. The governor prefers
+// stay identical to standalone runs. The governor prefers
 // admitting queries whose shared inputs are already pool-resident
 // (affinity batching), so those hits compound.
 package server
@@ -112,9 +112,9 @@ type Config struct {
 	// governor prefers, within a tenant, the admissible query whose input
 	// arrays are already pool-resident).
 	NoAffinity bool
-	// Workers/PrefetchDepth default each query to the pipelined engine
-	// configuration (Workers <= 1 = sequential interpreter); a Request may
-	// override them.
+	// Workers/PrefetchDepth default each query's execution schedule
+	// (Workers <= 1 = in-order, more = the pipelined DAG schedule); a
+	// Request may override them.
 	Workers       int
 	PrefetchDepth int
 	// Seed drives the deterministic synthetic fill of shared input arrays.

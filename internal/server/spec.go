@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"riotshare/internal/prog"
+	"riotshare/internal/storage"
 )
 
 // ProgramSpec is the JSON form of the statement-builder API (the paper's
@@ -97,8 +98,9 @@ func (sp *ProgramSpec) validate() error {
 	}
 	arrays := map[string]bool{}
 	for _, a := range sp.Arrays {
-		if a.Name == "" {
-			return fmt.Errorf("spec: array with empty name")
+		// Array names become store file names under the store root.
+		if err := storage.CheckArrayName(a.Name); err != nil {
+			return fmt.Errorf("spec: %w", err)
 		}
 		if arrays[a.Name] {
 			return fmt.Errorf("spec: duplicate array %q", a.Name)

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -251,18 +252,39 @@ func NewManager(dir string, format Format) (*Manager, error) {
 	}, nil
 }
 
+// CheckArrayName reports whether name may name an array. An array's store
+// is the file <root>/<name>.<format>, and names arrive from outside the
+// process (submitted specs, the block-service wire), so a name must be a
+// single path element: non-empty, not "." or "..", free of path separators
+// and NUL. Dots inside a name ("q3.E") are fine.
+func CheckArrayName(name string) error {
+	if name == "" || name == "." || name == ".." || strings.ContainsAny(name, "/\\\x00") {
+		return fmt.Errorf("storage: invalid array name %q", name)
+	}
+	return nil
+}
+
+// storePath is the store file of one array under the manager's directory;
+// it refuses names that would resolve outside it.
+func (m *Manager) storePath(array string) (string, error) {
+	if err := CheckArrayName(array); err != nil {
+		return "", err
+	}
+	return filepath.Join(m.Dir, array+"."+m.Format.String()), nil
+}
+
 // Create opens the store for an array.
 func (m *Manager) Create(arr *prog.Array) error {
+	path, err := m.storePath(arr.Name)
+	if err != nil {
+		return err
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if _, dup := m.stores[arr.Name]; dup {
 		return fmt.Errorf("storage: array %q already created", arr.Name)
 	}
-	path := filepath.Join(m.Dir, arr.Name+"."+m.Format.String())
-	var (
-		st  BlockStore
-		err error
-	)
+	var st BlockStore
 	switch m.Format {
 	case FormatLABTree:
 		var t *LABTree
@@ -421,7 +443,11 @@ func (m *Manager) Drop(array string, deleteFile bool) error {
 	}
 	err := st.Close()
 	if deleteFile {
-		if rerr := os.Remove(filepath.Join(m.Dir, array+"."+m.Format.String())); err == nil && rerr != nil {
+		path, rerr := m.storePath(array)
+		if rerr == nil {
+			rerr = os.Remove(path)
+		}
+		if err == nil {
 			err = rerr
 		}
 	}

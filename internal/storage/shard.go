@@ -96,7 +96,11 @@ func (s *localShard) RemoveManifest() error {
 }
 
 func (s *localShard) StoreExists(array string) (bool, error) {
-	_, err := os.Stat(s.storePath(array))
+	path, err := s.m.storePath(array)
+	if err != nil {
+		return false, err
+	}
+	_, err = os.Stat(path)
 	if err == nil {
 		return true, nil
 	}
@@ -110,7 +114,11 @@ func (s *localShard) WipeStore(array string) error {
 	// Close a surviving open store first (a previous partial repair may
 	// hold the fd of the file about to be wiped); unknown arrays are fine.
 	_ = s.m.Drop(array, false)
-	if err := os.Remove(s.storePath(array)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+	path, err := s.m.storePath(array)
+	if err != nil {
+		return err
+	}
+	if err := os.Remove(path); err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return err
 	}
 	return nil
@@ -119,10 +127,6 @@ func (s *localShard) WipeStore(array string) error {
 func (s *localShard) PrepareRepair() error {
 	// The lost shard may be gone directory and all.
 	return os.MkdirAll(s.dir, 0o755)
-}
-
-func (s *localShard) storePath(array string) string {
-	return filepath.Join(s.dir, array+"."+s.m.Format.String())
 }
 
 // IsRemoteSpec reports whether a shard spec names a network address

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -279,5 +280,55 @@ func TestManagerErrors(t *testing.T) {
 	bad := blas.NewMatrix(1, 1)
 	if err := m.WriteBlock("A", 0, 0, bad); err == nil {
 		t.Fatal("wrong block shape should error")
+	}
+}
+
+// Array names become store file names, so a name that is not a single path
+// element must be refused before any file is touched — by the manager and
+// by a sharded store's local shards alike.
+func TestArrayNamesStayInsideTheStoreRoot(t *testing.T) {
+	for _, name := range []string{"A", "q3.E", "a.b.c", "..x", "x.."} {
+		if err := CheckArrayName(name); err != nil {
+			t.Errorf("CheckArrayName(%q) = %v, want ok", name, err)
+		}
+	}
+	bad := []string{"", ".", "..", "../x", "../../x", "a/b", `a\b`, "/abs", "a\x00b"}
+	for _, name := range bad {
+		if err := CheckArrayName(name); err == nil {
+			t.Errorf("CheckArrayName(%q) accepted", name)
+		}
+	}
+
+	parent := t.TempDir()
+	root := filepath.Join(parent, "store")
+	m, err := NewManager(root, FormatDAF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	sm, err := OpenSharded(ShardDirs(filepath.Join(parent, "sharded"), 2), ShardedOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sm.Close()
+	for _, name := range bad {
+		arr := testArray()
+		arr.Name = name
+		if err := m.Create(arr); err == nil {
+			t.Errorf("Manager.Create(%q) succeeded", name)
+		}
+		if err := sm.Create(arr); err == nil {
+			t.Errorf("ShardedManager.Create(%q) succeeded", name)
+		}
+	}
+	// Nothing but the two store roots exists under parent.
+	entries, err := os.ReadDir(parent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if e.Name() != "store" && e.Name() != "sharded" {
+			t.Errorf("%s created outside the store roots", e.Name())
+		}
 	}
 }

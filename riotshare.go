@@ -276,12 +276,13 @@ func NewStorage(dir string, format StorageFormat) (*Storage, error) {
 // ExecResult reports a physical plan execution.
 type ExecResult = exec.Result
 
-// ExecOptions configures the pipelined parallel engine: Workers is the
-// number of concurrent kernel workers (<= 1 runs the sequential
-// interpreter) and PrefetchDepth bounds the I/O prefetch window (<= 0
-// picks a default; a memory cap shrinks it to the cap's headroom above the
-// plan's peak). Logical I/O accounting and numerics are identical for
-// every worker count.
+// ExecOptions selects the schedule the execution engine's one interpreter
+// runs under: Workers <= 1 executes the plan's events in timeline order on
+// the calling goroutine, Workers > 1 executes them from the event
+// dependence DAG on that many concurrent kernel workers, with I/O prefetch.
+// PrefetchDepth bounds the prefetch window (<= 0 picks a default; a memory
+// cap shrinks it to the cap's headroom above the plan's peak). Logical I/O
+// accounting and numerics are identical for every worker count.
 type ExecOptions = exec.Options
 
 // Execute runs an evaluated plan against storage with the given disk model
@@ -291,10 +292,12 @@ func Execute(pl *EvaluatedPlan, store StorageBackend, model DiskModel, memCapByt
 	return ExecuteOptions(pl, store, model, memCapBytes, ExecOptions{})
 }
 
-// ExecuteOptions is Execute with pipelined parallel execution: a worker
-// pool runs independent in-core kernels concurrently while a prefetcher
-// issues block reads ahead of the timeline, preserving the plan's exact
-// I/O volumes and bit-identical numerics.
+// ExecuteOptions is Execute under the schedule opt selects. With
+// Workers > 1 a worker pool runs independent in-core kernels concurrently
+// while a prefetcher issues block reads ahead of the timeline, preserving
+// the plan's exact I/O volumes and bit-identical numerics. A plan whose
+// working set exceeds memCapBytes is refused before any physical I/O,
+// under either schedule.
 func ExecuteOptions(pl *EvaluatedPlan, store StorageBackend, model DiskModel, memCapBytes int64, opt ExecOptions) (ExecResult, error) {
 	eng := &exec.Engine{Store: store, Model: model, MemCapBytes: memCapBytes}
 	return eng.RunOptions(pl.Timeline, opt)
