@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test test-race test-full bench bench-json bench-check lint fmt doc-check riotvet smoke
+.PHONY: build test test-race test-full bench bench-json bench-check bench-record-smoke lint fmt doc-check riotvet smoke
 
 build:
 	$(GO) build ./...
@@ -78,6 +78,23 @@ bench-check:
 		$(GO) run ./cmd/benchjson -compare .bench-base/$$file $$file -tolerance 0.25; \
 	done
 	@rm -rf .bench-base
+
+# Smoke-run the benchmark of record (benchmark/, BENCHMARK.json) on its
+# planner-bound workload, once per pass (-trace 0: end-to-end metrics,
+# -trace 1: per-layer). It is the planner's only end-to-end consumer, so
+# an exported name it uses drifting, a request failing or an output missing
+# the oracle fails here: non-zero exit, or failed > 0 in the result line
+# (the last stdout line). The two result lines stay in .bench-record/ for
+# the nightly workflow to upload.
+bench-record-smoke:
+	@rm -rf .bench-record && mkdir -p .bench-record
+	@set -e; for trace in 0 1; do \
+		out=.bench-record/cold-plan.trace$$trace; \
+		echo "$(GO) run ./benchmark -workload cold-plan -seed 1 -trace $$trace"; \
+		$(GO) run ./benchmark -workload cold-plan -seed 1 -trace $$trace > $$out.log; \
+		tail -n 1 $$out.log > $$out.json; \
+		grep -q '"failed":0[,}]' $$out.json || { echo "bench-record-smoke: failed > 0 in $$out.json"; exit 1; }; \
+	done
 
 # Godoc completeness over the public surface: the facade, the planner
 # (core/sched/cost), the storage and server layers, and the network

@@ -27,21 +27,6 @@ func main() {
 	}
 }
 
-func programByName(name string) (*riotshare.Program, error) {
-	switch name {
-	case "addmul":
-		return bench.AddMulPaper(), nil
-	case "twomm-a":
-		return bench.TwoMMPaperA(), nil
-	case "twomm-b":
-		return bench.TwoMMPaperB(), nil
-	case "linreg":
-		return bench.LinRegPaper(), nil
-	default:
-		return nil, fmt.Errorf("unknown program %q (addmul, twomm-a, twomm-b, linreg)", name)
-	}
-}
-
 func run() error {
 	if len(os.Args) < 2 {
 		return fmt.Errorf("subcommand required: analyze, optimize, codegen, run")
@@ -60,18 +45,16 @@ func run() error {
 	if err := fs.Parse(os.Args[2:]); err != nil {
 		return err
 	}
-	p, err := programByName(*progName)
+	p, subsets, err := bench.PaperProgram(*progName, *full)
 	if err != nil {
 		return err
 	}
 	optimize := func() (*riotshare.Result, error) {
-		if !*full && *progName == "linreg" {
-			return riotshare.OptimizeSubsets(p, core.Options{
-				BindParams:  true,
-				MemCapBytes: *memMB << 20,
-			}, bench.LinRegSelectedPlans())
+		opt := core.Options{BindParams: true, MemCapBytes: *memMB << 20}
+		if subsets != nil {
+			return riotshare.OptimizeSubsets(p, opt, subsets)
 		}
-		return riotshare.Optimize(p, core.Options{BindParams: true, MemCapBytes: *memMB << 20})
+		return riotshare.Optimize(p, opt)
 	}
 
 	switch sub {

@@ -6,6 +6,8 @@
 package bench
 
 import (
+	"fmt"
+
 	"riotshare/internal/ops"
 	"riotshare/internal/prog"
 )
@@ -76,6 +78,28 @@ func LinRegPaper() *prog.Program {
 		LogicalX: ops.Dims{Rows: 60000, Cols: 4000},
 		LogicalY: ops.Dims{Rows: 60000, Cols: 400},
 	})
+}
+
+// PaperProgram resolves the name of one of the paper's benchmark programs
+// to its §6 configuration and the sharing-opportunity combinations its
+// optimization is restricted to (nil = the full plan space). Only linreg is
+// restricted, to LinRegSelectedPlans, because its full space is ~16k
+// combinations; full lifts that.
+func PaperProgram(name string, full bool) (*prog.Program, [][]string, error) {
+	switch name {
+	case "addmul":
+		return AddMulPaper(), nil, nil
+	case "twomm-a":
+		return TwoMMPaperA(), nil, nil
+	case "twomm-b":
+		return TwoMMPaperB(), nil, nil
+	case "linreg":
+		if full {
+			return LinRegPaper(), nil, nil
+		}
+		return LinRegPaper(), LinRegSelectedPlans(), nil
+	}
+	return nil, nil, fmt.Errorf("bench: unknown program %q (addmul, twomm-a, twomm-b, linreg)", name)
 }
 
 // TwoMMSelectedPlans are the four §6.2 plans shown in Figures 4(b)/5(b):

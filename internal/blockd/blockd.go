@@ -248,7 +248,7 @@ func (s *Server) handle(version, op byte, payload []byte) (byte, []byte) {
 			return errStatus(blockproto.StatusBadRequest, err)
 		}
 		err := s.mgr.Create(arr)
-		if err != nil && ensure && strings.Contains(err.Error(), "already created") {
+		if ensure && errors.Is(err, storage.ErrArrayExists) {
 			if prev := s.mgr.Registered(name); prev != nil && !sameGeometry(prev, arr) {
 				// The registration is a stale leftover of an earlier client
 				// session's same-named array with a different shape. Reopen
@@ -261,7 +261,7 @@ func (s *Server) handle(version, op byte, payload []byte) (byte, []byte) {
 			}
 		}
 		if err != nil {
-			if strings.Contains(err.Error(), "already created") {
+			if errors.Is(err, storage.ErrArrayExists) {
 				return errStatus(blockproto.StatusExists, err)
 			}
 			return errStatus(blockproto.StatusErr, err)
@@ -416,11 +416,11 @@ func (s *Server) storePath(name string) (string, error) {
 	return filepath.Join(s.root, name+"."+s.opt.Format.String()), nil
 }
 
-// readErrStatus classifies a Manager error for the wire: "unknown array"
+// readErrStatus classifies a Manager error for the wire: an unknown array
 // becomes its own status so clients can treat it as an application error
 // (never a connection failure).
 func readErrStatus(err error) byte {
-	if strings.Contains(err.Error(), "unknown array") {
+	if errors.Is(err, storage.ErrUnknownArray) {
 		return blockproto.StatusUnknownArray
 	}
 	return blockproto.StatusErr

@@ -20,6 +20,7 @@ import (
 
 	"riotshare/internal/blas"
 	"riotshare/internal/blockd"
+	"riotshare/internal/blockproto"
 	"riotshare/internal/prog"
 	"riotshare/internal/storage"
 )
@@ -627,5 +628,60 @@ func TestRemoteArrayNameCannotEscapeRoot(t *testing.T) {
 	}
 	if rst := rs.RemoteStats(); rst.Retries != 0 {
 		t.Errorf("application errors were retried %d times", rst.Retries)
+	}
+}
+
+// serverStatus extracts the wire status of a server-side application error.
+func serverStatus(t *testing.T, op string, err error) byte {
+	t.Helper()
+	var se *storage.ServerError
+	if !errors.As(err, &se) {
+		t.Fatalf("%s = %v, want a server-side application error", op, err)
+	}
+	return se.Status
+}
+
+// Array names are legal with spaces and appear in Manager error texts and
+// store paths, so the server must classify Manager errors by identity, not
+// by message. Here the store file of an array named "already created"
+// cannot be opened (a directory is in the way): an ensure-create must fail,
+// not be taken for a harmless duplicate because the path is in the message.
+func TestRemoteEnsureNamedAlreadyCreated(t *testing.T) {
+	root := t.TempDir()
+	if err := os.Mkdir(filepath.Join(root, "already created.daf"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	srv := startServer(t, root)
+	rs := storage.NewRemoteShard(srv.Addr(), storage.RemoteOptions{})
+	defer rs.Close()
+
+	err := rs.Ensure(testArray("already created"))
+	if err == nil {
+		t.Fatal("Ensure answered OK although no store could be opened")
+	}
+	if st := serverStatus(t, "Ensure", err); st != blockproto.StatusErr {
+		t.Errorf("Ensure status = %d, want StatusErr (%d)", st, blockproto.StatusErr)
+	}
+}
+
+// Likewise a wrong-shape write to a registered array named "unknown array"
+// is a generic failure, not StatusUnknownArray.
+func TestRemoteWriteNamedUnknownArray(t *testing.T) {
+	srv := startServer(t, t.TempDir())
+	rs := storage.NewRemoteShard(srv.Addr(), storage.RemoteOptions{})
+	defer rs.Close()
+
+	arr := testArray("unknown array")
+	if err := rs.Create(arr); err != nil {
+		t.Fatal(err)
+	}
+	err := rs.WriteBlock(arr.Name, 0, 0, blas.NewMatrix(arr.BlockRows+1, arr.BlockCols))
+	if st := serverStatus(t, "wrong-shape WriteBlock", err); st != blockproto.StatusErr {
+		t.Errorf("wrong-shape write status = %d, want StatusErr (%d)", st, blockproto.StatusErr)
+	}
+	// An array that really is unknown still gets its own status.
+	_, err = rs.ReadBlock("nope", 0, 0)
+	if st := serverStatus(t, "ReadBlock(nope)", err); st != blockproto.StatusUnknownArray {
+		t.Errorf("unknown-array read status = %d, want StatusUnknownArray (%d)", st, blockproto.StatusUnknownArray)
 	}
 }

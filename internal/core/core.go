@@ -1,8 +1,10 @@
-// Package core is RIOTShare's optimizer end to end (Figure 2): it runs
-// sharing-opportunity analysis, enumerates legal plans with the
-// Apriori-style search, lowers each to an executable timeline, costs it,
-// and picks the cheapest plan that fits the memory cap. This is the paper's
-// primary contribution assembled from the substrate packages.
+// Package core is RIOTShare's optimizer end to end (Figure 2), as one
+// pipeline: sharing-opportunity analysis, a search for legal plans, lowering
+// of each to an executable timeline, costing, and the pick of the cheapest
+// plan that fits the memory cap. Only the search varies: the Apriori-style
+// enumeration (Optimize), named combinations (OptimizeSubsets) or budgeted
+// greedy accretion (OptimizeGreedy). This is the paper's primary
+// contribution assembled from the substrate packages.
 package core
 
 import (
@@ -65,97 +67,17 @@ type Result struct {
 	SearchStats sched.Stats
 }
 
-// Optimize runs the full pipeline on a program whose parameters are bound.
+// Optimize runs the pipeline with the full Apriori search on a program whose
+// parameters are bound.
 func Optimize(p *prog.Program, opt Options) (*Result, error) {
 	return OptimizeCtx(context.Background(), p, opt) //riotvet:allow ctxflow — compatibility wrapper; cancelable callers use OptimizeCtx
 }
 
 // OptimizeCtx is Optimize with cancellation: canceling ctx aborts the
-// Apriori enumeration mid-search and returns the context's error, so
+// enumeration, or the lowering of its plans, with the context's error, so
 // shutdown and deadlines can interrupt a multi-minute full search.
 func OptimizeCtx(ctx context.Context, p *prog.Program, opt Options) (*Result, error) {
-	start := time.Now()
-	model := opt.Model
-	if model.ReadBytesPerSec == 0 {
-		model = disk.PaperModel()
-	}
-	an, err := deps.Analyze(p, deps.Options{
-		BindParams:                opt.BindParams,
-		SkipMultiplicityReduction: opt.SkipMultiplicityReduction,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("core: analysis: %w", err)
-	}
-	searcher := sched.NewSearcher(an)
-	plans, err := searcher.Search(ctx, sched.SearchOptions{MaxCalls: opt.MaxCalls, NoPruning: opt.NoPruning})
-	if err != nil {
-		return nil, fmt.Errorf("core: search: %w", err)
-	}
-	res := &Result{Analysis: an, Searcher: searcher}
-	evaluated, err := lowerAndCostAll(an, plans, model)
-	if err != nil {
-		return nil, err
-	}
-	res.Plans = evaluated
-	sort.SliceStable(res.Plans, func(i, j int) bool {
-		return res.Plans[i].Cost.IOTimeSec < res.Plans[j].Cost.IOTimeSec
-	})
-	for i := range res.Plans {
-		res.Plans[i].Index = i
-		if res.Best == nil &&
-			(opt.MemCapBytes == 0 || res.Plans[i].Cost.PeakMemoryBytes <= opt.MemCapBytes) {
-			res.Best = &res.Plans[i]
-		}
-	}
-	res.SearchStats = searcher.Stats
-	res.OptimizeTime = time.Since(start)
-	return res, nil
-}
-
-// lowerAndCostAll lowers and costs every plan concurrently (plans are
-// independent; lowering enumerates instances and costing sums them, which
-// dominates optimization time when the feasible combination space is large,
-// e.g. the ~16k linear-regression plans).
-func lowerAndCostAll(an *deps.Analysis, plans []sched.Plan, model disk.Model) ([]EvaluatedPlan, error) {
-	out := make([]EvaluatedPlan, len(plans))
-	errs := make([]error, len(plans))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(plans) {
-		workers = len(plans)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(plans) {
-					return
-				}
-				pl := plans[i]
-				tl, err := codegen.Lower(an, pl)
-				if err != nil {
-					errs[i] = fmt.Errorf("core: lowering plan %s: %w", pl.Label(an), err)
-					continue
-				}
-				out[i] = EvaluatedPlan{
-					Plan: pl, Timeline: tl, Cost: cost.Evaluate(tl, model), Label: pl.Label(an),
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return optimize(ctx, p, opt, apriori)
 }
 
 // OptimizeSubsets evaluates only the given sharing-opportunity
@@ -170,72 +92,9 @@ func OptimizeSubsets(p *prog.Program, opt Options, subsets [][]string) (*Result,
 }
 
 // OptimizeSubsetsCtx is OptimizeSubsets with cancellation plumbed through
-// each FindSchedule call.
+// each FindSchedule call and the lowering.
 func OptimizeSubsetsCtx(ctx context.Context, p *prog.Program, opt Options, subsets [][]string) (*Result, error) {
-	start := time.Now()
-	model := opt.Model
-	if model.ReadBytesPerSec == 0 {
-		model = disk.PaperModel()
-	}
-	an, err := deps.Analyze(p, deps.Options{
-		BindParams:                opt.BindParams,
-		SkipMultiplicityReduction: opt.SkipMultiplicityReduction,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("core: analysis: %w", err)
-	}
-	searcher := sched.NewSearcher(an)
-	all := append([][]string{{}}, subsets...)
-	res := &Result{Analysis: an, Searcher: searcher}
-	for _, names := range all {
-		var q []*deps.CoAccess
-		var idxs []int
-		missing := false
-		for _, n := range names {
-			c := an.FindShare(n)
-			if c == nil {
-				missing = true
-				break
-			}
-			q = append(q, c)
-			for i, s := range an.Shares {
-				if s == c {
-					idxs = append(idxs, i)
-				}
-			}
-		}
-		if missing {
-			return nil, fmt.Errorf("core: unknown sharing opportunity in %v (have %v)", names, an.ShareStrings())
-		}
-		schd, ok := searcher.FindSchedule(ctx, q)
-		if !ok {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("core: search canceled: %w", err)
-			}
-			return nil, fmt.Errorf("core: combination %v is infeasible", names)
-		}
-		pl := sched.Plan{Shares: idxs, Schedule: schd}
-		tl, err := codegen.Lower(an, pl)
-		if err != nil {
-			return nil, fmt.Errorf("core: lowering %v: %w", names, err)
-		}
-		res.Plans = append(res.Plans, EvaluatedPlan{
-			Plan: pl, Timeline: tl, Cost: cost.Evaluate(tl, model), Label: pl.Label(an),
-		})
-	}
-	sort.SliceStable(res.Plans, func(i, j int) bool {
-		return res.Plans[i].Cost.IOTimeSec < res.Plans[j].Cost.IOTimeSec
-	})
-	for i := range res.Plans {
-		res.Plans[i].Index = i
-		if res.Best == nil &&
-			(opt.MemCapBytes == 0 || res.Plans[i].Cost.PeakMemoryBytes <= opt.MemCapBytes) {
-			res.Best = &res.Plans[i]
-		}
-	}
-	res.SearchStats = searcher.Stats
-	res.OptimizeTime = time.Since(start)
-	return res, nil
+	return optimize(ctx, p, opt, named(subsets))
 }
 
 // OptimizeGreedy is the budgeted fast-path optimizer behind the serving
@@ -248,6 +107,17 @@ func OptimizeSubsetsCtx(ctx context.Context, p *prog.Program, opt Options, subse
 // shape as Optimize's (Plans sorted by I/O time, Best per MemCapBytes) but
 // typically holds just the baseline and the greedy winner.
 func OptimizeGreedy(ctx context.Context, p *prog.Program, opt Options) (*Result, error) {
+	return optimize(ctx, p, opt, greedy)
+}
+
+// A strategy is the one step of the pipeline that varies: which legal plans
+// to produce. What it evaluates through ev the plan table reuses.
+type strategy func(ctx context.Context, s *sched.Searcher, ev *evaluator, opt Options) ([]sched.Plan, error)
+
+// optimize is the optimizer pipeline of Figure 2, the only one: analysis
+// (§5.1), plan search by the given strategy (§5.3), lowering and costing of
+// every plan found (§5.4), ranking by I/O time, the pick under the cap.
+func optimize(ctx context.Context, p *prog.Program, opt Options, search strategy) (*Result, error) {
 	start := time.Now()
 	model := opt.Model
 	if model.ReadBytesPerSec == 0 {
@@ -261,64 +131,162 @@ func OptimizeGreedy(ctx context.Context, p *prog.Program, opt Options) (*Result,
 		return nil, fmt.Errorf("core: analysis: %w", err)
 	}
 	searcher := sched.NewSearcher(an)
-	// Score by lowering + costing; memoize per label so assembling the
-	// Result below reuses the work instead of re-lowering the winners.
-	scored := make(map[string]EvaluatedPlan)
-	score := func(pl sched.Plan) (float64, error) {
-		label := pl.Label(an)
-		if ev, ok := scored[label]; ok {
-			return float64(ev.Cost.LogicalIOBytes()), nil
-		}
-		tl, err := codegen.Lower(an, pl)
-		if err != nil {
-			return 0, fmt.Errorf("core: lowering plan %s: %w", label, err)
-		}
-		c := cost.Evaluate(tl, model)
-		scored[label] = EvaluatedPlan{Plan: pl, Timeline: tl, Cost: c, Label: label}
-		return float64(c.LogicalIOBytes()), nil
-	}
-	plans, err := searcher.SearchGreedy(ctx, sched.GreedyOptions{Score: score, MaxCalls: opt.MaxCalls})
+	ev := &evaluator{an: an, model: model, memo: make(map[string]EvaluatedPlan)}
+	plans, err := search(ctx, searcher, ev, opt)
 	if err != nil {
-		return nil, fmt.Errorf("core: greedy search: %w", err)
+		return nil, err
 	}
 	res := &Result{Analysis: an, Searcher: searcher}
-	for _, pl := range plans {
-		label := pl.Label(an)
-		ev, ok := scored[label]
-		if !ok {
-			tl, err := codegen.Lower(an, pl)
-			if err != nil {
-				return nil, fmt.Errorf("core: lowering plan %s: %w", label, err)
-			}
-			ev = EvaluatedPlan{Plan: pl, Timeline: tl, Cost: cost.Evaluate(tl, model), Label: label}
-		}
-		res.Plans = append(res.Plans, ev)
+	if res.Plans, err = ev.all(ctx, plans); err != nil {
+		return nil, err
 	}
 	sort.SliceStable(res.Plans, func(i, j int) bool {
 		return res.Plans[i].Cost.IOTimeSec < res.Plans[j].Cost.IOTimeSec
 	})
 	for i := range res.Plans {
 		res.Plans[i].Index = i
-		if res.Best == nil &&
-			(opt.MemCapBytes == 0 || res.Plans[i].Cost.PeakMemoryBytes <= opt.MemCapBytes) {
-			res.Best = &res.Plans[i]
-		}
 	}
+	res.Best = res.BestUnder(opt.MemCapBytes)
 	res.SearchStats = searcher.Stats
 	res.OptimizeTime = time.Since(start)
 	return res, nil
 }
 
-// Baseline returns the plan realizing no sharing opportunities (the
-// original program's cost; Plan 0 in the paper's figures).
-func (r *Result) Baseline() *EvaluatedPlan {
+// apriori is the full search (Algorithm 2): every feasible combination.
+func apriori(ctx context.Context, s *sched.Searcher, _ *evaluator, opt Options) ([]sched.Plan, error) {
+	plans, err := s.Search(ctx, sched.SearchOptions{MaxCalls: opt.MaxCalls, NoPruning: opt.NoPruning})
+	if err != nil {
+		return nil, fmt.Errorf("core: search: %w", err)
+	}
+	return plans, nil
+}
+
+// greedy is the budgeted accretion: the baseline and the best combination
+// sched.SearchGreedy reaches, candidates scored by the logical I/O bytes of
+// their lowered plan.
+func greedy(ctx context.Context, s *sched.Searcher, ev *evaluator, opt Options) ([]sched.Plan, error) {
+	score := func(pl sched.Plan) (float64, error) {
+		e, err := ev.eval(ctx, pl)
+		return float64(e.Cost.LogicalIOBytes()), err
+	}
+	plans, err := s.SearchGreedy(ctx, sched.GreedyOptions{Score: score, MaxCalls: opt.MaxCalls})
+	if err != nil {
+		return nil, fmt.Errorf("core: greedy search: %w", err)
+	}
+	return plans, nil
+}
+
+// named is the restricted search: the baseline plus exactly the given
+// combinations of sharing-opportunity display names, each of which must
+// exist and be feasible.
+func named(subsets [][]string) strategy {
+	return func(ctx context.Context, s *sched.Searcher, _ *evaluator, _ Options) ([]sched.Plan, error) {
+		index := make(map[string]int, len(s.An.Shares))
+		for i, c := range s.An.Shares {
+			index[c.String()] = i
+		}
+		plans := make([]sched.Plan, 0, 1+len(subsets))
+		for _, names := range append([][]string{{}}, subsets...) {
+			var shares []int
+			for _, n := range names {
+				i, ok := index[n]
+				if !ok {
+					return nil, fmt.Errorf("core: unknown sharing opportunity in %v (have %v)", names, s.An.ShareStrings())
+				}
+				shares = append(shares, i)
+			}
+			pl, ok := s.PlanFor(ctx, shares)
+			if !ok {
+				if err := ctx.Err(); err != nil {
+					return nil, fmt.Errorf("core: search canceled: %w", err)
+				}
+				return nil, fmt.Errorf("core: combination %v is infeasible", names)
+			}
+			plans = append(plans, pl)
+		}
+		return plans, nil
+	}
+}
+
+// evaluator lowers and costs plans for one optimize call, memoized by
+// sharing set so the plan table reuses what greedy scoring already did.
+type evaluator struct {
+	an    *deps.Analysis
+	model disk.Model
+	mu    sync.Mutex
+	memo  map[string]EvaluatedPlan // by Plan.Label; guarded by mu
+}
+
+// eval lowers and costs one plan unless the memo has it. Once ctx is
+// canceled nothing more is lowered.
+func (e *evaluator) eval(ctx context.Context, pl sched.Plan) (EvaluatedPlan, error) {
+	label := pl.Label(e.an)
+	e.mu.Lock()
+	ev, ok := e.memo[label]
+	e.mu.Unlock()
+	if ok {
+		return ev, nil
+	}
+	if err := ctx.Err(); err != nil {
+		return ev, fmt.Errorf("core: search canceled: %w", err)
+	}
+	tl, err := codegen.Lower(e.an, pl)
+	if err != nil {
+		return ev, fmt.Errorf("core: lowering plan %s: %w", label, err)
+	}
+	ev = EvaluatedPlan{Plan: pl, Timeline: tl, Cost: cost.Evaluate(tl, e.model), Label: label}
+	e.mu.Lock()
+	e.memo[label] = ev
+	e.mu.Unlock()
+	return ev, nil
+}
+
+// all evaluates every plan, in order, on GOMAXPROCS workers: plans are
+// independent, and lowering and costing them dominates optimization time
+// when the feasible space is large (the ~16k linear-regression plans).
+func (e *evaluator) all(ctx context.Context, plans []sched.Plan) ([]EvaluatedPlan, error) {
+	out := make([]EvaluatedPlan, len(plans))
+	errs := make([]error, len(plans))
+	var next atomic.Int64
+	work := func() {
+		for i := next.Add(1) - 1; i < int64(len(plans)); i = next.Add(1) - 1 {
+			out[i], errs[i] = e.eval(ctx, plans[i])
+		}
+	}
+	var wg sync.WaitGroup
+	if len(plans) > 2 { // one or two plans (the greedy result) are not worth a pool
+		for w := 1; w < runtime.GOMAXPROCS(0) && w < len(plans); w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				work()
+			}()
+		}
+	}
+	work()
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// BestUnder returns the cheapest plan whose peak memory fits capBytes
+// (0 = unlimited), or nil if none fits.
+func (r *Result) BestUnder(capBytes int64) *EvaluatedPlan {
 	for i := range r.Plans {
-		if len(r.Plans[i].Plan.Shares) == 0 {
+		if capBytes == 0 || r.Plans[i].Cost.PeakMemoryBytes <= capBytes {
 			return &r.Plans[i]
 		}
 	}
 	return nil
 }
+
+// Baseline returns the plan realizing no sharing opportunities (the
+// original program's cost; Plan 0 in the paper's figures).
+func (r *Result) Baseline() *EvaluatedPlan { return r.PlanBySharing() }
 
 // PlanBySharing finds a plan realizing exactly the named opportunities.
 func (r *Result) PlanBySharing(names ...string) *EvaluatedPlan {

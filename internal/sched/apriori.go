@@ -78,14 +78,11 @@ func (s *Searcher) Search(ctx context.Context, opt SearchOptions) ([]Plan, error
 		return nil
 	}
 
-	base, ok := s.FindSchedule(ctx, nil)
-	if !ok {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("sched: search canceled: %w", err)
-		}
-		return nil, errf("no legal schedule exists even without sharing (program %q)", s.Prog.Name)
+	base, err := s.baseline(ctx)
+	if err != nil {
+		return nil, err
 	}
-	plans := []Plan{{Shares: nil, Schedule: base}}
+	plans := []Plan{base}
 
 	n := len(s.An.Shares)
 	if n == 0 {
@@ -93,45 +90,31 @@ func (s *Searcher) Search(ctx context.Context, opt SearchOptions) ([]Plan, error
 	}
 
 	if opt.NoPruning {
-		return s.searchNoPruning(ctx, plans, n, maxCalls)
+		return s.searchNoPruning(ctx, plans, n, budget)
 	}
 
-	// Level 1.
-	feasible := make(map[string][]int) // key -> subset
-	var level [][]int
-	for i := 0; i < n; i++ {
-		if err := budget(); err != nil {
-			return nil, err
-		}
-		q := []int{i}
-		if sch, ok := s.FindSchedule(ctx, s.coAccesses(q)); ok {
-			level = append(level, q)
-			feasible[subsetKey(q)] = q
-			plans = append(plans, Plan{Shares: q, Schedule: sch})
-		}
-	}
-	// Levels k >= 2 (lines 4-9).
+	// Levels k >= 1 (lines 2-9), each grown from the feasible sets of the
+	// level below; level 0 is the baseline.
 	maxLevel := n
 	if opt.MaxLevel > 0 && opt.MaxLevel < n {
 		maxLevel = opt.MaxLevel
 	}
-	for k := 2; len(level) > 0 && k <= maxLevel; k++ {
+	feasible := map[string]bool{subsetKey(nil): true}
+	level := [][]int{nil}
+	for k := 1; len(level) > 0 && k <= maxLevel; k++ {
 		var next [][]int
-		seen := make(map[string]bool)
 		for _, a := range level {
-			last := a[len(a)-1]
-			for b := last + 1; b < n; b++ {
+			first := 0
+			if k > 1 {
+				first = a[k-2] + 1
+			}
+			for b := first; b < n; b++ {
 				cand := append(append([]int(nil), a...), b)
-				key := subsetKey(cand)
-				if seen[key] {
-					continue
-				}
-				seen[key] = true
 				// Apriori property: all (k-1)-subsets must be feasible.
 				allFeasible := true
 				for drop := 0; drop < len(cand); drop++ {
 					sub := append(append([]int(nil), cand[:drop]...), cand[drop+1:]...)
-					if _, ok := feasible[subsetKey(sub)]; !ok {
+					if !feasible[subsetKey(sub)] {
 						allFeasible = false
 						break
 					}
@@ -142,10 +125,10 @@ func (s *Searcher) Search(ctx context.Context, opt SearchOptions) ([]Plan, error
 				if err := budget(); err != nil {
 					return nil, err
 				}
-				if sch, ok := s.FindSchedule(ctx, s.coAccesses(cand)); ok {
+				if pl, ok := s.PlanFor(ctx, cand); ok {
 					next = append(next, cand)
-					feasible[subsetKey(cand)] = cand
-					plans = append(plans, Plan{Shares: cand, Schedule: sch})
+					feasible[subsetKey(cand)] = true
+					plans = append(plans, pl)
 				}
 			}
 		}
@@ -155,13 +138,10 @@ func (s *Searcher) Search(ctx context.Context, opt SearchOptions) ([]Plan, error
 }
 
 // searchNoPruning tests the full power set (ablation baseline).
-func (s *Searcher) searchNoPruning(ctx context.Context, plans []Plan, n, maxCalls int) ([]Plan, error) {
+func (s *Searcher) searchNoPruning(ctx context.Context, plans []Plan, n int, budget func() error) ([]Plan, error) {
 	for mask := 1; mask < 1<<n; mask++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("sched: search canceled: %w", err)
-		}
-		if s.Stats.FindScheduleCalls > maxCalls {
-			return nil, errf("unpruned search exceeded %d FindSchedule calls", maxCalls)
+		if err := budget(); err != nil {
+			return nil, err
 		}
 		var q []int
 		for i := 0; i < n; i++ {
@@ -169,19 +149,35 @@ func (s *Searcher) searchNoPruning(ctx context.Context, plans []Plan, n, maxCall
 				q = append(q, i)
 			}
 		}
-		if sch, ok := s.FindSchedule(ctx, s.coAccesses(q)); ok {
-			plans = append(plans, Plan{Shares: q, Schedule: sch})
+		if pl, ok := s.PlanFor(ctx, q); ok {
+			plans = append(plans, pl)
 		}
 	}
 	return plans, nil
 }
 
-func (s *Searcher) coAccesses(q []int) []*deps.CoAccess {
-	out := make([]*deps.CoAccess, len(q))
-	for i, idx := range q {
-		out[i] = s.An.Shares[idx]
+// PlanFor tests one combination of sharing opportunities (indices into the
+// analysis's Shares list): the plan realizing exactly that set, or ok=false
+// when the set is infeasible or ctx was canceled mid-search (ctx.Err() tells
+// the two apart). Every search strategy builds its plans here.
+func (s *Searcher) PlanFor(ctx context.Context, shares []int) (Plan, bool) {
+	pl := Plan{Shares: shares}
+	sch, ok := s.FindSchedule(ctx, pl.ShareSet(s.An))
+	pl.Schedule = sch
+	return pl, ok
+}
+
+// baseline plans the empty combination — the original program's order,
+// which every search starts from — or explains why it cannot.
+func (s *Searcher) baseline(ctx context.Context) (Plan, error) {
+	base, ok := s.PlanFor(ctx, nil)
+	if !ok {
+		if err := ctx.Err(); err != nil {
+			return base, fmt.Errorf("sched: search canceled: %w", err)
+		}
+		return base, errf("no legal schedule exists even without sharing (program %q)", s.Prog.Name)
 	}
-	return out
+	return base, nil
 }
 
 func subsetKey(q []int) string {

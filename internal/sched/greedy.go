@@ -44,14 +44,10 @@ func (s *Searcher) SearchGreedy(ctx context.Context, opt GreedyOptions) ([]Plan,
 		return ctx.Err() != nil || s.Stats.FindScheduleCalls-startCalls >= maxCalls
 	}
 
-	base, ok := s.FindSchedule(ctx, nil)
-	if !ok {
-		if err := ctx.Err(); err != nil {
-			return nil, errf("greedy search canceled before baseline: %v", err)
-		}
-		return nil, errf("no legal schedule exists even without sharing (program %q)", s.Prog.Name)
+	basePlan, err := s.baseline(ctx)
+	if err != nil {
+		return nil, err
 	}
-	basePlan := Plan{Shares: nil, Schedule: base}
 	plans := []Plan{basePlan}
 
 	n := len(s.An.Shares)
@@ -71,12 +67,10 @@ func (s *Searcher) SearchGreedy(ctx context.Context, opt GreedyOptions) ([]Plan,
 	}
 	var cands []cand
 	for i := 0; i < n && !expired(); i++ {
-		q := []int{i}
-		sch, ok := s.FindSchedule(ctx, s.coAccesses(q))
+		pl, ok := s.PlanFor(ctx, []int{i})
 		if !ok {
 			continue
 		}
-		pl := Plan{Shares: q, Schedule: sch}
 		sc, err := opt.Score(pl)
 		if err != nil {
 			continue
@@ -111,11 +105,10 @@ func (s *Searcher) SearchGreedy(ctx context.Context, opt GreedyOptions) ([]Plan,
 				}
 				q := append(append([]int(nil), cur.Shares...), c.idx)
 				sort.Ints(q)
-				sch, ok := s.FindSchedule(ctx, s.coAccesses(q))
+				pl, ok := s.PlanFor(ctx, q)
 				if !ok {
 					continue
 				}
-				pl := Plan{Shares: q, Schedule: sch}
 				sc, err := opt.Score(pl)
 				if err != nil || sc > curScore {
 					continue

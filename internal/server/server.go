@@ -724,9 +724,9 @@ func (s *Server) tenantLocked(name string) *tenantCounters {
 	return tc
 }
 
-// named programs: the paper's benchmark set. linreg's full plan space is
-// ~16k combinations, so unless FullSearch is set its optimization is
-// restricted to the paper's selected plans (like cmd/riotshare).
+// resolve builds the request's program: an ad-hoc spec, a Config.Programs
+// entry, or one of the paper's named programs with the plan restriction
+// bench.PaperProgram attaches (lifted by Config.FullSearch).
 func (s *Server) resolve(req Request) (*prog.Program, [][]string, error) {
 	if req.Spec != nil {
 		p, err := req.Spec.Build()
@@ -735,38 +735,16 @@ func (s *Server) resolve(req Request) (*prog.Program, [][]string, error) {
 	if build, ok := s.cfg.Programs[req.Program]; ok {
 		return build(), nil, nil
 	}
-	switch req.Program {
-	case "addmul":
-		return bench.AddMulPaper(), nil, nil
-	case "twomm-a":
-		return bench.TwoMMPaperA(), nil, nil
-	case "twomm-b":
-		return bench.TwoMMPaperB(), nil, nil
-	case "linreg":
-		if s.cfg.FullSearch {
-			return bench.LinRegPaper(), nil, nil
+	p, subsets, err := bench.PaperProgram(req.Program, s.cfg.FullSearch)
+	if err != nil {
+		extra := make([]string, 0, len(s.cfg.Programs))
+		for n := range s.cfg.Programs {
+			extra = append(extra, n)
 		}
-		return bench.LinRegPaper(), bench.LinRegSelectedPlans(), nil
-	default:
-		return nil, nil, fmt.Errorf("server: unknown program %q (addmul, twomm-a, twomm-b, linreg%s)",
-			req.Program, s.extraProgramNames())
+		sort.Strings(extra)
+		return nil, nil, fmt.Errorf("server: %w; configured programs: %q", err, extra)
 	}
-}
-
-func (s *Server) extraProgramNames() string {
-	if len(s.cfg.Programs) == 0 {
-		return ""
-	}
-	names := make([]string, 0, len(s.cfg.Programs))
-	for n := range s.cfg.Programs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := ""
-	for _, n := range names {
-		out += ", " + n
-	}
-	return out
+	return p, subsets, nil
 }
 
 // plans optimizes through the tiered planner, reporting which tier served
@@ -802,26 +780,27 @@ func (s *Server) plans(req Request, p *prog.Program, subsets [][]string) (*core.
 	s.evictPlansLocked()
 	s.planMu.Unlock()
 
+	fill := context.Background() //riotvet:allow ctxflow — the plan fill is shared by every waiter on the cache entry; one query's cancellation must not poison it
+	opt := core.Options{BindParams: true}
 	tier := tierFull
 	var res *core.Result
 	var err error
 	switch {
 	case subsets != nil:
-		res, err = core.OptimizeSubsetsCtx(context.Background(), p, core.Options{BindParams: true}, subsets) //riotvet:allow ctxflow — plan fill is shared by every waiter on the cache entry; one query's cancellation must not poison it
+		res, err = core.OptimizeSubsetsCtx(fill, p, opt, subsets)
 	case s.cfg.PlanBudget > 0:
 		tier = tierGreedy
-		ctx, cancel := context.WithTimeout(context.Background(), s.cfg.PlanBudget) //riotvet:allow ctxflow — budget-bounded shared plan fill; see above
-		res, err = core.OptimizeGreedy(ctx, p, core.Options{BindParams: true})
-		expired := err != nil && ctx.Err() != nil
-		cancel()
-		if expired {
+		ctx, cancel := context.WithTimeout(fill, s.cfg.PlanBudget)
+		res, err = core.OptimizeGreedy(ctx, p, opt)
+		if err != nil && ctx.Err() != nil {
 			// The budget ran out before even the baseline was planned;
-			// plan just the baseline without a deadline so the query
-			// still runs (and the improver can upgrade it later).
-			res, err = core.OptimizeSubsetsCtx(context.Background(), p, core.Options{BindParams: true}, nil) //riotvet:allow ctxflow — baseline rescue of the shared plan fill; see above
+			// plan just the baseline (no subsets) without a deadline so the
+			// query still runs (and the improver can upgrade it later).
+			res, err = core.OptimizeSubsetsCtx(fill, p, opt, nil)
 		}
+		cancel()
 	default:
-		res, err = core.OptimizeCtx(context.Background(), p, core.Options{BindParams: true}) //riotvet:allow ctxflow — full-search shared plan fill; see above
+		res, err = core.OptimizeCtx(fill, p, opt)
 	}
 
 	s.planMu.Lock()
@@ -941,11 +920,8 @@ func selectPlan(res *core.Result, req Request) (*core.EvaluatedPlan, error) {
 		}
 		return &res.Plans[i], nil
 	}
-	cap := req.MemCapMB << 20
-	for i := range res.Plans {
-		if cap == 0 || res.Plans[i].Cost.PeakMemoryBytes <= cap {
-			return &res.Plans[i], nil
-		}
+	if pl := res.BestUnder(req.MemCapMB << 20); pl != nil {
+		return pl, nil
 	}
 	return nil, fmt.Errorf("server: no plan fits the %dMB memory cap", req.MemCapMB)
 }

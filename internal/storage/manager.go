@@ -2,6 +2,7 @@ package storage
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -273,6 +274,16 @@ func (m *Manager) storePath(array string) (string, error) {
 	return filepath.Join(m.Dir, array+"."+m.Format.String()), nil
 }
 
+// Manager errors that callers classify with errors.Is rather than by
+// message text: array names are legal with spaces and appear in the text.
+var (
+	// ErrArrayExists is wrapped by Create for an array already registered.
+	ErrArrayExists = errors.New("already created")
+	// ErrUnknownArray is wrapped by block access to, or Drop of, an array
+	// that is not registered.
+	ErrUnknownArray = errors.New("unknown array")
+)
+
 // Create opens the store for an array.
 func (m *Manager) Create(arr *prog.Array) error {
 	path, err := m.storePath(arr.Name)
@@ -282,7 +293,7 @@ func (m *Manager) Create(arr *prog.Array) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if _, dup := m.stores[arr.Name]; dup {
-		return fmt.Errorf("storage: array %q already created", arr.Name)
+		return fmt.Errorf("storage: array %q %w", arr.Name, ErrArrayExists)
 	}
 	var st BlockStore
 	switch m.Format {
@@ -423,7 +434,7 @@ func (m *Manager) lookup(array string) (*prog.Array, BlockStore, error) {
 	defer m.mu.RUnlock()
 	arr, ok := m.arrays[array]
 	if !ok {
-		return nil, nil, fmt.Errorf("storage: unknown array %q", array)
+		return nil, nil, fmt.Errorf("storage: %w %q", ErrUnknownArray, array)
 	}
 	return arr, m.stores[array], nil
 }
@@ -439,7 +450,7 @@ func (m *Manager) Drop(array string, deleteFile bool) error {
 	delete(m.arrays, array)
 	m.mu.Unlock()
 	if !ok {
-		return fmt.Errorf("storage: unknown array %q", array)
+		return fmt.Errorf("storage: %w %q", ErrUnknownArray, array)
 	}
 	err := st.Close()
 	if deleteFile {

@@ -388,7 +388,7 @@ func (s *RemoteShard) Create(arr *prog.Array) error {
 	s.createdMu.Lock()
 	if _, dup := s.created[arr.Name]; dup {
 		s.createdMu.Unlock()
-		return fmt.Errorf("storage: array %q already created", arr.Name)
+		return fmt.Errorf("storage: array %q %w", arr.Name, ErrArrayExists)
 	}
 	s.created[arr.Name] = struct{}{}
 	s.createdMu.Unlock()

@@ -144,20 +144,24 @@ type CoAccess = deps.CoAccess
 // Timeline is a lowered, executable plan.
 type Timeline = codegen.Timeline
 
-// Optimize runs analysis, plan search, and costing (Figure 2 of the paper).
+// Optimize runs the optimizer pipeline — analysis, plan search, lowering and
+// costing (Figure 2 of the paper) — with the full Apriori plan search.
+// OptimizeSubsets and OptimizeGreedy are the same pipeline with a different
+// search.
 func Optimize(p *Program, opt Options) (*Result, error) { return core.Optimize(p, opt) }
 
-// OptimizeSubsets evaluates only the named sharing-opportunity
-// combinations, skipping the full enumeration.
+// OptimizeSubsets is Optimize with the search restricted to the named
+// sharing-opportunity combinations (plus the no-sharing baseline), skipping
+// the full enumeration.
 func OptimizeSubsets(p *Program, opt Options, subsets [][]string) (*Result, error) {
 	return core.OptimizeSubsets(p, opt, subsets)
 }
 
-// OptimizeGreedy is the budgeted fast-path optimizer (the server's tier-2
-// planner): a greedy cost-ordered accretion over sharing opportunities that
-// runs O(n) schedule searches instead of the Apriori enumeration's
-// exponential worst case. Canceling ctx mid-search keeps the best plan
-// found so far rather than failing. See docs/planner.md.
+// OptimizeGreedy is Optimize with the budgeted fast-path search (the
+// server's tier-2 planner): a greedy cost-ordered accretion over sharing
+// opportunities that runs O(n) schedule searches instead of the Apriori
+// enumeration's exponential worst case. Canceling ctx mid-search keeps the
+// best plan found so far rather than failing. See docs/planner.md.
 func OptimizeGreedy(ctx context.Context, p *Program, opt Options) (*Result, error) {
 	return core.OptimizeGreedy(ctx, p, opt)
 }
