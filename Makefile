@@ -79,22 +79,24 @@ bench-check:
 	done
 	@rm -rf .bench-base
 
-# Smoke-run the benchmark of record (benchmark/, BENCHMARK.json) on its
-# planner-bound workload, once per pass (-trace 0: end-to-end metrics,
-# -trace 1: per-layer). It is the planner's only end-to-end consumer, so
-# an exported name it uses drifting, a request failing or an output missing
-# the oracle fails here: non-zero exit, or failed > 0 in the result line
-# (the last stdout line). The two result lines stay in .bench-record/ for
-# the nightly workflow to upload.
+# Smoke-run the benchmark of record (benchmark/, BENCHMARK.json) on two of
+# its workloads, once per pass (-trace 0: end-to-end metrics, -trace 1:
+# per-layer): cold-plan, the planner's only end-to-end consumer, and
+# spill-chain, the only one whose kernels run 64x64 blocks and whose pool
+# evicts and writes back (cold-plan never gets past 8x8 or evicts a frame).
+# An exported name the benchmark uses drifting, a request failing or an
+# output missing the oracle fails here: non-zero exit, or failed > 0 in the
+# result line (the last stdout line). The four result lines stay in
+# .bench-record/ for the nightly workflow to upload.
 bench-record-smoke:
 	@rm -rf .bench-record && mkdir -p .bench-record
-	@set -e; for trace in 0 1; do \
-		out=.bench-record/cold-plan.trace$$trace; \
-		echo "$(GO) run ./benchmark -workload cold-plan -seed 1 -trace $$trace"; \
-		$(GO) run ./benchmark -workload cold-plan -seed 1 -trace $$trace > $$out.log; \
+	@set -e; for workload in cold-plan spill-chain; do for trace in 0 1; do \
+		out=.bench-record/$$workload.trace$$trace; \
+		echo "$(GO) run ./benchmark -workload $$workload -seed 1 -trace $$trace"; \
+		$(GO) run ./benchmark -workload $$workload -seed 1 -trace $$trace > $$out.log; \
 		tail -n 1 $$out.log > $$out.json; \
 		grep -q '"failed":0[,}]' $$out.json || { echo "bench-record-smoke: failed > 0 in $$out.json"; exit 1; }; \
-	done
+	done; done
 
 # Godoc completeness over the public surface: the facade, the planner
 # (core/sched/cost), the storage and server layers, and the network

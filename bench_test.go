@@ -451,8 +451,8 @@ func BenchmarkStreamedResults(b *testing.B) {
 	}
 }
 
-// BenchmarkKernels compares the tiled GEMM against the naive triple loop
-// (the GotoBLAS2-substitute kernel, DESIGN.md S6).
+// BenchmarkKernels compares the micro-kernel GEMM against the naive triple
+// loop (the GotoBLAS2-substitute kernel, DESIGN.md S6).
 func BenchmarkKernels(b *testing.B) {
 	n := 128
 	a := blas.NewMatrix(n, n)
@@ -462,7 +462,7 @@ func BenchmarkKernels(b *testing.B) {
 		bb.Data[i] = float64(i % 5)
 	}
 	dst := blas.NewMatrix(n, n)
-	b.Run("gemm-tiled", func(b *testing.B) {
+	b.Run("gemm", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			dst.Zero()
 			blas.Gemm(dst, a, false, bb, false)

@@ -154,8 +154,12 @@ func (e *LRUEngine) Run(tl *codegen.Timeline) (exec.Result, error) {
 			key := codegen.BlockKey(ac.Array, r, c)
 			if ac.Type == prog.Write {
 				writeAcc = ac
-				if ent, hit := touch(key); hit {
+				if ent, hit := touch(key); hit && ent.dirty {
 					outBlk = ent.blk
+				} else if hit {
+					// A clean entry holds the store's own matrix (ReadBlock
+					// results are shared and immutable): write to a copy.
+					outBlk = ent.blk.Clone()
 				} else {
 					outBlk = blas.NewMatrix(arr.BlockRows, arr.BlockCols)
 				}

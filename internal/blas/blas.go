@@ -1,6 +1,7 @@
 // Package blas provides the in-core dense kernels the execution engine runs
-// on memory-resident blocks: GEMM with transpose flags (cache-blocked),
-// addition, subtraction, LU-based inversion, and residual sums of squares.
+// on memory-resident blocks: GEMM with transpose flags (a four-step
+// register micro-kernel, bit-identical to the textbook loop), addition,
+// subtraction, LU-based inversion, and residual sums of squares.
 // It substitutes for GotoBLAS2 [15] (DESIGN.md substitution S6); absolute
 // FLOP rates differ from the paper's, but the paper's conclusions depend
 // only on CPU time being constant across plans, which holds here.
@@ -74,65 +75,86 @@ func checkSame(a, b *Matrix) {
 	}
 }
 
-// gemmTile is the cache-blocking tile edge for Gemm.
-const gemmTile = 64
-
 // Gemm computes dst += op(a)·op(b), where op transposes its argument when
 // the corresponding flag is set. dst must already have the product shape;
-// use dst.Zero() first for a plain product. The kernel is tiled for cache
-// locality (the in-core analogue of the paper's I/O blocking).
+// use dst.Zero() first for a plain product.
+//
+// The loop is a row micro-kernel: each pass over a destination row fuses
+// four k steps (one load and one store of dst[i][j] per four multiply-adds)
+// over rows re-sliced once so the inner loop carries no bounds check. With
+// transB the same loop runs over a packed copy of bᵀ; with transA the four
+// a values are read down a's column. Every element is accumulated in
+// ascending k, one rounded product at a time, so the result is bit-identical
+// to GemmNaive's for every input.
+//
+// That includes non-finite inputs: there is no shortcut for zeros in op(a),
+// so 0·Inf and 0·NaN contribute NaN as IEEE 754 prescribes. Skipping zero
+// a values would hide those NaNs, diverge from the oracle, and cost a
+// branch per multiply-add on the dense blocks the engine runs.
 func Gemm(dst *Matrix, a *Matrix, transA bool, b *Matrix, transB bool) {
-	ar, ac := a.Rows, a.Cols
+	m, kk := a.Rows, a.Cols
 	if transA {
-		ar, ac = ac, ar
+		m, kk = kk, m
 	}
-	br, bc := b.Rows, b.Cols
+	br, n := b.Rows, b.Cols
 	if transB {
-		br, bc = bc, br
+		br, n = n, br
 	}
-	if ac != br {
-		panic(fmt.Sprintf("blas: gemm inner dims %d vs %d", ac, br))
+	if kk != br {
+		panic(fmt.Sprintf("blas: gemm inner dims %d vs %d", kk, br))
 	}
-	if dst.Rows != ar || dst.Cols != bc {
-		panic(fmt.Sprintf("blas: gemm dst %dx%d want %dx%d", dst.Rows, dst.Cols, ar, bc))
+	if dst.Rows != m || dst.Cols != n {
+		panic(fmt.Sprintf("blas: gemm dst %dx%d want %dx%d", dst.Rows, dst.Cols, m, n))
 	}
-	at := func(i, k int) float64 {
-		if transA {
-			return a.Data[k*a.Cols+i]
+	bd := b.Data
+	if transB {
+		// Pack op(b) row-major (kk×n) so the kernel streams its rows.
+		bd = make([]float64, kk*n)
+		for j := 0; j < n; j++ {
+			for k, v := range b.Data[j*kk : (j+1)*kk] {
+				bd[k*n+j] = v
+			}
 		}
-		return a.Data[i*a.Cols+k]
 	}
-	bt := func(k, j int) float64 {
-		if transB {
-			return b.Data[j*b.Cols+k]
+	ad, lda := a.Data, a.Cols
+	for i := 0; i < m; i++ {
+		d := dst.Data[i*n : (i+1)*n]
+		k := 0
+		for ; k+4 <= kk; k += 4 {
+			var a0, a1, a2, a3 float64
+			if transA {
+				a0, a1, a2, a3 = ad[k*lda+i], ad[(k+1)*lda+i], ad[(k+2)*lda+i], ad[(k+3)*lda+i]
+			} else {
+				ar := ad[i*lda+k : i*lda+k+4]
+				a0, a1, a2, a3 = ar[0], ar[1], ar[2], ar[3]
+			}
+			b0 := bd[k*n : (k+1)*n][:len(d)]
+			b1 := bd[(k+1)*n : (k+2)*n][:len(d)]
+			b2 := bd[(k+2)*n : (k+3)*n][:len(d)]
+			b3 := bd[(k+3)*n : (k+4)*n][:len(d)]
+			for j := range d {
+				// float64(...) rounds each product before it is added, so
+				// no platform may fuse it into the accumulation.
+				d[j] = d[j] + float64(a0*b0[j]) + float64(a1*b1[j]) + float64(a2*b2[j]) + float64(a3*b3[j])
+			}
 		}
-		return b.Data[k*b.Cols+j]
-	}
-	for ii := 0; ii < ar; ii += gemmTile {
-		iMax := min(ii+gemmTile, ar)
-		for kk := 0; kk < ac; kk += gemmTile {
-			kMax := min(kk+gemmTile, ac)
-			for jj := 0; jj < bc; jj += gemmTile {
-				jMax := min(jj+gemmTile, bc)
-				for i := ii; i < iMax; i++ {
-					for k := kk; k < kMax; k++ {
-						av := at(i, k)
-						if av == 0 {
-							continue
-						}
-						row := dst.Data[i*dst.Cols:]
-						for j := jj; j < jMax; j++ {
-							row[j] += av * bt(k, j)
-						}
-					}
-				}
+		for ; k < kk; k++ {
+			var a0 float64
+			if transA {
+				a0 = ad[k*lda+i]
+			} else {
+				a0 = ad[i*lda+k]
+			}
+			b0 := bd[k*n : (k+1)*n][:len(d)]
+			for j := range d {
+				d[j] += float64(a0 * b0[j])
 			}
 		}
 	}
 }
 
-// GemmNaive is the untiled triple loop, kept for the kernel ablation and as
-// a correctness oracle in tests.
+// GemmNaive is the textbook triple loop, kept as the correctness oracle in
+// tests and as the baseline of the kernel benchmark.
 func GemmNaive(dst *Matrix, a *Matrix, transA bool, b *Matrix, transB bool) {
 	ar, ac := a.Rows, a.Cols
 	if transA {
@@ -142,23 +164,22 @@ func GemmNaive(dst *Matrix, a *Matrix, transA bool, b *Matrix, transB bool) {
 	if transB {
 		bc = b.Rows
 	}
-	at := func(i, k int) float64 {
-		if transA {
-			return a.Data[k*a.Cols+i]
-		}
-		return a.Data[i*a.Cols+k]
-	}
-	bt := func(k, j int) float64 {
-		if transB {
-			return b.Data[j*b.Cols+k]
-		}
-		return b.Data[k*b.Cols+j]
-	}
 	for i := 0; i < ar; i++ {
 		for j := 0; j < bc; j++ {
 			s := dst.At(i, j)
 			for k := 0; k < ac; k++ {
-				s += at(i, k) * bt(k, j)
+				var av, bv float64
+				if transA {
+					av = a.Data[k*a.Cols+i]
+				} else {
+					av = a.Data[i*a.Cols+k]
+				}
+				if transB {
+					bv = b.Data[j*b.Cols+k]
+				} else {
+					bv = b.Data[k*b.Cols+j]
+				}
+				s += float64(av * bv)
 			}
 			dst.Set(i, j, s)
 		}
@@ -279,11 +300,4 @@ func MaxAbsDiff(a, b *Matrix) float64 {
 		}
 	}
 	return m
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -56,29 +56,76 @@ func TestGemmAccumulates(t *testing.T) {
 	}
 }
 
-func TestGemmMatchesNaiveAllTransposes(t *testing.T) {
+// Property: Gemm equals GemmNaive bit for bit — same products, same
+// ascending-k summation order — for every transpose combination, for shapes
+// on and around the four-step unroll width, whether dst starts zero or
+// holds an accumulator, and when a row of op(a) is all zero.
+func TestGemmBitIdenticalToNaive(t *testing.T) {
+	shapes := [][3]int{ // m, n, k
+		{1, 1, 1}, {3, 5, 7}, {4, 4, 4}, {8, 8, 8}, {32, 32, 32}, {64, 64, 64}, {70, 65, 130},
+		{6, 9, 1}, {6, 9, 2}, {6, 9, 3}, {6, 9, 5},
+	}
 	rng := rand.New(rand.NewSource(5))
 	for _, ta := range []bool{false, true} {
 		for _, tb := range []bool{false, true} {
-			m, n, k := 70, 65, 130 // crosses tile boundaries
-			var a, b *Matrix
-			if ta {
-				a = randMat(rng, k, m)
-			} else {
-				a = randMat(rng, m, k)
+			for _, sh := range shapes {
+				for _, accumulate := range []bool{false, true} {
+					m, n, k := sh[0], sh[1], sh[2]
+					a, b := randMat(rng, m, k), randMat(rng, k, n)
+					for kk := 0; kk < k; kk++ {
+						a.Set(m/2, kk, 0) // one all-zero row of op(a)
+					}
+					if ta {
+						a = transposed(a)
+					}
+					if tb {
+						b = transposed(b)
+					}
+					d1 := NewMatrix(m, n)
+					if accumulate {
+						d1 = randMat(rng, m, n)
+					}
+					d2 := d1.Clone()
+					Gemm(d1, a, ta, b, tb)
+					GemmNaive(d2, a, ta, b, tb)
+					for i := range d1.Data {
+						if d1.Data[i] != d2.Data[i] {
+							t.Fatalf("ta=%v tb=%v %dx%dx%d accumulate=%v: element %d is %v, naive %v",
+								ta, tb, m, n, k, accumulate, i, d1.Data[i], d2.Data[i])
+						}
+					}
+				}
 			}
-			if tb {
-				b = randMat(rng, n, k)
-			} else {
-				b = randMat(rng, k, n)
-			}
-			d1 := NewMatrix(m, n)
-			d2 := NewMatrix(m, n)
-			Gemm(d1, a, ta, b, tb)
-			GemmNaive(d2, a, ta, b, tb)
-			if diff := MaxAbsDiff(d1, d2); diff > 1e-9 {
-				t.Fatalf("ta=%v tb=%v diff=%g", ta, tb, diff)
-			}
+		}
+	}
+}
+
+func transposed(m *Matrix) *Matrix {
+	t := NewMatrix(m.Cols, m.Rows)
+	for i := 0; i < m.Rows; i++ {
+		for j := 0; j < m.Cols; j++ {
+			t.Set(j, i, m.At(i, j))
+		}
+	}
+	return t
+}
+
+// Gemm follows IEEE 754 on non-finite operands exactly as GemmNaive does: a
+// zero in a does not mask an Inf or NaN in b.
+func TestGemmNonFinitePropagates(t *testing.T) {
+	a := &Matrix{Rows: 2, Cols: 5, Data: []float64{0, 0, 0, 0, 0, 1, 2, 0, 4, 0}}
+	b := NewMatrix(5, 2)
+	for i := range b.Data {
+		b.Data[i] = float64(i + 1)
+	}
+	b.Set(2, 0, math.Inf(1)) // meets a zero in both rows of a: 0·Inf = NaN
+	b.Set(4, 1, math.NaN())  // the remainder step past the unroll width
+	got, want := NewMatrix(2, 2), NewMatrix(2, 2)
+	Gemm(got, a, false, b, false)
+	GemmNaive(want, a, false, b, false)
+	for i := range got.Data {
+		if !math.IsNaN(got.Data[i]) || !math.IsNaN(want.Data[i]) {
+			t.Fatalf("element %d: Gemm %v, naive %v, want NaN from both", i, got.Data[i], want.Data[i])
 		}
 	}
 }

@@ -22,9 +22,17 @@
 //
 // Capacity is a soft bound: when every frame is pinned the pool admits the
 // acquisition anyway (refusing would deadlock a running plan) and evicts
-// back down as pins release. Callers always receive private copies; the
-// cached frame stays pristine, so one query mutating its working set can
-// never corrupt another query's reads.
+// back down as pins release.
+//
+// Blocks are shared and immutable: Acquire hands out the frame's matrix
+// itself, the same one to every acquirer, and nobody — the pool included —
+// ever writes to it. Put never overwrites a frame's matrix either; it swaps
+// in a private copy of the caller's block, so a borrower keeps seeing the
+// value it acquired even after a re-Put or an eviction (the garbage
+// collector keeps the old matrix alive while anyone references it). A pin
+// therefore protects residency only — the frame cannot be evicted, so the
+// next Acquire is a hit — never the validity of a borrowed matrix. A caller
+// that wants to change a block allocates its own and Puts it.
 //
 // The pool keys frames by (array, block coordinates) only — placement,
 // sharding, and replication live below the storage.Backend it fronts. A
@@ -37,6 +45,7 @@ package buffer
 import (
 	"container/list"
 	"fmt"
+	"strconv"
 	"sync"
 
 	"riotshare/internal/blas"
@@ -148,8 +157,26 @@ func NewPoolOptions(store storage.Backend, opt Options) (*Pool, error) {
 	}, nil
 }
 
+// appendKey appends the frame key "array[r,c]" to b.
+func appendKey(b []byte, array string, r, c int64) []byte {
+	b = append(b, array...)
+	b = append(b, '[')
+	b = strconv.AppendInt(b, r, 10)
+	b = append(b, ',')
+	b = strconv.AppendInt(b, c, 10)
+	return append(b, ']')
+}
+
 func poolKey(array string, r, c int64) string {
-	return fmt.Sprintf("%s[%d,%d]", array, r, c)
+	return string(appendKey(nil, array, r, c))
+}
+
+// frameLocked looks a block's frame up without allocating its key (the
+// bytes stay on the stack and a map index converts them in place), so the
+// hit path allocates nothing; nil when the block has no frame.
+func (p *Pool) frameLocked(array string, r, c int64) *frame {
+	var stack [64]byte
+	return p.frames[string(appendKey(stack[:0], array, r, c))]
 }
 
 // tenantLocked returns (creating on first use) the per-tenant counters;
@@ -182,19 +209,19 @@ func (p *Pool) forgetLocked(f *frame) {
 	p.tenantLocked(f.tenant).bytes -= f.bytes
 }
 
-// Acquire returns a private copy of the block with one pin held on its
-// frame. A cached block is a hit; otherwise the caller becomes the read
-// leader (concurrent acquirers of the same block coalesce onto its read and
-// count as hits). Release the pin with Unpin when the block leaves the
-// query's working set.
+// Acquire returns the block with one pin held on its frame. The matrix is
+// the frame's own, shared with every other acquirer: read it, never write
+// it (see the package doc). A cached block is a hit; otherwise the caller
+// becomes the read leader (concurrent acquirers of the same block coalesce
+// onto its read and count as hits). Release the pin with Unpin when the
+// block leaves the query's working set.
 func (p *Pool) Acquire(array string, r, c int64) (*blas.Matrix, error) {
 	return p.acquire("", array, r, c)
 }
 
 func (p *Pool) acquire(tenant, array string, r, c int64) (*blas.Matrix, error) {
-	key := poolKey(array, r, c)
 	p.mu.Lock()
-	if f, ok := p.frames[key]; ok {
+	if f := p.frameLocked(array, r, c); f != nil {
 		f.pins++
 		f.hot = true
 		p.policy.remove(f)
@@ -208,22 +235,16 @@ func (p *Pool) acquire(tenant, array string, r, c int64) (*blas.Matrix, error) {
 				p.mu.Unlock()
 				return nil, err
 			}
-			p.hits++
-			p.tenantLocked(tenant).hits++
-			src := f.blk
-			p.mu.Unlock()
-			// Frames are never mutated in place (Put swaps the pointer),
-			// so the full-block copy can run outside the pool lock.
-			return src.Clone(), nil
 		}
 		p.hits++
 		p.tenantLocked(tenant).hits++
-		src := f.blk
+		blk := f.blk
 		p.mu.Unlock()
-		return src.Clone(), nil
+		return blk, nil
 	}
 
 	// Miss: install a loading frame and become the leader.
+	key := poolKey(array, r, c)
 	f := &frame{array: array, r: r, c: c, key: key, tenant: tenant, pins: 1, loading: make(chan struct{})}
 	p.frames[key] = f
 	p.misses++
@@ -250,7 +271,7 @@ func (p *Pool) acquire(tenant, array string, r, c int64) (*blas.Matrix, error) {
 	p.noteEvictErr(p.evictToCapLocked())
 	p.notePeakLocked()
 	p.mu.Unlock()
-	return blk.Clone(), nil
+	return blk, nil
 }
 
 // notePeakLocked records the post-eviction cached-byte high-water mark.
@@ -319,11 +340,10 @@ func (p *Pool) put(tenant, array string, r, c int64, blk *blas.Matrix) error {
 // Unpin releases n pins on the block's frame; a frame whose last pin
 // releases joins the eviction order and becomes evictable.
 func (p *Pool) Unpin(array string, r, c int64, n int) {
-	key := poolKey(array, r, c)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	f, ok := p.frames[key]
-	if !ok {
+	f := p.frameLocked(array, r, c)
+	if f == nil {
 		return
 	}
 	f.pins -= n

@@ -40,7 +40,11 @@ func newTestPool(t testing.TB, capBytes int64) (*Pool, *storage.Manager) {
 
 const testBlockBytes = 8 * 8 * 8 // one 8x8 float64 block
 
-func TestAcquireHitAndCloneIsolation(t *testing.T) {
+// Acquire lends out the frame's own matrix: every acquirer of a resident
+// block holds the same one, a hit costs no block copy, and a later Put
+// swaps the frame's matrix instead of overwriting it, so an earlier
+// borrower's view never changes.
+func TestAcquireBorrowsTheFrame(t *testing.T) {
 	p, _ := newTestPool(t, 0)
 	b1, err := p.Acquire("A", 1, 2)
 	if err != nil {
@@ -49,13 +53,12 @@ func TestAcquireHitAndCloneIsolation(t *testing.T) {
 	if b1.Data[0] != 120 {
 		t.Fatalf("A[1,2] = %g, want 120", b1.Data[0])
 	}
-	b1.Data[0] = -1 // mutating the copy must not reach the frame
 	b2, err := p.Acquire("A", 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b2.Data[0] != 120 {
-		t.Fatalf("cached frame corrupted by caller mutation: got %g", b2.Data[0])
+	if b2 != b1 {
+		t.Fatal("two Acquires of a resident block returned different matrices")
 	}
 	st := p.Stats()
 	if st.Misses != 1 || st.Hits != 1 {
@@ -64,9 +67,39 @@ func TestAcquireHitAndCloneIsolation(t *testing.T) {
 	if st.PinnedFrames != 1 {
 		t.Fatalf("PinnedFrames = %d, want 1", st.PinnedFrames)
 	}
-	p.Unpin("A", 1, 2, 2)
+
+	// A Put installs a copy of the writer's block in the frame: the earlier
+	// borrower keeps the old value, the next Acquire sees the new one, and
+	// the writer may go on changing its own block.
+	mine := blas.NewMatrix(8, 8)
+	mine.Data[0] = 7
+	if err := p.Put("A", 1, 2, mine); err != nil {
+		t.Fatal(err)
+	}
+	mine.Data[0] = 8
+	if b1.Data[0] != 120 {
+		t.Fatalf("Put changed an earlier borrower's block: got %g, want 120", b1.Data[0])
+	}
+	b3, err := p.Acquire("A", 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b3 == b1 || b3.Data[0] != 7 {
+		t.Fatalf("Acquire after Put = %g (same matrix as before: %v), want the Put value 7", b3.Data[0], b3 == b1)
+	}
+	p.Unpin("A", 1, 2, 4)
 	if st := p.Stats(); st.PinnedFrames != 0 {
 		t.Fatalf("after unpin PinnedFrames = %d, want 0", st.PinnedFrames)
+	}
+
+	// The hit path copies no block and allocates no key.
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := p.Acquire("A", 1, 2); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a pool hit allocates %v times, want 0", allocs)
 	}
 }
 
@@ -161,6 +194,7 @@ func TestDirtyWritebackOnEvictionAndFlush(t *testing.T) {
 func TestConcurrentAcquireCoalesces(t *testing.T) {
 	p, _ := newTestPool(t, 0)
 	var wg sync.WaitGroup
+	var lent sync.Map // block key -> the matrix its first acquirer got
 	errs := make(chan error, 64)
 	for g := 0; g < 16; g++ {
 		wg.Add(1)
@@ -173,11 +207,18 @@ func TestConcurrentAcquireCoalesces(t *testing.T) {
 					errs <- err
 					return
 				}
-				if blk.Data[0] != float64(r*100+c*10) {
-					errs <- fmt.Errorf("A[%d,%d] = %g", r, c, blk.Data[0])
+				for _, v := range blk.Data {
+					if v != float64(r*100+c*10) {
+						errs <- fmt.Errorf("A[%d,%d] holds %g", r, c, v)
+						return
+					}
+				}
+				// Leader, coalesced followers and later hits all borrow
+				// the one frame matrix.
+				if first, _ := lent.LoadOrStore(poolKey("A", r, c), blk); first != blk {
+					errs <- fmt.Errorf("A[%d,%d]: two acquirers got different matrices", r, c)
 					return
 				}
-				blk.Data[0] = -1
 				p.Unpin("A", r, c, 1)
 			}
 		}()

@@ -14,6 +14,14 @@
 //     blocks buffered — and their pool frames pinned — exactly for their
 //     hold intervals.
 //
+// One ownership rule governs every block: a block that came from
+// BlockPool.Acquire or storage.Backend.ReadBlock is borrowed — the same
+// matrix may be in the pool's frame and in other queries' hands, so nobody
+// writes to it — while a block execEvent allocated is owned by the run and
+// may be written in place. Kernels only read their operands, so reads cost
+// no copy; the one copy-on-write is in execEvent, where a write targets a
+// buffered block that is still a borrowed one.
+//
 // Two schedules drive execEvent. The in-order schedule (Workers <= 1) calls
 // it for events 0..n-1 on the caller's goroutine. The DAG schedule
 // (Workers > 1, pipeline.go) calls it from a worker pool as the event
@@ -122,9 +130,13 @@ func (e *Engine) RunOptions(tl *codegen.Timeline, opt Options) (Result, error) {
 	if err != nil {
 		return res, err
 	}
+	kernels, err := resolveKernels(tl.Prog)
+	if err != nil {
+		return res, err
+	}
 	rs := &runState{
-		e: &eng, tl: tl, sets: sets,
-		buf:    make(map[string]*blas.Matrix),
+		e: &eng, tl: tl, sets: sets, kernels: kernels,
+		buf:    make(map[string]block),
 		ivPins: newPinSet(eng.Pool),
 	}
 	defer rs.ivPins.releaseAll()
@@ -246,12 +258,22 @@ type ivState struct {
 	refs      int32
 }
 
+// block is one block of a run's working set under the ownership rule of the
+// package doc: borrowed marks a matrix that came from the pool or the store
+// and must not be written; otherwise execEvent allocated it and the run may
+// write it in place.
+type block struct {
+	m        *blas.Matrix
+	borrowed bool
+}
+
 // runState is the state of one run, shared by the events of either
 // schedule.
 type runState struct {
-	e    *Engine
-	tl   *codegen.Timeline
-	sets [][]codegen.BlockAccess
+	e       *Engine
+	tl      *codegen.Timeline
+	sets    [][]codegen.BlockAccess
+	kernels []kernel // by Statement.ID
 	// cover[i][key] is the merged hold interval covering event i for key
 	// (Start <= i <= End and event i touches key); nil map when event i
 	// covers nothing.
@@ -261,7 +283,7 @@ type runState struct {
 	finalize [][]blockRef
 
 	mu  sync.Mutex // guards buf, ivPins, interval refcounts and the DAG scheduler's bookkeeping
-	buf map[string]*blas.Matrix
+	buf map[string]block
 	// ivPins holds pool pins owned by active hold intervals (pool mode):
 	// event-local pins transfer here while an interval stays active and
 	// are released when its last accessor completes.
@@ -295,8 +317,9 @@ type runState struct {
 }
 
 // coverHolds indexes the timeline's merged hold intervals by the events
-// that touch them (rs.cover) and returns them sorted by (Key, Start). An interval must begin at an event that accesses its block:
-// that event is what buffers it.
+// that touch them (rs.cover) and returns them sorted by (Key, Start). An
+// interval must begin at an event that accesses its block: that event is
+// what buffers it.
 func (rs *runState) coverHolds() ([]*ivState, error) {
 	rs.cover = make([]map[string]*ivState, len(rs.sets))
 	var out []*ivState
@@ -354,18 +377,19 @@ func (rs *runState) execEvent(i int) error {
 	evPins := newPinSet(rs.e.Pool)
 	defer evPins.releaseAll()
 
-	local := make(map[string]*blas.Matrix, len(set)) // blocks live for this event
-	var kernelIn []*blas.Matrix                      // read operands in access order
+	local := make(map[string]block, len(set)) // blocks live for this event
+	var kernelIn []*blas.Matrix               // read operands in access order
 	var outBlk *blas.Matrix
 	var writeBA *codegen.BlockAccess
 	var accRead *blas.Matrix // accumulator read operand, nil when inactive
+	fresh := false           // outBlk was allocated by this event and is still zero
 
 	// buffered returns the block an earlier event of key's hold interval
 	// left in the shared buffer; ok reports whether there was such an
 	// event.
-	buffered := func(key string) (m *blas.Matrix, ok bool) {
+	buffered := func(key string) (b block, ok bool) {
 		if iv, covered := cover[key]; !covered || i == iv.iv.Start {
-			return nil, false
+			return block{}, false
 		}
 		rs.mu.Lock()
 		defer rs.mu.Unlock()
@@ -375,52 +399,60 @@ func (rs *runState) execEvent(i int) error {
 	for bi := range set {
 		ba := &set[bi]
 		if ba.Type == prog.Read {
-			var m *blas.Matrix
+			var b block
 			switch ba.Action {
 			case codegen.FromMemory:
-				if m, _ = buffered(ba.Key); m == nil {
-					if m = local[ba.Key]; m == nil {
+				if b, _ = buffered(ba.Key); b.m == nil {
+					if b = local[ba.Key]; b.m == nil {
 						return fmt.Errorf("exec: %s%v expects %s in memory but it is not buffered",
 							ev.St.Name, ev.X, ba.Key)
 					}
 				}
 			case codegen.DoIO:
-				var err error
-				var pinned bool
-				m, pinned, err = rs.readBlock(i, ba)
+				m, pinned, err := rs.readBlock(i, ba)
 				if err != nil {
 					return err
 				}
 				if pinned {
 					evPins.add(ba.Key, ba.Array, ba.R, ba.C)
 				}
+				b = block{m: m, borrowed: true}
 			}
 			if _, dup := local[ba.Key]; !dup {
-				local[ba.Key] = m
+				local[ba.Key] = b
 			}
 			if isAccumulatorRead(ev.St, ba.Acc) {
-				accRead = m
+				accRead = b.m
 			} else {
-				kernelIn = append(kernelIn, m)
+				kernelIn = append(kernelIn, b.m)
 			}
 			continue
 		}
 		// Write access: the output block materializes in memory.
 		writeBA = ba
-		var held bool
-		if outBlk, held = buffered(ba.Key); !held {
-			arr := tl.Prog.Arrays[ba.Array]
-			outBlk = blas.NewMatrix(arr.BlockRows, arr.BlockCols)
-		} else if outBlk == nil {
+		arr := tl.Prog.Arrays[ba.Array]
+		out, held := buffered(ba.Key)
+		switch {
+		case held && out.m == nil:
 			return fmt.Errorf("exec: %s%v writes held block %s but it is not buffered",
 				ev.St.Name, ev.X, ba.Key)
+		case !held, out.borrowed && out.m == accRead:
+			// A new block — also for the copy-on-write of a held block
+			// that is the accumulator's prior value: the kernel copies
+			// accRead in, so the copy need not.
+			out, fresh = block{m: blas.NewMatrix(arr.BlockRows, arr.BlockCols)}, true
+		case out.borrowed:
+			// Copy-on-write: the hold interval began with a borrowed read
+			// and is now written in place.
+			out = block{m: out.m.Clone()}
 		}
-		local[ba.Key] = outBlk
+		outBlk = out.m
+		local[ba.Key] = out
 	}
 
 	// Run the kernel on real data.
 	t0 := time.Now()
-	if err := RunKernel(ev.St, kernelIn, accRead, outBlk); err != nil {
+	if err := rs.kernels[ev.St.ID].run(kernelIn, accRead, outBlk, fresh); err != nil {
 		return fmt.Errorf("exec: %s%v: %w", ev.St.Name, ev.X, err)
 	}
 	kd := time.Since(t0)

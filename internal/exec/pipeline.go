@@ -216,7 +216,6 @@ func buildPipeline(tl *codegen.Timeline, sets [][]codegen.BlockAccess, intervals
 // by the first consumer to need it, never both.
 type pfEntry struct {
 	refs     int32 // consumers remaining
-	shared   bool  // >1 consumers: hand out clones, keep blk pristine
 	issued   bool
 	slotHeld bool // the prefetcher holds a window slot until fully consumed
 	done     chan struct{}
@@ -258,8 +257,7 @@ func (rs *runState) runDAG(intervals []*ivState, opt Options, peakBytes int64) e
 	rs.cancel = make(chan struct{})
 	cache := make(map[string]*pfEntry, len(pp.prefetch))
 	for _, req := range pp.prefetch {
-		c := pp.consumers[req.key]
-		cache[req.key] = &pfEntry{refs: int32(c), shared: c > 1, done: make(chan struct{})}
+		cache[req.key] = &pfEntry{refs: int32(pp.consumers[req.key]), done: make(chan struct{})}
 	}
 	rs.cacheMu.Lock()
 	rs.cache = cache
@@ -346,8 +344,8 @@ func (rs *runState) prefetcher() {
 			defer rs.pfWG.Done()
 			if pool := rs.e.Pool; pool != nil {
 				// Pool mode: warm the shared pool instead of a private
-				// cache. Consumers acquire their own pinned copies (the
-				// pool coalesces with this in-flight read), so the
+				// cache. Consumers acquire and pin the frame themselves
+				// (the pool coalesces with this in-flight read), so the
 				// prefetcher's pin is released immediately. An error is
 				// left for the consumer's own read to surface.
 				if _, err := pool.Acquire(req.array, req.r, req.c); err == nil {
@@ -390,12 +388,12 @@ func (rs *runState) noteConsumed(key string) {
 // prefetch-cache reference and, without a pool, takes the block from the
 // cache (claiming the entry inline if the prefetcher has not reached it
 // yet); a read scheduled after a disk write of the same block must bypass
-// the cache, whose entry predates the write. Shared entries hand out clones
-// so a consumer installing its block into the mutable shared buffer cannot
-// corrupt the others. The pinned result reports that the caller owns one
-// pool pin (pool mode only). In pool mode every read — including
-// post-disk-write bypass reads — goes through the pool, whose frame always
-// holds the current value (disk writes are deferred write-backs there).
+// the cache, whose entry predates the write. The returned block is borrowed
+// (see the package doc): every consumer of a cache entry gets the same
+// matrix. The pinned result reports that the caller owns one pool pin (pool
+// mode only). In pool mode every read — including post-disk-write bypass
+// reads — goes through the pool, whose frame always holds the current value
+// (disk writes are deferred write-backs there).
 func (rs *runState) readBlock(i int, ba *codegen.BlockAccess) (*blas.Matrix, bool, error) {
 	prefetchable := false
 	if rs.pp != nil {
@@ -448,9 +446,6 @@ func (rs *runState) readBlock(i int, ba *codegen.BlockAccess) (*blas.Matrix, boo
 	}
 	if en.err != nil {
 		return nil, false, en.err
-	}
-	if en.shared {
-		return en.blk.Clone(), false, nil
 	}
 	return en.blk, false, nil
 }

@@ -12,11 +12,15 @@ import (
 )
 
 // BlockPool is the block cache the engine acquires blocks through when
-// Engine.Pool is set. Acquire returns a private copy of the block with one
-// pin held on the underlying frame; Put installs a written block (the pool
-// keeps its own copy, marked dirty for write-back) also with one pin held;
-// Unpin releases n pins. *buffer.Pool and its aliasing sessions implement
-// this interface.
+// Engine.Pool is set. Acquire returns the block with one pin held on the
+// underlying frame; the matrix is borrowed — the pool and every other
+// acquirer hold the same one — so the caller must not write to it. Put
+// installs a written block (the pool keeps its own copy, marked dirty for
+// write-back, so the caller may go on writing to blk) also with one pin
+// held; Unpin releases n pins. A pin keeps the frame resident; it is not
+// what keeps a borrowed matrix valid — that outlives eviction and re-Put,
+// unchanged, for as long as the caller references it. *buffer.Pool and its
+// aliasing sessions implement this interface.
 type BlockPool interface {
 	Acquire(array string, r, c int64) (*blas.Matrix, error)
 	Put(array string, r, c int64, blk *blas.Matrix) error

@@ -497,8 +497,9 @@ func (s *Server) streamBlocks(ctx context.Context, q *query, opt streamOptions, 
 				if err != nil {
 					return arrays, blocks, bytes, err
 				}
-				// Acquire returns a private copy; the frame pin is only
-				// needed while the copy is taken.
+				// The block is borrowed from the frame and stays valid
+				// (and unchanged) after the pin is gone, so the stream
+				// pins nothing while a chunk waits for the client.
 				s.pool.Unpin(phys, br, bc, 1)
 				chunk = append(chunk, pending{r: br, c: bc, blk: blk})
 				if len(chunk) >= opt.chunk {

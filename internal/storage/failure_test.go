@@ -39,7 +39,7 @@ func TestLABTreeTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tr2.Close()
-	if _, err := tr2.Read(1); err == nil {
+	if _, err := tr2.Read(1, nil); err == nil {
 		t.Fatal("reading a truncated tree should error")
 	}
 }
@@ -70,7 +70,7 @@ func TestLABTreeCorruptPageType(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tr2.Close()
-	if _, err := tr2.Read(7); err == nil {
+	if _, err := tr2.Read(7, nil); err == nil {
 		t.Fatal("corrupt page should error")
 	}
 }
@@ -107,7 +107,7 @@ func TestDAFReadBeyondEOF(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	if _, err := d.Read(5); err == nil {
+	if _, err := d.Read(5, nil); err == nil {
 		t.Fatal("reading an unwritten DAF block should error")
 	}
 }
@@ -124,7 +124,7 @@ func TestDAFSparse(t *testing.T) {
 	if err := d.Write(7, data); err != nil {
 		t.Fatal(err)
 	}
-	got, err := d.Read(7)
+	got, err := d.Read(7, nil)
 	if err != nil || string(got) != string(data) {
 		t.Fatalf("sparse read failed: %q %v", got, err)
 	}

@@ -259,9 +259,13 @@ func (t *LABTree) writeChain(data []byte) (uint32, error) {
 	return head, nil
 }
 
-// readChain reads length bytes from an overflow chain.
-func (t *LABTree) readChain(head uint32, length uint32) ([]byte, error) {
-	out := make([]byte, 0, length)
+// readChain reads length bytes from an overflow chain, into out when its
+// capacity suffices.
+func (t *LABTree) readChain(head uint32, length uint32, out []byte) ([]byte, error) {
+	if uint32(cap(out)) < length {
+		out = make([]byte, 0, length)
+	}
+	out = out[:0]
 	buf := make([]byte, pageSize)
 	for id := head; id != 0; {
 		if err := t.readPage(id, buf); err != nil {
@@ -299,8 +303,9 @@ func (t *LABTree) freeChain(head uint32) error {
 // ErrNotFound is returned by Read for missing keys.
 var ErrNotFound = errors.New("storage: key not found")
 
-// Read returns the payload stored under the key.
-func (t *LABTree) Read(key uint64) ([]byte, error) {
+// Read returns the payload stored under the key, in out when its capacity
+// suffices (out may be nil).
+func (t *LABTree) Read(key uint64, out []byte) ([]byte, error) {
 	id := t.root
 	buf := make([]byte, pageSize)
 	for {
@@ -317,7 +322,7 @@ func (t *LABTree) Read(key uint64) ([]byte, error) {
 			if !found {
 				return nil, ErrNotFound
 			}
-			return t.readChain(l.ovflow(i), l.length(i))
+			return t.readChain(l.ovflow(i), l.length(i), out)
 		default:
 			return nil, fmt.Errorf("storage: corrupt page %d (type %d)", id, buf[0])
 		}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"strings"
@@ -21,8 +22,9 @@ import (
 type BlockStore interface {
 	// Write stores one block payload under its linearized index.
 	Write(idx uint64, data []byte) error
-	// Read fetches the payload stored under idx.
-	Read(idx uint64) ([]byte, error)
+	// Read fetches the payload stored under idx, into buf when its capacity
+	// suffices (buf may be nil), and returns the filled slice.
+	Read(idx uint64, buf []byte) ([]byte, error)
 	// Sync flushes buffered writes to the device.
 	Sync() error
 	// Close releases the store's file handle(s).
@@ -56,9 +58,12 @@ func (d *DAF) Write(idx uint64, data []byte) error {
 	return err
 }
 
-// Read fetches a block payload.
-func (d *DAF) Read(idx uint64) ([]byte, error) {
-	buf := make([]byte, d.blockBytes)
+// Read fetches a block payload, into buf when it is large enough.
+func (d *DAF) Read(idx uint64, buf []byte) ([]byte, error) {
+	if int64(cap(buf)) < d.blockBytes {
+		buf = make([]byte, d.blockBytes)
+	}
+	buf = buf[:d.blockBytes]
 	n, err := d.f.ReadAt(buf, int64(idx)*d.blockBytes)
 	if err != nil && n != len(buf) {
 		return nil, fmt.Errorf("storage: DAF read block %d: %w", idx, err)
@@ -87,10 +92,10 @@ func (s *labStore) Write(idx uint64, data []byte) error {
 	return s.t.Write(idx, data)
 }
 
-func (s *labStore) Read(idx uint64) ([]byte, error) {
+func (s *labStore) Read(idx uint64, buf []byte) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.t.Read(idx)
+	return s.t.Read(idx, buf)
 }
 
 func (s *labStore) Sync() error {
@@ -232,10 +237,9 @@ func (m *Manager) Stats() Stats {
 
 // inflightRead is one in-progress coalesced block read.
 type inflightRead struct {
-	done    chan struct{}
-	blk     *blas.Matrix
-	err     error
-	waiters int
+	done chan struct{}
+	blk  *blas.Matrix
+	err  error
 }
 
 // NewManager creates a storage manager writing under dir.
@@ -344,6 +348,26 @@ func (m *Manager) CreateAll(p *prog.Program) error {
 	return nil
 }
 
+// scratch recycles the byte buffers blocks are serialized through, one
+// sync.Pool per power-of-two size class so the few block shapes of a store
+// each find their own buffers again. Neither store format keeps a payload
+// slice past Write (DAF hands it to pwrite, the LAB-tree copies it into
+// pages), and readBlock has decoded a payload before it gives the buffer
+// back.
+var scratch [64]sync.Pool
+
+// getScratch returns a buffer of length n.
+func getScratch(n int) *[]byte {
+	if bp, _ := scratch[bits.Len(uint(n))].Get().(*[]byte); bp != nil && cap(*bp) >= n {
+		*bp = (*bp)[:n]
+		return bp
+	}
+	b := make([]byte, n)
+	return &b
+}
+
+func putScratch(bp *[]byte) { scratch[bits.Len(uint(cap(*bp)))].Put(bp) }
+
 // WriteBlock serializes and stores one block.
 func (m *Manager) WriteBlock(array string, r, c int64, blk *blas.Matrix) error {
 	arr, st, err := m.lookup(array)
@@ -355,7 +379,9 @@ func (m *Manager) WriteBlock(array string, r, c int64, blk *blas.Matrix) error {
 		return fmt.Errorf("storage: block shape %dx%d, array %s wants %dx%d",
 			blk.Rows, blk.Cols, array, arr.BlockRows, arr.BlockCols)
 	}
-	buf := make([]byte, 8*len(blk.Data))
+	bp := getScratch(8 * len(blk.Data))
+	defer putScratch(bp)
+	buf := *bp
 	for i, v := range blk.Data {
 		binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(v))
 	}
@@ -368,38 +394,28 @@ func (m *Manager) WriteBlock(array string, r, c int64, blk *blas.Matrix) error {
 }
 
 // ReadBlock fetches and deserializes one block. Concurrent reads of the
-// same block coalesce: one disk request serves all callers. The leader
-// hands its matrix over directly; followers receive private copies, since
-// callers may install the result into a mutable buffer pool.
+// same block coalesce: one disk request serves all callers, who all receive
+// the same matrix — so a block read from a store is shared and immutable,
+// like one acquired from the buffer pool; a caller that wants to change it
+// writes to a copy.
 func (m *Manager) ReadBlock(array string, r, c int64) (*blas.Matrix, error) {
 	key := readKey(array, r, c)
 	m.inflightMu.Lock()
 	if call, ok := m.inflight[key]; ok {
-		call.waiters++
 		m.inflightMu.Unlock()
 		<-call.done
-		if call.err != nil {
-			return nil, call.err
-		}
-		return call.blk.Clone(), nil
+		return call.blk, call.err
 	}
 	call := &inflightRead{done: make(chan struct{})}
 	m.inflight[key] = call
 	m.inflightMu.Unlock()
 
-	blk, err := m.readBlock(array, r, c)
-	call.blk, call.err = blk, err
+	call.blk, call.err = m.readBlock(array, r, c)
 	m.inflightMu.Lock()
 	delete(m.inflight, key)
-	shared := call.waiters > 0
 	m.inflightMu.Unlock()
-	if shared && err == nil {
-		// Followers clone call.blk after done closes; leave it pristine and
-		// hand the leader its own copy too.
-		blk = blk.Clone()
-	}
 	close(call.done)
-	return blk, err
+	return call.blk, call.err
 }
 
 // readBlock performs the physical read.
@@ -409,16 +425,19 @@ func (m *Manager) readBlock(array string, r, c int64) (*blas.Matrix, error) {
 		return nil, err
 	}
 	m.simulate(m.ReadLatency)
-	buf, err := st.Read(m.Linearize(r, c, arr.GridRows, arr.GridCols))
+	want := 8 * arr.BlockRows * arr.BlockCols
+	bp := getScratch(want)
+	defer putScratch(bp)
+	buf, err := st.Read(m.Linearize(r, c, arr.GridRows, arr.GridCols), *bp)
 	if err != nil {
 		return nil, fmt.Errorf("storage: read %s[%d,%d]: %w", array, r, c, err)
 	}
 	m.physReadReqs.Add(1)
 	m.physReadBytes.Add(int64(len(buf)))
-	blk := blas.NewMatrix(arr.BlockRows, arr.BlockCols)
-	if want := 8 * len(blk.Data); len(buf) != want {
+	if len(buf) != want {
 		return nil, fmt.Errorf("storage: %s[%d,%d] payload %d bytes, want %d", array, r, c, len(buf), want)
 	}
+	blk := blas.NewMatrix(arr.BlockRows, arr.BlockCols)
 	for i := range blk.Data {
 		blk.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
 	}

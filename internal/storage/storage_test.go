@@ -22,11 +22,11 @@ func TestLABTreeBasic(t *testing.T) {
 	if err := tr.Write(7, []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
-	got, err := tr.Read(7)
+	got, err := tr.Read(7, nil)
 	if err != nil || string(got) != "hello" {
 		t.Fatalf("Read got %q err %v", got, err)
 	}
-	if _, err := tr.Read(8); err != ErrNotFound {
+	if _, err := tr.Read(8, nil); err != ErrNotFound {
 		t.Fatalf("missing key should be ErrNotFound, got %v", err)
 	}
 }
@@ -44,7 +44,7 @@ func TestLABTreeUpdate(t *testing.T) {
 	if err := tr.Write(1, bytes.Repeat([]byte("x"), 9000)); err != nil {
 		t.Fatal(err)
 	}
-	got, err := tr.Read(1)
+	got, err := tr.Read(1, nil)
 	if err != nil || len(got) != 9000 {
 		t.Fatalf("update lost data: %d bytes, err %v", len(got), err)
 	}
@@ -65,7 +65,7 @@ func TestLABTreeMultiPagePayload(t *testing.T) {
 	if err := tr.Write(42, data); err != nil {
 		t.Fatal(err)
 	}
-	got, err := tr.Read(42)
+	got, err := tr.Read(42, nil)
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("multi-page payload corrupted (err %v)", err)
 	}
@@ -105,7 +105,7 @@ func TestLABTreeRandomAgainstOracle(t *testing.T) {
 				}
 			}
 			for key, want := range oracle {
-				got, err := tr.Read(key)
+				got, err := tr.Read(key, nil)
 				if err != nil || !bytes.Equal(got, want) {
 					t.Fatalf("key %d mismatch (err %v)", key, err)
 				}
@@ -135,7 +135,7 @@ func TestLABTreeSequentialLoadDeepTree(t *testing.T) {
 		t.Fatalf("tree should have split: height=%d", height)
 	}
 	for k := uint64(0); k < n; k++ {
-		got, err := tr.Read(k)
+		got, err := tr.Read(k, nil)
 		if err != nil || string(got) != fmt.Sprint(k) {
 			t.Fatalf("key %d: %q err %v", k, got, err)
 		}
@@ -147,7 +147,7 @@ func TestLABTreeSequentialLoadDeepTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tr2.Close()
-	got, err := tr2.Read(n - 1)
+	got, err := tr2.Read(n-1, nil)
 	if err != nil || string(got) != fmt.Sprint(n-1) {
 		t.Fatalf("after reopen: %q err %v", got, err)
 	}
@@ -189,7 +189,7 @@ func TestDAFRoundTrip(t *testing.T) {
 	if err := d.Write(5, data); err != nil {
 		t.Fatal(err)
 	}
-	got, err := d.Read(5)
+	got, err := d.Read(5, nil)
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("DAF round trip failed: %v", err)
 	}
