@@ -13,6 +13,7 @@ test:
 
 test-race:
 	$(GO) test -race -short ./...
+	$(GO) test -race -count=5 ./internal/exec/ ./internal/buffer/
 
 # Full suite, including the ~80s linear-regression plan-space search.
 test-full:

@@ -8,19 +8,24 @@
 //     volumes and request counts, the peak buffered working set, the
 //     memory-cap check and the FromMemory invariant. It runs before any
 //     physical I/O, so a plan that violates the cap is refused untouched.
-//   - execEvent carries one statement instance out physically: it acquires
-//     the operand blocks (shared buffer, pool, prefetch cache or storage),
-//     runs the in-core kernel on real data, writes back, and keeps shared
-//     blocks buffered — and their pool frames pinned — exactly for their
-//     hold intervals.
+//   - execEvent carries one statement instance out physically: it takes
+//     each operand block from the run's shared buffer or acquires it from
+//     the run's BlockPool, runs the in-core kernel on real data, puts the
+//     result back, and keeps shared blocks buffered — and their pool frames
+//     pinned — exactly for their hold intervals.
+//
+// There is one source of blocks, the run's BlockPool (pool.go): the pool
+// the caller supplied — Engine.Store is then unused, the pool fronts its
+// own store — or else a pass-through pool over Engine.Store. RunOptions
+// resolves which once; nothing below it knows.
 //
 // One ownership rule governs every block: a block that came from
-// BlockPool.Acquire or storage.Backend.ReadBlock is borrowed — the same
-// matrix may be in the pool's frame and in other queries' hands, so nobody
-// writes to it — while a block execEvent allocated is owned by the run and
-// may be written in place. Kernels only read their operands, so reads cost
-// no copy; the one copy-on-write is in execEvent, where a write targets a
-// buffered block that is still a borrowed one.
+// BlockPool.Acquire is borrowed — the same matrix may be in the pool's
+// frame and in other queries' hands, so nobody writes to it — while a block
+// execEvent allocated is owned by the run and may be written in place.
+// Kernels only read their operands, so reads cost no copy; the one
+// copy-on-write is in execEvent, where a write targets a buffered block that
+// is still a borrowed one.
 //
 // Two schedules drive execEvent. The in-order schedule (Workers <= 1) calls
 // it for events 0..n-1 on the caller's goroutine. The DAG schedule
@@ -61,26 +66,28 @@ type Result struct {
 	StageTimes map[string]time.Duration
 	// PrefetchIssued counts prefetchable block reads the async
 	// prefetcher issued ahead of use; PrefetchInline counts the ones a
-	// consumer reached first and claimed inline (prefetch arrived too
-	// late). Both are zero under the in-order schedule; PrefetchInline
-	// stays zero in pool mode, where the pool coalesces the in-flight read.
+	// consumer reached before the prefetcher did and acquired on its own
+	// (the window was too small, or the walk too slow, to get ahead of
+	// execution). Both are zero under the in-order schedule.
 	PrefetchIssued, PrefetchInline int64
 }
 
 // Engine executes timelines against a storage backend (a single-directory
 // manager or a sharded store — placement is invisible to execution).
 type Engine struct {
+	// Store is where blocks live when no pool is set; with a pool it is
+	// unused (the pool reads and writes its own store).
 	Store storage.Backend
 	Model disk.Model
 	// MemCapBytes, when nonzero, makes execution fail — before any physical
 	// I/O — if the plan's buffered working set ever exceeds the cap (the
 	// optimizer must have chosen a plan that fits, §4.2).
 	MemCapBytes int64
-	// Pool, when non-nil, routes every physical block read and write
-	// through a sharing-aware buffer pool instead of raw storage, so
-	// concurrent queries over one pool serve each other's blocks from
-	// memory. Pool frames are pinned for the plan's hold intervals.
-	// Logical I/O accounting (Result) is identical either way.
+	// Pool, when non-nil, is the sharing-aware buffer pool every physical
+	// block read and write goes through, so concurrent queries over one
+	// pool serve each other's blocks from memory. Pool frames are pinned
+	// for the plan's hold intervals. Logical I/O accounting (Result) is
+	// identical with or without it.
 	Pool BlockPool
 	// OnBlockWritten, when non-nil, is invoked once per written block
 	// right after the block's final physical write completes — from that
@@ -103,10 +110,7 @@ type Options struct {
 	// (<= 0 selects 2*Workers). A nonzero Engine.MemCapBytes additionally
 	// shrinks the window to the cap's headroom above the plan's peak.
 	PrefetchDepth int
-	// Pool, when non-nil, routes physical block I/O through a
-	// sharing-aware buffer pool (overrides Engine.Pool for this run). With
-	// a pool the prefetcher warms pool frames instead of holding a private
-	// cache, so prefetched blocks are shared with concurrent queries too.
+	// Pool, when non-nil, overrides Engine.Pool for this run.
 	Pool BlockPool
 }
 
@@ -121,12 +125,15 @@ func (e *Engine) Run(tl *codegen.Timeline) (Result, error) {
 // schedule (modulo CPUTime and StageTimes, which are measured wall time
 // inside kernels, and the prefetch counters).
 func (e *Engine) RunOptions(tl *codegen.Timeline, opt Options) (Result, error) {
-	eng := *e
-	if opt.Pool != nil {
-		eng.Pool = opt.Pool
+	pool := opt.Pool
+	if pool == nil {
+		pool = e.Pool
+	}
+	if pool == nil {
+		pool = newDirectPool(e.Store, opt.Workers > 1)
 	}
 	sets := tl.AccessSets()
-	res, err := accountRun(tl, sets, eng.MemCapBytes)
+	res, err := accountRun(tl, sets, e.MemCapBytes)
 	if err != nil {
 		return res, err
 	}
@@ -135,16 +142,19 @@ func (e *Engine) RunOptions(tl *codegen.Timeline, opt Options) (Result, error) {
 		return res, err
 	}
 	rs := &runState{
-		e: &eng, tl: tl, sets: sets, kernels: kernels,
-		buf:    make(map[string]block),
-		ivPins: newPinSet(eng.Pool),
+		e: e, pool: pool, tl: tl, sets: sets, kernels: kernels,
+		buf: make(map[string]block),
 	}
-	defer rs.ivPins.releaseAll()
+	defer func() { // a failed run leaves held blocks behind; a complete one, none
+		for _, b := range rs.buf {
+			rs.drop(b)
+		}
+	}()
 	intervals, err := rs.coverHolds()
 	if err != nil {
 		return res, err
 	}
-	if eng.OnBlockWritten != nil {
+	if e.OnBlockWritten != nil {
 		rs.finalize = finalWrites(sets)
 	}
 	if opt.Workers <= 1 {
@@ -163,7 +173,7 @@ func (e *Engine) RunOptions(tl *codegen.Timeline, opt Options) (Result, error) {
 	res.StageTimes = rs.stageTimes
 	res.PrefetchIssued = rs.pfIssued.Load()
 	res.PrefetchInline = rs.pfInline.Load()
-	res.SimulatedIOSec = eng.Model.Time(res.ReadBytes, res.WriteBytes, res.ReadReqs, res.WriteReqs)
+	res.SimulatedIOSec = e.Model.Time(res.ReadBytes, res.WriteBytes, res.ReadReqs, res.WriteReqs)
 	return res, nil
 }
 
@@ -259,18 +269,23 @@ type ivState struct {
 }
 
 // block is one block of a run's working set under the ownership rule of the
-// package doc: borrowed marks a matrix that came from the pool or the store
-// and must not be written; otherwise execEvent allocated it and the run may
-// write it in place.
+// package doc: borrowed marks a matrix that came from the pool and must not
+// be written; otherwise execEvent allocated it and the run may write it in
+// place. pins counts the pool pins the record owns — one per Acquire and
+// Put made for it — so keeping the record keeps the frame resident and
+// runState.drop releases it.
 type block struct {
 	m        *blas.Matrix
 	borrowed bool
+	ref      blockRef
+	pins     int
 }
 
 // runState is the state of one run, shared by the events of either
 // schedule.
 type runState struct {
 	e       *Engine
+	pool    BlockPool // the run's one source of blocks
 	tl      *codegen.Timeline
 	sets    [][]codegen.BlockAccess
 	kernels []kernel // by Statement.ID
@@ -282,12 +297,11 @@ type runState struct {
 	// (nil when the engine has no OnBlockWritten callback).
 	finalize [][]blockRef
 
-	mu  sync.Mutex // guards buf, ivPins, interval refcounts and the DAG scheduler's bookkeeping
+	mu sync.Mutex // guards buf, interval refcounts and the DAG scheduler's bookkeeping
+	// buf holds the blocks of active hold intervals, with the pins their
+	// events took; each is dropped when its interval's last accessor
+	// completes.
 	buf map[string]block
-	// ivPins holds pool pins owned by active hold intervals (pool mode):
-	// event-local pins transfer here while an interval stays active and
-	// are released when its last accessor completes.
-	ivPins *pinSet
 
 	kernelMu   sync.Mutex
 	stageTimes map[string]time.Duration // becomes Result.StageTimes
@@ -298,9 +312,11 @@ type runState struct {
 
 	pp *pipeline
 
-	cacheMu sync.Mutex
-	cache   map[string]*pfEntry
-	slots   chan struct{}
+	// window tracks the prefetch walk's unconsumed entries; slots bounds
+	// how many of them the prefetcher may have pinned at once.
+	winMu  sync.Mutex
+	window map[string]*pfEntry
+	slots  chan struct{}
 	// pfWG tracks the prefetcher and every read goroutine it spawned;
 	// runDAG joins it so no straggler touches the pool or storage after
 	// the run returns.
@@ -310,8 +326,8 @@ type runState struct {
 	failErr error
 	once    sync.Once
 
-	// pfIssued/pfInline count prefetch reads issued ahead of use vs.
-	// claimed inline by a consumer.
+	// pfIssued/pfInline count prefetchable reads the prefetcher issued
+	// ahead of use vs. ones a consumer reached first.
 	pfIssued atomic.Int64
 	pfInline atomic.Int64
 }
@@ -360,66 +376,82 @@ func touch(set []codegen.BlockAccess, key string) (read, write bool) {
 	return read, write
 }
 
-// execEvent runs one statement instance: acquire operands (shared buffer,
-// pool, prefetch cache or storage), run the kernel, write back, then retain
-// and release held blocks. It is the only code that does so, under either
-// schedule; the schedule guarantees that every event this one depends on
-// has completed.
+// drop releases the pool pins a block record owns.
+func (rs *runState) drop(b block) {
+	if b.pins > 0 {
+		rs.pool.Unpin(b.ref.array, b.ref.r, b.ref.c, b.pins)
+	}
+}
+
+// execEvent runs one statement instance: take each operand from the shared
+// buffer or acquire it from the pool, run the kernel, put the result back,
+// then retain and release held blocks. It is the only code that does so,
+// under either schedule; the schedule guarantees that every event this one
+// depends on has completed.
 func (rs *runState) execEvent(i int) error {
 	tl := rs.tl
 	ev := tl.Events[i]
 	set := rs.sets[i]
 	cover := rs.cover[i]
 
-	// Pool pins acquired by this event; pins for blocks whose hold
-	// interval extends past the event transfer to interval ownership
-	// (rs.ivPins), the rest release when the event finishes.
-	evPins := newPinSet(rs.e.Pool)
-	defer evPins.releaseAll()
+	// Blocks live for this event, each with the pins the event took on it.
+	// A block whose hold interval extends past the event moves to rs.buf,
+	// pins and all; the rest are dropped when the event finishes.
+	local := make(map[string]*block, len(set))
+	defer func() {
+		for _, b := range local {
+			rs.drop(*b)
+		}
+	}()
 
-	local := make(map[string]block, len(set)) // blocks live for this event
-	var kernelIn []*blas.Matrix               // read operands in access order
+	var kernelIn []*blas.Matrix // read operands in access order
 	var outBlk *blas.Matrix
 	var writeBA *codegen.BlockAccess
 	var accRead *blas.Matrix // accumulator read operand, nil when inactive
 	fresh := false           // outBlk was allocated by this event and is still zero
 
 	// buffered returns the block an earlier event of key's hold interval
-	// left in the shared buffer; ok reports whether there was such an
-	// event.
+	// left in the shared buffer (its pins stay with the interval); ok
+	// reports whether there was such an event.
 	buffered := func(key string) (b block, ok bool) {
 		if iv, covered := cover[key]; !covered || i == iv.iv.Start {
 			return block{}, false
 		}
 		rs.mu.Lock()
 		defer rs.mu.Unlock()
-		return rs.buf[key], true
+		b = rs.buf[key]
+		b.pins = 0
+		return b, true
 	}
 
 	for bi := range set {
 		ba := &set[bi]
+		mine := local[ba.Key]
+		if mine == nil {
+			mine = &block{ref: blockRef{array: ba.Array, r: ba.R, c: ba.C}}
+			local[ba.Key] = mine
+		}
 		if ba.Type == prog.Read {
-			var b block
+			b := *mine // an earlier access of this event, if any
 			switch ba.Action {
 			case codegen.FromMemory:
-				if b, _ = buffered(ba.Key); b.m == nil {
-					if b = local[ba.Key]; b.m == nil {
-						return fmt.Errorf("exec: %s%v expects %s in memory but it is not buffered",
-							ev.St.Name, ev.X, ba.Key)
-					}
+				if held, _ := buffered(ba.Key); held.m != nil {
+					b = held
+				}
+				if b.m == nil {
+					return fmt.Errorf("exec: %s%v expects %s in memory but it is not buffered",
+						ev.St.Name, ev.X, ba.Key)
 				}
 			case codegen.DoIO:
-				m, pinned, err := rs.readBlock(i, ba)
+				m, err := rs.readBlock(i, ba)
 				if err != nil {
 					return err
 				}
-				if pinned {
-					evPins.add(ba.Key, ba.Array, ba.R, ba.C)
-				}
+				mine.pins++
 				b = block{m: m, borrowed: true}
 			}
-			if _, dup := local[ba.Key]; !dup {
-				local[ba.Key] = b
+			if mine.m == nil {
+				mine.m, mine.borrowed = b.m, b.borrowed
 			}
 			if isAccumulatorRead(ev.St, ba.Acc) {
 				accRead = b.m
@@ -447,7 +479,7 @@ func (rs *runState) execEvent(i int) error {
 			out = block{m: out.m.Clone()}
 		}
 		outBlk = out.m
-		local[ba.Key] = out
+		mine.m, mine.borrowed = out.m, out.borrowed
 	}
 
 	// Run the kernel on real data.
@@ -466,28 +498,26 @@ func (rs *runState) execEvent(i int) error {
 
 	// Write-back.
 	if writeBA != nil && writeBA.Action == codegen.DoIO {
-		pinned, err := rs.e.writeThrough(writeBA.Array, writeBA.R, writeBA.C, outBlk)
-		if err != nil {
+		if err := rs.pool.Put(writeBA.Array, writeBA.R, writeBA.C, outBlk); err != nil {
 			return err
 		}
-		if pinned {
-			evPins.add(writeBA.Key, writeBA.Array, writeBA.R, writeBA.C)
-		}
+		local[writeBA.Key].pins++
 	}
 
-	// Retain blocks whose hold interval extends past this event; release
-	// interval references and evict fully consumed blocks. Pool pins for
-	// retained blocks move to interval ownership and are released when the
+	// Retain blocks whose hold interval extends past this event, adding
+	// this event's pins to the interval's; drop a block when its
 	// interval's last accessor completes.
 	rs.mu.Lock()
 	for key, iv := range cover {
 		if i < iv.iv.End {
-			rs.buf[key] = local[key]
-			evPins.transfer(key, rs.ivPins)
+			b := *local[key]
+			b.pins += rs.buf[key].pins
+			rs.buf[key] = b
+			delete(local, key)
 		}
 		if iv.refs--; iv.refs == 0 {
+			rs.drop(rs.buf[key])
 			delete(rs.buf, key)
-			rs.ivPins.drop(key)
 		}
 	}
 	rs.mu.Unlock()

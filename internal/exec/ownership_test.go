@@ -54,6 +54,29 @@ func copyOnWriteTimeline() *codegen.Timeline {
 	return tl
 }
 
+// copyOnWriteStore opens a store holding the timeline's arrays with A, B and
+// X filled.
+func copyOnWriteStore(t *testing.T, tl *codegen.Timeline) *storage.Manager {
+	t.Helper()
+	m, err := storage.NewManager(t.TempDir(), storage.FormatDAF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { m.Close() })
+	if err := m.CreateAll(tl.Prog); err != nil {
+		t.Fatal(err)
+	}
+	fillInputs(t, tl.Prog, m, 7) // A and B; X is written, so seed it by hand
+	x := blas.NewMatrix(4, 4)
+	for i := range x.Data {
+		x.Data[i] = float64(i) + 0.5
+	}
+	if err := m.WriteBlock("X", 0, 0, x); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 // Two engines run the copy-on-write timeline at once over one pool. The
 // write at e2 must land in a private copy: the pool's frame of X, the other
 // engine's borrowed operand and the store all keep X's original value, and
@@ -62,25 +85,7 @@ func copyOnWriteTimeline() *codegen.Timeline {
 // data race against the other engine's reads.
 func TestWriteToBorrowedHeldBlockCopies(t *testing.T) {
 	tl := copyOnWriteTimeline()
-	open := func() *storage.Manager {
-		m, err := storage.NewManager(t.TempDir(), storage.FormatDAF)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { m.Close() })
-		if err := m.CreateAll(tl.Prog); err != nil {
-			t.Fatal(err)
-		}
-		fillInputs(t, tl.Prog, m, 7) // A and B; X is written, so seed it by hand
-		x := blas.NewMatrix(4, 4)
-		for i := range x.Data {
-			x.Data[i] = float64(i) + 0.5
-		}
-		if err := m.WriteBlock("X", 0, 0, x); err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
+	open := func() *storage.Manager { return copyOnWriteStore(t, tl) }
 	block := func(m storage.Backend, name string) *blas.Matrix {
 		blk, err := m.ReadBlock(name, 0, 0)
 		if err != nil {

@@ -21,9 +21,10 @@
 // PeakMemoryBytes therefore reports the plan's logical working-set peak
 // (what the optimizer bounded with the memory cap, §4.2). The physical
 // resident set of a DAG-scheduled run can transiently exceed it by the
-// worker pool's per-event operand blocks plus the prefetch window; the
-// prefetch window is bounded by the cap's spare headroom (cap − logical
-// peak) and never issues a read past an unexecuted write of the same block.
+// worker pool's per-event operand blocks plus the blocks the prefetch walk
+// has pinned; the prefetcher's read-ahead is bounded by the cap's spare
+// headroom (cap − logical peak) and never issues a read past an unexecuted
+// write of the same block.
 package exec
 
 import (
@@ -46,7 +47,7 @@ type pipeline struct {
 	consumers map[string]int
 	maxBlock  int64 // largest prefetchable block, for the byte budget
 	// firstDiskWrite[key] is the earliest event writing the block to disk;
-	// reads at later events must bypass the prefetch cache (stale state).
+	// reads at later events are not part of the prefetch walk.
 	firstDiskWrite map[string]int
 }
 
@@ -211,16 +212,26 @@ func buildPipeline(tl *codegen.Timeline, sets [][]codegen.BlockAccess, intervals
 	return pp, nil
 }
 
-// pfEntry is one coalesced prefetchable block read: issued either by the
-// prefetcher (ahead of execution, holding a window slot) or claimed inline
-// by the first consumer to need it, never both.
+// pfEntry is one block of the prefetch walk while it still has consumers.
+// It holds no block, only window occupancy. Whoever reaches the entry first
+// marks it issued and acquires the block for the window (pinEntry): the
+// prefetcher, ahead of execution and against a window slot, or a consumer.
+// That one pin keeps the block in the pool until the last consumer retires
+// it; every consumer acquires the block from the pool itself.
 type pfEntry struct {
-	refs     int32 // consumers remaining
-	issued   bool
-	slotHeld bool // the prefetcher holds a window slot until fully consumed
-	done     chan struct{}
-	blk      *blas.Matrix
-	err      error
+	refs   int32 // consumers remaining
+	issued bool
+	slot   bool // the prefetcher issued it and holds a window slot
+	pinned bool // the window holds one pin on the block; final once done closes
+	done   chan struct{}
+}
+
+// pinEntry acquires en's block for the window. An error is left for the
+// consumers' own Acquire to surface, or to survive.
+func (rs *runState) pinEntry(en *pfEntry, array string, r, c int64) {
+	_, err := rs.pool.Acquire(array, r, c)
+	en.pinned = err == nil
+	close(en.done)
 }
 
 func (rs *runState) fail(err error) {
@@ -255,13 +266,13 @@ func (rs *runState) runDAG(intervals []*ivState, opt Options, peakBytes int64) e
 	rs.pp = pp
 	rs.slots = make(chan struct{}, max(depth, 1))
 	rs.cancel = make(chan struct{})
-	cache := make(map[string]*pfEntry, len(pp.prefetch))
+	window := make(map[string]*pfEntry, len(pp.prefetch))
 	for _, req := range pp.prefetch {
-		cache[req.key] = &pfEntry{refs: int32(pp.consumers[req.key]), done: make(chan struct{})}
+		window[req.key] = &pfEntry{refs: int32(pp.consumers[req.key]), done: make(chan struct{})}
 	}
-	rs.cacheMu.Lock()
-	rs.cache = cache
-	rs.cacheMu.Unlock()
+	rs.winMu.Lock()
+	rs.window = window
+	rs.winMu.Unlock()
 	if depth > 0 {
 		rs.pfWG.Add(1)
 		go rs.prefetcher()
@@ -313,12 +324,20 @@ func (rs *runState) runDAG(intervals []*ivState, opt Options, peakBytes int64) e
 	wg.Wait()
 	rs.fail(nil)   // release the prefetcher if it is still walking
 	rs.pfWG.Wait() // join prefetch reads so none outlives the run
+	// A failed run leaves entries unconsumed: release the window's pins.
+	rs.winMu.Lock()
+	for _, req := range pp.prefetch {
+		if en := rs.window[req.key]; en != nil && en.pinned {
+			rs.pool.Unpin(req.array, req.r, req.c, 1)
+		}
+	}
+	rs.winMu.Unlock()
 	return rs.failErr
 }
 
 // prefetcher walks the timeline's prefetchable reads in first-use order,
-// issuing each one asynchronously while window slots are available. An
-// entry the executor already claimed inline is skipped.
+// pinning each one asynchronously while window slots are available. An
+// entry a consumer already reached is skipped.
 func (rs *runState) prefetcher() {
 	defer rs.pfWG.Done()
 	for _, req := range rs.pp.prefetch {
@@ -327,125 +346,67 @@ func (rs *runState) prefetcher() {
 			return
 		case rs.slots <- struct{}{}:
 		}
-		rs.cacheMu.Lock()
-		en := rs.cache[req.key]
+		rs.winMu.Lock()
+		en := rs.window[req.key]
 		if en == nil || en.issued {
-			// Fully consumed (entry evicted) or claimed inline already.
-			rs.cacheMu.Unlock()
+			// Fully consumed (entry retired) or claimed inline already.
+			rs.winMu.Unlock()
 			<-rs.slots
 			continue
 		}
 		en.issued = true
-		en.slotHeld = true
-		rs.cacheMu.Unlock()
+		en.slot = true
+		rs.winMu.Unlock()
 		rs.pfIssued.Add(1)
 		rs.pfWG.Add(1)
 		go func(req pfReq, en *pfEntry) {
 			defer rs.pfWG.Done()
-			if pool := rs.e.Pool; pool != nil {
-				// Pool mode: warm the shared pool instead of a private
-				// cache. Consumers acquire and pin the frame themselves
-				// (the pool coalesces with this in-flight read), so the
-				// prefetcher's pin is released immediately. An error is
-				// left for the consumer's own read to surface.
-				if _, err := pool.Acquire(req.array, req.r, req.c); err == nil {
-					pool.Unpin(req.array, req.r, req.c, 1)
-				}
-				close(en.done)
-				return
-			}
-			en.blk, en.err = rs.e.Store.ReadBlock(req.array, req.r, req.c)
-			close(en.done)
+			rs.pinEntry(en, req.array, req.r, req.c)
 		}(req, en)
 	}
 }
 
-// noteConsumed retires one prefetch-window reference for key (pool mode):
-// the pool itself serves and caches the block, so the cache entry only
-// tracks window occupancy. The last consumer evicts the entry and frees
-// the prefetcher's slot.
-func (rs *runState) noteConsumed(key string) {
-	rs.cacheMu.Lock()
-	en := rs.cache[key]
-	if en == nil {
-		rs.cacheMu.Unlock()
-		return
+// readBlock serves one DoIO read at event i by acquiring the block from the
+// pool; the caller owns the pin. Under the DAG schedule a read of the
+// prefetch walk (no earlier event writes the block to disk) also consumes
+// its window entry: a consumer that reaches the entry before the prefetcher
+// pins it for the window first, and the last consumer releases the window's
+// pin and slot. Every consumer's pin overlaps the window's, so a pool that
+// keeps only pinned blocks still reads the block once.
+func (rs *runState) readBlock(i int, ba *codegen.BlockAccess) (*blas.Matrix, error) {
+	var en *pfEntry
+	if rs.pp != nil {
+		if w, written := rs.pp.firstDiskWrite[ba.Key]; !written || w >= i {
+			rs.winMu.Lock()
+			en = rs.window[ba.Key]
+			claim := !en.issued
+			en.issued = true
+			rs.winMu.Unlock()
+			if claim {
+				rs.pfInline.Add(1)
+				rs.pinEntry(en, ba.Array, ba.R, ba.C)
+			}
+		}
 	}
+	m, err := rs.pool.Acquire(ba.Array, ba.R, ba.C)
+	if err != nil || en == nil {
+		return m, err
+	}
+	rs.winMu.Lock()
 	en.refs--
 	last := en.refs == 0
 	if last {
-		delete(rs.cache, key)
+		delete(rs.window, ba.Key)
 	}
-	slotHeld := en.slotHeld
-	rs.cacheMu.Unlock()
-	if last && slotHeld {
-		<-rs.slots
-	}
-}
-
-// readBlock serves one DoIO read at event i, from the pool or from
-// storage. Under the DAG schedule a prefetchable read also retires its
-// prefetch-cache reference and, without a pool, takes the block from the
-// cache (claiming the entry inline if the prefetcher has not reached it
-// yet); a read scheduled after a disk write of the same block must bypass
-// the cache, whose entry predates the write. The returned block is borrowed
-// (see the package doc): every consumer of a cache entry gets the same
-// matrix. The pinned result reports that the caller owns one pool pin (pool
-// mode only). In pool mode every read — including post-disk-write bypass
-// reads — goes through the pool, whose frame always holds the current value
-// (disk writes are deferred write-backs there).
-func (rs *runState) readBlock(i int, ba *codegen.BlockAccess) (*blas.Matrix, bool, error) {
-	prefetchable := false
-	if rs.pp != nil {
-		w, written := rs.pp.firstDiskWrite[ba.Key]
-		prefetchable = !written || w >= i
-	}
-	if pool := rs.e.Pool; pool != nil {
-		if prefetchable {
-			rs.noteConsumed(ba.Key)
+	rs.winMu.Unlock()
+	if last {
+		<-en.done
+		if en.pinned {
+			rs.pool.Unpin(ba.Array, ba.R, ba.C, 1)
 		}
-		m, err := pool.Acquire(ba.Array, ba.R, ba.C)
-		return m, err == nil, err
-	}
-	var en *pfEntry
-	claimed, last := false, false
-	if prefetchable {
-		rs.cacheMu.Lock()
-		if en = rs.cache[ba.Key]; en != nil {
-			if !en.issued {
-				en.issued = true
-				claimed = true
-				rs.pfInline.Add(1)
-			}
-			en.refs--
-			if last = en.refs == 0; last {
-				// Evict so the block is not pinned for the rest of the run; a
-				// latecomer simply misses the cache and reads inline.
-				delete(rs.cache, ba.Key)
-			}
-		}
-		rs.cacheMu.Unlock()
-	}
-	if en == nil {
-		m, err := rs.e.Store.ReadBlock(ba.Array, ba.R, ba.C)
-		return m, false, err
-	}
-
-	if claimed {
-		en.blk, en.err = rs.e.Store.ReadBlock(ba.Array, ba.R, ba.C)
-		close(en.done)
-	} else {
-		select {
-		case <-en.done:
-		case <-rs.cancel:
-			return nil, false, fmt.Errorf("exec: canceled")
+		if en.slot {
+			<-rs.slots
 		}
 	}
-	if last && en.slotHeld {
-		<-rs.slots
-	}
-	if en.err != nil {
-		return nil, false, en.err
-	}
-	return en.blk, false, nil
+	return m, nil
 }

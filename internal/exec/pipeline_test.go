@@ -433,12 +433,13 @@ func TestParallelFromMemoryInvariant(t *testing.T) {
 	}
 }
 
-// Physical-counter cross-check on the store-direct path: for every plan of
-// addmul and twomm, the block requests the store actually served equal the
-// Result accountRun reported, which equals cost.Evaluate's independent
-// prediction. The in-order schedule is request-exact; the DAG schedule
-// writes exactly as many blocks and may read fewer (the prefetch cache
-// coalesces reads of one block that see the same disk state).
+// Physical-counter cross-check for a run given no pool (RunOptions resolves
+// the pass-through one over Engine.Store): for every plan of addmul and
+// twomm, the block requests the store actually served equal the Result
+// accountRun reported, which equals cost.Evaluate's independent prediction.
+// The in-order schedule is request-exact; the DAG schedule writes exactly as
+// many blocks and may read fewer (a block the prefetch window or a hold
+// interval has pinned serves the reads that overlap the pin).
 func TestPhysicalCountersMatchAccounting(t *testing.T) {
 	progs := map[string]*prog.Program{
 		"addmul": addMulProgram(3, 4, 2),

@@ -1,112 +1,112 @@
-// pool.go hooks the interpreter into a sharing-aware block pool. When
-// Engine.Pool is set, every physical block read and write goes through the
-// pool instead of raw storage, so a block read by one query is a cache hit
-// for the next (the cross-query extension of the paper's intra-program I/O
-// sharing). execEvent pins pool frames for exactly the plan's hold
-// intervals: while a block sits in a plan's working set the pool may not
-// evict it, and when the hold expires the frame returns to LRU order.
+// pool.go is the one source of blocks: every physical block read and write
+// of a run goes through a BlockPool. A sharing-aware pool (buffer.Pool)
+// makes a block read by one query a cache hit for the next — the
+// cross-query extension of the paper's intra-program I/O sharing — and
+// defers writes; a run given no pool gets directPool, the trivial one over
+// its store. execEvent pins frames for exactly the plan's hold intervals:
+// while a block sits in a plan's working set the pool may not evict it, and
+// when the hold expires the frame returns to the pool's own replacement
+// order.
 package exec
 
 import (
+	"sync"
+
 	"riotshare/internal/blas"
+	"riotshare/internal/storage"
 )
 
-// BlockPool is the block cache the engine acquires blocks through when
-// Engine.Pool is set. Acquire returns the block with one pin held on the
+// BlockPool is the block cache the engine gets, puts and releases every
+// block through. Acquire returns the block with one pin held on the
 // underlying frame; the matrix is borrowed — the pool and every other
 // acquirer hold the same one — so the caller must not write to it. Put
-// installs a written block (the pool keeps its own copy, marked dirty for
-// write-back, so the caller may go on writing to blk) also with one pin
-// held; Unpin releases n pins. A pin keeps the frame resident; it is not
-// what keeps a borrowed matrix valid — that outlives eviction and re-Put,
-// unchanged, for as long as the caller references it. *buffer.Pool and its
-// aliasing sessions implement this interface.
+// installs a written block (the pool keeps no reference to blk, so the
+// caller may go on writing to it) also with one pin held; Unpin releases n
+// pins. A pin keeps the frame resident; it is not what keeps a borrowed
+// matrix valid — that outlives eviction and re-Put, unchanged, for as long
+// as the caller references it. *buffer.Pool and its aliasing sessions
+// implement this interface.
 type BlockPool interface {
 	Acquire(array string, r, c int64) (*blas.Matrix, error)
 	Put(array string, r, c int64, blk *blas.Matrix) error
 	Unpin(array string, r, c int64, n int)
 }
 
-// writeThrough performs one physical block write through the pool when
-// present (deferred write-back) or directly to storage. The returned pinned
-// flag tells the caller it owns one pool pin.
-func (e *Engine) writeThrough(array string, r, c int64, blk *blas.Matrix) (pinned bool, err error) {
-	if e.Pool != nil {
-		err = e.Pool.Put(array, r, c, blk)
-		return err == nil, err
-	}
-	return false, e.Store.WriteBlock(array, r, c, blk)
+// directPool is the BlockPool of a run that was given none: a pass-through
+// over the store with no capacity of its own. Put writes through and keeps
+// no value, so the next Acquire reads the store. Under the in-order schedule
+// (frames nil) that is all: one goroutine, nobody to share with, and every
+// Acquire is the physical read the plan predicted. Under the DAG schedule a
+// block is also resident exactly while pinned — concurrent acquirers, and the
+// consumers of a block the prefetch window has pinned, share one read and
+// one matrix — and the last Unpin forgets the frame.
+type directPool struct {
+	store storage.Backend
+
+	mu     sync.Mutex
+	frames map[blockRef]*directFrame
 }
 
-// pinSet tracks the pool pins one run owns, keyed by block key. It lets
-// execEvent drive pin lifetimes off the plan's hold intervals and guarantees
-// nothing stays pinned after the run (releaseAll on every exit path).
-type pinSet struct {
-	pool BlockPool
-	pins map[string]*pinInfo
+// directFrame is one pinned block; load fills blk and err from the store.
+type directFrame struct {
+	pins int
+	load sync.Once
+	blk  *blas.Matrix
+	err  error
 }
 
-type pinInfo struct {
-	array string
-	r, c  int64
-	n     int
+func newDirectPool(store storage.Backend, share bool) *directPool {
+	d := &directPool{store: store}
+	if share {
+		d.frames = make(map[blockRef]*directFrame)
+	}
+	return d
 }
 
-func newPinSet(pool BlockPool) *pinSet {
-	if pool == nil {
-		return nil
+func (d *directPool) Acquire(array string, r, c int64) (*blas.Matrix, error) {
+	if d.frames == nil {
+		return d.store.ReadBlock(array, r, c)
 	}
-	return &pinSet{pool: pool, pins: make(map[string]*pinInfo)}
+	key := blockRef{array, r, c}
+	d.mu.Lock()
+	f := d.frames[key]
+	if f == nil {
+		f = &directFrame{}
+		d.frames[key] = f
+	}
+	f.pins++
+	d.mu.Unlock()
+	f.load.Do(func() { f.blk, f.err = d.store.ReadBlock(array, r, c) })
+	if f.err != nil {
+		d.Unpin(array, r, c, 1)
+	}
+	return f.blk, f.err
 }
 
-// add records one owned pin for the block (acquired via readBlock or
-// writeThrough).
-func (ps *pinSet) add(key, array string, r, c int64) {
-	if ps == nil {
-		return
+func (d *directPool) Put(array string, r, c int64, blk *blas.Matrix) error {
+	if err := d.store.WriteBlock(array, r, c, blk); err != nil || d.frames == nil {
+		return err
 	}
-	if pi, ok := ps.pins[key]; ok {
-		pi.n++
-		return
+	key := blockRef{array, r, c}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	// A new, unloaded frame takes over the pins: whoever acquired the old
+	// value keeps its matrix, later acquirers read the new one.
+	nf := &directFrame{pins: 1}
+	if f := d.frames[key]; f != nil {
+		nf.pins += f.pins
 	}
-	ps.pins[key] = &pinInfo{array: array, r: r, c: c, n: 1}
+	d.frames[key] = nf
+	return nil
 }
 
-// drop releases every owned pin for key.
-func (ps *pinSet) drop(key string) {
-	if ps == nil {
-		return
-	}
-	if pi, ok := ps.pins[key]; ok {
-		ps.pool.Unpin(pi.array, pi.r, pi.c, pi.n)
-		delete(ps.pins, key)
-	}
-}
-
-// transfer moves the owned pins for key into another pinSet (execEvent hands
-// event-local pins to interval-scoped ownership).
-func (ps *pinSet) transfer(key string, to *pinSet) {
-	if ps == nil || to == nil {
-		return
-	}
-	pi, ok := ps.pins[key]
-	if !ok {
-		return
-	}
-	if t, dup := to.pins[key]; dup {
-		t.n += pi.n
-	} else {
-		to.pins[key] = &pinInfo{array: pi.array, r: pi.r, c: pi.c, n: pi.n}
-	}
-	delete(ps.pins, key)
-}
-
-// releaseAll unpins everything still owned.
-func (ps *pinSet) releaseAll() {
-	if ps == nil {
-		return
-	}
-	for key := range ps.pins {
-		ps.drop(key)
+func (d *directPool) Unpin(array string, r, c int64, n int) {
+	key := blockRef{array, r, c}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if f := d.frames[key]; f != nil {
+		if f.pins -= n; f.pins <= 0 {
+			delete(d.frames, key)
+		}
 	}
 }
