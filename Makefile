@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test test-race test-full bench bench-json bench-check bench-record-smoke lint fmt doc-check riotvet smoke
+.PHONY: build test test-race test-full bench bench-record-smoke lint fmt doc-check riotvet smoke
 
 build:
 	$(GO) build ./...
@@ -19,79 +19,21 @@ test-race:
 test-full:
 	$(GO) test ./...
 
+# The go test micro-benchmarks, for running by hand: the paper-figure
+# regenerators and component timings. Nothing gates on them; performance
+# claims are made with the benchmark of record (benchmark/, BENCHMARK.json).
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
 
-# The perf-trajectory micro-benchmarks, one row per `go test -bench` run:
-#
-#   file | package | -bench pattern | run flags (-benchtime / -benchmem)
-#
-# Rows naming the same file are concatenated into it. What each file
-# tracks: BENCH_pool (in-order vs DAG schedule; buffer-pool ops with hit
-# rate), BENCH_cache (LRU vs segmented hot-set hit rate under a flooding
-# scan), BENCH_shard (sharded vs single-directory parallel reads),
-# BENCH_replica (k-way write amplification, healthy vs degraded-fallback
-# read latency), BENCH_remote (network block-service round trips vs a local
-# dir, pipelined vs serial under device latency), BENCH_telemetry
-# (instrumented vs no-op registry on the pipelined exec path — the two must
-# stay within a few percent), BENCH_planner (full Apriori search vs budgeted
-# greedy vs warm cache-served query), BENCH_stream (a result 4x the pool's
-# capacity streamed with flat pool residency — the benchmark itself fails
-# if the pool's high-water mark exceeds capacity).
-define BENCH_TABLE
-BENCH_pool.json      .                  BenchmarkParallelExec                            -benchtime 3x
-BENCH_pool.json      ./internal/buffer  BenchmarkPool                                    -benchmem
-BENCH_cache.json     ./internal/buffer  BenchmarkCachePolicy                             -benchmem
-BENCH_shard.json     ./internal/storage BenchmarkShardedRead                             -benchtime 5x
-BENCH_replica.json   ./internal/storage BenchmarkReplicatedWrite|BenchmarkDegradedRead   -benchtime 5x
-BENCH_remote.json    ./internal/blockd  BenchmarkRemote                                  -benchtime 20x
-BENCH_telemetry.json .                  BenchmarkTelemetryOverhead                       -benchtime 5x
-BENCH_planner.json   .                  BenchmarkPlannerTiers                            -benchtime 3x
-BENCH_stream.json    .                  BenchmarkStreamedResults                         -benchtime 20x
-endef
-export BENCH_TABLE
-BENCH_FILES := $(sort $(filter BENCH_%,$(BENCH_TABLE)))
-
-# Run every table row and convert each file's output to JSON (op, ns/op,
-# extra metrics). CI uploads the files as artifacts and gates on them via
-# bench-check. Each row runs separately so a failing benchmark fails the
-# target.
-bench-json:
-	@rm -rf .bench-out && mkdir -p .bench-out
-	@set -e; echo "$$BENCH_TABLE" | while read -r file pkg pat flags; do \
-		echo "$(GO) test -run '^\$$' -bench '$$pat' $$flags $$pkg"; \
-		$(GO) test -run '^$$' -bench "$$pat" $$flags $$pkg < /dev/null >> .bench-out/$$file.txt; \
-	done
-	@set -e; for file in $(BENCH_FILES); do \
-		$(GO) run ./cmd/benchjson -out $$file < .bench-out/$$file.txt; \
-	done
-	@rm -rf .bench-out
-
-# Bench-regression gate: stash the committed baselines, rerun the
-# benchmarks, and fail on a >25% ns/op regression against any baseline.
-# CI runs exactly this; refresh the committed BENCH_*.json to move a
-# baseline deliberately.
-bench-check:
-	@mkdir -p .bench-base
-	cp $(BENCH_FILES) .bench-base/
-	$(MAKE) bench-json
-	@set -e; for file in $(BENCH_FILES); do \
-		$(GO) run ./cmd/benchjson -compare .bench-base/$$file $$file -tolerance 0.25; \
-	done
-	@rm -rf .bench-base
-
-# Smoke-run the benchmark of record (benchmark/, BENCHMARK.json) on two of
-# its workloads, once per pass (-trace 0: end-to-end metrics, -trace 1:
-# per-layer): cold-plan, the planner's only end-to-end consumer, and
-# spill-chain, the only one whose kernels run 64x64 blocks and whose pool
-# evicts and writes back (cold-plan never gets past 8x8 or evicts a frame).
-# An exported name the benchmark uses drifting, a request failing or an
-# output missing the oracle fails here: non-zero exit, or failed > 0 in the
-# result line (the last stdout line). The four result lines stay in
-# .bench-record/ for the nightly workflow to upload.
+# Smoke-run the benchmark of record (benchmark/, BENCHMARK.json) on all four
+# of its workloads, once per pass (-trace 0: end-to-end metrics, -trace 1:
+# per-layer). An exported name the benchmark uses drifting, a request
+# failing or an output missing the oracle fails here: non-zero exit, or
+# failed > 0 in the result line (the last stdout line). The eight result
+# lines stay in .bench-record/ for the nightly workflow to upload.
 bench-record-smoke:
 	@rm -rf .bench-record && mkdir -p .bench-record
-	@set -e; for workload in cold-plan spill-chain; do for trace in 0 1; do \
+	@set -e; for workload in cold-plan hot-shared spill-chain remote-stream; do for trace in 0 1; do \
 		out=.bench-record/$$workload.trace$$trace; \
 		echo "$(GO) run ./benchmark -workload $$workload -seed 1 -trace $$trace"; \
 		$(GO) run ./benchmark -workload $$workload -seed 1 -trace $$trace > $$out.log; \

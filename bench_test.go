@@ -1,12 +1,9 @@
 package riotshare_test
 
 import (
-	"bytes"
 	"context"
-	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"testing"
 	"time"
 
@@ -16,9 +13,7 @@ import (
 	"riotshare/internal/core"
 	"riotshare/internal/deps"
 	"riotshare/internal/sched"
-	"riotshare/internal/server"
 	"riotshare/internal/storage"
-	"riotshare/internal/telemetry"
 )
 
 // Each benchmark regenerates one table or figure of the paper's evaluation
@@ -299,158 +294,6 @@ func BenchmarkParallelExec(b *testing.B) {
 	}
 }
 
-// BenchmarkTelemetryOverhead runs the pipelined two-multiplication
-// workload over a sharded store twice: "noop" with no registry installed
-// (the shipped default — per-shard latency hooks are one nil check, the
-// engine only fills its Result fields) and "instrumented" with
-// RegisterMetrics wired to a live registry sampling per-shard read/write
-// latencies on every block. The telemetry layer's acceptance bar is the
-// two staying within 2% ns/op of each other; BENCH_telemetry.json
-// records both so bench-check catches an instrumentation cost creeping
-// into the hot path.
-func BenchmarkTelemetryOverhead(b *testing.B) {
-	p := riotshare.TwoMM(riotshare.TwoMMConfig{
-		N1: 4, N2: 4, N3: 4, N4: 4,
-		ABlock: riotshare.Dims{Rows: 64, Cols: 64},
-		BBlock: riotshare.Dims{Rows: 64, Cols: 64},
-		DBlock: riotshare.Dims{Rows: 64, Cols: 64},
-	})
-	res, err := riotshare.Optimize(p, riotshare.Options{BindParams: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	pl := res.Best
-	model := riotshare.PaperDiskModel()
-	for _, mode := range []struct {
-		name       string
-		instrument bool
-	}{
-		{"noop", false},
-		{"instrumented", true},
-	} {
-		store, err := storage.OpenSharded([]string{b.TempDir(), b.TempDir()}, storage.ShardedOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if mode.instrument {
-			store.RegisterMetrics(telemetry.New())
-		}
-		if err := store.CreateAll(p); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := bench.FillInputs(p, store, 1); err != nil {
-			b.Fatal(err)
-		}
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := riotshare.ExecuteOptions(pl, store, model, 0,
-					riotshare.ExecOptions{Workers: 2}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		store.Close()
-	}
-}
-
-// BenchmarkStreamedResults measures the streaming delivery path and is
-// the bounded-memory acceptance gate: a C = A + B result four times the
-// buffer pool's byte capacity is streamed straight out of the pool, and
-// the pool's post-eviction high-water mark (PeakBytes) must stay at or
-// under capacity — streamed frames are retired as they go on the wire,
-// so residency is flat no matter how large the result is. The streamed
-// bytes are also checked bit-identical to the whole-fetch output.
-// BENCH_stream.json records ns/op and MB/s so bench-check catches the
-// delivery path slowing down.
-func BenchmarkStreamedResults(b *testing.B) {
-	const grid, block = 8, 32
-	blockBytes := int64(block * block * 8)
-	poolCap := 16 * blockBytes // 128 KiB
-	outBytes := int64(grid*grid) * blockBytes
-	if outBytes < 4*poolCap {
-		b.Fatalf("setup: output %d bytes is under 4x the %d-byte pool", outBytes, poolCap)
-	}
-	spec := &server.ProgramSpec{
-		Name:   "addgrid",
-		Params: []string{"n1", "n2"},
-		Bind:   map[string]int64{"n1": grid, "n2": grid},
-		Arrays: []server.ArraySpec{
-			{Name: "A", BlockRows: block, BlockCols: block, GridRows: grid, GridCols: grid},
-			{Name: "B", BlockRows: block, BlockCols: block, GridRows: grid, GridCols: grid},
-			{Name: "C", BlockRows: block, BlockCols: block, GridRows: grid, GridCols: grid},
-		},
-		Stmts: []server.StmtSpec{{
-			Name: "s1",
-			Vars: []string{"i", "j"},
-			Ranges: []server.RangeSpec{
-				{Var: "i", Hi: server.ExprSpec{Terms: map[string]int64{"n1": 1}}},
-				{Var: "j", Hi: server.ExprSpec{Terms: map[string]int64{"n2": 1}}},
-			},
-			Accesses: []server.AccessSpec{
-				{Type: "read", Array: "A", Row: server.ExprSpec{Terms: map[string]int64{"i": 1}}, Col: server.ExprSpec{Terms: map[string]int64{"j": 1}}},
-				{Type: "read", Array: "B", Row: server.ExprSpec{Terms: map[string]int64{"i": 1}}, Col: server.ExprSpec{Terms: map[string]int64{"j": 1}}},
-				{Type: "write", Array: "C", Row: server.ExprSpec{Terms: map[string]int64{"i": 1}}, Col: server.ExprSpec{Terms: map[string]int64{"j": 1}}},
-			},
-			Kernel: "add",
-			Note:   "C[i,j]=A[i,j]+B[i,j]",
-		}},
-	}
-	s, err := server.New(server.Config{Dir: b.TempDir(), Seed: 1, PoolBytes: poolCap})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close()
-	id, err := s.Submit(server.Request{Spec: spec})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if st, err := s.Wait(id); err != nil || st.State != server.StateDone {
-		b.Fatalf("state %v, err %v (%s)", st.State, err, st.Err)
-	}
-	// Correctness once: the streamed frames carry exactly the whole-fetch
-	// bytes (the payload is the raw little-endian block data).
-	var first bytes.Buffer
-	if err := s.StreamTo(&first, id, 4); err != nil {
-		b.Fatal(err)
-	}
-	want, err := s.Output(id, "C")
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Each block frame's payload is that block's row-major bytes verbatim
-	// (EncodeBlock), so rebuilding every block payload from the whole
-	// fetch and requiring it appear in the stream checks bit-identity
-	// without reimplementing the frame decoder here.
-	streamed := first.Bytes()
-	for br := 0; br < grid; br++ {
-		for bc := 0; bc < grid; bc++ {
-			raw := make([]byte, 0, blockBytes)
-			for i := 0; i < block; i++ {
-				for j := 0; j < block; j++ {
-					v := want.Data[(br*block+i)*want.Cols+bc*block+j]
-					raw = binary.LittleEndian.AppendUint64(raw, math.Float64bits(v))
-				}
-			}
-			if !bytes.Contains(streamed, raw) {
-				b.Fatalf("streamed frames missing block (%d,%d) of the whole-fetch output (not bit-identical)", br, bc)
-			}
-		}
-	}
-	b.SetBytes(outBytes)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := s.StreamTo(io.Discard, id, 4); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	st := s.Stats()
-	if st.Pool.PeakBytes > st.Pool.BytesCap {
-		b.Fatalf("pool peak %d bytes exceeds capacity %d: streaming is not bounded-memory",
-			st.Pool.PeakBytes, st.Pool.BytesCap)
-	}
-}
-
 // BenchmarkKernels compares the micro-kernel GEMM against the naive triple
 // loop (the GotoBLAS2-substitute kernel, DESIGN.md S6).
 func BenchmarkKernels(b *testing.B) {
@@ -472,67 +315,6 @@ func BenchmarkKernels(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			dst.Zero()
 			blas.GemmNaive(dst, a, false, bb, false)
-		}
-	})
-}
-
-// BenchmarkPlannerTiers measures the three planning tiers on the TwoMM
-// workload: "full" is the Apriori plan-space search (what the background
-// improver runs off the query path), "greedy" is the tier-2 budgeted
-// fast path a cold query pays under -plan-budget-ms, and "cached/query"
-// is a whole warm query through the server — plan served from the tier-1
-// cache, so planning is a map lookup and execution dominates.
-// BENCH_planner.json records all three so bench-check catches the greedy
-// tier's advantage eroding (or the full search speeding up enough to
-// retire the tier split).
-func BenchmarkPlannerTiers(b *testing.B) {
-	build := func() *riotshare.Program {
-		return riotshare.TwoMM(riotshare.TwoMMConfig{
-			N1: 4, N2: 4, N3: 4, N4: 4,
-			ABlock: riotshare.Dims{Rows: 32, Cols: 32},
-			BBlock: riotshare.Dims{Rows: 32, Cols: 32},
-			DBlock: riotshare.Dims{Rows: 32, Cols: 32},
-		})
-	}
-	opt := riotshare.Options{BindParams: true}
-	b.Run("greedy", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := riotshare.OptimizeGreedy(context.Background(), build(), opt); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("full", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := riotshare.Optimize(build(), opt); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("cached/query", func(b *testing.B) {
-		s, err := server.New(server.Config{
-			Dir:        b.TempDir(),
-			Seed:       1,
-			Programs:   map[string]func() *riotshare.Program{"twomm": build},
-			PlanBudget: 10 * time.Second,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer s.Close()
-		run := func() {
-			id, err := s.Submit(server.Request{Program: "twomm"})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if st, err := s.Wait(id); err != nil || st.State != server.StateDone {
-				b.Fatalf("state %v, err %v (%s)", st.State, err, st.Err)
-			}
-		}
-		run() // warm the plan cache (greedy tier pays once)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			run()
 		}
 	})
 }

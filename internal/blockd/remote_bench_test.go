@@ -2,8 +2,6 @@
 // 64-block sweep against one riotblockd server — serial (one in-flight
 // request) vs pipelined (requests overlapped across the connection pool) —
 // with the same sweep against a local directory Manager as the baseline.
-// `make bench-json` snapshots the results into BENCH_remote.json and the CI
-// bench-regression gate compares them against the committed baseline.
 package blockd_test
 
 import (

@@ -76,85 +76,6 @@ func BenchmarkPoolSharedScan(b *testing.B) {
 	b.ReportMetric(p.Stats().HitRate(), "hit-rate")
 }
 
-// benchPolicyPool builds a pool of the given policy whose capacity (16
-// blocks) is far below the scan length used by the policy-comparison
-// benchmark.
-func benchPolicyPool(b *testing.B, policy string) *Pool {
-	b.Helper()
-	m, err := storage.NewManager(b.TempDir(), storage.FormatDAF)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { m.Close() })
-	arrays := []*prog.Array{
-		{Name: "hot", BlockRows: 32, BlockCols: 32, GridRows: 1, GridCols: 8},
-		{Name: "scan", BlockRows: 32, BlockCols: 32, GridRows: 32, GridCols: 8},
-	}
-	blk := blas.NewMatrix(32, 32)
-	for _, arr := range arrays {
-		if err := m.Create(arr); err != nil {
-			b.Fatal(err)
-		}
-		for r := int64(0); r < int64(arr.GridRows); r++ {
-			for c := int64(0); c < int64(arr.GridCols); c++ {
-				if err := m.WriteBlock(arr.Name, r, c, blk); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	}
-	p, err := NewPoolOptions(m, Options{
-		CapacityBytes: 16 * 32 * 32 * 8,
-		Policy:        policy,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return p
-}
-
-// BenchmarkCachePolicyScanMix compares the eviction policies on the
-// workload the segmented policy exists for: a hot set of 8 blocks
-// re-referenced every 32 scan blocks while a 256-block sequential scan —
-// 16x the pool capacity — churns through. The reported hit-rate metric is
-// the hot set's: high under the scan-resistant segmented policy, collapsed
-// under plain LRU. `make bench-json` turns this into the BENCH_cache.json
-// per-policy comparison artifact.
-func BenchmarkCachePolicyScanMix(b *testing.B) {
-	for _, policy := range []string{PolicyLRU, PolicySegmented} {
-		b.Run("policy="+policy, func(b *testing.B) {
-			p := benchPolicyPool(b, policy)
-			hot := p.TenantSession("hot", nil)
-			touchHot := func() {
-				for c := int64(0); c < 8; c++ {
-					if _, err := hot.Acquire("hot", 0, c); err != nil {
-						b.Fatal(err)
-					}
-					hot.Unpin("hot", 0, c, 1)
-				}
-			}
-			touchHot()
-			touchHot() // the hot set is now observably re-referenced
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for r := int64(0); r < 32; r++ {
-					for c := int64(0); c < 8; c++ {
-						if _, err := p.Acquire("scan", r, c); err != nil {
-							b.Fatal(err)
-						}
-						p.Unpin("scan", r, c, 1)
-					}
-					if (r+1)%4 == 0 {
-						touchHot()
-					}
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(p.Stats().Tenants["hot"].HitRate(), "hit-rate")
-		})
-	}
-}
-
 // BenchmarkPoolConcurrentShared drives the pool from parallel goroutines
 // over one shared block set (the admission layer's steady state).
 func BenchmarkPoolConcurrentShared(b *testing.B) {

@@ -217,7 +217,8 @@ func buildPipeline(tl *codegen.Timeline, sets [][]codegen.BlockAccess, intervals
 // marks it issued and acquires the block for the window (pinEntry): the
 // prefetcher, ahead of execution and against a window slot, or a consumer.
 // That one pin keeps the block in the pool until the last consumer retires
-// it; every consumer acquires the block from the pool itself.
+// it; every consumer acquires the block from the pool itself, once done
+// closes.
 type pfEntry struct {
 	refs   int32 // consumers remaining
 	issued bool
@@ -370,9 +371,10 @@ func (rs *runState) prefetcher() {
 // pool; the caller owns the pin. Under the DAG schedule a read of the
 // prefetch walk (no earlier event writes the block to disk) also consumes
 // its window entry: a consumer that reaches the entry before the prefetcher
-// pins it for the window first, and the last consumer releases the window's
-// pin and slot. Every consumer's pin overlaps the window's, so a pool that
-// keeps only pinned blocks still reads the block once.
+// pins it for the window first, every consumer waits for the window's pin
+// before acquiring, and the last consumer releases the window's pin and
+// slot. Every consumer's pin thus overlaps the window's, so a pool that keeps
+// only pinned blocks still reads the block once.
 func (rs *runState) readBlock(i int, ba *codegen.BlockAccess) (*blas.Matrix, error) {
 	var en *pfEntry
 	if rs.pp != nil {
@@ -386,6 +388,7 @@ func (rs *runState) readBlock(i int, ba *codegen.BlockAccess) (*blas.Matrix, err
 				rs.pfInline.Add(1)
 				rs.pinEntry(en, ba.Array, ba.R, ba.C)
 			}
+			<-en.done
 		}
 	}
 	m, err := rs.pool.Acquire(ba.Array, ba.R, ba.C)
@@ -400,7 +403,6 @@ func (rs *runState) readBlock(i int, ba *codegen.BlockAccess) (*blas.Matrix, err
 	}
 	rs.winMu.Unlock()
 	if last {
-		<-en.done
 		if en.pinned {
 			rs.pool.Unpin(ba.Array, ba.R, ba.C, 1)
 		}

@@ -417,19 +417,13 @@ type Server struct {
 	slowMu                           sync.Mutex
 	slowLog                          io.Writer
 
-	// Streamed result delivery (stream.go): lifetime counters mirrored
-	// into Stats.Streams and the riotshare_stream_* metric families.
-	streamActive    atomic.Int64
-	streamCompleted atomic.Int64
-	streamCanceled  atomic.Int64
-	streamErrors    atomic.Int64
-	streamBlocks64  atomic.Int64
-	streamBytes64   atomic.Int64
-	mStreamBlocks   *telemetry.Counter
-	mStreamBytes    *telemetry.Counter
-	mStreamActive   *telemetry.Gauge
-	mStreamSeconds  *telemetry.Histogram
-	mStreamOutcome  map[string]*telemetry.Counter // by outcome label
+	// Streamed result delivery (stream.go): the riotshare_stream_* metric
+	// families, which Stats.Streams also reads.
+	mStreamBlocks  *telemetry.Counter
+	mStreamBytes   *telemetry.Counter
+	mStreamActive  *telemetry.Gauge
+	mStreamSeconds *telemetry.Histogram
+	mStreamOutcome map[string]*telemetry.Counter // by outcome label
 }
 
 // tenantCounters aggregates one tenant's submission lifecycle on the
@@ -1570,7 +1564,7 @@ func (s *Server) Stats() Stats {
 			if tc := s.tenants[name]; tc != nil {
 				ts.Submitted, ts.Finished = tc.submitted, tc.finished
 				if tc.admissions > 0 {
-					ts.AvgQueueWaitMs = float64(tc.waitTotal.Milliseconds()) / float64(tc.admissions)
+					ts.AvgQueueWaitMs = float64(tc.waitTotal) / float64(time.Millisecond) / float64(tc.admissions)
 				}
 			}
 			if wq, ok := waits[name]; ok {

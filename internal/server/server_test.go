@@ -252,6 +252,30 @@ func TestAdmissionLimits(t *testing.T) {
 	}
 }
 
+// An uncontended admission waits microseconds; the tenant's average wait
+// must report that, not truncate the summed wait to whole milliseconds.
+func TestAvgQueueWaitSubMillisecond(t *testing.T) {
+	s, err := New(Config{
+		Dir:      t.TempDir(),
+		Seed:     testSeed,
+		Programs: map[string]func() *prog.Program{"addmul-small": smallAddMul},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	id, err := s.Submit(Request{Program: "addmul-small", Tenant: "solo"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err := s.Wait(id); err != nil || st.State != StateDone {
+		t.Fatalf("state %v, err %v (%s)", st.State, err, st.Err)
+	}
+	if got := s.Stats().Tenants["solo"].AvgQueueWaitMs; got <= 0 {
+		t.Fatalf("AvgQueueWaitMs = %v after one admitted query, want > 0", got)
+	}
+}
+
 // A per-query memory cap steers plan selection to a plan that fits, and
 // the chosen plan's peak respects it.
 func TestPerQueryMemCapSelectsFittingPlan(t *testing.T) {

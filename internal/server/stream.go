@@ -352,22 +352,18 @@ func classifySinkErr(err error) error {
 // then deliver every non-transient output array's blocks in sorted-array,
 // row-major order, waiting on per-block completion signals, acquiring at
 // most chunk blocks from the pool per round and retiring them after the
-// round is on the wire. It owns the stream telemetry (metrics, span tree,
-// Stats.Streams counters).
+// round is on the wire. It owns the stream telemetry: the metrics
+// Stats.Streams reads, and the span tree.
 func (s *Server) streamQuery(r *http.Request, q *query, opt streamOptions, sink streamSink, flush func()) {
 	ctx := r.Context()
 	root := telemetry.StartSpan("stream")
 	root.Annotate("query", q.id)
 	root.Annotate("format", opt.format)
 	root.Annotate("retain", opt.retain)
-	s.streamActive.Add(1)
 	s.mStreamActive.Add(1)
 	start := time.Now()
 	arrays, blocks, bytes, err := s.streamBlocks(ctx, q, opt, sink, flush)
-	s.streamActive.Add(-1)
 	s.mStreamActive.Add(-1)
-	s.streamBlocks64.Add(int64(blocks))
-	s.streamBytes64.Add(bytes)
 	s.mStreamBlocks.Add(int64(blocks))
 	s.mStreamBytes.Add(bytes)
 	s.mStreamSeconds.ObserveDuration(time.Since(start))
@@ -378,34 +374,30 @@ func (s *Server) streamQuery(r *http.Request, q *query, opt streamOptions, sink 
 	switch {
 	case errors.Is(err, errStreamCanceled):
 		outcome = "canceled"
-		s.streamCanceled.Add(1)
 	case err != nil:
 		outcome = "error"
-		s.streamErrors.Add(1)
 		root.Annotate("error", err.Error())
 		// Best effort: the 200 is already on the wire, so the failure
 		// travels in-band. A dead connection just errors again silently.
 		_ = sink.Error(err.Error())
 		flush()
-	default:
-		s.streamCompleted.Add(1)
-		if opt.retain == RetainDrop {
-			// The stream can complete before runQuery does — blocks are
-			// announced as execution writes them, ahead of the result-fetch
-			// phase — and dropping the output stores then would yank them
-			// out from under InvalidateArray/collectOutputs and fail a
-			// successful query. Wait for the terminal state and drop only on
-			// success; a failed query's run path drops its own outputs.
-			<-q.done
-			s.mu.Lock()
-			succeeded := q.status.State == StateDone
-			s.mu.Unlock()
-			if succeeded {
-				s.dropOutputs(q)
-			}
-		}
 	}
 	s.mStreamOutcome[outcome].Inc()
+	if outcome == "done" && opt.retain == RetainDrop {
+		// The stream can complete before runQuery does — blocks are
+		// announced as execution writes them, ahead of the result-fetch
+		// phase — and dropping the output stores then would yank them out
+		// from under InvalidateArray/collectOutputs and fail a successful
+		// query. Wait for the terminal state and drop only on success; a
+		// failed query's run path drops its own outputs.
+		<-q.done
+		s.mu.Lock()
+		succeeded := q.status.State == StateDone
+		s.mu.Unlock()
+		if succeeded {
+			s.dropOutputs(q)
+		}
+	}
 	root.Annotate("outcome", outcome)
 	root.End()
 	s.tracer.Add(q.id+":stream", root)
@@ -571,14 +563,14 @@ func (s *Server) StreamToCtx(ctx context.Context, w io.Writer, id string, chunkB
 	return err
 }
 
-// streamStats snapshots the streaming counters for Stats.
+// streamStats snapshots the stream metric families for Stats.
 func (s *Server) streamStats() StreamStats {
 	return StreamStats{
-		Active:    int(s.streamActive.Load()),
-		Completed: s.streamCompleted.Load(),
-		Canceled:  s.streamCanceled.Load(),
-		Errors:    s.streamErrors.Load(),
-		Blocks:    s.streamBlocks64.Load(),
-		Bytes:     s.streamBytes64.Load(),
+		Active:    int(s.mStreamActive.Value()),
+		Completed: s.mStreamOutcome["done"].Value(),
+		Canceled:  s.mStreamOutcome["canceled"].Value(),
+		Errors:    s.mStreamOutcome["error"].Value(),
+		Blocks:    s.mStreamBlocks.Value(),
+		Bytes:     s.mStreamBytes.Value(),
 	}
 }

@@ -1,48 +1,12 @@
 package storage
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 	"time"
 
 	"riotshare/internal/prog"
 )
-
-// BenchmarkReplicatedWrite measures the write amplification of k-way
-// replication on simulated devices: one op writes every block of the array,
-// so replicas=2 should cost ~2x the device time of replicas=1 — the
-// durability premium an operator pays for degraded reads instead of failed
-// opens. `make bench-json` exports it as BENCH_replica.json.
-func BenchmarkReplicatedWrite(b *testing.B) {
-	const latency = 100 * time.Microsecond
-	arr := &prog.Array{Name: "A", BlockRows: 8, BlockCols: 8, GridRows: 8, GridCols: 8}
-	for _, replicas := range []int{1, 2} {
-		b.Run(fmt.Sprintf("replicas=%d", replicas), func(b *testing.B) {
-			sm, err := OpenSharded(ShardDirs(b.TempDir(), 4), ShardedOptions{Replicas: replicas})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer sm.Close()
-			if err := sm.Create(arr); err != nil {
-				b.Fatal(err)
-			}
-			rng := rand.New(rand.NewSource(1))
-			blk := randBlock(rng, arr)
-			sm.SetLatency(0, latency)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for r := int64(0); r < int64(arr.GridRows); r++ {
-					for c := int64(0); c < int64(arr.GridCols); c++ {
-						if err := sm.WriteBlock("A", r, c, blk); err != nil {
-							b.Fatal(err)
-						}
-					}
-				}
-			}
-		})
-	}
-}
 
 // BenchmarkDegradedRead measures the latency of replica-fallback reads: one
 // op reads every block of the array, healthy (each block off its primary)

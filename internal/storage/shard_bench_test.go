@@ -15,8 +15,7 @@ import (
 // shard serves one request at a time, like a disk head). One op reads the
 // whole array with 8 concurrent readers: with one shard the reads queue
 // behind a single device, with 4 shards they fan out — the wall-clock
-// ratio is the sharding win the prefetcher banks on. `make bench-json`
-// exports it as BENCH_shard.json.
+// ratio is the sharding win the prefetcher banks on.
 func BenchmarkShardedRead(b *testing.B) {
 	const latency = 200 * time.Microsecond
 	arr := &prog.Array{Name: "A", BlockRows: 8, BlockCols: 8, GridRows: 8, GridCols: 8}
