@@ -1,7 +1,9 @@
 // Package blockd is the network block server behind cmd/riotblockd: it
-// exposes exactly one shard root — a single-directory storage.Manager plus
-// that root's MANIFEST.json — over the blockproto wire protocol, turning a
-// shard directory into a shard address. A ShardedManager front-end
+// exposes exactly one shard root — a single-directory storage.Manager, the
+// local shard — over the blockproto wire protocol, turning a shard
+// directory into a shard address. Every request is answered by the
+// Manager method a local shard runs for it, so a remote shard root behaves
+// exactly like a local one. A ShardedManager front-end
 // (riotshared) connects one remote-shard client per address and stripes
 // blocks across servers exactly as it stripes across local directories:
 // placement, manifests, fingerprints, and replication semantics are
@@ -20,9 +22,8 @@ import (
 	"io"
 	"io/fs"
 	"log"
+	"math"
 	"net"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"time"
@@ -49,9 +50,8 @@ type Options struct {
 
 // Server serves one shard root over the blockproto protocol.
 type Server struct {
-	root string
-	opt  Options
-	mgr  *storage.Manager
+	opt Options
+	mgr *storage.Manager
 
 	// Telemetry (built once in New, read-only afterwards): per-op
 	// latency histograms and non-OK counters keyed by opcode, plus the
@@ -75,7 +75,7 @@ func New(root string, opt Options) (*Server, error) {
 		return nil, err
 	}
 	mgr.SerialDevice = opt.SerialDevice
-	s := &Server{root: root, opt: opt, mgr: mgr, conns: make(map[net.Conn]struct{})}
+	s := &Server{opt: opt, mgr: mgr, conns: make(map[net.Conn]struct{})}
 	s.initMetrics()
 	return s, nil
 }
@@ -224,7 +224,46 @@ func errStatus(status byte, err error) (byte, []byte) {
 	return status, new(blockproto.Enc).Str(err.Error()).Bytes()
 }
 
-// handle answers one decoded request frame.
+// reply answers a Manager call: StatusOK with the payload, or the error's
+// status. Manager errors are classified by identity, never by message —
+// array names are legal with spaces and appear in the text.
+func reply(payload []byte, err error) (byte, []byte) {
+	switch {
+	case err == nil:
+		return blockproto.StatusOK, payload
+	case errors.Is(err, storage.ErrUnknownArray):
+		return errStatus(blockproto.StatusUnknownArray, err)
+	case errors.Is(err, storage.ErrArrayExists):
+		return errStatus(blockproto.StatusExists, err)
+	case errors.Is(err, fs.ErrNotExist):
+		return errStatus(blockproto.StatusNotFound, err)
+	default:
+		return errStatus(blockproto.StatusErr, err)
+	}
+}
+
+// maxBlockElems bounds a block's elements so that its largest frame — a
+// write request carrying a maximal array name — still fits MaxFrameBytes.
+const maxBlockElems = (blockproto.MaxFrameBytes - 2 - math.MaxUint16 - 64) / 8
+
+// checkGeometry refuses an array shape no request could ever serve: a
+// non-positive dimension, or a block too large for one frame (whose
+// read would otherwise allocate whatever the wire asked for).
+func checkGeometry(arr *prog.Array) error {
+	if arr.BlockRows <= 0 || arr.BlockCols <= 0 || arr.GridRows <= 0 || arr.GridCols <= 0 {
+		return fmt.Errorf("blockd: array %q: non-positive geometry %dx%d blocks of %dx%d",
+			arr.Name, arr.GridRows, arr.GridCols, arr.BlockRows, arr.BlockCols)
+	}
+	if arr.BlockRows > maxBlockElems/arr.BlockCols {
+		return fmt.Errorf("blockd: array %q: %dx%d block exceeds the %d-byte frame limit",
+			arr.Name, arr.BlockRows, arr.BlockCols, blockproto.MaxFrameBytes)
+	}
+	return nil
+}
+
+// handle answers one decoded request frame. Shard-root operations are the
+// Manager's own methods — the same ones a local shard runs — so the server
+// only decodes requests, maps errors to statuses, and encodes replies.
 func (s *Server) handle(version, op byte, payload []byte) (byte, []byte) {
 	if version != blockproto.ProtoVersion {
 		return errStatus(blockproto.StatusBadVersion,
@@ -236,9 +275,8 @@ func (s *Server) handle(version, op byte, payload []byte) (byte, []byte) {
 		return blockproto.StatusOK, nil
 
 	case blockproto.OpCreate:
-		name := d.Str()
 		arr := &prog.Array{
-			Name:      name,
+			Name:      d.Str(),
 			BlockRows: int(d.U32()), BlockCols: int(d.U32()),
 			GridRows: int(d.U32()), GridCols: int(d.U32()),
 			LogicalBlockBytes: d.I64(),
@@ -247,26 +285,13 @@ func (s *Server) handle(version, op byte, payload []byte) (byte, []byte) {
 		if err := d.Err(); err != nil {
 			return errStatus(blockproto.StatusBadRequest, err)
 		}
-		err := s.mgr.Create(arr)
-		if ensure && errors.Is(err, storage.ErrArrayExists) {
-			if prev := s.mgr.Registered(name); prev != nil && !sameGeometry(prev, arr) {
-				// The registration is a stale leftover of an earlier client
-				// session's same-named array with a different shape. Reopen
-				// under the new geometry, reusing the file the way a fresh
-				// local Manager would.
-				_ = s.mgr.Drop(name, false)
-				err = s.mgr.Create(arr)
-			} else {
-				err = nil
-			}
+		if err := checkGeometry(arr); err != nil {
+			return errStatus(blockproto.StatusBadRequest, err)
 		}
-		if err != nil {
-			if errors.Is(err, storage.ErrArrayExists) {
-				return errStatus(blockproto.StatusExists, err)
-			}
-			return errStatus(blockproto.StatusErr, err)
+		if ensure {
+			return reply(nil, s.mgr.Ensure(arr))
 		}
-		return blockproto.StatusOK, nil
+		return reply(nil, s.mgr.Create(arr))
 
 	case blockproto.OpRead:
 		name, r, c := d.Str(), d.I64(), d.I64()
@@ -275,7 +300,7 @@ func (s *Server) handle(version, op byte, payload []byte) (byte, []byte) {
 		}
 		blk, err := s.mgr.ReadBlock(name, r, c)
 		if err != nil {
-			return errStatus(readErrStatus(err), err)
+			return reply(nil, err)
 		}
 		e := new(blockproto.Enc).U32(uint32(blk.Rows)).U32(uint32(blk.Cols))
 		e.Blob(blockproto.EncodeBlock(blk))
@@ -292,20 +317,14 @@ func (s *Server) handle(version, op byte, payload []byte) (byte, []byte) {
 		if err != nil {
 			return errStatus(blockproto.StatusBadRequest, err)
 		}
-		if err := s.mgr.WriteBlock(name, r, c, blk); err != nil {
-			return errStatus(readErrStatus(err), err)
-		}
-		return blockproto.StatusOK, nil
+		return reply(nil, s.mgr.WriteBlock(name, r, c, blk))
 
 	case blockproto.OpDrop:
 		name, deleteFile := d.Str(), d.U8() != 0
 		if err := d.Err(); err != nil {
 			return errStatus(blockproto.StatusBadRequest, err)
 		}
-		if err := s.mgr.Drop(name, deleteFile); err != nil {
-			return errStatus(readErrStatus(err), err)
-		}
-		return blockproto.StatusOK, nil
+		return reply(nil, s.mgr.Drop(name, deleteFile))
 
 	case blockproto.OpStats:
 		st := s.mgr.Stats()
@@ -313,41 +332,44 @@ func (s *Server) handle(version, op byte, payload []byte) (byte, []byte) {
 		return blockproto.StatusOK, e.Bytes()
 
 	case blockproto.OpManifest:
-		return s.handleManifest(d)
+		sub := d.U8()
+		var put []byte
+		if sub == blockproto.ManifestPut {
+			put = d.Blob()
+		}
+		if err := d.Err(); err != nil {
+			return errStatus(blockproto.StatusBadRequest, err)
+		}
+		switch sub {
+		case blockproto.ManifestGet:
+			data, err := s.mgr.ReadManifest()
+			return reply(new(blockproto.Enc).Blob(data).Bytes(), err)
+		case blockproto.ManifestPut:
+			return reply(nil, s.mgr.WriteManifest(put))
+		case blockproto.ManifestDel:
+			return reply(nil, s.mgr.RemoveManifest())
+		default:
+			return errStatus(blockproto.StatusBadRequest, fmt.Errorf("blockd: unknown manifest sub-op %d", sub))
+		}
 
 	case blockproto.OpStat:
 		name := d.Str()
 		if err := d.Err(); err != nil {
 			return errStatus(blockproto.StatusBadRequest, err)
 		}
-		path, err := s.storePath(name)
-		if err != nil {
-			return errStatus(blockproto.StatusBadRequest, err)
+		exists, err := s.mgr.StoreExists(name)
+		var flag byte
+		if exists {
+			flag = 1
 		}
-		exists := byte(0)
-		if _, err := os.Stat(path); err == nil {
-			exists = 1
-		} else if !errors.Is(err, fs.ErrNotExist) {
-			return errStatus(blockproto.StatusErr, err)
-		}
-		return blockproto.StatusOK, new(blockproto.Enc).U8(exists).Bytes()
+		return reply(new(blockproto.Enc).U8(flag).Bytes(), err)
 
 	case blockproto.OpWipe:
 		name := d.Str()
 		if err := d.Err(); err != nil {
 			return errStatus(blockproto.StatusBadRequest, err)
 		}
-		path, err := s.storePath(name)
-		if err != nil {
-			return errStatus(blockproto.StatusBadRequest, err)
-		}
-		// Close an open store first so the removal cannot race a write
-		// through a surviving descriptor; an unregistered array is fine.
-		_ = s.mgr.Drop(name, false)
-		if err := os.Remove(path); err != nil && !errors.Is(err, fs.ErrNotExist) {
-			return errStatus(blockproto.StatusErr, err)
-		}
-		return blockproto.StatusOK, nil
+		return reply(nil, s.mgr.WipeStore(name))
 
 	case blockproto.OpLatency:
 		read, write := d.I64(), d.I64()
@@ -360,70 +382,6 @@ func (s *Server) handle(version, op byte, payload []byte) (byte, []byte) {
 	default:
 		return errStatus(blockproto.StatusBadRequest, fmt.Errorf("blockd: unknown opcode %d", op))
 	}
-}
-
-// handleManifest answers the three OpManifest sub-operations against the
-// shard root's MANIFEST.json.
-func (s *Server) handleManifest(d *blockproto.Dec) (byte, []byte) {
-	sub := d.U8()
-	path := filepath.Join(s.root, "MANIFEST.json")
-	switch sub {
-	case blockproto.ManifestGet:
-		data, err := os.ReadFile(path)
-		if errors.Is(err, fs.ErrNotExist) {
-			return errStatus(blockproto.StatusNotFound, err)
-		}
-		if err != nil {
-			return errStatus(blockproto.StatusErr, err)
-		}
-		return blockproto.StatusOK, new(blockproto.Enc).Blob(data).Bytes()
-	case blockproto.ManifestPut:
-		data := d.Blob()
-		if err := d.Err(); err != nil {
-			return errStatus(blockproto.StatusBadRequest, err)
-		}
-		// The same crash-safe tmp+fsync+rename discipline local shard
-		// roots get: a riotblockd crash never leaves a torn manifest.
-		if err := storage.AtomicWriteFile(path, data, 0o644); err != nil {
-			return errStatus(blockproto.StatusErr, err)
-		}
-		return blockproto.StatusOK, nil
-	case blockproto.ManifestDel:
-		if err := os.Remove(path); err != nil && !errors.Is(err, fs.ErrNotExist) {
-			return errStatus(blockproto.StatusErr, err)
-		}
-		return blockproto.StatusOK, nil
-	default:
-		return errStatus(blockproto.StatusBadRequest, fmt.Errorf("blockd: unknown manifest sub-op %d", sub))
-	}
-}
-
-// sameGeometry reports whether two registrations of one array name agree
-// on block shape, grid shape, and logical block bytes — everything the
-// store layout depends on.
-func sameGeometry(a, b *prog.Array) bool {
-	return a.BlockRows == b.BlockRows && a.BlockCols == b.BlockCols &&
-		a.GridRows == b.GridRows && a.GridCols == b.GridCols &&
-		a.LogicalBlockBytes == b.LogicalBlockBytes
-}
-
-// storePath is the on-disk store file of one array under this root; it
-// refuses names that would resolve outside it.
-func (s *Server) storePath(name string) (string, error) {
-	if err := storage.CheckArrayName(name); err != nil {
-		return "", err
-	}
-	return filepath.Join(s.root, name+"."+s.opt.Format.String()), nil
-}
-
-// readErrStatus classifies a Manager error for the wire: an unknown array
-// becomes its own status so clients can treat it as an application error
-// (never a connection failure).
-func readErrStatus(err error) byte {
-	if errors.Is(err, storage.ErrUnknownArray) {
-		return blockproto.StatusUnknownArray
-	}
-	return blockproto.StatusErr
 }
 
 // StdLogf adapts the standard library logger for Options.Logf.

@@ -276,12 +276,20 @@ func TestMixedLocalRemoteShards(t *testing.T) {
 
 // stallProxy stalls its first N accepted connections (reads requests,
 // never answers — the timeout case), then transparently forwards later
-// connections to target.
+// connections to target. It counts every connection it accepts.
 type stallProxy struct {
-	ln     net.Listener
-	target string
-	mu     sync.Mutex
-	stall  int
+	ln       net.Listener
+	target   string
+	mu       sync.Mutex
+	stall    int
+	accepted int
+}
+
+// accepts returns how many connections the proxy has accepted.
+func (p *stallProxy) accepts() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.accepted
 }
 
 func newStallProxy(t *testing.T, target string, stallConns int) *stallProxy {
@@ -303,6 +311,7 @@ func (p *stallProxy) run() {
 			return
 		}
 		p.mu.Lock()
+		p.accepted++
 		stall := p.stall > 0
 		if stall {
 			p.stall--

@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 
 	"riotshare/internal/blas"
 )
@@ -278,11 +279,14 @@ func EncodeBlock(blk *blas.Matrix) []byte {
 }
 
 // DecodeBlock deserializes an EncodeBlock payload into a rows×cols matrix.
+// The shape comes off the wire, so it is checked against the payload
+// length — without overflow — before anything is allocated.
 func DecodeBlock(rows, cols int, payload []byte) (*blas.Matrix, error) {
-	blk := blas.NewMatrix(rows, cols)
-	if want := 8 * len(blk.Data); len(payload) != want {
-		return nil, fmt.Errorf("blockproto: block payload %d bytes, want %d for %dx%d", len(payload), want, rows, cols)
+	hi, elems := bits.Mul64(uint64(rows), uint64(cols))
+	if rows < 0 || cols < 0 || hi != 0 || len(payload)%8 != 0 || elems != uint64(len(payload)/8) {
+		return nil, fmt.Errorf("blockproto: block payload %d bytes does not hold a %dx%d block", len(payload), rows, cols)
 	}
+	blk := blas.NewMatrix(rows, cols)
 	for i := range blk.Data {
 		blk.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[i*8:]))
 	}

@@ -51,15 +51,15 @@ import (
 
 // Config sizes the service.
 type Config struct {
-	// Dir hosts the physical block files (required unless ShardDirs is
-	// set). With Shards > 1 the blocks live under Dir/shard-0 … shard-N-1.
+	// Dir hosts the physical block files (required unless ShardDirs or
+	// ShardAddrs is set): they live under Dir/shard-0 … shard-N-1, so a
+	// server given only Dir is a one-shard store under Dir/shard-0.
 	Dir string
 	// Format selects the on-disk block format (default DAF).
 	Format storage.Format
-	// Shards stripes the block store across N shard directories —
-	// stand-ins for devices — with deterministic block placement (<= 1 and
-	// no ShardDirs = the classic single-directory manager). Results are
-	// bit-identical across shard counts.
+	// Shards stripes the block store across N shard directories under
+	// Dir — stand-ins for devices — with deterministic block placement
+	// (<= 1 = one shard). Results are bit-identical across shard counts.
 	Shards int
 	// ShardDirs names the shard directories explicitly (separate devices
 	// or mounts); it overrides Shards/Dir-derived layout. Order matters
@@ -268,15 +268,14 @@ type TenantStats struct {
 type Stats struct {
 	Pool  buffer.Stats  `json:"pool"`
 	Store storage.Stats `json:"store"`
-	// Shards breaks physical I/O down per shard directory when the block
-	// store is sharded (nil on the single-directory path) — the
-	// per-device utilization view, including each shard's degraded state
-	// and fallback-read count.
+	// Shards breaks physical I/O down per shard (a server given only Dir
+	// has one) — the per-device utilization view, including each shard's
+	// degraded state and fallback-read count.
 	Shards []storage.ShardStats `json:"shards,omitempty"`
-	// Replicas is the store's replication factor (0 when unsharded, 1 =
-	// sharded but unreplicated); DegradedReads totals the reads served
-	// from a replica because their primary shard is degraded — nonzero
-	// means the store is running degraded and RepairShard should be run.
+	// Replicas is the store's replication factor (1 = unreplicated);
+	// DegradedReads totals the reads served from a replica because their
+	// primary shard is degraded — nonzero means the store is running
+	// degraded and RepairShard should be run.
 	Replicas      int   `json:"replicas,omitempty"`
 	DegradedReads int64 `json:"degradedReads,omitempty"`
 
@@ -353,11 +352,8 @@ var planTiers = []string{tierCache, tierGreedy, tierFull}
 // Server is the multi-query analytics service.
 type Server struct {
 	cfg   Config
-	store storage.Backend
-	// sharded is the catalog-bearing view of store when the service runs
-	// sharded and/or persistent; nil on the classic single-directory path.
-	sharded *storage.ShardedManager
-	pool    *buffer.Pool
+	store *storage.ShardedManager
+	pool  *buffer.Pool
 
 	inputFills, inputFillsSkipped atomic.Int64
 
@@ -462,10 +458,10 @@ type inputState struct {
 }
 
 // New creates a service with its shared storage backend and buffer pool.
-// With Shards > 1, ShardDirs, ShardAddrs, or Persist set, the backend is a
-// sharded store (striped over local directories, remote riotblockd
-// servers, or a mix); with Persist it reopens an existing store, restoring
-// the shared-input catalog so matching inputs are served without a refill.
+// The backend is a sharded store — striped over local directories, remote
+// riotblockd servers, or a mix; one shard under Dir/shard-0 when only Dir
+// is given. With Persist it reopens an existing store, restoring the
+// shared-input catalog so matching inputs are served without a refill.
 func New(cfg Config) (*Server, error) {
 	if cfg.Dir == "" && len(cfg.ShardDirs) == 0 && len(cfg.ShardAddrs) == 0 {
 		return nil, errors.New("server: Config.Dir, Config.ShardDirs, or Config.ShardAddrs required")
@@ -473,32 +469,18 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxConcurrent <= 0 {
 		cfg.MaxConcurrent = 2
 	}
-	var (
-		m       storage.Backend
-		sharded *storage.ShardedManager
-		err     error
-	)
-	if cfg.Shards > 1 || len(cfg.ShardDirs) > 0 || len(cfg.ShardAddrs) > 0 || cfg.Persist || cfg.Placement != "" || cfg.Replicas > 1 {
-		specs := cfg.ShardDirs
-		if len(specs) == 0 && len(cfg.ShardAddrs) == 0 {
-			n := cfg.Shards
-			if n <= 1 {
-				n = 1
-			}
-			specs = storage.ShardDirs(cfg.Dir, n)
-		}
-		specs = append(append([]string{}, specs...), cfg.ShardAddrs...)
-		sharded, err = storage.OpenSharded(specs, storage.ShardedOptions{
-			Format:    cfg.Format,
-			Placement: cfg.Placement,
-			Replicas:  cfg.Replicas,
-			Persist:   cfg.Persist,
-			Remote:    cfg.Remote,
-		})
-		m = sharded
-	} else {
-		m, err = storage.NewManager(cfg.Dir, cfg.Format)
+	specs := cfg.ShardDirs
+	if len(specs) == 0 && len(cfg.ShardAddrs) == 0 {
+		specs = storage.ShardDirs(cfg.Dir, max(cfg.Shards, 1))
 	}
+	specs = append(append([]string{}, specs...), cfg.ShardAddrs...)
+	m, err := storage.OpenSharded(specs, storage.ShardedOptions{
+		Format:    cfg.Format,
+		Placement: cfg.Placement,
+		Replicas:  cfg.Replicas,
+		Persist:   cfg.Persist,
+		Remote:    cfg.Remote,
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -543,7 +525,6 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:       cfg,
 		store:     m,
-		sharded:   sharded,
 		pool:      pool,
 		queries:   make(map[string]*query),
 		planCache: make(map[string]*planEntry),
@@ -584,9 +565,7 @@ func New(cfg Config) (*Server, error) {
 			"Finished result streams by outcome.", telemetry.L("outcome", outcome))
 	}
 	pool.RegisterMetrics(reg)
-	if sharded != nil {
-		sharded.RegisterMetrics(reg)
-	}
+	m.RegisterMetrics(reg)
 	s.registerCollectors()
 	if cfg.PlanImprover {
 		s.mImprove = reg.Histogram("riotshare_plan_improver_seconds",
@@ -603,7 +582,7 @@ func New(cfg Config) (*Server, error) {
 // registerCollectors wires the scrape-time metric sources that sample
 // existing stats snapshots: service lifecycle counters, plan cache,
 // shared-input persistence, governor occupancy, and aggregate store
-// I/O (per-shard detail comes from the sharded store's own collector).
+// I/O (per-shard detail comes from the store's own collector).
 func (s *Server) registerCollectors() {
 	s.reg.Collect(func(e *telemetry.Emit) {
 		running, queued := s.gov.Load()
@@ -651,12 +630,9 @@ func (s *Server) Pool() *buffer.Pool { return s.pool }
 // RepairShard re-mirrors one degraded shard of a replicated store from the
 // surviving replicas, clearing its degraded state and degraded-read
 // counter; subsequent reads come off the repaired primary again. Errors on
-// an unsharded or unreplicated store.
+// an unreplicated store, which has no replica to repair from.
 func (s *Server) RepairShard(shard int) error {
-	if s.sharded == nil {
-		return errors.New("server: storage is not sharded; nothing to repair")
-	}
-	return s.sharded.Repair(shard)
+	return s.store.Repair(shard)
 }
 
 // Store exposes the shared storage backend.
@@ -1241,15 +1217,13 @@ func (s *Server) ensureInput(arr *prog.Array) error {
 // stale data answer queries.
 func (s *Server) fillInput(arr *prog.Array) error {
 	fp := FillFingerprint(arr, s.cfg.Seed)
-	if s.sharded != nil {
-		if e, ok := s.sharded.SharedEntry(arr.Name); ok {
-			if e.Fingerprint == fp && sameShape(e.Array(arr.Name), arr) {
-				s.inputFillsSkipped.Add(1)
-				return nil
-			}
-			if err := s.sharded.Drop(arr.Name, true); err != nil {
-				return err
-			}
+	if e, ok := s.store.SharedEntry(arr.Name); ok {
+		if e.Fingerprint == fp && sameShape(e.Array(arr.Name), arr) {
+			s.inputFillsSkipped.Add(1)
+			return nil
+		}
+		if err := s.store.Drop(arr.Name, true); err != nil {
+			return err
 		}
 	}
 	if err := s.store.Create(arr); err != nil {
@@ -1259,10 +1233,7 @@ func (s *Server) fillInput(arr *prog.Array) error {
 		return err
 	}
 	s.inputFills.Add(1)
-	if s.sharded != nil {
-		return s.sharded.RecordShared(arr, fp)
-	}
-	return nil
+	return s.store.RecordShared(arr, fp)
 }
 
 // FillFingerprint identifies the deterministic synthetic fill of one input
@@ -1490,6 +1461,9 @@ func (s *Server) Stats() Stats {
 	st := Stats{
 		Pool:               s.pool.Stats(),
 		Store:              s.store.Stats(),
+		Shards:             s.store.ShardStats(),
+		Replicas:           s.store.Replicas(),
+		DegradedReads:      s.store.DegradedReads(),
 		Running:            running,
 		Queued:             queued,
 		Submitted:          submitted,
@@ -1532,11 +1506,6 @@ func (s *Server) Stats() Stats {
 			QueueDepth: len(s.impCh),
 			SearchMs:   s.mImprove.Sum() * float64(time.Second) / ms,
 		}
-	}
-	if s.sharded != nil {
-		st.Shards = s.sharded.ShardStats()
-		st.Replicas = s.sharded.Replicas()
-		st.DegradedReads = s.sharded.DegradedReads()
 	}
 	// Per-tenant view: union of the governor's occupancy, the server's
 	// lifecycle counters, and the pool's per-tenant slice.

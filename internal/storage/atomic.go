@@ -24,13 +24,6 @@ import (
 // crash between steps is simply overwritten by the next write and is never
 // read by manifest loading.
 func atomicWriteFile(path string, data []byte, perm os.FileMode) error {
-	return AtomicWriteFile(path, data, perm)
-}
-
-// AtomicWriteFile is the exported form of the crash-safe write-replace
-// sequence above; the riotblockd block server uses it so a remote shard's
-// manifest gets the same durability discipline as a local shard root's.
-func AtomicWriteFile(path string, data []byte, perm os.FileMode) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, perm)
 	if err != nil {

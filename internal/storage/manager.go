@@ -290,14 +290,19 @@ var (
 
 // Create opens the store for an array.
 func (m *Manager) Create(arr *prog.Array) error {
-	path, err := m.storePath(arr.Name)
-	if err != nil {
-		return err
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if _, dup := m.stores[arr.Name]; dup {
 		return fmt.Errorf("storage: array %q %w", arr.Name, ErrArrayExists)
+	}
+	return m.createLocked(arr)
+}
+
+// createLocked opens and registers an array's store; m.mu is held.
+func (m *Manager) createLocked(arr *prog.Array) error {
+	path, err := m.storePath(arr.Name)
+	if err != nil {
+		return err
 	}
 	var st BlockStore
 	switch m.Format {
@@ -314,28 +319,6 @@ func (m *Manager) Create(arr *prog.Array) error {
 	m.stores[arr.Name] = st
 	m.arrays[arr.Name] = arr
 	return nil
-}
-
-// Registered returns the array a name is currently registered under, or
-// nil — how the block server decides whether an ensure-create can reuse an
-// existing registration or must reopen it under a new geometry.
-func (m *Manager) Registered(name string) *prog.Array {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.arrays[name]
-}
-
-// ensure opens the array's store unless it is already registered. Create
-// refuses duplicates so callers catch double registration; shard repair
-// needs the idempotent form to reopen stores on a recovered shard.
-func (m *Manager) ensure(arr *prog.Array) error {
-	m.mu.RLock()
-	_, ok := m.stores[arr.Name]
-	m.mu.RUnlock()
-	if ok {
-		return nil
-	}
-	return m.Create(arr)
 }
 
 // CreateAll opens stores for every array of a program.

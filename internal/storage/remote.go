@@ -81,8 +81,9 @@ func (o RemoteOptions) withDefaults() RemoteOptions {
 
 // RemoteShard is a storage.Backend served by one riotblockd process. It is
 // safe for concurrent use; concurrent requests pipeline across the
-// connection pool. It also implements the shard interface, so a
-// ShardedManager stripes over remote and local shards interchangeably.
+// connection pool. It implements the shard interface exactly as a local
+// Manager does, so a ShardedManager stripes over remote and local shards
+// interchangeably.
 type RemoteShard struct {
 	addr string
 	opt  RemoteOptions
@@ -125,21 +126,10 @@ func NewRemoteShard(addr string, opt RemoteOptions) *RemoteShard {
 	return &RemoteShard{addr: addr, opt: opt.withDefaults(), created: make(map[string]struct{})}
 }
 
-var (
-	_ Backend = (*RemoteShard)(nil)
-	_ shard   = (*RemoteShard)(nil)
-)
-
 // RemoteStats snapshots the client's connection-level counters.
 func (s *RemoteShard) RemoteStats() RemoteStats {
 	return RemoteStats{Dials: s.dials.Load(), Retries: s.retries.Load(), Timeouts: s.timeouts.Load()}
 }
-
-// Label returns the server address (the shard's name in errors and stats).
-func (s *RemoteShard) Label() string { return s.addr }
-
-// Addr returns the server address this client speaks to.
-func (s *RemoteShard) Addr() string { return s.addr }
 
 // remoteConn is one pooled connection: writes are serialized, responses
 // are read by a dedicated goroutine and delivered to pending calls in FIFO
@@ -399,7 +389,8 @@ func (s *RemoteShard) Create(arr *prog.Array) error {
 	return nil
 }
 
-// Ensure registers an array's store if it is not already registered.
+// Ensure registers an array's store on the server with Manager.Ensure's
+// rule: same geometry is a no-op, a different one re-registers.
 func (s *RemoteShard) Ensure(arr *prog.Array) error {
 	if err := s.create(arr, true); err != nil {
 		return err

@@ -1,8 +1,8 @@
-// shard.go abstracts "one shard of a sharded store" so ShardedManager can
-// stripe over local directories and remote riotblockd servers — mixed
-// freely — through one interface. localShard adapts the single-directory
-// Manager plus its root's manifest and store files; RemoteShard (remote.go)
-// speaks the blockproto protocol to a riotblockd process.
+// shard.go defines "one shard root" — the unit a ShardedManager stripes
+// over, local directories and remote riotblockd servers mixed freely. A
+// *Manager is the local shard root (its directory plus that directory's
+// manifest); RemoteShard (remote.go) is the same root behind a riotblockd,
+// which answers every shard-root request by calling these Manager methods.
 package storage
 
 import (
@@ -13,28 +13,18 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"time"
 
-	"riotshare/internal/blas"
 	"riotshare/internal/prog"
 )
 
-// shard is what ShardedManager needs from one shard: block I/O and store
-// lifecycle, the per-root manifest, and the existence/wipe primitives
-// behind catalog reopen and Repair. Label identifies the shard in errors
-// and ShardStats — a directory path or a host:port address.
+// shard is what ShardedManager needs from one shard root: block I/O and
+// store lifecycle, the per-root manifest, and the existence/wipe
+// primitives behind catalog reopen and Repair.
 type shard interface {
-	Label() string
-	Create(arr *prog.Array) error
+	Backend
 	// Ensure is Create without the duplicate check — the idempotent form
-	// repair and write-through need.
+	// catalog reopen and repair need.
 	Ensure(arr *prog.Array) error
-	WriteBlock(array string, r, c int64, blk *blas.Matrix) error
-	ReadBlock(array string, r, c int64) (*blas.Matrix, error)
-	Drop(array string, deleteFile bool) error
-	Stats() Stats
-	SetLatency(read, write time.Duration)
-	Close() error
 
 	// ReadManifest returns the shard root's manifest bytes; an error
 	// wrapping fs.ErrNotExist means "no manifest" (fresh or lost shard).
@@ -56,47 +46,69 @@ type shard interface {
 	PrepareRepair() error
 }
 
-// localShard adapts *Manager (one shard directory) to the shard interface.
-type localShard struct {
-	m   *Manager
-	dir string
+var (
+	_ shard = (*Manager)(nil)
+	_ shard = (*RemoteShard)(nil)
+)
+
+// manifestName is the per-shard-root manifest file.
+const manifestName = "MANIFEST.json"
+
+// Ensure registers the array unless it is already registered with the
+// same geometry. A registration of a different shape is a stale leftover
+// (an earlier session's same-named array, on a long-lived block server) and
+// is reopened under the new geometry, reusing the store file the way a
+// fresh Manager would.
+func (m *Manager) Ensure(arr *prog.Array) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if prev, ok := m.arrays[arr.Name]; ok {
+		if sameGeometry(prev, arr) {
+			return nil
+		}
+		st := m.stores[arr.Name]
+		delete(m.stores, arr.Name)
+		delete(m.arrays, arr.Name)
+		if err := st.Close(); err != nil {
+			return err
+		}
+	}
+	return m.createLocked(arr)
 }
 
-func (s *localShard) Label() string                { return s.dir }
-func (s *localShard) Create(arr *prog.Array) error { return s.m.Create(arr) }
-func (s *localShard) Ensure(arr *prog.Array) error { return s.m.ensure(arr) }
-func (s *localShard) Drop(array string, del bool) error {
-	return s.m.Drop(array, del)
-}
-func (s *localShard) Stats() Stats                         { return s.m.Stats() }
-func (s *localShard) SetLatency(read, write time.Duration) { s.m.SetLatency(read, write) }
-func (s *localShard) Close() error                         { return s.m.Close() }
-
-func (s *localShard) WriteBlock(array string, r, c int64, blk *blas.Matrix) error {
-	return s.m.WriteBlock(array, r, c, blk)
+// sameGeometry reports whether two registrations of one array name agree
+// on block shape, grid shape, and logical block bytes — everything the
+// store layout depends on.
+func sameGeometry(a, b *prog.Array) bool {
+	return a.BlockRows == b.BlockRows && a.BlockCols == b.BlockCols &&
+		a.GridRows == b.GridRows && a.GridCols == b.GridCols &&
+		a.LogicalBlockBytes == b.LogicalBlockBytes
 }
 
-func (s *localShard) ReadBlock(array string, r, c int64) (*blas.Matrix, error) {
-	return s.m.ReadBlock(array, r, c)
+// ReadManifest returns the manifest of this shard root (the manager's
+// directory); a missing one satisfies errors.Is(err, fs.ErrNotExist).
+func (m *Manager) ReadManifest() ([]byte, error) {
+	return os.ReadFile(filepath.Join(m.Dir, manifestName))
 }
 
-func (s *localShard) ReadManifest() ([]byte, error) {
-	return os.ReadFile(filepath.Join(s.dir, manifestName))
+// WriteManifest atomically replaces this shard root's manifest: a crash
+// leaves the old manifest or the new one, never a torn file.
+func (m *Manager) WriteManifest(data []byte) error {
+	return atomicWriteFile(filepath.Join(m.Dir, manifestName), data, 0o644)
 }
 
-func (s *localShard) WriteManifest(data []byte) error {
-	return atomicWriteFile(filepath.Join(s.dir, manifestName), data, 0o644)
-}
-
-func (s *localShard) RemoveManifest() error {
-	if err := os.Remove(filepath.Join(s.dir, manifestName)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+// RemoveManifest deletes this shard root's manifest (absent is fine).
+func (m *Manager) RemoveManifest() error {
+	if err := os.Remove(filepath.Join(m.Dir, manifestName)); err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return err
 	}
 	return nil
 }
 
-func (s *localShard) StoreExists(array string) (bool, error) {
-	path, err := s.m.storePath(array)
+// StoreExists reports whether the array's store file exists under the
+// manager's directory, registered or not.
+func (m *Manager) StoreExists(array string) (bool, error) {
+	path, err := m.storePath(array)
 	if err != nil {
 		return false, err
 	}
@@ -110,23 +122,26 @@ func (s *localShard) StoreExists(array string) (bool, error) {
 	return false, err
 }
 
-func (s *localShard) WipeStore(array string) error {
-	// Close a surviving open store first (a previous partial repair may
-	// hold the fd of the file about to be wiped); unknown arrays are fine.
-	_ = s.m.Drop(array, false)
-	path, err := s.m.storePath(array)
+// WipeStore closes the array's store if it is open and deletes its file;
+// wiping an absent store is not an error.
+func (m *Manager) WipeStore(array string) error {
+	path, err := m.storePath(array)
 	if err != nil {
 		return err
 	}
+	// Close a surviving open store first (a previous partial repair may
+	// hold the fd of the file about to be wiped); unknown arrays are fine.
+	_ = m.Drop(array, false)
 	if err := os.Remove(path); err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return err
 	}
 	return nil
 }
 
-func (s *localShard) PrepareRepair() error {
-	// The lost shard may be gone directory and all.
-	return os.MkdirAll(s.dir, 0o755)
+// PrepareRepair recreates the manager's directory: a lost shard may be
+// gone directory and all.
+func (m *Manager) PrepareRepair() error {
+	return os.MkdirAll(m.Dir, 0o755)
 }
 
 // IsRemoteSpec reports whether a shard spec names a network address

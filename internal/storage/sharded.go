@@ -95,9 +95,6 @@ func placementByName(name string) (PlacementFunc, string, error) {
 	}
 }
 
-// manifestName is the per-shard-root manifest file.
-const manifestName = "MANIFEST.json"
-
 // manifestVersion guards the on-disk manifest schema. Replication was added
 // without a bump: manifests written before it decode with Replicas 0, which
 // normalizes to 1 — exactly their behavior.
@@ -238,7 +235,7 @@ type ShardedManager struct {
 }
 
 // openShard builds one shard from its spec: a RemoteShard client for a
-// host:port address, a directory-backed Manager otherwise.
+// host:port address, a Manager over the directory otherwise.
 func openShard(spec string, opt ShardedOptions) (shard, error) {
 	if IsRemoteSpec(spec) {
 		return NewRemoteShard(spec, opt.Remote), nil
@@ -248,7 +245,7 @@ func openShard(spec string, opt ShardedOptions) (shard, error) {
 		return nil, fmt.Errorf("storage: shard %s: %w", spec, err)
 	}
 	m.SerialDevice = opt.SerialDevice
-	return &localShard{m: m, dir: spec}, nil
+	return m, nil
 }
 
 // OpenSharded opens (or creates) a sharded store over the given shard
@@ -476,9 +473,9 @@ func (sm *ShardedManager) reopenCatalog() error {
 }
 
 // saveManifests writes the manifest to every live shard root, each
-// atomically and fsynced (locally via atomicWriteFile, remotely via the
-// server's identical discipline), so a crash can never leave a torn or
-// empty MANIFEST.json. Degraded shards get no manifest — that is exactly
+// atomically and fsynced (Manager.WriteManifest, which a remote shard's
+// server calls too), so a crash can never leave a torn or empty
+// MANIFEST.json. Degraded shards get no manifest — that is exactly
 // what marks them degraded on the next open, until Repair rewrites one.
 func (sm *ShardedManager) saveManifests() error {
 	sm.mu.Lock()
@@ -761,17 +758,18 @@ func (sm *ShardedManager) DegradeShard(shard int) error {
 // replica can produce are skipped (they were never written); losing them
 // entirely is the coverage-lost condition the open already refuses. A
 // shard that is not degraded needs no repair: Repair returns nil without
-// touching it.
+// touching it; an unreplicated store has nothing to repair from, degraded
+// or not, and Repair says so.
 func (sm *ShardedManager) Repair(shard int) error {
 	n := len(sm.shards)
 	if shard < 0 || shard >= n {
 		return fmt.Errorf("storage: shard %d out of range (%d shards)", shard, n)
 	}
-	if !sm.degraded[shard].Load() {
-		return nil
-	}
 	if sm.replicas < 2 {
 		return fmt.Errorf("storage: repair needs replication (replicas=%d): no replica holds shard %d's blocks", sm.replicas, shard)
+	}
+	if !sm.degraded[shard].Load() {
+		return nil
 	}
 	if !sm.healing[shard].CompareAndSwap(false, true) {
 		return fmt.Errorf("storage: shard %d is already being repaired", shard)
@@ -886,12 +884,16 @@ func (sm *ShardedManager) Drop(array string, deleteFile bool) error {
 	return errors.Join(errs...)
 }
 
-// Stats sums the physical I/O counters across shards. Remote shards report
-// their server's counters (cumulative since the server started); an
-// unreachable server contributes zeros.
+// Stats sums the physical I/O counters across shards — exactly the sum of
+// ShardStats. Remote shards report their server's counters (cumulative
+// since the server started); degraded shards are not polled and, like an
+// unreachable server, contribute zeros.
 func (sm *ShardedManager) Stats() Stats {
 	var total Stats
-	for _, sd := range sm.shards {
+	for i, sd := range sm.shards {
+		if sm.degraded[i].Load() {
+			continue
+		}
 		st := sd.Stats()
 		total.ReadReqs += st.ReadReqs
 		total.ReadBytes += st.ReadBytes
@@ -919,8 +921,8 @@ type ShardStats struct {
 
 // ShardStats snapshots per-shard physical I/O, in shard order — the
 // per-device utilization view a placement function is judged by, plus each
-// shard's degraded state and fallback-read count. Degraded remote shards
-// are not polled (their servers are down); they report zero I/O.
+// shard's degraded state and fallback-read count. Degraded shards are not
+// polled (a remote one's server may be down); they report zero I/O.
 func (sm *ShardedManager) ShardStats() []ShardStats {
 	out := make([]ShardStats, len(sm.shards))
 	for i, sd := range sm.shards {
