@@ -13,7 +13,8 @@ test:
 
 test-race:
 	$(GO) test -race -short ./...
-	$(GO) test -race -count=5 ./internal/exec/ ./internal/buffer/
+	$(GO) test -race -count=5 ./internal/exec/ ./internal/buffer/ ./internal/govern/
+	$(GO) test -race -count=5 -run 'Fairness|QueueWait|TenantLabel' ./internal/server/
 
 # Full suite, including the ~80s linear-regression plan-space search.
 test-full:

@@ -10,8 +10,7 @@
 //	riotshared serve -shard-dirs /mnt/d0,/mnt/d1 -persist          # explicit devices
 //	riotshared serve -data /var/lib/riotshare -shards 4 -replicas 2 -persist  # lost shard → degraded reads
 //	riotshared serve -shard-addrs h0:8441,h1:8441,h2:8441,h3:8441 -replicas 2 -persist  # remote riotblockd shards
-//	riotshared serve -policy segmented -tenant-quota-mb acme=64,beta=32 \
-//	    -tenant-weight acme=3 -tenant-concurrent acme=2 -tenant-mem-mb acme=512
+//	riotshared serve -policy segmented -mem-mb 512   # scan-resistant pool, admission memory cap
 //
 // Client:
 //
@@ -48,7 +47,6 @@ import (
 	"time"
 
 	"riotshare/internal/blockproto"
-	"riotshare/internal/govern"
 	"riotshare/internal/server"
 	"riotshare/internal/storage"
 	"riotshare/internal/telemetry"
@@ -102,29 +100,11 @@ func serve(fs *flag.FlagSet, args []string) error {
 		replicas   = fs.Int("replicas", 1, "mirror each block on k shards (ring order); a lost shard then degrades reads instead of failing the open")
 		persist    = fs.Bool("persist", false, "persist shared input arrays across restarts (manifest catalog; requires -data, -shard-dirs, or -shard-addrs)")
 
-		quotaMB    = fs.String("tenant-quota-mb", "", "per-tenant pool quotas, e.g. acme=64,beta=32 (MB)")
-		weights    = fs.String("tenant-weight", "", "per-tenant admission weights, e.g. acme=3,beta=1")
-		tenantConc = fs.String("tenant-concurrent", "", "per-tenant concurrency caps, e.g. acme=2")
-		tenantMem  = fs.String("tenant-mem-mb", "", "per-tenant plan peak memory caps, e.g. acme=512 (MB)")
-		noAffinity = fs.Bool("no-affinity", false, "disable shared-input affinity batching in admission")
-
 		slowMs   = fs.Int64("slow-query-ms", 0, "log a JSON span breakdown to stderr for queries slower than this (0 = off)")
 		pprofOn  = fs.Bool("pprof", false, "register net/http/pprof handlers under /debug/pprof/")
 		traceCap = fs.Int("trace-cap", 0, "completed query traces retained for GET /trace (0 = default 256)")
 	)
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	poolQuotas, err := parseTenantInts(*quotaMB, "tenant-quota-mb")
-	if err != nil {
-		return err
-	}
-	tenantQuotaBytes := make(map[string]int64, len(poolQuotas))
-	for t, mb := range poolQuotas {
-		tenantQuotaBytes[t] = mb << 20
-	}
-	tenants, err := parseTenantConfigs(*weights, *tenantConc, *tenantMem)
-	if err != nil {
 		return err
 	}
 	dirs := splitList(*shardDirs)
@@ -154,32 +134,29 @@ func serve(fs *flag.FlagSet, args []string) error {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 	fmt.Printf("riotshared: serving on %s (data %s, pool %dMB, K=%d)\n", *addr, *dir, *poolMB, *maxConc)
-	err = server.ListenAndServe(ctx, *addr, server.Config{
-		Dir:                  *dir,
-		Format:               f,
-		Shards:               *shards,
-		ShardDirs:            dirs,
-		ShardAddrs:           addrs,
-		Placement:            *placement,
-		Replicas:             *replicas,
-		Persist:              *persist,
-		PoolBytes:            *poolMB << 20,
-		PoolPolicy:           *policy,
-		TenantPoolQuotaBytes: tenantQuotaBytes,
-		MaxConcurrent:        *maxConc,
-		GlobalMemBytes:       *memMB << 20,
-		Tenants:              tenants,
-		NoAffinity:           *noAffinity,
-		Workers:              *workers,
-		PrefetchDepth:        *prefetch,
-		Seed:                 *seed,
-		FullSearch:           *full,
-		PlanBudget:           time.Duration(*planBudgetMs) * time.Millisecond,
-		PlanImprover:         *planImprover,
-		PlanCacheEntries:     *planCacheN,
-		SlowQueryMs:          *slowMs,
-		EnablePprof:          *pprofOn,
-		TraceCapacity:        *traceCap,
+	err := server.ListenAndServe(ctx, *addr, server.Config{
+		Dir:              *dir,
+		Format:           f,
+		Shards:           *shards,
+		ShardDirs:        dirs,
+		ShardAddrs:       addrs,
+		Placement:        *placement,
+		Replicas:         *replicas,
+		Persist:          *persist,
+		PoolBytes:        *poolMB << 20,
+		PoolPolicy:       *policy,
+		MaxConcurrent:    *maxConc,
+		GlobalMemBytes:   *memMB << 20,
+		Workers:          *workers,
+		PrefetchDepth:    *prefetch,
+		Seed:             *seed,
+		FullSearch:       *full,
+		PlanBudget:       time.Duration(*planBudgetMs) * time.Millisecond,
+		PlanImprover:     *planImprover,
+		PlanCacheEntries: *planCacheN,
+		SlowQueryMs:      *slowMs,
+		EnablePprof:      *pprofOn,
+		TraceCapacity:    *traceCap,
 	})
 	if errors.Is(err, http.ErrServerClosed) {
 		err = nil
@@ -198,63 +175,6 @@ func splitList(s string) []string {
 	return out
 }
 
-// parseTenantInts parses "name=value,name=value" flag lists.
-func parseTenantInts(s, flagName string) (map[string]int64, error) {
-	out := map[string]int64{}
-	if s == "" {
-		return out, nil
-	}
-	for _, kv := range strings.Split(s, ",") {
-		name, val, ok := strings.Cut(strings.TrimSpace(kv), "=")
-		if !ok || name == "" {
-			return nil, fmt.Errorf("-%s: %q is not name=value", flagName, kv)
-		}
-		n, err := strconv.ParseInt(val, 10, 64)
-		if err != nil || n < 0 {
-			return nil, fmt.Errorf("-%s: %q is not a non-negative integer", flagName, val)
-		}
-		out[name] = n
-	}
-	return out, nil
-}
-
-// parseTenantConfigs assembles govern.TenantConfig values from the three
-// per-tenant flag lists.
-func parseTenantConfigs(weights, conc, memMB string) (map[string]govern.TenantConfig, error) {
-	ws, err := parseTenantInts(weights, "tenant-weight")
-	if err != nil {
-		return nil, err
-	}
-	cs, err := parseTenantInts(conc, "tenant-concurrent")
-	if err != nil {
-		return nil, err
-	}
-	ms, err := parseTenantInts(memMB, "tenant-mem-mb")
-	if err != nil {
-		return nil, err
-	}
-	if len(ws) == 0 && len(cs) == 0 && len(ms) == 0 {
-		return nil, nil
-	}
-	out := map[string]govern.TenantConfig{}
-	for name, w := range ws {
-		tc := out[name]
-		tc.Weight = int(w)
-		out[name] = tc
-	}
-	for name, c := range cs {
-		tc := out[name]
-		tc.MaxConcurrent = int(c)
-		out[name] = tc
-	}
-	for name, m := range ms {
-		tc := out[name]
-		tc.MemBytes = m << 20
-		out[name] = tc
-	}
-	return out, nil
-}
-
 func client(sub string, fs *flag.FlagSet, args []string) error {
 	var (
 		addr     = fs.String("addr", "http://localhost:8377", "server base URL")
@@ -263,7 +183,7 @@ func client(sub string, fs *flag.FlagSet, args []string) error {
 		memMB    = fs.Int64("mem", 0, "per-query memory cap in MB (0 = unlimited)")
 		plan     = fs.Int("plan", -1, "force plan index (-1 = cheapest fitting plan)")
 		workers  = fs.Int("workers", 0, "kernel workers for this query (0 = server default)")
-		tenant   = fs.String("tenant", "", "tenant label (submit: governor fairness + pool quotas; stats: filter)")
+		tenant   = fs.String("tenant", "", "tenant label (submit: admission round-robin queue; stats: filter)")
 		id       = fs.String("id", "", "query id (status, results, trace)")
 		wait     = fs.Bool("wait", false, "block until the query finishes (results)")
 		stream   = fs.Bool("stream", false, "stream the output blocks from /results/stream instead of fetching the JSON summary; delivery begins before the query finishes (results)")

@@ -31,9 +31,6 @@ func (p *Pool) RegisterMetrics(reg *telemetry.Registry) {
 			e.Counter("riotshare_pool_tenant_hits_total", "Per-tenant pool hits.", float64(ts.Hits), lbl)
 			e.Counter("riotshare_pool_tenant_misses_total", "Per-tenant pool misses.", float64(ts.Misses), lbl)
 			e.Gauge("riotshare_pool_tenant_bytes_cached", "Per-tenant resident bytes.", float64(ts.BytesCached), lbl)
-			if ts.QuotaBytes > 0 {
-				e.Gauge("riotshare_pool_tenant_quota_bytes", "Per-tenant byte quota (only set tenants).", float64(ts.QuotaBytes), lbl)
-			}
 		}
 	})
 }

@@ -16,7 +16,7 @@ import (
 // thread-safe; the pool calls them under its own lock. Frames enter the
 // policy when their last pin releases (add), leave it when re-pinned or
 // evicted (remove), and are surrendered for eviction in policy order
-// (victim / victimWhere).
+// (victim).
 type Policy interface {
 	// Name identifies the policy in stats and flags ("lru", "segmented").
 	Name() string
@@ -31,10 +31,6 @@ type Policy interface {
 	remove(f *frame)
 	// victim returns the next frame to evict, nil when none is evictable.
 	victim() *frame
-	// victimWhere returns the first frame in eviction order satisfying
-	// keep's complement — the first f with pred(f) true — or nil. The pool
-	// uses it to reclaim an over-quota tenant's own frames.
-	victimWhere(pred func(*frame) bool) *frame
 	// requeue reinstates a victim whose dirty write-back failed as the
 	// next victim again (its data must not be lost, and eviction stops).
 	requeue(f *frame)
@@ -91,15 +87,6 @@ func (p *lruPolicy) victim() *frame {
 		return nil
 	}
 	return e.Value.(*frame)
-}
-
-func (p *lruPolicy) victimWhere(pred func(*frame) bool) *frame {
-	for e := p.order.Front(); e != nil; e = e.Next() {
-		if f := e.Value.(*frame); pred(f) {
-			return f
-		}
-	}
-	return nil
 }
 
 func (p *lruPolicy) requeue(f *frame) {
@@ -203,20 +190,6 @@ func (p *segmentedPolicy) victim() *frame {
 	}
 	if e := p.protected.Front(); e != nil {
 		return e.Value.(*frame)
-	}
-	return nil
-}
-
-func (p *segmentedPolicy) victimWhere(pred func(*frame) bool) *frame {
-	for e := p.probation.Front(); e != nil; e = e.Next() {
-		if f := e.Value.(*frame); pred(f) {
-			return f
-		}
-	}
-	for e := p.protected.Front(); e != nil; e = e.Next() {
-		if f := e.Value.(*frame); pred(f) {
-			return f
-		}
 	}
 	return nil
 }

@@ -14,11 +14,9 @@
 // or Flush, so repeated writes to one block (accumulator chains) reach disk
 // once.
 //
-// The pool is tenant-aware: sessions carry a tenant label, frames are
-// attributed to the tenant that installed them, and optional per-tenant
-// byte quotas bound how much of the one shared pool a single tenant's
-// working set may occupy — an over-quota tenant evicts its own frames
-// first, so one tenant's flood cannot displace another tenant's residency.
+// The pool is tenant-aware for accounting only: sessions carry a tenant
+// label, and hits, misses, and resident bytes are attributed to the tenant
+// that acquired or installed them. Eviction ignores tenants.
 //
 // Capacity is a soft bound: when every frame is pinned the pool admits the
 // acquisition anyway (refusing would deadlock a running plan) and evicts
@@ -59,11 +57,6 @@ type Options struct {
 	// Policy selects the replacement policy by name ("" or "lru" = LRU,
 	// "segmented" = scan-resistant segmented LRU).
 	Policy string
-	// TenantQuotaBytes optionally bounds the bytes each named tenant's
-	// installed frames may occupy inside the shared pool. Tenants absent
-	// from the map (and the anonymous tenant "") are bounded only by the
-	// pool capacity.
-	TenantQuotaBytes map[string]int64
 }
 
 // Pool is the shared block cache. It is safe for concurrent use by many
@@ -76,7 +69,6 @@ type Pool struct {
 	mu     sync.Mutex
 	frames map[string]*frame
 	policy Policy
-	quotas map[string]int64 // per-tenant byte quotas (missing = unbounded)
 	bytes  int64
 	// peakBytes is the high-water mark of cached bytes measured after each
 	// eviction pass — the pool's steady-state residency peak. A single
@@ -85,7 +77,6 @@ type Pool struct {
 	// the capacity for results far larger than the pool.
 	peakBytes int64
 	tenants   map[string]*tenantCounters
-	arrays    map[string]int64 // resident bytes per array, for affinity scoring
 
 	hits, misses, puts    int64
 	evictions, writebacks int64
@@ -103,7 +94,7 @@ type frame struct {
 	array  string
 	r, c   int64
 	key    string
-	tenant string // installer, for quota accounting
+	tenant string // installer, for residency accounting
 
 	blk   *blas.Matrix
 	bytes int64
@@ -132,28 +123,19 @@ func NewPool(store storage.Backend, capacityBytes int64) *Pool {
 	return p
 }
 
-// NewPoolOptions creates a pool with an explicit replacement policy and
-// optional per-tenant quotas.
+// NewPoolOptions creates a pool with an explicit replacement policy.
 func NewPoolOptions(store storage.Backend, opt Options) (*Pool, error) {
 	pol, err := ParsePolicy(opt.Policy)
 	if err != nil {
 		return nil, err
 	}
 	pol.resize(opt.CapacityBytes)
-	quotas := make(map[string]int64, len(opt.TenantQuotaBytes))
-	for t, q := range opt.TenantQuotaBytes {
-		if q > 0 {
-			quotas[t] = q
-		}
-	}
 	return &Pool{
 		store:    store,
 		capBytes: opt.CapacityBytes,
 		frames:   make(map[string]*frame),
 		policy:   pol,
-		quotas:   quotas,
 		tenants:  make(map[string]*tenantCounters),
-		arrays:   make(map[string]int64),
 	}, nil
 }
 
@@ -193,7 +175,6 @@ func (p *Pool) tenantLocked(name string) *tenantCounters {
 // installLocked accounts a newly resident frame's bytes.
 func (p *Pool) installLocked(f *frame) {
 	p.bytes += f.bytes
-	p.arrays[f.array] += f.bytes
 	p.tenantLocked(f.tenant).bytes += f.bytes
 }
 
@@ -201,11 +182,6 @@ func (p *Pool) installLocked(f *frame) {
 // before its bytes change).
 func (p *Pool) forgetLocked(f *frame) {
 	p.bytes -= f.bytes
-	if b := p.arrays[f.array] - f.bytes; b > 0 {
-		p.arrays[f.array] = b
-	} else {
-		delete(p.arrays, f.array)
-	}
 	p.tenantLocked(f.tenant).bytes -= f.bytes
 }
 
@@ -447,12 +423,10 @@ func (p *Pool) evictFrameLocked(f *frame) error {
 }
 
 // evictToCapLocked evicts unpinned frames in policy order until cached
-// bytes fit the capacity and every tenant with a quota fits it, writing
-// dirty victims back first. Per-tenant quotas reclaim the over-quota
-// tenant's own frames, so one tenant running hot cannot displace another
-// tenant's residency. Dirty write-back happens under the pool lock — a
-// known serialization point when the pool runs over capacity on slow
-// storage; size the pool to keep hot working sets resident.
+// bytes fit the capacity, writing dirty victims back first. Dirty
+// write-back happens under the pool lock — a known serialization point
+// when the pool runs over capacity on slow storage; size the pool to keep
+// hot working sets resident.
 func (p *Pool) evictToCapLocked() error {
 	for p.capBytes > 0 && p.bytes > p.capBytes {
 		f := p.policy.victim()
@@ -461,22 +435,6 @@ func (p *Pool) evictToCapLocked() error {
 		}
 		if err := p.evictFrameLocked(f); err != nil {
 			return err
-		}
-	}
-	// victimWhere walks the eviction order per victim — O(resident
-	// frames) under the pool lock. Fine at current pool scales; if quota
-	// churn ever shows up in profiles, a per-tenant evictable index makes
-	// this O(1) like the capacity path above.
-	for tenant, quota := range p.quotas {
-		tc := p.tenants[tenant]
-		for tc != nil && tc.bytes > quota {
-			f := p.policy.victimWhere(func(f *frame) bool { return f.tenant == tenant })
-			if f == nil {
-				break // the tenant's overage is all pinned: soft bound
-			}
-			if err := p.evictFrameLocked(f); err != nil {
-				return err
-			}
 		}
 	}
 	return nil
@@ -556,29 +514,13 @@ func (p *Pool) DiscardArray(array string) {
 	}
 }
 
-// ResidentArrays snapshots the cached bytes per array. The admission
-// governor scores waiting queries' input arrays against one snapshot per
-// dispatch round (shared-input affinity batching) — a single pool-lock
-// acquisition no matter how many queries are queued.
-func (p *Pool) ResidentArrays() map[string]int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	snap := make(map[string]int64, len(p.arrays))
-	for a, b := range p.arrays {
-		snap[a] = b
-	}
-	return snap
-}
-
 // TenantStats is one tenant's slice of the pool counters.
 type TenantStats struct {
 	// Hits and Misses count the tenant's acquisitions; BytesCached the
-	// bytes of frames it installed that are still resident; QuotaBytes its
-	// configured quota (0 = unbounded).
+	// bytes of frames it installed that are still resident.
 	Hits        int64 `json:"hits"`
 	Misses      int64 `json:"misses"`
 	BytesCached int64 `json:"bytesCached"`
-	QuotaBytes  int64 `json:"quotaBytes,omitempty"`
 }
 
 // HitRate returns the tenant's hits / (hits + misses), 0 when idle.
@@ -651,7 +593,6 @@ func (p *Pool) Stats() Stats {
 			st.Tenants[name] = TenantStats{
 				Hits: tc.hits, Misses: tc.misses,
 				BytesCached: tc.bytes,
-				QuotaBytes:  p.quotas[name],
 			}
 		}
 	}
@@ -661,7 +602,7 @@ func (p *Pool) Stats() Stats {
 // Session is an array-aliasing, tenant-labeled view of the pool: block
 // acquisitions rename arrays through the alias map before touching the
 // shared pool, and hits, misses, and installed frames are attributed to
-// the session's tenant (quota accounting). The multi-query server gives
+// the session's tenant. The multi-query server gives
 // each query a session mapping its written arrays to private namespaced
 // names while inputs keep their shared names — that is what makes one
 // query's input read a hit for the next, without letting two queries

@@ -104,74 +104,6 @@ func TestScanResistance(t *testing.T) {
 	}
 }
 
-// A tenant over its byte quota evicts its own frames — other tenants'
-// residency is untouched, and the quota is soft while the overage is
-// pinned.
-func TestTenantQuotaEvictsOwnFrames(t *testing.T) {
-	m, err := storage.NewManager(t.TempDir(), storage.FormatDAF)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { m.Close() })
-	arr := &prog.Array{Name: "A", BlockRows: 8, BlockCols: 8, GridRows: 4, GridCols: 4}
-	if err := m.Create(arr); err != nil {
-		t.Fatal(err)
-	}
-	blk := blas.NewMatrix(8, 8)
-	for r := int64(0); r < 4; r++ {
-		for c := int64(0); c < 4; c++ {
-			if err := m.WriteBlock("A", r, c, blk); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	p, err := NewPoolOptions(m, Options{
-		TenantQuotaBytes: map[string]int64{"a": 2 * testBlockBytes},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := p.TenantSession("b", nil)
-	for c := int64(0); c < 2; c++ {
-		if _, err := b.Acquire("A", 3, c); err != nil {
-			t.Fatal(err)
-		}
-		b.Unpin("A", 3, c, 1)
-	}
-
-	// Tenant a holds 3 blocks pinned: quota is soft while pinned.
-	a := p.TenantSession("a", nil)
-	for c := int64(0); c < 3; c++ {
-		if _, err := a.Acquire("A", 0, c); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := p.Stats().Tenants["a"].BytesCached; got != 3*testBlockBytes {
-		t.Fatalf("pinned overage evicted: tenant a caches %d bytes, want %d", got, 3*testBlockBytes)
-	}
-	// Unpinning lets the quota reclaim a's own LRU frame — and only a's.
-	for c := int64(0); c < 3; c++ {
-		a.Unpin("A", 0, c, 1)
-	}
-	st := p.Stats()
-	if got := st.Tenants["a"].BytesCached; got != 2*testBlockBytes {
-		t.Fatalf("tenant a caches %d bytes, want quota %d", got, 2*testBlockBytes)
-	}
-	if got := st.Tenants["b"].BytesCached; got != 2*testBlockBytes {
-		t.Fatalf("tenant b's residency shrank to %d bytes under a's quota pressure", got)
-	}
-	if st.Tenants["a"].QuotaBytes != 2*testBlockBytes {
-		t.Fatalf("tenant a quota = %d, want %d", st.Tenants["a"].QuotaBytes, 2*testBlockBytes)
-	}
-	// a's victim was its least-recent block 0; blocks 1 and 2 remain.
-	if _, err := a.Acquire("A", 0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if hits := p.Stats().Tenants["a"].Hits; hits != 1 {
-		t.Fatalf("A[0,1] should still be resident for tenant a (hits=%d)", hits)
-	}
-}
-
 // The sticky eviction write-back error must surface through Stats.EvictErr
 // as soon as an eviction fails — long before a Flush trips over it — and
 // the next Flush returns and clears it.

@@ -1,44 +1,23 @@
-// Package govern is the multi-tenant admission governor of the multi-query
-// service: it decides which waiting query runs next on the K execution
-// slots under a global memory cap. Where the original admission controller
-// was one FIFO queue (a flooding tenant starves everyone behind it), the
-// governor keeps one FIFO queue per tenant and serves the queues by
-// weighted deficit round-robin — every tenant with waiting queries earns
-// admission credits proportional to its weight on each rotation, so a
-// tenant submitting thousands of queries gets its fair share of slots and
-// no more, while per-tenant concurrency and memory quotas bound what a
-// single tenant may hold at once.
+// Package govern is the admission governor of the multi-query service: it
+// decides which waiting query runs next on the K execution slots under a
+// global memory cap. Where the original admission controller was one FIFO
+// queue (a flooding tenant starves everyone behind it), the governor keeps
+// one FIFO queue per tenant and serves the queues round-robin, one
+// admission per turn — so a tenant submitting thousands of queries cannot
+// push another tenant's handful behind its whole backlog.
 //
-// Within one tenant's queue the governor optionally applies shared-input
-// affinity batching: among the tenant's admissible queries it prefers the
-// one whose input arrays overlap most with blocks currently resident in
-// the shared buffer pool, so pool hits compound (queries over the same
-// inputs run back-to-back instead of interleaving with pool-cold work). An
-// aging guard bounds how often the queue head may be bypassed, so affinity
-// cannot starve within a tenant either.
+// The memory rule is the original FIFO one, applied to the rotation: a
+// queue head that does not fit the memory cap holds the rotation on its
+// turn — nothing else is admitted — until releases drain memory down to
+// it. Later small plans therefore never starve a waiting big one. A plan
+// larger than the cap can never fit and fails at Admit instead.
 package govern
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
-	"time"
 )
-
-// TenantConfig bounds and weights one tenant.
-type TenantConfig struct {
-	// Weight is the tenant's deficit-round-robin weight (admissions earned
-	// per rotation; <= 0 = 1).
-	Weight int `json:"weight,omitempty"`
-	// MaxConcurrent caps the tenant's concurrently running queries
-	// (0 = only the global K applies).
-	MaxConcurrent int `json:"maxConcurrent,omitempty"`
-	// MemBytes caps the combined plan peak memory of the tenant's running
-	// queries (0 = only the global cap applies). A single plan exceeding
-	// it fails at admission rather than waiting forever.
-	MemBytes int64 `json:"memBytes,omitempty"`
-}
 
 // Config sizes the governor.
 type Config struct {
@@ -48,74 +27,27 @@ type Config struct {
 	// GlobalMemBytes caps the combined peak (logical) memory of admitted
 	// plans (0 = unlimited). A plan alone exceeding it fails at admission.
 	GlobalMemBytes int64
-	// Tenants configures weights and quotas per tenant label; absent
-	// tenants (including the anonymous tenant "") get weight 1 and no
-	// per-tenant bounds.
-	Tenants map[string]TenantConfig
-	// Affinity, when set, is called once per dispatch round and returns a
-	// scorer of a waiting query's input arrays against the shared pool
-	// (bytes already resident) — so the pool is snapshotted once however
-	// many queries are queued. Among one tenant's admissible queries the
-	// highest score is admitted first; nil keeps strict FIFO within each
-	// tenant.
-	Affinity func() func(inputs []string) int64
-	// MaxAffinitySkips bounds how many times affinity may bypass a
-	// tenant's queue head before the head is forced (<= 0 = 8).
-	MaxAffinitySkips int
-	// OnGrant, when set, is called once per granted admission with the
-	// tenant label and the queue wait (Admit call to grant), outside
-	// the governor's locks. The server uses it to feed admission-wait
-	// telemetry histograms.
-	OnGrant func(tenant string, wait time.Duration)
 }
-
-// deficitCap bounds accumulated round-robin credit (in units of the
-// tenant's weight): a tenant briefly unable to use its turns may burst a
-// little when unblocked, but not monopolize the slots.
-const deficitCap = 4
 
 // waiter is one query waiting for admission.
 type waiter struct {
-	peak   int64
-	inputs []string
-	skips  int
-	ready  chan struct{}
+	peak  int64
+	ready chan struct{}
 }
 
-// tenantQueue is one tenant's FIFO of waiters plus its running footprint
-// and round-robin deficit.
+// tenantQueue is one tenant's FIFO of waiters plus its running footprint.
 type tenantQueue struct {
 	name    string
-	cfg     TenantConfig
-	deficit int
-	// inTurn marks a round-robin turn interrupted by full slots: the
-	// dispatcher resumes it without crediting a fresh quantum.
-	inTurn bool
-	// memSkips counts dispatch rounds that admitted other tenants' work
-	// while this tenant's head was blocked solely by the global memory
-	// cap; past the starvation guard the head gets the next admission.
-	memSkips int
-	running  int
-	memUse   int64
-	waiters  []*waiter
-}
-
-func (tq *tenantQueue) weight() int {
-	if tq.cfg.Weight > 0 {
-		return tq.cfg.Weight
-	}
-	return 1
+	running int
+	memUse  int64
+	waiters []*waiter
 }
 
 // Governor is the tenant-aware admission controller. The zero value is not
 // usable; create one with New.
 type Governor struct {
-	k        int
-	memCap   int64
-	cfg      map[string]TenantConfig
-	affinity func() func(inputs []string) int64
-	maxSkips int
-	onGrant  func(tenant string, wait time.Duration)
+	k      int
+	memCap int64
 
 	mu      sync.Mutex
 	running int
@@ -124,56 +56,6 @@ type Governor struct {
 	ring    []*tenantQueue // tenants with waiters, in rotation order
 	next    int            // persistent round-robin pointer into ring
 	closed  chan struct{}
-
-	// waits holds per-tenant admission-wait samples (Admit call → grant).
-	// Kept outside the tenant queues, which are reclaimed when drained:
-	// wait quantiles describe the governor's whole history. Bounded at
-	// maxWaitTenants windows (tenant labels are client-supplied strings);
-	// past the cap the longest-idle window is evicted.
-	waits    map[string]*waitWindow
-	grantSeq int64
-}
-
-// waitSamples bounds the per-tenant admission-wait window: a ring of the
-// most recent grants, enough for stable p99 estimates without unbounded
-// growth in a long-running daemon.
-const waitSamples = 4096
-
-// maxWaitTenants bounds how many tenants' wait windows the governor keeps
-// (a window is up to 32KB, and clients choose the tenant strings).
-const maxWaitTenants = 512
-
-// waitWindow is one tenant's sliding window of admission waits.
-type waitWindow struct {
-	count   int64 // grants ever recorded
-	lastSeq int64 // grant sequence of the latest record, for idle eviction
-	samples []time.Duration
-	next    int // ring position once len(samples) == waitSamples
-}
-
-func (w *waitWindow) record(d time.Duration) {
-	w.count++
-	if len(w.samples) < waitSamples {
-		w.samples = append(w.samples, d)
-		return
-	}
-	w.samples[w.next] = d
-	w.next = (w.next + 1) % waitSamples
-}
-
-// waitQuantile returns the q-th (0..1] quantile of a sorted sample set.
-func waitQuantile(sorted []time.Duration, q float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(float64(len(sorted))*q+0.999999) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
 }
 
 // New creates a governor.
@@ -182,38 +64,28 @@ func New(cfg Config) *Governor {
 	if k <= 0 {
 		k = 2
 	}
-	skips := cfg.MaxAffinitySkips
-	if skips <= 0 {
-		skips = 8
-	}
 	return &Governor{
-		k:        k,
-		memCap:   cfg.GlobalMemBytes,
-		cfg:      cfg.Tenants,
-		affinity: cfg.Affinity,
-		maxSkips: skips,
-		onGrant:  cfg.OnGrant,
-		queues:   make(map[string]*tenantQueue),
-		waits:    make(map[string]*waitWindow),
-		closed:   make(chan struct{}),
+		k:      k,
+		memCap: cfg.GlobalMemBytes,
+		queues: make(map[string]*tenantQueue),
+		closed: make(chan struct{}),
 	}
 }
 
 func (g *Governor) queueLocked(tenant string) *tenantQueue {
 	tq := g.queues[tenant]
 	if tq == nil {
-		tq = &tenantQueue{name: tenant, cfg: g.cfg[tenant]}
+		tq = &tenantQueue{name: tenant}
 		g.queues[tenant] = tq
 	}
 	return tq
 }
 
-// Admit blocks until the query may run: the global K and memory cap fit,
-// the tenant's own quotas fit, and the tenant's round-robin turn comes up.
-// Oversized requests — a plan that can never fit the global or tenant
-// memory cap — fail immediately instead of starving the queue. Pair every
-// successful Admit with a Release.
-func (g *Governor) Admit(tenant string, peak int64, inputs []string) error {
+// Admit blocks until the query may run: a slot is free, its tenant's
+// round-robin turn comes up, and its peak fits the global memory cap. A
+// plan that can never fit the cap fails immediately instead of holding the
+// rotation forever. Pair every successful Admit with a Release.
+func (g *Governor) Admit(tenant string, peak int64) error {
 	select {
 	case <-g.closed:
 		return errors.New("govern: closed")
@@ -222,11 +94,7 @@ func (g *Governor) Admit(tenant string, peak int64, inputs []string) error {
 	if g.memCap > 0 && peak > g.memCap {
 		return fmt.Errorf("govern: plan peak memory %d bytes exceeds the global cap %d", peak, g.memCap)
 	}
-	if tc, ok := g.cfg[tenant]; ok && tc.MemBytes > 0 && peak > tc.MemBytes {
-		return fmt.Errorf("govern: plan peak memory %d bytes exceeds tenant %q's quota %d", peak, tenant, tc.MemBytes)
-	}
-	w := &waiter{peak: peak, inputs: inputs, ready: make(chan struct{})}
-	enqueued := time.Now()
+	w := &waiter{peak: peak, ready: make(chan struct{})}
 	g.mu.Lock()
 	tq := g.queueLocked(tenant)
 	tq.waiters = append(tq.waiters, w)
@@ -237,10 +105,15 @@ func (g *Governor) Admit(tenant string, peak int64, inputs []string) error {
 	g.mu.Unlock()
 	select {
 	case <-w.ready:
-		g.recordWait(tenant, time.Since(enqueued))
 		return nil
 	case <-g.closed:
 		g.mu.Lock()
+		defer g.mu.Unlock()
+		select {
+		case <-w.ready:
+			return nil // the close raced an admission grant
+		default:
+		}
 		for i, qw := range tq.waiters {
 			if qw == w {
 				tq.waiters = append(tq.waiters[:i], tq.waiters[i+1:]...)
@@ -250,22 +123,13 @@ func (g *Governor) Admit(tenant string, peak int64, inputs []string) error {
 				break
 			}
 		}
-		// The close may have raced an admission grant.
-		select {
-		case <-w.ready:
-			g.mu.Unlock()
-			g.recordWait(tenant, time.Since(enqueued))
-			return nil
-		default:
-		}
 		g.cleanupLocked(tq)
-		g.mu.Unlock()
 		return errors.New("govern: closed")
 	}
 }
 
-// Release returns an admitted query's slot and memory and wakes whatever
-// the round-robin now owes a turn.
+// Release returns an admitted query's slot and memory and admits whatever
+// the rotation now allows.
 func (g *Governor) Release(tenant string, peak int64) {
 	g.mu.Lock()
 	g.running--
@@ -293,12 +157,9 @@ func (g *Governor) unringLocked(tq *tenantQueue) {
 			} else {
 				g.next = 0
 			}
-			break
+			return
 		}
 	}
-	tq.deficit = 0 // DRR: an emptied queue forfeits saved credit
-	tq.inTurn = false
-	tq.memSkips = 0
 }
 
 // cleanupLocked drops a tenant queue that holds no state worth keeping.
@@ -308,278 +169,40 @@ func (g *Governor) cleanupLocked(tq *tenantQueue) {
 	}
 }
 
-// fitsLocked reports whether one waiter fits the global and tenant memory
-// footprints (the K slots and tenant concurrency are checked separately).
-func (g *Governor) fitsLocked(tq *tenantQueue, w *waiter) bool {
-	if g.memCap > 0 && g.memUse+w.peak > g.memCap {
-		return false
-	}
-	if tq.cfg.MemBytes > 0 && tq.memUse+w.peak > tq.cfg.MemBytes {
-		return false
-	}
-	return true
-}
-
-// admissibleLocked reports whether the tenant could admit right now if a
-// slot were free: its concurrency quota has room and its queue head fits
-// the memory caps (the head blocks its queue, see pickLocked). Unlike
-// pickLocked it has no side effects, so the dispatcher may probe freely.
-func (g *Governor) admissibleLocked(tq *tenantQueue) bool {
-	if tq.cfg.MaxConcurrent > 0 && tq.running >= tq.cfg.MaxConcurrent {
-		return false
-	}
-	if len(tq.waiters) == 0 {
-		return false
-	}
-	return g.fitsLocked(tq, tq.waiters[0])
-}
-
-// pickLocked chooses the tenant's next admissible waiter: the FIFO head
-// unless affinity batching (score, nil when disabled) finds a waiter whose
-// inputs overlap more with the pooled blocks (bounded by the aging guard),
-// -1 when nothing may run. The head blocks its queue while it does not fit
-// the memory caps — as in the original FIFO, later small plans never
-// starve a waiting big one within a tenant.
-func (g *Governor) pickLocked(tq *tenantQueue, score func([]string) int64) int {
-	if !g.admissibleLocked(tq) {
-		return -1
-	}
-	head := tq.waiters[0]
-	if score == nil || len(tq.waiters) == 1 {
-		return 0
-	}
-	if head.skips >= g.maxSkips {
-		return 0 // aging guard: the head has been bypassed enough
-	}
-	best, bestScore := 0, score(head.inputs)
-	for i := 1; i < len(tq.waiters); i++ {
-		w := tq.waiters[i]
-		if !g.fitsLocked(tq, w) {
-			continue
-		}
-		if s := score(w.inputs); s > bestScore {
-			best, bestScore = i, s
-		}
-	}
-	if best != 0 {
-		head.skips++
-	}
-	return best
-}
-
-// globallyMemBlockedLocked reports that the tenant's head would run right
-// now if only the global memory cap had room: its own quotas fit, the
-// global cap alone holds it back.
-func (g *Governor) globallyMemBlockedLocked(tq *tenantQueue) bool {
-	if len(tq.waiters) == 0 {
-		return false
-	}
-	if tq.cfg.MaxConcurrent > 0 && tq.running >= tq.cfg.MaxConcurrent {
-		return false
-	}
-	head := tq.waiters[0]
-	if tq.cfg.MemBytes > 0 && tq.memUse+head.peak > tq.cfg.MemBytes {
-		return false
-	}
-	return g.memCap > 0 && g.memUse+head.peak > g.memCap
-}
-
-// memStarvedLocked returns the tenant most overdue under the starvation
-// guard: its head has been passed over solely for global memory at least
-// maxSkips dispatch rounds in a row. Nil when no tenant is starved.
-func (g *Governor) memStarvedLocked() *tenantQueue {
-	var starved *tenantQueue
-	for _, tq := range g.ring {
-		if tq.memSkips >= g.maxSkips && (g.admissibleLocked(tq) || g.globallyMemBlockedLocked(tq)) {
-			if starved == nil || tq.memSkips > starved.memSkips {
-				starved = tq
-			}
-		}
-	}
-	return starved
-}
-
-// dispatchLocked runs the weighted deficit round-robin: the persistent
-// pointer visits tenants with waiters in rotation order; a tenant with an
-// admissible query earns its weight in credits per visit (capped, so
-// blocked turns cannot bank unbounded bursts) and admits while credit,
-// slots, and quotas last.
-//
-// Starvation guard: one tenant's big-memory plan must not wait forever
-// while other tenants' small plans keep the global cap saturated (the old
-// single-FIFO admission blocked everyone behind such a head; round-robin
-// would otherwise happily route around it). A head passed over solely for
-// global memory on maxSkips admitting rounds gets the next admission —
-// until it fits, nothing else is admitted, so running queries drain the
-// cap down to it.
+// dispatchLocked runs the rotation: while a slot is free, the tenant under
+// the pointer admits its queue head and the pointer moves on. A head that
+// does not fit the memory cap ends the round with the pointer still on it.
 func (g *Governor) dispatchLocked() {
 	select {
 	case <-g.closed:
 		return
 	default:
 	}
-	if starved := g.memStarvedLocked(); starved != nil {
-		if !g.admissibleLocked(starved) {
-			return // hold admissions; releases drain memory toward it
-		}
-		for i, tq := range g.ring {
-			if tq == starved {
-				g.next = i // the starved tenant gets the next turn
-				break
-			}
-		}
-	}
-	// Affinity snapshots the pool at most once per dispatch round, lazily.
-	var scorer func([]string) int64
-	score := func(inputs []string) int64 {
-		if scorer == nil {
-			scorer = g.affinity()
-		}
-		return scorer(inputs)
-	}
-	if g.affinity == nil {
-		score = nil
-	}
-	admittedTo := map[*tenantQueue]bool{}
-	idle := 0 // consecutive visits without an admission
-	for g.running < g.k && len(g.ring) > 0 && idle < len(g.ring) {
+	for g.running < g.k && len(g.ring) > 0 {
 		g.next %= len(g.ring)
 		tq := g.ring[g.next]
-		if !g.admissibleLocked(tq) {
-			// Nothing admissible here (quota or memory blocked): no
-			// credit for turns a tenant cannot use.
-			tq.inTurn = false
-			idle++
-			g.next = (g.next + 1) % len(g.ring)
-			continue
+		w := tq.waiters[0]
+		if g.memCap > 0 && g.memUse+w.peak > g.memCap {
+			return // the head holds its turn; releases drain memory toward it
 		}
-		if !tq.inTurn {
-			tq.deficit += tq.weight()
-			if max := tq.weight() * deficitCap; tq.deficit > max {
-				tq.deficit = max
-			}
-			tq.inTurn = true
-		}
-		admitted := false
-		for tq.deficit >= 1 && g.running < g.k {
-			i := g.pickLocked(tq, score)
-			if i < 0 {
-				break
-			}
-			w := tq.waiters[i]
-			tq.waiters = append(tq.waiters[:i], tq.waiters[i+1:]...)
-			g.running++
-			g.memUse += w.peak
-			tq.running++
-			tq.memUse += w.peak
-			tq.deficit--
-			close(w.ready)
-			admitted = true
-			admittedTo[tq] = true
-		}
-		if admitted {
-			idle = 0
-		} else {
-			idle++
-		}
+		tq.waiters = tq.waiters[1:]
+		g.running++
+		g.memUse += w.peak
+		tq.running++
+		tq.memUse += w.peak
+		close(w.ready)
 		if len(tq.waiters) == 0 {
 			g.unringLocked(tq) // pointer stays on the successor
-		} else if g.running >= g.k && tq.deficit >= 1 && g.admissibleLocked(tq) {
-			// Slots ran out mid-turn with credit left: the next release
-			// resumes this tenant's turn instead of rotating past it.
-			break
 		} else {
-			tq.inTurn = false
-			g.next = (g.next + 1) % len(g.ring)
+			g.next++
 		}
 	}
-	if len(admittedTo) > 0 {
-		for _, tq := range g.ring {
-			if admittedTo[tq] {
-				tq.memSkips = 0
-			} else if g.globallyMemBlockedLocked(tq) {
-				tq.memSkips++
-			}
-		}
-	}
-}
-
-// recordWait files one granted admission's queue wait under the tenant.
-func (g *Governor) recordWait(tenant string, d time.Duration) {
-	g.mu.Lock()
-	ww := g.waits[tenant]
-	if ww == nil {
-		if len(g.waits) >= maxWaitTenants {
-			// Evict the longest-idle tenant's window: labels are
-			// client-supplied, so the map must not grow unboundedly.
-			var coldest string
-			var coldestSeq int64
-			for name, w := range g.waits {
-				if coldest == "" || w.lastSeq < coldestSeq {
-					coldest, coldestSeq = name, w.lastSeq
-				}
-			}
-			delete(g.waits, coldest)
-		}
-		ww = &waitWindow{}
-		g.waits[tenant] = ww
-	}
-	g.grantSeq++
-	ww.lastSeq = g.grantSeq
-	ww.record(d)
-	g.mu.Unlock()
-	if g.onGrant != nil {
-		g.onGrant(tenant, d)
-	}
-}
-
-// WaitQuantiles summarizes one tenant's admission-wait distribution over
-// the most recent waitSamples grants.
-type WaitQuantiles struct {
-	// Count is the number of grants ever recorded for the tenant.
-	Count int64 `json:"count"`
-	// P50/P95/P99 are queue-wait percentiles (Admit call to grant).
-	P50 time.Duration `json:"p50"`
-	P95 time.Duration `json:"p95"`
-	P99 time.Duration `json:"p99"`
-}
-
-// TenantWaits snapshots per-tenant admission-wait quantiles for every
-// tenant that has ever been granted admission. The histogram lives in the
-// governor — the component that creates the wait — so the service can
-// report p95/p99 per tenant without clients computing them.
-func (g *Governor) TenantWaits() map[string]WaitQuantiles {
-	// Copy the sample windows under the lock, but sort them outside it:
-	// g.mu also serializes admission, and sorting thousands of samples per
-	// tenant under it would stall Admit/Release on every stats poll.
-	type snap struct {
-		count   int64
-		samples []time.Duration
-	}
-	g.mu.Lock()
-	snaps := make(map[string]snap, len(g.waits))
-	for name, ww := range g.waits {
-		snaps[name] = snap{count: ww.count, samples: append([]time.Duration(nil), ww.samples...)}
-	}
-	g.mu.Unlock()
-	out := make(map[string]WaitQuantiles, len(snaps))
-	for name, s := range snaps {
-		sort.Slice(s.samples, func(i, j int) bool { return s.samples[i] < s.samples[j] })
-		out[name] = WaitQuantiles{
-			Count: s.count,
-			P50:   waitQuantile(s.samples, 0.50),
-			P95:   waitQuantile(s.samples, 0.95),
-			P99:   waitQuantile(s.samples, 0.99),
-		}
-	}
-	return out
 }
 
 // Load reports global occupancy: running queries and total queued waiters.
 func (g *Governor) Load() (running, queued int) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	queued = 0
 	for _, tq := range g.queues {
 		queued += len(tq.waiters)
 	}

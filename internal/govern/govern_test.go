@@ -32,7 +32,7 @@ func newRig(t *testing.T, cfg Config) *rig {
 // enqueue submits one query and blocks until the governor has registered
 // it (granted or queued), so successive enqueues have a deterministic
 // order.
-func (r *rig) enqueue(label, tenant string, peak int64, inputs []string) {
+func (r *rig) enqueue(label, tenant string, peak int64) {
 	r.t.Helper()
 	rel := make(chan struct{})
 	done := make(chan struct{})
@@ -41,7 +41,7 @@ func (r *rig) enqueue(label, tenant string, peak int64, inputs []string) {
 	r.inflight++
 	go func() {
 		defer close(done)
-		if err := r.g.Admit(tenant, peak, inputs); err != nil {
+		if err := r.g.Admit(tenant, peak); err != nil {
 			return
 		}
 		r.mu.Lock()
@@ -115,10 +115,10 @@ func assertOrder(t *testing.T, got []string, want ...string) {
 func TestSingleTenantFIFO(t *testing.T) {
 	r := newRig(t, Config{MaxConcurrent: 1})
 	defer r.finish()
-	r.enqueue("q1", "", 10, nil)
+	r.enqueue("q1", "", 10)
 	r.waitGrants(1)
-	r.enqueue("q2", "", 10, nil)
-	r.enqueue("q3", "", 10, nil)
+	r.enqueue("q2", "", 10)
+	r.enqueue("q3", "", 10)
 	r.release("q1")
 	r.waitGrants(2)
 	r.release("q2")
@@ -130,13 +130,13 @@ func TestSingleTenantFIFO(t *testing.T) {
 func TestRoundRobinInterleavesTenants(t *testing.T) {
 	r := newRig(t, Config{MaxConcurrent: 1})
 	defer r.finish()
-	r.enqueue("f1", "flood", 10, nil)
+	r.enqueue("f1", "flood", 10)
 	r.waitGrants(1)
 	for _, q := range []string{"f2", "f3", "f4", "f5"} {
-		r.enqueue(q, "flood", 10, nil)
+		r.enqueue(q, "flood", 10)
 	}
-	r.enqueue("s1", "small", 10, nil)
-	r.enqueue("s2", "small", 10, nil)
+	r.enqueue("s1", "small", 10)
+	r.enqueue("s2", "small", 10)
 	for i, q := range []string{"f1", "f2", "s1", "f3", "s2", "f4"} {
 		r.release(q)
 		r.waitGrants(i + 2)
@@ -144,82 +144,17 @@ func TestRoundRobinInterleavesTenants(t *testing.T) {
 	assertOrder(t, r.waitGrants(7), "f1", "f2", "s1", "f3", "s2", "f4", "f5")
 }
 
-// A weight-2 tenant earns two admissions per rotation against a weight-1
-// tenant, with the deficit carrying across slot releases at K=1.
-func TestWeightedShares(t *testing.T) {
-	r := newRig(t, Config{
-		MaxConcurrent: 1,
-		Tenants:       map[string]TenantConfig{"a": {Weight: 2}, "b": {Weight: 1}},
-	})
-	defer r.finish()
-	r.enqueue("init", "warm", 10, nil)
-	r.waitGrants(1)
-	for _, q := range []string{"a1", "a2", "a3", "a4"} {
-		r.enqueue(q, "a", 10, nil)
-	}
-	r.enqueue("b1", "b", 10, nil)
-	r.enqueue("b2", "b", 10, nil)
-	for i, q := range []string{"init", "a1", "a2", "b1", "a3", "a4"} {
-		r.release(q)
-		r.waitGrants(i + 2)
-	}
-	assertOrder(t, r.waitGrants(7), "init", "a1", "a2", "b1", "a3", "a4", "b2")
-}
-
-// A per-tenant concurrency quota blocks the tenant's second query while
-// other tenants keep using the free global slots.
-func TestTenantConcurrencyQuota(t *testing.T) {
-	r := newRig(t, Config{
-		MaxConcurrent: 4,
-		Tenants:       map[string]TenantConfig{"a": {MaxConcurrent: 1}},
-	})
-	defer r.finish()
-	r.enqueue("a1", "a", 10, nil)
-	r.waitGrants(1)
-	r.enqueue("a2", "a", 10, nil)
-	// b1's grant proves the dispatcher ran after a2 queued — so a2 really
-	// is held by the tenant quota, not by scheduling lag.
-	r.enqueue("b1", "b", 10, nil)
-	assertOrder(t, r.waitGrants(2), "a1", "b1")
-	if _, queued := r.g.Load(); queued != 1 {
-		t.Fatalf("queued = %d, want a2 held by the tenant quota", queued)
-	}
-	r.release("a1")
-	assertOrder(t, r.waitGrants(3), "a1", "b1", "a2")
-}
-
-// A per-tenant memory quota holds the tenant's next plan while it does not
-// fit, without blocking other tenants, and an oversized plan fails
-// immediately.
-func TestTenantMemoryQuota(t *testing.T) {
-	r := newRig(t, Config{
-		MaxConcurrent: 4,
-		Tenants:       map[string]TenantConfig{"a": {MemBytes: 100}},
-	})
-	defer r.finish()
-	if err := r.g.Admit("a", 200, nil); err == nil {
-		t.Fatal("plan above the tenant quota must fail at admission")
-	}
-	r.enqueue("a1", "a", 80, nil)
-	r.waitGrants(1)
-	r.enqueue("a2", "a", 30, nil) // 80+30 > 100: waits
-	r.enqueue("b1", "b", 30, nil)
-	assertOrder(t, r.waitGrants(2), "a1", "b1")
-	r.release("a1")
-	assertOrder(t, r.waitGrants(3), "a1", "b1", "a2")
-}
-
 // The global memory cap still rejects plans that can never fit and holds
 // plans until footprint frees (the original admission semantics).
 func TestGlobalMemoryCap(t *testing.T) {
 	r := newRig(t, Config{MaxConcurrent: 4, GlobalMemBytes: 100})
 	defer r.finish()
-	if err := r.g.Admit("", 200, nil); err == nil {
+	if err := r.g.Admit("", 200); err == nil {
 		t.Fatal("plan above the global cap must fail at admission")
 	}
-	r.enqueue("q1", "", 80, nil)
+	r.enqueue("q1", "", 80)
 	r.waitGrants(1)
-	r.enqueue("q2", "", 40, nil)
+	r.enqueue("q2", "", 40)
 	if running, queued := r.g.Load(); running != 1 || queued != 1 {
 		t.Fatalf("load = %d running %d queued, want q2 held by the cap", running, queued)
 	}
@@ -227,90 +162,50 @@ func TestGlobalMemoryCap(t *testing.T) {
 	assertOrder(t, r.waitGrants(2), "q1", "q2")
 }
 
-// The starvation guard: one tenant's big-memory plan, blocked solely by
-// the global cap, must not be routed around forever while another tenant's
-// small plans keep the cap saturated. After MaxAffinitySkips admitting
-// rounds pass it over, admissions hold until memory drains down to it.
-func TestGlobalMemStarvationGuard(t *testing.T) {
-	r := newRig(t, Config{
-		MaxConcurrent:    4,
-		GlobalMemBytes:   100,
-		MaxAffinitySkips: 2,
+// waitLoad blocks until the governor reports exactly this occupancy.
+func (r *rig) waitLoad(running, queued int) {
+	r.t.Helper()
+	r.waitFor(func() bool {
+		rn, qd := r.g.Load()
+		return rn == running && qd == queued
 	})
-	defer r.finish()
-	// Three small-tenant queries saturate the cap (3 x 30 of 100)...
-	for _, q := range []string{"b1", "b2", "b3"} {
-		r.enqueue(q, "b", 30, nil)
-	}
-	r.waitGrants(3)
-	// ...then the big tenant's 90-byte plan queues (30+90 > 100), followed
-	// by more small plans that would fit whenever a small one releases.
-	r.enqueue("a1", "a", 90, nil)
-	for _, q := range []string{"b4", "b5", "b6", "b7", "b8"} {
-		r.enqueue(q, "b", 30, nil)
-	}
-	// Two releases each admit the next small plan over a1's head
-	// (memSkips 1, 2)...
-	r.release("b1")
-	r.waitGrants(4)
-	r.release("b2")
-	r.waitGrants(5)
-	// ...then the guard engages: these releases admit nothing, draining
-	// the cap until a1 fits.
-	r.release("b3")
-	r.release("b4")
-	r.release("b5")
-	assertOrder(t, r.waitGrants(6), "b1", "b2", "b3", "b4", "b5", "a1")
-	// With a1 running (90 of 100), the remaining small plans wait; its
-	// release lets them all in at once (3 x 30 fits cap and slots), so
-	// their recording order is unordered.
-	r.release("a1")
-	tail := r.waitGrants(9)[6:]
-	sort.Strings(tail)
-	assertOrder(t, tail, "b6", "b7", "b8")
 }
 
-// Affinity batching reorders within a tenant toward pool-resident inputs,
-// and the aging guard forces the bypassed head after MaxAffinitySkips.
-func TestAffinityBatchingWithAgingGuard(t *testing.T) {
-	scores := map[string]int64{"hot": 100, "cold": 0}
-	r := newRig(t, Config{
-		MaxConcurrent:    1,
-		MaxAffinitySkips: 1,
-		Affinity: func() func(inputs []string) int64 {
-			return func(inputs []string) int64 {
-				var s int64
-				for _, in := range inputs {
-					s += scores[in]
-				}
-				return s
-			}
-		},
-	})
+// A queue head that does not fit the memory cap holds the rotation on its
+// turn: another tenant's smaller plan that would fit is not admitted around
+// it, so releases drain memory down to the big plan, which runs next.
+func TestMemoryBlockedHeadHolds(t *testing.T) {
+	r := newRig(t, Config{MaxConcurrent: 4, GlobalMemBytes: 100})
 	defer r.finish()
-	r.enqueue("q0", "", 10, nil)
-	r.waitGrants(1)
-	r.enqueue("c", "", 10, []string{"cold"})
-	r.enqueue("h1", "", 10, []string{"hot"})
-	r.enqueue("h2", "", 10, []string{"hot"})
-	// h1 overtakes the cold head once; then the aging guard forces c
-	// ahead of the equally-hot h2.
-	for i, q := range []string{"q0", "h1", "c"} {
-		r.release(q)
-		r.waitGrants(i + 2)
+	for _, q := range []string{"b1", "b2", "b3"} {
+		r.enqueue(q, "b", 30)
 	}
-	assertOrder(t, r.waitGrants(4), "q0", "h1", "c", "h2")
+	r.waitGrants(3)
+	r.enqueue("a1", "a", 90) // 90+90 > 100: waits, and a's turn comes first
+	r.enqueue("b4", "b", 30)
+	// Each release frees room b4 would fit, yet a1 holds the turn.
+	r.release("b1")
+	r.waitLoad(2, 2)
+	r.release("b2")
+	r.waitLoad(1, 2)
+	r.release("b3")
+	got := r.waitGrants(4)
+	sort.Strings(got[:3]) // b1–b3 were granted together
+	assertOrder(t, got, "b1", "b2", "b3", "a1")
+	r.waitLoad(1, 1) // a1 runs at 90 of 100; b4 waits for it
+	r.release("a1")
+	assertOrder(t, r.waitGrants(5)[3:], "a1", "b4")
 }
 
 // Close fails queued waiters and future admits while running queries'
 // releases still balance.
 func TestCloseFailsWaiters(t *testing.T) {
 	g := New(Config{MaxConcurrent: 1})
-	if err := g.Admit("", 10, nil); err != nil {
+	if err := g.Admit("", 10); err != nil {
 		t.Fatal(err)
 	}
 	errc := make(chan error, 1)
-	go func() { errc <- g.Admit("", 10, nil) }()
+	go func() { errc <- g.Admit("", 10) }()
 	for {
 		if _, queued := g.Load(); queued == 1 {
 			break
@@ -321,110 +216,11 @@ func TestCloseFailsWaiters(t *testing.T) {
 	if err := <-errc; err == nil {
 		t.Fatal("queued admit must fail on close")
 	}
-	if err := g.Admit("", 10, nil); err == nil {
+	if err := g.Admit("", 10); err == nil {
 		t.Fatal("admit after close must fail")
 	}
 	g.Release("", 10)
 	if running, _ := g.Load(); running != 0 {
 		t.Fatalf("running = %d after balanced release", running)
-	}
-}
-
-// TenantWaits must expose per-tenant admission-wait quantiles: monotone
-// p50 <= p95 <= p99, correct counts, and real queueing reflected in the
-// percentiles of a tenant that had to wait.
-func TestTenantWaitQuantiles(t *testing.T) {
-	g := New(Config{MaxConcurrent: 1})
-	defer g.Close()
-	if err := g.Admit("fast", 1, nil); err != nil {
-		t.Fatal(err)
-	}
-	// A second tenant queues behind the held slot for a measurable time.
-	const hold = 50 * time.Millisecond
-	done := make(chan error, 1)
-	go func() { done <- g.Admit("slow", 1, nil) }()
-	for {
-		if _, queued := g.Load(); queued == 1 {
-			break
-		}
-		time.Sleep(50 * time.Microsecond)
-	}
-	time.Sleep(hold)
-	g.Release("fast", 1)
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	g.Release("slow", 1)
-
-	waits := g.TenantWaits()
-	fast, ok := waits["fast"]
-	if !ok || fast.Count != 1 {
-		t.Fatalf("fast tenant waits = %+v", waits)
-	}
-	slow, ok := waits["slow"]
-	if !ok || slow.Count != 1 {
-		t.Fatalf("slow tenant waits = %+v", waits)
-	}
-	if slow.P95 < hold {
-		t.Errorf("slow tenant p95 = %v, want >= %v (it queued that long)", slow.P95, hold)
-	}
-	// Relative bound only: the fast tenant was admitted instantly, so even
-	// with scheduler noise its wait must stay below the tenant that
-	// provably queued for the whole hold.
-	if fast.P95 >= slow.P95 {
-		t.Errorf("fast tenant p95 = %v not below queued tenant's %v", fast.P95, slow.P95)
-	}
-	for name, wq := range waits {
-		if wq.P50 > wq.P95 || wq.P95 > wq.P99 {
-			t.Errorf("tenant %q quantiles not monotone: %+v", name, wq)
-		}
-	}
-}
-
-// The wait window must cap its memory: after far more grants than the
-// window holds, Count keeps the true total while quantiles reflect the
-// recent samples.
-func TestWaitWindowBounded(t *testing.T) {
-	ww := &waitWindow{}
-	const n = waitSamples * 2
-	for i := 0; i < n; i++ {
-		ww.record(time.Duration(i))
-	}
-	if ww.count != n {
-		t.Fatalf("count = %d, want %d", ww.count, n)
-	}
-	if len(ww.samples) != waitSamples {
-		t.Fatalf("window holds %d samples, want %d", len(ww.samples), waitSamples)
-	}
-	for _, s := range ww.samples {
-		if s < waitSamples {
-			t.Fatalf("old sample %v survived past the window", s)
-		}
-	}
-}
-
-// Tenant labels are client-supplied, so the wait-window map must stay
-// bounded: past maxWaitTenants, the longest-idle window is evicted and the
-// freshest tenants survive.
-func TestWaitTenantMapBounded(t *testing.T) {
-	g := New(Config{MaxConcurrent: 4})
-	defer g.Close()
-	name := func(i int) string { return "tenant-" + strings.Repeat("x", i%3) + time.Duration(i).String() }
-	for i := 0; i < maxWaitTenants+16; i++ {
-		n := name(i)
-		if err := g.Admit(n, 1, nil); err != nil {
-			t.Fatal(err)
-		}
-		g.Release(n, 1)
-	}
-	waits := g.TenantWaits()
-	if len(waits) > maxWaitTenants {
-		t.Fatalf("wait map holds %d tenants, cap %d", len(waits), maxWaitTenants)
-	}
-	if _, ok := waits[name(maxWaitTenants+15)]; !ok {
-		t.Error("freshest tenant's window was evicted instead of the longest-idle one")
-	}
-	if _, ok := waits[name(0)]; ok {
-		t.Error("longest-idle tenant's window survived past the cap")
 	}
 }

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -151,5 +153,70 @@ func TestTenantFairnessVsFIFOBaseline(t *testing.T) {
 		govP95, fifoP95, floodAfter, floodN)
 	if govP95 >= fifoP95 {
 		t.Errorf("governed small-tenant p95 wait %v not below the FIFO baseline %v", govP95, fifoP95)
+	}
+}
+
+// Tenant labels are client-chosen strings, so the state keyed by them must
+// stay bounded: past maxTenantLabels distinct labels, new ones share
+// overflowTenant in the stats, the admission histogram and the pool's
+// per-tenant series, while each query's status keeps the label it sent.
+func TestTenantLabelsBounded(t *testing.T) {
+	const extra = 16
+	s, err := New(Config{
+		Dir: t.TempDir(), MaxConcurrent: 4, Seed: testSeed,
+		Programs: map[string]func() *prog.Program{"addmul-small": smallAddMul},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ids := make([]string, 0, maxTenantLabels+extra)
+	for i := 0; i < maxTenantLabels+extra; i++ {
+		id, err := s.Submit(Request{Program: "addmul-small", Tenant: fmt.Sprintf("t%d", i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	for i, id := range ids {
+		st, err := s.Wait(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State != StateDone {
+			t.Fatalf("query %s: %s (%s)", id, st.State, st.Err)
+		}
+		if want := fmt.Sprintf("t%d", i); st.Tenant != want {
+			t.Fatalf("query %s reports tenant %q, want the submitted %q", id, st.Tenant, want)
+		}
+	}
+
+	stats := s.Stats()
+	if n := len(stats.Tenants); n > maxTenantLabels+1 {
+		t.Errorf("Stats reports %d tenants, want <= %d", n, maxTenantLabels+1)
+	}
+	if got := stats.Tenants[overflowTenant].Submitted; got != extra {
+		t.Errorf("%q tenant submitted = %d, want %d", overflowTenant, got, extra)
+	}
+
+	var buf strings.Builder
+	if err := s.Metrics().WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	series := map[string]int{}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if name, _, ok := strings.Cut(line, "{"); ok && strings.Contains(line, `tenant="`) {
+			series[name]++
+		}
+	}
+	for _, family := range []string{
+		"riotshare_admission_wait_seconds_count",
+		"riotshare_pool_tenant_hits_total",
+		"riotshare_pool_tenant_misses_total",
+		"riotshare_pool_tenant_bytes_cached",
+	} {
+		if n := series[family]; n == 0 || n > maxTenantLabels+1 {
+			t.Errorf("/metrics %s has %d tenant series, want 1..%d", family, n, maxTenantLabels+1)
+		}
 	}
 }

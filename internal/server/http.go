@@ -48,9 +48,10 @@ import (
 // output. With Config.EnablePprof the net/http/pprof handlers are
 // registered under /debug/pprof/.
 //
-// Submissions carry an optional "tenant" label; the resource governor
-// schedules tenants fairly (weighted round-robin with per-tenant quotas)
-// and the buffer pool meters per-tenant residency.
+// Submissions carry an optional "tenant" label; the governor serves one
+// FIFO queue per tenant round-robin and the buffer pool meters per-tenant
+// residency. The first 512 distinct labels are kept as given; later new
+// ones share the overflow label "~other".
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/submit", s.handleSubmit)

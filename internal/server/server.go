@@ -1,22 +1,20 @@
 // Package server is the multi-query analytics service: a session and
 // admission layer that accepts program submissions (named benchmark
 // programs or statement-builder JSON specs), optimizes them through a plan
-// cache, admits executions through a tenant-aware resource governor
-// (weighted round-robin across tenants under global and per-tenant
-// concurrency/memory quotas; see internal/govern), and runs them over one
-// shared, sharing-aware buffer pool — so a block read by one query is a
-// cache hit for the next. It turns the single-shot optimizer into a
-// long-running service, extending the paper's intra-program I/O sharing
-// across concurrent queries and tenants.
+// cache, admits executions through a tenant-aware governor (round-robin
+// across per-tenant FIFO queues under K slots and a global memory cap; see
+// internal/govern), and runs them over one shared, sharing-aware buffer
+// pool — so a block read by one query is a cache hit for the next. It
+// turns the single-shot optimizer into a long-running service, extending
+// the paper's intra-program I/O sharing across concurrent queries and
+// tenants.
 //
 // Input arrays (arrays a program never writes) are shared across queries by
 // name: the first query to reference one creates and fills it, later
 // queries — and concurrent ones — read the very same blocks through the
 // pool. Written arrays are namespaced per query ("q3.E"), so concurrent
 // executions of the same program cannot collide, while their ExecResults
-// stay identical to standalone runs. The governor prefers
-// admitting queries whose shared inputs are already pool-resident
-// (affinity batching), so those hits compound.
+// stay identical to standalone runs.
 package server
 
 import (
@@ -93,10 +91,6 @@ type Config struct {
 	// classic LRU, "segmented" for the scan-resistant segmented LRU under
 	// which one tenant's huge scan cannot flush other tenants' hot sets.
 	PoolPolicy string
-	// TenantPoolQuotaBytes optionally bounds the pool bytes each tenant's
-	// installed frames may occupy (quota partitioning inside the one
-	// shared pool; absent tenants are bounded only by PoolBytes).
-	TenantPoolQuotaBytes map[string]int64
 	// MaxConcurrent is K, the number of concurrently executing queries
 	// (default 2).
 	MaxConcurrent int
@@ -104,14 +98,6 @@ type Config struct {
 	// plans (0 = unlimited). A query whose plan alone exceeds it fails at
 	// admission rather than starving the queue.
 	GlobalMemBytes int64
-	// Tenants sets per-tenant admission weights and concurrency/memory
-	// quotas for the governor; absent tenants get weight 1 and only the
-	// global bounds.
-	Tenants map[string]govern.TenantConfig
-	// NoAffinity disables shared-input affinity batching (by default the
-	// governor prefers, within a tenant, the admissible query whose input
-	// arrays are already pool-resident).
-	NoAffinity bool
 	// Workers/PrefetchDepth default each query's execution schedule
 	// (Workers <= 1 = in-order, more = the pipelined DAG schedule); a
 	// Request may override them.
@@ -165,8 +151,9 @@ type Request struct {
 	// statement-builder JSON program; exactly one must be set.
 	Program string       `json:"program,omitempty"`
 	Spec    *ProgramSpec `json:"spec,omitempty"`
-	// Tenant labels the submission for the resource governor and the
-	// pool's quota accounting ("" = the anonymous tenant).
+	// Tenant labels the submission for the governor's round-robin and the
+	// per-tenant stats ("" = the anonymous tenant). The server keeps the
+	// first 512 distinct labels as given; later new ones share "~other".
 	Tenant string `json:"tenant,omitempty"`
 	// MemCapMB bounds the chosen plan's peak (logical) memory and is
 	// enforced during execution (0 = unlimited: the cheapest plan wins).
@@ -224,6 +211,11 @@ type query struct {
 	prog    *prog.Program
 	subsets [][]string // restricted plan search, when the program wants one
 
+	// tenant is the label admission, the pool session, the wait histogram
+	// and the tenant counters key by: req.Tenant, or overflowTenant once
+	// maxTenantLabels distinct labels were seen.
+	tenant string
+
 	// alias maps the program's written arrays to their namespaced
 	// physical stores; outputsDropped marks that those stores were
 	// retired (failure cleanup or the RetainOutputs policy).
@@ -241,7 +233,7 @@ type query struct {
 // TenantStats is one tenant's slice of the service counters: governor
 // occupancy (queue depth, running, admitted memory footprint), submission
 // lifecycle counts, admission queue wait, and its share of the buffer pool
-// (hit rate, resident bytes, quota).
+// (hit rate, resident bytes).
 type TenantStats struct {
 	Running        int     `json:"running"`
 	Queued         int     `json:"queued"`
@@ -249,9 +241,10 @@ type TenantStats struct {
 	Submitted      int64   `json:"submitted"`
 	Finished       int64   `json:"finished"`
 	AvgQueueWaitMs float64 `json:"avgQueueWaitMs"`
-	// Queue-wait percentiles (admission request to grant), computed by the
-	// governor over its recent-grants window — the server-side view the
-	// fairness acceptance criteria are asserted against.
+	// Queue-wait percentiles (admission request to grant), estimated
+	// within a bucket of the tenant's riotshare_admission_wait_seconds
+	// histogram — the one record of admission wait, whose sum over count
+	// is AvgQueueWaitMs.
 	QueueWaitP50Ms float64 `json:"queueWaitP50Ms"`
 	QueueWaitP95Ms float64 `json:"queueWaitP95Ms"`
 	QueueWaitP99Ms float64 `json:"queueWaitP99Ms"`
@@ -259,7 +252,6 @@ type TenantStats struct {
 	PoolMisses     int64   `json:"poolMisses"`
 	PoolHitRate    float64 `json:"poolHitRate"`
 	BytesCached    int64   `json:"bytesCached"`
-	PoolQuotaBytes int64   `json:"poolQuotaBytes,omitempty"`
 }
 
 // Stats reports service-wide counters: the shared pool, physical storage
@@ -426,9 +418,17 @@ type Server struct {
 // server side (the governor and pool keep their own per-tenant views).
 type tenantCounters struct {
 	submitted, finished int64
-	admissions          int64
-	waitTotal           time.Duration
 }
+
+// maxTenantLabels bounds the distinct tenant labels the server keys state
+// by. Labels are client-chosen strings, and each one adds a governor
+// queue, tenant counters, pool accounting and metric series for the
+// daemon's lifetime; past the bound, every new label maps to
+// overflowTenant.
+const maxTenantLabels = 512
+
+// overflowTenant is the label new tenants share past maxTenantLabels.
+const overflowTenant = "~other"
 
 type planEntry struct {
 	ready chan struct{}
@@ -485,39 +485,14 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	pool, err := buffer.NewPoolOptions(m, buffer.Options{
-		CapacityBytes:    cfg.PoolBytes,
-		Policy:           cfg.PoolPolicy,
-		TenantQuotaBytes: cfg.TenantPoolQuotaBytes,
+		CapacityBytes: cfg.PoolBytes,
+		Policy:        cfg.PoolPolicy,
 	})
 	if err != nil {
 		m.Close()
 		return nil, err
 	}
 	reg := telemetry.New()
-	admitWait := reg.HistogramVec("riotshare_admission_wait_seconds",
-		"Admission queue wait per tenant (Admit call to grant).", nil, "tenant")
-	gcfg := govern.Config{
-		MaxConcurrent:  cfg.MaxConcurrent,
-		GlobalMemBytes: cfg.GlobalMemBytes,
-		Tenants:        cfg.Tenants,
-		OnGrant: func(tenant string, wait time.Duration) {
-			admitWait.With(tenant).ObserveDuration(wait)
-		},
-	}
-	if !cfg.NoAffinity {
-		// One pool snapshot per dispatch round scores every queued
-		// query's inputs without re-locking the pool per waiter.
-		gcfg.Affinity = func() func(inputs []string) int64 {
-			snap := pool.ResidentArrays()
-			return func(inputs []string) int64 {
-				var sum int64
-				for _, a := range inputs {
-					sum += snap[a]
-				}
-				return sum
-			}
-		}
-	}
 	slowLog := cfg.SlowQueryLog
 	if slowLog == nil {
 		slowLog = os.Stderr
@@ -529,7 +504,7 @@ func New(cfg Config) (*Server, error) {
 		queries:   make(map[string]*query),
 		planCache: make(map[string]*planEntry),
 		planLRU:   list.New(),
-		gov:       govern.New(gcfg),
+		gov:       govern.New(govern.Config{MaxConcurrent: cfg.MaxConcurrent, GlobalMemBytes: cfg.GlobalMemBytes}),
 		tenants:   make(map[string]*tenantCounters),
 		inputs:    make(map[string]*inputState),
 		reg:       reg,
@@ -544,7 +519,8 @@ func New(cfg Config) (*Server, error) {
 		"Queries whose wall time met the slow-query threshold.")
 	s.mQuery = reg.HistogramVec("riotshare_query_seconds",
 		"End-to-end query wall time (planning through result collection).", nil, "program")
-	s.mAdmitWait = admitWait
+	s.mAdmitWait = reg.HistogramVec("riotshare_admission_wait_seconds",
+		"Admission queue wait per tenant (Admit call to grant).", nil, "tenant")
 	s.mExecStage = reg.HistogramVec("riotshare_exec_stage_seconds",
 		"Cumulative kernel wall time per pipeline stage per query.", nil, "stage")
 	s.mPrefetchIssued = reg.Counter("riotshare_prefetch_issued_total",
@@ -677,7 +653,11 @@ func (s *Server) Submit(req Request) (string, error) {
 	s.wg.Add(1)
 	s.mu.Unlock()
 	s.tenantMu.Lock()
-	s.tenantLocked(req.Tenant).submitted++
+	q.tenant = req.Tenant
+	if _, ok := s.tenants[q.tenant]; !ok && len(s.tenants) >= maxTenantLabels {
+		q.tenant = overflowTenant
+	}
+	s.tenantLocked(q.tenant).submitted++
 	s.tenantMu.Unlock()
 	go s.run(q)
 	return q.id, nil
@@ -926,7 +906,7 @@ func (s *Server) run(q *query) {
 	s.finished++
 	s.mu.Unlock()
 	s.tenantMu.Lock()
-	s.tenantLocked(q.req.Tenant).finished++
+	s.tenantLocked(q.tenant).finished++
 	s.tenantMu.Unlock()
 	for _, v := range victims {
 		s.dropOutputs(v)
@@ -998,17 +978,13 @@ func (s *Server) runQuery(q *query) (retErr error) {
 	peak := pl.Cost.PeakMemoryBytes
 	enqueued := time.Now()
 	sp = root.Child("admission-wait")
-	if err := s.gov.Admit(q.req.Tenant, peak, inputArrays(q.prog)); err != nil {
+	if err := s.gov.Admit(q.tenant, peak); err != nil {
 		sp.End()
 		return err
 	}
 	sp.End()
-	defer s.gov.Release(q.req.Tenant, peak)
-	s.tenantMu.Lock()
-	tc := s.tenantLocked(q.req.Tenant)
-	tc.admissions++
-	tc.waitTotal += time.Since(enqueued)
-	s.tenantMu.Unlock()
+	defer s.gov.Release(q.tenant, peak)
+	s.mAdmitWait.With(q.tenant).ObserveDuration(time.Since(enqueued))
 
 	s.mu.Lock()
 	q.status.State = StateRunning
@@ -1038,7 +1014,7 @@ func (s *Server) runQuery(q *query) (retErr error) {
 		Store:       s.store,
 		Model:       disk.PaperModel(),
 		MemCapBytes: q.req.MemCapMB << 20,
-		Pool:        s.pool.TenantSession(q.req.Tenant, alias),
+		Pool:        s.pool.TenantSession(q.tenant, alias),
 		// Early streamed delivery: each output block's final write wakes
 		// any /results/stream waiting on it.
 		OnBlockWritten: q.stream.noteBlock,
@@ -1259,21 +1235,6 @@ func writtenArrays(p *prog.Program) map[string]bool {
 	return written
 }
 
-// inputArrays returns the program's shared input arrays (never written),
-// sorted — the governor scores them against pool residency for affinity
-// batching.
-func inputArrays(p *prog.Program) []string {
-	written := writtenArrays(p)
-	names := make([]string, 0, len(p.Arrays))
-	for name := range p.Arrays {
-		if !written[name] {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	return names
-}
-
 func sameShape(a, b *prog.Array) bool {
 	return a.BlockRows == b.BlockRows && a.BlockCols == b.BlockCols &&
 		a.GridRows == b.GridRows && a.GridCols == b.GridCols
@@ -1450,7 +1411,6 @@ func (s *Server) List() []QueryStatus {
 func (s *Server) Stats() Stats {
 	running, queued := s.gov.Load()
 	loads := s.gov.TenantLoads()
-	waits := s.gov.TenantWaits()
 	s.mu.Lock()
 	submitted, finished := s.submitted, s.finished
 	s.mu.Unlock()
@@ -1507,17 +1467,11 @@ func (s *Server) Stats() Stats {
 			SearchMs:   s.mImprove.Sum() * float64(time.Second) / ms,
 		}
 	}
-	// Per-tenant view: union of the governor's occupancy, the server's
-	// lifecycle counters, and the pool's per-tenant slice.
+	// Per-tenant view: every submitted label (which covers every tenant
+	// the governor has seen) plus the pool's per-tenant slice.
 	s.tenantMu.Lock()
 	names := map[string]bool{}
 	for name := range s.tenants {
-		names[name] = true
-	}
-	for name := range loads {
-		names[name] = true
-	}
-	for name := range waits {
 		names[name] = true
 	}
 	for name := range st.Pool.Tenants {
@@ -1532,20 +1486,17 @@ func (s *Server) Stats() Stats {
 			}
 			if tc := s.tenants[name]; tc != nil {
 				ts.Submitted, ts.Finished = tc.submitted, tc.finished
-				if tc.admissions > 0 {
-					ts.AvgQueueWaitMs = float64(tc.waitTotal) / float64(time.Millisecond) / float64(tc.admissions)
+				if h := s.mAdmitWait.With(name); h.Count() > 0 {
+					ts.AvgQueueWaitMs = h.Sum() / float64(h.Count()) * float64(time.Second) / ms
+					ts.QueueWaitP50Ms = h.Quantile(0.50) * float64(time.Second) / ms
+					ts.QueueWaitP95Ms = h.Quantile(0.95) * float64(time.Second) / ms
+					ts.QueueWaitP99Ms = h.Quantile(0.99) * float64(time.Second) / ms
 				}
-			}
-			if wq, ok := waits[name]; ok {
-				ts.QueueWaitP50Ms = float64(wq.P50) / float64(time.Millisecond)
-				ts.QueueWaitP95Ms = float64(wq.P95) / float64(time.Millisecond)
-				ts.QueueWaitP99Ms = float64(wq.P99) / float64(time.Millisecond)
 			}
 			if ps, ok := st.Pool.Tenants[name]; ok {
 				ts.PoolHits, ts.PoolMisses = ps.Hits, ps.Misses
 				ts.PoolHitRate = ps.HitRate()
 				ts.BytesCached = ps.BytesCached
-				ts.PoolQuotaBytes = ps.QuotaBytes
 			}
 			st.Tenants[name] = ts
 		}

@@ -43,7 +43,6 @@ import (
 	"riotshare/internal/deps"
 	"riotshare/internal/disk"
 	"riotshare/internal/exec"
-	"riotshare/internal/govern"
 	"riotshare/internal/ops"
 	"riotshare/internal/prog"
 	"riotshare/internal/server"
@@ -318,8 +317,8 @@ type StorageStats = storage.Stats
 // BufferPool is the capacity-bounded, sharing-aware block cache in front
 // of a storage manager: ref-counted pins driven by each plan's hold
 // intervals, policy-driven eviction of unpinned blocks (LRU or a
-// scan-resistant segmented LRU), deferred dirty write-back, optional
-// per-tenant byte quotas, and hit/miss/eviction statistics. Share one pool
+// scan-resistant segmented LRU), deferred dirty write-back, and
+// hit/miss/eviction statistics (per tenant as well as in total). Share one pool
 // across concurrent executions (via ExecOptions.Pool or the multi-query
 // server) so a block read by one query is a cache hit for the next.
 type BufferPool = buffer.Pool
@@ -328,8 +327,8 @@ type BufferPool = buffer.Pool
 // eviction write-back error and the per-tenant breakdown.
 type BufferPoolStats = buffer.Stats
 
-// BufferPoolOptions configures a pool's capacity, replacement policy
-// ("lru" or "segmented"), and per-tenant quotas.
+// BufferPoolOptions configures a pool's capacity and replacement policy
+// ("lru" or "segmented").
 type BufferPoolOptions = buffer.Options
 
 // BlockPool is the acquisition interface the execution engines use;
@@ -342,15 +341,10 @@ func NewBufferPool(store StorageBackend, capacityBytes int64) *BufferPool {
 	return buffer.NewPool(store, capacityBytes)
 }
 
-// NewBufferPoolOptions creates a pool with an explicit replacement policy
-// and optional per-tenant quotas.
+// NewBufferPoolOptions creates a pool with an explicit replacement policy.
 func NewBufferPoolOptions(store StorageBackend, opt BufferPoolOptions) (*BufferPool, error) {
 	return buffer.NewPoolOptions(store, opt)
 }
-
-// TenantConfig weights and bounds one tenant in the admission governor
-// (round-robin weight, concurrency cap, plan peak memory cap).
-type TenantConfig = govern.TenantConfig
 
 // ServerConfig sizes the multi-query analytics service.
 type ServerConfig = server.Config
