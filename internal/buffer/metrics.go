@@ -21,6 +21,7 @@ func (p *Pool) RegisterMetrics(reg *telemetry.Registry) {
 		e.Counter("riotshare_pool_puts_total", "Blocks installed into the pool by writes.", float64(st.Puts))
 		e.Counter("riotshare_pool_evictions_total", "Frames evicted by the replacement policy.", float64(st.Evictions))
 		e.Counter("riotshare_pool_writebacks_total", "Dirty frames written back to storage.", float64(st.Writebacks))
+		e.Counter("riotshare_pool_discards_total", "Dirty frames dropped without write-back.", float64(st.Discards))
 		e.Gauge("riotshare_pool_bytes_cached", "Bytes currently resident in the pool.", float64(st.BytesCached))
 		e.Gauge("riotshare_pool_bytes_cap", "Pool soft byte capacity.", float64(st.BytesCap))
 		e.Gauge("riotshare_pool_frames", "Resident frames in the pool.", float64(st.Frames))

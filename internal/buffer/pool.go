@@ -12,7 +12,8 @@
 // scan cannot flush other queries' hot working sets. Writes are deferred:
 // Put installs a dirty frame which is written back to storage on eviction
 // or Flush, so repeated writes to one block (accumulator chains) reach disk
-// once.
+// once — or never, when the block is discarded first (DiscardBlock: a
+// plan's intermediate after its last use).
 //
 // The pool is tenant-aware for accounting only: sessions carry a tenant
 // label, and hits, misses, and resident bytes are attributed to the tenant
@@ -78,9 +79,9 @@ type Pool struct {
 	peakBytes int64
 	tenants   map[string]*tenantCounters
 
-	hits, misses, puts    int64
-	evictions, writebacks int64
-	evictErr              error // sticky write-back failure from capacity eviction
+	hits, misses, puts              int64
+	evictions, writebacks, discards int64
+	evictErr                        error // sticky write-back failure from capacity eviction
 }
 
 // tenantCounters aggregates one tenant's pool activity.
@@ -469,49 +470,66 @@ func (p *Pool) Flush() error {
 // through storage afterwards always see current data), and unpinned frames
 // are evicted. The multi-query server uses it to retire a finished query's
 // private output frames so they stop competing with shared inputs for
-// capacity. Frames still loading are left alone (they are never dirty).
+// capacity. The array's frames are snapshotted under the lock and each is
+// retired through ReleaseBlock, so the write-backs run unlocked and one
+// query's retirement never stalls another's pool operations. Frames still
+// loading are left alone (they are never dirty).
 func (p *Pool) InvalidateArray(array string) error {
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	for key, f := range p.frames {
-		if f.array != array || f.loading != nil {
-			continue
+	var frames []*frame
+	for _, f := range p.frames {
+		if f.array == array {
+			frames = append(frames, f)
 		}
-		if f.dirty {
-			// Retiring a finished query's outputs: the write-back must be
-			// atomic with dropping the frame, and runs once per query, off
-			// the hot acquire path. //riotvet:allow lockio
-			if err := p.store.WriteBlock(f.array, f.r, f.c, f.blk); err != nil {
-				return fmt.Errorf("buffer: invalidate %s: %w", f.key, err)
-			}
-			f.dirty = false
-			p.writebacks++
+	}
+	p.mu.Unlock()
+	for _, f := range frames { // a frame's coordinates never change
+		if err := p.ReleaseBlock(array, f.r, f.c); err != nil {
+			return err
 		}
-		if f.pins > 0 {
-			continue
-		}
-		p.policy.remove(f)
-		delete(p.frames, key)
-		p.forgetLocked(f)
 	}
 	return nil
 }
 
-// DiscardArray drops every unpinned frame of one array without write-back
-// — for arrays about to be deleted (a failed or retired query's outputs),
-// where flushing dirty data would be wasted I/O. Loading frames are
-// skipped.
+// DiscardBlock drops one block nobody will read again, without writing it
+// back: exec announces a transient block dead after the plan's last use of
+// it (exec.Engine.OnBlockDead). An unpinned frame leaves the pool; a pinned
+// one stays resident but clean, so its later eviction costs nothing. An
+// absent or still-loading frame is a no-op.
+func (p *Pool) DiscardBlock(array string, r, c int64) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if f := p.frameLocked(array, r, c); f != nil && f.loading == nil {
+		p.discardLocked(f)
+	}
+}
+
+// DiscardArray is DiscardBlock for every frame of one array — for arrays
+// about to be deleted (a failed or retired query's outputs) or never read
+// again (a finished query's intermediates), where flushing dirty data would
+// be wasted I/O.
 func (p *Pool) DiscardArray(array string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for key, f := range p.frames {
-		if f.array != array || f.loading != nil || f.pins > 0 {
-			continue
+	for _, f := range p.frames {
+		if f.array == array && f.loading == nil {
+			p.discardLocked(f)
 		}
-		p.policy.remove(f)
-		delete(p.frames, key)
-		p.forgetLocked(f)
 	}
+}
+
+// discardLocked cleans f without write-back and drops it unless pinned.
+func (p *Pool) discardLocked(f *frame) {
+	if f.dirty {
+		f.dirty = false
+		p.discards++
+	}
+	if f.pins > 0 {
+		return
+	}
+	p.policy.remove(f)
+	delete(p.frames, f.key)
+	p.forgetLocked(f)
 }
 
 // TenantStats is one tenant's slice of the pool counters.
@@ -538,8 +556,9 @@ type Stats struct {
 	// writes.
 	Hits, Misses, Puts int64
 	// Evictions and Writebacks count policy evictions and dirty
-	// write-backs (eviction-driven plus Flush).
-	Evictions, Writebacks int64
+	// write-backs (eviction-driven plus Flush); Discards counts dirty
+	// frames dropped without write-back (DiscardBlock, DiscardArray).
+	Evictions, Writebacks, Discards int64
 	// BytesCached/BytesCap report occupancy against the soft capacity;
 	// Frames/PinnedFrames count resident and currently pinned frames.
 	BytesCached, BytesCap int64
@@ -573,7 +592,7 @@ func (p *Pool) Stats() Stats {
 	defer p.mu.Unlock()
 	st := Stats{
 		Hits: p.hits, Misses: p.misses, Puts: p.puts,
-		Evictions: p.evictions, Writebacks: p.writebacks,
+		Evictions: p.evictions, Writebacks: p.writebacks, Discards: p.discards,
 		BytesCached: p.bytes, BytesCap: p.capBytes,
 		PeakBytes: p.peakBytes,
 		Frames:    len(p.frames),
@@ -646,4 +665,9 @@ func (s *Session) Put(array string, r, c int64, blk *blas.Matrix) error {
 // Unpin is Pool.Unpin under the session's aliasing.
 func (s *Session) Unpin(array string, r, c int64, n int) {
 	s.pool.Unpin(s.resolve(array), r, c, n)
+}
+
+// DiscardBlock is Pool.DiscardBlock under the session's aliasing.
+func (s *Session) DiscardBlock(array string, r, c int64) {
+	s.pool.DiscardBlock(s.resolve(array), r, c)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"riotshare/internal/blas"
 	"riotshare/internal/prog"
@@ -388,4 +389,142 @@ func TestInvalidateArray(t *testing.T) {
 	if onDisk.Data[0] != 3 {
 		t.Fatalf("invalidate lost dirty data: %g", onDisk.Data[0])
 	}
+}
+
+// TestInvalidateArrayWritebackOutsideLock: retiring one array's frames
+// writes them back without the pool lock held, so while the write-back is
+// parked in the store an Acquire of another array and a re-Put of the
+// parked block both complete, and the re-Put's fresh value is the one that
+// reaches storage.
+func TestInvalidateArrayWritebackOutsideLock(t *testing.T) {
+	m, err := storage.NewManager(t.TempDir(), storage.FormatDAF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { m.Close() })
+	for _, name := range []string{"A", "Out"} {
+		if err := m.Create(&prog.Array{Name: name, BlockRows: 8, BlockCols: 8, GridRows: 1, GridCols: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.WriteBlock("A", 0, 0, blas.NewMatrix(8, 8)); err != nil {
+		t.Fatal(err)
+	}
+	bs := &blockingStore{Backend: m, entered: make(chan struct{}), release: make(chan struct{})}
+	p := NewPool(bs, 0)
+
+	blk := blas.NewMatrix(8, 8)
+	blk.Data[0] = 1
+	if err := p.Put("Out", 0, 0, blk); err != nil {
+		t.Fatal(err)
+	}
+	p.Unpin("Out", 0, 0, 1)
+
+	bs.mu.Lock()
+	bs.armed = true
+	bs.mu.Unlock()
+	done := make(chan error, 1)
+	go func() { done <- p.InvalidateArray("Out") }()
+	<-bs.entered // the write-back is now parked inside the store
+
+	// within runs op while the write-back is parked; an op stuck behind the
+	// pool lock releases the store (so the test unwinds) and fails.
+	within := func(what string, op func() error) {
+		t.Helper()
+		res := make(chan error, 1)
+		go func() { res <- op() }()
+		select {
+		case err := <-res:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(5 * time.Second):
+			close(bs.release)
+			t.Fatalf("%s stalled behind InvalidateArray's write-back", what)
+		}
+	}
+	within("Acquire of another array", func() error {
+		_, err := p.Acquire("A", 0, 0)
+		p.Unpin("A", 0, 0, 1)
+		return err
+	})
+	blk2 := blas.NewMatrix(8, 8)
+	blk2.Data[0] = 2
+	within("re-Put of the parked block", func() error {
+		err := p.Put("Out", 0, 0, blk2)
+		p.Unpin("Out", 0, 0, 1)
+		return err
+	})
+
+	bs.mu.Lock()
+	bs.armed = false
+	bs.mu.Unlock()
+	close(bs.release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	onDisk, err := m.ReadBlock("Out", 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if onDisk.Data[0] != 2 {
+		t.Fatalf("storage after invalidate+flush = %g, want 2 (re-Put lost to stale write-back)", onDisk.Data[0])
+	}
+}
+
+// TestDiscardBlockSkipsWriteBack: a discarded dirty frame never reaches
+// storage. Unpinned, it leaves the pool at once; pinned, it stays resident
+// but clean, so its eventual eviction writes nothing. An absent block is a
+// no-op.
+func TestDiscardBlockSkipsWriteBack(t *testing.T) {
+	p, m := newTestPool(t, 2*testBlockBytes)
+	if err := m.Create(&prog.Array{Name: "T", BlockRows: 8, BlockCols: 8, GridRows: 1, GridCols: 2}); err != nil {
+		t.Fatal(err)
+	}
+	writes := m.Stats().WriteReqs
+	check := func(when string, frames, pinned int, bytes, discards int64) {
+		t.Helper()
+		st := p.Stats()
+		if st.Frames != frames || st.PinnedFrames != pinned || st.BytesCached != bytes || st.Discards != discards {
+			t.Fatalf("%s: frames=%d pinned=%d bytes=%d discards=%d, want %d, %d, %d, %d",
+				when, st.Frames, st.PinnedFrames, st.BytesCached, st.Discards, frames, pinned, bytes, discards)
+		}
+		if st.Writebacks != 0 || m.Stats().WriteReqs != writes {
+			t.Fatalf("%s: %d write-backs, %d store writes, want none", when, st.Writebacks, m.Stats().WriteReqs-writes)
+		}
+	}
+
+	// Dirty and unpinned: gone, unwritten.
+	if err := p.Put("T", 0, 0, blas.NewMatrix(8, 8)); err != nil {
+		t.Fatal(err)
+	}
+	p.Unpin("T", 0, 0, 1)
+	check("before discard", 1, 0, testBlockBytes, 0)
+	p.Session(map[string]string{"t": "T"}).DiscardBlock("t", 0, 0)
+	check("after discarding an unpinned frame", 0, 0, 0, 1)
+
+	// Dirty and pinned: resident and clean; evicting it later writes nothing.
+	if err := p.Put("T", 0, 1, blas.NewMatrix(8, 8)); err != nil {
+		t.Fatal(err)
+	}
+	p.DiscardBlock("T", 0, 1)
+	check("after discarding a pinned frame", 1, 1, testBlockBytes, 2)
+	p.Unpin("T", 0, 1, 1)
+	for c := int64(0); c < 2; c++ { // two more blocks push T[0,1] out
+		if _, err := p.Acquire("A", 0, c); err != nil {
+			t.Fatal(err)
+		}
+		p.Unpin("A", 0, c, 1)
+	}
+	if st := p.Stats(); st.Evictions != 1 {
+		t.Fatalf("evictions = %d, want T[0,1] evicted", st.Evictions)
+	}
+	check("after evicting the discarded frame", 2, 0, 2*testBlockBytes, 2)
+
+	// Absent: nothing happens.
+	p.DiscardBlock("T", 0, 0)
+	check("after discarding an absent block", 2, 0, 2*testBlockBytes, 2)
 }

@@ -27,6 +27,12 @@
 // copy-on-write is in execEvent, where a write targets a buffered block that
 // is still a borrowed one.
 //
+// Two hooks tell the caller about a block's physical life. OnBlockWritten
+// fires when a block's final value is in the pool, so a result can stream
+// while the run goes on; OnBlockDead fires when no remaining event touches a
+// transient block, so the pool can drop it without ever writing it back —
+// footnote 8's elided dead write, carried through to the physical layer.
+//
 // Two schedules drive execEvent. The in-order schedule (Workers <= 1) calls
 // it for events 0..n-1 on the caller's goroutine. The DAG schedule
 // (Workers > 1, pipeline.go) calls it from a worker pool as the event
@@ -90,15 +96,27 @@ type Engine struct {
 	// identical with or without it.
 	Pool BlockPool
 	// OnBlockWritten, when non-nil, is invoked once per written block
-	// right after the block's final physical write completes — from that
-	// moment its value is durable through Pool/Store and safe to read
-	// while later pipeline stages still run (WAW and dataflow edges order
-	// every earlier write before the final one). The multi-query server
-	// uses it to begin streaming finished output blocks early. Calls may
-	// come from worker goroutines; the callback must be cheap and safe
-	// for concurrent use. Blocks whose last write never reaches disk
-	// (transient, memory-only state) produce no call.
+	// right after the block's final write reaches the run's BlockPool —
+	// from that moment an Acquire through the same pool returns its final
+	// value, even while later pipeline stages still run (WAW and dataflow
+	// edges order every earlier write before the final one). With a
+	// buffer pool the write is a deferred dirty install, not yet durable
+	// in the store; without one it is the store write itself. The
+	// multi-query server uses it to begin streaming finished output
+	// blocks early. Calls may come from worker goroutines; the callback
+	// must be cheap and safe for concurrent use. Blocks whose last write
+	// is memory-only (transient state) produce no call.
 	OnBlockWritten func(array string, r, c int64)
+	// OnBlockDead, when non-nil, is invoked once per block of a transient
+	// array after the last event touching it has completed and released
+	// its pins: the run will neither Acquire nor Put the block again, so
+	// its value is garbage and a dirty frame of it need never be written
+	// back. Under either schedule it is a countdown over the events whose
+	// access sets touch the block, not the last event in timeline order
+	// (the DAG schedule does not order reads of one block). A failed run
+	// announces nothing after its failure, and persistent arrays never
+	// produce a call. The same concurrency rules as OnBlockWritten apply.
+	OnBlockDead func(array string, r, c int64)
 }
 
 // Options selects the schedule of one run.
@@ -156,6 +174,9 @@ func (e *Engine) RunOptions(tl *codegen.Timeline, opt Options) (Result, error) {
 	}
 	if e.OnBlockWritten != nil {
 		rs.finalize = finalWrites(sets)
+	}
+	if e.OnBlockDead != nil {
+		rs.dying = transientTouches(tl.Prog, sets)
 	}
 	if opt.Workers <= 1 {
 		for i := range tl.Events {
@@ -296,6 +317,9 @@ type runState struct {
 	// finalize[i] lists blocks whose final physical write is event i
 	// (nil when the engine has no OnBlockWritten callback).
 	finalize [][]blockRef
+	// dying[i] lists event i's accesses of transient blocks, each with its
+	// block's countdown (nil when the engine has no OnBlockDead callback).
+	dying [][]*countdown
 
 	mu sync.Mutex // guards buf, interval refcounts and the DAG scheduler's bookkeeping
 	// buf holds the blocks of active hold intervals, with the pins their
@@ -388,7 +412,7 @@ func (rs *runState) drop(b block) {
 // then retain and release held blocks. It is the only code that does so,
 // under either schedule; the schedule guarantees that every event this one
 // depends on has completed.
-func (rs *runState) execEvent(i int) error {
+func (rs *runState) execEvent(i int) (err error) {
 	tl := rs.tl
 	ev := tl.Events[i]
 	set := rs.sets[i]
@@ -396,11 +420,16 @@ func (rs *runState) execEvent(i int) error {
 
 	// Blocks live for this event, each with the pins the event took on it.
 	// A block whose hold interval extends past the event moves to rs.buf,
-	// pins and all; the rest are dropped when the event finishes.
+	// pins and all; the rest are dropped when the event finishes. Only then,
+	// with every pin of the event released, does a completed event count
+	// down the transient blocks it touched.
 	local := make(map[string]*block, len(set))
 	defer func() {
 		for _, b := range local {
 			rs.drop(*b)
+		}
+		if err == nil && rs.dying != nil {
+			rs.countDown(i)
 		}
 	}()
 
@@ -573,6 +602,47 @@ func finalWrites(sets [][]codegen.BlockAccess) [][]blockRef {
 		}
 	}
 	return out
+}
+
+// countdown is one transient block's count of accesses by events that have
+// not completed yet.
+type countdown struct {
+	ref  blockRef
+	left atomic.Int32
+}
+
+// transientTouches maps each event index to its accesses of transient blocks,
+// sharing one countdown per block that starts at the number of such accesses;
+// an event touching a block twice is listed, and counts down, twice.
+func transientTouches(p *prog.Program, sets [][]codegen.BlockAccess) [][]*countdown {
+	byKey := make(map[string]*countdown)
+	out := make([][]*countdown, len(sets))
+	for i, set := range sets {
+		for _, ba := range set {
+			if arr := p.Arrays[ba.Array]; arr == nil || !arr.Transient {
+				continue
+			}
+			cd := byKey[ba.Key]
+			if cd == nil {
+				cd = &countdown{ref: blockRef{array: ba.Array, r: ba.R, c: ba.C}}
+				byKey[ba.Key] = cd
+			}
+			out[i] = append(out[i], cd)
+			cd.left.Add(1)
+		}
+	}
+	return out
+}
+
+// countDown retires completed event i's accesses from the countdown of every
+// transient block it touched and announces each block no remaining event
+// touches. A run that has stopped announces nothing more.
+func (rs *runState) countDown(i int) {
+	for _, cd := range rs.dying[i] {
+		if cd.left.Add(-1) == 0 && !rs.stopped() {
+			rs.e.OnBlockDead(cd.ref.array, cd.ref.r, cd.ref.c)
+		}
+	}
 }
 
 // isAccumulatorRead reports whether access ai is a read of the same array

@@ -62,7 +62,8 @@ func outputArrays(p *prog.Program) []string {
 // store (0/1 = the single-directory manager) with its replication factor,
 // and whether block I/O goes through a sharing-aware buffer pool (with
 // which eviction policy and capacity — a small poolCap forces eviction and
-// dirty write-back churn mid-plan).
+// dirty write-back churn mid-plan — and dead transient blocks discarded
+// through Engine.OnBlockDead).
 type runConfig struct {
 	format     storage.Format
 	workers    int
@@ -114,7 +115,9 @@ func runPlanOn(t *testing.T, p *prog.Program, pl *core.EvaluatedPlan, m storage.
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng.Pool = pool
+		// Dead intermediates leave the pool unwritten; outputs must not
+		// notice.
+		eng.Pool, eng.OnBlockDead = pool, pool.DiscardBlock
 	}
 	r, err := eng.RunOptions(pl.Timeline, Options{Workers: cfg.workers, PrefetchDepth: cfg.prefetch})
 	if err != nil {

@@ -1010,14 +1010,18 @@ func (s *Server) runQuery(q *query) (retErr error) {
 	if q.req.Prefetch > 0 {
 		prefetch = q.req.Prefetch
 	}
+	sess := s.pool.TenantSession(q.tenant, alias)
 	eng := &exec.Engine{
 		Store:       s.store,
 		Model:       disk.PaperModel(),
 		MemCapBytes: q.req.MemCapMB << 20,
-		Pool:        s.pool.TenantSession(q.tenant, alias),
+		Pool:        sess,
 		// Early streamed delivery: each output block's final write wakes
 		// any /results/stream waiting on it.
 		OnBlockWritten: q.stream.noteBlock,
+		// An intermediate block past its last use leaves the pool
+		// unwritten.
+		OnBlockDead: sess.DiscardBlock,
 	}
 	sp = root.Child("exec")
 	r, err := eng.RunOptions(pl.Timeline, exec.Options{Workers: workers, PrefetchDepth: prefetch})
@@ -1027,19 +1031,24 @@ func (s *Server) runQuery(q *query) (retErr error) {
 		s.dropOutputs(q) // partial outputs are garbage; reclaim frames + stores
 		return err
 	}
-	// Make this query's outputs durable and retire their private frames so
-	// they stop competing with shared inputs for pool capacity. Targeted
+	// Summarize the outputs from the pool, where they still are, then make
+	// them durable — each output block is written once — and retire the
+	// query's private frames so they stop competing with shared inputs for
+	// pool capacity; intermediates are dropped unwritten. Targeted
 	// invalidation only: a global flush would write back other running
-	// queries' dirty accumulator frames and stall them on the pool lock.
+	// queries' dirty accumulator frames.
 	sp = root.Child("result-fetch")
-	for _, phys := range alias {
-		if err := s.pool.InvalidateArray(phys); err != nil {
-			sp.End()
-			s.dropOutputs(q)
-			return err
+	outs, err := s.collectOutputs(q, alias)
+	for name, phys := range alias {
+		if err != nil {
+			break
+		}
+		if q.prog.Arrays[name].Transient {
+			s.pool.DiscardArray(phys)
+		} else {
+			err = s.pool.InvalidateArray(phys)
 		}
 	}
-	outs, err := s.collectOutputs(q, alias)
 	sp.End()
 	if err != nil {
 		s.dropOutputs(q)
@@ -1264,11 +1273,15 @@ func FillInput(m storage.Backend, arr *prog.Array, seed int64) error {
 // collectOutputs summarizes the query's persistent outputs one block at a
 // time — never materializing a full output matrix, so the server's
 // resident memory stays bounded by one block regardless of result size
-// (the same discipline the streamed delivery path follows). The summation
-// order (row-major blocks, row-major elements within each block) matches
-// the streamed frame order, so a streaming client accumulating in arrival
-// order reproduces Sum bit for bit.
+// (the same discipline the streamed delivery path follows). Blocks come
+// through the query's own tenant session of the pool: a block still
+// resident from execution is a hit, and one already evicted (or released
+// by a stream) is read back from the store. The summation order (row-major
+// blocks, row-major elements within each block) matches the streamed frame
+// order, so a streaming client accumulating in arrival order reproduces Sum
+// bit for bit.
 func (s *Server) collectOutputs(q *query, alias map[string]string) ([]OutputInfo, error) {
+	sess := s.pool.TenantSession(q.tenant, alias)
 	names := make([]string, 0, len(alias))
 	for name := range alias {
 		names = append(names, name)
@@ -1281,12 +1294,14 @@ func (s *Server) collectOutputs(q *query, alias map[string]string) ([]OutputInfo
 			continue
 		}
 		sum := 0.0
-		for br := 0; br < arr.GridRows; br++ {
-			for bc := 0; bc < arr.GridCols; bc++ {
-				blk, err := s.store.ReadBlock(alias[name], int64(br), int64(bc))
+		for br := int64(0); br < int64(arr.GridRows); br++ {
+			for bc := int64(0); bc < int64(arr.GridCols); bc++ {
+				blk, err := sess.Acquire(name, br, bc)
 				if err != nil {
 					return nil, err
 				}
+				// The borrowed matrix stays valid after the pin is gone.
+				sess.Unpin(name, br, bc, 1)
 				for _, v := range blk.Data {
 					sum += v
 				}

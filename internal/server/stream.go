@@ -437,7 +437,9 @@ func (s *Server) streamBlocks(ctx context.Context, q *query, opt streamOptions, 
 	}
 
 	// Output arrays in sorted order — the same order collectOutputs
-	// summarizes them in.
+	// summarizes them in, through the same kind of session, so streamed
+	// hits and misses land on the query's tenant.
+	sess := s.pool.TenantSession(q.tenant, alias)
 	names := make([]string, 0, len(alias))
 	for name := range alias {
 		names = append(names, name)
@@ -485,14 +487,14 @@ func (s *Server) streamBlocks(ctx context.Context, q *query, opt streamOptions, 
 				if err := s.waitBlockReady(ctx, q, streamKey(name, br, bc)); err != nil {
 					return arrays, blocks, bytes, err
 				}
-				blk, err := s.pool.Acquire(phys, br, bc)
+				blk, err := sess.Acquire(name, br, bc)
 				if err != nil {
 					return arrays, blocks, bytes, err
 				}
 				// The block is borrowed from the frame and stays valid
 				// (and unchanged) after the pin is gone, so the stream
 				// pins nothing while a chunk waits for the client.
-				s.pool.Unpin(phys, br, bc, 1)
+				sess.Unpin(name, br, bc, 1)
 				chunk = append(chunk, pending{r: br, c: bc, blk: blk})
 				if len(chunk) >= opt.chunk {
 					if err := emit(); err != nil {
