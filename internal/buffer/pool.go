@@ -112,6 +112,10 @@ type frame struct {
 	// followers wait on it instead of issuing a duplicate read.
 	loading chan struct{}
 	err     error
+	// writing is non-nil while a ReleaseBlock write-back of the frame is in
+	// flight; a concurrent release waits on it instead of writing the same
+	// data a second time.
+	writing chan struct{}
 }
 
 // NewPool creates a pool over the manager with the given soft capacity in
@@ -251,6 +255,27 @@ func (p *Pool) acquire(tenant, array string, r, c int64) (*blas.Matrix, error) {
 	return blk, nil
 }
 
+// read returns the block's current value without pinning it or installing a
+// frame: a resident frame's matrix is a hit, anything else a miss read
+// straight from the store that leaves the pool as it was. A block with no
+// resident frame is current in the store (every write-back keeps its frame
+// until the store has the data), so a miss never returns stale data.
+func (p *Pool) read(tenant, array string, r, c int64) (*blas.Matrix, error) {
+	p.mu.Lock()
+	tc := p.tenantLocked(tenant)
+	if f := p.frameLocked(array, r, c); f != nil && f.loading == nil {
+		p.hits++
+		tc.hits++
+		blk := f.blk
+		p.mu.Unlock()
+		return blk, nil
+	}
+	p.misses++
+	tc.misses++
+	p.mu.Unlock()
+	return p.store.ReadBlock(array, r, c)
+}
+
 // notePeakLocked records the post-eviction cached-byte high-water mark.
 func (p *Pool) notePeakLocked() {
 	if p.bytes > p.peakBytes {
@@ -342,11 +367,21 @@ func (p *Pool) Unpin(array string, r, c int64, n int) {
 // result far larger than the pool never accumulates resident frames. A
 // pinned or still-loading frame keeps its data (only the write-back
 // happens) and ages out through the normal policy instead; an absent
-// frame is a no-op.
+// frame is a no-op. A release that meets another one's write-back of the
+// same frame (a stream and InvalidateArray retiring one output block) waits
+// for it, so the block is written once and is in storage when either
+// returns.
 func (p *Pool) ReleaseBlock(array string, r, c int64) error {
 	key := poolKey(array, r, c)
 	p.mu.Lock()
 	f, ok := p.frames[key]
+	for ok && f.writing != nil {
+		ch := f.writing
+		p.mu.Unlock()
+		<-ch
+		p.mu.Lock()
+		f, ok = p.frames[key]
+	}
 	if !ok || f.loading != nil {
 		p.mu.Unlock()
 		return nil
@@ -359,11 +394,14 @@ func (p *Pool) ReleaseBlock(array string, r, c int64) error {
 		// resident and out of the eviction order while the lock is down.
 		blk := f.blk
 		f.pins++
+		f.writing = make(chan struct{})
 		p.policy.remove(f)
 		p.mu.Unlock()
 		err := p.store.WriteBlock(f.array, f.r, f.c, blk)
 		p.mu.Lock()
 		f.pins--
+		close(f.writing)
+		f.writing = nil
 		// A concurrent re-Put swaps the frame's block pointer and its
 		// fresh data must stay dirty; only the unchanged frame is cleaned.
 		if err == nil && f.blk == blk {
@@ -551,9 +589,9 @@ func (s TenantStats) HitRate() float64 {
 
 // Stats is a snapshot of the pool's counters.
 type Stats struct {
-	// Hits and Misses count Acquires served from a cached (or in-flight)
-	// frame vs. leader reads that went to storage; Puts counts installed
-	// writes.
+	// Hits and Misses count Acquires (and Session.Reads) served from a
+	// cached (or in-flight) frame vs. reads that went to storage; Puts
+	// counts installed writes.
 	Hits, Misses, Puts int64
 	// Evictions and Writebacks count policy evictions and dirty
 	// write-backs (eviction-driven plus Flush); Discards counts dirty
@@ -655,6 +693,14 @@ func (s *Session) resolve(array string) string {
 // Acquire is Pool.Acquire under the session's aliasing and tenant.
 func (s *Session) Acquire(array string, r, c int64) (*blas.Matrix, error) {
 	return s.pool.acquire(s.tenant, s.resolve(array), r, c)
+}
+
+// Read looks at one block under the session's aliasing and tenant without
+// pinning it or, on a miss, installing it: the result summary reads a
+// finished query's outputs this way, so blocks a stream already released
+// do not push other queries' frames out.
+func (s *Session) Read(array string, r, c int64) (*blas.Matrix, error) {
+	return s.pool.read(s.tenant, s.resolve(array), r, c)
 }
 
 // Put is Pool.Put under the session's aliasing and tenant.

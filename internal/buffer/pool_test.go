@@ -528,3 +528,100 @@ func TestDiscardBlockSkipsWriteBack(t *testing.T) {
 	p.DiscardBlock("T", 0, 0)
 	check("after discarding an absent block", 2, 0, 2*testBlockBytes, 2)
 }
+
+// TestSessionReadInstallsNothing: Read returns a resident frame's current
+// (even dirty) value as a hit and reads an absent block straight from the
+// store as a miss, pinning nothing and leaving the pool's frames as they
+// were — so a read of blocks already released cannot evict anyone.
+func TestSessionReadInstallsNothing(t *testing.T) {
+	p, m := newTestPool(t, 2*testBlockBytes)
+	mine := blas.NewMatrix(8, 8)
+	mine.Data[0] = 7
+	if err := p.Put("A", 0, 0, mine); err != nil {
+		t.Fatal(err)
+	}
+	p.Unpin("A", 0, 0, 1)
+	reads := m.Stats().ReadReqs
+	sess := p.TenantSession("t1", map[string]string{"a": "A"})
+
+	blk, err := sess.Read("a", 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if blk.Data[0] != 7 {
+		t.Fatalf("Read of the dirty resident A[0,0] = %g, want 7", blk.Data[0])
+	}
+	for c := int64(1); c < 4; c++ {
+		blk, err := sess.Read("a", 1, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := float64(100 + c*10); blk.Data[0] != want {
+			t.Fatalf("Read of absent A[1,%d] = %g, want %g", c, blk.Data[0], want)
+		}
+	}
+	st := p.Stats()
+	if st.Frames != 1 || st.PinnedFrames != 0 || st.BytesCached != testBlockBytes || st.Evictions != 0 {
+		t.Fatalf("after reads: frames=%d pinned=%d bytes=%d evictions=%d, want 1, 0, %d, 0",
+			st.Frames, st.PinnedFrames, st.BytesCached, st.Evictions, testBlockBytes)
+	}
+	if got := m.Stats().ReadReqs - reads; got != 3 {
+		t.Fatalf("%d store reads, want 3 (one per absent block)", got)
+	}
+	if ts := st.Tenants["t1"]; ts.Hits != 1 || ts.Misses != 3 {
+		t.Fatalf("t1 = %+v, want 1 hit, 3 misses", ts)
+	}
+}
+
+// TestConcurrentReleaseWritesOnce: two releases of one dirty block (a
+// stream retiring a delivered output while InvalidateArray retires the
+// array) write it back once, and the second returns only after that write
+// reached storage.
+func TestConcurrentReleaseWritesOnce(t *testing.T) {
+	m, err := storage.NewManager(t.TempDir(), storage.FormatDAF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { m.Close() })
+	if err := m.Create(&prog.Array{Name: "Out", BlockRows: 8, BlockCols: 8, GridRows: 1, GridCols: 1}); err != nil {
+		t.Fatal(err)
+	}
+	bs := &blockingStore{Backend: m, entered: make(chan struct{}), release: make(chan struct{})}
+	p := NewPool(bs, 0)
+	blk := blas.NewMatrix(8, 8)
+	blk.Data[0] = 1
+	if err := p.Put("Out", 0, 0, blk); err != nil {
+		t.Fatal(err)
+	}
+	p.Unpin("Out", 0, 0, 1)
+	writes := m.Stats().WriteReqs
+
+	bs.mu.Lock()
+	bs.armed = true
+	bs.mu.Unlock()
+	first, second := make(chan error, 1), make(chan error, 1)
+	go func() { first <- p.ReleaseBlock("Out", 0, 0) }()
+	<-bs.entered // the first write-back is parked inside the store
+	go func() { second <- p.InvalidateArray("Out") }()
+	select {
+	case <-bs.entered:
+		close(bs.release)
+		t.Fatal("the second release wrote the block back again")
+	case err := <-second:
+		close(bs.release)
+		t.Fatalf("the second release returned (%v) before the block reached storage", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(bs.release)
+	for _, ch := range []chan error{first, second} {
+		if err := <-ch; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := m.Stats().WriteReqs - writes; got != 1 {
+		t.Fatalf("%d store writes, want 1", got)
+	}
+	if st := p.Stats(); st.Frames != 0 || st.Writebacks != 1 {
+		t.Fatalf("frames=%d writebacks=%d, want 0 and 1", st.Frames, st.Writebacks)
+	}
+}

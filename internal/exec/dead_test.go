@@ -93,7 +93,8 @@ func openDeadLeg(store storage.Backend, workers int, pooled bool) deadLeg {
 // is — for every plan of addmul and twomm, and a linreg plan whose
 // transient accumulators are read and written by one event, under either
 // schedule, through a buffer pool session and without one. A run whose
-// block reads fail from the first one on announces nothing.
+// block reads fail from the first one completes no event that reads, so it
+// announces nothing.
 func TestDeadBlocksAnnouncedAfterLastUse(t *testing.T) {
 	cases := []struct {
 		name    string

@@ -113,9 +113,11 @@ type Engine struct {
 	// its value is garbage and a dirty frame of it need never be written
 	// back. Under either schedule it is a countdown over the events whose
 	// access sets touch the block, not the last event in timeline order
-	// (the DAG schedule does not order reads of one block). A failed run
-	// announces nothing after its failure, and persistent arrays never
-	// produce a call. The same concurrency rules as OnBlockWritten apply.
+	// (the DAG schedule does not order reads of one block). A failed event
+	// counts nothing down, but events that completed before or alongside a
+	// failure may still announce, which is harmless: a failed run's arrays
+	// are garbage anyway. Persistent arrays never produce a call. The same
+	// concurrency rules as OnBlockWritten apply.
 	OnBlockDead func(array string, r, c int64)
 }
 
@@ -636,10 +638,10 @@ func transientTouches(p *prog.Program, sets [][]codegen.BlockAccess) [][]*countd
 
 // countDown retires completed event i's accesses from the countdown of every
 // transient block it touched and announces each block no remaining event
-// touches. A run that has stopped announces nothing more.
+// touches.
 func (rs *runState) countDown(i int) {
 	for _, cd := range rs.dying[i] {
-		if cd.left.Add(-1) == 0 && !rs.stopped() {
+		if cd.left.Add(-1) == 0 {
 			rs.e.OnBlockDead(cd.ref.array, cd.ref.r, cd.ref.c)
 		}
 	}

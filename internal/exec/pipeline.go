@@ -242,17 +242,6 @@ func (rs *runState) fail(err error) {
 	})
 }
 
-// stopped reports whether a DAG-scheduled run has failed or finished; the
-// in-order schedule (no cancel channel) stops by returning instead.
-func (rs *runState) stopped() bool {
-	select {
-	case <-rs.cancel:
-		return true
-	default:
-		return false
-	}
-}
-
 // runDAG drives execEvent over the dependence DAG on opt.Workers workers,
 // with I/O prefetch into the memory cap's headroom above peakBytes.
 func (rs *runState) runDAG(intervals []*ivState, opt Options, peakBytes int64) error {

@@ -1038,7 +1038,7 @@ func (s *Server) runQuery(q *query) (retErr error) {
 	// invalidation only: a global flush would write back other running
 	// queries' dirty accumulator frames.
 	sp = root.Child("result-fetch")
-	outs, err := s.collectOutputs(q, alias)
+	outs, err := s.collectOutputs(q, sess)
 	for name, phys := range alias {
 		if err != nil {
 			break
@@ -1274,16 +1274,15 @@ func FillInput(m storage.Backend, arr *prog.Array, seed int64) error {
 // time — never materializing a full output matrix, so the server's
 // resident memory stays bounded by one block regardless of result size
 // (the same discipline the streamed delivery path follows). Blocks come
-// through the query's own tenant session of the pool: a block still
-// resident from execution is a hit, and one already evicted (or released
-// by a stream) is read back from the store. The summation order (row-major
-// blocks, row-major elements within each block) matches the streamed frame
-// order, so a streaming client accumulating in arrival order reproduces Sum
-// bit for bit.
-func (s *Server) collectOutputs(q *query, alias map[string]string) ([]OutputInfo, error) {
-	sess := s.pool.TenantSession(q.tenant, alias)
-	names := make([]string, 0, len(alias))
-	for name := range alias {
+// through the query's own pool session: a block still resident from
+// execution is a hit, and one already evicted (or released by a stream) is
+// read from the store without being installed again. The summation order
+// (row-major blocks, row-major elements within each block) matches the
+// streamed frame order, so a streaming client accumulating in arrival order
+// reproduces Sum bit for bit.
+func (s *Server) collectOutputs(q *query, sess *buffer.Session) ([]OutputInfo, error) {
+	names := make([]string, 0, len(q.alias))
+	for name := range q.alias {
 		names = append(names, name)
 	}
 	sort.Strings(names)
@@ -1296,19 +1295,17 @@ func (s *Server) collectOutputs(q *query, alias map[string]string) ([]OutputInfo
 		sum := 0.0
 		for br := int64(0); br < int64(arr.GridRows); br++ {
 			for bc := int64(0); bc < int64(arr.GridCols); bc++ {
-				blk, err := sess.Acquire(name, br, bc)
+				blk, err := sess.Read(name, br, bc)
 				if err != nil {
 					return nil, err
 				}
-				// The borrowed matrix stays valid after the pin is gone.
-				sess.Unpin(name, br, bc, 1)
 				for _, v := range blk.Data {
 					sum += v
 				}
 			}
 		}
 		outs = append(outs, OutputInfo{
-			Array: name, Physical: alias[name],
+			Array: name, Physical: q.alias[name],
 			Rows: arr.BlockRows * arr.GridRows, Cols: arr.BlockCols * arr.GridCols,
 			Sum: sum,
 		})

@@ -437,9 +437,9 @@ func (s *Server) streamBlocks(ctx context.Context, q *query, opt streamOptions, 
 	}
 
 	// Output arrays in sorted order — the same order collectOutputs
-	// summarizes them in, through the same kind of session, so streamed
-	// hits and misses land on the query's tenant.
-	sess := s.pool.TenantSession(q.tenant, alias)
+	// summarizes them in. Blocks are addressed by physical name through a
+	// session of the query's tenant, so streamed hits and misses land on it.
+	sess := s.pool.TenantSession(q.tenant, nil)
 	names := make([]string, 0, len(alias))
 	for name := range alias {
 		names = append(names, name)
@@ -487,14 +487,14 @@ func (s *Server) streamBlocks(ctx context.Context, q *query, opt streamOptions, 
 				if err := s.waitBlockReady(ctx, q, streamKey(name, br, bc)); err != nil {
 					return arrays, blocks, bytes, err
 				}
-				blk, err := sess.Acquire(name, br, bc)
+				blk, err := sess.Acquire(phys, br, bc)
 				if err != nil {
 					return arrays, blocks, bytes, err
 				}
 				// The block is borrowed from the frame and stays valid
 				// (and unchanged) after the pin is gone, so the stream
 				// pins nothing while a chunk waits for the client.
-				sess.Unpin(name, br, bc, 1)
+				sess.Unpin(phys, br, bc, 1)
 				chunk = append(chunk, pending{r: br, c: bc, blk: blk})
 				if len(chunk) >= opt.chunk {
 					if err := emit(); err != nil {
