@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test test-race test-full bench bench-record-smoke lint fmt doc-check riotvet smoke
+.PHONY: build test test-race test-full bench bench-record-smoke examples lint fmt doc-check riotvet smoke
 
 build:
 	$(GO) build ./...
@@ -41,6 +41,15 @@ bench-record-smoke:
 		tail -n 1 $$out.log > $$out.json; \
 		grep -q '"failed":0[,}]' $$out.json || { echo "bench-record-smoke: failed > 0 in $$out.json"; exit 1; }; \
 	done; done
+
+# Run every program under examples/: quickstart and linreg execute their
+# plans physically and check the numerics themselves, so a non-zero exit
+# from any of them fails the target.
+examples:
+	@set -e; for ex in quickstart linreg twomm userop; do \
+		echo "$(GO) run ./examples/$$ex"; \
+		$(GO) run ./examples/$$ex > /dev/null; \
+	done
 
 # Godoc completeness over the public surface: the facade, the planner
 # (core/sched/cost), the storage and server layers, and the network

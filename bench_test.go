@@ -13,7 +13,6 @@ import (
 	"riotshare/internal/core"
 	"riotshare/internal/deps"
 	"riotshare/internal/sched"
-	"riotshare/internal/storage"
 )
 
 // Each benchmark regenerates one table or figure of the paper's evaluation
@@ -195,39 +194,6 @@ func BenchmarkAblationCostModel(b *testing.B) {
 	}
 }
 
-// BenchmarkStorageFormats compares DAF and LAB-tree block write/read
-// throughput ("work virtually identically for dense matrices", §6).
-func BenchmarkStorageFormats(b *testing.B) {
-	arr := &riotshare.Array{Name: "A", BlockRows: 64, BlockCols: 64, GridRows: 8, GridCols: 8}
-	blk := blas.NewMatrix(64, 64)
-	for i := range blk.Data {
-		blk.Data[i] = float64(i)
-	}
-	for _, format := range []storage.Format{storage.FormatDAF, storage.FormatLABTree} {
-		b.Run(format.String(), func(b *testing.B) {
-			m, err := storage.NewManager(b.TempDir(), format)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer m.Close()
-			if err := m.Create(arr); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				r := int64(i % 8)
-				c := int64((i / 8) % 8)
-				if err := m.WriteBlock("A", r, c, blk); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := m.ReadBlock("A", r, c); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkParallelExec compares the execution engine's in-order schedule
 // (workers=1) against its pipelined DAG schedule on the two-multiplication
 // workload (C = A·B; E = A·D) in two regimes. "io-bound" simulates the
@@ -257,7 +223,7 @@ func BenchmarkParallelExec(b *testing.B) {
 		{"io-bound", 2 * time.Millisecond},
 		{"cpu-bound", 0},
 	} {
-		store, err := riotshare.NewStorage(b.TempDir(), riotshare.FormatDAF)
+		store, err := riotshare.NewStorage(b.TempDir())
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,6 +1,9 @@
 // Command expdriver regenerates the paper's evaluation (§6): every table
 // and figure, the optimization-time note, the dataset-scale consistency
-// check, and the system comparison. See DESIGN.md's experiment index.
+// check, and the system comparison. See DESIGN.md's experiment index. It
+// is a thin front-end over internal/bench, whose paper-figure tests run
+// the same report paths; that is why it is kept although no benchmark
+// workload runs it.
 //
 // Usage:
 //

@@ -23,7 +23,6 @@ import (
 	"syscall"
 
 	"riotshare/internal/blockd"
-	"riotshare/internal/storage"
 )
 
 func main() {
@@ -37,7 +36,6 @@ func run() error {
 	var (
 		addr    = flag.String("addr", ":8441", "listen address")
 		root    = flag.String("root", "", "shard root directory this server exposes (required)")
-		format  = flag.String("format", "daf", "block format: daf or lab-tree (must match the front-end's -format)")
 		serial  = flag.Bool("serial-device", false, "serve one simulated-latency request at a time (device modeling experiments)")
 		quiet   = flag.Bool("quiet", false, "suppress per-connection logging")
 		metrics = flag.String("metrics-addr", "", "optional HTTP sidecar address serving GET /metrics and /healthz (e.g. :9441)")
@@ -46,15 +44,7 @@ func run() error {
 	if *root == "" {
 		return fmt.Errorf("-root required: the shard directory this server exposes")
 	}
-	f := storage.FormatDAF
-	switch *format {
-	case "daf":
-	case "lab-tree":
-		f = storage.FormatLABTree
-	default:
-		return fmt.Errorf("unknown format %q (daf, lab-tree)", *format)
-	}
-	opt := blockd.Options{Format: f, SerialDevice: *serial}
+	opt := blockd.Options{SerialDevice: *serial}
 	if !*quiet {
 		opt.Logf = blockd.StdLogf
 	}
@@ -78,7 +68,7 @@ func run() error {
 		defer mln.Close()
 		fmt.Printf("riotblockd: metrics on http://%s/metrics\n", mln.Addr())
 	}
-	fmt.Printf("riotblockd: serving shard root %s on %s (format %s)\n", *root, srv.Addr(), f)
+	fmt.Printf("riotblockd: serving shard root %s on %s\n", *root, srv.Addr())
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	<-sig

@@ -138,7 +138,7 @@ func run() error {
 			if *replicas > 1 {
 				return fmt.Errorf("-replicas %d needs -shards >= %d", *replicas, *replicas)
 			}
-			store, err = riotshare.NewStorage(dir, riotshare.FormatDAF)
+			store, err = riotshare.NewStorage(dir)
 		}
 		if err != nil {
 			return err

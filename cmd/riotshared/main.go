@@ -79,7 +79,6 @@ func serve(fs *flag.FlagSet, args []string) error {
 	var (
 		addr     = fs.String("addr", ":8377", "listen address")
 		dir      = fs.String("data", "", "directory for physical block files (default: temp)")
-		format   = fs.String("format", "daf", "block format: daf or lab-tree")
 		poolMB   = fs.Int64("pool-mb", 256, "shared buffer pool capacity in MB (0 = unlimited)")
 		policy   = fs.String("policy", "lru", "pool replacement policy: lru or segmented (scan-resistant)")
 		maxConc  = fs.Int("max-concurrent", 2, "max concurrently executing queries (K)")
@@ -125,18 +124,11 @@ func serve(fs *flag.FlagSet, args []string) error {
 		defer os.RemoveAll(d)
 		*dir = d
 	}
-	f := storage.FormatDAF
-	if *format == "lab-tree" {
-		f = storage.FormatLABTree
-	} else if *format != "daf" {
-		return fmt.Errorf("unknown format %q (daf, lab-tree)", *format)
-	}
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 	fmt.Printf("riotshared: serving on %s (data %s, pool %dMB, K=%d)\n", *addr, *dir, *poolMB, *maxConc)
 	err := server.ListenAndServe(ctx, *addr, server.Config{
 		Dir:              *dir,
-		Format:           f,
 		Shards:           *shards,
 		ShardDirs:        dirs,
 		ShardAddrs:       addrs,

@@ -47,7 +47,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	store, err := riotshare.NewStorage(dir, riotshare.FormatLABTree)
+	store, err := riotshare.NewStorage(dir)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -42,7 +42,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	store, err := riotshare.NewStorage(dir, riotshare.FormatDAF)
+	store, err := riotshare.NewStorage(dir)
 	if err != nil {
 		log.Fatal(err)
 	}

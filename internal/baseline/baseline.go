@@ -5,7 +5,9 @@
 // sharing at all, naive kernels), and an LRU buffer-pool engine that
 // executes the original order with opportunistic caching under a memory
 // cap — the "low-level, opportunistic" database approach §2 contrasts with
-// RIOTShare's principled optimization.
+// RIOTShare's principled optimization. No benchmark workload runs these
+// engines; they are kept because internal/bench's paper-figure experiments
+// and their tests compare against them.
 package baseline
 
 import (

@@ -36,10 +36,6 @@ import (
 
 // Options configures a Server beyond its root directory.
 type Options struct {
-	// Format selects the on-disk block format (default DAF). It must match
-	// the front-end's format; the manifest the front-end writes through
-	// OpManifest records and validates it.
-	Format storage.Format
 	// SerialDevice serializes simulated-latency requests, modeling a
 	// one-request-at-a-time device (see storage.Manager.SerialDevice).
 	SerialDevice bool
@@ -70,7 +66,7 @@ type Server struct {
 // New creates a server over the shard root directory, creating it if
 // needed. Call Serve or ListenAndServe to start answering.
 func New(root string, opt Options) (*Server, error) {
-	mgr, err := storage.NewManager(root, opt.Format)
+	mgr, err := storage.NewManager(root, storage.FormatDAF)
 	if err != nil {
 		return nil, err
 	}

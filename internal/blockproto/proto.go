@@ -16,8 +16,8 @@
 // pipelines must match responses to requests by order. Integers inside
 // payloads are big-endian fixed width; strings and byte blobs are
 // uint16/uint32 length-prefixed. Block payloads are float64 elements in
-// little-endian IEEE-754 bit order, row-major — exactly the bytes the DAF
-// and LAB-tree stores persist.
+// little-endian IEEE-754 bit order, row-major — exactly the bytes a DAF
+// store persists.
 //
 // The full specification, including versioning rules, lives in
 // docs/remote-protocol.md; keep the two in sync.

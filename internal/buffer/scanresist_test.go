@@ -9,10 +9,10 @@ import (
 )
 
 // scanResistPool seeds a small hot array and a large scan array under the
-// given format and policy, with pool capacity far below the scan length.
-func scanResistPool(t *testing.T, format storage.Format, policy string, capBlocks int) *Pool {
+// given policy, with pool capacity far below the scan length.
+func scanResistPool(t *testing.T, policy string, capBlocks int) *Pool {
 	t.Helper()
-	m, err := storage.NewManager(t.TempDir(), format)
+	m, err := storage.NewManager(t.TempDir(), storage.FormatDAF)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,24 +84,22 @@ func runScanMix(t *testing.T, p *Pool) float64 {
 // set is promoted to the protected segment and survives (hit rate stays
 // high); under plain LRU the same workload flushes it (hit rate
 // collapses), which is exactly the regression the policy exists to
-// prevent. Both on-disk formats are exercised.
+// prevent.
 func TestScanResistance(t *testing.T) {
 	const capBlocks = 8 // pool holds 8 blocks; the scan touches 128
-	for _, format := range []storage.Format{storage.FormatDAF, storage.FormatLABTree} {
-		t.Run(format.String(), func(t *testing.T) {
-			segmented := runScanMix(t, scanResistPool(t, format, PolicySegmented, capBlocks))
-			lru := runScanMix(t, scanResistPool(t, format, PolicyLRU, capBlocks))
-			if segmented < 0.85 {
-				t.Errorf("segmented policy hot-set hit rate = %.2f, want >= 0.85 (scan must not evict the hot set)", segmented)
-			}
-			if lru > 0.5 {
-				t.Errorf("LRU hot-set hit rate = %.2f under the scan mix; the property test lost its teeth", lru)
-			}
-			if segmented <= lru {
-				t.Errorf("segmented (%.2f) must beat LRU (%.2f) on the hot set", segmented, lru)
-			}
-		})
-	}
+	t.Run("daf", func(t *testing.T) {
+		segmented := runScanMix(t, scanResistPool(t, PolicySegmented, capBlocks))
+		lru := runScanMix(t, scanResistPool(t, PolicyLRU, capBlocks))
+		if segmented < 0.85 {
+			t.Errorf("segmented policy hot-set hit rate = %.2f, want >= 0.85 (scan must not evict the hot set)", segmented)
+		}
+		if lru > 0.5 {
+			t.Errorf("LRU hot-set hit rate = %.2f under the scan mix; the property test lost its teeth", lru)
+		}
+		if segmented <= lru {
+			t.Errorf("segmented (%.2f) must beat LRU (%.2f) on the hot set", segmented, lru)
+		}
+	})
 }
 
 // The sticky eviction write-back error must surface through Stats.EvictErr

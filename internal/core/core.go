@@ -68,7 +68,9 @@ type Result struct {
 }
 
 // Optimize runs the pipeline with the full Apriori search on a program whose
-// parameters are bound.
+// parameters are bound. It stays beside OptimizeCtx because the paper-figure
+// code (internal/bench, internal/baseline), cmd/riotshare and the examples
+// call it.
 func Optimize(p *prog.Program, opt Options) (*Result, error) {
 	return OptimizeCtx(context.Background(), p, opt) //riotvet:allow ctxflow — compatibility wrapper; cancelable callers use OptimizeCtx
 }
@@ -84,7 +86,9 @@ func OptimizeCtx(ctx context.Context, p *prog.Program, opt Options) (*Result, er
 // combinations (each a list of display names like "s1WC→s2RC"), skipping
 // the Apriori enumeration. The empty combination (baseline) is always
 // included. Used by the selected-plan experiments (Figures 4(b), 5(b),
-// 6(b)) and anywhere the caller already knows the plans of interest.
+// 6(b)) and anywhere the caller already knows the plans of interest. It
+// stays beside OptimizeSubsetsCtx because those experiments in
+// internal/bench, cmd/riotshare and the linreg example call it.
 //
 //riotvet:allow ctxflow — compatibility wrapper; cancelable callers use OptimizeSubsetsCtx
 func OptimizeSubsets(p *prog.Program, opt Options, subsets [][]string) (*Result, error) {
@@ -321,20 +325,13 @@ type BlockSizeChoice struct {
 	Best   *EvaluatedPlan
 }
 
-// OptimizeBlockSize implements the future-work extension sketched in §7 (and
-// the ♣ experiment of §6.1): it co-optimizes the array block size with I/O
-// sharing by sweeping scaling factors over a program-template builder and
-// returning the evaluated choices, best first. build must return the
-// program for a given scale.
-//
-//riotvet:allow ctxflow — compatibility wrapper; cancelable callers use OptimizeBlockSizeCtx
-func OptimizeBlockSize(build func(scale float64) *prog.Program, scales []float64, opt Options) ([]BlockSizeChoice, error) {
-	return OptimizeBlockSizeCtx(context.Background(), build, scales, opt) //riotvet:allow ctxflow — compatibility wrapper; see OptimizeBlockSizeCtx
-}
-
-// OptimizeBlockSizeCtx is OptimizeBlockSize with cancellation: each
-// per-scale optimization runs under ctx, so a deadline or shutdown can
-// interrupt the sweep between (or inside) full searches.
+// OptimizeBlockSizeCtx implements the future-work extension sketched in §7
+// (and the ♣ experiment of §6.1): it co-optimizes the array block size with
+// I/O sharing by sweeping scaling factors over a program-template builder
+// and returning the evaluated choices, best first. build must return the
+// program for a given scale. Each per-scale optimization runs under ctx, so
+// a deadline or shutdown can interrupt the sweep between (or inside) full
+// searches.
 func OptimizeBlockSizeCtx(ctx context.Context, build func(scale float64) *prog.Program, scales []float64, opt Options) ([]BlockSizeChoice, error) {
 	var out []BlockSizeChoice
 	for _, s := range scales {

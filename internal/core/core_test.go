@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"riotshare/internal/disk"
@@ -188,7 +189,7 @@ func TestRefinedCostModel(t *testing.T) {
 	}
 }
 
-// OptimizeBlockSize (the §7 future-work extension): the joint optimizer
+// OptimizeBlockSizeCtx (the §7 future-work extension): the joint optimizer
 // must return choices sorted by I/O time and include multiple scales.
 func TestOptimizeBlockSize(t *testing.T) {
 	build := func(scale float64) *prog.Program {
@@ -204,7 +205,7 @@ func TestOptimizeBlockSize(t *testing.T) {
 			LogicalD:  ops.Dims{Rows: 4000, Cols: 5000},
 		})
 	}
-	choices, err := OptimizeBlockSize(build, []float64{0.5, 1, 2}, Options{BindParams: true})
+	choices, err := OptimizeBlockSizeCtx(context.Background(), build, []float64{0.5, 1, 2}, Options{BindParams: true})
 	if err != nil {
 		t.Fatal(err)
 	}

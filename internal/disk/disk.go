@@ -3,7 +3,9 @@
 // the paper calibrates in §6 (96 MB/s reads, 60 MB/s writes on their WD
 // Caviar Black; we keep those constants so predicted I/O times are
 // comparable). A refined per-request-overhead model is also provided, per
-// §5.4's remark that such models "can be easily incorporated".
+// §5.4's remark that such models "can be easily incorporated". It is kept
+// as a package of its own because the cost model, the executor and
+// internal/bench's paper-figure tests all use it.
 package disk
 
 import "sync/atomic"

@@ -163,7 +163,7 @@ func TestBestPlanBeatsBaseline(t *testing.T) {
 
 // Linear regression end-to-end on real data: β̂ must solve the normal
 // equations and R must equal the residual sum of squares, for both the
-// baseline and best plans, on both storage formats.
+// baseline and best plans.
 func TestLinRegEndToEnd(t *testing.T) {
 	p := ops.LinReg(ops.LinRegConfig{
 		N: 4, XBlock: ops.Dims{Rows: 12, Cols: 5}, YBlock: ops.Dims{Rows: 12, Cols: 3},
@@ -177,57 +177,55 @@ func TestLinRegEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, format := range []storage.Format{storage.FormatDAF, storage.FormatLABTree} {
-		for _, pl := range []*core.EvaluatedPlan{res.Baseline(), &res.Plans[0]} {
-			m, err := storage.NewManager(t.TempDir(), format)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := m.CreateAll(p); err != nil {
-				t.Fatal(err)
-			}
-			full := fillInputs(t, p, m, 7)
-			eng := &Engine{Store: m, Model: disk.PaperModel()}
-			r, err := eng.Run(pl.Timeline)
-			if err != nil {
-				t.Fatalf("%s plan %s: %v", format, pl.Label, err)
-			}
-			if r.ReadBytes != pl.Cost.ReadBytes || r.WriteBytes != pl.Cost.WriteBytes {
-				t.Errorf("%s plan %s: measured I/O (%d,%d) != predicted (%d,%d)",
-					format, pl.Label, r.ReadBytes, r.WriteBytes, pl.Cost.ReadBytes, pl.Cost.WriteBytes)
-			}
-			x, y := full["X"], full["Y"]
-			// Reference: β̂ = (XᵀX)⁻¹XᵀY.
-			xtX := blas.NewMatrix(x.Cols, x.Cols)
-			blas.Gemm(xtX, x, true, x, false)
-			inv := blas.NewMatrix(x.Cols, x.Cols)
-			if err := blas.Inverse(inv, xtX); err != nil {
-				t.Fatal(err)
-			}
-			xtY := blas.NewMatrix(x.Cols, y.Cols)
-			blas.Gemm(xtY, x, true, y, false)
-			wantB := blas.NewMatrix(x.Cols, y.Cols)
-			blas.Gemm(wantB, inv, false, xtY, false)
-			gotB := readFull(t, p, m, "Bh")
-			if d := blas.MaxAbsDiff(gotB, wantB); d > 1e-6 {
-				t.Errorf("%s plan %s: β̂ wrong by %g", format, pl.Label, d)
-			}
-			// Reference RSS per response column.
-			yh := blas.NewMatrix(y.Rows, y.Cols)
-			blas.Gemm(yh, x, false, wantB, false)
-			gotR := readFull(t, p, m, "R")
-			for j := 0; j < y.Cols; j++ {
-				var want float64
-				for i := 0; i < y.Rows; i++ {
-					d := y.At(i, j) - yh.At(i, j)
-					want += d * d
-				}
-				if math.Abs(gotR.At(0, j)-want) > 1e-6*(1+want) {
-					t.Errorf("%s plan %s: RSS[%d] = %g want %g", format, pl.Label, j, gotR.At(0, j), want)
-				}
-			}
-			m.Close()
+	for _, pl := range []*core.EvaluatedPlan{res.Baseline(), &res.Plans[0]} {
+		m, err := storage.NewManager(t.TempDir(), storage.FormatDAF)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if err := m.CreateAll(p); err != nil {
+			t.Fatal(err)
+		}
+		full := fillInputs(t, p, m, 7)
+		eng := &Engine{Store: m, Model: disk.PaperModel()}
+		r, err := eng.Run(pl.Timeline)
+		if err != nil {
+			t.Fatalf("plan %s: %v", pl.Label, err)
+		}
+		if r.ReadBytes != pl.Cost.ReadBytes || r.WriteBytes != pl.Cost.WriteBytes {
+			t.Errorf("plan %s: measured I/O (%d,%d) != predicted (%d,%d)",
+				pl.Label, r.ReadBytes, r.WriteBytes, pl.Cost.ReadBytes, pl.Cost.WriteBytes)
+		}
+		x, y := full["X"], full["Y"]
+		// Reference: β̂ = (XᵀX)⁻¹XᵀY.
+		xtX := blas.NewMatrix(x.Cols, x.Cols)
+		blas.Gemm(xtX, x, true, x, false)
+		inv := blas.NewMatrix(x.Cols, x.Cols)
+		if err := blas.Inverse(inv, xtX); err != nil {
+			t.Fatal(err)
+		}
+		xtY := blas.NewMatrix(x.Cols, y.Cols)
+		blas.Gemm(xtY, x, true, y, false)
+		wantB := blas.NewMatrix(x.Cols, y.Cols)
+		blas.Gemm(wantB, inv, false, xtY, false)
+		gotB := readFull(t, p, m, "Bh")
+		if d := blas.MaxAbsDiff(gotB, wantB); d > 1e-6 {
+			t.Errorf("plan %s: β̂ wrong by %g", pl.Label, d)
+		}
+		// Reference RSS per response column.
+		yh := blas.NewMatrix(y.Rows, y.Cols)
+		blas.Gemm(yh, x, false, wantB, false)
+		gotR := readFull(t, p, m, "R")
+		for j := 0; j < y.Cols; j++ {
+			var want float64
+			for i := 0; i < y.Rows; i++ {
+				d := y.At(i, j) - yh.At(i, j)
+				want += d * d
+			}
+			if math.Abs(gotR.At(0, j)-want) > 1e-6*(1+want) {
+				t.Errorf("plan %s: RSS[%d] = %g want %g", pl.Label, j, gotR.At(0, j), want)
+			}
+		}
+		m.Close()
 	}
 }
 

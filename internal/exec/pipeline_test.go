@@ -58,14 +58,12 @@ func outputArrays(p *prog.Program) []string {
 }
 
 // runConfig varies one execution of a plan in the property tests: the
-// on-disk format, the engine parallelism, the shard count of the block
-// store (0/1 = the single-directory manager) with its replication factor,
-// and whether block I/O goes through a sharing-aware buffer pool (with
+// engine parallelism, the shard count of the block store (0/1 = the
+// single-directory manager) with its replication factor, and whether block I/O goes through a sharing-aware buffer pool (with
 // which eviction policy and capacity — a small poolCap forces eviction and
 // dirty write-back churn mid-plan — and dead transient blocks discarded
 // through Engine.OnBlockDead).
 type runConfig struct {
-	format     storage.Format
 	workers    int
 	prefetch   int
 	memCap     int64
@@ -84,9 +82,9 @@ func runPlan(t *testing.T, p *prog.Program, pl *core.EvaluatedPlan, cfg runConfi
 	var err error
 	if cfg.shards > 1 {
 		m, err = storage.OpenSharded(storage.ShardDirs(t.TempDir(), cfg.shards),
-			storage.ShardedOptions{Format: cfg.format, Replicas: cfg.replicas})
+			storage.ShardedOptions{Replicas: cfg.replicas})
 	} else {
-		m, err = storage.NewManager(t.TempDir(), cfg.format)
+		m, err = storage.NewManager(t.TempDir(), storage.FormatDAF)
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -193,11 +191,11 @@ func planSample(res *core.Result, n int) []*core.EvaluatedPlan {
 }
 
 // TestParallelMatchesSequential is the property test for the DAG
-// schedule: across the example programs, a sample of their plans, and both
-// on-disk formats (DAF and LAB-tree), a Workers=4 run — with or without a
-// sharing-aware buffer pool — must produce the same Result (ReadBytes/
-// WriteBytes/ReadReqs/WriteReqs/PeakMemoryBytes/SimulatedIOSec) and
-// bit-identical output matrices as Workers=1.
+// schedule: across the example programs and a sample of their plans, a
+// Workers=4 run — with or without a sharing-aware buffer pool — must
+// produce the same Result (ReadBytes/WriteBytes/ReadReqs/WriteReqs/
+// PeakMemoryBytes/SimulatedIOSec) and bit-identical output matrices as
+// Workers=1.
 func TestParallelMatchesSequential(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -218,154 +216,150 @@ func TestParallelMatchesSequential(t *testing.T) {
 		}, maxPlans: 4},
 		{name: "userop", prog: useropProgram(), maxPlans: 6},
 	}
-	formats := []storage.Format{storage.FormatDAF, storage.FormatLABTree}
 	for _, tc := range cases {
 		tc := tc
-		for _, format := range formats {
-			format := format
-			t.Run(tc.name+"/"+format.String(), func(t *testing.T) {
-				t.Parallel()
-				var res *core.Result
-				var err error
-				if tc.subsets != nil {
-					res, err = core.OptimizeSubsets(tc.prog, core.Options{BindParams: true}, tc.subsets)
-				} else {
-					res, err = core.Optimize(tc.prog, core.Options{BindParams: true})
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			var res *core.Result
+			var err error
+			if tc.subsets != nil {
+				res, err = core.OptimizeSubsets(tc.prog, core.Options{BindParams: true}, tc.subsets)
+			} else {
+				res, err = core.Optimize(tc.prog, core.Options{BindParams: true})
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, pl := range planSample(res, tc.maxPlans) {
+				seq, seqOut := runPlan(t, tc.prog, pl, runConfig{workers: 1})
+				for _, workers := range []int{2, 4} {
+					par, parOut := runPlan(t, tc.prog, pl, runConfig{workers: workers})
+					assertIdentical(t, pl.Label, workers, seq, par, seqOut, parOut)
 				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, pl := range planSample(res, tc.maxPlans) {
-					seq, seqOut := runPlan(t, tc.prog, pl, runConfig{format: format, workers: 1})
-					for _, workers := range []int{2, 4} {
-						par, parOut := runPlan(t, tc.prog, pl, runConfig{format: format, workers: workers})
-						assertIdentical(t, pl.Label, workers, seq, par, seqOut, parOut)
-					}
-					// Shards/replicas axes: striping the block store across
-					// 2 or 4 shard directories — with or without 2-way
-					// replication — must be invisible to execution: same
-					// Result, bit-identical outputs, sequential and
-					// parallel alike.
-					for _, shards := range []int{2, 4} {
-						for _, replicas := range []int{1, 2} {
-							for _, workers := range []int{1, 4} {
-								sh, shOut := runPlan(t, tc.prog, pl, runConfig{
-									format: format, workers: workers, shards: shards, replicas: replicas,
-								})
-								label := fmt.Sprintf("%s+shards%d r%d", pl.Label, shards, replicas)
-								assertIdentical(t, label, workers, seq, sh, seqOut, shOut)
-							}
-						}
-					}
-					// Degraded store: lose one shard dir mid-suite (after
-					// the input fill) under 2-way replication — execution
-					// must still be bit-identical, served by replica
-					// fallbacks.
-					{
-						cfg := runConfig{format: format, workers: 4, shards: 2, replicas: 2}
-						dirs := storage.ShardDirs(t.TempDir(), cfg.shards)
-						sm, err := storage.OpenSharded(dirs,
-							storage.ShardedOptions{Format: cfg.format, Replicas: cfg.replicas})
-						if err != nil {
-							t.Fatal(err)
-						}
-						if err := sm.CreateAll(tc.prog); err != nil {
-							t.Fatal(err)
-						}
-						fillInputs(t, tc.prog, sm, 42)
-						if err := sm.DegradeShard(1); err != nil {
-							t.Fatal(err)
-						}
-						// The directory is really gone: fallbacks must come
-						// from shard 0's replicas, not surviving fds.
-						if err := os.RemoveAll(dirs[1]); err != nil {
-							t.Fatal(err)
-						}
-						deg, degOut := runPlanOn(t, tc.prog, pl, sm, cfg)
-						assertIdentical(t, pl.Label+"+degraded", cfg.workers, seq, deg, seqOut, degOut)
-						if sm.DegradedReads() == 0 {
-							t.Errorf("plan %s: degraded run issued no replica-fallback reads", pl.Label)
-						}
-						sm.Close()
-					}
-					// Remote shards: the same store striped over in-process
-					// riotblockd servers (2-way replicated) must be
-					// execution-invisible too — same Result, bit-identical
-					// outputs. Then kill one server and run again: the dead
-					// shard degrades automatically and replica fallbacks
-					// keep the run bit-identical.
-					{
-						cfg := runConfig{format: format, workers: 4, shards: 2, replicas: 2}
-						servers := make([]*blockd.Server, cfg.shards)
-						addrs := make([]string, cfg.shards)
-						for i := range servers {
-							srv, err := blockd.New(t.TempDir(), blockd.Options{Format: format})
-							if err != nil {
-								t.Fatal(err)
-							}
-							if err := srv.ListenAndServe("127.0.0.1:0"); err != nil {
-								t.Fatal(err)
-							}
-							defer srv.Close()
-							servers[i] = srv
-							addrs[i] = srv.Addr()
-						}
-						sm, err := storage.OpenSharded(addrs, storage.ShardedOptions{
-							Format: cfg.format, Replicas: cfg.replicas,
-							Remote: storage.RemoteOptions{Retries: 1, RetryBackoff: 5 * time.Millisecond},
-						})
-						if err != nil {
-							t.Fatal(err)
-						}
-						if err := sm.CreateAll(tc.prog); err != nil {
-							t.Fatal(err)
-						}
-						fillInputs(t, tc.prog, sm, 42)
-						rem, remOut := runPlanOn(t, tc.prog, pl, sm, cfg)
-						assertIdentical(t, pl.Label+"+remote", cfg.workers, seq, rem, seqOut, remOut)
-
-						servers[1].Close() // kill one riotblockd mid-suite
-						kill, killOut := runPlanOn(t, tc.prog, pl, sm, cfg)
-						assertIdentical(t, pl.Label+"+remote-kill", cfg.workers, seq, kill, seqOut, killOut)
-						if got := sm.Degraded(); len(got) != 1 || got[0] != 1 {
-							t.Errorf("plan %s: Degraded() = %v after killing server 1, want [1]", pl.Label, got)
-						}
-						if sm.DegradedReads() == 0 {
-							t.Errorf("plan %s: remote kill run issued no replica-fallback reads", pl.Label)
-						}
-						sm.Close()
-					}
-					// Pooled runs (sequential and parallel, each eviction
-					// policy, unlimited and eviction-forcing capacities)
-					// must be indistinguishable in Result and numerics
-					// too.
-					for _, workers := range []int{1, 4} {
-						for _, pcfg := range []struct {
-							policy string
-							cap    int64
-							shards int
-						}{
-							{buffer.PolicyLRU, 0, 0},
-							{buffer.PolicyLRU, 4 << 10, 0},
-							{buffer.PolicySegmented, 0, 0},
-							{buffer.PolicySegmented, 4 << 10, 0},
-							// The pool's keys carry array/coords only, so it
-							// composes with a sharded store unchanged —
-							// including mid-plan eviction write-back routed
-							// to the right shard.
-							{buffer.PolicyLRU, 4 << 10, 2},
-						} {
-							pooled, pooledOut := runPlan(t, tc.prog, pl, runConfig{
-								format: format, workers: workers, shards: pcfg.shards,
-								pool: true, poolPolicy: pcfg.policy, poolCap: pcfg.cap,
+				// Shards/replicas axes: striping the block store across
+				// 2 or 4 shard directories — with or without 2-way
+				// replication — must be invisible to execution: same
+				// Result, bit-identical outputs, sequential and
+				// parallel alike.
+				for _, shards := range []int{2, 4} {
+					for _, replicas := range []int{1, 2} {
+						for _, workers := range []int{1, 4} {
+							sh, shOut := runPlan(t, tc.prog, pl, runConfig{
+								workers: workers, shards: shards, replicas: replicas,
 							})
-							label := fmt.Sprintf("%s+pool-%s-cap%d-shards%d", pl.Label, pcfg.policy, pcfg.cap, pcfg.shards)
-							assertIdentical(t, label, workers, seq, pooled, seqOut, pooledOut)
+							label := fmt.Sprintf("%s+shards%d r%d", pl.Label, shards, replicas)
+							assertIdentical(t, label, workers, seq, sh, seqOut, shOut)
 						}
 					}
 				}
-			})
-		}
+				// Degraded store: lose one shard dir mid-suite (after
+				// the input fill) under 2-way replication — execution
+				// must still be bit-identical, served by replica
+				// fallbacks.
+				{
+					cfg := runConfig{workers: 4, shards: 2, replicas: 2}
+					dirs := storage.ShardDirs(t.TempDir(), cfg.shards)
+					sm, err := storage.OpenSharded(dirs,
+						storage.ShardedOptions{Replicas: cfg.replicas})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := sm.CreateAll(tc.prog); err != nil {
+						t.Fatal(err)
+					}
+					fillInputs(t, tc.prog, sm, 42)
+					if err := sm.DegradeShard(1); err != nil {
+						t.Fatal(err)
+					}
+					// The directory is really gone: fallbacks must come
+					// from shard 0's replicas, not surviving fds.
+					if err := os.RemoveAll(dirs[1]); err != nil {
+						t.Fatal(err)
+					}
+					deg, degOut := runPlanOn(t, tc.prog, pl, sm, cfg)
+					assertIdentical(t, pl.Label+"+degraded", cfg.workers, seq, deg, seqOut, degOut)
+					if sm.DegradedReads() == 0 {
+						t.Errorf("plan %s: degraded run issued no replica-fallback reads", pl.Label)
+					}
+					sm.Close()
+				}
+				// Remote shards: the same store striped over in-process
+				// riotblockd servers (2-way replicated) must be
+				// execution-invisible too — same Result, bit-identical
+				// outputs. Then kill one server and run again: the dead
+				// shard degrades automatically and replica fallbacks
+				// keep the run bit-identical.
+				{
+					cfg := runConfig{workers: 4, shards: 2, replicas: 2}
+					servers := make([]*blockd.Server, cfg.shards)
+					addrs := make([]string, cfg.shards)
+					for i := range servers {
+						srv, err := blockd.New(t.TempDir(), blockd.Options{})
+						if err != nil {
+							t.Fatal(err)
+						}
+						if err := srv.ListenAndServe("127.0.0.1:0"); err != nil {
+							t.Fatal(err)
+						}
+						defer srv.Close()
+						servers[i] = srv
+						addrs[i] = srv.Addr()
+					}
+					sm, err := storage.OpenSharded(addrs, storage.ShardedOptions{
+						Replicas: cfg.replicas,
+						Remote:   storage.RemoteOptions{Retries: 1, RetryBackoff: 5 * time.Millisecond},
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := sm.CreateAll(tc.prog); err != nil {
+						t.Fatal(err)
+					}
+					fillInputs(t, tc.prog, sm, 42)
+					rem, remOut := runPlanOn(t, tc.prog, pl, sm, cfg)
+					assertIdentical(t, pl.Label+"+remote", cfg.workers, seq, rem, seqOut, remOut)
+
+					servers[1].Close() // kill one riotblockd mid-suite
+					kill, killOut := runPlanOn(t, tc.prog, pl, sm, cfg)
+					assertIdentical(t, pl.Label+"+remote-kill", cfg.workers, seq, kill, seqOut, killOut)
+					if got := sm.Degraded(); len(got) != 1 || got[0] != 1 {
+						t.Errorf("plan %s: Degraded() = %v after killing server 1, want [1]", pl.Label, got)
+					}
+					if sm.DegradedReads() == 0 {
+						t.Errorf("plan %s: remote kill run issued no replica-fallback reads", pl.Label)
+					}
+					sm.Close()
+				}
+				// Pooled runs (sequential and parallel, each eviction
+				// policy, unlimited and eviction-forcing capacities)
+				// must be indistinguishable in Result and numerics
+				// too.
+				for _, workers := range []int{1, 4} {
+					for _, pcfg := range []struct {
+						policy string
+						cap    int64
+						shards int
+					}{
+						{buffer.PolicyLRU, 0, 0},
+						{buffer.PolicyLRU, 4 << 10, 0},
+						{buffer.PolicySegmented, 0, 0},
+						{buffer.PolicySegmented, 4 << 10, 0},
+						// The pool's keys carry array/coords only, so it
+						// composes with a sharded store unchanged —
+						// including mid-plan eviction write-back routed
+						// to the right shard.
+						{buffer.PolicyLRU, 4 << 10, 2},
+					} {
+						pooled, pooledOut := runPlan(t, tc.prog, pl, runConfig{
+							workers: workers, shards: pcfg.shards,
+							pool: true, poolPolicy: pcfg.policy, poolCap: pcfg.cap,
+						})
+						label := fmt.Sprintf("%s+pool-%s-cap%d-shards%d", pl.Label, pcfg.policy, pcfg.cap, pcfg.shards)
+						assertIdentical(t, label, workers, seq, pooled, seqOut, pooledOut)
+					}
+				}
+			}
+		})
 	}
 }
 

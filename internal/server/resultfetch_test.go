@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"sync"
 	"testing"
 
@@ -136,7 +137,7 @@ func TestStreamAttributesTenant(t *testing.T) {
 	}
 	before := s.Pool().Stats().Tenants["t1"]
 	var buf bytes.Buffer
-	if err := s.StreamTo(&buf, id, 1); err != nil {
+	if err := s.StreamToCtx(context.Background(), &buf, id, 1); err != nil {
 		t.Fatal(err)
 	}
 	blocks := 0

@@ -53,7 +53,9 @@ type Config struct {
 	// ShardAddrs is set): they live under Dir/shard-0 … shard-N-1, so a
 	// server given only Dir is a one-shard store under Dir/shard-0.
 	Dir string
-	// Format selects the on-disk block format (default DAF).
+	// Format must be storage.FormatDAF (the zero value), the only block
+	// format; New refuses any other. The field remains only because the
+	// benchmark of record reads it.
 	Format storage.Format
 	// Shards stripes the block store across N shard directories under
 	// Dir — stand-ins for devices — with deterministic block placement
@@ -466,6 +468,9 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Dir == "" && len(cfg.ShardDirs) == 0 && len(cfg.ShardAddrs) == 0 {
 		return nil, errors.New("server: Config.Dir, Config.ShardDirs, or Config.ShardAddrs required")
 	}
+	if cfg.Format != storage.FormatDAF {
+		return nil, fmt.Errorf("server: unknown block format %d (only DAF exists)", int(cfg.Format))
+	}
 	if cfg.MaxConcurrent <= 0 {
 		cfg.MaxConcurrent = 2
 	}
@@ -475,7 +480,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	specs = append(append([]string{}, specs...), cfg.ShardAddrs...)
 	m, err := storage.OpenSharded(specs, storage.ShardedOptions{
-		Format:    cfg.Format,
 		Placement: cfg.Placement,
 		Replicas:  cfg.Replicas,
 		Persist:   cfg.Persist,
@@ -1381,7 +1385,8 @@ func (q *query) statusCopy() QueryStatus {
 	return st
 }
 
-// Wait blocks until the query finishes and returns its final status.
+// Wait blocks until the query finishes and returns its final status. It
+// stays beside WaitCtx because the benchmark of record's tests call it.
 func (s *Server) Wait(id string) (QueryStatus, error) {
 	return s.WaitCtx(context.Background(), id) //riotvet:allow ctxflow — compatibility wrapper; cancelable callers use WaitCtx
 }

@@ -225,6 +225,16 @@ func TestServerParallelWorkersMatchStandalone(t *testing.T) {
 	}
 }
 
+// DAF is the only block format: any other Config.Format is refused, never
+// served as DAF.
+func TestNewRefusesUnknownFormat(t *testing.T) {
+	s, err := New(Config{Dir: t.TempDir(), Format: storage.FormatDAF + 1})
+	if err == nil {
+		s.Close()
+		t.Fatal("New accepted a block format that does not exist")
+	}
+}
+
 // Admission must serialize at K=1 and fail a plan that cannot ever fit the
 // global memory cap.
 func TestAdmissionLimits(t *testing.T) {

@@ -538,18 +538,12 @@ func (s *Server) waitBlockReady(ctx context.Context, q *query, key string) error
 	}
 }
 
-// StreamTo streams a query's outputs to w in the binary frame format —
-// the in-process form of GET /results/stream, used by tests and
-// embedders. It blocks until the stream completes or fails; use
-// StreamToCtx to bound how long that can be.
-func (s *Server) StreamTo(w io.Writer, id string, chunkBlocks int) error {
-	return s.StreamToCtx(context.Background(), w, id, chunkBlocks) //riotvet:allow ctxflow — compatibility wrapper; cancelable callers use StreamToCtx
-}
-
-// StreamToCtx is StreamTo with a cancellation hook: canceling ctx aborts
-// the stream mid-delivery (retiring what it held, like a client
-// disconnect on the HTTP path), so a query that hangs before reaching a
-// terminal state cannot block the embedder forever.
+// StreamToCtx streams a query's outputs to w in the binary frame format —
+// the in-process form of GET /results/stream, used by tests and embedders.
+// It blocks until the stream completes or fails. Canceling ctx aborts the
+// stream mid-delivery (retiring what it held, like a client disconnect on
+// the HTTP path), so a query that hangs before reaching a terminal state
+// cannot block the embedder forever.
 func (s *Server) StreamToCtx(ctx context.Context, w io.Writer, id string, chunkBlocks int) error {
 	s.mu.Lock()
 	q, ok := s.queries[id]

@@ -16,7 +16,6 @@ import (
 	"riotshare/internal/blockd"
 	"riotshare/internal/blockproto"
 	"riotshare/internal/prog"
-	"riotshare/internal/storage"
 )
 
 // streamedArray is one output array reassembled from a decoded stream.
@@ -106,29 +105,26 @@ func decodeStream(t *testing.T, data []byte) map[string]*streamedArray {
 }
 
 // TestStreamedResultsMatchWholeFetch is the streaming path's property
-// test: across sequential and pipelined engines, both block formats, and
-// local/sharded/remote stores, a stream opened immediately after submit
-// (early delivery — the query is still queued or running) reassembles to
+// test: across sequential and pipelined engines and local/sharded/remote
+// stores, a stream opened immediately after submit (early delivery — the
+// query is still queued or running) reassembles to
 // exactly the whole-fetch result, and its arrival-order sum is
 // bit-identical to the /results summary sum.
 func TestStreamedResultsMatchWholeFetch(t *testing.T) {
 	cases := []struct {
 		name    string
 		workers int
-		format  storage.Format
 		shards  int
 		remote  bool
 	}{
-		{name: "seq-daf", workers: 1, format: storage.FormatDAF},
-		{name: "par-daf-sharded", workers: 4, format: storage.FormatDAF, shards: 3},
-		{name: "seq-labtree", workers: 1, format: storage.FormatLABTree},
-		{name: "par-labtree-remote", workers: 4, format: storage.FormatLABTree, remote: true},
+		{name: "seq-daf", workers: 1},
+		{name: "par-daf-sharded", workers: 4, shards: 3},
+		{name: "par-daf-remote", workers: 4, remote: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := Config{
 				Dir:      t.TempDir(),
-				Format:   tc.format,
 				Seed:     testSeed,
 				Workers:  tc.workers,
 				Shards:   tc.shards,
@@ -140,7 +136,7 @@ func TestStreamedResultsMatchWholeFetch(t *testing.T) {
 				cfg.Dir = ""
 				cfg.ShardDirs = []string{t.TempDir()}
 				for i := 0; i < 2; i++ {
-					srv, err := blockd.New(t.TempDir(), blockd.Options{Format: tc.format})
+					srv, err := blockd.New(t.TempDir(), blockd.Options{})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -162,8 +158,8 @@ func TestStreamedResultsMatchWholeFetch(t *testing.T) {
 			}
 			// Stream right away: delivery overlaps execution.
 			var buf bytes.Buffer
-			if err := s.StreamTo(&buf, id, 3); err != nil {
-				t.Fatalf("StreamTo: %v", err)
+			if err := s.StreamToCtx(context.Background(), &buf, id, 3); err != nil {
+				t.Fatalf("StreamToCtx: %v", err)
 			}
 			st, err := s.Wait(id)
 			if err != nil {
@@ -280,8 +276,8 @@ func TestStreamBackpressureBoundsPoolResidency(t *testing.T) {
 		t.Fatalf("state = %s, err %q", st.State, st.Err)
 	}
 	w := &poolWatchingWriter{s: s}
-	if err := s.StreamTo(w, id, 4); err != nil {
-		t.Fatalf("StreamTo: %v", err)
+	if err := s.StreamToCtx(context.Background(), w, id, 4); err != nil {
+		t.Fatalf("StreamToCtx: %v", err)
 	}
 	stats := s.Stats()
 	if stats.Pool.PeakBytes > stats.Pool.BytesCap {
@@ -368,7 +364,7 @@ func TestStreamClientDisconnect(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	if err := s.StreamTo(&buf, id2, 2); err != nil {
+	if err := s.StreamToCtx(context.Background(), &buf, id2, 2); err != nil {
 		t.Fatalf("re-stream after disconnect: %v", err)
 	}
 	st2, err := s.Status(id2)

@@ -9,136 +9,131 @@ import (
 	"riotshare/internal/prog"
 )
 
-// Concurrent reads and writes across goroutines must be safe on both
-// formats (the pipelined executor and its prefetcher hit the manager from
-// many goroutines at once). Coalesced readers share one matrix, which is
+// Concurrent reads and writes across goroutines must be safe (the
+// pipelined executor and its prefetcher hit the manager from many
+// goroutines at once). Coalesced readers share one matrix, which is
 // immutable by contract, so every reader — leader or follower — must see
 // the stored value.
 func TestConcurrentReadWrite(t *testing.T) {
-	for _, format := range []Format{FormatDAF, FormatLABTree} {
-		t.Run(format.String(), func(t *testing.T) {
-			m, err := NewManager(t.TempDir(), format)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer m.Close()
-			arr := &prog.Array{Name: "A", BlockRows: 16, BlockCols: 16, GridRows: 4, GridCols: 4}
-			if err := m.Create(arr); err != nil {
-				t.Fatal(err)
-			}
-			// Seed every block with a value derived from its coordinates.
-			for r := int64(0); r < 4; r++ {
-				for c := int64(0); c < 4; c++ {
-					blk := blas.NewMatrix(16, 16)
-					for i := range blk.Data {
-						blk.Data[i] = float64(r*100 + c*10)
-					}
-					if err := m.WriteBlock("A", r, c, blk); err != nil {
-						t.Fatal(err)
-					}
+	t.Run("daf", func(t *testing.T) {
+		m, err := NewManager(t.TempDir(), FormatDAF)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Close()
+		arr := &prog.Array{Name: "A", BlockRows: 16, BlockCols: 16, GridRows: 4, GridCols: 4}
+		if err := m.Create(arr); err != nil {
+			t.Fatal(err)
+		}
+		// Seed every block with a value derived from its coordinates.
+		for r := int64(0); r < 4; r++ {
+			for c := int64(0); c < 4; c++ {
+				blk := blas.NewMatrix(16, 16)
+				for i := range blk.Data {
+					blk.Data[i] = float64(r*100 + c*10)
+				}
+				if err := m.WriteBlock("A", r, c, blk); err != nil {
+					t.Fatal(err)
 				}
 			}
-			var wg sync.WaitGroup
-			errs := make(chan error, 64)
-			for g := 0; g < 16; g++ {
-				g := g
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for it := 0; it < 20; it++ {
-						// Rows 0-2 only: row 3 is the writers' stripe.
-						r, c := int64((g+it)%3), int64(g%4)
-						blk, err := m.ReadBlock("A", r, c)
-						if err != nil {
-							errs <- err
-							return
-						}
-						want := float64(r*100 + c*10)
-						for _, v := range blk.Data {
-							if v != want {
-								t.Errorf("A[%d,%d] holds %g, want %g", r, c, v, want)
-								break
-							}
-						}
-					}
-				}()
-			}
-			// Writers on a disjoint block stripe keep the store busy.
-			for g := 0; g < 4; g++ {
-				g := g
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					blk := blas.NewMatrix(16, 16)
-					for i := range blk.Data {
-						blk.Data[i] = float64(300 + g*10)
-					}
-					for it := 0; it < 20; it++ {
-						if err := m.WriteBlock("A", 3, int64(g)%4, blk); err != nil {
-							errs <- err
-							return
-						}
-					}
-				}()
-			}
-			wg.Wait()
-			close(errs)
-			for err := range errs {
-				t.Fatal(err)
-			}
-		})
-	}
-}
-
-// Coalesced concurrent reads of one block all see the stored data, on both
-// on-disk formats.
-func TestCoalescedReadsShareOneRequest(t *testing.T) {
-	for _, format := range []Format{FormatDAF, FormatLABTree} {
-		t.Run(format.String(), func(t *testing.T) {
-			m, err := NewManager(t.TempDir(), format)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer m.Close()
-			arr := &prog.Array{Name: "B", BlockRows: 8, BlockCols: 8, GridRows: 1, GridCols: 1}
-			if err := m.Create(arr); err != nil {
-				t.Fatal(err)
-			}
-			blk := blas.NewMatrix(8, 8)
-			for i := range blk.Data {
-				blk.Data[i] = float64(i)
-			}
-			if err := m.WriteBlock("B", 0, 0, blk); err != nil {
-				t.Fatal(err)
-			}
-			var wg sync.WaitGroup
-			results := make([]*blas.Matrix, 32)
-			for g := range results {
-				g := g
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					got, err := m.ReadBlock("B", 0, 0)
+		}
+		var wg sync.WaitGroup
+		errs := make(chan error, 64)
+		for g := 0; g < 16; g++ {
+			g := g
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for it := 0; it < 20; it++ {
+					// Rows 0-2 only: row 3 is the writers' stripe.
+					r, c := int64((g+it)%3), int64(g%4)
+					blk, err := m.ReadBlock("A", r, c)
 					if err != nil {
-						t.Error(err)
+						errs <- err
 						return
 					}
-					results[g] = got
-				}()
-			}
-			wg.Wait()
-			for g, got := range results {
-				if got == nil {
-					t.Fatal("missing result")
-				}
-				for i := range got.Data {
-					if got.Data[i] != float64(i) {
-						t.Fatalf("reader %d: data[%d] = %g, want %d", g, i, got.Data[i], i)
+					want := float64(r*100 + c*10)
+					for _, v := range blk.Data {
+						if v != want {
+							t.Errorf("A[%d,%d] holds %g, want %g", r, c, v, want)
+							break
+						}
 					}
 				}
+			}()
+		}
+		// Writers on a disjoint block stripe keep the store busy.
+		for g := 0; g < 4; g++ {
+			g := g
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				blk := blas.NewMatrix(16, 16)
+				for i := range blk.Data {
+					blk.Data[i] = float64(300 + g*10)
+				}
+				for it := 0; it < 20; it++ {
+					if err := m.WriteBlock("A", 3, int64(g)%4, blk); err != nil {
+						errs <- err
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
+	})
+}
+
+// Coalesced concurrent reads of one block all see the stored data.
+func TestCoalescedReadsShareOneRequest(t *testing.T) {
+	t.Run("daf", func(t *testing.T) {
+		m, err := NewManager(t.TempDir(), FormatDAF)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Close()
+		arr := &prog.Array{Name: "B", BlockRows: 8, BlockCols: 8, GridRows: 1, GridCols: 1}
+		if err := m.Create(arr); err != nil {
+			t.Fatal(err)
+		}
+		blk := blas.NewMatrix(8, 8)
+		for i := range blk.Data {
+			blk.Data[i] = float64(i)
+		}
+		if err := m.WriteBlock("B", 0, 0, blk); err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		results := make([]*blas.Matrix, 32)
+		for g := range results {
+			g := g
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got, err := m.ReadBlock("B", 0, 0)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				results[g] = got
+			}()
+		}
+		wg.Wait()
+		for g, got := range results {
+			if got == nil {
+				t.Fatal("missing result")
 			}
-		})
-	}
+			for i := range got.Data {
+				if got.Data[i] != float64(i) {
+					t.Fatalf("reader %d: data[%d] = %g, want %d", g, i, got.Data[i], i)
+				}
+			}
+		}
+	})
 }
 
 // The physical I/O counters must account exactly for the requests that

@@ -1,3 +1,9 @@
+// Package storage is the RIOTStore substrate [26] the paper uses to store
+// blocked matrices. Every array lives in one DAF (Directly Addressable
+// File): its blocks are laid out in column-major order (§6), so a block's
+// byte offset follows from its coordinates and no index is stored. A
+// Manager keeps one DAF per array in a directory; ShardedManager stripes
+// and mirrors blocks across several of them, local or remote.
 package storage
 
 import (
@@ -16,20 +22,6 @@ import (
 	"riotshare/internal/blas"
 	"riotshare/internal/prog"
 )
-
-// BlockStore is the per-array key→payload store shared by the DAF and
-// LAB-tree formats.
-type BlockStore interface {
-	// Write stores one block payload under its linearized index.
-	Write(idx uint64, data []byte) error
-	// Read fetches the payload stored under idx, into buf when its capacity
-	// suffices (buf may be nil), and returns the filled slice.
-	Read(idx uint64, buf []byte) ([]byte, error)
-	// Sync flushes buffered writes to the device.
-	Sync() error
-	// Close releases the store's file handle(s).
-	Close() error
-}
 
 // DAF is the Directly Addressable File format: block idx lives at byte
 // offset idx*blockBytes. Since every element of a dense matrix has a
@@ -71,97 +63,34 @@ func (d *DAF) Read(idx uint64, buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
-// Sync flushes the file.
-func (d *DAF) Sync() error { return d.f.Sync() }
-
 // Close closes the file.
 func (d *DAF) Close() error { return d.f.Close() }
 
-// labStore adapts LABTree to BlockStore. The tree mutates shared in-memory
-// state (root, free list, scratch page) on both reads and writes, so the
-// adapter serializes all access; the DAF needs no lock because pread/pwrite
-// on one descriptor are atomic.
-type labStore struct {
-	mu sync.Mutex
-	t  *LABTree
-}
-
-func (s *labStore) Write(idx uint64, data []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.t.Write(idx, data)
-}
-
-func (s *labStore) Read(idx uint64, buf []byte) ([]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.t.Read(idx, buf)
-}
-
-func (s *labStore) Sync() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.t.Sync()
-}
-
-func (s *labStore) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.t.Close()
-}
-
-// Format selects the on-disk format.
+// Format names an on-disk block format. DAF is the only one. The type, and
+// NewManager's argument of it, remain only because the benchmark of record
+// passes server.Config.Format to NewManager.
 type Format int
 
-const (
-	// FormatDAF is the directly addressable file.
-	FormatDAF Format = iota
-	// FormatLABTree is the linearized array B-tree.
-	FormatLABTree
-)
+// FormatDAF is the directly addressable file, the only block format.
+const FormatDAF Format = 0
 
-// String names the format.
-func (f Format) String() string {
-	if f == FormatLABTree {
-		return "lab-tree"
-	}
-	return "daf"
-}
+// dafName is the format name a manifest records and the extension of every
+// store file. Earlier builds that offered a second format recorded the same
+// name for DAF stores, so they and this build reopen each other's stores.
+const dafName = "daf"
 
-// Linearization maps block coordinates to a key. Blocks are laid out in
-// column-major order by default, matching §6's storage scheme.
-type Linearization func(r, c int64, gridRows, gridCols int) uint64
-
-// ColMajor is the paper's column-major block layout.
+// ColMajor is the paper's column-major block layout: the DAF index of block
+// (r, c) in a grid with gridRows block rows.
 func ColMajor(r, c int64, gridRows, gridCols int) uint64 {
 	return uint64(c)*uint64(gridRows) + uint64(r)
 }
 
-// RowMajor linearizes row-major.
-func RowMajor(r, c int64, gridRows, gridCols int) uint64 {
-	return uint64(r)*uint64(gridCols) + uint64(c)
-}
-
-// ZOrder interleaves coordinate bits (Morton order), an alternative
-// studied for array storage locality.
-func ZOrder(r, c int64, gridRows, gridCols int) uint64 {
-	var z uint64
-	for b := 0; b < 32; b++ {
-		z |= (uint64(r) >> b & 1) << (2 * b)
-		z |= (uint64(c) >> b & 1) << (2*b + 1)
-	}
-	return z
-}
-
-// Manager stores the blocks of a program's arrays in one store per array.
+// Manager stores the blocks of a program's arrays in one DAF per array.
 // It is safe for concurrent use: block reads and writes may be issued from
 // many goroutines (the pipelined executor and its prefetcher do), and
 // concurrent reads of the same block coalesce onto one disk request.
 type Manager struct {
-	Dir       string
-	Format    Format
-	Policy    SplitPolicy
-	Linearize Linearization
+	Dir string
 
 	// ReadLatency/WriteLatency simulate a slow device by sleeping once per
 	// physical block request (coalesced readers share one sleep). They let
@@ -178,7 +107,7 @@ type Manager struct {
 	deviceMu     sync.Mutex
 
 	mu     sync.RWMutex // guards stores/arrays registration
-	stores map[string]BlockStore
+	stores map[string]*DAF
 	arrays map[string]*prog.Array
 
 	// inflight coalesces concurrent reads of the same block: followers
@@ -242,23 +171,25 @@ type inflightRead struct {
 	err  error
 }
 
-// NewManager creates a storage manager writing under dir.
+// NewManager creates a storage manager writing under dir. format must be
+// FormatDAF; any other value is refused rather than served as DAF.
 func NewManager(dir string, format Format) (*Manager, error) {
+	if format != FormatDAF {
+		return nil, fmt.Errorf("storage: unknown block format %d (only DAF exists)", int(format))
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
 	return &Manager{
-		Dir:       dir,
-		Format:    format,
-		Linearize: ColMajor,
-		stores:    make(map[string]BlockStore),
-		arrays:    make(map[string]*prog.Array),
-		inflight:  make(map[string]*inflightRead),
+		Dir:      dir,
+		stores:   make(map[string]*DAF),
+		arrays:   make(map[string]*prog.Array),
+		inflight: make(map[string]*inflightRead),
 	}, nil
 }
 
 // CheckArrayName reports whether name may name an array. An array's store
-// is the file <root>/<name>.<format>, and names arrive from outside the
+// is the file <root>/<name>.daf, and names arrive from outside the
 // process (submitted specs, the block-service wire), so a name must be a
 // single path element: non-empty, not "." or "..", free of path separators
 // and NUL. Dots inside a name ("q3.E") are fine.
@@ -275,7 +206,7 @@ func (m *Manager) storePath(array string) (string, error) {
 	if err := CheckArrayName(array); err != nil {
 		return "", err
 	}
-	return filepath.Join(m.Dir, array+"."+m.Format.String()), nil
+	return filepath.Join(m.Dir, array+"."+dafName), nil
 }
 
 // Manager errors that callers classify with errors.Is rather than by
@@ -304,15 +235,7 @@ func (m *Manager) createLocked(arr *prog.Array) error {
 	if err != nil {
 		return err
 	}
-	var st BlockStore
-	switch m.Format {
-	case FormatLABTree:
-		var t *LABTree
-		t, err = OpenLABTree(path, m.Policy)
-		st = &labStore{t: t}
-	default:
-		st, err = OpenDAF(path, arr.PhysicalBlockBytes())
-	}
+	st, err := OpenDAF(path, arr.PhysicalBlockBytes())
 	if err != nil {
 		return err
 	}
@@ -333,10 +256,9 @@ func (m *Manager) CreateAll(p *prog.Program) error {
 
 // scratch recycles the byte buffers blocks are serialized through, one
 // sync.Pool per power-of-two size class so the few block shapes of a store
-// each find their own buffers again. Neither store format keeps a payload
-// slice past Write (DAF hands it to pwrite, the LAB-tree copies it into
-// pages), and readBlock has decoded a payload before it gives the buffer
-// back.
+// each find their own buffers again. A DAF keeps no payload slice past
+// Write (it hands it to pwrite), and readBlock has decoded a payload before
+// it gives the buffer back.
 var scratch [64]sync.Pool
 
 // getScratch returns a buffer of length n.
@@ -368,7 +290,7 @@ func (m *Manager) WriteBlock(array string, r, c int64, blk *blas.Matrix) error {
 	for i, v := range blk.Data {
 		binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(v))
 	}
-	if err := st.Write(m.Linearize(r, c, arr.GridRows, arr.GridCols), buf); err != nil {
+	if err := st.Write(ColMajor(r, c, arr.GridRows, arr.GridCols), buf); err != nil {
 		return err
 	}
 	m.physWriteReqs.Add(1)
@@ -411,7 +333,7 @@ func (m *Manager) readBlock(array string, r, c int64) (*blas.Matrix, error) {
 	want := 8 * arr.BlockRows * arr.BlockCols
 	bp := getScratch(want)
 	defer putScratch(bp)
-	buf, err := st.Read(m.Linearize(r, c, arr.GridRows, arr.GridCols), *bp)
+	buf, err := st.Read(ColMajor(r, c, arr.GridRows, arr.GridCols), *bp)
 	if err != nil {
 		return nil, fmt.Errorf("storage: read %s[%d,%d]: %w", array, r, c, err)
 	}
@@ -431,7 +353,7 @@ func readKey(array string, r, c int64) string {
 	return fmt.Sprintf("%s[%d,%d]", array, r, c)
 }
 
-func (m *Manager) lookup(array string) (*prog.Array, BlockStore, error) {
+func (m *Manager) lookup(array string) (*prog.Array, *DAF, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	arr, ok := m.arrays[array]

@@ -141,7 +141,10 @@ func entryFor(arr *prog.Array, fingerprint string) CatalogEntry {
 
 // manifest is the persisted per-shard-root layout + catalog.
 type manifest struct {
-	Version    int                     `json:"version"`
+	Version int `json:"version"`
+	// Format is always written as "daf", so builds that also knew a
+	// second block format still reopen the store, and it is checked on
+	// reopen, so a store they wrote in that other format is refused.
 	Format     string                  `json:"format"`
 	Shards     int                     `json:"shards"`
 	ShardIndex int                     `json:"shardIndex"`
@@ -152,10 +155,6 @@ type manifest struct {
 
 // ShardedOptions configures OpenSharded.
 type ShardedOptions struct {
-	// Format selects the per-shard on-disk block format (default DAF).
-	// Remote shards must be served by a riotblockd started with the same
-	// -format.
-	Format Format
 	// Placement selects the block→shard mapping by name ("" or "hash",
 	// "rows").
 	Placement string
@@ -188,7 +187,6 @@ type ShardedOptions struct {
 type ShardedManager struct {
 	specs     []string // one per shard: directory path or host:port
 	shards    []shard
-	format    Format
 	place     PlacementFunc
 	placeName string
 	replicas  int
@@ -240,7 +238,7 @@ func openShard(spec string, opt ShardedOptions) (shard, error) {
 	if IsRemoteSpec(spec) {
 		return NewRemoteShard(spec, opt.Remote), nil
 	}
-	m, err := NewManager(spec, opt.Format)
+	m, err := NewManager(spec, FormatDAF)
 	if err != nil {
 		return nil, fmt.Errorf("storage: shard %s: %w", spec, err)
 	}
@@ -276,7 +274,6 @@ func OpenSharded(specs []string, opt ShardedOptions) (*ShardedManager, error) {
 	}
 	sm := &ShardedManager{
 		specs:         specs,
-		format:        opt.Format,
 		place:         place,
 		placeName:     placeName,
 		replicas:      replicas,
@@ -359,8 +356,8 @@ func (sm *ShardedManager) loadManifests() error {
 		if mf.Version != manifestVersion {
 			return fmt.Errorf("storage: shard %d (%s): manifest version %d, want %d", i, sm.specs[i], mf.Version, manifestVersion)
 		}
-		if mf.Format != sm.format.String() {
-			return fmt.Errorf("storage: shard %d (%s): stored format %q, opened as %q", i, sm.specs[i], mf.Format, sm.format.String())
+		if mf.Format != dafName {
+			return fmt.Errorf("storage: shard %d (%s): stored format %q, this build reads only %q", i, sm.specs[i], mf.Format, dafName)
 		}
 		if mf.Shards != len(sm.specs) {
 			return fmt.Errorf("storage: shard %d (%s): store was written with %d shard(s), reopened with %d — block placement would not match", i, sm.specs[i], mf.Shards, len(sm.specs))
@@ -493,7 +490,7 @@ func (sm *ShardedManager) saveManifestsLocked() error {
 		}
 		mf := manifest{
 			Version:    manifestVersion,
-			Format:     sm.format.String(),
+			Format:     dafName,
 			Shards:     len(sm.specs),
 			ShardIndex: i,
 			Placement:  sm.placeName,

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
@@ -59,54 +60,52 @@ func assertBlocks(t *testing.T, b Backend, arr *prog.Array, want map[[2]int64]*b
 	}
 }
 
-// Across shard counts, placements, and both formats, a sharded store must
+// Across shard counts and placements, a sharded store must
 // round-trip exactly the blocks a single-directory manager would.
 func TestShardedRoundTrip(t *testing.T) {
-	for _, format := range []Format{FormatDAF, FormatLABTree} {
-		for _, placement := range []string{PlacementHash, PlacementRows} {
-			for _, shards := range []int{1, 2, 4} {
-				name := fmt.Sprintf("%s/%s/shards=%d", format, placement, shards)
-				t.Run(name, func(t *testing.T) {
-					sm, err := OpenSharded(ShardDirs(t.TempDir(), shards), ShardedOptions{
-						Format: format, Placement: placement,
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					defer sm.Close()
-					arr := shardTestArray("A")
-					if err := sm.Create(arr); err != nil {
-						t.Fatal(err)
-					}
-					want := fillArray(t, sm, arr, 7)
-					assertBlocks(t, sm, arr, want)
-
-					// Per-shard stats must sum to the aggregate, and with
-					// more than one shard the blocks must actually spread.
-					total, perShard := sm.Stats(), sm.ShardStats()
-					var sum Stats
-					used := 0
-					for _, ss := range perShard {
-						sum.ReadReqs += ss.ReadReqs
-						sum.ReadBytes += ss.ReadBytes
-						sum.WriteReqs += ss.WriteReqs
-						sum.WriteBytes += ss.WriteBytes
-						if ss.WriteReqs > 0 {
-							used++
-						}
-					}
-					if sum != total {
-						t.Errorf("per-shard stats %+v do not sum to aggregate %+v", sum, total)
-					}
-					if total.WriteReqs != int64(len(want)) {
-						t.Errorf("WriteReqs = %d, want %d", total.WriteReqs, len(want))
-					}
-					if shards > 1 && used < 2 {
-						t.Errorf("placement %s left %d of %d shards unused for a %dx%d grid",
-							placement, shards-used, shards, arr.GridRows, arr.GridCols)
-					}
+	for _, placement := range []string{PlacementHash, PlacementRows} {
+		for _, shards := range []int{1, 2, 4} {
+			name := fmt.Sprintf("%s/shards=%d", placement, shards)
+			t.Run(name, func(t *testing.T) {
+				sm, err := OpenSharded(ShardDirs(t.TempDir(), shards), ShardedOptions{
+					Placement: placement,
 				})
-			}
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer sm.Close()
+				arr := shardTestArray("A")
+				if err := sm.Create(arr); err != nil {
+					t.Fatal(err)
+				}
+				want := fillArray(t, sm, arr, 7)
+				assertBlocks(t, sm, arr, want)
+
+				// Per-shard stats must sum to the aggregate, and with
+				// more than one shard the blocks must actually spread.
+				total, perShard := sm.Stats(), sm.ShardStats()
+				var sum Stats
+				used := 0
+				for _, ss := range perShard {
+					sum.ReadReqs += ss.ReadReqs
+					sum.ReadBytes += ss.ReadBytes
+					sum.WriteReqs += ss.WriteReqs
+					sum.WriteBytes += ss.WriteBytes
+					if ss.WriteReqs > 0 {
+						used++
+					}
+				}
+				if sum != total {
+					t.Errorf("per-shard stats %+v do not sum to aggregate %+v", sum, total)
+				}
+				if total.WriteReqs != int64(len(want)) {
+					t.Errorf("WriteReqs = %d, want %d", total.WriteReqs, len(want))
+				}
+				if shards > 1 && used < 2 {
+					t.Errorf("placement %s left %d of %d shards unused for a %dx%d grid",
+						placement, shards-used, shards, arr.GridRows, arr.GridCols)
+				}
+			})
 		}
 	}
 }
@@ -273,6 +272,43 @@ func TestShardedOpenFailures(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), "placement") {
 			t.Errorf("error does not explain the placement mismatch: %v", err)
+		}
+	})
+
+	// A store written by a build that offered a second block format records
+	// that format in its manifests. Its files are not DAF, so the reopen
+	// must refuse them, not serve them as DAF.
+	t.Run("retired block format", func(t *testing.T) {
+		dirs := newStore(t, 2)
+		for i, dir := range dirs {
+			m, err := NewManager(dir, FormatDAF)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, err := m.ReadManifest()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var mf manifest
+			if err := json.Unmarshal(data, &mf); err != nil {
+				t.Fatal(err)
+			}
+			mf.Format = "lab-tree"
+			if data, err = json.Marshal(&mf); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.WriteManifest(data); err != nil {
+				t.Fatalf("shard %d: %v", i, err)
+			}
+			m.Close()
+		}
+		re, err := OpenSharded(dirs, ShardedOptions{Persist: true})
+		if err == nil {
+			re.Close()
+			t.Fatal("reopen of a store written in another block format succeeded")
+		}
+		if !strings.Contains(err.Error(), "shard 0") || !strings.Contains(err.Error(), `"lab-tree"`) {
+			t.Errorf("error does not name the shard and its stored format: %v", err)
 		}
 	})
 

@@ -8,8 +8,8 @@
 // sharing opportunities as integer polyhedra, searches the space of affine
 // schedules with an Apriori-style enumeration, costs every legal plan (I/O
 // volume and peak memory), and executes the chosen plan through a
-// sharing-aware buffer manager over a block storage engine (DAF or
-// LAB-tree formats).
+// sharing-aware buffer manager over a block storage engine that keeps each
+// array in one directly addressable file (DAF).
 //
 // Typical use:
 //
@@ -23,7 +23,7 @@
 //	    MemCapBytes: 1 << 30,
 //	})
 //	// res.Best is the cheapest legal plan fitting the cap; execute it:
-//	store, _ := riotshare.NewStorage(dir, riotshare.FormatDAF)
+//	store, _ := riotshare.NewStorage(dir)
 //	store.CreateAll(p)
 //	result, err := riotshare.Execute(res.Best, store, riotshare.PaperDiskModel(), 0)
 //
@@ -146,7 +146,8 @@ type Timeline = codegen.Timeline
 // Optimize runs the optimizer pipeline — analysis, plan search, lowering and
 // costing (Figure 2 of the paper) — with the full Apriori plan search.
 // OptimizeSubsets and OptimizeGreedy are the same pipeline with a different
-// search.
+// search. Optimize and OptimizeSubsets take no context because the
+// examples and cmd/riotshare call them as they are.
 func Optimize(p *Program, opt Options) (*Result, error) { return core.Optimize(p, opt) }
 
 // OptimizeSubsets is Optimize with the search restricted to the named
@@ -165,12 +166,9 @@ func OptimizeGreedy(ctx context.Context, p *Program, opt Options) (*Result, erro
 	return core.OptimizeGreedy(ctx, p, opt)
 }
 
-// OptimizeBlockSize co-optimizes array block sizes with I/O sharing (the
-// §7 future-work extension).
-var OptimizeBlockSize = core.OptimizeBlockSize
-
-// OptimizeBlockSizeCtx is OptimizeBlockSize with cancellation: a deadline
-// or shutdown interrupts the per-scale sweep.
+// OptimizeBlockSizeCtx co-optimizes array block sizes with I/O sharing (the
+// §7 future-work extension); a deadline or shutdown on ctx interrupts the
+// per-scale sweep.
 var OptimizeBlockSizeCtx = core.OptimizeBlockSizeCtx
 
 // DiskModel converts I/O volumes to estimated seconds.
@@ -205,7 +203,7 @@ type StorageBackend = storage.Backend
 // replication still covers every block.
 type ShardedStorage = storage.ShardedManager
 
-// ShardedStorageOptions configures OpenShardedStorage (format, placement,
+// ShardedStorageOptions configures OpenShardedStorage (placement,
 // replication, persistence, remote-client tuning).
 type ShardedStorageOptions = storage.ShardedOptions
 
@@ -261,19 +259,9 @@ var IsRemoteShardSpec = storage.IsRemoteSpec
 // shard-N-1), the default layout when shards are not separate devices.
 var ShardDirs = storage.ShardDirs
 
-// StorageFormat selects the on-disk format.
-type StorageFormat = storage.Format
-
-// Storage formats: the directly addressable file and the linearized array
-// B-tree.
-const (
-	FormatDAF     = storage.FormatDAF
-	FormatLABTree = storage.FormatLABTree
-)
-
-// NewStorage creates a storage manager writing under dir.
-func NewStorage(dir string, format StorageFormat) (*Storage, error) {
-	return storage.NewManager(dir, format)
+// NewStorage creates a storage manager writing one DAF per array under dir.
+func NewStorage(dir string) (*Storage, error) {
+	return storage.NewManager(dir, storage.FormatDAF)
 }
 
 // ExecResult reports a physical plan execution.

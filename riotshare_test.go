@@ -1,6 +1,7 @@
 package riotshare_test
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -25,7 +26,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	if res.Best == nil || len(res.Plans) < 2 {
 		t.Fatalf("expected multiple plans, got %d", len(res.Plans))
 	}
-	store, err := riotshare.NewStorage(t.TempDir(), riotshare.FormatDAF)
+	store, err := riotshare.NewStorage(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +155,7 @@ func TestPublicOptimizeBlockSize(t *testing.T) {
 			DBlock:  riotshare.Dims{Rows: 4, Cols: 5},
 		})
 	}
-	choices, err := riotshare.OptimizeBlockSize(build, []float64{0.5, 1}, riotshare.Options{BindParams: true})
+	choices, err := riotshare.OptimizeBlockSizeCtx(context.Background(), build, []float64{0.5, 1}, riotshare.Options{BindParams: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +177,7 @@ func TestPublicAPISharedBufferPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := riotshare.NewStorage(t.TempDir(), riotshare.FormatDAF)
+	store, err := riotshare.NewStorage(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,9 +227,8 @@ func TestPublicAPISharedBufferPool(t *testing.T) {
 	}
 }
 
-// OptimizeSubsets, the LAB-tree storage format, and the refined disk model
-// through the public API.
-func TestPublicAPISubsetsAndFormats(t *testing.T) {
+// OptimizeSubsets and the refined disk model through the public API.
+func TestPublicAPISubsetsAndRefinedModel(t *testing.T) {
 	p := riotshare.AddMul(riotshare.AddMulConfig{
 		N1: 2, N2: 3, N3: 1,
 		ABBlock: riotshare.Dims{Rows: 4, Cols: 4},
@@ -244,7 +244,7 @@ func TestPublicAPISubsetsAndFormats(t *testing.T) {
 	if len(res.Plans) != 2 {
 		t.Fatalf("want baseline + 1 subset, got %d plans", len(res.Plans))
 	}
-	store, err := riotshare.NewStorage(t.TempDir(), riotshare.FormatLABTree)
+	store, err := riotshare.NewStorage(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
