@@ -14,7 +14,7 @@ test:
 test-race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -count=5 ./internal/exec/ ./internal/buffer/ ./internal/govern/
-	$(GO) test -race -count=5 -run 'Fairness|QueueWait|TenantLabel|ResultFetch|StreamAttributesTenant' ./internal/server/
+	$(GO) test -race -count=5 -run 'Fairness|QueueWait|TenantLabel|ResultFetch|StreamAttributesTenant|PlanCacheConcurrentMiss' ./internal/server/
 
 # Full suite, including the ~80s linear-regression plan-space search.
 test-full:
@@ -52,12 +52,12 @@ examples:
 	done
 
 # Godoc completeness over the public surface: the facade, the planner
-# (core/sched/cost), the storage and server layers, and the network
-# plane. CI fails on any exported identifier without a doc comment, and
+# (core/sched/cost), the storage, pool, exec, admission and server
+# layers, and the network plane. CI fails on any exported identifier without a doc comment, and
 # on any relative markdown link in README/docs pointing at a missing
 # file.
 doc-check:
-	$(GO) run ./cmd/doccheck . ./internal/core ./internal/sched ./internal/cost ./internal/storage ./internal/server ./internal/blockd ./internal/blockproto ./internal/telemetry
+	$(GO) run ./cmd/doccheck . ./internal/core ./internal/sched ./internal/cost ./internal/storage ./internal/server ./internal/blockd ./internal/blockproto ./internal/telemetry ./internal/buffer ./internal/exec ./internal/govern
 	$(GO) run ./cmd/doccheck -links README.md docs
 
 # End-to-end fleet smoke test: 4 riotblockd + riotshared, query, kill a

@@ -10,7 +10,7 @@
 //	riotshared serve -shard-dirs /mnt/d0,/mnt/d1 -persist          # explicit devices
 //	riotshared serve -data /var/lib/riotshare -shards 4 -replicas 2 -persist  # lost shard → degraded reads
 //	riotshared serve -shard-addrs h0:8441,h1:8441,h2:8441,h3:8441 -replicas 2 -persist  # remote riotblockd shards
-//	riotshared serve -policy segmented -mem-mb 512   # scan-resistant pool, admission memory cap
+//	riotshared serve -mem-mb 512   # admission memory cap
 //
 // Client:
 //
@@ -21,7 +21,7 @@
 //	riotshared results -addr http://localhost:8377 -id q1 -stream -stream-chunk-blocks 8
 //	riotshared stats   -addr http://localhost:8377 -tenant acme
 //	riotshared stats   -addr http://localhost:8377 -watch 2s   # live delta view
-//	riotshared stats   -addr http://localhost:8377 -planner    # planner tiers + improver
+//	riotshared stats   -addr http://localhost:8377 -planner    # planner tiers + plan cache
 //	riotshared trace   -addr http://localhost:8377 q1          # span-tree breakdown
 //	riotshared repair  -addr http://localhost:8377 -shard 1
 //
@@ -80,7 +80,6 @@ func serve(fs *flag.FlagSet, args []string) error {
 		addr     = fs.String("addr", ":8377", "listen address")
 		dir      = fs.String("data", "", "directory for physical block files (default: temp)")
 		poolMB   = fs.Int64("pool-mb", 256, "shared buffer pool capacity in MB (0 = unlimited)")
-		policy   = fs.String("policy", "lru", "pool replacement policy: lru or segmented (scan-resistant)")
 		maxConc  = fs.Int("max-concurrent", 2, "max concurrently executing queries (K)")
 		memMB    = fs.Int64("mem-mb", 0, "global cap on combined plan peak memory in MB (0 = unlimited)")
 		workers  = fs.Int("workers", 1, "default kernel workers per query (1 = in-order schedule)")
@@ -89,7 +88,6 @@ func serve(fs *flag.FlagSet, args []string) error {
 		full     = fs.Bool("full", false, "full plan-space search for linreg (minutes)")
 
 		planBudgetMs = fs.Int64("plan-budget-ms", 250, "wall-clock budget for the greedy fast-path planner on a cache miss (0 = full search every miss)")
-		planImprover = fs.Bool("plan-improver", true, "re-plan greedy-planned cache entries with the full search in the background and hot-swap better plans")
 		planCacheN   = fs.Int("plan-cache", 256, "plan cache entry cap, LRU-evicted (-1 = unlimited)")
 
 		shards     = fs.Int("shards", 1, "stripe the block store across N shard dirs under -data (devices)")
@@ -136,7 +134,6 @@ func serve(fs *flag.FlagSet, args []string) error {
 		Replicas:         *replicas,
 		Persist:          *persist,
 		PoolBytes:        *poolMB << 20,
-		PoolPolicy:       *policy,
 		MaxConcurrent:    *maxConc,
 		GlobalMemBytes:   *memMB << 20,
 		Workers:          *workers,
@@ -144,7 +141,6 @@ func serve(fs *flag.FlagSet, args []string) error {
 		Seed:             *seed,
 		FullSearch:       *full,
 		PlanBudget:       time.Duration(*planBudgetMs) * time.Millisecond,
-		PlanImprover:     *planImprover,
 		PlanCacheEntries: *planCacheN,
 		SlowQueryMs:      *slowMs,
 		EnablePprof:      *pprofOn,
@@ -182,7 +178,7 @@ func client(sub string, fs *flag.FlagSet, args []string) error {
 		chunkBlk = fs.Int("stream-chunk-blocks", 0, "output blocks per streamed chunk, 0 = server default (results -stream)")
 		shard    = fs.Int("shard", -1, "shard index to re-mirror from its replicas (repair)")
 		watch    = fs.Duration("watch", 0, "poll /stats at this interval and render counter deltas (stats)")
-		planner  = fs.Bool("planner", false, "render per-tier planning percentiles and improver activity (stats)")
+		planner  = fs.Bool("planner", false, "render per-tier planning percentiles and the plan cache (stats)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -349,14 +345,12 @@ func streamResults(addr, id string, chunkBlocks int) error {
 
 // watchStats polls /stats and renders one delta line per tick: running
 // and queued gauges as-is, counters as per-interval deltas, rates and
-// percentiles from the current snapshot. Δswaps counts plan tables the
-// background improver hot-swapped during the interval. Exits on
-// SIGINT/SIGTERM.
+// percentiles from the current snapshot. Exits on SIGINT/SIGTERM.
 func watchStats(addr string, interval time.Duration) error {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
-	fmt.Printf("%-8s %4s %6s %5s %5s %7s %7s %7s %8s %7s %6s %7s\n",
-		"time", "run", "queued", "Δsub", "Δfin", "Δreads", "ΔrdMB", "ΔwrMB", "poolHit%", "plan%", "Δswaps", "p95ms")
+	fmt.Printf("%-8s %4s %6s %5s %5s %7s %7s %7s %8s %7s %7s\n",
+		"time", "run", "queued", "Δsub", "Δfin", "Δreads", "ΔrdMB", "ΔwrMB", "poolHit%", "plan%", "p95ms")
 	var prev server.Stats
 	have := false
 	tick := time.NewTicker(interval)
@@ -371,21 +365,14 @@ func watchStats(addr string, interval time.Duration) error {
 			if st.DegradedReads > prev.DegradedReads {
 				degraded = fmt.Sprintf("  DEGRADED +%d", st.DegradedReads-prev.DegradedReads)
 			}
-			var dSwaps int64
-			if st.Improver != nil {
-				dSwaps = st.Improver.Swaps
-				if prev.Improver != nil {
-					dSwaps -= prev.Improver.Swaps
-				}
-			}
-			fmt.Printf("%-8s %4d %6d %5d %5d %7d %7.1f %7.1f %8.1f %7.1f %6d %7.2f%s\n",
+			fmt.Printf("%-8s %4d %6d %5d %5d %7d %7.1f %7.1f %8.1f %7.1f %7.2f%s\n",
 				time.Now().Format("15:04:05"),
 				st.Running, st.Queued,
 				st.Submitted-prev.Submitted, st.Finished-prev.Finished,
 				st.Store.ReadReqs-prev.Store.ReadReqs,
 				float64(st.Store.ReadBytes-prev.Store.ReadBytes)/(1<<20),
 				float64(st.Store.WriteBytes-prev.Store.WriteBytes)/(1<<20),
-				st.Pool.HitRate()*100, st.PlanCacheHitRate*100, dSwaps, st.PlanningP95Ms,
+				st.Pool.HitRate()*100, st.PlanCacheHitRate*100, st.PlanningP95Ms,
 				degraded)
 		}
 		prev, have = st, true
@@ -398,8 +385,8 @@ func watchStats(addr string, interval time.Duration) error {
 }
 
 // printPlannerStats renders the tiered planner's view of one /stats
-// snapshot: per-tier planning latency percentiles, the bounded plan
-// cache, and background improver activity.
+// snapshot: per-tier planning latency percentiles and the bounded plan
+// cache.
 func printPlannerStats(addr string) error {
 	st, err := fetchStats(addr + "/stats")
 	if err != nil {
@@ -416,13 +403,6 @@ func printPlannerStats(addr string) error {
 		}
 		fmt.Printf("%-8s %8d %10.2f %10.2f %10.2f\n", tier, ts.Count, ts.P50Ms, ts.P95Ms, ts.P99Ms)
 	}
-	if st.Improver == nil {
-		fmt.Println("improver: off")
-		return nil
-	}
-	fmt.Printf("improver: %d runs, %d plans swapped, %d queued, %d dropped, %.0fms background search\n",
-		st.Improver.Runs, st.Improver.Swaps, st.Improver.QueueDepth,
-		st.Improver.Dropped, st.Improver.SearchMs)
 	return nil
 }
 

@@ -7,9 +7,7 @@
 // Frames carry ref-counted pins driven by each plan's hold intervals (the
 // execution engines pin on acquisition and keep one pin per active hold;
 // see internal/exec): pinned frames are never evicted, unpinned frames age
-// out in replacement-policy order. The policy is pluggable (see policy.go):
-// classic LRU, or a scan-resistant segmented LRU under which a sequential
-// scan cannot flush other queries' hot working sets. Writes are deferred:
+// out in least-recently-unpinned order (LRU). Writes are deferred:
 // Put installs a dirty frame which is written back to storage on eviction
 // or Flush, so repeated writes to one block (accumulator chains) reach disk
 // once — or never, when the block is discarded first (DiscardBlock: a
@@ -55,8 +53,8 @@ import (
 type Options struct {
 	// CapacityBytes bounds cached bytes (soft; <= 0 = unlimited).
 	CapacityBytes int64
-	// Policy selects the replacement policy by name ("" or "lru" = LRU,
-	// "segmented" = scan-resistant segmented LRU).
+	// Policy names the replacement policy. LRU is the only one: "" or
+	// "lru"; NewPoolOptions refuses any other value.
 	Policy string
 }
 
@@ -69,8 +67,11 @@ type Pool struct {
 
 	mu     sync.Mutex
 	frames map[string]*frame
-	policy Policy
-	bytes  int64
+	// lru orders the evictable (unpinned, resident) frames: a frame joins
+	// at the back when its last pin releases, and the front is the next
+	// victim.
+	lru   *list.List
+	bytes int64
 	// peakBytes is the high-water mark of cached bytes measured after each
 	// eviction pass — the pool's steady-state residency peak. A single
 	// acquisition can transiently exceed it by one block while eviction
@@ -101,13 +102,9 @@ type frame struct {
 	bytes int64
 	pins  int
 	dirty bool
-	// hot marks a re-reference while resident (a hit, or a re-Put); the
-	// replacement policy reads it when the frame next becomes evictable.
-	hot bool
-	// elem/seg are owned by the replacement policy; elem is non-nil
-	// exactly while the frame is unpinned and resident (evictable).
+	// elem is the frame's place in Pool.lru; non-nil exactly while the
+	// frame is unpinned and resident (evictable).
 	elem *list.Element
-	seg  segment
 	// loading is non-nil while the leader's miss read is in flight;
 	// followers wait on it instead of issuing a duplicate read.
 	loading chan struct{}
@@ -119,29 +116,23 @@ type frame struct {
 }
 
 // NewPool creates a pool over the manager with the given soft capacity in
-// bytes (<= 0 = unlimited) and the default LRU policy.
+// bytes (<= 0 = unlimited).
 func NewPool(store storage.Backend, capacityBytes int64) *Pool {
-	p, err := NewPoolOptions(store, Options{CapacityBytes: capacityBytes})
-	if err != nil { // unreachable: the default policy always parses
-		panic(err)
-	}
-	return p
-}
-
-// NewPoolOptions creates a pool with an explicit replacement policy.
-func NewPoolOptions(store storage.Backend, opt Options) (*Pool, error) {
-	pol, err := ParsePolicy(opt.Policy)
-	if err != nil {
-		return nil, err
-	}
-	pol.resize(opt.CapacityBytes)
 	return &Pool{
 		store:    store,
-		capBytes: opt.CapacityBytes,
+		capBytes: capacityBytes,
 		frames:   make(map[string]*frame),
-		policy:   pol,
+		lru:      list.New(),
 		tenants:  make(map[string]*tenantCounters),
-	}, nil
+	}
+}
+
+// NewPoolOptions is NewPool configured by Options.
+func NewPoolOptions(store storage.Backend, opt Options) (*Pool, error) {
+	if opt.Policy != "" && opt.Policy != "lru" {
+		return nil, fmt.Errorf("buffer: unknown replacement policy %q (only lru exists)", opt.Policy)
+	}
+	return NewPool(store, opt.CapacityBytes), nil
 }
 
 // appendKey appends the frame key "array[r,c]" to b.
@@ -183,6 +174,14 @@ func (p *Pool) installLocked(f *frame) {
 	p.tenantLocked(f.tenant).bytes += f.bytes
 }
 
+// unlinkLocked takes f out of the eviction order, if it is in it.
+func (p *Pool) unlinkLocked(f *frame) {
+	if f.elem != nil {
+		p.lru.Remove(f.elem)
+		f.elem = nil
+	}
+}
+
 // forgetLocked reverses installLocked when a frame leaves the pool (or
 // before its bytes change).
 func (p *Pool) forgetLocked(f *frame) {
@@ -204,8 +203,7 @@ func (p *Pool) acquire(tenant, array string, r, c int64) (*blas.Matrix, error) {
 	p.mu.Lock()
 	if f := p.frameLocked(array, r, c); f != nil {
 		f.pins++
-		f.hot = true
-		p.policy.remove(f)
+		p.unlinkLocked(f)
 		if ch := f.loading; ch != nil {
 			// Coalesce onto the in-flight leader read.
 			p.mu.Unlock()
@@ -320,9 +318,8 @@ func (p *Pool) put(tenant, array string, r, c int64, blk *blas.Matrix) error {
 		f = &frame{array: array, r: r, c: c, key: key, tenant: tenant}
 		p.frames[key] = f
 	} else {
-		// Re-written block: a re-reference for the policy, and its bytes
-		// move to the writing tenant before they are re-accounted.
-		f.hot = true
+		// Re-written block: its bytes move to the writing tenant before
+		// they are re-accounted.
 		p.forgetLocked(f)
 		f.tenant = tenant
 	}
@@ -331,7 +328,7 @@ func (p *Pool) put(tenant, array string, r, c int64, blk *blas.Matrix) error {
 	p.installLocked(f)
 	f.dirty = true
 	f.pins++
-	p.policy.remove(f)
+	p.unlinkLocked(f)
 	p.puts++
 	p.noteEvictErr(p.evictToCapLocked())
 	p.notePeakLocked()
@@ -353,8 +350,7 @@ func (p *Pool) Unpin(array string, r, c int64, n int) {
 		f.pins = 0
 	}
 	if f.pins == 0 && f.blk != nil && f.loading == nil && f.elem == nil {
-		p.policy.add(f, f.hot)
-		f.hot = false
+		f.elem = p.lru.PushBack(f)
 		p.noteEvictErr(p.evictToCapLocked())
 		p.notePeakLocked()
 	}
@@ -366,7 +362,7 @@ func (p *Pool) Unpin(array string, r, c int64, n int) {
 // path calls it per delivered block (bounded retention) — a streamed
 // result far larger than the pool never accumulates resident frames. A
 // pinned or still-loading frame keeps its data (only the write-back
-// happens) and ages out through the normal policy instead; an absent
+// happens) and ages out through the LRU order instead; an absent
 // frame is a no-op. A release that meets another one's write-back of the
 // same frame (a stream and InvalidateArray retiring one output block) waits
 // for it, so the block is written once and is in storage when either
@@ -395,7 +391,7 @@ func (p *Pool) ReleaseBlock(array string, r, c int64) error {
 		blk := f.blk
 		f.pins++
 		f.writing = make(chan struct{})
-		p.policy.remove(f)
+		p.unlinkLocked(f)
 		p.mu.Unlock()
 		err := p.store.WriteBlock(f.array, f.r, f.c, blk)
 		p.mu.Lock()
@@ -411,11 +407,10 @@ func (p *Pool) ReleaseBlock(array string, r, c int64) error {
 		stale := p.frames[key] != f
 		if err != nil || f.dirty {
 			// Write-back failed, or the frame was re-dirtied while the lock
-			// was down: keep the data and let it age out through the normal
-			// policy (mirrors Unpin's re-admission).
+			// was down: keep the data and let it age out through the LRU
+			// order (mirrors Unpin's re-admission).
 			if !stale && f.pins == 0 && f.blk != nil && f.elem == nil {
-				p.policy.add(f, f.hot)
-				f.hot = false
+				f.elem = p.lru.PushBack(f)
 			}
 			p.mu.Unlock()
 			if err != nil {
@@ -432,7 +427,7 @@ func (p *Pool) ReleaseBlock(array string, r, c int64) error {
 		p.mu.Unlock()
 		return nil
 	}
-	p.policy.remove(f)
+	p.unlinkLocked(f)
 	delete(p.frames, key)
 	p.forgetLocked(f)
 	p.mu.Unlock()
@@ -443,13 +438,13 @@ func (p *Pool) ReleaseBlock(array string, r, c int64) error {
 // write-back failure re-inserts the victim as the next victim (its data
 // must not be lost) and reports the error; eviction stops.
 func (p *Pool) evictFrameLocked(f *frame) error {
-	p.policy.remove(f)
+	p.unlinkLocked(f)
 	if f.dirty {
 		// Write-back under p.mu is the documented eviction serialization
 		// point (see evictToCapLocked); the victim must leave atomically
 		// with its accounting. //riotvet:allow lockio
 		if err := p.store.WriteBlock(f.array, f.r, f.c, f.blk); err != nil {
-			p.policy.requeue(f)
+			f.elem = p.lru.PushFront(f)
 			return fmt.Errorf("buffer: write-back %s: %w", f.key, err)
 		}
 		f.dirty = false
@@ -461,18 +456,18 @@ func (p *Pool) evictFrameLocked(f *frame) error {
 	return nil
 }
 
-// evictToCapLocked evicts unpinned frames in policy order until cached
+// evictToCapLocked evicts unpinned frames in LRU order until cached
 // bytes fit the capacity, writing dirty victims back first. Dirty
 // write-back happens under the pool lock — a known serialization point
 // when the pool runs over capacity on slow storage; size the pool to keep
 // hot working sets resident.
 func (p *Pool) evictToCapLocked() error {
 	for p.capBytes > 0 && p.bytes > p.capBytes {
-		f := p.policy.victim()
-		if f == nil {
+		e := p.lru.Front()
+		if e == nil {
 			break // everything pinned: soft bound, admit the overage
 		}
-		if err := p.evictFrameLocked(f); err != nil {
+		if err := p.evictFrameLocked(e.Value.(*frame)); err != nil {
 			return err
 		}
 	}
@@ -565,7 +560,7 @@ func (p *Pool) discardLocked(f *frame) {
 	if f.pins > 0 {
 		return
 	}
-	p.policy.remove(f)
+	p.unlinkLocked(f)
 	delete(p.frames, f.key)
 	p.forgetLocked(f)
 }
@@ -593,7 +588,7 @@ type Stats struct {
 	// cached (or in-flight) frame vs. reads that went to storage; Puts
 	// counts installed writes.
 	Hits, Misses, Puts int64
-	// Evictions and Writebacks count policy evictions and dirty
+	// Evictions and Writebacks count capacity evictions and dirty
 	// write-backs (eviction-driven plus Flush); Discards counts dirty
 	// frames dropped without write-back (DiscardBlock, DiscardArray).
 	Evictions, Writebacks, Discards int64
@@ -605,8 +600,6 @@ type Stats struct {
 	// result larger than the pool keeps this at or under BytesCap.
 	PeakBytes            int64
 	Frames, PinnedFrames int
-	// Policy names the replacement policy ("lru", "segmented").
-	Policy string
 	// EvictErr surfaces the sticky eviction write-back failure (empty =
 	// none): daemons see a failing device before a Flush trips over it.
 	EvictErr string
@@ -634,7 +627,6 @@ func (p *Pool) Stats() Stats {
 		BytesCached: p.bytes, BytesCap: p.capBytes,
 		PeakBytes: p.peakBytes,
 		Frames:    len(p.frames),
-		Policy:    p.policy.Name(),
 	}
 	if p.evictErr != nil {
 		st.EvictErr = p.evictErr.Error()

@@ -106,7 +106,13 @@ func TestAcquireBorrowsTheFrame(t *testing.T) {
 
 func TestLRUEvictionRespectsPins(t *testing.T) {
 	// Capacity of two blocks.
-	p, _ := newTestPool(t, 2*testBlockBytes)
+	p, m := newTestPool(t, 2*testBlockBytes)
+	// LRU is the only replacement policy; a retired name is refused.
+	for _, policy := range []string{"segmented", "slru"} {
+		if _, err := NewPoolOptions(m, Options{Policy: policy}); err == nil {
+			t.Errorf("NewPoolOptions accepted replacement policy %q", policy)
+		}
+	}
 	// Pin three blocks: capacity is a soft bound, all three stay resident.
 	for c := int64(0); c < 3; c++ {
 		if _, err := p.Acquire("A", 0, c); err != nil {
@@ -623,5 +629,50 @@ func TestConcurrentReleaseWritesOnce(t *testing.T) {
 	}
 	if st := p.Stats(); st.Frames != 0 || st.Writebacks != 1 {
 		t.Fatalf("frames=%d writebacks=%d, want 0 and 1", st.Frames, st.Writebacks)
+	}
+}
+
+// The sticky eviction write-back error must surface through Stats.EvictErr
+// as soon as an eviction fails — long before a Flush trips over it — and
+// the next Flush returns and clears it.
+func TestEvictErrSurfacedInStats(t *testing.T) {
+	p, m := newTestPool(t, 1*testBlockBytes)
+	if err := m.Create(&prog.Array{Name: "B", BlockRows: 8, BlockCols: 8, GridRows: 1, GridCols: 1}); err != nil {
+		t.Fatal(err)
+	}
+	blk := blas.NewMatrix(8, 8)
+	if err := p.Put("A", 0, 0, blk); err != nil {
+		t.Fatal(err)
+	}
+	p.Unpin("A", 0, 0, 1)
+	// Make the dirty frame's write-back fail: its array vanishes from the
+	// manager (a dropped store behaves like a failing device here).
+	if err := m.Drop("A", true); err != nil {
+		t.Fatal(err)
+	}
+	// Displace it: the eviction's write-back fails, the caller still
+	// succeeds... but reading "A" is impossible now, so install via Put.
+	if err := p.Put("B", 0, 0, blk); err != nil {
+		t.Fatal(err)
+	}
+	st := p.Stats()
+	if st.EvictErr == "" {
+		t.Fatal("Stats.EvictErr empty after a failed eviction write-back")
+	}
+	// The victim was re-inserted, not lost.
+	if st.Frames != 2 {
+		t.Fatalf("frames = %d, want the failed victim retained", st.Frames)
+	}
+	// Discard the doomed frame, then Flush surfaces the sticky error once.
+	p.DiscardArray("A")
+	p.Unpin("B", 0, 0, 1)
+	if err := p.Flush(); err == nil {
+		t.Fatal("Flush must surface the sticky eviction error")
+	}
+	if err := p.Flush(); err != nil {
+		t.Fatalf("second Flush: %v (sticky error must clear)", err)
+	}
+	if got := p.Stats().EvictErr; got != "" {
+		t.Fatalf("Stats.EvictErr = %q after Flush cleared it", got)
 	}
 }

@@ -43,7 +43,7 @@ func TestFigure3Shape(t *testing.T) {
 	// in the same regime.
 	ratio := base.Cost.IOTimeSec / best.Cost.IOTimeSec
 	if ratio < 2.0 || ratio > 4.0 {
-		t.Errorf("I/O improvement ratio %.2f outside the paper's regime (~2.9)", ratio)
+		t.Errorf("baseline/best I/O time ratio %.2f outside the paper's regime (~2.9)", ratio)
 	}
 	// Paper: baseline I/O around 2394s and best around 836s with the same
 	// matrix sizes and rates; allow ±25%%.

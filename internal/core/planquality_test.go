@@ -15,8 +15,9 @@ import (
 // workloads. Observed: 1.00 on addmul and linreg, 1.28 on twomm-a (the
 // greedy chain commits to the read-sharing family where the optimum mixes
 // write-backed sharing) — the same regime as Janus-Datalog's ~13%-of-
-// optimal greedy planner, and the background improver erases the gap for
-// recurring shapes.
+// optimal greedy planner. Closing the gap is the planning item of
+// ROADMAP.md: choose the full search by the number of sharing
+// opportunities, measured on the cold-plan workload.
 const GreedyIORatioBound = 1.30
 
 // paperTwoMMA builds the paper's TwoMM configuration A (Figure 5) on

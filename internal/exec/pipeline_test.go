@@ -60,18 +60,17 @@ func outputArrays(p *prog.Program) []string {
 // runConfig varies one execution of a plan in the property tests: the
 // engine parallelism, the shard count of the block store (0/1 = the
 // single-directory manager) with its replication factor, and whether block I/O goes through a sharing-aware buffer pool (with
-// which eviction policy and capacity — a small poolCap forces eviction and
-// dirty write-back churn mid-plan — and dead transient blocks discarded
-// through Engine.OnBlockDead).
+// which capacity — a small poolCap forces eviction and dirty write-back
+// churn mid-plan — and dead transient blocks discarded through
+// Engine.OnBlockDead).
 type runConfig struct {
-	workers    int
-	prefetch   int
-	memCap     int64
-	shards     int
-	replicas   int
-	pool       bool
-	poolPolicy string
-	poolCap    int64
+	workers  int
+	prefetch int
+	memCap   int64
+	shards   int
+	replicas int
+	pool     bool
+	poolCap  int64
 }
 
 // runPlan executes one plan on fresh storage and returns the result plus
@@ -106,13 +105,7 @@ func runPlanOn(t *testing.T, p *prog.Program, pl *core.EvaluatedPlan, m storage.
 	eng := &Engine{Store: m, Model: disk.PaperModel(), MemCapBytes: cfg.memCap}
 	var pool *buffer.Pool
 	if cfg.pool {
-		pool, err = buffer.NewPoolOptions(m, buffer.Options{
-			CapacityBytes: cfg.poolCap,
-			Policy:        cfg.poolPolicy,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		pool = buffer.NewPool(m, cfg.poolCap)
 		// Dead intermediates leave the pool unwritten; outputs must not
 		// notice.
 		eng.Pool, eng.OnBlockDead = pool, pool.DiscardBlock
@@ -330,31 +323,27 @@ func TestParallelMatchesSequential(t *testing.T) {
 					}
 					sm.Close()
 				}
-				// Pooled runs (sequential and parallel, each eviction
-				// policy, unlimited and eviction-forcing capacities)
-				// must be indistinguishable in Result and numerics
-				// too.
+				// Pooled runs (sequential and parallel, unlimited and
+				// eviction-forcing capacities) must be
+				// indistinguishable in Result and numerics too.
 				for _, workers := range []int{1, 4} {
 					for _, pcfg := range []struct {
-						policy string
 						cap    int64
 						shards int
 					}{
-						{buffer.PolicyLRU, 0, 0},
-						{buffer.PolicyLRU, 4 << 10, 0},
-						{buffer.PolicySegmented, 0, 0},
-						{buffer.PolicySegmented, 4 << 10, 0},
+						{0, 0},
+						{4 << 10, 0},
 						// The pool's keys carry array/coords only, so it
 						// composes with a sharded store unchanged —
 						// including mid-plan eviction write-back routed
 						// to the right shard.
-						{buffer.PolicyLRU, 4 << 10, 2},
+						{4 << 10, 2},
 					} {
 						pooled, pooledOut := runPlan(t, tc.prog, pl, runConfig{
 							workers: workers, shards: pcfg.shards,
-							pool: true, poolPolicy: pcfg.policy, poolCap: pcfg.cap,
+							pool: true, poolCap: pcfg.cap,
 						})
-						label := fmt.Sprintf("%s+pool-%s-cap%d-shards%d", pl.Label, pcfg.policy, pcfg.cap, pcfg.shards)
+						label := fmt.Sprintf("%s+pool-cap%d-shards%d", pl.Label, pcfg.cap, pcfg.shards)
 						assertIdentical(t, label, workers, seq, pooled, seqOut, pooledOut)
 					}
 				}

@@ -17,18 +17,19 @@ import (
 )
 
 // BlockPool is the block cache the engine gets, puts and releases every
-// block through. Acquire returns the block with one pin held on the
-// underlying frame; the matrix is borrowed — the pool and every other
-// acquirer hold the same one — so the caller must not write to it. Put
-// installs a written block (the pool keeps no reference to blk, so the
-// caller may go on writing to it) also with one pin held; Unpin releases n
-// pins. A pin keeps the frame resident; it is not what keeps a borrowed
-// matrix valid — that outlives eviction and re-Put, unchanged, for as long
-// as the caller references it. *buffer.Pool and its aliasing sessions
-// implement this interface.
+// block through. A pin keeps the frame resident; it is not what keeps a
+// borrowed matrix valid — that outlives eviction and re-Put, unchanged,
+// for as long as the caller references it. *buffer.Pool and its aliasing
+// sessions implement this interface.
 type BlockPool interface {
+	// Acquire returns block (r, c) of array with one pin held on the
+	// underlying frame. The matrix is borrowed: the pool and every other
+	// acquirer hold the same one, so the caller must not write to it.
 	Acquire(array string, r, c int64) (*blas.Matrix, error)
+	// Put installs a written block, also with one pin held. The pool
+	// keeps no reference to blk, so the caller may go on writing to it.
 	Put(array string, r, c int64, blk *blas.Matrix) error
+	// Unpin releases n pins on the block's frame.
 	Unpin(array string, r, c int64, n int)
 }
 

@@ -125,7 +125,7 @@ func (s *Searcher) SearchGreedy(ctx context.Context, opt GreedyOptions) ([]Plan,
 	// myopic — its schedule direction may be incompatible with a cheaper
 	// family of opportunities — so grow one chain per top seed and keep
 	// the best. Seeds that already score worse than the baseline cannot
-	// start an improving chain and are skipped.
+	// start a chain that beats it and are skipped.
 	const maxSeeds = 3
 	var best *Plan
 	bestScore := baseScore

@@ -98,14 +98,24 @@ func writeErr(w http.ResponseWriter, r *http.Request, code int, err error) {
 	writeJSON(w, r, code, map[string]string{"error": err.Error()})
 }
 
+// maxSubmitBytes bounds a /submit request body. The largest benchmark
+// spec is a few KiB; the bound only stops a client from making the daemon
+// buffer an arbitrarily large body.
+const maxSubmitBytes = 1 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeErr(w, r, http.StatusMethodNotAllowed, errors.New("POST required"))
 		return
 	}
 	var req Request
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, r, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes)).Decode(&req); err != nil {
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeErr(w, r, code, fmt.Errorf("decode request: %w", err))
 		return
 	}
 	id, err := s.Submit(req)

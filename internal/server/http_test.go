@@ -296,3 +296,39 @@ func TestHTTPSubmitRejectsEscapingArrayName(t *testing.T) {
 		t.Errorf("files created outside Config.Dir: %v", entries)
 	}
 }
+
+// A /submit body past maxSubmitBytes is refused with 413 before it is
+// decoded in full, and the daemon keeps serving normal submissions.
+func TestHTTPSubmitBodyTooLarge(t *testing.T) {
+	s, ts := newHTTPServer(t)
+
+	// A syntactically valid prefix, so only the size can fail it.
+	big := append([]byte(`{"program":"addmul-small","tenant":"`), bytes.Repeat([]byte("x"), maxSubmitBytes)...)
+	big = append(big, `"}`...)
+	resp, err := http.Post(ts.URL+"/submit", "application/json", bytes.NewReader(big))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized submit status = %d, want 413", resp.StatusCode)
+	}
+	if got := s.Stats().Submitted; got != 0 {
+		t.Fatalf("submitted = %d after an oversized body, want 0", got)
+	}
+
+	body, _ := json.Marshal(Request{Program: "addmul-small"})
+	resp, err = http.Post(ts.URL+"/submit", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sub struct{ ID string }
+	err = json.NewDecoder(resp.Body).Decode(&sub)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("normal submit after oversized one: status %d, err %v", resp.StatusCode, err)
+	}
+	if st, err := s.Wait(sub.ID); err != nil || st.State != StateDone {
+		t.Fatalf("query %s: state %v, err %v (%s)", sub.ID, st.State, err, st.Err)
+	}
+}

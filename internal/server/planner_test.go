@@ -1,13 +1,11 @@
 package server
 
 import (
-	"context"
-	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
-	"riotshare/internal/core"
 	"riotshare/internal/prog"
 )
 
@@ -157,219 +155,59 @@ func TestGreedyTierPlanning(t *testing.T) {
 	}
 }
 
-// The improver's hot swap, driven deterministically: a baseline-only plan
-// table is installed in the cache as if the greedy tier had produced it,
-// one query runs on it, improveOne is invoked synchronously, and a second
-// query must then run on a strictly-better plan with bit-identical
-// outputs — the acceptance criterion for tier 3.
-func TestImproverHotSwapDeterministic(t *testing.T) {
-	s, err := New(Config{
-		Dir:      t.TempDir(),
-		Seed:     testSeed,
-		Programs: map[string]func() *prog.Program{"addmul-small": smallAddMul},
-	})
+// N goroutines submit one novel spec at once. The first to reach the plan
+// cache plans it; the other N-1 wait on that one entry and read its table
+// without re-taking planMu. Every query must run and produce the same
+// bits. Run under -race, this guards the write-once entry.
+func TestPlanCacheConcurrentMissPlansOnce(t *testing.T) {
+	const n = 8
+	s, err := New(Config{Dir: t.TempDir(), Seed: testSeed, MaxConcurrent: n})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 
-	// Install a deliberately weak table: the no-sharing baseline only.
-	base, err := core.OptimizeSubsets(smallAddMul(), core.Options{BindParams: true}, nil)
-	if err != nil {
-		t.Fatal(err)
+	ids := make([]string, n)
+	errs := make([]error, n)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range ids {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			ids[i], errs[i] = s.Submit(Request{Spec: gridAddSpec(3, 4)})
+		}()
 	}
-	if len(base.Plans) != 1 {
-		t.Fatalf("baseline-only table has %d plans, want 1", len(base.Plans))
-	}
-	const key = "prog:addmul-small"
-	ready := make(chan struct{})
-	close(ready)
-	e := &planEntry{ready: ready, key: key, res: base, tier: tierGreedy}
-	s.planMu.Lock()
-	e.elem = s.planLRU.PushFront(e)
-	s.planCache[key] = e
-	s.planMu.Unlock()
-	oldIO := base.Plans[0].Cost.LogicalIOBytes()
-
-	run := func() QueryStatus {
-		t.Helper()
-		id, err := s.Submit(Request{Program: "addmul-small"})
-		if err != nil {
-			t.Fatal(err)
+	close(start)
+	wg.Wait()
+	for i, id := range ids {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
 		}
-		st, err := s.Wait(id)
-		if err != nil || st.State != StateDone {
-			t.Fatalf("state %v, err %v (%s)", st.State, err, st.Err)
+		if st, err := s.Wait(id); err != nil || st.State != StateDone {
+			t.Fatalf("query %s: state %v, err %v (%s)", id, st.State, err, st.Err)
 		}
-		return st
-	}
-	st1 := run()
-
-	s.improveOne(context.Background(), improveJob{key: key, prog: smallAddMul()})
-	if got := s.impSwaps.Load(); got != 1 {
-		t.Fatalf("improver swaps = %d, want 1", got)
-	}
-	s.planMu.Lock()
-	swapped, tier := e.res, e.tier
-	s.planMu.Unlock()
-	if swapped == base {
-		t.Fatal("plan table was not hot-swapped")
-	}
-	if tier != tierFull {
-		t.Errorf("swapped entry tier = %q, want %q", tier, tierFull)
-	}
-	newIO := swapped.Plans[0].Cost.LogicalIOBytes()
-	if newIO >= oldIO {
-		t.Errorf("swapped plan logical I/O = %d, want < %d", newIO, oldIO)
-	}
-	t.Logf("hot swap: %s (%d B) -> %s (%d B)",
-		base.Plans[0].Label, oldIO, swapped.Plans[0].Label, newIO)
-
-	// A repeat invocation must not re-plan or double-swap.
-	s.improveOne(context.Background(), improveJob{key: key, prog: smallAddMul()})
-	if got := s.impSwaps.Load(); got != 1 {
-		t.Errorf("improver swaps after duplicate job = %d, want 1", got)
-	}
-
-	st2 := run()
-	if st2.PlanLabel == st1.PlanLabel {
-		t.Errorf("second query still ran plan %q; expected the swapped-in plan", st2.PlanLabel)
-	}
-
-	// Bit-identical results before and after the swap.
-	for _, name := range outputNames(t, smallAddMul()) {
-		a, err := s.Output(st1.ID, name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := s.Output(st2.ID, name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range a.Data {
-			if a.Data[i] != b.Data[i] {
-				t.Fatalf("%s[%d] = %v before swap, %v after (not bit-identical)",
-					name, i, a.Data[i], b.Data[i])
-			}
-		}
-	}
-}
-
-// outputNames lists a program's persistent written arrays.
-func outputNames(t *testing.T, p *prog.Program) []string {
-	t.Helper()
-	written := map[string]bool{}
-	for _, st := range p.Stmts {
-		if w := st.WriteAccess(); w != nil {
-			written[w.Array] = true
-		}
-	}
-	var names []string
-	for name, arr := range p.Arrays {
-		if written[name] && !arr.Transient {
-			names = append(names, name)
-		}
-	}
-	if len(names) == 0 {
-		t.Fatal("program has no persistent outputs")
-	}
-	return names
-}
-
-// The full tier-1/2/3 loop under live traffic: a budgeted server with the
-// improver enabled plans a cold query on the greedy tier, the background
-// improver re-plans it with the full search, and the cached table ends at
-// exactly the full search's best logical I/O — never worse than greedy.
-func TestImproverLive(t *testing.T) {
-	full, err := core.Optimize(smallAddMul(), core.Options{BindParams: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fullBestIO := full.Plans[0].Cost.LogicalIOBytes()
-
-	s, err := New(Config{
-		Dir:          t.TempDir(),
-		Seed:         testSeed,
-		Programs:     map[string]func() *prog.Program{"addmul-small": smallAddMul},
-		PlanBudget:   10 * time.Second,
-		PlanImprover: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	id, err := s.Submit(Request{Program: "addmul-small"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st, err := s.Wait(id); err != nil || st.State != StateDone {
-		t.Fatalf("state %v, err %v (%s)", st.State, err, st.Err)
-	}
-
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		stats := s.Stats()
-		if stats.Improver != nil && stats.Improver.Runs >= 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("improver never ran (stats: %+v)", stats.Improver)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-
-	s.planMu.Lock()
-	e := s.planCache["prog:addmul-small"]
-	var cachedIO int64 = -1
-	if e != nil && e.res != nil && len(e.res.Plans) > 0 {
-		cachedIO = e.res.Plans[0].Cost.LogicalIOBytes()
-	}
-	s.planMu.Unlock()
-	// After the improver ran, the cached best is min(greedy, full-best);
-	// the full search enumerates every greedy combination, so that minimum
-	// is exactly the full search's best.
-	if cachedIO != fullBestIO {
-		t.Errorf("cached best logical I/O after improvement = %d, want %d (full search's best)",
-			cachedIO, fullBestIO)
-	}
-	if swaps := s.impSwaps.Load(); swaps > 1 {
-		t.Errorf("improver swaps = %d, want 0 or 1 for one entry", swaps)
 	}
 
 	stats := s.Stats()
-	if stats.Improver == nil {
-		t.Fatal("Stats.Improver missing with the improver enabled")
+	if stats.PlanCacheMisses != 1 || stats.PlanCacheHits != n-1 {
+		t.Errorf("hits/misses = %d/%d, want %d/1", stats.PlanCacheHits, stats.PlanCacheMisses, n-1)
 	}
-	if stats.Improver.Swaps != s.impSwaps.Load() {
-		t.Errorf("Stats.Improver.Swaps = %d, counter = %d", stats.Improver.Swaps, s.impSwaps.Load())
-	}
-
-	var sb strings.Builder
-	if err := s.Metrics().WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	text := sb.String()
-	for _, want := range []string{
-		"riotshare_plan_improver_runs_total 1",
-		"riotshare_plan_improver_queue 0",
-		fmt.Sprintf("riotshare_plan_improver_swaps_total %d", s.impSwaps.Load()),
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("metrics missing %q", want)
-		}
-	}
-
-	// A post-improvement query serves from the (possibly swapped) cache
-	// and completes; then the server shuts down cleanly with the improver
-	// goroutine running.
-	id2, err := s.Submit(Request{Program: "addmul-small"})
+	want, err := s.Output(ids[0], "C")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st, err := s.Wait(id2); err != nil || st.State != StateDone {
-		t.Fatalf("post-improvement query: state %v, err %v (%s)", st.State, err, st.Err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
+	for _, id := range ids[1:] {
+		got, err := s.Output(id, "C")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want.Data {
+			if got.Data[i] != want.Data[i] {
+				t.Fatalf("query %s: C[%d] = %v, query %s has %v (not bit-identical)",
+					id, i, got.Data[i], ids[0], want.Data[i])
+			}
+		}
 	}
 }

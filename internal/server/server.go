@@ -89,9 +89,8 @@ type Config struct {
 	Persist bool
 	// PoolBytes is the shared buffer pool's soft capacity (0 = unlimited).
 	PoolBytes int64
-	// PoolPolicy selects the pool's replacement policy: "" or "lru" for
-	// classic LRU, "segmented" for the scan-resistant segmented LRU under
-	// which one tenant's huge scan cannot flush other tenants' hot sets.
+	// PoolPolicy names the pool's replacement policy. LRU is the only
+	// one: "" or "lru"; New refuses any other value.
 	PoolPolicy string
 	// MaxConcurrent is K, the number of concurrently executing queries
 	// (default 2).
@@ -123,11 +122,6 @@ type Config struct {
 	// Programs with a restricted plan list (linreg without FullSearch)
 	// always use their selected plans. See docs/planner.md.
 	PlanBudget time.Duration
-	// PlanImprover starts the background plan improver (tier 3):
-	// greedy-planned cache entries are re-planned with the full search
-	// off the query path and hot-swapped when strictly better, so
-	// recurring query shapes converge toward full-search plan quality.
-	PlanImprover bool
 	// PlanCacheEntries bounds the plan cache; the least recently used
 	// entry is evicted past the cap (0 = default 256, < 0 = unlimited).
 	PlanCacheEntries int
@@ -301,9 +295,6 @@ type Stats struct {
 	// "greedy", "full"); only tiers that served at least one query
 	// appear.
 	PlanningTiers map[string]PlanningTierStats `json:"planningTiers,omitempty"`
-	// Improver reports background plan-improver activity; nil unless
-	// Config.PlanImprover is set.
-	Improver *ImproverStats `json:"improver,omitempty"`
 
 	// Streams reports the streamed result delivery path (/results/stream):
 	// active streams, finished ones by outcome, and delivered totals.
@@ -320,17 +311,6 @@ type PlanningTierStats struct {
 	P50Ms float64 `json:"p50Ms"`
 	P95Ms float64 `json:"p95Ms"`
 	P99Ms float64 `json:"p99Ms"`
-}
-
-// ImproverStats reports the background plan improver: full searches run,
-// cached tables hot-swapped with a strictly better one, jobs dropped on a
-// full queue, jobs waiting, and cumulative background search time.
-type ImproverStats struct {
-	Runs       int64   `json:"runs"`
-	Swaps      int64   `json:"swaps"`
-	Dropped    int64   `json:"dropped,omitempty"`
-	QueueDepth int     `json:"queueDepth"`
-	SearchMs   float64 `json:"searchMs"`
 }
 
 // Planner tier labels for riotshare_planning_seconds{tier=...} and
@@ -371,14 +351,6 @@ type Server struct {
 	planMisses    int64
 	planEvictions int64
 
-	// Plan improver (tier 3): greedy-planned cache keys are enqueued on
-	// impCh; the loop re-plans them with the full search and hot-swaps
-	// strictly better tables under planMu. Nil/zero when disabled.
-	impCh                         chan improveJob
-	impCancel                     context.CancelFunc
-	impWG                         sync.WaitGroup
-	impRuns, impSwaps, impDropped atomic.Int64
-
 	gov *govern.Governor
 
 	tenantMu sync.Mutex
@@ -398,7 +370,6 @@ type Server struct {
 	tracer                           *telemetry.Tracer
 	mPlanning                        *telemetry.Histogram
 	mPlanningTier                    *telemetry.HistogramVec // by planner tier
-	mImprove                         *telemetry.Histogram    // nil unless the improver runs
 	mSlowTotal                       *telemetry.Counter
 	mQuery                           *telemetry.HistogramVec // by program
 	mAdmitWait                       *telemetry.HistogramVec // by tenant
@@ -434,23 +405,13 @@ const overflowTenant = "~other"
 
 type planEntry struct {
 	ready chan struct{}
-	// res and err are written once before ready closes, but res may be
-	// hot-swapped by the improver afterwards — read them under planMu.
+	// res and err are written once, before ready closes, and never
+	// again: a reader that received from ready needs no lock.
 	res *core.Result
 	err error
-	// key/elem tie the entry into the LRU list; tier records which
-	// planner produced res; improved marks that the improver already
-	// re-planned this entry (successfully or not).
-	key      string
-	elem     *list.Element
-	tier     string
-	improved bool
-}
-
-// improveJob asks the improver to re-plan one cached entry.
-type improveJob struct {
+	// key/elem tie the entry into the LRU list (guarded by planMu).
 	key  string
-	prog *prog.Program
+	elem *list.Element
 }
 
 type inputState struct {
@@ -547,15 +508,6 @@ func New(cfg Config) (*Server, error) {
 	pool.RegisterMetrics(reg)
 	m.RegisterMetrics(reg)
 	s.registerCollectors()
-	if cfg.PlanImprover {
-		s.mImprove = reg.Histogram("riotshare_plan_improver_seconds",
-			"Background full-search planning time per improver run.", nil)
-		ictx, cancel := context.WithCancel(context.Background()) //riotvet:allow ctxflow — server-lifetime improver loop; canceled by Close, not by any one query
-		s.impCancel = cancel
-		s.impCh = make(chan improveJob, 64)
-		s.impWG.Add(1)
-		go s.improveLoop(ictx)
-	}
 	return s, nil
 }
 
@@ -581,12 +533,6 @@ func (s *Server) registerCollectors() {
 		e.Counter("riotshare_plan_cache_misses_total", "Plan cache misses (plans computed).", float64(misses))
 		e.Gauge("riotshare_plan_cache_entries", "Plan tables resident in the bounded cache.", float64(size))
 		e.Counter("riotshare_plan_cache_evictions_total", "Plan cache entries retired by the LRU bound.", float64(evictions))
-		if s.impCh != nil {
-			e.Counter("riotshare_plan_improver_runs_total", "Background full-search improver runs.", float64(s.impRuns.Load()))
-			e.Counter("riotshare_plan_improver_swaps_total", "Cached plan tables hot-swapped with a strictly better one.", float64(s.impSwaps.Load()))
-			e.Counter("riotshare_plan_improver_dropped_total", "Improver jobs dropped on a full queue.", float64(s.impDropped.Load()))
-			e.Gauge("riotshare_plan_improver_queue", "Improver jobs waiting.", float64(len(s.impCh)))
-		}
 		e.Counter("riotshare_input_fills_total", "Shared inputs synthesized and written.", float64(s.inputFills.Load()))
 		e.Counter("riotshare_input_fills_skipped_total", "Shared inputs served from the persisted catalog.", float64(s.inputFillsSkipped.Load()))
 		st := s.store.Stats()
@@ -705,10 +651,9 @@ func (s *Server) resolve(req Request) (*prog.Program, [][]string, error) {
 // the table: "cache" (tier 1, a resident entry), "greedy" (tier 2, the
 // budgeted fast-path search under Config.PlanBudget), or "full" (the
 // Apriori enumeration — every miss when no budget is set, and all
-// restricted-plan programs). Greedy-planned entries are handed to the
-// background improver, which hot-swaps a strictly better full-search table
-// into the cache off the query path. The cache key ignores per-query
-// memory caps: plan selection against a cap happens on the cached table.
+// restricted-plan programs). An entry is planned once and never replaced.
+// The cache key ignores per-query memory caps: plan selection against a
+// cap happens on the cached table.
 func (s *Server) plans(req Request, p *prog.Program, subsets [][]string) (*core.Result, string, error) {
 	key := "prog:" + req.Program
 	if req.Spec != nil {
@@ -720,12 +665,7 @@ func (s *Server) plans(req Request, p *prog.Program, subsets [][]string) (*core.
 		s.planLRU.MoveToFront(e.elem)
 		s.planMu.Unlock()
 		<-e.ready
-		// Re-lock to read the table: the improver may hot-swap res after
-		// the entry became ready.
-		s.planMu.Lock()
-		res, err := e.res, e.err
-		s.planMu.Unlock()
-		return res, tierCache, err
+		return e.res, tierCache, e.err
 	}
 	e := &planEntry{ready: make(chan struct{}), key: key}
 	e.elem = s.planLRU.PushFront(e)
@@ -749,7 +689,7 @@ func (s *Server) plans(req Request, p *prog.Program, subsets [][]string) (*core.
 		if err != nil && ctx.Err() != nil {
 			// The budget ran out before even the baseline was planned;
 			// plan just the baseline (no subsets) without a deadline so the
-			// query still runs (and the improver can upgrade it later).
+			// query still runs.
 			res, err = core.OptimizeSubsetsCtx(fill, p, opt, nil)
 		}
 		cancel()
@@ -757,14 +697,8 @@ func (s *Server) plans(req Request, p *prog.Program, subsets [][]string) (*core.
 		res, err = core.OptimizeCtx(fill, p, opt)
 	}
 
-	s.planMu.Lock()
 	e.res, e.err = res, err
-	e.tier = tier
-	s.planMu.Unlock()
 	close(e.ready)
-	if tier == tierGreedy && err == nil {
-		s.enqueueImprove(key, p)
-	}
 	return res, tier, err
 }
 
@@ -791,76 +725,6 @@ func (s *Server) evictPlansLocked() {
 		default:
 		}
 		el = prev
-	}
-}
-
-// enqueueImprove hands a greedy-planned cache key to the improver. The
-// queue is bounded and non-blocking: under a burst of novel query shapes
-// excess jobs are dropped (counted) rather than stalling the query path.
-func (s *Server) enqueueImprove(key string, p *prog.Program) {
-	if s.impCh == nil {
-		return
-	}
-	s.planMu.Lock()
-	e, ok := s.planCache[key]
-	skip := !ok || e.improved
-	s.planMu.Unlock()
-	if skip {
-		return
-	}
-	select {
-	case s.impCh <- improveJob{key: key, prog: p}:
-	default:
-		s.impDropped.Add(1)
-	}
-}
-
-func (s *Server) improveLoop(ctx context.Context) {
-	defer s.impWG.Done()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case job := <-s.impCh:
-			s.improveOne(ctx, job)
-		}
-	}
-}
-
-// improveOne re-plans one greedy-planned cache entry with the full search
-// and hot-swaps the cached table when the full search's best plan does
-// strictly less logical I/O. Swapping the whole *core.Result under planMu
-// is atomic from the readers' side: a query sees either the old table or
-// the new one, never a mix, and queries already running on the old plan
-// are unaffected (their timeline is theirs). ctx cancellation (server
-// Close) aborts the search mid-way.
-func (s *Server) improveOne(ctx context.Context, job improveJob) {
-	s.planMu.Lock()
-	e, ok := s.planCache[job.key]
-	if !ok || e.improved {
-		s.planMu.Unlock()
-		return
-	}
-	e.improved = true
-	s.planMu.Unlock()
-
-	start := time.Now()
-	full, err := core.OptimizeCtx(ctx, job.prog, core.Options{BindParams: true})
-	s.mImprove.ObserveDuration(time.Since(start))
-	s.impRuns.Add(1)
-	if err != nil || len(full.Plans) == 0 {
-		return
-	}
-	s.planMu.Lock()
-	defer s.planMu.Unlock()
-	e, ok = s.planCache[job.key]
-	if !ok || e.err != nil || e.res == nil || len(e.res.Plans) == 0 {
-		return // evicted or failed meanwhile; nothing to upgrade
-	}
-	if full.Plans[0].Cost.LogicalIOBytes() < e.res.Plans[0].Cost.LogicalIOBytes() {
-		e.res = full
-		e.tier = tierFull
-		s.impSwaps.Add(1)
 	}
 }
 
@@ -1475,15 +1339,6 @@ func (s *Server) Stats() Stats {
 			P99Ms: h.Quantile(0.99) * float64(time.Second) / ms,
 		}
 	}
-	if s.impCh != nil {
-		st.Improver = &ImproverStats{
-			Runs:       s.impRuns.Load(),
-			Swaps:      s.impSwaps.Load(),
-			Dropped:    s.impDropped.Load(),
-			QueueDepth: len(s.impCh),
-			SearchMs:   s.mImprove.Sum() * float64(time.Second) / ms,
-		}
-	}
 	// Per-tenant view: every submitted label (which covers every tenant
 	// the governor has seen) plus the pool's per-tenant slice.
 	s.tenantMu.Lock()
@@ -1535,13 +1390,6 @@ func (s *Server) Close() error {
 	s.mu.Unlock()
 	s.gov.Close()
 	s.wg.Wait()
-	// Stop the improver after the last query drained: cancellation aborts
-	// a running background search via the ctx plumbed through the core
-	// search loop.
-	if s.impCancel != nil {
-		s.impCancel()
-		s.impWG.Wait()
-	}
 	err := s.pool.Flush()
 	if cerr := s.store.Close(); err == nil {
 		err = cerr

@@ -225,13 +225,19 @@ func TestServerParallelWorkersMatchStandalone(t *testing.T) {
 	}
 }
 
-// DAF is the only block format: any other Config.Format is refused, never
-// served as DAF.
+// DAF is the only block format and LRU the only pool policy: any other
+// Config.Format or Config.PoolPolicy is refused, never served as DAF or
+// LRU.
 func TestNewRefusesUnknownFormat(t *testing.T) {
-	s, err := New(Config{Dir: t.TempDir(), Format: storage.FormatDAF + 1})
-	if err == nil {
-		s.Close()
-		t.Fatal("New accepted a block format that does not exist")
+	for _, cfg := range []Config{
+		{Dir: t.TempDir(), Format: storage.FormatDAF + 1},
+		{Dir: t.TempDir(), PoolPolicy: "segmented"},
+	} {
+		s, err := New(cfg)
+		if err == nil {
+			s.Close()
+			t.Errorf("New accepted format %d, pool policy %q: neither exists", int(cfg.Format), cfg.PoolPolicy)
+		}
 	}
 }
 

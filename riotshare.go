@@ -304,9 +304,8 @@ type StorageStats = storage.Stats
 
 // BufferPool is the capacity-bounded, sharing-aware block cache in front
 // of a storage manager: ref-counted pins driven by each plan's hold
-// intervals, policy-driven eviction of unpinned blocks (LRU or a
-// scan-resistant segmented LRU), deferred dirty write-back, and
-// hit/miss/eviction statistics (per tenant as well as in total). Share one pool
+// intervals, LRU eviction of unpinned blocks, deferred dirty write-back,
+// and hit/miss/eviction statistics (per tenant as well as in total). Share one pool
 // across concurrent executions (via ExecOptions.Pool or the multi-query
 // server) so a block read by one query is a cache hit for the next.
 type BufferPool = buffer.Pool
@@ -315,23 +314,14 @@ type BufferPool = buffer.Pool
 // eviction write-back error and the per-tenant breakdown.
 type BufferPoolStats = buffer.Stats
 
-// BufferPoolOptions configures a pool's capacity and replacement policy
-// ("lru" or "segmented").
-type BufferPoolOptions = buffer.Options
-
 // BlockPool is the acquisition interface the execution engines use;
 // *BufferPool and its aliasing sessions implement it.
 type BlockPool = exec.BlockPool
 
 // NewBufferPool creates a pool over the manager with the given soft
-// capacity in bytes (<= 0 = unlimited) and the default LRU policy.
+// capacity in bytes (<= 0 = unlimited).
 func NewBufferPool(store StorageBackend, capacityBytes int64) *BufferPool {
 	return buffer.NewPool(store, capacityBytes)
-}
-
-// NewBufferPoolOptions creates a pool with an explicit replacement policy.
-func NewBufferPoolOptions(store StorageBackend, opt BufferPoolOptions) (*BufferPool, error) {
-	return buffer.NewPoolOptions(store, opt)
 }
 
 // ServerConfig sizes the multi-query analytics service.
