@@ -14,7 +14,7 @@ test:
 test-race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -count=5 ./internal/exec/ ./internal/buffer/ ./internal/govern/
-	$(GO) test -race -count=5 -run 'Fairness|QueueWait|TenantLabel|ResultFetch|StreamAttributesTenant|PlanCacheConcurrentMiss' ./internal/server/
+	$(GO) test -race -count=5 -run 'Fairness|QueueWait|TenantLabel|ResultFetch|StreamAttributesTenant|PlanCacheConcurrentMiss|RetirementRacesLookups' ./internal/server/
 
 # Full suite, including the ~80s linear-regression plan-space search.
 test-full:

@@ -23,7 +23,11 @@
 //	riotshared stats   -addr http://localhost:8377 -watch 2s   # live delta view
 //	riotshared stats   -addr http://localhost:8377 -planner    # planner tiers + plan cache
 //	riotshared trace   -addr http://localhost:8377 q1          # span-tree breakdown
+//	riotshared trace   -addr http://localhost:8377 q1:stream   # its latest result stream
 //	riotshared repair  -addr http://localhost:8377 -shard 1
+//
+// A query's status, outputs and traces retire together once 64 later ones
+// finished; its id then answers HTTP 410 (404: an id never issued).
 //
 // The daemon shuts down gracefully on SIGINT/SIGTERM: in-flight HTTP
 // requests drain, running queries finish, the pool flushes.
@@ -97,9 +101,8 @@ func serve(fs *flag.FlagSet, args []string) error {
 		replicas   = fs.Int("replicas", 1, "mirror each block on k shards (ring order); a lost shard then degrades reads instead of failing the open")
 		persist    = fs.Bool("persist", false, "persist shared input arrays across restarts (manifest catalog; requires -data, -shard-dirs, or -shard-addrs)")
 
-		slowMs   = fs.Int64("slow-query-ms", 0, "log a JSON span breakdown to stderr for queries slower than this (0 = off)")
-		pprofOn  = fs.Bool("pprof", false, "register net/http/pprof handlers under /debug/pprof/")
-		traceCap = fs.Int("trace-cap", 0, "completed query traces retained for GET /trace (0 = default 256)")
+		slowMs  = fs.Int64("slow-query-ms", 0, "log a JSON span breakdown to stderr for queries slower than this (0 = off)")
+		pprofOn = fs.Bool("pprof", false, "register net/http/pprof handlers under /debug/pprof/")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -144,7 +147,6 @@ func serve(fs *flag.FlagSet, args []string) error {
 		PlanCacheEntries: *planCacheN,
 		SlowQueryMs:      *slowMs,
 		EnablePprof:      *pprofOn,
-		TraceCapacity:    *traceCap,
 	})
 	if errors.Is(err, http.ErrServerClosed) {
 		err = nil

@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -15,6 +16,15 @@ import (
 // of both groups.
 func fairnessWorkload(t *testing.T, s *Server, floodTenant, smallTenant string, floodN, smallN int) (flood, small []QueryStatus) {
 	t.Helper()
+	// A first query fills the shared inputs, so the flood's head runs no
+	// longer than any other query and the waits differ by queue order.
+	id, err := s.Submit(Request{Program: "addmul-small", Tenant: "warm"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Wait(id); err != nil {
+		t.Fatal(err)
+	}
 	floodIDs := make([]string, 0, floodN)
 	for i := 0; i < floodN; i++ {
 		id, err := s.Submit(Request{Program: "addmul-small", Tenant: floodTenant})
@@ -67,11 +77,10 @@ func fairnessWorkload(t *testing.T, s *Server, floodTenant, smallTenant string, 
 	return flood, small
 }
 
-// serverP95 returns the server-reported admission-wait p95 for a tenant —
-// the governor's own histogram, surfaced through Stats (and /stats), which
-// is what operators see. The test asserts against it rather than
-// recomputing waits client-side.
-func serverP95(t *testing.T, s *Server, tenant string) time.Duration {
+// checkWaitQuantiles asserts the server-reported admission-wait quantiles
+// of a tenant — the histogram estimates Stats (and /stats) surface to
+// operators — are present and monotone.
+func checkWaitQuantiles(t *testing.T, s *Server, tenant string) {
 	t.Helper()
 	ts, ok := s.Stats().Tenants[tenant]
 	if !ok {
@@ -81,7 +90,27 @@ func serverP95(t *testing.T, s *Server, tenant string) time.Duration {
 		t.Fatalf("tenant %q wait quantiles not monotone: p50=%v p95=%v p99=%v",
 			tenant, ts.QueueWaitP50Ms, ts.QueueWaitP95Ms, ts.QueueWaitP99Ms)
 	}
-	return time.Duration(ts.QueueWaitP95Ms * float64(time.Millisecond))
+}
+
+// waitP95 is the nearest-rank p95 of the queries' exact admission waits:
+// the admission-wait span on each query's trace. The histogram behind
+// Stats only places a wait within its bucket, too coarse to order two
+// runs whose waits share one.
+func waitP95(t *testing.T, s *Server, sts []QueryStatus) time.Duration {
+	t.Helper()
+	waits := make([]time.Duration, 0, len(sts))
+	for _, st := range sts {
+		for _, sp := range queryTrace(t, s, st.ID).Children {
+			if sp.Name == "admission-wait" {
+				waits = append(waits, sp.Duration())
+			}
+		}
+	}
+	if len(waits) != len(sts) {
+		t.Fatalf("%d admission-wait spans for %d queries", len(waits), len(sts))
+	}
+	sort.Slice(waits, func(i, j int) bool { return waits[i] < waits[j] })
+	return waits[(len(waits)*95+99)/100-1]
 }
 
 // TestTenantFairnessVsFIFOBaseline is the governor's acceptance test: with
@@ -142,13 +171,14 @@ func TestTenantFairnessVsFIFOBaseline(t *testing.T) {
 	}
 	defer fifo.Close()
 	fifo.Store().SetLatency(2*time.Millisecond, 2*time.Millisecond)
-	fifoFlood, fifoSmall := fairnessWorkload(t, fifo, "", "", floodN, smallN)
-	_, _ = fifoFlood, fifoSmall
+	_, fifoSmall := fairnessWorkload(t, fifo, "", "", floodN, smallN)
 
-	// Compare the server-reported p95 admission waits: the governed small
+	// Compare the small queries' p95 admission waits: the governed small
 	// tenant against the same queries inside the FIFO baseline's single
 	// queue (every FIFO query lands on the anonymous tenant "").
-	govP95, fifoP95 := serverP95(t, gov, "small"), serverP95(t, fifo, "")
+	checkWaitQuantiles(t, gov, "small")
+	checkWaitQuantiles(t, fifo, "")
+	govP95, fifoP95 := waitP95(t, gov, small), waitP95(t, fifo, fifoSmall)
 	t.Logf("small-tenant p95 queue wait: governed %v vs FIFO %v (flood started after small finished: %d/%d)",
 		govP95, fifoP95, floodAfter, floodN)
 	if govP95 >= fifoP95 {
@@ -160,10 +190,12 @@ func TestTenantFairnessVsFIFOBaseline(t *testing.T) {
 // stay bounded: past maxTenantLabels distinct labels, new ones share
 // overflowTenant in the stats, the admission histogram and the pool's
 // per-tenant series, while each query's status keeps the label it sent.
+// Every query is submitted before any is waited on, so the server must
+// remember them all (RetainOutputs < 0).
 func TestTenantLabelsBounded(t *testing.T) {
 	const extra = 16
 	s, err := New(Config{
-		Dir: t.TempDir(), MaxConcurrent: 4, Seed: testSeed,
+		Dir: t.TempDir(), MaxConcurrent: 4, Seed: testSeed, RetainOutputs: -1,
 		Programs: map[string]func() *prog.Program{"addmul-small": smallAddMul},
 	})
 	if err != nil {

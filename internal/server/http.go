@@ -8,7 +8,10 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
+	"strings"
 	"time"
+
+	"riotshare/internal/telemetry"
 )
 
 // Handler returns the service's HTTP/JSON API:
@@ -27,7 +30,7 @@ import (
 //	                        finishes (early delivery) and retire delivered
 //	                        frames (?retain=evict|keep|drop, ?chunk=N). See
 //	                        docs/streaming.md
-//	GET  /queries         → every query, submission order
+//	GET  /queries         → every remembered query, submission order
 //	GET  /stats           → Stats (pool hit rates, physical I/O, admission,
 //	                        plan cache incl. hit rate and planning latency
 //	                        percentiles, per-tenant breakdown incl. eviction
@@ -38,11 +41,14 @@ import (
 //	GET  /metrics         → Prometheus text exposition of the telemetry
 //	                        registry (admission, planning, pool, per-shard
 //	                        storage, remote clients, exec stages)
-//	GET  /trace?id=q1     → the query's completed span tree (bounded ring of
-//	                        recent traces); without ?id, the retained IDs
+//	GET  /trace?id=q1     → the query's completed span tree (q1:stream: its
+//	                        latest stream's); without ?id, the remembered IDs
 //	POST /repair?shard=1  → re-mirror a degraded shard from its replicas
 //	                        (replicated stores only); 200 on success
 //	GET  /healthz         → 200 ok
+//
+// Once Config.RetainOutputs later queries finished, a query's record,
+// outputs and traces retire together and its id answers 410 Gone.
 //
 // JSON responses are compact by default; pass ?pretty=1 for indented
 // output. With Config.EnablePprof the net/http/pprof handlers are
@@ -126,10 +132,18 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, r, http.StatusAccepted, map[string]string{"id": id, "state": string(StateQueued)})
 }
 
+// lookupCode maps a failed lookup to 410 Gone (retired id) or 404 (never issued).
+func lookupCode(err error) int {
+	if errors.Is(err, errExpired) {
+		return http.StatusGone
+	}
+	return http.StatusNotFound
+}
+
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	st, err := s.Status(r.URL.Query().Get("id"))
 	if err != nil {
-		writeErr(w, r, http.StatusNotFound, err)
+		writeErr(w, r, lookupCode(err), err)
 		return
 	}
 	writeJSON(w, r, http.StatusOK, st)
@@ -137,31 +151,26 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	id := r.URL.Query().Get("id")
+	var st QueryStatus
+	var err error
 	if r.URL.Query().Get("wait") != "" {
 		// Wait under the request context: a client that disconnects stops
 		// holding the handler (and, once ready, the materialized result)
 		// alive for a query nobody is waiting on.
-		st, err := s.WaitCtx(r.Context(), id)
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		if st, err = s.WaitCtx(r.Context(), id); r.Context().Err() != nil {
 			return // client gone; nothing to write
 		}
-		if err != nil {
-			writeErr(w, r, http.StatusNotFound, err)
-			return
-		}
-		writeJSON(w, r, http.StatusOK, st)
-		return
+	} else {
+		st, err = s.Status(id)
 	}
-	st, err := s.Status(id)
-	if err != nil {
-		writeErr(w, r, http.StatusNotFound, err)
-		return
-	}
-	if st.State != StateDone && st.State != StateFailed {
+	switch {
+	case err != nil:
+		writeErr(w, r, lookupCode(err), err)
+	case st.State != StateDone && st.State != StateFailed:
 		writeJSON(w, r, http.StatusConflict, st)
-		return
+	default:
+		writeJSON(w, r, http.StatusOK, st)
 	}
-	writeJSON(w, r, http.StatusOK, st)
 }
 
 func (s *Server) handleQueries(w http.ResponseWriter, r *http.Request) {
@@ -190,20 +199,42 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	_ = s.reg.WritePrometheus(w)
 }
 
-// handleTrace serves one completed query's span tree by ID, or the
-// list of retained trace IDs without ?id.
+// handleTrace serves a completed span tree off a query's record ("qN", or
+// "qN:stream" for its latest stream), or without ?id the remembered IDs.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.URL.Query().Get("id")
 	if id == "" {
-		writeJSON(w, r, http.StatusOK, map[string]any{"traces": s.tracer.IDs()})
+		ids := []string{}
+		s.mu.Lock()
+		for _, q := range s.rememberedLocked() {
+			if q.trace != nil {
+				ids = append(ids, q.id)
+			}
+			if q.streamTrace != nil {
+				ids = append(ids, q.id+":stream")
+			}
+		}
+		s.mu.Unlock()
+		writeJSON(w, r, http.StatusOK, map[string]any{"traces": ids})
 		return
 	}
-	tr, ok := s.tracer.Get(id)
-	if !ok {
-		writeErr(w, r, http.StatusNotFound, fmt.Errorf("no trace for query %q (still running, or evicted from the ring)", id))
+	qid, stream := strings.CutSuffix(id, ":stream")
+	q, err := s.lookup(qid)
+	if err != nil {
+		writeErr(w, r, lookupCode(err), err)
 		return
 	}
-	writeJSON(w, r, http.StatusOK, tr)
+	s.mu.Lock()
+	root := q.trace
+	if stream {
+		root = q.streamTrace
+	}
+	s.mu.Unlock()
+	if root == nil {
+		writeErr(w, r, http.StatusNotFound, fmt.Errorf("no trace for %q yet (still running)", id))
+		return
+	}
+	writeJSON(w, r, http.StatusOK, telemetry.Trace{QueryID: id, Root: root})
 }
 
 func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {

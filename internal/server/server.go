@@ -106,11 +106,11 @@ type Config struct {
 	PrefetchDepth int
 	// Seed drives the deterministic synthetic fill of shared input arrays.
 	Seed int64
-	// RetainOutputs bounds how many finished queries keep their output
-	// arrays on disk for later retrieval (each open output store holds a
-	// file descriptor, so an unbounded server would exhaust the process
-	// limit). Oldest outputs are dropped first; their result summaries
-	// remain. 0 = default (64), < 0 = unlimited.
+	// RetainOutputs bounds how many finished (done or failed) queries the
+	// server remembers. Past it the oldest record retires whole — status,
+	// output stores (each holds a file descriptor) and traces — so the
+	// daemon stays bounded; its id then answers expired (HTTP 410).
+	// 0 = default (64), < 0 = unlimited.
 	RetainOutputs int
 	// FullSearch enables the full linreg plan-space search (minutes);
 	// default uses the paper's selected plans.
@@ -136,9 +136,6 @@ type Config struct {
 	// EnablePprof registers net/http/pprof profiling handlers under
 	// /debug/pprof/ on the HTTP API.
 	EnablePprof bool
-	// TraceCapacity bounds the ring of completed query traces served by
-	// GET /trace (0 = default 256).
-	TraceCapacity int
 }
 
 // Request is one program submission.
@@ -198,32 +195,6 @@ type QueryStatus struct {
 	Result    *exec.Result `json:"result,omitempty"`
 	Outputs   []OutputInfo `json:"outputs,omitempty"`
 	Err       string       `json:"error,omitempty"`
-}
-
-// query is the server-side record.
-type query struct {
-	id      string
-	req     Request
-	prog    *prog.Program
-	subsets [][]string // restricted plan search, when the program wants one
-
-	// tenant is the label admission, the pool session, the wait histogram
-	// and the tenant counters key by: req.Tenant, or overflowTenant once
-	// maxTenantLabels distinct labels were seen.
-	tenant string
-
-	// alias maps the program's written arrays to their namespaced
-	// physical stores; outputsDropped marks that those stores were
-	// retired (failure cleanup or the RetainOutputs policy).
-	alias          map[string]string
-	outputsDropped bool
-
-	// stream tracks per-output-block completion so /results/stream can
-	// deliver finished blocks while later pipeline stages still run.
-	stream *streamState
-
-	status QueryStatus
-	done   chan struct{}
 }
 
 // TenantStats is one tenant's slice of the service counters: governor
@@ -332,9 +303,8 @@ type Server struct {
 	inputFills, inputFillsSkipped atomic.Int64
 
 	mu        sync.Mutex
-	queries   map[string]*query
-	order     []string
-	retained  []*query // finished queries with outputs still on disk
+	queries   map[string]*query // every query until it retires
+	finishedQ []*query          // the RetainOutputs FIFO, oldest first
 	nextID    int
 	closed    bool
 	submitted int64
@@ -359,15 +329,12 @@ type Server struct {
 	inputMu sync.Mutex
 	inputs  map[string]*inputState
 
-	// reg and tracer are the service's telemetry: a metrics registry
-	// scraped by GET /metrics and a bounded ring of completed query
-	// span trees served by GET /trace. Both are always live; the
-	// handles below are registered once at startup and the labeled
-	// families are memoizing vecs, so the steady-state query path
-	// takes the registry lock only the first time a program, tenant,
-	// or stage label is seen.
+	// reg is the service's metrics registry, scraped by GET /metrics
+	// (span trees live on the query records). The handles below are
+	// registered once at startup and the labeled families are memoizing
+	// vecs, so the steady-state query path takes the registry lock only
+	// the first time a program, tenant, or stage label is seen.
 	reg                              *telemetry.Registry
-	tracer                           *telemetry.Tracer
 	mPlanning                        *telemetry.Histogram
 	mPlanningTier                    *telemetry.HistogramVec // by planner tier
 	mSlowTotal                       *telemetry.Counter
@@ -473,7 +440,6 @@ func New(cfg Config) (*Server, error) {
 		tenants:   make(map[string]*tenantCounters),
 		inputs:    make(map[string]*inputState),
 		reg:       reg,
-		tracer:    telemetry.NewTracer(cfg.TraceCapacity),
 		slowLog:   slowLog,
 	}
 	s.mPlanning = reg.Histogram("riotshare_planning_seconds",
@@ -547,9 +513,6 @@ func (s *Server) registerCollectors() {
 // /metrics; components and tests may register further sources).
 func (s *Server) Metrics() *telemetry.Registry { return s.reg }
 
-// Tracer exposes the ring of completed query traces (GET /trace).
-func (s *Server) Tracer() *telemetry.Tracer { return s.tracer }
-
 // Pool exposes the shared buffer pool (read-mostly: stats, flush).
 func (s *Server) Pool() *buffer.Pool { return s.pool }
 
@@ -582,7 +545,8 @@ func (s *Server) Submit(req Request) (string, error) {
 	}
 	s.nextID++
 	q := &query{
-		id:      fmt.Sprintf("q%d", s.nextID),
+		id:      "q" + strconv.Itoa(s.nextID),
+		seq:     s.nextID,
 		req:     req,
 		prog:    p,
 		subsets: subsets,
@@ -598,7 +562,6 @@ func (s *Server) Submit(req Request) (string, error) {
 		Submitted: time.Now(),
 	}
 	s.queries[q.id] = q
-	s.order = append(s.order, q.id)
 	s.submitted++
 	s.wg.Add(1)
 	s.mu.Unlock()
@@ -697,6 +660,9 @@ func (s *Server) plans(req Request, p *prog.Program, subsets [][]string) (*core.
 		res, err = core.OptimizeCtx(fill, p, opt)
 	}
 
+	if res != nil { // keep the plan table, not the analysis and searcher behind it
+		res = &core.Result{Plans: res.Plans, Best: res.Best, OptimizeTime: res.OptimizeTime, SearchStats: res.SearchStats}
+	}
 	e.res, e.err = res, err
 	close(e.ready)
 	return res, tier, err
@@ -744,63 +710,6 @@ func selectPlan(res *core.Result, req Request) (*core.EvaluatedPlan, error) {
 	return nil, fmt.Errorf("server: no plan fits the %dMB memory cap", req.MemCapMB)
 }
 
-// run drives one query through optimize → admit → execute → publish, then
-// enforces the output-retention bound.
-func (s *Server) run(q *query) {
-	defer s.wg.Done()
-	err := s.runQuery(q)
-	limit := s.cfg.RetainOutputs
-	if limit == 0 {
-		limit = 64
-	}
-	var victims []*query
-	s.mu.Lock()
-	q.status.Finished = time.Now()
-	if err != nil {
-		q.status.State = StateFailed
-		q.status.Err = err.Error()
-	} else {
-		q.status.State = StateDone
-		if len(q.alias) > 0 {
-			s.retained = append(s.retained, q)
-		}
-	}
-	if limit > 0 {
-		for len(s.retained) > limit {
-			victims = append(victims, s.retained[0])
-			s.retained = s.retained[1:]
-		}
-	}
-	s.finished++
-	s.mu.Unlock()
-	s.tenantMu.Lock()
-	s.tenantLocked(q.tenant).finished++
-	s.tenantMu.Unlock()
-	for _, v := range victims {
-		s.dropOutputs(v)
-	}
-	close(q.done)
-}
-
-// dropOutputs retires a query's private output arrays: pool frames are
-// discarded without write-back and the on-disk stores are closed and
-// deleted. Result summaries survive; Output() for the query then errors.
-func (s *Server) dropOutputs(q *query) {
-	s.mu.Lock()
-	if q.outputsDropped {
-		s.mu.Unlock()
-		return
-	}
-	q.outputsDropped = true
-	alias := q.alias
-	s.mu.Unlock()
-	for _, phys := range alias {
-		s.pool.DiscardArray(phys)
-		// Best effort: a failed Create may have registered nothing.
-		_ = s.store.Drop(phys, true)
-	}
-}
-
 func (s *Server) runQuery(q *query) (retErr error) {
 	// Span tree: the phases are strictly sequential in this function, so
 	// child durations account for (almost all of) the root's wall time.
@@ -814,7 +723,9 @@ func (s *Server) runQuery(q *query) (retErr error) {
 		if retErr != nil {
 			root.Annotate("error", retErr.Error())
 		}
-		s.tracer.Add(q.id, root)
+		s.mu.Lock()
+		q.trace = root
+		s.mu.Unlock()
 		s.mQuery.With(q.prog.Name).ObserveDuration(root.Duration())
 		s.maybeLogSlow(q, root, retErr)
 	}()
@@ -1179,113 +1090,6 @@ func (s *Server) collectOutputs(q *query, sess *buffer.Session) ([]OutputInfo, e
 		})
 	}
 	return outs, nil
-}
-
-// readFullArray assembles a stored array (under its physical name) into
-// one matrix.
-func readFullArray(m storage.Backend, arr *prog.Array, phys string) (*blas.Matrix, error) {
-	full := blas.NewMatrix(arr.BlockRows*arr.GridRows, arr.BlockCols*arr.GridCols)
-	for br := 0; br < arr.GridRows; br++ {
-		for bc := 0; bc < arr.GridCols; bc++ {
-			blk, err := m.ReadBlock(phys, int64(br), int64(bc))
-			if err != nil {
-				return nil, err
-			}
-			for r := 0; r < arr.BlockRows; r++ {
-				for c := 0; c < arr.BlockCols; c++ {
-					full.Set(br*arr.BlockRows+r, bc*arr.BlockCols+c, blk.At(r, c))
-				}
-			}
-		}
-	}
-	return full, nil
-}
-
-// Output assembles one persistent output array of a finished query.
-func (s *Server) Output(id, array string) (*blas.Matrix, error) {
-	s.mu.Lock()
-	q, ok := s.queries[id]
-	s.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("server: unknown query %q", id)
-	}
-	<-q.done
-	s.mu.Lock()
-	dropped := q.outputsDropped
-	var phys string
-	for _, o := range q.status.Outputs {
-		if o.Array == array {
-			phys = o.Physical
-		}
-	}
-	s.mu.Unlock()
-	if dropped {
-		return nil, fmt.Errorf("server: query %s outputs were retired (RetainOutputs policy)", id)
-	}
-	if phys == "" {
-		return nil, fmt.Errorf("server: query %s has no output array %q", id, array)
-	}
-	return readFullArray(s.store, q.prog.Arrays[array], phys)
-}
-
-// Status snapshots one query.
-func (s *Server) Status(id string) (QueryStatus, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	q, ok := s.queries[id]
-	if !ok {
-		return QueryStatus{}, fmt.Errorf("server: unknown query %q", id)
-	}
-	return q.statusCopy(), nil
-}
-
-func (q *query) statusCopy() QueryStatus {
-	st := q.status
-	if st.Result != nil {
-		r := *st.Result
-		st.Result = &r
-	}
-	st.Outputs = append([]OutputInfo(nil), q.status.Outputs...)
-	return st
-}
-
-// Wait blocks until the query finishes and returns its final status. It
-// stays beside WaitCtx because the benchmark of record's tests call it.
-func (s *Server) Wait(id string) (QueryStatus, error) {
-	return s.WaitCtx(context.Background(), id) //riotvet:allow ctxflow — compatibility wrapper; cancelable callers use WaitCtx
-}
-
-// WaitCtx blocks until the query finishes or ctx is canceled; on
-// cancellation it returns ctx's error without waiting further. The HTTP
-// /results?wait=1 path waits under the request context, so a client that
-// went away stops holding the handler (and the materialized result)
-// alive.
-func (s *Server) WaitCtx(ctx context.Context, id string) (QueryStatus, error) {
-	s.mu.Lock()
-	q, ok := s.queries[id]
-	s.mu.Unlock()
-	if !ok {
-		return QueryStatus{}, fmt.Errorf("server: unknown query %q", id)
-	}
-	select {
-	case <-q.done:
-	case <-ctx.Done():
-		return QueryStatus{}, ctx.Err()
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return q.statusCopy(), nil
-}
-
-// List snapshots every query in submission order.
-func (s *Server) List() []QueryStatus {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]QueryStatus, 0, len(s.order))
-	for _, id := range s.order {
-		out = append(out, s.queries[id].statusCopy())
-	}
-	return out
 }
 
 // Stats snapshots service-wide counters.

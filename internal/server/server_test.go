@@ -414,54 +414,6 @@ func TestSpecSubmission(t *testing.T) {
 	}
 }
 
-// RetainOutputs must bound on-disk output stores: once the retention
-// window slides past a query, its output arrays are closed and deleted
-// (no file-descriptor leak in a long-running server) while newer queries'
-// outputs stay readable and result summaries survive.
-func TestOutputRetention(t *testing.T) {
-	s, err := New(Config{
-		Dir:           t.TempDir(),
-		Seed:          testSeed,
-		RetainOutputs: 1,
-		Programs:      map[string]func() *prog.Program{"addmul-small": smallAddMul},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	var ids []string
-	for i := 0; i < 3; i++ {
-		id, err := s.Submit(Request{Program: "addmul-small"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.Wait(id); err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, id)
-	}
-	// Oldest two retired, newest retained.
-	for _, id := range ids[:2] {
-		if _, err := s.Output(id, "E"); err == nil {
-			t.Errorf("query %s outputs should have been retired", id)
-		}
-		st, err := s.Status(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.State != StateDone || len(st.Outputs) == 0 {
-			t.Errorf("query %s: summaries must survive retirement: %+v", id, st)
-		}
-	}
-	if _, err := s.Output(ids[2], "E"); err != nil {
-		t.Errorf("newest query's outputs must stay readable: %v", err)
-	}
-	// The retired stores are gone from the shared manager.
-	if _, err := s.Store().ReadBlock(ids[0]+".E", 0, 0); err == nil {
-		t.Errorf("retired store %s.E still readable through the manager", ids[0])
-	}
-}
-
 // Malformed specs and unknown programs must fail at submission with a
 // useful error.
 func TestSubmitValidation(t *testing.T) {

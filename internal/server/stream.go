@@ -274,8 +274,9 @@ func (n ndjsonSink) Error(msg string) error {
 	return n.write(map[string]string{"type": "error", "error": msg})
 }
 
-// handleResultsStream is GET /results/stream?id=q1: 404 for an unknown
-// query, 409 (JSON error) when the query already failed, otherwise a 200
+// handleResultsStream is GET /results/stream?id=q1: 404 for an id never
+// issued, 410 for a retired one, 409 (JSON error) when the query already
+// failed, otherwise a 200
 // whose body is the streamed frame sequence. A still-queued or running
 // query streams blocks as execution finishes them (early delivery); a
 // failure after the stream started is reported in-band with an error
@@ -283,11 +284,9 @@ func (n ndjsonSink) Error(msg string) error {
 // acquire/flush round), ?retain=evict|keep|drop.
 func (s *Server) handleResultsStream(w http.ResponseWriter, r *http.Request) {
 	id := r.URL.Query().Get("id")
-	s.mu.Lock()
-	q, ok := s.queries[id]
-	s.mu.Unlock()
-	if !ok {
-		writeErr(w, r, http.StatusNotFound, fmt.Errorf("server: unknown query %q", id))
+	q, err := s.lookup(id)
+	if err != nil {
+		writeErr(w, r, lookupCode(err), err)
 		return
 	}
 	opt, err := parseStreamOptions(r)
@@ -297,27 +296,18 @@ func (s *Server) handleResultsStream(w http.ResponseWriter, r *http.Request) {
 	}
 	// A query that already failed gets a clean HTTP error instead of a
 	// 200-then-error-frame stream.
-	s.mu.Lock()
-	failedEarly := q.status.State == StateFailed
-	errText := q.status.Err
-	s.mu.Unlock()
-	if failedEarly {
-		writeErr(w, r, http.StatusConflict, fmt.Errorf("server: query %s failed: %s", id, errText))
+	if err := s.failure(q); err != nil {
+		writeErr(w, r, http.StatusConflict, err)
 		return
 	}
+	var sink streamSink = binarySink{w: w}
+	w.Header().Set("Content-Type", "application/octet-stream")
 	if opt.format == "ndjson" {
+		sink = ndjsonSink{w: w}
 		w.Header().Set("Content-Type", "application/x-ndjson")
-	} else {
-		w.Header().Set("Content-Type", "application/octet-stream")
 	}
 	w.Header().Set("X-Riotshare-Query", id)
 	w.WriteHeader(http.StatusOK)
-	var sink streamSink
-	if opt.format == "ndjson" {
-		sink = ndjsonSink{w: w}
-	} else {
-		sink = binarySink{w: w}
-	}
 	flush := func() {}
 	if f, ok := w.(http.Flusher); ok {
 		flush = f.Flush
@@ -391,16 +381,15 @@ func (s *Server) streamQuery(r *http.Request, q *query, opt streamOptions, sink 
 		// query. Wait for the terminal state and drop only on success; a
 		// failed query's run path drops its own outputs.
 		<-q.done
-		s.mu.Lock()
-		succeeded := q.status.State == StateDone
-		s.mu.Unlock()
-		if succeeded {
+		if s.failure(q) == nil {
 			s.dropOutputs(q)
 		}
 	}
 	root.Annotate("outcome", outcome)
 	root.End()
-	s.tracer.Add(q.id+":stream", root)
+	s.mu.Lock()
+	q.streamTrace = root
+	s.mu.Unlock()
 }
 
 // streamBlocks is the delivery loop; it returns the totals delivered and
@@ -423,8 +412,8 @@ func (s *Server) streamBlocks(ctx context.Context, q *query, opt streamOptions, 
 		}
 		// Terminal without a namespace: planning/admission failed, or the
 		// program writes nothing.
-		if st, _ := s.Status(q.id); st.State == StateFailed {
-			return arrays, blocks, bytes, fmt.Errorf("server: query %s failed: %s", q.id, st.Err)
+		if err := s.failure(q); err != nil {
+			return arrays, blocks, bytes, err
 		}
 		break
 	}
@@ -433,7 +422,7 @@ func (s *Server) streamBlocks(ctx context.Context, q *query, opt streamOptions, 
 	dropped := q.outputsDropped
 	s.mu.Unlock()
 	if dropped {
-		return arrays, blocks, bytes, fmt.Errorf("server: query %s outputs were retired (RetainOutputs policy)", q.id)
+		return arrays, blocks, bytes, fmt.Errorf("server: query %s outputs were retired", q.id)
 	}
 
 	// Output arrays in sorted order — the same order collectOutputs
@@ -527,10 +516,7 @@ func (s *Server) waitBlockReady(ctx context.Context, q *query, key string) error
 		}
 		select {
 		case <-q.done:
-			if st, _ := s.Status(q.id); st.State == StateFailed {
-				return fmt.Errorf("server: query %s failed: %s", q.id, st.Err)
-			}
-			return nil
+			return s.failure(q)
 		case <-ctx.Done():
 			return errStreamCanceled
 		case <-wait:
@@ -545,17 +531,15 @@ func (s *Server) waitBlockReady(ctx context.Context, q *query, key string) error
 // the HTTP path), so a query that hangs before reaching a terminal state
 // cannot block the embedder forever.
 func (s *Server) StreamToCtx(ctx context.Context, w io.Writer, id string, chunkBlocks int) error {
-	s.mu.Lock()
-	q, ok := s.queries[id]
-	s.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("server: unknown query %q", id)
+	q, err := s.lookup(id)
+	if err != nil {
+		return err
 	}
 	if chunkBlocks < 1 {
 		chunkBlocks = 1
 	}
 	opt := streamOptions{format: "binary", chunk: chunkBlocks, retain: RetainEvict}
-	_, _, _, err := s.streamBlocks(ctx, q, opt, binarySink{w: w}, func() {})
+	_, _, _, err = s.streamBlocks(ctx, q, opt, binarySink{w: w}, func() {})
 	return err
 }
 

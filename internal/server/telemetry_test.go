@@ -31,6 +31,22 @@ func runSmall(t *testing.T, s *Server) string {
 	return id
 }
 
+// queryTrace returns the completed span tree on a remembered query's
+// record.
+func queryTrace(t *testing.T, s *Server, id string) *telemetry.Span {
+	t.Helper()
+	q, err := s.lookup(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if q.trace == nil {
+		t.Fatalf("no trace on the record of %s", id)
+	}
+	return q.trace
+}
+
 // TestQueryTraceCompleteness asserts every query phase appears exactly
 // once in the span tree and that the phases account for at least 90% of
 // the query's wall time — the acceptance bar for the tracer.
@@ -38,11 +54,7 @@ func TestQueryTraceCompleteness(t *testing.T) {
 	s, _ := newHTTPServer(t)
 	id := runSmall(t, s)
 
-	tr, ok := s.Tracer().Get(id)
-	if !ok {
-		t.Fatalf("no trace retained for %s; ids = %v", id, s.Tracer().IDs())
-	}
-	root := tr.Root
+	root := queryTrace(t, s, id)
 	if root.Name != "query" {
 		t.Fatalf("root span = %q, want query", root.Name)
 	}

@@ -283,7 +283,7 @@ riot_d_collected{shard="0"} 7
 	}
 }
 
-func TestSpanTreeAndTracer(t *testing.T) {
+func TestSpanTree(t *testing.T) {
 	root := StartSpan("query")
 	p := root.Child("planning")
 	p.Annotate("cache", "miss")
@@ -302,21 +302,6 @@ func TestSpanTreeAndTracer(t *testing.T) {
 		t.Fatalf("stage duration = %v", stage.Duration())
 	}
 
-	tr := NewTracer(2)
-	tr.Add("q1", root)
-	tr.Add("q2", root)
-	tr.Add("q3", root)
-	if _, ok := tr.Get("q1"); ok {
-		t.Fatal("q1 should have been evicted from a capacity-2 ring")
-	}
-	got, ok := tr.Get("q3")
-	if !ok || got.QueryID != "q3" || got.Root != root {
-		t.Fatalf("Get(q3) = %+v, %v", got, ok)
-	}
-	if ids := tr.IDs(); len(ids) != 2 || ids[0] != "q2" || ids[1] != "q3" {
-		t.Fatalf("IDs = %v", ids)
-	}
-
 	var sb strings.Builder
 	root.Render(&sb, 0)
 	out := sb.String()
@@ -333,10 +318,5 @@ func TestSpanTreeAndTracer(t *testing.T) {
 	ns.AttachChild(root)
 	if ns.Child("x") != nil {
 		t.Fatal("nil span Child should be nil")
-	}
-	var nt *Tracer
-	nt.Add("x", root)
-	if _, ok := nt.Get("x"); ok {
-		t.Fatal("nil tracer should not store")
 	}
 }

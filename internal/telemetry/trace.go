@@ -2,14 +2,14 @@ package telemetry
 
 import (
 	"fmt"
+	"sort"
 	"strings"
-	"sync"
 	"time"
 )
 
 // Span is one timed phase of a query, forming a tree. Spans are built
 // by the single goroutine executing the query (phases are sequential)
-// and must not be mutated after being handed to a Tracer. A nil *Span
+// and must not be mutated once published as a completed trace. A nil *Span
 // is a valid no-op, so tracing can be disabled by passing nil roots.
 type Span struct {
 	// Name identifies the phase, e.g. "planning" or "exec".
@@ -102,7 +102,7 @@ func (s *Span) Render(w *strings.Builder, depth int) {
 		for k := range s.Annotations {
 			keys = append(keys, k)
 		}
-		sortStrings(keys)
+		sort.Strings(keys)
 		for _, k := range keys {
 			fmt.Fprintf(w, "  %s=%s", k, s.Annotations[k])
 		}
@@ -113,79 +113,11 @@ func (s *Span) Render(w *strings.Builder, depth int) {
 	}
 }
 
-// sortStrings is a tiny insertion sort to keep trace.go free of extra
-// imports in hot paths that never run it.
-func sortStrings(xs []string) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
-}
-
-// Trace is a completed span tree for one query.
+// Trace is a completed span tree for one query: the JSON body of the
+// server's GET /trace?id=.
 type Trace struct {
 	// QueryID is the server-assigned query identifier.
 	QueryID string `json:"query_id"`
 	// Root is the top-level query span.
 	Root *Span `json:"root"`
-}
-
-// Tracer retains a bounded ring of completed traces keyed by query
-// ID. A nil *Tracer is a valid no-op.
-type Tracer struct {
-	mu     sync.Mutex
-	cap    int
-	order  []string
-	traces map[string]*Trace
-}
-
-// NewTracer returns a tracer retaining up to capacity completed
-// traces (oldest evicted first). Capacity <= 0 defaults to 256.
-func NewTracer(capacity int) *Tracer {
-	if capacity <= 0 {
-		capacity = 256
-	}
-	return &Tracer{cap: capacity, traces: map[string]*Trace{}}
-}
-
-// Add stores a completed trace, evicting the oldest when full.
-func (t *Tracer) Add(id string, root *Span) {
-	if t == nil || root == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if _, ok := t.traces[id]; !ok {
-		t.order = append(t.order, id)
-	}
-	t.traces[id] = &Trace{QueryID: id, Root: root}
-	for len(t.order) > t.cap {
-		old := t.order[0]
-		t.order = t.order[1:]
-		delete(t.traces, old)
-	}
-}
-
-// Get returns the trace for a query ID, if still retained.
-func (t *Tracer) Get(id string) (*Trace, bool) {
-	if t == nil {
-		return nil, false
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	tr, ok := t.traces[id]
-	return tr, ok
-}
-
-// IDs returns the retained query IDs, oldest first.
-func (t *Tracer) IDs() []string {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]string, len(t.order))
-	copy(out, t.order)
-	return out
 }
