@@ -1,4 +1,5 @@
-# Mirrors .github/workflows/ci.yml: `make lint test` is what CI runs.
+# .github/workflows/ci.yml calls these targets: `make build lint test examples`
+# in its build job and `make test-race` in its race job.
 
 GO ?= go
 
@@ -11,6 +12,12 @@ build:
 test:
 	$(GO) test -short ./...
 
+# The race detector over the short suite (guards the pipelined executor and
+# the shared pool), then the schedule-sensitive tests repeated: block
+# ownership, failure-path pin release and admission order in exec, buffer
+# and govern; fairness, queue-wait stats, the tenant-label bound, result
+# fetch from the pool, streamed tenant attribution, the write-once plan
+# cache and lookups racing retirement in the server.
 test-race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -count=5 ./internal/exec/ ./internal/buffer/ ./internal/govern/

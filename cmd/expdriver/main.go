@@ -25,15 +25,14 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "comma-separated experiments: all,table2,table3,table4,fig3a,fig3b,fig4,fig5,fig6,opttime,scales,compare")
-		full     = flag.Bool("full", false, "run full plan-space searches (linreg explores ~16k combinations)")
-		seed     = flag.Int64("seed", 1, "synthetic data seed")
-		dir      = flag.String("data", "", "directory for physical block files (default: temp)")
-		workers  = flag.Int("workers", 1, "parallel kernel workers for physical runs (1 = in-order schedule)")
-		prefetch = flag.Int("prefetch", 0, "I/O prefetch window in blocks (0 = 2x workers)")
+		exp     = flag.String("exp", "all", "comma-separated experiments: all,table2,table3,table4,fig3a,fig3b,fig4,fig5,fig6,opttime,scales,compare")
+		full    = flag.Bool("full", false, "run full plan-space searches (linreg explores ~16k combinations)")
+		seed    = flag.Int64("seed", 1, "synthetic data seed")
+		dir     = flag.String("data", "", "directory for physical block files (default: temp)")
+		workers = flag.Int("workers", 1, "parallel kernel workers for physical runs (1 = in-order schedule)")
 	)
 	flag.Parse()
-	opt := bench.Options{Quick: !*full, Seed: *seed, DataDir: *dir, Workers: *workers, PrefetchDepth: *prefetch}
+	opt := bench.Options{Quick: !*full, Seed: *seed, DataDir: *dir, Workers: *workers}
 
 	runners := map[string]func(io.Writer, bench.Options) error{
 		"table2":  func(w io.Writer, _ bench.Options) error { return bench.Table2(w) },

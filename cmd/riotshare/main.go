@@ -39,7 +39,6 @@ func run() error {
 	full := fs.Bool("full", false, "full plan-space search (slow for linreg)")
 	asJSON := fs.Bool("json", false, "emit the lowered plan as JSON (codegen subcommand)")
 	workers := fs.Int("workers", 1, "parallel kernel workers for run (1 = in-order schedule)")
-	prefetch := fs.Int("prefetch", 0, "I/O prefetch window in blocks (0 = 2x workers)")
 	shards := fs.Int("shards", 1, "stripe the run's block store across N shard dirs (per-shard I/O is reported)")
 	replicas := fs.Int("replicas", 1, "mirror each block on k shards (needs -shards >= k); write amplification and degraded reads are reported")
 	if err := fs.Parse(os.Args[2:]); err != nil {
@@ -153,7 +152,7 @@ func run() error {
 		preRun := store.Stats()
 		model := riotshare.PaperDiskModel()
 		r, err := riotshare.ExecuteOptions(pl, store, model, *memMB<<20,
-			riotshare.ExecOptions{Workers: *workers, PrefetchDepth: *prefetch})
+			riotshare.ExecOptions{Workers: *workers})
 		if err != nil {
 			return err
 		}

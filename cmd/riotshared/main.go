@@ -81,15 +81,14 @@ func run() error {
 
 func serve(fs *flag.FlagSet, args []string) error {
 	var (
-		addr     = fs.String("addr", ":8377", "listen address")
-		dir      = fs.String("data", "", "directory for physical block files (default: temp)")
-		poolMB   = fs.Int64("pool-mb", 256, "shared buffer pool capacity in MB (0 = unlimited)")
-		maxConc  = fs.Int("max-concurrent", 2, "max concurrently executing queries (K)")
-		memMB    = fs.Int64("mem-mb", 0, "global cap on combined plan peak memory in MB (0 = unlimited)")
-		workers  = fs.Int("workers", 1, "default kernel workers per query (1 = in-order schedule)")
-		prefetch = fs.Int("prefetch", 0, "default I/O prefetch window per query (0 = 2x workers)")
-		seed     = fs.Int64("seed", 1, "synthetic input data seed")
-		full     = fs.Bool("full", false, "full plan-space search for linreg (minutes)")
+		addr    = fs.String("addr", ":8377", "listen address")
+		dir     = fs.String("data", "", "directory for physical block files (default: temp)")
+		poolMB  = fs.Int64("pool-mb", 256, "shared buffer pool capacity in MB (0 = unlimited)")
+		maxConc = fs.Int("max-concurrent", 2, "max concurrently executing queries (K)")
+		memMB   = fs.Int64("mem-mb", 0, "global cap on combined plan peak memory in MB (0 = unlimited)")
+		workers = fs.Int("workers", 1, "kernel workers per query (1 = in-order schedule)")
+		seed    = fs.Int64("seed", 1, "synthetic input data seed")
+		full    = fs.Bool("full", false, "full plan-space search for linreg (minutes)")
 
 		planBudgetMs = fs.Int64("plan-budget-ms", 250, "wall-clock budget for the greedy fast-path planner on a cache miss (0 = full search every miss)")
 		planCacheN   = fs.Int("plan-cache", 256, "plan cache entry cap, LRU-evicted (-1 = unlimited)")
@@ -97,7 +96,6 @@ func serve(fs *flag.FlagSet, args []string) error {
 		shards     = fs.Int("shards", 1, "stripe the block store across N shard dirs under -data (devices)")
 		shardDirs  = fs.String("shard-dirs", "", "explicit comma-separated shard directories (overrides -shards; order matters)")
 		shardAddrs = fs.String("shard-addrs", "", "comma-separated host:port addresses of riotblockd servers, appended after -shard-dirs as remote shards (order matters)")
-		placement  = fs.String("placement", "", "block placement across shards: hash (default) or rows")
 		replicas   = fs.Int("replicas", 1, "mirror each block on k shards (ring order); a lost shard then degrades reads instead of failing the open")
 		persist    = fs.Bool("persist", false, "persist shared input arrays across restarts (manifest catalog; requires -data, -shard-dirs, or -shard-addrs)")
 
@@ -133,14 +131,12 @@ func serve(fs *flag.FlagSet, args []string) error {
 		Shards:           *shards,
 		ShardDirs:        dirs,
 		ShardAddrs:       addrs,
-		Placement:        *placement,
 		Replicas:         *replicas,
 		Persist:          *persist,
 		PoolBytes:        *poolMB << 20,
 		MaxConcurrent:    *maxConc,
 		GlobalMemBytes:   *memMB << 20,
 		Workers:          *workers,
-		PrefetchDepth:    *prefetch,
 		Seed:             *seed,
 		FullSearch:       *full,
 		PlanBudget:       time.Duration(*planBudgetMs) * time.Millisecond,
@@ -172,7 +168,6 @@ func client(sub string, fs *flag.FlagSet, args []string) error {
 		specPath = fs.String("spec", "", "statement-builder JSON program file")
 		memMB    = fs.Int64("mem", 0, "per-query memory cap in MB (0 = unlimited)")
 		plan     = fs.Int("plan", -1, "force plan index (-1 = cheapest fitting plan)")
-		workers  = fs.Int("workers", 0, "kernel workers for this query (0 = server default)")
 		tenant   = fs.String("tenant", "", "tenant label (submit: admission round-robin queue; stats: filter)")
 		id       = fs.String("id", "", "query id (status, results, trace)")
 		wait     = fs.Bool("wait", false, "block until the query finishes (results)")
@@ -190,7 +185,7 @@ func client(sub string, fs *flag.FlagSet, args []string) error {
 	}
 	switch sub {
 	case "submit":
-		req := server.Request{Program: *progName, Tenant: *tenant, MemCapMB: *memMB, Workers: *workers}
+		req := server.Request{Program: *progName, Tenant: *tenant, MemCapMB: *memMB}
 		if *specPath != "" {
 			data, err := os.ReadFile(*specPath)
 			if err != nil {

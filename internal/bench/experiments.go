@@ -28,11 +28,10 @@ type Options struct {
 	DataDir string
 	// Seed for synthetic input data.
 	Seed int64
-	// Workers and PrefetchDepth select the pipelined DAG schedule for
-	// physical runs (Workers <= 1 keeps the in-order schedule);
-	// measured logical volumes are identical either way.
-	Workers       int
-	PrefetchDepth int
+	// Workers selects the pipelined DAG schedule for physical runs
+	// (Workers <= 1 keeps the in-order schedule); measured logical
+	// volumes are identical either way.
+	Workers int
 }
 
 func (o Options) dir() (string, func(), error) {
@@ -116,7 +115,7 @@ func runPhysical(p *prog.Program, pl *core.EvaluatedPlan, dir string, opt Option
 		return exec.Result{}, err
 	}
 	eng := &exec.Engine{Store: m, Model: actualModel()}
-	return eng.RunOptions(pl.Timeline, exec.Options{Workers: opt.Workers, PrefetchDepth: opt.PrefetchDepth})
+	return eng.RunOptions(pl.Timeline, exec.Options{Workers: opt.Workers})
 }
 
 func mb(b int64) float64 { return float64(b) / (1 << 20) }

@@ -124,12 +124,11 @@ type Engine struct {
 // Options selects the schedule of one run.
 type Options struct {
 	// Workers is the number of concurrent kernel workers of the DAG
-	// schedule; values <= 1 select the in-order schedule.
+	// schedule; values <= 1 select the in-order schedule. The DAG
+	// schedule prefetches up to 2*Workers blocks ahead of their
+	// consumers, fewer when a nonzero Engine.MemCapBytes leaves less
+	// headroom above the plan's peak.
 	Workers int
-	// PrefetchDepth caps the number of prefetched-but-unconsumed blocks
-	// (<= 0 selects 2*Workers). A nonzero Engine.MemCapBytes additionally
-	// shrinks the window to the cap's headroom above the plan's peak.
-	PrefetchDepth int
 	// Pool, when non-nil, overrides Engine.Pool for this run.
 	Pool BlockPool
 }

@@ -250,10 +250,7 @@ func (rs *runState) runDAG(intervals []*ivState, opt Options, peakBytes int64) e
 		return err
 	}
 
-	depth := opt.PrefetchDepth
-	if depth <= 0 {
-		depth = 2 * opt.Workers
-	}
+	depth := 2 * opt.Workers
 	if memCap := rs.e.MemCapBytes; memCap > 0 && pp.maxBlock > 0 {
 		// Prefetch only into the cap's headroom above the plan's peak.
 		if spare := int((memCap - peakBytes) / pp.maxBlock); spare < depth {

@@ -65,7 +65,6 @@ func outputArrays(p *prog.Program) []string {
 // Engine.OnBlockDead).
 type runConfig struct {
 	workers  int
-	prefetch int
 	memCap   int64
 	shards   int
 	replicas int
@@ -110,7 +109,7 @@ func runPlanOn(t *testing.T, p *prog.Program, pl *core.EvaluatedPlan, m storage.
 		// notice.
 		eng.Pool, eng.OnBlockDead = pool, pool.DiscardBlock
 	}
-	r, err := eng.RunOptions(pl.Timeline, Options{Workers: cfg.workers, PrefetchDepth: cfg.prefetch})
+	r, err := eng.RunOptions(pl.Timeline, Options{Workers: cfg.workers})
 	if err != nil {
 		t.Fatalf("plan %s %+v: %v", pl.Label, cfg, err)
 	}

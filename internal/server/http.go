@@ -17,7 +17,8 @@ import (
 // Handler returns the service's HTTP/JSON API:
 //
 //	POST /submit          {"program":"addmul","memCapMB":1000,...} or {"spec":{...}}
-//	                      → 202 {"id":"q1","state":"queued"}
+//	                      → 202 {"id":"q1","state":"queued"}; a field
+//	                        Request does not have → 400 naming it
 //	GET  /status?id=q1    → QueryStatus
 //	GET  /results?id=q1   → final QueryStatus; blocks until done with ?wait=1
 //	                        (the wait honors request-context cancellation),
@@ -28,7 +29,7 @@ import (
 //	                        frames by default, ?format=ndjson for one JSON
 //	                        object per line. Streams begin before the query
 //	                        finishes (early delivery) and retire delivered
-//	                        frames (?retain=evict|keep|drop, ?chunk=N). See
+//	                        frames (?retain=evict|drop, ?chunk=N). See
 //	                        docs/streaming.md
 //	GET  /queries         → every remembered query, submission order
 //	GET  /stats           → Stats (pool hit rates, physical I/O, admission,
@@ -115,7 +116,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req Request
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes)).Decode(&req); err != nil {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
 		code := http.StatusBadRequest
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {

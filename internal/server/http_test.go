@@ -3,10 +3,13 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"riotshare/internal/prog"
@@ -14,11 +17,16 @@ import (
 
 func newHTTPServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
-	s, err := New(Config{
-		Dir:      t.TempDir(),
-		Seed:     testSeed,
-		Programs: map[string]func() *prog.Program{"addmul-small": smallAddMul},
-	})
+	return newHTTPServerOn(t, Config{Dir: t.TempDir()})
+}
+
+// newHTTPServerOn serves the small test program from a server over the
+// storage layout cfg names.
+func newHTTPServerOn(t *testing.T, cfg Config) (*Server, *httptest.Server) {
+	t.Helper()
+	cfg.Seed = testSeed
+	cfg.Programs = map[string]func() *prog.Program{"addmul-small": smallAddMul}
+	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,6 +182,45 @@ func TestHTTPErrors(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /submit status = %d", resp.StatusCode)
+	}
+}
+
+// A /submit body naming a field Request does not have, such as a
+// per-query "workers" or "prefetch" override, is refused with 400 naming
+// the field instead of being silently ignored; so is a stream retention
+// mode that does not exist.
+func TestHTTPRefusesUnknownOptions(t *testing.T) {
+	s, ts := newHTTPServer(t)
+
+	for _, field := range []string{"workers", "prefetch"} {
+		body := fmt.Sprintf(`{"program":"addmul-small",%q:4}`, field)
+		resp, err := http.Post(ts.URL+"/submit", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out struct{ Error string }
+		err = json.NewDecoder(resp.Body).Decode(&out)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusBadRequest || !strings.Contains(out.Error, `"`+field+`"`) {
+			t.Errorf("submit with %q: status %d, error %q (decode err %v); want 400 naming the field",
+				field, resp.StatusCode, out.Error, err)
+		}
+	}
+	if got := s.Stats().Submitted; got != 0 {
+		t.Fatalf("submitted = %d after refused bodies, want 0", got)
+	}
+
+	id := runSmall(t, s)
+	for retain, want := range map[string]int{"keep": http.StatusBadRequest, "drop": http.StatusOK} {
+		resp, err := http.Get(ts.URL + "/results/stream?id=" + id + "&retain=" + retain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("retain=%s: status %d, want %d", retain, resp.StatusCode, want)
+		}
 	}
 }
 

@@ -75,8 +75,6 @@ type Config struct {
 	// Remote tunes the client for each remote shard (pool size, timeouts,
 	// retry policy); zero value = defaults.
 	Remote storage.RemoteOptions
-	// Placement selects the block→shard mapping ("" or "hash", "rows").
-	Placement string
 	// Replicas mirrors each block on k shards (primary plus the next k-1
 	// in ring order; 0/1 = unreplicated). With k >= 2 a lost shard
 	// directory degrades reads to the surviving replicas instead of
@@ -99,11 +97,9 @@ type Config struct {
 	// plans (0 = unlimited). A query whose plan alone exceeds it fails at
 	// admission rather than starving the queue.
 	GlobalMemBytes int64
-	// Workers/PrefetchDepth default each query's execution schedule
-	// (Workers <= 1 = in-order, more = the pipelined DAG schedule); a
-	// Request may override them.
-	Workers       int
-	PrefetchDepth int
+	// Workers selects every query's execution schedule (<= 1 = in-order,
+	// more = the pipelined DAG schedule on that many kernel workers).
+	Workers int
 	// Seed drives the deterministic synthetic fill of shared input arrays.
 	Seed int64
 	// RetainOutputs bounds how many finished (done or failed) queries the
@@ -154,9 +150,6 @@ type Request struct {
 	// Plan forces a plan index from the optimizer's table (nil = cheapest
 	// plan fitting MemCapMB).
 	Plan *int `json:"plan,omitempty"`
-	// Workers/Prefetch override the server's execution defaults when > 0.
-	Workers  int `json:"workers,omitempty"`
-	Prefetch int `json:"prefetch,omitempty"`
 }
 
 // State is a query's lifecycle phase.
@@ -408,10 +401,9 @@ func New(cfg Config) (*Server, error) {
 	}
 	specs = append(append([]string{}, specs...), cfg.ShardAddrs...)
 	m, err := storage.OpenSharded(specs, storage.ShardedOptions{
-		Placement: cfg.Placement,
-		Replicas:  cfg.Replicas,
-		Persist:   cfg.Persist,
-		Remote:    cfg.Remote,
+		Replicas: cfg.Replicas,
+		Persist:  cfg.Persist,
+		Remote:   cfg.Remote,
 	})
 	if err != nil {
 		return nil, err
@@ -479,8 +471,8 @@ func New(cfg Config) (*Server, error) {
 
 // registerCollectors wires the scrape-time metric sources that sample
 // existing stats snapshots: service lifecycle counters, plan cache,
-// shared-input persistence, governor occupancy, and aggregate store
-// I/O (per-shard detail comes from the store's own collector).
+// shared-input persistence and governor occupancy. Store I/O, aggregate
+// and per shard, comes from the store's own collector.
 func (s *Server) registerCollectors() {
 	s.reg.Collect(func(e *telemetry.Emit) {
 		running, queued := s.gov.Load()
@@ -501,11 +493,6 @@ func (s *Server) registerCollectors() {
 		e.Counter("riotshare_plan_cache_evictions_total", "Plan cache entries retired by the LRU bound.", float64(evictions))
 		e.Counter("riotshare_input_fills_total", "Shared inputs synthesized and written.", float64(s.inputFills.Load()))
 		e.Counter("riotshare_input_fills_skipped_total", "Shared inputs served from the persisted catalog.", float64(s.inputFillsSkipped.Load()))
-		st := s.store.Stats()
-		e.Counter("riotshare_store_read_reqs_total", "Physical block reads, all shards.", float64(st.ReadReqs))
-		e.Counter("riotshare_store_read_bytes_total", "Bytes read, all shards.", float64(st.ReadBytes))
-		e.Counter("riotshare_store_write_reqs_total", "Physical block writes, all shards.", float64(st.WriteReqs))
-		e.Counter("riotshare_store_write_bytes_total", "Bytes written, all shards.", float64(st.WriteBytes))
 	})
 }
 
@@ -782,13 +769,6 @@ func (s *Server) runQuery(q *query) (retErr error) {
 	}
 	// The output namespace exists: streams may start resolving blocks.
 	q.stream.noteAlias()
-	workers, prefetch := s.cfg.Workers, s.cfg.PrefetchDepth
-	if q.req.Workers > 0 {
-		workers = q.req.Workers
-	}
-	if q.req.Prefetch > 0 {
-		prefetch = q.req.Prefetch
-	}
 	sess := s.pool.TenantSession(q.tenant, alias)
 	eng := &exec.Engine{
 		Store:       s.store,
@@ -803,7 +783,7 @@ func (s *Server) runQuery(q *query) (retErr error) {
 		OnBlockDead: sess.DiscardBlock,
 	}
 	sp = root.Child("exec")
-	r, err := eng.RunOptions(pl.Timeline, exec.Options{Workers: workers, PrefetchDepth: prefetch})
+	r, err := eng.RunOptions(pl.Timeline, exec.Options{Workers: s.cfg.Workers})
 	sp.End()
 	s.recordExec(sp, r)
 	if err != nil {
@@ -1103,12 +1083,25 @@ func (s *Server) Stats() Stats {
 	hits, misses := s.planHits, s.planMisses
 	cacheSize, evictions := s.planLRU.Len(), s.planEvictions
 	s.planMu.Unlock()
+	// One snapshot of the shards (one stats round trip per remote shard)
+	// yields the per-shard rows and the totals, so Store always equals
+	// their sum.
+	shards := s.store.ShardStats()
+	var store storage.Stats
+	var degradedReads int64
+	for _, sh := range shards {
+		store.ReadReqs += sh.ReadReqs
+		store.ReadBytes += sh.ReadBytes
+		store.WriteReqs += sh.WriteReqs
+		store.WriteBytes += sh.WriteBytes
+		degradedReads += sh.DegradedReads
+	}
 	st := Stats{
 		Pool:               s.pool.Stats(),
-		Store:              s.store.Stats(),
-		Shards:             s.store.ShardStats(),
+		Store:              store,
+		Shards:             shards,
 		Replicas:           s.store.Replicas(),
-		DegradedReads:      s.store.DegradedReads(),
+		DegradedReads:      degradedReads,
 		Running:            running,
 		Queued:             queued,
 		Submitted:          submitted,

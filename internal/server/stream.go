@@ -17,9 +17,8 @@
 //   - Bounded retention. After a chunk is on the wire its frames are
 //     retired (buffer.Pool.ReleaseBlock — write back if dirty, drop when
 //     unpinned), so a result far larger than the pool's capacity streams
-//     with flat resident memory. ?retain=keep keeps frames cached for
-//     re-fetch; ?retain=drop additionally retires the query's output
-//     stores once the stream completes.
+//     with flat resident memory. ?retain=drop additionally retires the
+//     query's output stores once the stream completes.
 //
 // Wire format (format=binary): a sequence of blockproto frames
 // (uint32 length | uint8 version | uint8 kind | payload) using the stream
@@ -74,9 +73,6 @@ const (
 	// RetainEvict (the default) retires each streamed block's pool frame
 	// after delivery; the output stores stay on disk for re-fetch.
 	RetainEvict = "evict"
-	// RetainKeep leaves streamed frames cached (they age out through the
-	// normal replacement policy).
-	RetainKeep = "keep"
 	// RetainDrop retires frames like evict and additionally drops the
 	// query's output stores after a complete, successful stream — the
 	// "fetch once" mode; a later /results still returns the summary.
@@ -156,7 +152,7 @@ type StreamStats struct {
 type streamOptions struct {
 	format string // "binary" or "ndjson"
 	chunk  int    // blocks acquired/flushed per round
-	retain string // RetainEvict, RetainKeep, RetainDrop
+	retain string // RetainEvict or RetainDrop
 }
 
 // maxStreamChunk bounds ?chunk=: the handler holds at most this many
@@ -185,10 +181,10 @@ func parseStreamOptions(r *http.Request) (streamOptions, error) {
 	}
 	switch ret := q.Get("retain"); ret {
 	case "", RetainEvict:
-	case RetainKeep, RetainDrop:
+	case RetainDrop:
 		opt.retain = ret
 	default:
-		return opt, fmt.Errorf("unknown retain mode %q (evict, keep, drop)", ret)
+		return opt, fmt.Errorf("unknown retain mode %q (evict, drop)", ret)
 	}
 	return opt, nil
 }
@@ -281,7 +277,7 @@ func (n ndjsonSink) Error(msg string) error {
 // query streams blocks as execution finishes them (early delivery); a
 // failure after the stream started is reported in-band with an error
 // frame. Optional knobs: ?format=binary|ndjson, ?chunk=N (blocks per
-// acquire/flush round), ?retain=evict|keep|drop.
+// acquire/flush round), ?retain=evict|drop.
 func (s *Server) handleResultsStream(w http.ResponseWriter, r *http.Request) {
 	id := r.URL.Query().Get("id")
 	q, err := s.lookup(id)
@@ -461,11 +457,9 @@ func (s *Server) streamBlocks(ctx context.Context, q *query, opt streamOptions, 
 				bytes += int64(len(p.blk.Data)) * 8
 			}
 			flush()
-			if opt.retain != RetainKeep {
-				for _, p := range chunk {
-					if err := s.pool.ReleaseBlock(phys, p.r, p.c); err != nil {
-						return err
-					}
+			for _, p := range chunk {
+				if err := s.pool.ReleaseBlock(phys, p.r, p.c); err != nil {
+					return err
 				}
 			}
 			chunk = chunk[:0]

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"riotshare/internal/blas"
-	"riotshare/internal/blockd"
 	"riotshare/internal/blockproto"
 	"riotshare/internal/prog"
 )
@@ -136,15 +135,7 @@ func TestStreamedResultsMatchWholeFetch(t *testing.T) {
 				cfg.Dir = ""
 				cfg.ShardDirs = []string{t.TempDir()}
 				for i := 0; i < 2; i++ {
-					srv, err := blockd.New(t.TempDir(), blockd.Options{})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := srv.ListenAndServe("127.0.0.1:0"); err != nil {
-						t.Fatal(err)
-					}
-					t.Cleanup(func() { srv.Close() })
-					cfg.ShardAddrs = append(cfg.ShardAddrs, srv.Addr())
+					cfg.ShardAddrs = append(cfg.ShardAddrs, startBlockd(t).Addr())
 				}
 			}
 			s, err := New(cfg)

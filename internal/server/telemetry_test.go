@@ -3,14 +3,20 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
 	"time"
 
+	"riotshare/internal/blockd"
 	"riotshare/internal/prog"
+	"riotshare/internal/storage"
 	"riotshare/internal/telemetry"
 )
 
@@ -300,5 +306,120 @@ func TestJSONContentTypeAndPretty(t *testing.T) {
 	resp.Body.Close()
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
 		t.Fatalf("/healthz Content-Type = %q", ct)
+	}
+}
+
+// startBlockd starts an in-process riotblockd on a loopback port, closed
+// when the test ends.
+func startBlockd(t *testing.T) *blockd.Server {
+	t.Helper()
+	srv, err := blockd.New(t.TempDir(), blockd.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.ListenAndServe("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	return srv
+}
+
+// scrape fetches GET /metrics and returns the exposition text.
+func scrape(t *testing.T, ts *httptest.Server) string {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("/metrics: status %d, err %v", resp.StatusCode, err)
+	}
+	return string(body)
+}
+
+// Stats(), GET /stats and a /metrics scrape each poll every remote shard
+// exactly once, so the store-wide totals they report cannot disagree
+// with the per-shard rows of the same response.
+func TestOneStoreSnapshotPerStatsAndScrape(t *testing.T) {
+	remotes := []*blockd.Server{startBlockd(t), startBlockd(t)}
+	s, ts := newHTTPServerOn(t, Config{ShardAddrs: []string{remotes[0].Addr(), remotes[1].Addr()}})
+	runSmall(t, s)
+
+	// statsOps counts the OpStats requests each shard server answered.
+	statsOps := func() []int64 {
+		out := make([]int64, len(remotes))
+		for i, srv := range remotes {
+			out[i] = srv.Metrics().Histogram("riotblockd_op_seconds", "", nil, telemetry.L("op", "stats")).Count()
+		}
+		return out
+	}
+	expectOneEach := func(what string, call func()) {
+		t.Helper()
+		before := statsOps()
+		call()
+		after := statsOps()
+		for i := range after {
+			if d := after[i] - before[i]; d != 1 {
+				t.Errorf("%s: shard %d answered %d stats requests, want 1", what, i, d)
+			}
+		}
+	}
+
+	var st Stats
+	expectOneEach("Stats()", func() { st = s.Stats() })
+	var sum storage.Stats
+	var degraded int64
+	for _, sh := range st.Shards {
+		sum.ReadReqs += sh.ReadReqs
+		sum.ReadBytes += sh.ReadBytes
+		sum.WriteReqs += sh.WriteReqs
+		sum.WriteBytes += sh.WriteBytes
+		degraded += sh.DegradedReads
+	}
+	if st.Store != sum || st.DegradedReads != degraded {
+		t.Errorf("Store %+v (degraded reads %d) != sum of Shards %+v (%d)", st.Store, st.DegradedReads, sum, degraded)
+	}
+	if st.Store.WriteReqs == 0 {
+		t.Error("no physical writes reported after a query")
+	}
+
+	expectOneEach("GET /stats", func() {
+		resp, err := http.Get(ts.URL + "/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+	})
+	var text string
+	expectOneEach("GET /metrics", func() { text = scrape(t, ts) })
+	want := fmt.Sprintf("riotshare_store_write_reqs_total %d\n", st.Store.WriteReqs)
+	if !strings.Contains(text, want) {
+		t.Errorf("/metrics lacks %q", strings.TrimSpace(want))
+	}
+}
+
+// metricFamily matches the family name of an exposition TYPE line.
+var metricFamily = regexp.MustCompile(`(?m)^# TYPE (riotshare_[a-z0-9_]+) `)
+
+// Every riotshare_* family a server emits — over a local and a remote
+// shard, after a query — is named in docs/observability.md.
+func TestMetricFamiliesDocumented(t *testing.T) {
+	doc, err := os.ReadFile(filepath.Join("..", "..", "docs", "observability.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, ts := newHTTPServerOn(t, Config{ShardDirs: []string{t.TempDir()}, ShardAddrs: []string{startBlockd(t).Addr()}})
+	runSmall(t, s)
+
+	families := metricFamily.FindAllStringSubmatch(scrape(t, ts), -1)
+	if len(families) == 0 {
+		t.Fatal("/metrics emitted no riotshare_* family")
+	}
+	for _, m := range families {
+		if !bytes.Contains(doc, []byte("`"+m[1]+"`")) {
+			t.Errorf("metric family %s is not named in docs/observability.md", m[1])
+		}
 	}
 }

@@ -9,8 +9,10 @@ import (
 
 // RegisterMetrics attaches telemetry to the sharded store: per-shard
 // read/write latency histograms observed on every shard-level request
-// (including replica fallbacks), plus a scrape-time collector over
-// ShardStats and each remote client's dial/retry/timeout counters.
+// (including replica fallbacks), plus a scrape-time collector over one
+// ShardStats snapshot (per-shard series and the all-shard
+// riotshare_store_* totals) and each remote client's dial/retry/timeout
+// counters.
 // Must be called before the store takes traffic — the histogram
 // slices are installed without locking, on the assumption that no
 // ReadBlock/WriteBlock is in flight yet. No-op when reg is nil.
@@ -30,7 +32,14 @@ func (sm *ShardedManager) RegisterMetrics(reg *telemetry.Registry) {
 	sm.readLat, sm.writeLat = rl, wl
 
 	reg.Collect(func(e *telemetry.Emit) {
+		// One snapshot per scrape (one stats round trip per remote shard)
+		// feeds both the per-shard series and the all-shard totals.
+		var total Stats
 		for i, st := range sm.ShardStats() {
+			total.ReadReqs += st.ReadReqs
+			total.ReadBytes += st.ReadBytes
+			total.WriteReqs += st.WriteReqs
+			total.WriteBytes += st.WriteBytes
 			lbl := telemetry.L("shard", strconv.Itoa(i))
 			spec := telemetry.L("spec", st.Dir)
 			e.Counter("riotshare_shard_read_reqs_total", "Physical block reads served per shard.", float64(st.ReadReqs), lbl, spec)
@@ -45,6 +54,10 @@ func (sm *ShardedManager) RegisterMetrics(reg *telemetry.Registry) {
 			}
 			e.Gauge("riotshare_shard_degraded", "1 when the shard is offline and reads fall back to replicas.", degraded, lbl, spec)
 		}
+		e.Counter("riotshare_store_read_reqs_total", "Physical block reads, all shards.", float64(total.ReadReqs))
+		e.Counter("riotshare_store_read_bytes_total", "Bytes read, all shards.", float64(total.ReadBytes))
+		e.Counter("riotshare_store_write_reqs_total", "Physical block writes, all shards.", float64(total.WriteReqs))
+		e.Counter("riotshare_store_write_bytes_total", "Bytes written, all shards.", float64(total.WriteBytes))
 		for i, sd := range sm.shards {
 			rs, ok := sd.(*RemoteShard)
 			if !ok {

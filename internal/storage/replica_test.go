@@ -11,58 +11,54 @@ import (
 	"riotshare/internal/blas"
 )
 
-// Replication must be invisible to readers: across shard counts, replica
-// counts, and placements, every block round-trips bit-identically, each
-// block is physically mirrored on exactly k shards, and write requests are
-// amplified exactly k-fold.
+// Replication must be invisible to readers: across shard counts and
+// replica counts, every block round-trips bit-identically, each block is
+// physically mirrored on exactly k shards, and write requests are amplified
+// exactly k-fold.
 func TestReplicatedRoundTrip(t *testing.T) {
-	for _, placement := range []string{PlacementHash, PlacementRows} {
-		for _, shards := range []int{2, 4} {
-			for _, replicas := range []int{1, 2} {
-				name := fmt.Sprintf("%s/shards=%d/replicas=%d", placement, shards, replicas)
-				t.Run(name, func(t *testing.T) {
-					sm, err := OpenSharded(ShardDirs(t.TempDir(), shards), ShardedOptions{
-						Placement: placement, Replicas: replicas,
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					defer sm.Close()
-					arr := shardTestArray("A")
-					if err := sm.Create(arr); err != nil {
-						t.Fatal(err)
-					}
-					want := fillArray(t, sm, arr, 11)
-					assertBlocks(t, sm, arr, want)
+	for _, shards := range []int{2, 4} {
+		for _, replicas := range []int{1, 2} {
+			name := fmt.Sprintf("%s/shards=%d/replicas=%d", placementName, shards, replicas)
+			t.Run(name, func(t *testing.T) {
+				sm, err := OpenSharded(ShardDirs(t.TempDir(), shards), ShardedOptions{Replicas: replicas})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer sm.Close()
+				arr := shardTestArray("A")
+				if err := sm.Create(arr); err != nil {
+					t.Fatal(err)
+				}
+				want := fillArray(t, sm, arr, 11)
+				assertBlocks(t, sm, arr, want)
 
-					if got := sm.Stats().WriteReqs; got != int64(replicas*len(want)) {
-						t.Errorf("WriteReqs = %d, want %d (%d blocks x %d replicas)", got, replicas*len(want), len(want), replicas)
-					}
-					if got := sm.DegradedReads(); got != 0 {
-						t.Errorf("healthy store counted %d degraded reads", got)
-					}
-					// Each block lives on exactly its k ring-order replicas.
-					for coord := range want {
-						p := sm.primaryFor("A", coord[0], coord[1])
-						for i, m := range sm.shards {
-							onShard := false
-							for j := 0; j < replicas; j++ {
-								if (p+j)%shards == i {
-									onShard = true
-								}
+				if got := sm.Stats().WriteReqs; got != int64(replicas*len(want)) {
+					t.Errorf("WriteReqs = %d, want %d (%d blocks x %d replicas)", got, replicas*len(want), len(want), replicas)
+				}
+				if got := sm.DegradedReads(); got != 0 {
+					t.Errorf("healthy store counted %d degraded reads", got)
+				}
+				// Each block lives on exactly its k ring-order replicas.
+				for coord := range want {
+					p := sm.primaryFor("A", coord[0], coord[1])
+					for i, m := range sm.shards {
+						onShard := false
+						for j := 0; j < replicas; j++ {
+							if (p+j)%shards == i {
+								onShard = true
 							}
-							_, err := m.ReadBlock("A", coord[0], coord[1])
-							if onShard && err != nil {
-								t.Errorf("replica shard %d missing A[%d,%d]: %v", i, coord[0], coord[1], err)
-							}
-							// DAF files are sparse, so a non-replica shard may
-							// return zeros rather than an error; the
-							// write-amplification check above already bounds
-							// the copies to exactly k.
 						}
+						_, err := m.ReadBlock("A", coord[0], coord[1])
+						if onShard && err != nil {
+							t.Errorf("replica shard %d missing A[%d,%d]: %v", i, coord[0], coord[1], err)
+						}
+						// DAF files are sparse, so a non-replica shard may
+						// return zeros rather than an error; the
+						// write-amplification check above already bounds
+						// the copies to exactly k.
 					}
-				})
-			}
+				}
+			})
 		}
 	}
 }

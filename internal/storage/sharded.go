@@ -2,19 +2,19 @@
 // directories standing in for independent devices, remote riotblockd
 // servers standing on other machines, mixed freely (a shard spec is a
 // directory path or a host:port address; see IsRemoteSpec). Every block of
-// every array has a primary shard, chosen by a deterministic placement
-// function of the array name and block coordinates, so any process opening
-// the same shard specs sees the same layout. Each shard is a full block
-// store (a single-directory Manager, or one behind a riotblockd server):
+// every array has a primary shard, chosen by a deterministic hash of the
+// array name and block coordinates, so any process opening the same shard
+// specs sees the same layout. Each shard is a full block store (a
+// single-directory Manager, or one behind a riotblockd server):
 // physical I/O counters stay per-shard (per-device utilization is visible),
 // concurrent reads of blocks on different shards proceed in parallel (each
 // shard is its own device), and coalescing still works because one block
 // always routes to one shard.
 //
 // With Replicas = k > 1 every block is mirrored on its primary shard plus
-// the next k-1 shards in ring order, under either placement. Losing a shard
-// then degrades reads instead of losing data: reads whose primary is gone
-// fall back to a surviving replica (counted per shard as DegradedReads),
+// the next k-1 shards in ring order. Losing a shard then degrades reads
+// instead of losing data: reads whose primary is gone fall back to a
+// surviving replica (counted per shard as DegradedReads),
 // writes skip the lost shard, and Repair re-mirrors the lost shard's blocks
 // from the survivors so the store heals in place. A remote shard whose
 // server stops answering (connection refused, retries exhausted — see
@@ -50,25 +50,17 @@ import (
 	"riotshare/internal/telemetry"
 )
 
-// Placement names and functions. A placement maps (array, block row, block
-// col) to the owning shard; it must be deterministic, so every open of the
-// same directories routes blocks identically.
-const (
-	// PlacementHash stripes by an FNV-1a hash of the array name and block
-	// coordinates — statistically even across shards for any access
-	// pattern.
-	PlacementHash = "hash"
-	// PlacementRows round-robins whole grid rows across shards: shard =
-	// block-row mod N. Row-panel scans then stream from one device while
-	// column sweeps fan out across all of them.
-	PlacementRows = "rows"
-)
+// placementName is the one block→shard mapping manifests record. It is
+// written on every manifest and checked on reopen, so a store written by a
+// build that also knew the "rows" placement is refused rather than routed
+// to the wrong shards.
+const placementName = "hash"
 
-// PlacementFunc maps one block to its primary shard in [0, shards).
-type PlacementFunc func(array string, r, c int64, shards int) int
-
-// HashPlacement is PlacementHash.
-func HashPlacement(array string, r, c int64, shards int) int {
+// placeBlock maps one block to its primary shard in [0, shards) by an
+// FNV-1a hash of the array name and block coordinates: deterministic, so
+// every open of the same shards routes blocks identically, and
+// statistically even across shards for any access pattern.
+func placeBlock(array string, r, c int64, shards int) int {
 	h := fnv.New64a()
 	h.Write([]byte(array))
 	var buf [16]byte
@@ -76,23 +68,6 @@ func HashPlacement(array string, r, c int64, shards int) int {
 	binary.LittleEndian.PutUint64(buf[8:], uint64(c))
 	h.Write(buf[:])
 	return int(h.Sum64() % uint64(shards))
-}
-
-// RowPlacement is PlacementRows.
-func RowPlacement(array string, r, c int64, shards int) int {
-	return int(uint64(r) % uint64(shards))
-}
-
-// placementByName resolves a placement name ("" defaults to hash).
-func placementByName(name string) (PlacementFunc, string, error) {
-	switch name {
-	case "", PlacementHash:
-		return HashPlacement, PlacementHash, nil
-	case PlacementRows:
-		return RowPlacement, PlacementRows, nil
-	default:
-		return nil, "", fmt.Errorf("storage: unknown placement %q (%s, %s)", name, PlacementHash, PlacementRows)
-	}
 }
 
 // manifestVersion guards the on-disk manifest schema. Replication was added
@@ -155,9 +130,6 @@ type manifest struct {
 
 // ShardedOptions configures OpenSharded.
 type ShardedOptions struct {
-	// Placement selects the block→shard mapping by name ("" or "hash",
-	// "rows").
-	Placement string
 	// Replicas mirrors each block on its primary shard plus the next
 	// Replicas-1 shards in ring order (0 or 1 = no replication). With k >=
 	// 2 a lost shard degrades reads to the surviving replicas instead of
@@ -185,12 +157,10 @@ type ShardedOptions struct {
 // optionally mirroring each block on k shards. It is safe for concurrent
 // use; requests to different shards proceed in parallel.
 type ShardedManager struct {
-	specs     []string // one per shard: directory path or host:port
-	shards    []shard
-	place     PlacementFunc
-	placeName string
-	replicas  int
-	persist   bool
+	specs    []string // one per shard: directory path or host:port
+	shards   []shard
+	replicas int
+	persist  bool
 
 	// degraded marks shards that are offline (lost directory, torn
 	// manifest, an unreachable server, or an explicit DegradeShard): reads
@@ -260,10 +230,6 @@ func OpenSharded(specs []string, opt ShardedOptions) (*ShardedManager, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("storage: OpenSharded needs at least one shard directory or address")
 	}
-	place, placeName, err := placementByName(opt.Placement)
-	if err != nil {
-		return nil, err
-	}
 	replicas := opt.Replicas
 	if replicas <= 0 {
 		replicas = 1
@@ -274,8 +240,6 @@ func OpenSharded(specs []string, opt ShardedOptions) (*ShardedManager, error) {
 	}
 	sm := &ShardedManager{
 		specs:         specs,
-		place:         place,
-		placeName:     placeName,
 		replicas:      replicas,
 		persist:       opt.Persist,
 		degraded:      make([]atomic.Bool, len(specs)),
@@ -365,8 +329,8 @@ func (sm *ShardedManager) loadManifests() error {
 		if mf.ShardIndex != i {
 			return fmt.Errorf("storage: shard %d (%s): directory is shard %d of the store — shard directories are ordered", i, sm.specs[i], mf.ShardIndex)
 		}
-		if mf.Placement != sm.placeName {
-			return fmt.Errorf("storage: shard %d (%s): store was written with placement %q, reopened with %q", i, sm.specs[i], mf.Placement, sm.placeName)
+		if mf.Placement != placementName {
+			return fmt.Errorf("storage: shard %d (%s): store was written with placement %q, this build places only by %q", i, sm.specs[i], mf.Placement, placementName)
 		}
 		stored := mf.Replicas
 		if stored <= 0 {
@@ -493,7 +457,7 @@ func (sm *ShardedManager) saveManifestsLocked() error {
 			Format:     dafName,
 			Shards:     len(sm.specs),
 			ShardIndex: i,
-			Placement:  sm.placeName,
+			Placement:  placementName,
 			Replicas:   sm.replicas,
 			Arrays:     sm.catalog,
 		}
@@ -564,7 +528,7 @@ func (sm *ShardedManager) CreateAll(p *prog.Program) error {
 
 // primaryFor routes one block to its primary shard index.
 func (sm *ShardedManager) primaryFor(array string, r, c int64) int {
-	return sm.place(array, r, c, len(sm.shards))
+	return placeBlock(array, r, c, len(sm.shards))
 }
 
 // offline reports whether shard i should be skipped by writes, creates,
@@ -917,7 +881,7 @@ type ShardStats struct {
 }
 
 // ShardStats snapshots per-shard physical I/O, in shard order — the
-// per-device utilization view a placement function is judged by, plus each
+// per-device utilization view block placement is judged by, plus each
 // shard's degraded state and fallback-read count. Degraded shards are not
 // polled (a remote one's server may be down); they report zero I/O.
 func (sm *ShardedManager) ShardStats() []ShardStats {
@@ -940,9 +904,6 @@ func (sm *ShardedManager) Shards() int { return len(sm.shards) }
 
 // Replicas returns the replication factor (1 = unreplicated).
 func (sm *ShardedManager) Replicas() int { return sm.replicas }
-
-// Placement returns the placement name routing blocks to shards.
-func (sm *ShardedManager) Placement() string { return sm.placeName }
 
 // Degraded lists the currently degraded shard indexes, in order.
 func (sm *ShardedManager) Degraded() []int {

@@ -60,81 +60,68 @@ func assertBlocks(t *testing.T, b Backend, arr *prog.Array, want map[[2]int64]*b
 	}
 }
 
-// Across shard counts and placements, a sharded store must
-// round-trip exactly the blocks a single-directory manager would.
+// Across shard counts, a sharded store must round-trip exactly the blocks
+// a single-directory manager would.
 func TestShardedRoundTrip(t *testing.T) {
-	for _, placement := range []string{PlacementHash, PlacementRows} {
-		for _, shards := range []int{1, 2, 4} {
-			name := fmt.Sprintf("%s/shards=%d", placement, shards)
-			t.Run(name, func(t *testing.T) {
-				sm, err := OpenSharded(ShardDirs(t.TempDir(), shards), ShardedOptions{
-					Placement: placement,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer sm.Close()
-				arr := shardTestArray("A")
-				if err := sm.Create(arr); err != nil {
-					t.Fatal(err)
-				}
-				want := fillArray(t, sm, arr, 7)
-				assertBlocks(t, sm, arr, want)
+	for _, shards := range []int{1, 2, 4} {
+		name := fmt.Sprintf("%s/shards=%d", placementName, shards)
+		t.Run(name, func(t *testing.T) {
+			sm, err := OpenSharded(ShardDirs(t.TempDir(), shards), ShardedOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sm.Close()
+			arr := shardTestArray("A")
+			if err := sm.Create(arr); err != nil {
+				t.Fatal(err)
+			}
+			want := fillArray(t, sm, arr, 7)
+			assertBlocks(t, sm, arr, want)
 
-				// Per-shard stats must sum to the aggregate, and with
-				// more than one shard the blocks must actually spread.
-				total, perShard := sm.Stats(), sm.ShardStats()
-				var sum Stats
-				used := 0
-				for _, ss := range perShard {
-					sum.ReadReqs += ss.ReadReqs
-					sum.ReadBytes += ss.ReadBytes
-					sum.WriteReqs += ss.WriteReqs
-					sum.WriteBytes += ss.WriteBytes
-					if ss.WriteReqs > 0 {
-						used++
-					}
+			// Per-shard stats must sum to the aggregate, and with
+			// more than one shard the blocks must actually spread.
+			total, perShard := sm.Stats(), sm.ShardStats()
+			var sum Stats
+			used := 0
+			for _, ss := range perShard {
+				sum.ReadReqs += ss.ReadReqs
+				sum.ReadBytes += ss.ReadBytes
+				sum.WriteReqs += ss.WriteReqs
+				sum.WriteBytes += ss.WriteBytes
+				if ss.WriteReqs > 0 {
+					used++
 				}
-				if sum != total {
-					t.Errorf("per-shard stats %+v do not sum to aggregate %+v", sum, total)
-				}
-				if total.WriteReqs != int64(len(want)) {
-					t.Errorf("WriteReqs = %d, want %d", total.WriteReqs, len(want))
-				}
-				if shards > 1 && used < 2 {
-					t.Errorf("placement %s left %d of %d shards unused for a %dx%d grid",
-						placement, shards-used, shards, arr.GridRows, arr.GridCols)
-				}
-			})
-		}
+			}
+			if sum != total {
+				t.Errorf("per-shard stats %+v do not sum to aggregate %+v", sum, total)
+			}
+			if total.WriteReqs != int64(len(want)) {
+				t.Errorf("WriteReqs = %d, want %d", total.WriteReqs, len(want))
+			}
+			if shards > 1 && used < 2 {
+				t.Errorf("placement left %d of %d shards unused for a %dx%d grid",
+					shards-used, shards, arr.GridRows, arr.GridCols)
+			}
+		})
 	}
 }
 
 // Placement must be a pure function of (array, coords, shards): the same
 // inputs always map to the same shard, and every shard index is in range.
 func TestPlacementDeterministic(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		f    PlacementFunc
-	}{{PlacementHash, HashPlacement}, {PlacementRows, RowPlacement}} {
-		for _, shards := range []int{1, 2, 3, 8} {
-			for r := int64(0); r < 16; r++ {
-				for c := int64(0); c < 16; c++ {
-					s1 := tc.f("A", r, c, shards)
-					s2 := tc.f("A", r, c, shards)
-					if s1 != s2 {
-						t.Fatalf("%s(A,%d,%d,%d) flapped: %d vs %d", tc.name, r, c, shards, s1, s2)
-					}
-					if s1 < 0 || s1 >= shards {
-						t.Fatalf("%s(A,%d,%d,%d) = %d out of range", tc.name, r, c, shards, s1)
-					}
+	for _, shards := range []int{1, 2, 3, 8} {
+		for r := int64(0); r < 16; r++ {
+			for c := int64(0); c < 16; c++ {
+				s1 := placeBlock("A", r, c, shards)
+				s2 := placeBlock("A", r, c, shards)
+				if s1 != s2 {
+					t.Fatalf("placeBlock(A,%d,%d,%d) flapped: %d vs %d", r, c, shards, s1, s2)
+				}
+				if s1 < 0 || s1 >= shards {
+					t.Fatalf("placeBlock(A,%d,%d,%d) = %d out of range", r, c, shards, s1)
 				}
 			}
 		}
-	}
-	// Row placement: one grid row lives on one shard.
-	if RowPlacement("A", 3, 0, 4) != RowPlacement("A", 3, 9, 4) {
-		t.Error("RowPlacement split one grid row across shards")
 	}
 }
 
@@ -264,22 +251,8 @@ func TestShardedOpenFailures(t *testing.T) {
 		}
 	})
 
-	t.Run("placement mismatch", func(t *testing.T) {
-		dirs := newStore(t, 2)
-		_, err := OpenSharded(dirs, ShardedOptions{Persist: true, Placement: PlacementRows})
-		if err == nil {
-			t.Fatal("reopen with a different placement succeeded")
-		}
-		if !strings.Contains(err.Error(), "placement") {
-			t.Errorf("error does not explain the placement mismatch: %v", err)
-		}
-	})
-
-	// A store written by a build that offered a second block format records
-	// that format in its manifests. Its files are not DAF, so the reopen
-	// must refuse them, not serve them as DAF.
-	t.Run("retired block format", func(t *testing.T) {
-		dirs := newStore(t, 2)
+	// rewriteManifests edits every shard's persisted manifest in place.
+	rewriteManifests := func(t *testing.T, dirs []string, edit func(*manifest)) {
 		for i, dir := range dirs {
 			m, err := NewManager(dir, FormatDAF)
 			if err != nil {
@@ -293,7 +266,7 @@ func TestShardedOpenFailures(t *testing.T) {
 			if err := json.Unmarshal(data, &mf); err != nil {
 				t.Fatal(err)
 			}
-			mf.Format = "lab-tree"
+			edit(&mf)
 			if data, err = json.Marshal(&mf); err != nil {
 				t.Fatal(err)
 			}
@@ -302,6 +275,31 @@ func TestShardedOpenFailures(t *testing.T) {
 			}
 			m.Close()
 		}
+	}
+
+	// A store written by a build that offered round-robin-by-row placement
+	// records "rows" in its manifests. Its blocks live on other shards than
+	// the hash would route them to, so the reopen must refuse it.
+	t.Run("placement mismatch", func(t *testing.T) {
+		dirs := newStore(t, 2)
+		rewriteManifests(t, dirs, func(mf *manifest) { mf.Placement = "rows" })
+		re, err := OpenSharded(dirs, ShardedOptions{Persist: true})
+		if err == nil {
+			re.Close()
+			t.Fatal("reopen of a store written with rows placement succeeded")
+		}
+		if !strings.Contains(err.Error(), "shard 0") || !strings.Contains(err.Error(), dirs[0]) ||
+			!strings.Contains(err.Error(), `placement "rows"`) {
+			t.Errorf("error does not name the shard and its stored placement: %v", err)
+		}
+	})
+
+	// A store written by a build that offered a second block format records
+	// that format in its manifests. Its files are not DAF, so the reopen
+	// must refuse them, not serve them as DAF.
+	t.Run("retired block format", func(t *testing.T) {
+		dirs := newStore(t, 2)
+		rewriteManifests(t, dirs, func(mf *manifest) { mf.Format = "lab-tree" })
 		re, err := OpenSharded(dirs, ShardedOptions{Persist: true})
 		if err == nil {
 			re.Close()

@@ -203,20 +203,13 @@ type StorageBackend = storage.Backend
 // replication still covers every block.
 type ShardedStorage = storage.ShardedManager
 
-// ShardedStorageOptions configures OpenShardedStorage (placement,
-// replication, persistence, remote-client tuning).
+// ShardedStorageOptions configures OpenShardedStorage (replication,
+// persistence, remote-client tuning).
 type ShardedStorageOptions = storage.ShardedOptions
 
 // ShardStats is one shard's physical I/O counters with its spec (directory
 // or address), degraded state, and degraded-read (replica fallback) count.
 type ShardStats = storage.ShardStats
-
-// Placement names for sharded storage: hash of array/block coordinates, or
-// round-robin by grid row.
-const (
-	PlacementHash = storage.PlacementHash
-	PlacementRows = storage.PlacementRows
-)
 
 // OpenShardedStorage opens (or, with persistence, reopens) a sharded store
 // over the given shard specs: directory paths, host:port addresses of
@@ -270,10 +263,10 @@ type ExecResult = exec.Result
 // ExecOptions selects the schedule the execution engine's one interpreter
 // runs under: Workers <= 1 executes the plan's events in timeline order on
 // the calling goroutine, Workers > 1 executes them from the event
-// dependence DAG on that many concurrent kernel workers, with I/O prefetch.
-// PrefetchDepth bounds the prefetch window (<= 0 picks a default; a memory
-// cap shrinks it to the cap's headroom above the plan's peak). Logical I/O
-// accounting and numerics are identical for every worker count.
+// dependence DAG on that many concurrent kernel workers, prefetching up to
+// 2*Workers blocks (fewer when a memory cap leaves less headroom above the
+// plan's peak). Logical I/O accounting and numerics are identical for every
+// worker count.
 type ExecOptions = exec.Options
 
 // Execute runs an evaluated plan against storage with the given disk model
@@ -371,11 +364,10 @@ const (
 )
 
 // Stream retention modes (?retain= on /results/stream): retire delivered
-// pool frames (evict, the default), keep them cached, or additionally
-// drop the query's output stores after a complete stream.
+// pool frames (evict, the default), or additionally drop the query's output
+// stores after a complete stream.
 const (
 	StreamRetainEvict = server.RetainEvict
-	StreamRetainKeep  = server.RetainKeep
 	StreamRetainDrop  = server.RetainDrop
 )
 
