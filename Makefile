@@ -17,11 +17,15 @@ test:
 # ownership, failure-path pin release and admission order in exec, buffer
 # and govern; fairness, queue-wait stats, the tenant-label bound, result
 # fetch from the pool, streamed tenant attribution, the write-once plan
-# cache and lookups racing retirement in the server.
+# cache, lookups racing retirement, /metrics rendering the same Stats
+# snapshot /stats serves, and a snapshot registering no series in the
+# server; one client setting riotblockd's device latency while another
+# reads in blockd.
 test-race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -count=5 ./internal/exec/ ./internal/buffer/ ./internal/govern/
-	$(GO) test -race -count=5 -run 'Fairness|QueueWait|TenantLabel|ResultFetch|StreamAttributesTenant|PlanCacheConcurrentMiss|RetirementRacesLookups' ./internal/server/
+	$(GO) test -race -count=5 -run 'Fairness|QueueWait|TenantLabel|ResultFetch|StreamAttributesTenant|PlanCacheConcurrentMiss|RetirementRacesLookups|MetricsRenderStats|StatsRegistersNoSeries' ./internal/server/
+	$(GO) test -race -count=5 -run 'RemoteSetLatencyWhileReading' ./internal/blockd/
 
 # Full suite, including the ~80s linear-regression plan-space search.
 test-full:

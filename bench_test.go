@@ -227,8 +227,7 @@ func BenchmarkParallelExec(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		store.ReadLatency = regime.latency
-		store.WriteLatency = regime.latency
+		store.SetLatency(regime.latency, regime.latency)
 		if err := store.CreateAll(p); err != nil {
 			b.Fatal(err)
 		}

@@ -26,6 +26,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"riotshare/internal/blockproto"
@@ -54,7 +55,7 @@ type Server struct {
 	// registry the -metrics-addr sidecar scrapes.
 	reg    *telemetry.Registry
 	opLat  map[byte]*telemetry.Histogram
-	opErrs map[byte]*telemetry.Counter
+	opErrs map[byte]*atomic.Int64
 
 	mu     sync.Mutex
 	ln     net.Listener

@@ -3,6 +3,7 @@ package blockd
 import (
 	"fmt"
 	"net/http"
+	"sync/atomic"
 	"time"
 
 	"riotshare/internal/blockproto"
@@ -25,20 +26,23 @@ var opNames = map[byte]string{
 
 // initMetrics builds the server's registry: per-op latency histograms
 // and error counters (pre-registered so the serve path never takes
-// the registry's registration lock), plus a collector over the
-// manager's physical I/O counters and the live connection count.
+// the registry's registration lock), plus a collector over the error
+// counters, the manager's physical I/O counters and the live
+// connection count.
 func (s *Server) initMetrics() {
 	s.reg = telemetry.New()
 	s.opLat = make(map[byte]*telemetry.Histogram, len(opNames))
-	s.opErrs = make(map[byte]*telemetry.Counter, len(opNames))
+	s.opErrs = make(map[byte]*atomic.Int64, len(opNames))
 	for op, name := range opNames {
-		lbl := telemetry.L("op", name)
 		s.opLat[op] = s.reg.Histogram("riotblockd_op_seconds",
-			"Latency of blockproto operations served, per opcode.", nil, lbl)
-		s.opErrs[op] = s.reg.Counter("riotblockd_op_errors_total",
-			"Blockproto operations answered with a non-OK status, per opcode.", lbl)
+			"Latency of blockproto operations served, per opcode.", nil, telemetry.L("op", name))
+		s.opErrs[op] = new(atomic.Int64)
 	}
 	s.reg.Collect(func(e *telemetry.Emit) {
+		for op, name := range opNames {
+			e.Counter("riotblockd_op_errors_total", "Blockproto operations answered with a non-OK status, per opcode.",
+				float64(s.opErrs[op].Load()), telemetry.L("op", name))
+		}
 		st := s.mgr.Stats()
 		e.Counter("riotblockd_read_reqs_total", "Physical block reads served.", float64(st.ReadReqs))
 		e.Counter("riotblockd_read_bytes_total", "Bytes read from the shard root.", float64(st.ReadBytes))
@@ -59,7 +63,7 @@ func (s *Server) observeOp(op, status byte, d time.Duration) {
 	}
 	h.ObserveDuration(d)
 	if status != blockproto.StatusOK {
-		s.opErrs[op].Inc()
+		s.opErrs[op].Add(1)
 	}
 }
 

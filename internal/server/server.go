@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"maps"
 	"math/rand"
 	"os"
 	"sort"
@@ -260,6 +261,16 @@ type Stats struct {
 	// appear.
 	PlanningTiers map[string]PlanningTierStats `json:"planningTiers,omitempty"`
 
+	// SlowQueries counts the queries whose wall time met
+	// Config.SlowQueryMs, one slow-query log line each.
+	SlowQueries int64 `json:"slowQueries"`
+	// PrefetchIssued totals the blocks the DAG schedule's prefetcher
+	// acquired ahead of use; PrefetchInline the prefetchable blocks a
+	// worker reached first and acquired itself (exec.Result's counters,
+	// summed over every execution).
+	PrefetchIssued int64 `json:"prefetchIssued"`
+	PrefetchInline int64 `json:"prefetchInline"`
+
 	// Streams reports the streamed result delivery path (/results/stream):
 	// active streams, finished ones by outcome, and delivered totals.
 	Streams StreamStats `json:"streams"`
@@ -284,8 +295,6 @@ const (
 	tierGreedy = "greedy"
 	tierFull   = "full"
 )
-
-var planTiers = []string{tierCache, tierGreedy, tierFull}
 
 // Server is the multi-query analytics service.
 type Server struct {
@@ -313,6 +322,9 @@ type Server struct {
 	planHits      int64
 	planMisses    int64
 	planEvictions int64
+	// tierHists holds the riotshare_planning_seconds{tier} series of the
+	// tiers that have served a query; see tierHistogram.
+	tierHists map[string]*telemetry.Histogram
 
 	gov *govern.Governor
 
@@ -323,34 +335,35 @@ type Server struct {
 	inputs  map[string]*inputState
 
 	// reg is the service's metrics registry, scraped by GET /metrics
-	// (span trees live on the query records). The handles below are
-	// registered once at startup and the labeled families are memoizing
-	// vecs, so the steady-state query path takes the registry lock only
-	// the first time a program, tenant, or stage label is seen.
-	reg                              *telemetry.Registry
-	mPlanning                        *telemetry.Histogram
-	mPlanningTier                    *telemetry.HistogramVec // by planner tier
-	mSlowTotal                       *telemetry.Counter
-	mQuery                           *telemetry.HistogramVec // by program
-	mAdmitWait                       *telemetry.HistogramVec // by tenant
-	mExecStage                       *telemetry.HistogramVec // by stage
-	mPrefetchIssued, mPrefetchInline *telemetry.Counter
-	slowMu                           sync.Mutex
-	slowLog                          io.Writer
-
-	// Streamed result delivery (stream.go): the riotshare_stream_* metric
-	// families, which Stats.Streams also reads.
-	mStreamBlocks  *telemetry.Counter
-	mStreamBytes   *telemetry.Counter
-	mStreamActive  *telemetry.Gauge
+	// (span trees live on the query records). It holds the latency
+	// histograms below, registered once at startup (the labeled families
+	// are memoizing vecs, so the steady-state query path takes the
+	// registry lock only the first time a program or stage label is
+	// seen), and one collector that renders Stats (metrics.go).
+	reg            *telemetry.Registry
+	mPlanning      *telemetry.Histogram
+	mQuery         *telemetry.HistogramVec // by program
+	mExecStage     *telemetry.HistogramVec // by stage
 	mStreamSeconds *telemetry.Histogram
-	mStreamOutcome map[string]*telemetry.Counter // by outcome label
+	slowMu         sync.Mutex
+	slowLog        io.Writer
+
+	// Counters the server increments itself, read by Stats.
+	slowQueries                    atomic.Int64
+	prefetchIssued, prefetchInline atomic.Int64
+	// Streamed result delivery (stream.go), read into Stats.Streams.
+	streamsActive                                atomic.Int64
+	streamedBlocks, streamedBytes                atomic.Int64
+	streamsDone, streamsCanceled, streamsErrored atomic.Int64
 }
 
 // tenantCounters aggregates one tenant's submission lifecycle on the
 // server side (the governor and pool keep their own per-tenant views).
 type tenantCounters struct {
 	submitted, finished int64
+	// admitWait is the tenant's riotshare_admission_wait_seconds series,
+	// registered by its first admission (see admitWaitHistogram).
+	admitWait *telemetry.Histogram
 }
 
 // maxTenantLabels bounds the distinct tenant labels the server keys state
@@ -428,72 +441,26 @@ func New(cfg Config) (*Server, error) {
 		queries:   make(map[string]*query),
 		planCache: make(map[string]*planEntry),
 		planLRU:   list.New(),
+		tierHists: make(map[string]*telemetry.Histogram),
 		gov:       govern.New(govern.Config{MaxConcurrent: cfg.MaxConcurrent, GlobalMemBytes: cfg.GlobalMemBytes}),
 		tenants:   make(map[string]*tenantCounters),
 		inputs:    make(map[string]*inputState),
 		reg:       reg,
 		slowLog:   slowLog,
 	}
-	s.mPlanning = reg.Histogram("riotshare_planning_seconds",
-		"Latency of plan-cache lookup or planning per query.", nil)
-	s.mPlanningTier = reg.HistogramVec("riotshare_planning_seconds",
-		"Latency of plan-cache lookup or planning per query.", nil, "tier")
-	s.mSlowTotal = reg.Counter("riotshare_slow_queries_total",
-		"Queries whose wall time met the slow-query threshold.")
+	s.mPlanning = reg.Histogram(planningFamily, planningHelp, nil)
 	s.mQuery = reg.HistogramVec("riotshare_query_seconds",
 		"End-to-end query wall time (planning through result collection).", nil, "program")
-	s.mAdmitWait = reg.HistogramVec("riotshare_admission_wait_seconds",
-		"Admission queue wait per tenant (Admit call to grant).", nil, "tenant")
 	s.mExecStage = reg.HistogramVec("riotshare_exec_stage_seconds",
 		"Cumulative kernel wall time per pipeline stage per query.", nil, "stage")
-	s.mPrefetchIssued = reg.Counter("riotshare_prefetch_issued_total",
-		"Prefetchable reads issued ahead of use by the async prefetcher.")
-	s.mPrefetchInline = reg.Counter("riotshare_prefetch_inline_total",
-		"Prefetchable reads a consumer claimed inline (prefetch too late).")
-	s.mStreamBlocks = reg.Counter("riotshare_stream_blocks_total",
-		"Output blocks delivered over streamed results.")
-	s.mStreamBytes = reg.Counter("riotshare_stream_bytes_total",
-		"Output payload bytes delivered over streamed results.")
-	s.mStreamActive = reg.Gauge("riotshare_streams_active",
-		"Result streams currently on the wire.")
 	s.mStreamSeconds = reg.Histogram("riotshare_stream_seconds",
 		"Wall time of one result stream, open to last frame.", nil)
-	s.mStreamOutcome = make(map[string]*telemetry.Counter, 3)
-	for _, outcome := range []string{"done", "canceled", "error"} {
-		s.mStreamOutcome[outcome] = reg.Counter("riotshare_streams_total",
-			"Finished result streams by outcome.", telemetry.L("outcome", outcome))
-	}
-	pool.RegisterMetrics(reg)
 	m.RegisterMetrics(reg)
-	s.registerCollectors()
-	return s, nil
-}
-
-// registerCollectors wires the scrape-time metric sources that sample
-// existing stats snapshots: service lifecycle counters, plan cache,
-// shared-input persistence and governor occupancy. Store I/O, aggregate
-// and per shard, comes from the store's own collector.
-func (s *Server) registerCollectors() {
-	s.reg.Collect(func(e *telemetry.Emit) {
-		running, queued := s.gov.Load()
-		e.Gauge("riotshare_queries_running", "Queries currently executing.", float64(running))
-		e.Gauge("riotshare_queries_queued", "Queries waiting for admission.", float64(queued))
-		s.mu.Lock()
-		submitted, finished := s.submitted, s.finished
-		s.mu.Unlock()
-		e.Counter("riotshare_queries_submitted_total", "Queries accepted by Submit.", float64(submitted))
-		e.Counter("riotshare_queries_finished_total", "Queries finished (done or failed).", float64(finished))
-		s.planMu.Lock()
-		hits, misses := s.planHits, s.planMisses
-		size, evictions := s.planLRU.Len(), s.planEvictions
-		s.planMu.Unlock()
-		e.Counter("riotshare_plan_cache_hits_total", "Plan cache hits.", float64(hits))
-		e.Counter("riotshare_plan_cache_misses_total", "Plan cache misses (plans computed).", float64(misses))
-		e.Gauge("riotshare_plan_cache_entries", "Plan tables resident in the bounded cache.", float64(size))
-		e.Counter("riotshare_plan_cache_evictions_total", "Plan cache entries retired by the LRU bound.", float64(evictions))
-		e.Counter("riotshare_input_fills_total", "Shared inputs synthesized and written.", float64(s.inputFills.Load()))
-		e.Counter("riotshare_input_fills_skipped_total", "Shared inputs served from the persisted catalog.", float64(s.inputFillsSkipped.Load()))
+	reg.Collect(func(e *telemetry.Emit) {
+		st := s.Stats()
+		st.emit(e)
 	})
+	return s, nil
 }
 
 // Metrics exposes the service's telemetry registry (scraped by GET
@@ -721,7 +688,7 @@ func (s *Server) runQuery(q *query) (retErr error) {
 	res, tier, err := s.plans(q.req, q.prog, q.subsets)
 	sp.End()
 	s.mPlanning.ObserveDuration(sp.Duration())
-	s.mPlanningTier.With(tier).ObserveDuration(sp.Duration())
+	s.tierHistogram(tier).ObserveDuration(sp.Duration())
 	sp.Annotate("tier", tier)
 	if tier == tierCache {
 		sp.Annotate("cache", "hit")
@@ -750,7 +717,7 @@ func (s *Server) runQuery(q *query) (retErr error) {
 	}
 	sp.End()
 	defer s.gov.Release(q.tenant, peak)
-	s.mAdmitWait.With(q.tenant).ObserveDuration(time.Since(enqueued))
+	s.admitWaitHistogram(q.tenant).ObserveDuration(time.Since(enqueued))
 
 	s.mu.Lock()
 	q.status.State = StateRunning
@@ -838,8 +805,8 @@ func (s *Server) recordExec(sp *telemetry.Span, r exec.Result) {
 	if r.PrefetchIssued > 0 || r.PrefetchInline > 0 {
 		sp.Annotate("prefetchIssued", strconv.FormatInt(r.PrefetchIssued, 10))
 		sp.Annotate("prefetchInline", strconv.FormatInt(r.PrefetchInline, 10))
-		s.mPrefetchIssued.Add(r.PrefetchIssued)
-		s.mPrefetchInline.Add(r.PrefetchInline)
+		s.prefetchIssued.Add(r.PrefetchIssued)
+		s.prefetchInline.Add(r.PrefetchInline)
 	}
 }
 
@@ -860,7 +827,7 @@ func (s *Server) maybeLogSlow(q *query, root *telemetry.Span, err error) {
 	if s.cfg.SlowQueryMs <= 0 || root.Duration() < time.Duration(s.cfg.SlowQueryMs)*time.Millisecond {
 		return
 	}
-	s.mSlowTotal.Inc()
+	s.slowQueries.Add(1)
 	line := slowQueryLine{
 		Time:    time.Now(),
 		QueryID: q.id,
@@ -1072,7 +1039,9 @@ func (s *Server) collectOutputs(q *query, sess *buffer.Session) ([]OutputInfo, e
 	return outs, nil
 }
 
-// Stats snapshots service-wide counters.
+// Stats snapshots service-wide counters. GET /stats serves the snapshot as
+// JSON, and every /metrics scrape takes one and renders it (metrics.go).
+// Taking it registers no metric series.
 func (s *Server) Stats() Stats {
 	running, queued := s.gov.Load()
 	loads := s.gov.TenantLoads()
@@ -1082,6 +1051,7 @@ func (s *Server) Stats() Stats {
 	s.planMu.Lock()
 	hits, misses := s.planHits, s.planMisses
 	cacheSize, evictions := s.planLRU.Len(), s.planEvictions
+	tierHists := maps.Clone(s.tierHists)
 	s.planMu.Unlock()
 	// One snapshot of the shards (one stats round trip per remote shard)
 	// yields the per-shard rows and the totals, so Store always equals
@@ -1112,7 +1082,17 @@ func (s *Server) Stats() Stats {
 		PlanCacheEvictions: evictions,
 		InputFills:         s.inputFills.Load(),
 		InputFillsSkipped:  s.inputFillsSkipped.Load(),
-		Streams:            s.streamStats(),
+		SlowQueries:        s.slowQueries.Load(),
+		PrefetchIssued:     s.prefetchIssued.Load(),
+		PrefetchInline:     s.prefetchInline.Load(),
+		Streams: StreamStats{
+			Active:    int(s.streamsActive.Load()),
+			Completed: s.streamsDone.Load(),
+			Canceled:  s.streamsCanceled.Load(),
+			Errors:    s.streamsErrored.Load(),
+			Blocks:    s.streamedBlocks.Load(),
+			Bytes:     s.streamedBytes.Load(),
+		},
 	}
 	if hits+misses > 0 {
 		st.PlanCacheHitRate = float64(hits) / float64(hits+misses)
@@ -1121,13 +1101,12 @@ func (s *Server) Stats() Stats {
 	st.PlanningP50Ms = s.mPlanning.Quantile(0.50) * float64(time.Second) / ms
 	st.PlanningP95Ms = s.mPlanning.Quantile(0.95) * float64(time.Second) / ms
 	st.PlanningP99Ms = s.mPlanning.Quantile(0.99) * float64(time.Second) / ms
-	for _, tier := range planTiers {
-		h := s.mPlanningTier.With(tier)
+	for tier, h := range tierHists {
 		if h.Count() == 0 {
 			continue
 		}
 		if st.PlanningTiers == nil {
-			st.PlanningTiers = make(map[string]PlanningTierStats, len(planTiers))
+			st.PlanningTiers = make(map[string]PlanningTierStats, len(tierHists))
 		}
 		st.PlanningTiers[tier] = PlanningTierStats{
 			Count: h.Count(),
@@ -1155,7 +1134,7 @@ func (s *Server) Stats() Stats {
 			}
 			if tc := s.tenants[name]; tc != nil {
 				ts.Submitted, ts.Finished = tc.submitted, tc.finished
-				if h := s.mAdmitWait.With(name); h.Count() > 0 {
+				if h := tc.admitWait; h.Count() > 0 {
 					ts.AvgQueueWaitMs = h.Sum() / float64(h.Count()) * float64(time.Second) / ms
 					ts.QueueWaitP50Ms = h.Quantile(0.50) * float64(time.Second) / ms
 					ts.QueueWaitP95Ms = h.Quantile(0.95) * float64(time.Second) / ms

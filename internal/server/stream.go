@@ -338,37 +338,37 @@ func classifySinkErr(err error) error {
 // then deliver every non-transient output array's blocks in sorted-array,
 // row-major order, waiting on per-block completion signals, acquiring at
 // most chunk blocks from the pool per round and retiring them after the
-// round is on the wire. It owns the stream telemetry: the metrics
-// Stats.Streams reads, and the span tree.
+// round is on the wire. It owns the stream telemetry: the counters
+// Stats.Streams reads, the stream-time histogram, and the span tree.
 func (s *Server) streamQuery(r *http.Request, q *query, opt streamOptions, sink streamSink, flush func()) {
 	ctx := r.Context()
 	root := telemetry.StartSpan("stream")
 	root.Annotate("query", q.id)
 	root.Annotate("format", opt.format)
 	root.Annotate("retain", opt.retain)
-	s.mStreamActive.Add(1)
+	s.streamsActive.Add(1)
 	start := time.Now()
 	arrays, blocks, bytes, err := s.streamBlocks(ctx, q, opt, sink, flush)
-	s.mStreamActive.Add(-1)
-	s.mStreamBlocks.Add(int64(blocks))
-	s.mStreamBytes.Add(bytes)
+	s.streamsActive.Add(-1)
+	s.streamedBlocks.Add(int64(blocks))
+	s.streamedBytes.Add(bytes)
 	s.mStreamSeconds.ObserveDuration(time.Since(start))
 	root.Annotate("arrays", strconv.Itoa(arrays))
 	root.Annotate("blocks", strconv.Itoa(blocks))
 	root.Annotate("bytes", strconv.FormatInt(bytes, 10))
-	outcome := "done"
+	outcome, ended := "done", &s.streamsDone
 	switch {
 	case errors.Is(err, errStreamCanceled):
-		outcome = "canceled"
+		outcome, ended = "canceled", &s.streamsCanceled
 	case err != nil:
-		outcome = "error"
+		outcome, ended = "error", &s.streamsErrored
 		root.Annotate("error", err.Error())
 		// Best effort: the 200 is already on the wire, so the failure
 		// travels in-band. A dead connection just errors again silently.
 		_ = sink.Error(err.Error())
 		flush()
 	}
-	s.mStreamOutcome[outcome].Inc()
+	ended.Add(1)
 	if outcome == "done" && opt.retain == RetainDrop {
 		// The stream can complete before runQuery does — blocks are
 		// announced as execution writes them, ahead of the result-fetch
@@ -535,16 +535,4 @@ func (s *Server) StreamToCtx(ctx context.Context, w io.Writer, id string, chunkB
 	opt := streamOptions{format: "binary", chunk: chunkBlocks, retain: RetainEvict}
 	_, _, _, err = s.streamBlocks(ctx, q, opt, binarySink{w: w}, func() {})
 	return err
-}
-
-// streamStats snapshots the stream metric families for Stats.
-func (s *Server) streamStats() StreamStats {
-	return StreamStats{
-		Active:    int(s.mStreamActive.Value()),
-		Completed: s.mStreamOutcome["done"].Value(),
-		Canceled:  s.mStreamOutcome["canceled"].Value(),
-		Errors:    s.mStreamOutcome["error"].Value(),
-		Blocks:    s.mStreamBlocks.Value(),
-		Bytes:     s.mStreamBytes.Value(),
-	}
 }

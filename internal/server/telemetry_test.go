@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -397,6 +398,179 @@ func TestOneStoreSnapshotPerStatsAndScrape(t *testing.T) {
 	want := fmt.Sprintf("riotshare_store_write_reqs_total %d\n", st.Store.WriteReqs)
 	if !strings.Contains(text, want) {
 		t.Errorf("/metrics lacks %q", strings.TrimSpace(want))
+	}
+}
+
+// samples parses an exposition into its counter and gauge samples, keyed
+// by series ("name{labels}"); histogram families are left out.
+func samples(t *testing.T, text string) map[string]float64 {
+	t.Helper()
+	kinds := map[string]string{}
+	out := map[string]float64{}
+	for _, line := range strings.Split(strings.TrimSpace(text), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			kinds[f[2]] = f[3]
+			continue
+		}
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		sp := strings.LastIndexByte(line, ' ')
+		series := line[:sp]
+		name, _, _ := strings.Cut(series, "{")
+		switch kinds[name] {
+		case "counter", "gauge":
+		default:
+			continue
+		}
+		v, err := strconv.ParseFloat(line[sp+1:], 64)
+		if err != nil {
+			t.Fatalf("bad sample line %q: %v", line, err)
+		}
+		out[series] = v
+	}
+	return out
+}
+
+// Every counter and gauge family /metrics emits is a field of Stats: on a
+// quiescent server over one local and one remote shard, after a query, a
+// stream and a slow-query log line, each sample equals the field it
+// renders, and every field the mapping below names is emitted.
+func TestMetricsRenderStats(t *testing.T) {
+	s, ts := newHTTPServerOn(t, Config{
+		ShardDirs:  []string{t.TempDir()},
+		ShardAddrs: []string{startBlockd(t).Addr()},
+		Workers:    2, SlowQueryMs: 1, SlowQueryLog: io.Discard,
+	})
+	id := runSmall(t, s)
+	resp, err := http.Get(ts.URL + "/results/stream?id=" + id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	// The stream's counters land just after its last frame is written.
+	for deadline := time.Now().Add(5 * time.Second); s.Stats().Streams.Completed != 1; {
+		if time.Now().After(deadline) {
+			t.Fatal("stream never counted as completed")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	got := samples(t, scrape(t, ts))
+	st := s.Stats()
+	n := func(v int64) float64 { return float64(v) }
+	want := map[string]float64{
+		"riotshare_queries_running":            float64(st.Running),
+		"riotshare_queries_queued":             float64(st.Queued),
+		"riotshare_queries_submitted_total":    n(st.Submitted),
+		"riotshare_queries_finished_total":     n(st.Finished),
+		"riotshare_slow_queries_total":         n(st.SlowQueries),
+		"riotshare_plan_cache_hits_total":      n(st.PlanCacheHits),
+		"riotshare_plan_cache_misses_total":    n(st.PlanCacheMisses),
+		"riotshare_plan_cache_entries":         float64(st.PlanCacheSize),
+		"riotshare_plan_cache_evictions_total": n(st.PlanCacheEvictions),
+		"riotshare_input_fills_total":          n(st.InputFills),
+		"riotshare_input_fills_skipped_total":  n(st.InputFillsSkipped),
+		"riotshare_prefetch_issued_total":      n(st.PrefetchIssued),
+		"riotshare_prefetch_inline_total":      n(st.PrefetchInline),
+
+		"riotshare_pool_hits_total":       n(st.Pool.Hits),
+		"riotshare_pool_misses_total":     n(st.Pool.Misses),
+		"riotshare_pool_puts_total":       n(st.Pool.Puts),
+		"riotshare_pool_evictions_total":  n(st.Pool.Evictions),
+		"riotshare_pool_writebacks_total": n(st.Pool.Writebacks),
+		"riotshare_pool_discards_total":   n(st.Pool.Discards),
+		"riotshare_pool_bytes_cached":     n(st.Pool.BytesCached),
+		"riotshare_pool_bytes_cap":        n(st.Pool.BytesCap),
+		"riotshare_pool_frames":           float64(st.Pool.Frames),
+		"riotshare_pool_pinned_frames":    float64(st.Pool.PinnedFrames),
+		"riotshare_pool_hit_rate":         st.Pool.HitRate(),
+
+		"riotshare_store_read_reqs_total":   n(st.Store.ReadReqs),
+		"riotshare_store_read_bytes_total":  n(st.Store.ReadBytes),
+		"riotshare_store_write_reqs_total":  n(st.Store.WriteReqs),
+		"riotshare_store_write_bytes_total": n(st.Store.WriteBytes),
+
+		"riotshare_streams_active":                    float64(st.Streams.Active),
+		"riotshare_stream_blocks_total":               n(st.Streams.Blocks),
+		"riotshare_stream_bytes_total":                n(st.Streams.Bytes),
+		`riotshare_streams_total{outcome="done"}`:     n(st.Streams.Completed),
+		`riotshare_streams_total{outcome="canceled"}`: n(st.Streams.Canceled),
+		`riotshare_streams_total{outcome="error"}`:    n(st.Streams.Errors),
+	}
+	for tenant, ps := range st.Pool.Tenants {
+		lbl := fmt.Sprintf("{tenant=%q}", tenant)
+		want["riotshare_pool_tenant_hits_total"+lbl] = n(ps.Hits)
+		want["riotshare_pool_tenant_misses_total"+lbl] = n(ps.Misses)
+		want["riotshare_pool_tenant_bytes_cached"+lbl] = n(ps.BytesCached)
+	}
+	remotes := 0
+	for i, sh := range st.Shards {
+		lbl := fmt.Sprintf("{shard=\"%d\",spec=%q}", i, sh.Dir)
+		want["riotshare_shard_read_reqs_total"+lbl] = n(sh.ReadReqs)
+		want["riotshare_shard_read_bytes_total"+lbl] = n(sh.ReadBytes)
+		want["riotshare_shard_write_reqs_total"+lbl] = n(sh.WriteReqs)
+		want["riotshare_shard_write_bytes_total"+lbl] = n(sh.WriteBytes)
+		want["riotshare_shard_degraded_reads_total"+lbl] = n(sh.DegradedReads)
+		want["riotshare_shard_degraded"+lbl] = 0
+		if sh.Remote == nil {
+			continue
+		}
+		remotes++
+		lbl = fmt.Sprintf("{shard=\"%d\",addr=%q}", i, sh.Dir)
+		want["riotshare_remote_dials_total"+lbl] = n(sh.Remote.Dials)
+		want["riotshare_remote_retries_total"+lbl] = n(sh.Remote.Retries)
+		want["riotshare_remote_timeouts_total"+lbl] = n(sh.Remote.Timeouts)
+	}
+
+	// The snapshot must carry what it is checked on, or equality is vacuous.
+	if len(st.Shards) != 2 || remotes != 1 || st.Shards[1].Remote.Dials == 0 {
+		t.Fatalf("shards %+v: want one local and one dialed remote shard", st.Shards)
+	}
+	if st.Finished != 1 || st.SlowQueries != 1 || st.Streams.Blocks == 0 ||
+		st.PrefetchIssued+st.PrefetchInline == 0 || st.Pool.Tenants["acme"].Misses == 0 {
+		t.Fatalf("snapshot lacks the query, slow-query line, stream or prefetch it is checked on: %+v", st)
+	}
+	for series, w := range want {
+		if g, ok := got[series]; !ok {
+			t.Errorf("/metrics lacks %s (Stats: %v)", series, w)
+		} else if g != w {
+			t.Errorf("/metrics %s = %v, Stats says %v", series, g, w)
+		}
+	}
+	for series := range got {
+		if _, ok := want[series]; !ok {
+			t.Errorf("/metrics emits %s, which renders no Stats field", series)
+		}
+	}
+}
+
+// Taking a snapshot registers no metric series. A query that fails
+// before admission leaves its tenant without an admission-wait series, and
+// only the planner tier that served has a tier series; Stats() — which
+// every scrape takes — must not add them, or each scrape would change the
+// next.
+func TestStatsRegistersNoSeries(t *testing.T) {
+	s, ts := newHTTPServer(t)
+	bad := 99
+	id, err := s.Submit(Request{Program: "addmul-small", Tenant: "x", Plan: &bad})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err := s.Wait(id); err != nil || st.State != StateFailed {
+		t.Fatalf("plan 99: state %s, err %v; want a failure before admission", st.State, err)
+	}
+	before := scrape(t, ts)
+	s.Stats()
+	after := scrape(t, ts)
+	if before != after {
+		t.Errorf("Stats() changed the next scrape:\n--- before ---\n%s--- after ---\n%s", before, after)
+	}
+	for _, series := range []string{`riotshare_admission_wait_seconds_count{tenant="x"}`, `tier="greedy"`, `tier="cache"`} {
+		if strings.Contains(after, series) {
+			t.Errorf("/metrics has %s, which nothing observed", series)
+		}
 	}
 }
 

@@ -168,7 +168,7 @@ func TestStatsCountPhysicalRequests(t *testing.T) {
 	}
 	// Coalesced concurrent readers must count one physical request. Use
 	// simulated latency to widen the coalescing window.
-	m.ReadLatency = 50 * time.Millisecond
+	m.SetLatency(50*time.Millisecond, 0)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

@@ -92,12 +92,13 @@ func ColMajor(r, c int64, gridRows, gridCols int) uint64 {
 type Manager struct {
 	Dir string
 
-	// ReadLatency/WriteLatency simulate a slow device by sleeping once per
-	// physical block request (coalesced readers share one sleep). They let
-	// pipelining experiments reproduce disk-bound behavior on fast local
-	// storage; zero (the default) disables the simulation.
-	ReadLatency  time.Duration
-	WriteLatency time.Duration
+	// readLatency/writeLatency (nanoseconds) simulate a slow device by
+	// sleeping once per physical block request (coalesced readers share one
+	// sleep). They let pipelining experiments reproduce disk-bound behavior
+	// on fast local storage; zero (the default) disables the simulation.
+	// SetLatency is their only setter: a riotblockd sets them from one
+	// connection while others read, so they are atomics.
+	readLatency, writeLatency atomic.Int64
 	// SerialDevice serializes the simulated latency sleeps, modeling a
 	// device that serves one request at a time (a single disk head). With
 	// it, concurrent requests to one manager queue behind each other —
@@ -132,10 +133,11 @@ type Stats struct {
 }
 
 // SetLatency configures the simulated per-request device latency (zero
-// disables). Call it before issuing I/O; it is not synchronized with
-// in-flight requests.
+// disables). It is safe to call while I/O is in flight: requests already
+// sleeping finish with the old latency, later ones use the new one.
 func (m *Manager) SetLatency(read, write time.Duration) {
-	m.ReadLatency, m.WriteLatency = read, write
+	m.readLatency.Store(int64(read))
+	m.writeLatency.Store(int64(write))
 }
 
 // simulate sleeps for one simulated device request; on a serial device the
@@ -279,7 +281,7 @@ func (m *Manager) WriteBlock(array string, r, c int64, blk *blas.Matrix) error {
 	if err != nil {
 		return err
 	}
-	m.simulate(m.WriteLatency)
+	m.simulate(time.Duration(m.writeLatency.Load()))
 	if blk.Rows != arr.BlockRows || blk.Cols != arr.BlockCols {
 		return fmt.Errorf("storage: block shape %dx%d, array %s wants %dx%d",
 			blk.Rows, blk.Cols, array, arr.BlockRows, arr.BlockCols)
@@ -329,7 +331,7 @@ func (m *Manager) readBlock(array string, r, c int64) (*blas.Matrix, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.simulate(m.ReadLatency)
+	m.simulate(time.Duration(m.readLatency.Load()))
 	want := 8 * arr.BlockRows * arr.BlockCols
 	bp := getScratch(want)
 	defer putScratch(bp)

@@ -110,11 +110,11 @@ type RemoteShard struct {
 // observability hook the failure-classification tests assert against.
 type RemoteStats struct {
 	// Dials counts TCP connections established.
-	Dials int64
+	Dials int64 `json:"dials"`
 	// Retries counts attempts re-issued after a transient failure.
-	Retries int64
+	Retries int64 `json:"retries"`
 	// Timeouts counts attempts that exceeded OpTimeout.
-	Timeouts int64
+	Timeouts int64 `json:"timeouts"`
 }
 
 // NewRemoteShard creates a client for the riotblockd server at addr

@@ -877,13 +877,18 @@ type ShardStats struct {
 	// replica had to serve instead — the ongoing cost of running degraded.
 	// Repair resets it.
 	DegradedReads int64 `json:"degradedReads,omitempty"`
+	// Remote is a riotblockd shard's client-side connection counters; nil
+	// for a local directory.
+	Remote *RemoteStats `json:"remote,omitempty"`
 	Stats
 }
 
 // ShardStats snapshots per-shard physical I/O, in shard order — the
 // per-device utilization view block placement is judged by, plus each
-// shard's degraded state and fallback-read count. Degraded shards are not
-// polled (a remote one's server may be down); they report zero I/O.
+// shard's degraded state, fallback-read count and, for a remote shard, its
+// client's dial/retry/timeout counts. It is the store's whole snapshot.
+// Degraded shards are not polled (a remote one's server may be down); they
+// report zero I/O.
 func (sm *ShardedManager) ShardStats() []ShardStats {
 	out := make([]ShardStats, len(sm.shards))
 	for i, sd := range sm.shards {
@@ -892,7 +897,11 @@ func (sm *ShardedManager) ShardStats() []ShardStats {
 			Degraded:      sm.degraded[i].Load(),
 			DegradedReads: sm.degradedReads[i].Load(),
 		}
-		if !sm.degraded[i].Load() {
+		if rs, ok := sd.(*RemoteShard); ok {
+			rst := rs.RemoteStats()
+			out[i].Remote = &rst
+		}
+		if !out[i].Degraded {
 			out[i].Stats = sd.Stats()
 		}
 	}

@@ -1,14 +1,18 @@
-// Package telemetry provides a dependency-free metrics registry
-// (counters, gauges, fixed-bucket latency histograms with quantile
-// extraction) and a per-query span tracer, plus Prometheus text
-// exposition. It is the observability layer shared by riotshared and
-// riotblockd.
+// Package telemetry provides a dependency-free metrics registry and a
+// per-query span tracer, plus Prometheus text exposition. It is the
+// observability layer shared by riotshared and riotblockd.
 //
-// All handle types are nil-safe: methods on a nil *Registry return
-// nil handles, and methods on nil handles are no-ops. A component
-// instrumented against a nil registry therefore pays only a nil check
-// per call site, which is the "no-op path" the telemetry overhead
-// benchmark pins down.
+// The registry holds two things: fixed-bucket latency histograms
+// (Histogram, HistogramVec), observed on the hot path and read back for
+// quantiles, and scrape-time collectors (Collect), which emit counter
+// and gauge samples from a component's own stats snapshot. A counter or
+// gauge therefore lives exactly once, as a field of that snapshot, and
+// the exposition renders it; the registry keeps no counter state.
+//
+// Histogram handles are nil-safe: methods on a nil *Registry return
+// nil handles, and methods on nil handles are no-ops, so a component
+// instrumented against a nil registry pays only a nil check per call
+// site.
 package telemetry
 
 import (
@@ -46,73 +50,6 @@ const (
 	kindGauge     = "gauge"
 	kindHistogram = "histogram"
 )
-
-// Counter is a monotonically increasing integer metric. A nil
-// *Counter is a valid no-op.
-type Counter struct {
-	v atomic.Int64
-}
-
-// Inc adds one to the counter.
-func (c *Counter) Inc() {
-	if c == nil {
-		return
-	}
-	c.v.Add(1)
-}
-
-// Add increases the counter by n (negative n is ignored: counters are
-// monotonic).
-func (c *Counter) Add(n int64) {
-	if c == nil || n < 0 {
-		return
-	}
-	c.v.Add(n)
-}
-
-// Value returns the current count.
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Load()
-}
-
-// Gauge is a float metric that can go up and down. A nil *Gauge is a
-// valid no-op.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.bits.Store(math.Float64bits(v))
-}
-
-// Add offsets the gauge by v.
-func (g *Gauge) Add(v float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		nw := math.Float64bits(math.Float64frombits(old) + v)
-		if g.bits.CompareAndSwap(old, nw) {
-			return
-		}
-	}
-}
-
-// Value returns the current gauge value.
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.bits.Load())
-}
 
 // Histogram is a fixed-bucket distribution metric. Buckets are
 // cumulative upper bounds as in Prometheus; an implicit +Inf bucket
@@ -226,27 +163,23 @@ func (h *Histogram) snapshot() ([]int64, float64, int64) {
 	return cum, math.Float64frombits(h.sumBits.Load()), h.count.Load()
 }
 
-// series is one labeled instance of a metric family.
+// series is one labeled histogram of a family.
 type series struct {
 	labels []Label
-	key    string
-	ctr    *Counter
-	gauge  *Gauge
 	hist   *Histogram
 }
 
-// family groups all series sharing a metric name.
+// family groups all histogram series sharing a metric name.
 type family struct {
 	name    string
 	help    string
-	kind    string
 	buckets []float64
 	series  map[string]*series
 	order   []string
 }
 
-// Registry holds metric families and scrape-time collectors. The zero
-// value is not usable; call New. A nil *Registry is a valid no-op
+// Registry holds histogram families and scrape-time collectors. The
+// zero value is not usable; call New. A nil *Registry is a valid no-op
 // registry: registration methods return nil handles.
 type Registry struct {
 	mu         sync.Mutex
@@ -295,20 +228,17 @@ func keyEscape(b *strings.Builder, s string) {
 	}
 }
 
-// getFamilyLocked returns (registering on first use) the named metric
-// family; every caller holds r.mu.
-func (r *Registry) getFamilyLocked(name, help, kind string, buckets []float64) *family {
+// getFamilyLocked returns (registering on first use) the named
+// histogram family; every caller holds r.mu.
+func (r *Registry) getFamilyLocked(name, help string, buckets []float64) *family {
 	f, ok := r.families[name]
 	if !ok {
-		f = &family{name: name, help: help, kind: kind, buckets: buckets, series: map[string]*series{}}
+		f = &family{name: name, help: help, buckets: buckets, series: map[string]*series{}}
 		r.families[name] = f
 		r.order = append(r.order, name)
 		return f
 	}
-	if f.kind != kind {
-		panic(fmt.Sprintf("telemetry: metric %q re-registered as %s (was %s)", name, kind, f.kind))
-	}
-	if kind == kindHistogram && !sameBuckets(f.buckets, buckets) {
+	if !sameBuckets(f.buckets, buckets) {
 		panic(fmt.Sprintf("telemetry: histogram %q re-registered with buckets %v (was %v)", name, buckets, f.buckets))
 	}
 	return f
@@ -326,47 +256,20 @@ func sameBuckets(a, b []float64) bool {
 	return true
 }
 
-func (f *family) getSeries(labels []Label) *series {
+// getSeries returns (registering on first use) the family's histogram
+// for the label set; every caller holds the registry lock.
+func (f *family) getSeries(labels []Label) *Histogram {
 	k := labelKey(labels)
 	s, ok := f.series[k]
 	if !ok {
 		cp := make([]Label, len(labels))
 		copy(cp, labels)
-		s = &series{labels: cp, key: k}
+		h := &Histogram{uppers: f.buckets, counts: make([]atomic.Int64, len(f.buckets)+1)}
+		s = &series{labels: cp, hist: h}
 		f.series[k] = s
 		f.order = append(f.order, k)
 	}
-	return s
-}
-
-// Counter registers (or fetches) a counter series. Safe for
-// concurrent use; returns nil on a nil registry.
-func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s := r.getFamilyLocked(name, help, kindCounter, nil).getSeries(labels)
-	if s.ctr == nil {
-		s.ctr = &Counter{}
-	}
-	return s.ctr
-}
-
-// Gauge registers (or fetches) a gauge series. Safe for concurrent
-// use; returns nil on a nil registry.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s := r.getFamilyLocked(name, help, kindGauge, nil).getSeries(labels)
-	if s.gauge == nil {
-		s.gauge = &Gauge{}
-	}
-	return s.gauge
+	return s.hist
 }
 
 // Histogram registers (or fetches) a histogram series with the given
@@ -381,13 +284,7 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels ...Lab
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	s := r.getFamilyLocked(name, help, kindHistogram, buckets).getSeries(labels)
-	if s.hist == nil {
-		h := &Histogram{uppers: buckets}
-		h.counts = make([]atomic.Int64, len(buckets)+1)
-		s.hist = h
-	}
-	return s.hist
+	return r.getFamilyLocked(name, help, buckets).getSeries(labels)
 }
 
 // HistogramVec is a single-label histogram family whose per-value
@@ -428,9 +325,9 @@ func (v *HistogramVec) With(value string) *Histogram {
 }
 
 // Collect registers fn to be invoked at every scrape. Collectors emit
-// point-in-time counter/gauge values sampled from existing stats
-// structs, so components with cheap snapshot methods need no hot-path
-// instrumentation. No-op on a nil registry.
+// the point-in-time counter and gauge values of a component's stats
+// snapshot — the only way a counter or gauge reaches the exposition.
+// No-op on a nil registry.
 func (r *Registry) Collect(fn func(*Emit)) {
 	if r == nil {
 		return
@@ -543,8 +440,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		return nil
 	}
 	// Snapshot family metadata and series handle lists while holding
-	// the lock: concurrent Counter/Gauge/Histogram calls mutate the
-	// series maps, so they must never be read unlocked. The handles
+	// the lock: concurrent Histogram calls mutate the series maps, so they must never be read unlocked. The handles
 	// themselves are updated via atomics, so formatting can proceed
 	// outside the lock on the snapshot.
 	r.mu.Lock()
@@ -586,7 +482,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		ef := e.fams[name]
 		help, kind := "", ""
 		if f != nil {
-			help, kind = f.help, f.kind
+			help, kind = f.help, kindHistogram
 		} else if ef != nil {
 			help, kind = ef.help, ef.kind
 		}
@@ -606,8 +502,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 // famSnapshot is a scrape-time copy of one family's metadata and
 // series handle list, taken under the registry lock.
 type famSnapshot struct {
-	name, help, kind string
-	series           []*series
+	name, help string
+	series     []*series
 }
 
 // snapshot copies the family's series handles in sorted key order.
@@ -620,25 +516,18 @@ func (f *family) snapshot() *famSnapshot {
 	for _, k := range keys {
 		sl = append(sl, f.series[k])
 	}
-	return &famSnapshot{name: f.name, help: f.help, kind: f.kind, series: sl}
+	return &famSnapshot{name: f.name, help: f.help, series: sl}
 }
 
 func writeFamily(b *strings.Builder, f *famSnapshot) {
 	for _, s := range f.series {
-		switch f.kind {
-		case kindCounter:
-			fmt.Fprintf(b, "%s%s %d\n", f.name, formatLabels(s.labels), s.ctr.Value())
-		case kindGauge:
-			fmt.Fprintf(b, "%s%s %s\n", f.name, formatLabels(s.labels), formatFloat(s.gauge.Value()))
-		case kindHistogram:
-			cum, sum, count := s.hist.snapshot()
-			for i, upper := range s.hist.uppers {
-				fmt.Fprintf(b, "%s_bucket%s %d\n", f.name, labelsWithLE(s.labels, formatFloat(upper)), cum[i])
-			}
-			fmt.Fprintf(b, "%s_bucket%s %d\n", f.name, labelsWithLE(s.labels, "+Inf"), cum[len(cum)-1])
-			fmt.Fprintf(b, "%s_sum%s %s\n", f.name, formatLabels(s.labels), formatFloat(sum))
-			fmt.Fprintf(b, "%s_count%s %d\n", f.name, formatLabels(s.labels), count)
+		cum, sum, count := s.hist.snapshot()
+		for i, upper := range s.hist.uppers {
+			fmt.Fprintf(b, "%s_bucket%s %d\n", f.name, labelsWithLE(s.labels, formatFloat(upper)), cum[i])
 		}
+		fmt.Fprintf(b, "%s_bucket%s %d\n", f.name, labelsWithLE(s.labels, "+Inf"), cum[len(cum)-1])
+		fmt.Fprintf(b, "%s_sum%s %s\n", f.name, formatLabels(s.labels), formatFloat(sum))
+		fmt.Fprintf(b, "%s_count%s %d\n", f.name, formatLabels(s.labels), count)
 	}
 }
 

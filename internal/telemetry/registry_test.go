@@ -10,43 +10,53 @@ import (
 	"time"
 )
 
+// Counters and gauges exist only as collector samples: each scrape
+// renders the values its collectors emit at that moment, typed as
+// emitted, and keeps no state between scrapes.
 func TestCounterGaugeBasics(t *testing.T) {
 	r := New()
-	c := r.Counter("riot_test_total", "test counter")
-	c.Inc()
-	c.Add(4)
-	c.Add(-3) // ignored: counters are monotonic
-	if got := c.Value(); got != 5 {
-		t.Fatalf("counter = %d, want 5", got)
+	var ops int64
+	depth := 2.5
+	r.Collect(func(e *Emit) {
+		e.Counter("riot_test_total", "test counter", float64(ops))
+		e.Gauge("riot_test_gauge", "test gauge", depth, L("tenant", "a"))
+	})
+	scrape := func() string {
+		var sb strings.Builder
+		if err := r.WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String()
 	}
-	// Same name+labels returns the same handle.
-	if r.Counter("riot_test_total", "test counter") != c {
-		t.Fatal("re-registration returned a different handle")
+	ops = 5
+	out := scrape()
+	for _, want := range []string{
+		"# TYPE riot_test_total counter\nriot_test_total 5\n",
+		"# TYPE riot_test_gauge gauge\nriot_test_gauge{tenant=\"a\"} 2.5\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("scrape lacks %q:\n%s", want, out)
+		}
 	}
-	g := r.Gauge("riot_test_gauge", "test gauge", L("tenant", "a"))
-	g.Set(2.5)
-	g.Add(-1)
-	if got := g.Value(); got != 1.5 {
-		t.Fatalf("gauge = %v, want 1.5", got)
+	ops, depth = 7, 1
+	out = scrape()
+	if !strings.Contains(out, "riot_test_total 7\n") || !strings.Contains(out, `riot_test_gauge{tenant="a"} 1`+"\n") {
+		t.Fatalf("second scrape did not render the new samples:\n%s", out)
 	}
 }
 
 func TestNilRegistryAndHandlesAreNoOps(t *testing.T) {
 	var r *Registry
-	c := r.Counter("x", "")
-	g := r.Gauge("x", "")
 	h := r.Histogram("x", "", nil)
-	if c != nil || g != nil || h != nil {
+	v := r.HistogramVec("x", "", nil, "k")
+	if h != nil || v != nil {
 		t.Fatal("nil registry should hand out nil handles")
 	}
 	// None of these may panic.
-	c.Inc()
-	c.Add(3)
-	g.Set(1)
-	g.Add(1)
 	h.Observe(1)
 	h.ObserveDuration(time.Second)
-	if h.Quantile(0.5) != 0 || c.Value() != 0 || g.Value() != 0 {
+	v.With("a").Observe(1)
+	if h.Quantile(0.5) != 0 || h.Count() != 0 || h.Sum() != 0 {
 		t.Fatal("nil handles should read as zero")
 	}
 	r.Collect(func(*Emit) { t.Fatal("collector must not run") })
@@ -108,8 +118,6 @@ func TestRegistryConcurrency(t *testing.T) {
 			defer wg.Done()
 			tenant := string(rune('a' + w%4))
 			for i := 0; i < iters; i++ {
-				r.Counter("riot_test_ops_total", "ops", L("tenant", tenant)).Inc()
-				r.Gauge("riot_test_depth", "depth", L("tenant", tenant)).Set(float64(i))
 				r.Histogram("riot_test_lat_seconds", "lat", nil, L("tenant", tenant)).Observe(float64(i) / 1000)
 			}
 		}()
@@ -128,13 +136,14 @@ func TestRegistryConcurrency(t *testing.T) {
 	}()
 	wg.Wait()
 
-	// Snapshot consistency: total ops across tenants equals all writes.
+	// Snapshot consistency: total samples across tenants equals all
+	// observations.
 	var total int64
 	for _, tenant := range []string{"a", "b", "c", "d"} {
-		total += r.Counter("riot_test_ops_total", "ops", L("tenant", tenant)).Value()
+		total += r.Histogram("riot_test_lat_seconds", "lat", nil, L("tenant", tenant)).Count()
 	}
 	if total != workers*iters {
-		t.Fatalf("total ops = %d, want %d", total, workers*iters)
+		t.Fatalf("total samples = %d, want %d", total, workers*iters)
 	}
 }
 
@@ -160,7 +169,6 @@ func TestScrapeDuringRegistration(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 2000; i++ {
 				v := string(rune('a'+w)) + "-" + strconv.Itoa(i)
-				r.Counter("riot_test_grow_total", "grow", L("tenant", v)).Inc()
 				r.Histogram("riot_test_grow_seconds", "grow", nil, L("tenant", v)).Observe(0.01)
 			}
 		}()
@@ -192,14 +200,14 @@ func TestScrapeDuringRegistration(t *testing.T) {
 // two different label sets collide.
 func TestLabelKeyCanonical(t *testing.T) {
 	r := New()
-	c1 := r.Counter("riot_test_order_total", "order", L("a", "1"), L("b", "2"))
-	c2 := r.Counter("riot_test_order_total", "order", L("b", "2"), L("a", "1"))
-	if c1 != c2 {
+	h1 := r.Histogram("riot_test_order_seconds", "order", nil, L("a", "1"), L("b", "2"))
+	h2 := r.Histogram("riot_test_order_seconds", "order", nil, L("b", "2"), L("a", "1"))
+	if h1 != h2 {
 		t.Fatal("label order created two series for the same label set")
 	}
 	// {a="1,b=2"} must not collide with {a="1", b="2"}.
-	c3 := r.Counter("riot_test_order_total", "order", L("a", "1,b=2"))
-	if c3 == c1 {
+	h3 := r.Histogram("riot_test_order_seconds", "order", nil, L("a", "1,b=2"))
+	if h3 == h1 {
 		t.Fatal("separator characters in a label value collided with a different label set")
 	}
 }
@@ -240,17 +248,20 @@ func TestHistogramVec(t *testing.T) {
 }
 
 // TestWritePrometheusGolden locks the exposition format: HELP/TYPE
-// headers, sorted families and series, cumulative histogram buckets
+// headers, sorted families and series (collector rows in label order
+// whatever order they were emitted in), cumulative histogram buckets
 // with +Inf, _sum and _count lines, label escaping.
 func TestWritePrometheusGolden(t *testing.T) {
 	r := New()
-	r.Counter("riot_b_total", "b counter", L("tenant", "t1")).Add(3)
-	r.Counter("riot_b_total", "b counter", L("tenant", `quo"te`)).Inc()
-	r.Gauge("riot_a_bytes", "a gauge").Set(1024)
 	h := r.Histogram("riot_c_seconds", "c histogram", []float64{0.1, 1})
 	h.Observe(0.05)
 	h.Observe(0.5)
 	h.Observe(5)
+	r.Collect(func(e *Emit) {
+		e.Counter("riot_b_total", "b counter", 3, L("tenant", "t1"))
+		e.Counter("riot_b_total", "b counter", 1, L("tenant", `quo"te`))
+		e.Gauge("riot_a_bytes", "a gauge", 1024)
+	})
 	r.Collect(func(e *Emit) {
 		e.Gauge("riot_d_collected", "from a collector", 7, L("shard", "0"))
 	})
