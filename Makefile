@@ -53,14 +53,19 @@ bench-record-smoke:
 		grep -q '"failed":0[,}]' $$out.json || { echo "bench-record-smoke: failed > 0 in $$out.json"; exit 1; }; \
 	done; done
 
-# Run every program under examples/: quickstart and linreg execute their
-# plans physically and check the numerics themselves, so a non-zero exit
-# from any of them fails the target.
+# Run every program under examples/, then every §6 experiment in quick
+# mode: quickstart and linreg execute their plans physically and check the
+# numerics themselves, and Fig. 3(b), 4, 5, 6 and the system comparison
+# execute physically and fail if measured I/O volumes diverge from the cost
+# model's prediction. `make test` is -short, which skips TestFigureRunners,
+# so this is the CI job that runs them. A non-zero exit from any fails the
+# target.
 examples:
 	@set -e; for ex in quickstart linreg twomm userop; do \
 		echo "$(GO) run ./examples/$$ex"; \
 		$(GO) run ./examples/$$ex > /dev/null; \
 	done
+	$(GO) run ./cmd/riotshare exp > /dev/null
 
 # Godoc completeness over the public surface: the facade, the planner
 # (core/sched/cost), the storage, pool, exec, admission and server

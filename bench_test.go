@@ -16,11 +16,11 @@ import (
 )
 
 // Each benchmark regenerates one table or figure of the paper's evaluation
-// (§6); run `go test -bench=. -benchmem` or use cmd/expdriver for the
+// (§6); run `go test -bench=. -benchmem`, or `riotshare exp` for the
 // formatted reports. DESIGN.md's experiment index maps paper artifacts to
 // these targets.
 
-func benchOpts() bench.Options { return bench.Options{Quick: true, Seed: 1} }
+func benchOpts() bench.Options { return bench.Options{Quick: true} }
 
 // BenchmarkTable2AddMul regenerates Table 2 (E1).
 func BenchmarkTable2AddMul(b *testing.B) {
@@ -88,7 +88,7 @@ func BenchmarkTable4LinReg(b *testing.B) {
 }
 
 // BenchmarkFig6LinReg regenerates Figure 6 with the selected plans (E8);
-// the full 16k-plan space search runs via `cmd/expdriver -exp fig6 -full`.
+// the full 16k-plan space search runs via `riotshare exp -full fig6`.
 func BenchmarkFig6LinReg(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if err := bench.Fig6(io.Discard, benchOpts()); err != nil {

@@ -1,5 +1,5 @@
 // Command riotshare optimizes and runs the built-in benchmark programs
-// from the command line.
+// from the command line, and regenerates the paper's evaluation (§6).
 //
 // Usage:
 //
@@ -7,6 +7,9 @@
 //	riotshare optimize -prog twomm-a -mem 1000   # plan table under a memory cap (MB)
 //	riotshare codegen  -prog addmul          # pseudo-code of the best plan
 //	riotshare run      -prog linreg -plan 0  # execute a plan on synthetic data
+//	riotshare exp                            # every §6 table and figure (quick mode)
+//	riotshare exp -full fig6                 # full linreg plan-space search (~minutes)
+//	riotshare exp fig3a fig3b                # the named experiments, in order
 package main
 
 import (
@@ -29,20 +32,23 @@ func main() {
 
 func run() error {
 	if len(os.Args) < 2 {
-		return fmt.Errorf("subcommand required: analyze, optimize, codegen, run")
+		return fmt.Errorf("subcommand required: analyze, optimize, codegen, run, exp")
 	}
 	sub := os.Args[1]
 	fs := flag.NewFlagSet(sub, flag.ExitOnError)
 	progName := fs.String("prog", "addmul", "program: addmul, twomm-a, twomm-b, linreg")
 	memMB := fs.Int64("mem", 0, "memory cap in MB (0 = unlimited)")
 	planIdx := fs.Int("plan", -1, "plan index for run (-1 = best)")
-	full := fs.Bool("full", false, "full plan-space search (slow for linreg)")
+	full := fs.Bool("full", false, "full plan-space searches (slow for linreg)")
 	asJSON := fs.Bool("json", false, "emit the lowered plan as JSON (codegen subcommand)")
-	workers := fs.Int("workers", 1, "parallel kernel workers for run (1 = in-order schedule)")
+	workers := fs.Int("workers", 1, "parallel kernel workers for run and exp (1 = in-order schedule)")
 	shards := fs.Int("shards", 1, "stripe the run's block store across N shard dirs (per-shard I/O is reported)")
 	replicas := fs.Int("replicas", 1, "mirror each block on k shards (needs -shards >= k); write amplification and degraded reads are reported")
 	if err := fs.Parse(os.Args[2:]); err != nil {
 		return err
+	}
+	if sub == "exp" {
+		return bench.Run(os.Stdout, bench.Options{Quick: !*full, Workers: *workers}, fs.Args()...)
 	}
 	p, subsets, err := bench.PaperProgram(*progName, *full)
 	if err != nil {
@@ -150,6 +156,10 @@ func run() error {
 			return err
 		}
 		preRun := store.Stats()
+		var preShards []riotshare.ShardStats
+		if sharded != nil {
+			preShards = sharded.ShardStats()
+		}
 		model := riotshare.PaperDiskModel()
 		r, err := riotshare.ExecuteOptions(pl, store, model, *memMB<<20,
 			riotshare.ExecOptions{Workers: *workers})
@@ -165,12 +175,12 @@ func run() error {
 		// Physical I/O the run actually issued to the block store
 		// (scaled-down blocks, DESIGN.md S5; excludes the input fill) —
 		// the ground truth buffer-pool hit rates are verified against.
-		ps := store.Stats()
+		ps := store.Stats().Sub(preRun)
 		fmt.Printf("physical I/O: %d read requests (%.1fMB), %d write requests (%.1fMB)\n",
-			ps.ReadReqs-preRun.ReadReqs, float64(ps.ReadBytes-preRun.ReadBytes)/(1<<20),
-			ps.WriteReqs-preRun.WriteReqs, float64(ps.WriteBytes-preRun.WriteBytes)/(1<<20))
+			ps.ReadReqs, float64(ps.ReadBytes)/(1<<20), ps.WriteReqs, float64(ps.WriteBytes)/(1<<20))
 		if sharded != nil {
 			for i, ss := range sharded.ShardStats() {
+				d := ss.Stats.Sub(preShards[i].Stats)
 				degraded := ""
 				if ss.Degraded {
 					degraded = " DEGRADED"
@@ -179,8 +189,8 @@ func run() error {
 					degraded += fmt.Sprintf(", %d degraded reads", ss.DegradedReads)
 				}
 				fmt.Printf("  shard %d: %d read reqs (%.1fMB), %d write reqs (%.1fMB)%s\n",
-					i, ss.ReadReqs, float64(ss.ReadBytes)/(1<<20),
-					ss.WriteReqs, float64(ss.WriteBytes)/(1<<20), degraded)
+					i, d.ReadReqs, float64(d.ReadBytes)/(1<<20),
+					d.WriteReqs, float64(d.WriteBytes)/(1<<20), degraded)
 			}
 			if *replicas > 1 {
 				fmt.Printf("  %d-way replication: %d degraded reads total\n", sharded.Replicas(), sharded.DegradedReads())

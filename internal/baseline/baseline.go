@@ -1,20 +1,19 @@
-// Package baseline provides the comparison engines of §6.1 (DESIGN.md
-// substitution S5): a Matlab-like operator-at-a-time executor (each
-// operator well-blocked in isolation, intermediates materialized, no
-// cross-operator sharing), a SciDB-like chunk-at-a-time executor (no
-// sharing at all, naive kernels), and an LRU buffer-pool engine that
-// executes the original order with opportunistic caching under a memory
-// cap — the "low-level, opportunistic" database approach §2 contrasts with
-// RIOTShare's principled optimization. No benchmark workload runs these
-// engines; they are kept because internal/bench's paper-figure experiments
-// and their tests compare against them.
+// Package baseline provides the comparison rows of §6.1's system
+// comparison (DESIGN.md substitution S5): the Matlab-like operator-at-a-time
+// plan (each operator well-blocked in isolation, intermediates
+// materialized, no cross-operator sharing), the SciDB-like no-sharing plan
+// (the original execution, every intermediate materialized), and the
+// original order run through the system's own LRU buffer pool under a
+// memory cap (RunLRU) — the "low-level, opportunistic" database approach §2
+// contrasts with RIOTShare's principled optimization. No benchmark workload
+// runs them; internal/bench's system comparison and its tests do.
 package baseline
 
 import (
-	"container/list"
 	"fmt"
+	"sort"
 
-	"riotshare/internal/blas"
+	"riotshare/internal/buffer"
 	"riotshare/internal/codegen"
 	"riotshare/internal/core"
 	"riotshare/internal/disk"
@@ -70,148 +69,79 @@ func NoSharing(p *prog.Program, opt core.Options) (*core.EvaluatedPlan, error) {
 	return res.Baseline(), nil
 }
 
-// LRUEngine executes a timeline's statement order while ignoring its
-// sharing actions, relying purely on an LRU buffer pool with a byte cap —
-// what a conventional buffer manager would achieve with the same memory.
-type LRUEngine struct {
-	Store    *storage.Manager
-	Model    disk.Model
-	CapBytes int64
+// LogicalScale returns the program's logical/physical block-byte ratio:
+// how many paper-scale logical bytes (Array.LogicalBlockBytes, the unit of
+// core's Cost) one physical byte of the store and of buffer.Pool stands
+// for. It refuses a program whose arrays disagree on the ratio, since no
+// single conversion between the two units would then hold.
+func LogicalScale(p *prog.Program) (int64, error) {
+	names := make([]string, 0, len(p.Arrays))
+	for name := range p.Arrays {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var scale int64
+	for i, name := range names {
+		arr := p.Arrays[name]
+		phys := arr.PhysicalBlockBytes()
+		if phys <= 0 || arr.LogicalBlockBytes%phys != 0 {
+			return 0, fmt.Errorf("baseline: %s: logical block of %d B is not a whole multiple of its %d physical bytes",
+				name, arr.LogicalBlockBytes, phys)
+		}
+		if s := arr.LogicalBlockBytes / phys; i == 0 {
+			scale = s
+		} else if s != scale {
+			return 0, fmt.Errorf("baseline: %s scales physical bytes by %d, %s by %d: no single logical/physical ratio",
+				names[0], scale, name, s)
+		}
+	}
+	if scale == 0 {
+		return 0, fmt.Errorf("baseline: program %s has no arrays", p.Name)
+	}
+	return scale, nil
 }
 
-type lruEntry struct {
-	key   string
-	blk   *blas.Matrix
-	bytes int64
-	dirty bool
-	array string
-	r, c  int64
+// LRURun reports one RunLRU.
+type LRURun struct {
+	// Physical is the I/O the store saw during the run and the final
+	// flush, in physical bytes.
+	Physical storage.Stats
+	// Pool is the pool's counters after the flush; its byte figures are
+	// physical.
+	Pool buffer.Stats
+	// Scale is the program's LogicalScale.
+	Scale int64
 }
 
-// Run executes the timeline with LRU caching. Sharing actions in the
-// timeline are ignored: every read goes through the pool; hits are free,
-// misses do I/O; dirty blocks write back on eviction and at the end.
-func (e *LRUEngine) Run(tl *codegen.Timeline) (exec.Result, error) {
-	var res exec.Result
-	p := tl.Prog
-	lru := list.New() // front = most recent
-	byKey := make(map[string]*list.Element)
-	var used int64
+// IOTimeSec prices Physical at paper scale (bytes × Scale) under the
+// paper's disk model, the units core's Cost.IOTimeSec is in.
+func (r LRURun) IOTimeSec() float64 {
+	return disk.PaperModel().Time(r.Physical.ReadBytes*r.Scale, r.Physical.WriteBytes*r.Scale,
+		r.Physical.ReadReqs, r.Physical.WriteReqs)
+}
 
-	evictTo := func(budget int64) error {
-		for used > budget && lru.Len() > 0 {
-			el := lru.Back()
-			ent := el.Value.(*lruEntry)
-			if ent.dirty {
-				if err := e.Store.WriteBlock(ent.array, ent.r, ent.c, ent.blk); err != nil {
-					return err
-				}
-				res.WriteBytes += ent.bytes
-				res.WriteReqs++
-			}
-			used -= ent.bytes
-			lru.Remove(el)
-			delete(byKey, ent.key)
-		}
-		return nil
+// RunLRU executes the timeline through exec over a buffer.Pool on store,
+// capped at capBytes logical bytes, and flushes the pool: what a
+// conventional buffer manager achieves with that memory when it cannot see
+// the plan's access order. Given a no-sharing timeline every block access
+// goes through the pool, hits are free, misses read, and dirty blocks are
+// written back on eviction and at the flush. The run keeps the in-order
+// schedule: under the DAG schedule concurrent workers and the prefetcher
+// pin frames past the soft cap, so the pool would no longer have the same
+// memory.
+func RunLRU(tl *codegen.Timeline, store storage.Backend, capBytes int64) (LRURun, error) {
+	scale, err := LogicalScale(tl.Prog)
+	if err != nil {
+		return LRURun{}, err
 	}
-	touch := func(key string) (*lruEntry, bool) {
-		if el, ok := byKey[key]; ok {
-			lru.MoveToFront(el)
-			return el.Value.(*lruEntry), true
-		}
-		return nil, false
+	pool := buffer.NewPool(store, capBytes/scale)
+	before := store.Stats()
+	eng := &exec.Engine{Pool: pool}
+	if _, err := eng.Run(tl); err != nil {
+		return LRURun{}, err
 	}
-	insert := func(ent *lruEntry) error {
-		if el, ok := byKey[ent.key]; ok {
-			old := el.Value.(*lruEntry)
-			used -= old.bytes
-			lru.Remove(el)
-			delete(byKey, ent.key)
-		}
-		if err := evictTo(e.CapBytes - ent.bytes); err != nil {
-			return err
-		}
-		byKey[ent.key] = lru.PushFront(ent)
-		used += ent.bytes
-		if used > res.PeakMemoryBytes {
-			res.PeakMemoryBytes = used
-		}
-		return nil
+	if err := pool.Flush(); err != nil {
+		return LRURun{}, err
 	}
-
-	for i, ev := range tl.Events {
-		st := ev.St
-		var in []*blas.Matrix
-		var accRead *blas.Matrix
-		var outBlk *blas.Matrix
-		var writeAcc *prog.Access
-		for ai := range st.Accesses {
-			ac := &st.Accesses[ai]
-			if tl.Actions[i][ai] == codegen.Inactive {
-				continue
-			}
-			arr := p.Arrays[ac.Array]
-			r, c := ac.BlockAt(ev.X, tl.Params)
-			key := codegen.BlockKey(ac.Array, r, c)
-			if ac.Type == prog.Write {
-				writeAcc = ac
-				if ent, hit := touch(key); hit && ent.dirty {
-					outBlk = ent.blk
-				} else if hit {
-					// A clean entry holds the store's own matrix (ReadBlock
-					// results are shared and immutable): write to a copy.
-					outBlk = ent.blk.Clone()
-				} else {
-					outBlk = blas.NewMatrix(arr.BlockRows, arr.BlockCols)
-				}
-				continue
-			}
-			var m *blas.Matrix
-			if ent, hit := touch(key); hit {
-				m = ent.blk
-			} else {
-				var err error
-				m, err = e.Store.ReadBlock(ac.Array, r, c)
-				if err != nil {
-					return res, err
-				}
-				res.ReadBytes += arr.LogicalBlockBytes
-				res.ReadReqs++
-				if err := insert(&lruEntry{key: key, blk: m, bytes: arr.LogicalBlockBytes, array: ac.Array, r: r, c: c}); err != nil {
-					return res, err
-				}
-			}
-			if w := st.WriteAccess(); w != nil && w.Array == ac.Array {
-				accRead = m
-			} else {
-				in = append(in, m)
-			}
-		}
-		if err := exec.RunKernel(st, in, accRead, outBlk); err != nil {
-			return res, fmt.Errorf("baseline: %s%v: %w", st.Name, ev.X, err)
-		}
-		if writeAcc != nil {
-			arr := p.Arrays[writeAcc.Array]
-			r, c := writeAcc.BlockAt(ev.X, tl.Params)
-			key := codegen.BlockKey(writeAcc.Array, r, c)
-			// Write-back caching: mark dirty, defer the physical write.
-			if err := insert(&lruEntry{key: key, blk: outBlk, bytes: arr.LogicalBlockBytes, dirty: true, array: writeAcc.Array, r: r, c: c}); err != nil {
-				return res, err
-			}
-		}
-	}
-	// Flush dirty blocks.
-	for el := lru.Front(); el != nil; el = el.Next() {
-		ent := el.Value.(*lruEntry)
-		if ent.dirty {
-			if err := e.Store.WriteBlock(ent.array, ent.r, ent.c, ent.blk); err != nil {
-				return res, err
-			}
-			res.WriteBytes += ent.bytes
-			res.WriteReqs++
-		}
-	}
-	res.SimulatedIOSec = e.Model.Time(res.ReadBytes, res.WriteBytes, res.ReadReqs, res.WriteReqs)
-	return res, nil
+	return LRURun{Physical: store.Stats().Sub(before), Pool: pool.Stats(), Scale: scale}, nil
 }

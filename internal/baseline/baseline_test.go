@@ -1,12 +1,13 @@
-package baseline
+package baseline_test
 
 import (
-	"math/rand"
+	"strings"
 	"testing"
 
+	"riotshare/internal/baseline"
+	"riotshare/internal/bench"
 	"riotshare/internal/blas"
 	"riotshare/internal/core"
-	"riotshare/internal/disk"
 	"riotshare/internal/ops"
 	"riotshare/internal/prog"
 	"riotshare/internal/storage"
@@ -20,40 +21,23 @@ func smallAddMul() *prog.Program {
 	})
 }
 
-func fill(t *testing.T, p *prog.Program, m *storage.Manager, seed int64) map[string]*blas.Matrix {
+// openFilled creates a store for p under the test's temp dir with its
+// inputs filled from seed, and returns the full input matrices.
+func openFilled(t *testing.T, p *prog.Program, seed int64) (*storage.Manager, map[string]*blas.Matrix) {
 	t.Helper()
-	written := map[string]bool{}
-	for _, st := range p.Stmts {
-		if w := st.WriteAccess(); w != nil {
-			written[w.Array] = true
-		}
+	m, err := storage.NewManager(t.TempDir(), storage.FormatDAF)
+	if err != nil {
+		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(seed))
-	full := map[string]*blas.Matrix{}
-	for name, arr := range p.Arrays {
-		if written[name] {
-			continue
-		}
-		fm := blas.NewMatrix(arr.BlockRows*arr.GridRows, arr.BlockCols*arr.GridCols)
-		for i := range fm.Data {
-			fm.Data[i] = rng.NormFloat64()
-		}
-		full[name] = fm
-		for br := 0; br < arr.GridRows; br++ {
-			for bc := 0; bc < arr.GridCols; bc++ {
-				blk := blas.NewMatrix(arr.BlockRows, arr.BlockCols)
-				for r := 0; r < arr.BlockRows; r++ {
-					for c := 0; c < arr.BlockCols; c++ {
-						blk.Set(r, c, fm.At(br*arr.BlockRows+r, bc*arr.BlockCols+c))
-					}
-				}
-				if err := m.WriteBlock(name, int64(br), int64(bc), blk); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
+	t.Cleanup(func() { m.Close() })
+	if err := m.CreateAll(p); err != nil {
+		t.Fatal(err)
 	}
-	return full
+	full, err := bench.FillInputs(p, m, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m, full
 }
 
 func TestOperatorAtATimeBetween(t *testing.T) {
@@ -64,11 +48,11 @@ func TestOperatorAtATimeBetween(t *testing.T) {
 		t.Fatal(err)
 	}
 	best := &res.Plans[0]
-	none, err := NoSharing(smallAddMul(), opt)
+	none, err := baseline.NoSharing(smallAddMul(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opAtATime, err := OperatorAtATime(smallAddMul(), opt)
+	opAtATime, err := baseline.OperatorAtATime(smallAddMul(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,22 +80,12 @@ func TestLRUWorseThanExplicitControl(t *testing.T) {
 	best := &res.Plans[0]
 	base := res.Baseline()
 
-	m, err := storage.NewManager(t.TempDir(), storage.FormatDAF)
+	m, full := openFilled(t, p, 5)
+	r, err := baseline.RunLRU(base.Timeline, m, best.Cost.PeakMemoryBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
-	if err := m.CreateAll(p); err != nil {
-		t.Fatal(err)
-	}
-	full := fill(t, p, m, 5)
-
-	lru := &LRUEngine{Store: m, Model: disk.PaperModel(), CapBytes: best.Cost.PeakMemoryBytes}
-	r, err := lru.Run(base.Timeline)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := r.ReadBytes + r.WriteBytes
+	total := (r.Physical.ReadBytes + r.Physical.WriteBytes) * r.Scale
 	bestTotal := best.Cost.ReadBytes + best.Cost.WriteBytes
 	if total <= bestTotal {
 		t.Errorf("LRU with the same memory (%d bytes I/O) should lose to the optimized plan (%d)",
@@ -140,33 +114,61 @@ func TestLRUWorseThanExplicitControl(t *testing.T) {
 		}
 	}
 	t.Logf("LRU I/O %.1fs vs optimized %.1fs vs no-sharing %.1fs",
-		r.SimulatedIOSec, best.Cost.IOTimeSec, base.Cost.IOTimeSec)
+		r.IOTimeSec(), best.Cost.IOTimeSec, base.Cost.IOTimeSec)
 }
 
-// LRU peak memory must respect the cap.
+// The pool's residency peak must respect the cap converted to physical
+// bytes: three blocks of the small program, and the §6.1 program at its
+// best plan's memory, whose request counts and physical volumes are pinned.
+// A program with no single conversion is refused.
 func TestLRURespectsCap(t *testing.T) {
-	p := smallAddMul()
-	res, err := core.OptimizeSubsets(p, core.Options{BindParams: true}, nil)
+	small := smallAddMul()
+	paper := bench.AddMulPaper()
+	paperRes, err := core.Optimize(paper, core.Options{BindParams: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := res.Baseline()
-	m, err := storage.NewManager(t.TempDir(), storage.FormatDAF)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		p    *prog.Program
+		cap  int64 // logical bytes
+		want storage.Stats
+	}{
+		{name: "small", p: small, cap: 3 * 6 * 5 * 8}, // three blocks
+		{name: "paper", p: paper, cap: paperRes.Plans[0].Cost.PeakMemoryBytes,
+			want: storage.Stats{ReadReqs: 576, ReadBytes: 116544, WriteReqs: 288, WriteBytes: 62208}},
+	} {
+		res, err := core.OptimizeSubsets(tc.p, core.Options{BindParams: true}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, _ := openFilled(t, tc.p, 6)
+		r, err := baseline.RunLRU(res.Baseline().Timeline, m, tc.cap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scale, err := baseline.LogicalScale(tc.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if physCap := tc.cap / scale; r.Pool.BytesCap != physCap || r.Pool.PeakBytes > physCap {
+			t.Errorf("%s: pool cap %d, peak %d; want cap %d and peak within it",
+				tc.name, r.Pool.BytesCap, r.Pool.PeakBytes, physCap)
+		}
+		if tc.want != (storage.Stats{}) && r.Physical != tc.want {
+			t.Errorf("%s: physical I/O %+v, want %+v", tc.name, r.Physical, tc.want)
+		}
 	}
-	defer m.Close()
-	if err := m.CreateAll(p); err != nil {
-		t.Fatal(err)
-	}
-	fill(t, p, m, 6)
-	cap := int64(3 * 6 * 5 * 8) // three blocks
-	lru := &LRUEngine{Store: m, Model: disk.PaperModel(), CapBytes: cap}
-	r, err := lru.Run(base.Timeline)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.PeakMemoryBytes > cap {
-		t.Fatalf("LRU exceeded cap: %d > %d", r.PeakMemoryBytes, cap)
+	// A program whose arrays disagree on the logical/physical ratio has no
+	// cap to convert to.
+	mixed := ops.AddMul(ops.AddMulConfig{
+		N1: 2, N2: 2, N3: 1,
+		ABBlock:   ops.Dims{Rows: 6, Cols: 4},
+		DBlock:    ops.Dims{Rows: 4, Cols: 5},
+		LogicalAB: ops.Dims{Rows: 6000, Cols: 4000}, // ×10⁶
+		LogicalD:  ops.Dims{Rows: 400, Cols: 500},   // ×10⁴
+	})
+	if _, err := baseline.LogicalScale(mixed); err == nil || !strings.Contains(err.Error(), "no single logical/physical ratio") {
+		t.Errorf("mixed ratios: err = %v, want a refusal", err)
 	}
 }

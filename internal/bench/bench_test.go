@@ -2,7 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"io"
 	"regexp"
 	"strconv"
 	"strings"
@@ -12,7 +11,7 @@ import (
 	"riotshare/internal/storage"
 )
 
-func opts() Options { return Options{Quick: true, Seed: 1} }
+func opts() Options { return Options{Quick: true} }
 
 func TestTablesRender(t *testing.T) {
 	var buf bytes.Buffer
@@ -137,6 +136,11 @@ func TestCompareOrdering(t *testing.T) {
 			t.Errorf("engine %d should be worse than the best plan: %vx", i, vals[i])
 		}
 	}
+	// The LRU row is the no-sharing order through buffer.Pool at the best
+	// plan's memory; TestLRURespectsCap pins its 576/288 requests.
+	if !regexp.MustCompile(`LRU buffer pool, same memory\s+2147\s+2\.61\s*x`).MatchString(out) {
+		t.Errorf("LRU row should read 2147 s, 2.61x:\n%s", out)
+	}
 }
 
 func TestScalesConsistency(t *testing.T) {
@@ -187,21 +191,21 @@ func newTestManager(dir string) (*storage.Manager, error) {
 	return storage.NewManager(dir, storage.FormatDAF)
 }
 
-// Fig4/Fig5/Fig6 runners end to end (quick mode), and RunAll with the same
-// options — covering the report-generation paths the expdriver uses.
+// Fig4/Fig5/Fig6 end to end (quick mode) through Run, the entry point
+// `riotshare exp` uses; an unknown name fails before anything runs.
 func TestFigureRunners(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full figure runners skipped in -short mode")
 	}
 	var buf bytes.Buffer
-	for name, fn := range map[string]func(io.Writer, Options) error{
-		"fig4": Fig4, "fig5": Fig5, "fig6": Fig6,
-	} {
-		if err := fn(&buf, opts()); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
+	if err := Run(&buf, opts(), "fig4", "fig5", "fig6"); err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "average prediction error") {
-		t.Fatal("figures should report prediction error")
+	if got := strings.Count(buf.String(), "average prediction error"); got != 3 {
+		t.Fatalf("three figures should each report prediction error, got %d", got)
+	}
+	buf.Reset()
+	if err := Run(&buf, opts(), "fig3a", "fig7"); err == nil || buf.Len() != 0 {
+		t.Fatalf("unknown experiment: err %v, %d bytes written", err, buf.Len())
 	}
 }

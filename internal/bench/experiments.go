@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"sort"
+	"strings"
 	"time"
 
 	"riotshare/internal/baseline"
@@ -24,25 +25,10 @@ type Options struct {
 	// subsets where the full space is large (the linear-regression search
 	// explores ~16k combinations and takes minutes otherwise).
 	Quick bool
-	// DataDir hosts the physical block files; empty = a fresh temp dir.
-	DataDir string
-	// Seed for synthetic input data.
-	Seed int64
 	// Workers selects the pipelined DAG schedule for physical runs
 	// (Workers <= 1 keeps the in-order schedule); measured logical
 	// volumes are identical either way.
 	Workers int
-}
-
-func (o Options) dir() (string, func(), error) {
-	if o.DataDir != "" {
-		return o.DataDir, func() {}, nil
-	}
-	d, err := os.MkdirTemp("", "riotshare-bench-*")
-	if err != nil {
-		return "", nil, err
-	}
-	return d, func() { os.RemoveAll(d) }, nil
 }
 
 // actualModel is the measurement-side disk model: the same sustained rates
@@ -95,25 +81,41 @@ func FillInputs(p *prog.Program, m storage.Backend, seed int64) (map[string]*bla
 	return full, nil
 }
 
+// openFilled creates a block store for p in a fresh temp directory and
+// fills its inputs with seed 1; closing the store removes the directory.
+func openFilled(p *prog.Program) (*storage.Manager, func(), error) {
+	dir, err := os.MkdirTemp("", "riotshare-bench-*")
+	if err != nil {
+		return nil, nil, err
+	}
+	m, err := storage.NewManager(dir, storage.FormatDAF)
+	if err != nil {
+		os.RemoveAll(dir)
+		return nil, nil, err
+	}
+	closeAll := func() {
+		m.Close()
+		os.RemoveAll(dir)
+	}
+	if err := m.CreateAll(p); err != nil {
+		closeAll()
+		return nil, nil, err
+	}
+	if _, err := FillInputs(p, m, 1); err != nil {
+		closeAll()
+		return nil, nil, err
+	}
+	return m, closeAll, nil
+}
+
 // runPhysical executes a plan against real storage and returns the
 // measured result (volumes are logical, paper scale).
-func runPhysical(p *prog.Program, pl *core.EvaluatedPlan, dir string, opt Options) (exec.Result, error) {
-	sub, err := os.MkdirTemp(dir, "plan-*")
+func runPhysical(p *prog.Program, pl *core.EvaluatedPlan, opt Options) (exec.Result, error) {
+	m, closeAll, err := openFilled(p)
 	if err != nil {
 		return exec.Result{}, err
 	}
-	defer os.RemoveAll(sub)
-	m, err := storage.NewManager(sub, storage.FormatDAF)
-	if err != nil {
-		return exec.Result{}, err
-	}
-	defer m.Close()
-	if err := m.CreateAll(p); err != nil {
-		return exec.Result{}, err
-	}
-	if _, err := FillInputs(p, m, opt.Seed); err != nil {
-		return exec.Result{}, err
-	}
+	defer closeAll()
 	eng := &exec.Engine{Store: m, Model: actualModel()}
 	return eng.RunOptions(pl.Timeline, exec.Options{Workers: opt.Workers})
 }
@@ -199,22 +201,17 @@ func Fig3b(w io.Writer, opt Options) error {
 	if err != nil {
 		return err
 	}
-	dir, cleanup, err := opt.dir()
-	if err != nil {
-		return err
-	}
-	defer cleanup()
 	fmt.Fprintln(w, "Figure 3(b): add+mul predicted vs actual")
-	return predictedVsActual(w, AddMulPaper(), res.Plans, dir, opt)
+	return predictedVsActual(w, AddMulPaper(), res.Plans, opt)
 }
 
-func predictedVsActual(w io.Writer, p *prog.Program, plans []core.EvaluatedPlan, dir string, opt Options) error {
+func predictedVsActual(w io.Writer, p *prog.Program, plans []core.EvaluatedPlan, opt Options) error {
 	fmt.Fprintf(w, "%-5s %-14s %-12s %-10s %-10s %s\n",
 		"plan", "predicted(s)", "actual(s)", "err(%)", "cpu(ms)", "sharing set")
 	var errSum float64
 	for i := range plans {
 		pl := &plans[i]
-		r, err := runPhysical(p, pl, dir, opt)
+		r, err := runPhysical(p, pl, opt)
 		if err != nil {
 			return fmt.Errorf("plan %s: %w", pl.Label, err)
 		}
@@ -259,13 +256,8 @@ func twoMMFig(w io.Writer, opt Options, title string, mk func() *prog.Program) e
 	if err != nil {
 		return err
 	}
-	dir, cleanup, err := opt.dir()
-	if err != nil {
-		return err
-	}
-	defer cleanup()
 	fmt.Fprintf(w, "%s: selected plans (0 = no sharing; 1 = accumulate C,E; 2 = 1 + share A; 3 = share A,B,D)\n", title)
-	return predictedVsActual(w, mk(), sel.Plans, dir, opt)
+	return predictedVsActual(w, mk(), sel.Plans, opt)
 }
 
 // Fig6 reproduces §6.3 (Figure 6): the linear-regression plan space (full
@@ -290,13 +282,8 @@ func Fig6(w io.Writer, opt Options) error {
 	if err != nil {
 		return err
 	}
-	dir, cleanup, err := opt.dir()
-	if err != nil {
-		return err
-	}
-	defer cleanup()
 	fmt.Fprintln(w, "Figure 6(b): selected plans (0 = no sharing; 1 = keep U,V in memory; 2 = best: share X reads + pipeline intermediates)")
-	return predictedVsActual(w, LinRegPaper(), sel.Plans, dir, opt)
+	return predictedVsActual(w, LinRegPaper(), sel.Plans, opt)
 }
 
 // OptTime reproduces §6's "A Note on Optimization Time": wall-clock
@@ -370,7 +357,8 @@ func Scales(w io.Writer, opt Options) error {
 // Compare reproduces the §6.1 system comparison with the simulated
 // stand-ins (DESIGN.md substitution S5): RIOTShare's best plan vs
 // operator-at-a-time (Matlab-like), chunk-at-a-time without sharing
-// (SciDB-like), and an LRU buffer pool given the best plan's memory.
+// (SciDB-like), and the no-sharing order run through the system's own LRU
+// buffer pool given the best plan's memory (baseline.RunLRU).
 func Compare(w io.Writer, opt Options) error {
 	p := AddMulPaper()
 	res, err := core.Optimize(p, core.Options{BindParams: true})
@@ -386,25 +374,13 @@ func Compare(w io.Writer, opt Options) error {
 	if err != nil {
 		return err
 	}
-	// LRU run needs physical execution.
-	dir, cleanup, err := opt.dir()
+	// The LRU row needs physical execution.
+	m, closeAll, err := openFilled(p)
 	if err != nil {
 		return err
 	}
-	defer cleanup()
-	m, err := storage.NewManager(dir, storage.FormatDAF)
-	if err != nil {
-		return err
-	}
-	defer m.Close()
-	if err := m.CreateAll(p); err != nil {
-		return err
-	}
-	if _, err := FillInputs(p, m, opt.Seed); err != nil {
-		return err
-	}
-	lru := &baseline.LRUEngine{Store: m, Model: disk.PaperModel(), CapBytes: best.Cost.PeakMemoryBytes}
-	lruRes, err := lru.Run(res.Baseline().Timeline)
+	defer closeAll()
+	lru, err := baseline.RunLRU(res.Baseline().Timeline, m, best.Cost.PeakMemoryBytes)
 	if err != nil {
 		return err
 	}
@@ -416,32 +392,49 @@ func Compare(w io.Writer, opt Options) error {
 	row("RIOTShare best plan", best.Cost.IOTimeSec)
 	row("operator-at-a-time (Matlab-like)", opAtATime.Cost.IOTimeSec)
 	row("no sharing (SciDB-like)", noShare.Cost.IOTimeSec)
-	row("LRU buffer pool, same memory", lruRes.SimulatedIOSec)
+	row("LRU buffer pool, same memory", lru.IOTimeSec())
 	fmt.Fprintln(w)
 	return nil
 }
 
-// RunAll executes every experiment in order.
-func RunAll(w io.Writer, opt Options) error {
-	steps := []struct {
-		name string
-		fn   func(io.Writer, Options) error
-	}{
-		{"table2", func(w io.Writer, _ Options) error { return Table2(w) }},
-		{"table3", func(w io.Writer, _ Options) error { return Table3(w) }},
-		{"table4", func(w io.Writer, _ Options) error { return Table4(w) }},
-		{"fig3a", Fig3a},
-		{"fig3b", Fig3b},
-		{"fig4", Fig4},
-		{"fig5", Fig5},
-		{"fig6", Fig6},
-		{"opttime", OptTime},
-		{"scales", Scales},
-		{"compare", Compare},
+// experiments lists every §6 report in the order Run prints them.
+var experiments = []struct {
+	name string
+	run  func(io.Writer, Options) error
+}{
+	{"table2", func(w io.Writer, _ Options) error { return Table2(w) }},
+	{"table3", func(w io.Writer, _ Options) error { return Table3(w) }},
+	{"table4", func(w io.Writer, _ Options) error { return Table4(w) }},
+	{"fig3a", Fig3a},
+	{"fig3b", Fig3b},
+	{"fig4", Fig4},
+	{"fig5", Fig5},
+	{"fig6", Fig6},
+	{"opttime", OptTime},
+	{"scales", Scales},
+	{"compare", Compare},
+}
+
+// Run executes the named experiments in the order given, or every one in
+// order when no name is given. An unknown name fails before anything runs.
+func Run(w io.Writer, opt Options, names ...string) error {
+	byName := make(map[string]func(io.Writer, Options) error, len(experiments))
+	valid := make([]string, len(experiments))
+	for i, e := range experiments {
+		byName[e.name] = e.run
+		valid[i] = e.name
 	}
-	for _, s := range steps {
-		if err := s.fn(w, opt); err != nil {
-			return fmt.Errorf("bench: %s: %w", s.name, err)
+	if len(names) == 0 {
+		names = valid
+	}
+	for _, name := range names {
+		if byName[name] == nil {
+			return fmt.Errorf("bench: unknown experiment %q (valid: %s)", name, strings.Join(valid, ", "))
+		}
+	}
+	for _, name := range names {
+		if err := byName[name](w, opt); err != nil {
+			return fmt.Errorf("bench: %s: %w", name, err)
 		}
 	}
 	return nil

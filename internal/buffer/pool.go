@@ -51,7 +51,9 @@ import (
 
 // Options configures a pool beyond its storage manager.
 type Options struct {
-	// CapacityBytes bounds cached bytes (soft; <= 0 = unlimited).
+	// CapacityBytes bounds cached bytes (soft; <= 0 = unlimited), in
+	// physical bytes: what the store's blocks occupy, not their logical
+	// (paper-scale) size.
 	CapacityBytes int64
 	// Policy names the replacement policy. LRU is the only one: "" or
 	// "lru"; NewPoolOptions refuses any other value.
@@ -116,7 +118,9 @@ type frame struct {
 }
 
 // NewPool creates a pool over the manager with the given soft capacity in
-// bytes (<= 0 = unlimited).
+// physical bytes (<= 0 = unlimited). A plan's logical memory figures
+// (cost.Cost.PeakMemoryBytes) must be scaled down before they can cap a
+// pool; baseline.LogicalScale gives the ratio.
 func NewPool(store storage.Backend, capacityBytes int64) *Pool {
 	return &Pool{
 		store:    store,

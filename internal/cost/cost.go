@@ -20,7 +20,8 @@ type Cost struct {
 	IOTimeSec float64
 	// PeakMemoryBytes is the maximum over time of the buffered working set
 	// (blocks accessed by the running instance plus blocks held for reuse),
-	// in logical bytes.
+	// in logical bytes (prog.Array.LogicalBlockBytes), not the physical
+	// bytes a buffer.Pool's capacity counts.
 	PeakMemoryBytes int64
 	// PerArray breaks down I/O volumes by array.
 	PerArray map[string]ArrayIO

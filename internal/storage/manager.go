@@ -132,6 +132,14 @@ type Stats struct {
 	WriteReqs, WriteBytes int64
 }
 
+// Sub returns the I/O issued between the snapshot prev and s.
+func (s Stats) Sub(prev Stats) Stats {
+	return Stats{
+		ReadReqs: s.ReadReqs - prev.ReadReqs, ReadBytes: s.ReadBytes - prev.ReadBytes,
+		WriteReqs: s.WriteReqs - prev.WriteReqs, WriteBytes: s.WriteBytes - prev.WriteBytes,
+	}
+}
+
 // SetLatency configures the simulated per-request device latency (zero
 // disables). It is safe to call while I/O is in flight: requests already
 // sleeping finish with the old latency, later ones use the new one.
