@@ -19,13 +19,11 @@ test:
 # fetch from the pool, streamed tenant attribution, the write-once plan
 # cache, lookups racing retirement, /metrics rendering the same Stats
 # snapshot /stats serves, and a snapshot registering no series in the
-# server; one client setting riotblockd's device latency while another
-# reads in blockd.
+# server.
 test-race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -count=5 ./internal/exec/ ./internal/buffer/ ./internal/govern/
 	$(GO) test -race -count=5 -run 'Fairness|QueueWait|TenantLabel|ResultFetch|StreamAttributesTenant|PlanCacheConcurrentMiss|RetirementRacesLookups|MetricsRenderStats|StatsRegistersNoSeries' ./internal/server/
-	$(GO) test -race -count=5 -run 'RemoteSetLatencyWhileReading' ./internal/blockd/
 
 # Full suite, including the ~80s linear-regression plan-space search.
 test-full:

@@ -36,7 +36,6 @@ func run() error {
 	var (
 		addr    = flag.String("addr", ":8441", "listen address")
 		root    = flag.String("root", "", "shard root directory this server exposes (required)")
-		serial  = flag.Bool("serial-device", false, "serve one simulated-latency request at a time (device modeling experiments)")
 		quiet   = flag.Bool("quiet", false, "suppress per-connection logging")
 		metrics = flag.String("metrics-addr", "", "optional HTTP sidecar address serving GET /metrics and /healthz (e.g. :9441)")
 	)
@@ -44,7 +43,7 @@ func run() error {
 	if *root == "" {
 		return fmt.Errorf("-root required: the shard directory this server exposes")
 	}
-	opt := blockd.Options{SerialDevice: *serial}
+	var opt blockd.Options
 	if !*quiet {
 		opt.Logf = blockd.StdLogf
 	}

@@ -18,7 +18,7 @@
 //	riotshared submit  -addr http://localhost:8377 -spec program.json
 //	riotshared status  -addr http://localhost:8377 -id q1
 //	riotshared results -addr http://localhost:8377 -id q1 -wait
-//	riotshared results -addr http://localhost:8377 -id q1 -stream -stream-chunk-blocks 8
+//	riotshared results -addr http://localhost:8377 -id q1 -stream
 //	riotshared stats   -addr http://localhost:8377 -tenant acme
 //	riotshared stats   -addr http://localhost:8377 -watch 2s   # live delta view
 //	riotshared stats   -addr http://localhost:8377 -planner    # planner tiers + plan cache
@@ -45,7 +45,6 @@ import (
 	"net/url"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -172,7 +171,6 @@ func client(sub string, fs *flag.FlagSet, args []string) error {
 		id       = fs.String("id", "", "query id (status, results, trace)")
 		wait     = fs.Bool("wait", false, "block until the query finishes (results)")
 		stream   = fs.Bool("stream", false, "stream the output blocks from /results/stream instead of fetching the JSON summary; delivery begins before the query finishes (results)")
-		chunkBlk = fs.Int("stream-chunk-blocks", 0, "output blocks per streamed chunk, 0 = server default (results -stream)")
 		shard    = fs.Int("shard", -1, "shard index to re-mirror from its replicas (repair)")
 		watch    = fs.Duration("watch", 0, "poll /stats at this interval and render counter deltas (stats)")
 		planner  = fs.Bool("planner", false, "render per-tier planning percentiles and the plan cache (stats)")
@@ -215,7 +213,7 @@ func client(sub string, fs *flag.FlagSet, args []string) error {
 			return fmt.Errorf("-id required")
 		}
 		if *stream {
-			return streamResults(*addr, *id, *chunkBlk)
+			return streamResults(*addr, *id)
 		}
 		url := *addr + "/results?id=" + *id
 		if *wait {
@@ -251,19 +249,15 @@ func client(sub string, fs *flag.FlagSet, args []string) error {
 	return nil
 }
 
-// streamResults consumes GET /results/stream in binary mode, decoding
+// streamResults consumes GET /results/stream, decoding
 // the blockproto frames as they arrive and printing one summary line
 // per output array. Sums accumulate in frame-arrival order — blocks
 // row-major across the grid, elements row-major within each block —
 // which is exactly the order the server sums for OutputInfo.Sum, so
 // the printed sum is bit-identical to the "sum" field of a whole
 // /results fetch (both are rendered through encoding/json).
-func streamResults(addr, id string, chunkBlocks int) error {
-	u := addr + "/results/stream?id=" + url.QueryEscape(id)
-	if chunkBlocks > 0 {
-		u += "&chunk=" + strconv.Itoa(chunkBlocks)
-	}
-	resp, err := http.Get(u)
+func streamResults(addr, id string) error {
+	resp, err := http.Get(addr + "/results/stream?id=" + url.QueryEscape(id))
 	if err != nil {
 		return err
 	}

@@ -37,9 +37,6 @@ import (
 
 // Options configures a Server beyond its root directory.
 type Options struct {
-	// SerialDevice serializes simulated-latency requests, modeling a
-	// one-request-at-a-time device (see storage.Manager.SerialDevice).
-	SerialDevice bool
 	// Logf, when set, receives one line per accepted connection and per
 	// connection-fatal error. Nil silences the server (tests).
 	Logf func(format string, args ...any)
@@ -71,7 +68,6 @@ func New(root string, opt Options) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	mgr.SerialDevice = opt.SerialDevice
 	s := &Server{opt: opt, mgr: mgr, conns: make(map[net.Conn]struct{})}
 	s.initMetrics()
 	return s, nil
@@ -367,14 +363,6 @@ func (s *Server) handle(version, op byte, payload []byte) (byte, []byte) {
 			return errStatus(blockproto.StatusBadRequest, err)
 		}
 		return reply(nil, s.mgr.WipeStore(name))
-
-	case blockproto.OpLatency:
-		read, write := d.I64(), d.I64()
-		if err := d.Err(); err != nil {
-			return errStatus(blockproto.StatusBadRequest, err)
-		}
-		s.mgr.SetLatency(time.Duration(read), time.Duration(write))
-		return blockproto.StatusOK, nil
 
 	default:
 		return errStatus(blockproto.StatusBadRequest, fmt.Errorf("blockd: unknown opcode %d", op))

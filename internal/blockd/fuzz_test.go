@@ -13,8 +13,8 @@ import (
 // the opcode and payload, the server must answer with a defined status in a
 // reply that fits one frame, and never panic. A create it accepts must be
 // one it can serve, so an accepted OpCreate is followed by a read of the
-// new array's first block; no other op is followed by block I/O, so a
-// fuzzed OpLatency never sleeps. testdata/fuzz/FuzzHandle holds the hostile
+// new array's first block. Opcode 10 is retired and must be refused as a
+// bad request. testdata/fuzz/FuzzHandle holds the hostile
 // frames that once took the server down: a write declaring a
 // 2³²−1 × 2³²−1 block, and a create of a 2²⁰ × 2²⁰ block whose first
 // read allocated terabytes.
@@ -31,7 +31,7 @@ func FuzzHandle(f *testing.F) {
 	f.Add(blockproto.OpManifest, enc().U8(blockproto.ManifestGet).Bytes())
 	f.Add(blockproto.OpStat, enc().Str("../x").Bytes())
 	f.Add(blockproto.OpWipe, enc().Str("A").Bytes())
-	f.Add(blockproto.OpLatency, enc().I64(int64(time.Millisecond)).I64(0).Bytes())
+	f.Add(byte(10), enc().I64(int64(time.Millisecond)).I64(0).Bytes()) // retired opcode
 	f.Fuzz(func(t *testing.T, op byte, payload []byte) {
 		s, err := New(t.TempDir(), Options{})
 		if err != nil {
@@ -52,7 +52,11 @@ func FuzzHandle(f *testing.F) {
 			}
 			return status
 		}
-		if answer(op, payload) == blockproto.StatusOK && op == blockproto.OpCreate {
+		status := answer(op, payload)
+		if op == 10 && status != blockproto.StatusBadRequest {
+			t.Fatalf("retired opcode 10 answered status %d, want StatusBadRequest", status)
+		}
+		if status == blockproto.StatusOK && op == blockproto.OpCreate {
 			name := blockproto.NewDec(payload).Str()
 			answer(blockproto.OpRead, enc().Str(name).I64(0).I64(0).Bytes())
 		}

@@ -21,7 +21,6 @@ var opNames = map[byte]string{
 	blockproto.OpManifest: "manifest",
 	blockproto.OpStat:     "stat",
 	blockproto.OpWipe:     "wipe",
-	blockproto.OpLatency:  "latency",
 }
 
 // initMetrics builds the server's registry: per-op latency histograms

@@ -7,7 +7,6 @@ package blockd_test
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"riotshare/internal/blas"
 	"riotshare/internal/blockd"
@@ -135,31 +134,6 @@ func BenchmarkRemoteRead(b *testing.B) {
 			sweepPipelined(b, rs, arr)
 		}
 	})
-}
-
-// BenchmarkRemoteReadLatency is the same 64-block sweep against a server
-// whose simulated device costs 200µs per read — the regime pipelining is
-// for: the serial sweep pays 64 sequential device waits plus 64 round
-// trips, the pipelined sweep overlaps them across in-flight requests.
-func BenchmarkRemoteReadLatency(b *testing.B) {
-	arr := benchArray()
-	for _, variant := range []struct {
-		name  string
-		sweep func(*testing.B, storage.Backend, *prog.Array)
-	}{
-		{"remote-serial", sweepSerial},
-		{"remote-pipelined", sweepPipelined},
-	} {
-		b.Run(variant.name, func(b *testing.B) {
-			_, rs := startBenchServer(b, 4)
-			fillBench(b, rs, arr)
-			rs.SetLatency(200*time.Microsecond, 0)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				variant.sweep(b, rs, arr)
-			}
-		})
-	}
 }
 
 // BenchmarkRemoteWrite sweeps 64 block writes per op, local vs remote.

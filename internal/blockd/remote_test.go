@@ -215,54 +215,6 @@ func TestRemoteShardConcurrent(t *testing.T) {
 	}
 }
 
-// One client sets the simulated device latency while another reads: the
-// server applies OpLatency on the setter's connection goroutine and sleeps
-// it on the reader's, so the latency must be synchronized (the race
-// detector guards this), and the last setting must take effect.
-func TestRemoteSetLatencyWhileReading(t *testing.T) {
-	srv := startServer(t, t.TempDir())
-	reader := storage.NewRemoteShard(srv.Addr(), storage.RemoteOptions{})
-	defer reader.Close()
-	setter := storage.NewRemoteShard(srv.Addr(), storage.RemoteOptions{})
-	defer setter.Close()
-
-	arr := testArray("A")
-	if err := reader.Create(arr); err != nil {
-		t.Fatal(err)
-	}
-	want := fillBlocks(t, reader, arr, 3)
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-done:
-				return
-			default:
-			}
-			d := time.Duration(i%2) * time.Microsecond
-			setter.SetLatency(d, d)
-		}
-	}()
-	for i := 0; i < 10; i++ {
-		assertBlocks(t, reader, arr, want)
-	}
-	close(done)
-	wg.Wait()
-
-	const lat = 20 * time.Millisecond
-	setter.SetLatency(lat, 0)
-	t0 := time.Now()
-	if _, err := reader.ReadBlock(arr.Name, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if d := time.Since(t0); d < lat {
-		t.Errorf("read after SetLatency(%v) took %v", lat, d)
-	}
-}
-
 // A striped store over riotblockd servers must hold bit-identical data to
 // the same store over local directories.
 func TestRemoteShardedMatchesLocalDirs(t *testing.T) {

@@ -71,10 +71,7 @@ const (
 	// repair's "start from empty" primitive. Wiping an absent store is not
 	// an error.
 	OpWipe byte = 9
-	// OpLatency sets the server's simulated per-request device latency
-	// (read, write nanoseconds; zero disables), mirroring
-	// storage.Backend.SetLatency for experiments.
-	OpLatency byte = 10
+	// 10 is retired (it set a simulated device latency) and never reused.
 )
 
 // Manifest sub-operations (first payload byte of OpManifest).

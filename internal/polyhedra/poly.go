@@ -342,15 +342,3 @@ func (p *Poly) InsertVars(at, count int, names ...string) *Poly {
 	}
 	return q
 }
-
-// Equalities returns the equality constraints (after Simplify semantics; the
-// caller should Simplify first if canonical form matters).
-func (p *Poly) Equalities() []Constraint {
-	var out []Constraint
-	for _, c := range p.Cons {
-		if c.Eq {
-			out = append(out, c)
-		}
-	}
-	return out
-}

@@ -52,18 +52,6 @@ func (s *Set) AddPiece(p *Poly) *Set {
 	return s
 }
 
-// Union returns the union of two sets over the same space.
-func Union(a, b *Set) *Set {
-	if a.Dim != b.Dim {
-		panic("polyhedra: Union dimension mismatch")
-	}
-	out := a.Clone()
-	for _, p := range b.Ps {
-		out.AddPiece(p)
-	}
-	return out
-}
-
 // IntersectSet intersects two sets (cross product of pieces). Pieces that
 // simplify to an obvious contradiction are dropped; a full emptiness check
 // is deliberately not run here (hot path — callers that need definite
@@ -155,18 +143,6 @@ func (s *Set) SubtractPoly(b *Poly) *Set {
 				break
 			}
 		}
-	}
-	return out
-}
-
-// Subtract returns s minus every piece of b.
-func (s *Set) Subtract(b *Set) *Set {
-	if s.Dim != b.Dim {
-		panic("polyhedra: Subtract dimension mismatch")
-	}
-	out := s.Clone()
-	for _, p := range b.Ps {
-		out = out.SubtractPoly(p)
 	}
 	return out
 }

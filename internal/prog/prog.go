@@ -329,13 +329,6 @@ func (s *Statement) Range(v string, lo, hi Expr) *Statement {
 	return s
 }
 
-// DomainIneq adds e >= 0 to the domain.
-func (s *Statement) DomainIneq(e Expr) *Statement {
-	c, k := s.rowNoConst(e)
-	s.Domain.AddIneq(c, k)
-	return s
-}
-
 // Access adds an array access with block subscripts given by expressions
 // (row, col).
 func (s *Statement) Access(t AccessType, array string, rowIdx, colIdx Expr) *Statement {

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"riotshare/internal/polyhedra"
 	"riotshare/internal/prog"
 )
 
@@ -82,25 +81,3 @@ func (s *Searcher) VerifyConcrete(sch *prog.Schedule) error {
 	}
 	return nil
 }
-
-// ViolationWitness returns a concrete witness pair for an illegal schedule,
-// for diagnostics; ok=false if the schedule is legal under the binding.
-func (s *Searcher) ViolationWitness(sch *prog.Schedule) (depStr string, src, tgt []int64, ok bool) {
-	params := s.Prog.ParamValues()
-	for _, dep := range s.An.Deps {
-		pairs, err := dep.ConcretePairs(2_000_000)
-		if err != nil {
-			continue
-		}
-		for _, pr := range pairs {
-			t1 := sch.TimeOf(dep.Src, pr[0], params)
-			t2 := sch.TimeOf(dep.Tgt, pr[1], params)
-			if !prog.LexLess(t1, t2) {
-				return dep.String(), pr[0], pr[1], true
-			}
-		}
-	}
-	return "", nil, nil, false
-}
-
-var _ = polyhedra.NewPoly // keep import when building incrementally

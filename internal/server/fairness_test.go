@@ -132,7 +132,7 @@ func TestTenantFairnessVsFIFOBaseline(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer gov.Close()
-	gov.Store().SetLatency(2*time.Millisecond, 2*time.Millisecond)
+	gov.store.SetLatency(2*time.Millisecond, 2*time.Millisecond)
 	flood, small := fairnessWorkload(t, gov, "flood", "small", floodN, smallN)
 
 	// Interleaving witness: the small tenant finished while flood queries
@@ -170,7 +170,7 @@ func TestTenantFairnessVsFIFOBaseline(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fifo.Close()
-	fifo.Store().SetLatency(2*time.Millisecond, 2*time.Millisecond)
+	fifo.store.SetLatency(2*time.Millisecond, 2*time.Millisecond)
 	_, fifoSmall := fairnessWorkload(t, fifo, "", "", floodN, smallN)
 
 	// Compare the small queries' p95 admission waits: the governed small

@@ -25,12 +25,11 @@ import (
 //	                        409 while the query is still queued/running otherwise
 //	GET  /results/stream?id=q1
 //	                      → the query's output blocks streamed one at a time
-//	                        straight out of the buffer pool: binary blockproto
-//	                        frames by default, ?format=ndjson for one JSON
-//	                        object per line. Streams begin before the query
+//	                        straight out of the buffer pool as binary
+//	                        blockproto frames. Streams begin before the query
 //	                        finishes (early delivery) and retire delivered
-//	                        frames (?retain=evict|drop, ?chunk=N). See
-//	                        docs/streaming.md
+//	                        frames (?retain=evict|drop); any other parameter
+//	                        → 400 naming it. See docs/streaming.md
 //	GET  /queries         → every remembered query, submission order
 //	GET  /stats           → Stats (pool hit rates, physical I/O, admission,
 //	                        plan cache incl. hit rate and planning latency

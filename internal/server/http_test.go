@@ -188,7 +188,8 @@ func TestHTTPErrors(t *testing.T) {
 // A /submit body naming a field Request does not have, such as a
 // per-query "workers" or "prefetch" override, is refused with 400 naming
 // the field instead of being silently ignored; so is a stream retention
-// mode that does not exist.
+// mode that does not exist, and a stream parameter the endpoint does not
+// have (the retired ?format= and ?chunk=).
 func TestHTTPRefusesUnknownOptions(t *testing.T) {
 	s, ts := newHTTPServer(t)
 
@@ -220,6 +221,19 @@ func TestHTTPRefusesUnknownOptions(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != want {
 			t.Errorf("retain=%s: status %d, want %d", retain, resp.StatusCode, want)
+		}
+	}
+	for _, param := range []string{"format", "chunk"} {
+		resp, err := http.Get(ts.URL + "/results/stream?id=" + id + "&" + param + "=1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out struct{ Error string }
+		err = json.NewDecoder(resp.Body).Decode(&out)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusBadRequest || !strings.Contains(out.Error, `"`+param+`"`) {
+			t.Errorf("stream with ?%s=: status %d, error %q (decode err %v); want 400 naming the parameter",
+				param, resp.StatusCode, out.Error, err)
 		}
 	}
 }

@@ -137,7 +137,7 @@ func TestStreamAttributesTenant(t *testing.T) {
 	}
 	before := s.Pool().Stats().Tenants["t1"]
 	var buf bytes.Buffer
-	if err := s.StreamToCtx(context.Background(), &buf, id, 1); err != nil {
+	if err := s.StreamToCtx(context.Background(), &buf, id); err != nil {
 		t.Fatal(err)
 	}
 	blocks := 0

@@ -1,4 +1,4 @@
-// stream.go is the chunked, backpressure-aware result delivery path:
+// stream.go is the block-by-block, backpressure-aware result delivery path:
 // GET /results/stream?id= sends a finished — or still running — query's
 // output blocks one at a time straight out of the buffer pool, instead of
 // materializing the whole result in the handler the way /results does.
@@ -10,28 +10,26 @@
 //     physical write (Engine.OnBlockWritten); the streamer waits on those
 //     per-block signals, so the first finished blocks go on the wire while
 //     later pipeline stages are still executing.
-//   - Backpressure. Blocks are acquired from the pool at most one chunk
+//   - Backpressure. Blocks are acquired from the pool at most one block
 //     ahead of the bytes the client has accepted: a slow reader stalls the
 //     handler's write, which stalls the next pool acquisition. Pool
 //     residency never grows with result size or client speed.
-//   - Bounded retention. After a chunk is on the wire its frames are
+//   - Bounded retention. After a block is on the wire its frame is
 //     retired (buffer.Pool.ReleaseBlock — write back if dirty, drop when
 //     unpinned), so a result far larger than the pool's capacity streams
 //     with flat resident memory. ?retain=drop additionally retires the
 //     query's output stores once the stream completes.
 //
-// Wire format (format=binary): a sequence of blockproto frames
+// Wire format: a sequence of blockproto frames
 // (uint32 length | uint8 version | uint8 kind | payload) using the stream
 // frame kinds below — an array header frame per output array, one frame
 // per block in row-major order, and a final end frame (or an error frame
-// if the query fails mid-stream). format=ndjson mirrors the same sequence
-// as one JSON object per line for curl-ability. docs/streaming.md is the
-// authoritative spec; keep the two in sync.
+// if the query fails mid-stream). docs/streaming.md is the authoritative
+// spec; keep the two in sync.
 package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -148,53 +146,27 @@ type StreamStats struct {
 	Bytes  int64 `json:"bytes"`
 }
 
-// streamOptions is one stream request's parsed knobs.
-type streamOptions struct {
-	format string // "binary" or "ndjson"
-	chunk  int    // blocks acquired/flushed per round
-	retain string // RetainEvict or RetainDrop
-}
+// streamParams are the query parameters GET /results/stream accepts.
+var streamParams = map[string]bool{"id": true, "retain": true, "pretty": true}
 
-// maxStreamChunk bounds ?chunk=: the handler holds at most this many
-// block copies outside the pool at once.
-const maxStreamChunk = 256
-
-func parseStreamOptions(r *http.Request) (streamOptions, error) {
+// parseRetain validates a stream request's parameters and returns its
+// retention mode. A parameter the endpoint does not have is refused by
+// name rather than ignored.
+func parseRetain(r *http.Request) (string, error) {
 	q := r.URL.Query()
-	opt := streamOptions{format: "binary", chunk: 1, retain: RetainEvict}
-	switch f := q.Get("format"); f {
-	case "", "binary":
-	case "ndjson":
-		opt.format = "ndjson"
-	default:
-		return opt, fmt.Errorf("unknown format %q (binary, ndjson)", f)
-	}
-	if c := q.Get("chunk"); c != "" {
-		n, err := strconv.Atoi(c)
-		if err != nil || n < 1 {
-			return opt, fmt.Errorf("chunk must be a positive integer, got %q", c)
+	for name := range q {
+		if !streamParams[name] {
+			return "", fmt.Errorf("unknown parameter %q (id, retain, pretty)", name)
 		}
-		if n > maxStreamChunk {
-			n = maxStreamChunk
-		}
-		opt.chunk = n
 	}
 	switch ret := q.Get("retain"); ret {
 	case "", RetainEvict:
+		return RetainEvict, nil
 	case RetainDrop:
-		opt.retain = ret
+		return ret, nil
 	default:
-		return opt, fmt.Errorf("unknown retain mode %q (evict, drop)", ret)
+		return "", fmt.Errorf("unknown retain mode %q (evict, drop)", ret)
 	}
-	return opt, nil
-}
-
-// streamSink renders the frame sequence to one of the two wire formats.
-type streamSink interface {
-	Array(name string, arr *prog.Array) error
-	Block(name string, r, c int64, blk *blas.Matrix) error
-	End(arrays, blocks int, bytes int64) error
-	Error(msg string) error
 }
 
 // binarySink writes blockproto frames with the stream frame kinds.
@@ -211,8 +183,15 @@ func (b binarySink) Array(name string, arr *prog.Array) error {
 func (b binarySink) Block(name string, r, c int64, blk *blas.Matrix) error {
 	var e blockproto.Enc
 	e.Str(name).I64(r).I64(c).
-		U32(uint32(blk.Rows)).U32(uint32(blk.Cols)).
-		Blob(blockproto.EncodeBlock(blk))
+		U32(uint32(blk.Rows)).U32(uint32(blk.Cols))
+	// Frame length = header + blob length prefix + payload + version/kind.
+	// A block too large for one frame fails before any byte of it reaches
+	// the client, so it is an encode error, not a disconnect.
+	if n := len(e.Bytes()) + 4 + 8*len(blk.Data) + 2; n > blockproto.MaxFrameBytes {
+		return &encodeError{err: fmt.Errorf("block %s[%d,%d] needs a %d-byte frame, over the %d-byte limit",
+			name, r, c, n, blockproto.MaxFrameBytes)}
+	}
+	e.Blob(blockproto.EncodeBlock(blk))
 	return blockproto.WriteFrame(b.w, StreamFrameBlock, e.Bytes())
 }
 
@@ -228,66 +207,24 @@ func (b binarySink) Error(msg string) error {
 	return blockproto.WriteFrame(b.w, StreamFrameError, e.Bytes())
 }
 
-// ndjsonSink writes the same sequence as one JSON object per line.
-type ndjsonSink struct{ w io.Writer }
-
-func (n ndjsonSink) write(v any) error {
-	buf, err := json.Marshal(v)
-	if err != nil {
-		// Marshal failures (NaN/±Inf block data) happen before any bytes
-		// of the line reach the client; tag them so the stream reports a
-		// real error instead of a disconnect.
-		return &encodeError{err: err}
-	}
-	buf = append(buf, '\n')
-	_, err = n.w.Write(buf)
-	return err
-}
-
-func (n ndjsonSink) Array(name string, arr *prog.Array) error {
-	return n.write(map[string]any{
-		"type": "array", "array": name,
-		"blockRows": arr.BlockRows, "blockCols": arr.BlockCols,
-		"gridRows": arr.GridRows, "gridCols": arr.GridCols,
-		"rows": arr.BlockRows * arr.GridRows, "cols": arr.BlockCols * arr.GridCols,
-	})
-}
-
-func (n ndjsonSink) Block(name string, r, c int64, blk *blas.Matrix) error {
-	return n.write(map[string]any{
-		"type": "block", "array": name, "r": r, "c": c,
-		"rows": blk.Rows, "cols": blk.Cols, "data": blk.Data,
-	})
-}
-
-func (n ndjsonSink) End(arrays, blocks int, bytes int64) error {
-	return n.write(map[string]any{
-		"type": "end", "arrays": arrays, "blocks": blocks, "bytes": bytes,
-	})
-}
-
-func (n ndjsonSink) Error(msg string) error {
-	return n.write(map[string]string{"type": "error", "error": msg})
-}
-
 // handleResultsStream is GET /results/stream?id=q1: 404 for an id never
 // issued, 410 for a retired one, 409 (JSON error) when the query already
 // failed, otherwise a 200
 // whose body is the streamed frame sequence. A still-queued or running
 // query streams blocks as execution finishes them (early delivery); a
 // failure after the stream started is reported in-band with an error
-// frame. Optional knobs: ?format=binary|ndjson, ?chunk=N (blocks per
-// acquire/flush round), ?retain=evict|drop.
+// frame. The one optional knob is ?retain=evict|drop; any other parameter
+// besides id and pretty is a 400.
 func (s *Server) handleResultsStream(w http.ResponseWriter, r *http.Request) {
+	retain, err := parseRetain(r)
+	if err != nil {
+		writeErr(w, r, http.StatusBadRequest, err)
+		return
+	}
 	id := r.URL.Query().Get("id")
 	q, err := s.lookup(id)
 	if err != nil {
 		writeErr(w, r, lookupCode(err), err)
-		return
-	}
-	opt, err := parseStreamOptions(r)
-	if err != nil {
-		writeErr(w, r, http.StatusBadRequest, err)
 		return
 	}
 	// A query that already failed gets a clean HTTP error instead of a
@@ -296,27 +233,22 @@ func (s *Server) handleResultsStream(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, http.StatusConflict, err)
 		return
 	}
-	var sink streamSink = binarySink{w: w}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	if opt.format == "ndjson" {
-		sink = ndjsonSink{w: w}
-		w.Header().Set("Content-Type", "application/x-ndjson")
-	}
 	w.Header().Set("X-Riotshare-Query", id)
 	w.WriteHeader(http.StatusOK)
 	flush := func() {}
 	if f, ok := w.(http.Flusher); ok {
 		flush = f.Flush
 	}
-	s.streamQuery(r, q, opt, sink, flush)
+	s.streamQuery(r, q, retain, binarySink{w: w}, flush)
 }
 
 // errStreamCanceled classifies a client disconnect mid-stream.
 var errStreamCanceled = errors.New("stream canceled by client")
 
 // encodeError marks a sink failure that happened while encoding a frame
-// (json.Marshal of a NaN/±Inf block on the ndjson path, say) rather than
-// writing it to the client. The distinction drives the stream's outcome:
+// (a block too large for one frame, say) rather than writing it to the
+// client. The distinction drives the stream's outcome:
 // an encode failure is a genuine stream error — reported in-band with an
 // error frame and counted under outcome="error" — while a write failure
 // means the client is gone (outcome="canceled").
@@ -336,19 +268,17 @@ func classifySinkErr(err error) error {
 
 // streamQuery drives one stream: wait for the query's output namespace,
 // then deliver every non-transient output array's blocks in sorted-array,
-// row-major order, waiting on per-block completion signals, acquiring at
-// most chunk blocks from the pool per round and retiring them after the
-// round is on the wire. It owns the stream telemetry: the counters
+// row-major order, waiting on per-block completion signals, acquiring one
+// block from the pool at a time and retiring it once it is on the wire. It owns the stream telemetry: the counters
 // Stats.Streams reads, the stream-time histogram, and the span tree.
-func (s *Server) streamQuery(r *http.Request, q *query, opt streamOptions, sink streamSink, flush func()) {
+func (s *Server) streamQuery(r *http.Request, q *query, retain string, sink binarySink, flush func()) {
 	ctx := r.Context()
 	root := telemetry.StartSpan("stream")
 	root.Annotate("query", q.id)
-	root.Annotate("format", opt.format)
-	root.Annotate("retain", opt.retain)
+	root.Annotate("retain", retain)
 	s.streamsActive.Add(1)
 	start := time.Now()
-	arrays, blocks, bytes, err := s.streamBlocks(ctx, q, opt, sink, flush)
+	arrays, blocks, bytes, err := s.streamBlocks(ctx, q, sink, flush)
 	s.streamsActive.Add(-1)
 	s.streamedBlocks.Add(int64(blocks))
 	s.streamedBytes.Add(bytes)
@@ -369,7 +299,7 @@ func (s *Server) streamQuery(r *http.Request, q *query, opt streamOptions, sink 
 		flush()
 	}
 	ended.Add(1)
-	if outcome == "done" && opt.retain == RetainDrop {
+	if outcome == "done" && retain == RetainDrop {
 		// The stream can complete before runQuery does — blocks are
 		// announced as execution writes them, ahead of the result-fetch
 		// phase — and dropping the output stores then would yank them out
@@ -390,7 +320,7 @@ func (s *Server) streamQuery(r *http.Request, q *query, opt streamOptions, sink 
 
 // streamBlocks is the delivery loop; it returns the totals delivered and
 // the first error (errStreamCanceled for a client disconnect).
-func (s *Server) streamBlocks(ctx context.Context, q *query, opt streamOptions, sink streamSink, flush func()) (arrays, blocks int, bytes int64, err error) {
+func (s *Server) streamBlocks(ctx context.Context, q *query, sink binarySink, flush func()) (arrays, blocks int, bytes int64, err error) {
 	// Phase 1: wait until the query's output namespace exists (the alias
 	// map is published right after prepareArrays) or the query reaches a
 	// terminal state.
@@ -431,10 +361,6 @@ func (s *Server) streamBlocks(ctx context.Context, q *query, opt streamOptions, 
 	}
 	sort.Strings(names)
 
-	type pending struct {
-		r, c int64
-		blk  *blas.Matrix
-	}
 	for _, name := range names {
 		arr := q.prog.Arrays[name]
 		if arr == nil || arr.Transient {
@@ -445,26 +371,6 @@ func (s *Server) streamBlocks(ctx context.Context, q *query, opt streamOptions, 
 			return arrays, blocks, bytes, classifySinkErr(err)
 		}
 		arrays++
-		chunk := make([]pending, 0, opt.chunk)
-		// emit delivers the buffered chunk: write frames, flush, then
-		// retire the frames from the pool (bounded retention).
-		emit := func() error {
-			for _, p := range chunk {
-				if err := sink.Block(name, p.r, p.c, p.blk); err != nil {
-					return classifySinkErr(err)
-				}
-				blocks++
-				bytes += int64(len(p.blk.Data)) * 8
-			}
-			flush()
-			for _, p := range chunk {
-				if err := s.pool.ReleaseBlock(phys, p.r, p.c); err != nil {
-					return err
-				}
-			}
-			chunk = chunk[:0]
-			return nil
-		}
 		for br := int64(0); br < int64(arr.GridRows); br++ {
 			for bc := int64(0); bc < int64(arr.GridCols); bc++ {
 				if err := s.waitBlockReady(ctx, q, streamKey(name, br, bc)); err != nil {
@@ -476,18 +382,19 @@ func (s *Server) streamBlocks(ctx context.Context, q *query, opt streamOptions, 
 				}
 				// The block is borrowed from the frame and stays valid
 				// (and unchanged) after the pin is gone, so the stream
-				// pins nothing while a chunk waits for the client.
+				// pins nothing while the client reads it.
 				sess.Unpin(phys, br, bc, 1)
-				chunk = append(chunk, pending{r: br, c: bc, blk: blk})
-				if len(chunk) >= opt.chunk {
-					if err := emit(); err != nil {
-						return arrays, blocks, bytes, err
-					}
+				if err := sink.Block(name, br, bc, blk); err != nil {
+					return arrays, blocks, bytes, classifySinkErr(err)
+				}
+				blocks++
+				bytes += int64(len(blk.Data)) * 8
+				flush()
+				// Bounded retention: retire the delivered frame.
+				if err := s.pool.ReleaseBlock(phys, br, bc); err != nil {
+					return arrays, blocks, bytes, err
 				}
 			}
-		}
-		if err := emit(); err != nil {
-			return arrays, blocks, bytes, err
 		}
 	}
 	if err := sink.End(arrays, blocks, bytes); err != nil {
@@ -518,21 +425,17 @@ func (s *Server) waitBlockReady(ctx context.Context, q *query, key string) error
 	}
 }
 
-// StreamToCtx streams a query's outputs to w in the binary frame format —
+// StreamToCtx streams a query's outputs to w in the stream frame format —
 // the in-process form of GET /results/stream, used by tests and embedders.
 // It blocks until the stream completes or fails. Canceling ctx aborts the
 // stream mid-delivery (retiring what it held, like a client disconnect on
 // the HTTP path), so a query that hangs before reaching a terminal state
 // cannot block the embedder forever.
-func (s *Server) StreamToCtx(ctx context.Context, w io.Writer, id string, chunkBlocks int) error {
+func (s *Server) StreamToCtx(ctx context.Context, w io.Writer, id string) error {
 	q, err := s.lookup(id)
 	if err != nil {
 		return err
 	}
-	if chunkBlocks < 1 {
-		chunkBlocks = 1
-	}
-	opt := streamOptions{format: "binary", chunk: chunkBlocks, retain: RetainEvict}
-	_, _, _, err = s.streamBlocks(ctx, q, opt, binarySink{w: w}, func() {})
+	_, _, _, err = s.streamBlocks(ctx, q, binarySink{w: w}, func() {})
 	return err
 }

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -149,7 +148,7 @@ func TestStreamedResultsMatchWholeFetch(t *testing.T) {
 			}
 			// Stream right away: delivery overlaps execution.
 			var buf bytes.Buffer
-			if err := s.StreamToCtx(context.Background(), &buf, id, 3); err != nil {
+			if err := s.StreamToCtx(context.Background(), &buf, id); err != nil {
 				t.Fatalf("StreamToCtx: %v", err)
 			}
 			st, err := s.Wait(id)
@@ -267,7 +266,7 @@ func TestStreamBackpressureBoundsPoolResidency(t *testing.T) {
 		t.Fatalf("state = %s, err %q", st.State, st.Err)
 	}
 	w := &poolWatchingWriter{s: s}
-	if err := s.StreamToCtx(context.Background(), w, id, 4); err != nil {
+	if err := s.StreamToCtx(context.Background(), w, id); err != nil {
 		t.Fatalf("StreamToCtx: %v", err)
 	}
 	stats := s.Stats()
@@ -304,7 +303,7 @@ func TestStreamClientDisconnect(t *testing.T) {
 	// milliseconds of wall time, so the second stays queued — its stream
 	// blocks server-side with nothing on the wire, and the disconnect is
 	// guaranteed to land mid-stream.
-	s.Store().SetLatency(3*time.Millisecond, 3*time.Millisecond)
+	s.store.SetLatency(3*time.Millisecond, 3*time.Millisecond)
 	id1, err := s.Submit(Request{Program: "addmul-small"})
 	if err != nil {
 		t.Fatal(err)
@@ -344,7 +343,7 @@ func TestStreamClientDisconnect(t *testing.T) {
 
 	// Let both queries finish; the disconnected stream must not have
 	// disturbed them, and the query stays streamable.
-	s.Store().SetLatency(0, 0)
+	s.store.SetLatency(0, 0)
 	for _, id := range []string{id1, id2} {
 		st, err := s.Wait(id)
 		if err != nil {
@@ -355,7 +354,7 @@ func TestStreamClientDisconnect(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	if err := s.StreamToCtx(context.Background(), &buf, id2, 2); err != nil {
+	if err := s.StreamToCtx(context.Background(), &buf, id2); err != nil {
 		t.Fatalf("re-stream after disconnect: %v", err)
 	}
 	st2, err := s.Status(id2)
@@ -398,7 +397,7 @@ func TestStreamRetainDropWaitsForQuery(t *testing.T) {
 	// nothing while the query's result-fetch phase still has one slow
 	// read per output block ahead of it when the stream's End frame (and,
 	// before the fix, the drop) lands.
-	s.Store().SetLatency(10*time.Millisecond, 0)
+	s.store.SetLatency(10*time.Millisecond, 0)
 	id, err := s.Submit(Request{Spec: gridAddSpec(4, 8)})
 	if err != nil {
 		t.Fatal(err)
@@ -432,29 +431,28 @@ func TestStreamRetainDropWaitsForQuery(t *testing.T) {
 }
 
 // TestSinkErrorClassification covers the stream-outcome split between
-// transport failures (client gone → canceled) and encode failures (bad
-// data → a real stream error): an ndjson marshal of NaN block data must
-// not be silently counted as a client disconnect.
+// transport failures (client gone → canceled) and encode failures (a
+// block too large for one frame → a real stream error, reported in-band):
+// an oversize block must not be silently counted as a client disconnect.
 func TestSinkErrorClassification(t *testing.T) {
 	if err := classifySinkErr(io.ErrClosedPipe); !errors.Is(err, errStreamCanceled) {
 		t.Fatalf("transport failure classified as %v, want canceled", err)
 	}
-	blk := blas.NewMatrix(1, 1)
-	blk.Data[0] = math.NaN()
+	blk := blas.NewMatrix(1, blockproto.MaxFrameBytes/8)
 	var buf bytes.Buffer
-	err := ndjsonSink{w: &buf}.Block("E", 0, 0, blk)
+	err := binarySink{w: &buf}.Block("E", 0, 0, blk)
 	if err == nil {
-		t.Fatal("ndjson encode of NaN block data should fail")
+		t.Fatal("a block over the frame limit should fail to encode")
 	}
 	var enc *encodeError
 	if !errors.As(err, &enc) {
-		t.Fatalf("marshal failure not tagged as encodeError: %v", err)
+		t.Fatalf("oversize frame not tagged as encodeError: %v", err)
 	}
 	if c := classifySinkErr(err); errors.Is(c, errStreamCanceled) {
 		t.Fatalf("encode failure misclassified as client disconnect: %v", c)
 	}
 	if buf.Len() != 0 {
-		t.Errorf("partial line written before the encode failure: %q", buf.String())
+		t.Errorf("%d bytes written before the encode failure", buf.Len())
 	}
 }
 
@@ -475,7 +473,7 @@ func TestStreamToCtxCancel(t *testing.T) {
 	// The first query occupies the only execution slot for hundreds of
 	// milliseconds; the second stays queued, so its stream has nothing to
 	// deliver and parks in waitBlockReady.
-	s.Store().SetLatency(3*time.Millisecond, 3*time.Millisecond)
+	s.store.SetLatency(3*time.Millisecond, 3*time.Millisecond)
 	id1, err := s.Submit(Request{Program: "addmul-small"})
 	if err != nil {
 		t.Fatal(err)
@@ -490,7 +488,7 @@ func TestStreamToCtxCancel(t *testing.T) {
 		cancel()
 	}()
 	streamDone := make(chan error, 1)
-	go func() { streamDone <- s.StreamToCtx(ctx, io.Discard, id2, 2) }()
+	go func() { streamDone <- s.StreamToCtx(ctx, io.Discard, id2) }()
 	select {
 	case err := <-streamDone:
 		if !errors.Is(err, errStreamCanceled) {
@@ -500,7 +498,7 @@ func TestStreamToCtxCancel(t *testing.T) {
 		t.Fatal("StreamToCtx still blocked after its context was canceled")
 	}
 	// The abandoned stream left both queries unharmed.
-	s.Store().SetLatency(0, 0)
+	s.store.SetLatency(0, 0)
 	for _, id := range []string{id1, id2} {
 		st, err := s.Wait(id)
 		if err != nil {
@@ -526,7 +524,7 @@ func TestResultsWaitHonorsClientDisconnect(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	s.Store().SetLatency(3*time.Millisecond, 3*time.Millisecond)
+	s.store.SetLatency(3*time.Millisecond, 3*time.Millisecond)
 	id, err := s.Submit(Request{Program: "addmul-small"})
 	if err != nil {
 		t.Fatal(err)
@@ -549,7 +547,7 @@ func TestResultsWaitHonorsClientDisconnect(t *testing.T) {
 	if rec.Body.Len() != 0 {
 		t.Errorf("handler wrote %q to a disconnected client", rec.Body.String())
 	}
-	s.Store().SetLatency(0, 0)
+	s.store.SetLatency(0, 0)
 	st, err := s.Wait(id)
 	if err != nil {
 		t.Fatal(err)

@@ -1,16 +1,13 @@
 package storage
 
 import (
-	"time"
-
 	"riotshare/internal/blas"
 	"riotshare/internal/prog"
 )
 
 // Backend is the block-storage abstraction the rest of the system runs
-// over: array registration, physical block I/O, retirement, physical I/O
-// counters, and the simulated-device latency knob the pipelining and
-// sharding experiments drive. *Manager is the single-directory
+// over: array registration, physical block I/O, retirement, and physical
+// I/O counters. *Manager is the single-directory
 // implementation; *ShardedManager stripes blocks across several shard
 // directories (stand-ins for devices) behind the same interface, so the
 // buffer pool, the execution engines, and the multi-query server are
@@ -30,10 +27,6 @@ type Backend interface {
 	Drop(array string, deleteFile bool) error
 	// Stats snapshots the physical I/O performed since creation.
 	Stats() Stats
-	// SetLatency configures the simulated per-request device latency
-	// (zero disables). On a sharded backend each shard is its own device
-	// and sleeps independently.
-	SetLatency(read, write time.Duration)
 	// Close closes every store.
 	Close() error
 }

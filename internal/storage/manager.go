@@ -96,15 +96,16 @@ type Manager struct {
 	// sleeping once per physical block request (coalesced readers share one
 	// sleep). They let pipelining experiments reproduce disk-bound behavior
 	// on fast local storage; zero (the default) disables the simulation.
-	// SetLatency is their only setter: a riotblockd sets them from one
-	// connection while others read, so they are atomics.
+	// SetLatency is their only setter and may run while other goroutines
+	// read, so they are atomics.
 	readLatency, writeLatency atomic.Int64
-	// SerialDevice serializes the simulated latency sleeps, modeling a
+	// serialDevice serializes the simulated latency sleeps, modeling a
 	// device that serves one request at a time (a single disk head). With
 	// it, concurrent requests to one manager queue behind each other —
 	// which is what makes striping across several managers (shards)
-	// measurably faster for parallel reads.
-	SerialDevice bool
+	// measurably faster for parallel reads. Only the package's own shard
+	// tests set it.
+	serialDevice bool
 	deviceMu     sync.Mutex
 
 	mu     sync.RWMutex // guards stores/arrays registration
@@ -154,7 +155,7 @@ func (m *Manager) simulate(d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	if m.SerialDevice {
+	if m.serialDevice {
 		m.deviceMu.Lock()
 		defer m.deviceMu.Unlock()
 	}

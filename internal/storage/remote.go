@@ -475,13 +475,6 @@ func (s *RemoteShard) Stats() Stats {
 	return Stats{ReadReqs: d.I64(), ReadBytes: d.I64(), WriteReqs: d.I64(), WriteBytes: d.I64()}
 }
 
-// SetLatency configures the server's simulated device latency (best
-// effort: an unreachable server keeps its current setting).
-func (s *RemoteShard) SetLatency(read, write time.Duration) {
-	e := new(blockproto.Enc).I64(int64(read)).I64(int64(write))
-	_, _ = s.do(blockproto.OpLatency, e.Bytes())
-}
-
 // ReadManifest fetches the shard root's manifest; a missing manifest
 // satisfies errors.Is(err, fs.ErrNotExist) like a missing local file, and
 // an unreachable server reads as "manifest lost" too — which is exactly

@@ -21,11 +21,12 @@ func BenchmarkShardedRead(b *testing.B) {
 	arr := &prog.Array{Name: "A", BlockRows: 8, BlockCols: 8, GridRows: 8, GridCols: 8}
 	for _, shards := range []int{1, 4} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			sm, err := OpenSharded(ShardDirs(b.TempDir(), shards), ShardedOptions{SerialDevice: true})
+			sm, err := OpenSharded(ShardDirs(b.TempDir(), shards), ShardedOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}
 			defer sm.Close()
+			serializeDevices(sm)
 			if err := sm.Create(arr); err != nil {
 				b.Fatal(err)
 			}

@@ -141,11 +141,6 @@ type ShardedOptions struct {
 	// written) at open, and shared arrays recorded with RecordShared
 	// survive restarts.
 	Persist bool
-	// SerialDevice makes each local shard serve one simulated-latency
-	// request at a time (see Manager.SerialDevice) — the regime where
-	// striping across shards buys parallel read bandwidth. Remote shards
-	// take it from their server's -serial-device flag instead.
-	SerialDevice bool
 	// Remote tunes the client connecting to each remote (host:port) shard:
 	// pool size, timeouts, retry policy. The zero value gets defaults; it
 	// is ignored for local directory shards.
@@ -212,7 +207,6 @@ func openShard(spec string, opt ShardedOptions) (shard, error) {
 	if err != nil {
 		return nil, fmt.Errorf("storage: shard %s: %w", spec, err)
 	}
-	m.SerialDevice = opt.SerialDevice
 	return m, nil
 }
 
@@ -961,15 +955,14 @@ func (sm *ShardedManager) RecordShared(arr *prog.Array, fingerprint string) erro
 	return sm.saveManifestsLocked()
 }
 
-// SetLatency configures the simulated per-request latency on every shard;
-// each shard sleeps independently, like separate devices. For remote
-// shards this sets the latency on the server (best effort).
+// SetLatency configures the simulated per-request latency on every local
+// shard (see Manager.SetLatency); each sleeps independently, like
+// separate devices. Remote shards are real servers and are left alone.
 func (sm *ShardedManager) SetLatency(read, write time.Duration) {
-	for i, sd := range sm.shards {
-		if sm.degraded[i].Load() {
-			continue
+	for _, sd := range sm.shards {
+		if m, ok := sd.(*Manager); ok {
+			m.SetLatency(read, write)
 		}
-		sd.SetLatency(read, write)
 	}
 }
 

@@ -355,6 +355,17 @@ func TestShardedDropUncatalogs(t *testing.T) {
 	}
 }
 
+// serializeDevices makes every local shard of sm serve one
+// simulated-latency request at a time (Manager.serialDevice) — the regime
+// where striping across shards buys parallel read bandwidth.
+func serializeDevices(sm *ShardedManager) {
+	for _, sd := range sm.shards {
+		if m, ok := sd.(*Manager); ok {
+			m.serialDevice = true
+		}
+	}
+}
+
 // Concurrent reads across shards must proceed in parallel: on serial
 // simulated devices, reading N blocks spread over 4 shards should take
 // roughly N/4 device-sleeps, not N.
@@ -367,11 +378,12 @@ func TestShardedParallelReads(t *testing.T) {
 	nBlocks := arr.GridRows * arr.GridCols // 20
 
 	elapsed := func(shards int) time.Duration {
-		sm, err := OpenSharded(ShardDirs(t.TempDir(), shards), ShardedOptions{SerialDevice: true})
+		sm, err := OpenSharded(ShardDirs(t.TempDir(), shards), ShardedOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer sm.Close()
+		serializeDevices(sm)
 		if err := sm.Create(arr); err != nil {
 			t.Fatal(err)
 		}

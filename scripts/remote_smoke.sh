@@ -8,8 +8,9 @@
 #      verify the streamed sum is byte-identical to the whole-fetch
 #      /results sum and that riotshare_stream_blocks_total went
 #      positive on /metrics,
-#   3. kill one riotblockd and verify the same query still succeeds via
-#      degraded reads (degradedReads > 0 in /stats), that /metrics on
+#   3. kill one riotblockd and verify a new query still succeeds and the
+#      first query's result streams again bit-identically via degraded
+#      reads (degradedReads > 0 in /stats), that /metrics on
 #      riotshared parses as Prometheus text exposition with
 #      riotshare_shard_degraded_reads_total gone positive, and that the
 #      surviving riotblockd's -metrics-addr sidecar serves its own
@@ -148,8 +149,7 @@ echo "== streamed results must match the whole fetch bit for bit"
 whole_sum=$(curl -sf --max-time 10 "$ADDR/results?id=$qid" |
     sed -n 's/.*"sum": *\([^,}]*\).*/\1/p' | head -1)
 [ -n "$whole_sum" ] || fail "no output sum in /results for $qid"
-stream_sum=$("$BIN/riotshared" results -addr "$ADDR" -id "$qid" \
-    -stream -stream-chunk-blocks 4 |
+stream_sum=$("$BIN/riotshared" results -addr "$ADDR" -id "$qid" -stream |
     sed -n 's/.* blocks, .* bytes, sum \(.*\)$/\1/p' | head -1)
 [ -n "$stream_sum" ] || fail "streamed fetch of $qid printed no sum"
 [ "$stream_sum" = "$whole_sum" ] ||
@@ -170,6 +170,14 @@ echo "== kill shard 1's server; query must survive on degraded reads"
 kill "${BLOCKD_PID[1]}"
 wait "${BLOCKD_PID[1]}" 2>/dev/null || true
 submit_query >/dev/null
+# The new query's inputs are pool-resident, so it may read nothing from the
+# store. The first query's output frames were retired by its stream, so
+# streaming it again reads every output block back from the shards, and
+# those whose primary is shard 1 must come from a replica.
+restream_sum=$("$BIN/riotshared" results -addr "$ADDR" -id "$qid" -stream |
+    sed -n 's/.* blocks, .* bytes, sum \(.*\)$/\1/p' | head -1)
+[ "$restream_sum" = "$whole_sum" ] ||
+    fail "degraded re-stream sum '$restream_sum' != whole-fetch sum '$whole_sum'"
 degraded=$(stat_field degradedReads)
 [ -n "$degraded" ] && [ "$degraded" -gt 0 ] ||
     fail "expected degradedReads > 0 after killing shard 1, got '${degraded:-0}'"
