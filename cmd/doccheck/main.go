@@ -3,9 +3,9 @@
 // on exported types, consts, vars, plus exported interface methods (the
 // API contract) — must carry a doc comment. Struct fields are exempt:
 // requiring "ID is the ID"-style field comments produces noise, not
-// documentation. CI runs it over the public surface (`make doc-check`):
+// documentation. CI runs it over every package (`make doc-check`):
 //
-//	doccheck . ./internal/storage ./internal/server ./internal/blockd ./internal/blockproto
+//	doccheck $(go list -f '{{.Dir}}' ./...)
 //
 // It parses with go/ast only (no type checking, no build), skips _test.go
 // files, and exits 1 listing every undocumented identifier as

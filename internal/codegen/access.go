@@ -1,7 +1,9 @@
 package codegen
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 
 	"riotshare/internal/prog"
 )
@@ -26,28 +28,36 @@ type BlockAccess struct {
 // preserves the statement's access order, which kernels depend on.
 func (tl *Timeline) AccessSets() [][]BlockAccess {
 	sets := make([][]BlockAccess, len(tl.Events))
-	for i, ev := range tl.Events {
-		for ai := range ev.St.Accesses {
-			action := tl.Actions[i][ai]
-			if action == Inactive {
-				continue
-			}
-			ac := &ev.St.Accesses[ai]
-			r, c := ac.BlockAt(ev.X, tl.Params)
-			sets[i] = append(sets[i], BlockAccess{
-				Acc: ai, Array: ac.Array, R: r, C: c,
-				Key: blockKey(ac.Array, r, c), Type: ac.Type, Action: action,
-			})
+	for i := range tl.Events {
+		sets[i] = tl.appendAccesses(nil, i)
+		for j := range sets[i] {
+			ba := &sets[i][j]
+			ba.Key = blockKey(ba.Array, ba.R, ba.C)
 		}
 	}
 	return sets
 }
 
+// appendAccesses appends event i's active accesses to dst, in access order
+// and without their Key.
+func (tl *Timeline) appendAccesses(dst []BlockAccess, i int) []BlockAccess {
+	ev := tl.Events[i]
+	for ai := range ev.St.Accesses {
+		action := tl.Actions[i][ai]
+		if action == Inactive {
+			continue
+		}
+		ac := &ev.St.Accesses[ai]
+		r, c := ac.BlockAt(ev.X, tl.Params)
+		dst = append(dst, BlockAccess{Acc: ai, Array: ac.Array, R: r, C: c, Type: ac.Type, Action: action})
+	}
+	return dst
+}
+
 // HoldInterval is a maximal span of events during which one block stays
-// buffered. It is the static form of the execution engine's hold
-// bookkeeping (exec.accountRun): the block enters the buffer when the event
-// at Start completes and leaves it after the event at End completes, so
-// events in (Start, End] observe it as memory-resident.
+// buffered: the block enters the buffer when the event at Start completes
+// and leaves it after the event at End completes, so events in (Start, End]
+// observe it as memory-resident.
 type HoldInterval struct {
 	Array string
 	R, C  int64
@@ -57,44 +67,135 @@ type HoldInterval struct {
 }
 
 // HoldIntervals merges the timeline's holds per block into maximal
-// intervals under the same rule as exec.accountRun: a hold activating at
-// or before the current merged end extends it (activation happens at the
-// top of its start event, expiry at the bottom of the end event, so
-// Start2 <= End1 chains them), while a later hold opens a new interval.
-// Intervals are returned sorted by (Key, Start).
+// intervals: a hold starting at or before the current merged end extends
+// it (Start2 <= End1 chains them, because the block is still buffered when
+// the event at End1 runs), while a later hold opens a new interval.
+// Intervals are returned sorted by block (array, row, column) and Start.
 func (tl *Timeline) HoldIntervals() []HoldInterval {
-	byKey := make(map[string][]Hold)
-	for _, h := range tl.Holds {
-		byKey[blockKey(h.Array, h.R, h.C)] = append(byKey[blockKey(h.Array, h.R, h.C)], h)
-	}
+	holds := slices.Clone(tl.Holds)
+	slices.SortFunc(holds, func(x, y Hold) int {
+		return cmp.Or(strings.Compare(x.Array, y.Array), cmp.Compare(x.R, y.R), cmp.Compare(x.C, y.C),
+			cmp.Compare(x.StartEvent, y.StartEvent))
+	})
 	var out []HoldInterval
-	for key, holds := range byKey {
-		sort.Slice(holds, func(i, j int) bool {
-			if holds[i].StartEvent != holds[j].StartEvent {
-				return holds[i].StartEvent < holds[j].StartEvent
-			}
-			return holds[i].EndEvent < holds[j].EndEvent
-		})
-		cur := HoldInterval{Array: holds[0].Array, R: holds[0].R, C: holds[0].C,
-			Key: key, Start: holds[0].StartEvent, End: holds[0].EndEvent}
-		for _, h := range holds[1:] {
-			if h.StartEvent <= cur.End {
-				if h.EndEvent > cur.End {
-					cur.End = h.EndEvent
-				}
+	for _, h := range holds {
+		if n := len(out); n > 0 {
+			if cur := &out[n-1]; cur.Array == h.Array && cur.R == h.R && cur.C == h.C && h.StartEvent <= cur.End {
+				cur.End = max(cur.End, h.EndEvent)
 				continue
 			}
-			out = append(out, cur)
-			cur = HoldInterval{Array: h.Array, R: h.R, C: h.C,
-				Key: key, Start: h.StartEvent, End: h.EndEvent}
 		}
-		out = append(out, cur)
+		out = append(out, HoldInterval{Array: h.Array, R: h.R, C: h.C,
+			Key: blockKey(h.Array, h.R, h.C), Start: h.StartEvent, End: h.EndEvent})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Key != out[j].Key {
-			return out[i].Key < out[j].Key
-		}
-		return out[i].Start < out[j].Start
-	})
 	return out
+}
+
+// Accounting is the logical I/O and memory of a timeline: what the plan
+// reads, writes and keeps buffered, in paper-scale bytes
+// (prog.Array.LogicalBlockBytes). The cost model prices it and the
+// execution engine reports it; both take it from Timeline.Account.
+type Accounting struct {
+	ReadBytes, WriteBytes int64
+	ReadReqs, WriteReqs   int64
+	// PeakMemoryBytes is the maximum over events of the buffered working
+	// set: the blocks the running event accesses plus the blocks held for
+	// reuse, not the physical bytes a buffer.Pool's capacity counts.
+	PeakMemoryBytes int64
+	// PerArray breaks the I/O volumes down by array.
+	PerArray map[string]ArrayIO
+}
+
+// ArrayIO is one array's share of an Accounting's I/O volumes.
+type ArrayIO struct {
+	ReadBytes, WriteBytes int64
+}
+
+// Account sums the timeline's logical I/O and peak working set in one
+// sweep of its events. It is the one statement of the plan's accounting
+// rule:
+//
+//   - Every DoIO write is one write request of one block. Every DoIO read
+//     is one read request, except that a block one event reads twice is
+//     read once: the executor acquires it for the first access and serves
+//     the second from the same block.
+//   - Event i's working set is the distinct blocks it accesses under any
+//     action but Inactive, plus the block of every hold interval with
+//     Start <= i <= End. The peak is the largest working set.
+//
+// sets, when non-nil, is the timeline's AccessSets; a nil sets resolves
+// each event's accesses on the fly into one reused buffer.
+func (tl *Timeline) Account(sets [][]BlockAccess) Accounting {
+	type blockID struct {
+		array string
+		r, c  int64
+	}
+	arrays := tl.Prog.Arrays
+	acct := Accounting{PerArray: make(map[string]ArrayIO)}
+
+	// Hold intervals in start order; heldUntil maps a block to the End of
+	// its latest started interval (intervals of one block are disjoint), and
+	// release[i] is what leaves the buffer after event i.
+	ivs := tl.HoldIntervals()
+	slices.SortFunc(ivs, func(x, y HoldInterval) int { return cmp.Compare(x.Start, y.Start) })
+	heldUntil := make(map[blockID]int, len(ivs))
+	release := make([]int64, len(tl.Events))
+	held := int64(0)
+	next := 0
+
+	var scratch []BlockAccess
+	type touched struct {
+		id   blockID
+		read bool // read from disk by this event already
+	}
+	var local []touched
+	for i := range tl.Events {
+		for ; next < len(ivs) && ivs[next].Start <= i; next++ {
+			iv := &ivs[next]
+			b := arrays[iv.Array].LogicalBlockBytes
+			heldUntil[blockID{iv.Array, iv.R, iv.C}] = iv.End
+			held += b
+			release[iv.End] += b
+		}
+		var set []BlockAccess
+		if sets != nil {
+			set = sets[i]
+		} else {
+			scratch = tl.appendAccesses(scratch[:0], i)
+			set = scratch
+		}
+
+		mem := held
+		local = local[:0]
+		for _, ba := range set {
+			id := blockID{ba.Array, ba.R, ba.C}
+			b := arrays[ba.Array].LogicalBlockBytes
+			j := slices.IndexFunc(local, func(t touched) bool { return t.id == id })
+			if j < 0 {
+				j = len(local)
+				local = append(local, touched{id: id})
+				if end, ok := heldUntil[id]; !ok || end < i {
+					mem += b
+				}
+			}
+			if ba.Action != DoIO || (ba.Type == prog.Read && local[j].read) {
+				continue
+			}
+			pa := acct.PerArray[ba.Array]
+			if ba.Type == prog.Read {
+				local[j].read = true
+				acct.ReadBytes += b
+				acct.ReadReqs++
+				pa.ReadBytes += b
+			} else {
+				acct.WriteBytes += b
+				acct.WriteReqs++
+				pa.WriteBytes += b
+			}
+			acct.PerArray[ba.Array] = pa
+		}
+		acct.PeakMemoryBytes = max(acct.PeakMemoryBytes, mem)
+		held -= release[i]
+	}
+	return acct
 }

@@ -1,6 +1,7 @@
 package codegen_test
 
 import (
+	"reflect"
 	"testing"
 
 	"riotshare/internal/codegen"
@@ -119,6 +120,18 @@ func TestHoldIntervalStartAccessesBlock(t *testing.T) {
 			if !found {
 				t.Fatalf("plan %s: interval %+v start event does not access the block", pl.Label, iv)
 			}
+		}
+	}
+}
+
+// Account must give the same result over precomputed access sets (the
+// executor's call) as resolving each event itself (the cost model's).
+func TestAccountWithAndWithoutSets(t *testing.T) {
+	res := addMulPlans(t)
+	for _, pl := range res.Plans {
+		tl := pl.Timeline
+		if got, want := tl.Account(tl.AccessSets()), tl.Account(nil); !reflect.DeepEqual(got, want) {
+			t.Fatalf("plan %s: Account(sets) = %+v, Account(nil) = %+v", pl.Label, got, want)
 		}
 	}
 }

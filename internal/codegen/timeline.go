@@ -3,7 +3,7 @@
 // emitting C through CLooG, it produces (a) the exact lexicographic
 // execution order of statement instances and (b) per-access I/O actions
 // (read from disk, serve from memory, elide the write), which the execution
-// engine interprets and the cost evaluator sums. A schedule alone does not
+// engine interprets and Timeline.Account sums. A schedule alone does not
 // dictate I/O sharing (§5.3's footnote); the actions injected here realize
 // exactly the plan's opportunity set Q.
 package codegen
@@ -253,7 +253,8 @@ func appendInt(buf []byte, v int64) []byte {
 	return append(buf, byte('0'+v%10))
 }
 
-// BlockKey exposes the canonical block identity used across cost and exec.
+// BlockKey exposes the canonical block identity BlockAccess.Key and
+// HoldInterval.Key carry.
 func BlockKey(array string, r, c int64) string { return blockKey(array, r, c) }
 
 // String summarizes the timeline (first events and action statistics).

@@ -109,8 +109,8 @@ func executable(p *prog.Program) bool {
 
 // TestFuzzPipeline generates random programs and validates, for every plan
 // the optimizer produces: (a) instance-level legality of the schedule,
-// (b) cost/execution agreement byte for byte, (c) identical final outputs
-// across all plans of the same program.
+// (b) the store serving exactly the predicted I/O, byte for byte, (c)
+// identical final outputs across all plans of the same program.
 func TestFuzzPipeline(t *testing.T) {
 	rng := rand.New(rand.NewSource(123))
 	programs := 0
@@ -130,7 +130,7 @@ func TestFuzzPipeline(t *testing.T) {
 		if !executable(p) {
 			continue
 		}
-		// (b)+(c): execute up to 6 plans, compare volumes and outputs.
+		// (b)+(c): execute up to 6 plans, compare store I/O and outputs.
 		var refOutputs map[string][]float64
 		limit := len(res.Plans)
 		if limit > 6 {
@@ -147,18 +147,23 @@ func TestFuzzPipeline(t *testing.T) {
 			if err := fillRandomInputs(p, m, 99); err != nil {
 				t.Fatal(err)
 			}
+			before := m.Stats()
 			eng := &exec.Engine{Store: m, Model: disk.PaperModel()}
-			r, err := eng.Run(pl.Timeline)
-			if err != nil {
+			if _, err := eng.Run(pl.Timeline); err != nil {
 				t.Fatalf("program %s plan %s: %v", p.Name, pl.Label, err)
 			}
-			if r.ReadBytes != pl.Cost.ReadBytes || r.WriteBytes != pl.Cost.WriteBytes {
-				t.Fatalf("program %s plan %s: measured (%d,%d) != predicted (%d,%d)",
-					p.Name, pl.Label, r.ReadBytes, r.WriteBytes, pl.Cost.ReadBytes, pl.Cost.WriteBytes)
+			io := m.Stats().Sub(before)
+			var readBytes, writeBytes int64 // the prediction in physical bytes
+			for name, v := range pl.Cost.PerArray {
+				arr := p.Arrays[name]
+				readBytes += v.ReadBytes / arr.LogicalBlockBytes * arr.PhysicalBlockBytes()
+				writeBytes += v.WriteBytes / arr.LogicalBlockBytes * arr.PhysicalBlockBytes()
 			}
-			if r.PeakMemoryBytes != pl.Cost.PeakMemoryBytes {
-				t.Fatalf("program %s plan %s: peak memory %d != %d",
-					p.Name, pl.Label, r.PeakMemoryBytes, pl.Cost.PeakMemoryBytes)
+			if io.ReadReqs != pl.Cost.ReadReqs || io.WriteReqs != pl.Cost.WriteReqs ||
+				io.ReadBytes != readBytes || io.WriteBytes != writeBytes {
+				t.Fatalf("program %s plan %s: store served (%d,%d) requests, (%d,%d) bytes; predicted (%d,%d), (%d,%d)",
+					p.Name, pl.Label, io.ReadReqs, io.WriteReqs, io.ReadBytes, io.WriteBytes,
+					pl.Cost.ReadReqs, pl.Cost.WriteReqs, readBytes, writeBytes)
 			}
 			outs := readOutputs(t, p, m, pl.Timeline)
 			if refOutputs == nil {

@@ -1,14 +1,13 @@
-// Package cost evaluates plans (§5.4): exact I/O volumes (bytes and block
-// requests), the modeled I/O time, and the peak memory requirement of a
-// lowered timeline. Counting is exact for the bound parameters — the
-// concrete-evaluation counterpart of the paper's piecewise
-// quasipolynomials (DESIGN.md substitution S3).
+// Package cost prices plans (§5.4): a lowered timeline's exact I/O
+// volumes (bytes and block requests) and peak memory requirement, as
+// counted by codegen.Timeline.Account, plus the modeled I/O time. Counting
+// is exact for the bound parameters — the concrete-evaluation counterpart
+// of the paper's piecewise quasipolynomials (DESIGN.md substitution S3).
 package cost
 
 import (
 	"riotshare/internal/codegen"
 	"riotshare/internal/disk"
-	"riotshare/internal/prog"
 )
 
 // Cost is the evaluation of one plan.
@@ -18,19 +17,15 @@ type Cost struct {
 	ReadReqs, WriteReqs   int64
 	// IOTimeSec is the modeled I/O time.
 	IOTimeSec float64
-	// PeakMemoryBytes is the maximum over time of the buffered working set
-	// (blocks accessed by the running instance plus blocks held for reuse),
-	// in logical bytes (prog.Array.LogicalBlockBytes), not the physical
-	// bytes a buffer.Pool's capacity counts.
+	// PeakMemoryBytes is the peak buffered working set in logical bytes
+	// (codegen.Accounting.PeakMemoryBytes).
 	PeakMemoryBytes int64
 	// PerArray breaks down I/O volumes by array.
 	PerArray map[string]ArrayIO
 }
 
 // ArrayIO is the per-array I/O volume breakdown.
-type ArrayIO struct {
-	ReadBytes, WriteBytes int64
-}
+type ArrayIO = codegen.ArrayIO
 
 // LogicalIOBytes is the plan's total logical I/O volume (reads plus
 // writes). It is the disk-model-independent scalar the tiered planner uses
@@ -41,75 +36,15 @@ func (c Cost) LogicalIOBytes() int64 {
 	return c.ReadBytes + c.WriteBytes
 }
 
-// Evaluate computes the plan cost from its lowered timeline.
+// Evaluate prices the plan's lowered timeline: its logical accounting
+// (codegen.Timeline.Account) plus the I/O time the disk model gives it.
 func Evaluate(tl *codegen.Timeline, model disk.Model) Cost {
-	c := Cost{PerArray: make(map[string]ArrayIO)}
-	p := tl.Prog
-
-	// Hold intervals per event; holds of the same block overlapping an
-	// instant count once (they are the same buffered copy).
-	type holdIv struct {
-		key        string
-		bytes      int64
-		start, end int
+	a := tl.Account(nil)
+	return Cost{
+		ReadBytes: a.ReadBytes, WriteBytes: a.WriteBytes,
+		ReadReqs: a.ReadReqs, WriteReqs: a.WriteReqs,
+		IOTimeSec:       model.Time(a.ReadBytes, a.WriteBytes, a.ReadReqs, a.WriteReqs),
+		PeakMemoryBytes: a.PeakMemoryBytes,
+		PerArray:        a.PerArray,
 	}
-	holds := make([]holdIv, 0, len(tl.Holds))
-	for _, h := range tl.Holds {
-		arr := p.Arrays[h.Array]
-		holds = append(holds, holdIv{
-			key:   codegen.BlockKey(h.Array, h.R, h.C),
-			bytes: arr.LogicalBlockBytes,
-			start: h.StartEvent, end: h.EndEvent,
-		})
-	}
-
-	for i, ev := range tl.Events {
-		working := make(map[string]int64) // block key -> bytes
-		readDone := make(map[string]bool) // block key -> physical read already counted
-		for ai, ac := range ev.St.Accesses {
-			action := tl.Actions[i][ai]
-			if action == codegen.Inactive {
-				continue
-			}
-			arr := p.Arrays[ac.Array]
-			r, col := ac.BlockAt(ev.X, tl.Params)
-			key := codegen.BlockKey(ac.Array, r, col)
-			working[key] = arr.LogicalBlockBytes
-			switch {
-			case ac.Type == prog.Read && action == codegen.DoIO:
-				if !readDone[key] {
-					readDone[key] = true
-					c.ReadBytes += arr.LogicalBlockBytes
-					c.ReadReqs++
-					pa := c.PerArray[ac.Array]
-					pa.ReadBytes += arr.LogicalBlockBytes
-					c.PerArray[ac.Array] = pa
-				}
-			case ac.Type == prog.Write && action == codegen.DoIO:
-				c.WriteBytes += arr.LogicalBlockBytes
-				c.WriteReqs++
-				pa := c.PerArray[ac.Array]
-				pa.WriteBytes += arr.LogicalBlockBytes
-				c.PerArray[ac.Array] = pa
-			}
-		}
-		// Memory at this instant: the working set plus all held blocks.
-		mem := int64(0)
-		seen := make(map[string]bool, len(working))
-		for key, b := range working {
-			mem += b
-			seen[key] = true
-		}
-		for _, h := range holds {
-			if h.start <= i && i <= h.end && !seen[h.key] {
-				seen[h.key] = true
-				mem += h.bytes
-			}
-		}
-		if mem > c.PeakMemoryBytes {
-			c.PeakMemoryBytes = mem
-		}
-	}
-	c.IOTimeSec = model.Time(c.ReadBytes, c.WriteBytes, c.ReadReqs, c.WriteReqs)
-	return c
 }

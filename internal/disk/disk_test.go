@@ -1,7 +1,6 @@
 package disk
 
 import (
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -25,42 +24,6 @@ func TestRefinedModelOverhead(t *testing.T) {
 	}
 }
 
-func TestCounter(t *testing.T) {
-	var c Counter
-	c.Read(100)
-	c.Read(50)
-	c.Write(30)
-	rb, wb, rr, wr := c.Snapshot()
-	if rb != 150 || wb != 30 || rr != 2 || wr != 1 {
-		t.Fatalf("snapshot wrong: %d %d %d %d", rb, wb, rr, wr)
-	}
-	c.Reset()
-	rb, wb, rr, wr = c.Snapshot()
-	if rb != 0 || wb != 0 || rr != 0 || wr != 0 {
-		t.Fatal("reset wrong")
-	}
-}
-
-func TestCounterConcurrent(t *testing.T) {
-	var c Counter
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				c.Read(1)
-				c.Write(2)
-			}
-		}()
-	}
-	wg.Wait()
-	rb, wb, rr, wr := c.Snapshot()
-	if rb != 8000 || wb != 16000 || rr != 8000 || wr != 8000 {
-		t.Fatalf("concurrent counts wrong: %d %d %d %d", rb, wb, rr, wr)
-	}
-}
-
 // Property: time is monotone in volumes.
 func TestTimeMonotone(t *testing.T) {
 	m := PaperModel()
@@ -71,37 +34,6 @@ func TestTimeMonotone(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestCounterTime(t *testing.T) {
-	var c Counter
-	c.Read(96 * MB)
-	if got := c.Time(PaperModel()); got != 1 {
-		t.Fatalf("Counter.Time wrong: %v", got)
-	}
-}
-
-func TestConcurrentStreams(t *testing.T) {
-	m := RefinedModel(0.01)
-	streams := []Stream{
-		{ReadBytes: 96 * MB, ReadReqs: 2},
-		{ReadBytes: 96 * MB, WriteBytes: 60 * MB, ReadReqs: 1, WriteReqs: 1},
-		{WriteBytes: 120 * MB, WriteReqs: 3},
-	}
-	// Bandwidth is shared: concurrent streams take exactly the combined
-	// volume's time, matching one merged stream.
-	var total Stream
-	for _, s := range streams {
-		total.Add(s)
-	}
-	got := m.ConcurrentTime(streams)
-	want := m.Time(total.ReadBytes, total.WriteBytes, total.ReadReqs, total.WriteReqs)
-	if got != want {
-		t.Fatalf("ConcurrentTime = %g, want %g", got, want)
-	}
-	if want <= 0 {
-		t.Fatal("expected positive modeled time")
 	}
 }
 

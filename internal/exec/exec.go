@@ -1,18 +1,18 @@
 // Package exec physically executes lowered plans (timelines). It is one
 // interpreter of the paper's §5.5 execution rule ("RIOTShare injects
 // additional code to ensure that all array block accesses are fulfilled
-// either by blocks already buffered in memory or by I/O") in two halves:
+// either by blocks already buffered in memory or by I/O"): execEvent carries
+// one statement instance out physically. It takes each operand block from
+// the run's shared buffer or acquires it from the run's BlockPool, runs the
+// in-core kernel on real data, puts the result back, and keeps shared
+// blocks buffered — and their pool frames pinned — exactly for their hold
+// intervals.
 //
-//   - accountRun replays the timeline's per-access actions and hold
-//     bookkeeping in timeline order and computes everything logical: I/O
-//     volumes and request counts, the peak buffered working set, the
-//     memory-cap check and the FromMemory invariant. It runs before any
-//     physical I/O, so a plan that violates the cap is refused untouched.
-//   - execEvent carries one statement instance out physically: it takes
-//     each operand block from the run's shared buffer or acquires it from
-//     the run's BlockPool, runs the in-core kernel on real data, puts the
-//     result back, and keeps shared blocks buffered — and their pool frames
-//     pinned — exactly for their hold intervals.
+// Nothing here counts the plan. A run's logical volumes and peak working
+// set come from codegen.Timeline.Account, the accounting cost.Evaluate
+// prices, so Result equals the cost model's prediction by construction;
+// RunOptions refuses a plan whose peak exceeds Engine.MemCapBytes before
+// any physical I/O.
 //
 // There is one source of blocks, the run's BlockPool (pool.go): the pool
 // the caller supplied — Engine.Store is then unused, the pool fronts its
@@ -37,9 +37,8 @@
 // it for events 0..n-1 on the caller's goroutine. The DAG schedule
 // (Workers > 1, pipeline.go) calls it from a worker pool as the event
 // dependence graph allows, with an asynchronous prefetcher reading ahead.
-// Logical volumes are the plan's, not an artifact of interleaving, so
-// Result is the same under either schedule and must equal the cost model's
-// prediction byte for byte.
+// Result's volumes are the plan's, not an artifact of interleaving, so they
+// are the same under either schedule.
 package exec
 
 import (
@@ -138,11 +137,11 @@ func (e *Engine) Run(tl *codegen.Timeline) (Result, error) {
 	return e.RunOptions(tl, Options{})
 }
 
-// RunOptions executes the timeline: accountRun computes the logical Result
-// and refuses an invalid or over-cap plan, then the schedule opt selects
-// drives execEvent over every event. Result is identical under either
-// schedule (modulo CPUTime and StageTimes, which are measured wall time
-// inside kernels, and the prefetch counters).
+// RunOptions executes the timeline: it fills the logical Result from the
+// timeline's accounting and refuses an over-cap plan, then the schedule opt
+// selects drives execEvent over every event. Result is identical under
+// either schedule (modulo CPUTime and StageTimes, which are measured wall
+// time inside kernels, and the prefetch counters).
 func (e *Engine) RunOptions(tl *codegen.Timeline, opt Options) (Result, error) {
 	pool := opt.Pool
 	if pool == nil {
@@ -152,9 +151,14 @@ func (e *Engine) RunOptions(tl *codegen.Timeline, opt Options) (Result, error) {
 		pool = newDirectPool(e.Store, opt.Workers > 1)
 	}
 	sets := tl.AccessSets()
-	res, err := accountRun(tl, sets, e.MemCapBytes)
-	if err != nil {
-		return res, err
+	a := tl.Account(sets)
+	res := Result{
+		ReadBytes: a.ReadBytes, WriteBytes: a.WriteBytes,
+		ReadReqs: a.ReadReqs, WriteReqs: a.WriteReqs,
+		PeakMemoryBytes: a.PeakMemoryBytes,
+	}
+	if e.MemCapBytes > 0 && a.PeakMemoryBytes > e.MemCapBytes {
+		return res, fmt.Errorf("exec: memory cap exceeded: %d > %d bytes", a.PeakMemoryBytes, e.MemCapBytes)
 	}
 	kernels, err := resolveKernels(tl.Prog)
 	if err != nil {
@@ -196,87 +200,6 @@ func (e *Engine) RunOptions(tl *codegen.Timeline, opt Options) (Result, error) {
 	res.PrefetchIssued = rs.pfIssued.Load()
 	res.PrefetchInline = rs.pfInline.Load()
 	res.SimulatedIOSec = e.Model.Time(res.ReadBytes, res.WriteBytes, res.ReadReqs, res.WriteReqs)
-	return res, nil
-}
-
-// accountRun replays the timeline's actions in timeline order and returns
-// the logical Result of the run: I/O volumes and request counts summed over
-// DoIO actions, and the peak buffered working set under the hold
-// bookkeeping (a hold activates at the top of its start event and expires
-// at the bottom of its end event). It fails for a FromMemory read with no
-// buffered source and for a working set above memCapBytes — a plan the
-// optimizer would have rejected. Every schedule derives its accounting
-// here, so worker interleaving can never distort the paper-scale volumes.
-func accountRun(tl *codegen.Timeline, sets [][]codegen.BlockAccess, memCapBytes int64) (Result, error) {
-	var res Result
-	arrays := tl.Prog.Arrays
-
-	holdsByStart := make(map[int][]codegen.Hold)
-	for _, h := range tl.Holds {
-		holdsByStart[h.StartEvent] = append(holdsByStart[h.StartEvent], h)
-	}
-	holdEnd := make(map[string]int)    // active holds: block key -> max end event
-	buffered := make(map[string]int64) // held blocks -> logical bytes
-	bufBytes := int64(0)
-	local := make(map[string]int64) // blocks live for one event -> logical bytes
-
-	for i, set := range sets {
-		// Activate holds starting here (they may refer to blocks acquired at
-		// this very event).
-		for _, h := range holdsByStart[i] {
-			key := codegen.BlockKey(h.Array, h.R, h.C)
-			if h.EndEvent > holdEnd[key] {
-				holdEnd[key] = h.EndEvent
-			}
-		}
-
-		clear(local)
-		localBytes := int64(0) // event-local blocks not already held
-		for _, ba := range set {
-			b := arrays[ba.Array].LogicalBlockBytes
-			_, held := buffered[ba.Key]
-			_, dup := local[ba.Key]
-			switch {
-			case ba.Action == codegen.DoIO && ba.Type == prog.Read:
-				res.ReadBytes += b
-				res.ReadReqs++
-			case ba.Action == codegen.DoIO:
-				res.WriteBytes += b
-				res.WriteReqs++
-			case ba.Action == codegen.FromMemory && !held && !dup:
-				ev := tl.Events[i]
-				return res, fmt.Errorf("exec: %s%v expects %s in memory but it is not buffered",
-					ev.St.Name, ev.X, ba.Key)
-			}
-			if !dup {
-				local[ba.Key] = b
-				if !held {
-					localBytes += b
-				}
-			}
-		}
-		if bufBytes+localBytes > res.PeakMemoryBytes {
-			res.PeakMemoryBytes = bufBytes + localBytes
-		}
-		if memCapBytes > 0 && bufBytes+localBytes > memCapBytes {
-			return res, fmt.Errorf("exec: memory cap exceeded: %d > %d bytes", bufBytes+localBytes, memCapBytes)
-		}
-
-		// Retain blocks with active holds; expire holds ending here.
-		for key, b := range local {
-			if _, already := buffered[key]; !already && holdEnd[key] > i {
-				buffered[key] = b
-				bufBytes += b
-			}
-		}
-		for key, end := range holdEnd {
-			if end <= i {
-				bufBytes -= buffered[key]
-				delete(buffered, key)
-				delete(holdEnd, key)
-			}
-		}
-	}
 	return res, nil
 }
 
@@ -358,7 +281,7 @@ type runState struct {
 }
 
 // coverHolds indexes the timeline's merged hold intervals by the events
-// that touch them (rs.cover) and returns them sorted by (Key, Start). An
+// that touch them (rs.cover) and returns them sorted by block and Start. An
 // interval must begin at an event that accesses its block: that event is
 // what buffers it.
 func (rs *runState) coverHolds() ([]*ivState, error) {
@@ -473,6 +396,9 @@ func (rs *runState) execEvent(i int) (err error) {
 						ev.St.Name, ev.X, ba.Key)
 				}
 			case codegen.DoIO:
+				if mine.pins > 0 {
+					break // this event acquired the block already: one read per instance
+				}
 				m, err := rs.readBlock(i, ba)
 				if err != nil {
 					return err

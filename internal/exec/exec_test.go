@@ -92,7 +92,7 @@ func addMulProgram(n1, n2, n3 int64) *prog.Program {
 }
 
 // Every plan of the add+mul program must produce the same, correct E — and
-// its measured I/O volumes must equal the cost model's prediction byte for
+// the I/O the store serves must equal the cost model's prediction byte for
 // byte (the engine realizes exactly the planned sharing).
 func TestAllPlansCorrectAndPredicted(t *testing.T) {
 	p := addMulProgram(3, 4, 2)
@@ -112,22 +112,20 @@ func TestAllPlansCorrectAndPredicted(t *testing.T) {
 			t.Fatal(err)
 		}
 		full := fillInputs(t, p, m, 42)
+		before := m.Stats()
 		eng := &Engine{Store: m, Model: disk.PaperModel()}
-		r, err := eng.Run(pl.Timeline)
-		if err != nil {
+		if _, err := eng.Run(pl.Timeline); err != nil {
 			t.Fatalf("plan %s: %v", pl.Label, err)
 		}
-		if r.ReadBytes != pl.Cost.ReadBytes || r.WriteBytes != pl.Cost.WriteBytes {
-			t.Errorf("plan %s: measured I/O (%d,%d) != predicted (%d,%d)",
-				pl.Label, r.ReadBytes, r.WriteBytes, pl.Cost.ReadBytes, pl.Cost.WriteBytes)
+		io := m.Stats().Sub(before)
+		readBytes, writeBytes := storeBytes(p, pl.Cost)
+		if io.ReadBytes != readBytes || io.WriteBytes != writeBytes {
+			t.Errorf("plan %s: store I/O (%d,%d) != predicted (%d,%d)",
+				pl.Label, io.ReadBytes, io.WriteBytes, readBytes, writeBytes)
 		}
-		if r.ReadReqs != pl.Cost.ReadReqs || r.WriteReqs != pl.Cost.WriteReqs {
-			t.Errorf("plan %s: request counts (%d,%d) != predicted (%d,%d)",
-				pl.Label, r.ReadReqs, r.WriteReqs, pl.Cost.ReadReqs, pl.Cost.WriteReqs)
-		}
-		if r.PeakMemoryBytes != pl.Cost.PeakMemoryBytes {
-			t.Errorf("plan %s: peak memory %d != predicted %d",
-				pl.Label, r.PeakMemoryBytes, pl.Cost.PeakMemoryBytes)
+		if io.ReadReqs != pl.Cost.ReadReqs || io.WriteReqs != pl.Cost.WriteReqs {
+			t.Errorf("plan %s: store requests (%d,%d) != predicted (%d,%d)",
+				pl.Label, io.ReadReqs, io.WriteReqs, pl.Cost.ReadReqs, pl.Cost.WriteReqs)
 		}
 		// Reference: E = (A+B)·D on full matrices.
 		sum := blas.NewMatrix(full["A"].Rows, full["A"].Cols)

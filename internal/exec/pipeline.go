@@ -9,9 +9,9 @@
 // departure from it:
 //
 //  1. Logical I/O accounting is byte-for-byte equal to the cost model's
-//     prediction regardless of worker count: Result comes from accountRun,
-//     which never sees the schedule, and the physical run only carries the
-//     plan out.
+//     prediction regardless of worker count: Result comes from the
+//     timeline's accounting (codegen.Timeline.Account), which never sees
+//     the schedule, and the physical run only carries the plan out.
 //  2. Numerics are bit-identical to the in-order schedule. Every kernel
 //     consumes the same operand values in the same order: accumulator
 //     chains are serialized by write-write edges, shared buffers by
@@ -42,7 +42,7 @@ type pipeline struct {
 	succs [][]int
 	indeg []int32
 	// prefetch is the ordered walk of coalesced prefetchable reads;
-	// consumers counts the DoIO reads each entry must serve.
+	// consumers counts the events each entry must serve.
 	prefetch  []pfReq
 	consumers map[string]int
 	maxBlock  int64 // largest prefetchable block, for the byte budget
@@ -59,7 +59,7 @@ type pfReq struct {
 }
 
 // buildPipeline derives the dependence DAG from the timeline's block
-// access sets and merged hold intervals (sorted by key and start). Three
+// access sets and merged hold intervals (sorted by block and start). Three
 // edge families preserve timeline-order semantics:
 //
 //   - memory dataflow inside each merged hold interval: the interval's
@@ -192,8 +192,8 @@ func buildPipeline(tl *codegen.Timeline, sets [][]codegen.BlockAccess, intervals
 	// them.
 	inWalk := make(map[string]bool)
 	for i, set := range sets {
-		for _, ba := range set {
-			if ba.Type != prog.Read || ba.Action != codegen.DoIO {
+		for j, ba := range set {
+			if !firstRead(set, j) {
 				continue
 			}
 			if w, ok := firstDiskWrite[ba.Key]; ok && w < i {
@@ -210,6 +210,22 @@ func buildPipeline(tl *codegen.Timeline, sets [][]codegen.BlockAccess, intervals
 		}
 	}
 	return pp, nil
+}
+
+// firstRead reports whether set[j] is the first DoIO read of its block in
+// the event: execEvent reads a block once per event (Timeline.Account's
+// rule), so only that access consumes a prefetch entry.
+func firstRead(set []codegen.BlockAccess, j int) bool {
+	isRead := func(ba codegen.BlockAccess) bool { return ba.Type == prog.Read && ba.Action == codegen.DoIO }
+	if !isRead(set[j]) {
+		return false
+	}
+	for _, ba := range set[:j] {
+		if ba.Key == set[j].Key && isRead(ba) {
+			return false
+		}
+	}
+	return true
 }
 
 // pfEntry is one block of the prefetch walk while it still has consumers.

@@ -12,6 +12,7 @@ import (
 	"riotshare/internal/buffer"
 	"riotshare/internal/codegen"
 	"riotshare/internal/core"
+	"riotshare/internal/cost"
 	"riotshare/internal/disk"
 	"riotshare/internal/ops"
 	"riotshare/internal/prog"
@@ -420,14 +421,19 @@ func TestParallelFromMemoryInvariant(t *testing.T) {
 }
 
 // Physical-counter cross-check for a run given no pool (RunOptions resolves
-// the pass-through one over Engine.Store): for every plan of addmul and
-// twomm, the block requests the store actually served equal the Result
-// accountRun reported, which equals cost.Evaluate's independent prediction.
-// The in-order schedule is request-exact; the DAG schedule writes exactly as
-// many blocks and reads at most dagReadBound. It runs twice: with the
+// the pass-through one over Engine.Store): for every plan of addmul, twomm
+// and C += A·A (one instance reads A[k,k] twice), the block requests and
+// bytes the store actually served equal cost.Evaluate's prediction. The
+// in-order schedule is exact; the DAG schedule writes exactly the predicted
+// blocks and reads at most dagReadBound. It runs twice: with the
 // prefetcher, and under a memory cap at the plan's peak, which leaves the
 // window no slot, so every walk block is claimed inline by a consumer.
 func TestPhysicalCountersMatchAccounting(t *testing.T) {
+	square := prog.New("square", "n")
+	square.AddArray(&prog.Array{Name: "A", BlockRows: 4, BlockCols: 4, GridRows: 2, GridCols: 2})
+	square.AddArray(&prog.Array{Name: "C", BlockRows: 4, BlockCols: 4, GridRows: 2, GridCols: 2})
+	ops.MatMulAcc(square, "s1", "C", "A", "A", false, false, "n", "n", "n")
+	square.Bind("n", 2)
 	progs := map[string]*prog.Program{
 		"addmul": addMulProgram(3, 4, 2),
 		"twomm": ops.TwoMM(ops.TwoMMConfig{
@@ -435,6 +441,7 @@ func TestPhysicalCountersMatchAccounting(t *testing.T) {
 			ABlock: ops.Dims{Rows: 4, Cols: 4}, BBlock: ops.Dims{Rows: 4, Cols: 4},
 			DBlock: ops.Dims{Rows: 4, Cols: 4},
 		}),
+		"square": square,
 	}
 	for name, p := range progs {
 		res, err := core.Optimize(p, core.Options{BindParams: true})
@@ -460,32 +467,42 @@ func TestPhysicalCountersMatchAccounting(t *testing.T) {
 				if run.capped {
 					eng.MemCapBytes = pl.Cost.PeakMemoryBytes
 				}
-				r, err := eng.RunOptions(pl.Timeline, Options{Workers: workers})
-				if err != nil {
+				if _, err := eng.RunOptions(pl.Timeline, Options{Workers: workers}); err != nil {
 					t.Fatalf("%s plan %s workers=%d capped=%v: %v", name, pl.Label, workers, run.capped, err)
 				}
-				after := m.Stats()
+				got := m.Stats().Sub(before)
 				m.Close()
-				reads, writes := after.ReadReqs-before.ReadReqs, after.WriteReqs-before.WriteReqs
-				if r.ReadReqs != pl.Cost.ReadReqs || r.WriteReqs != pl.Cost.WriteReqs {
-					t.Errorf("%s plan %s workers=%d: Result requests (%d,%d) != predicted (%d,%d)",
-						name, pl.Label, workers, r.ReadReqs, r.WriteReqs, pl.Cost.ReadReqs, pl.Cost.WriteReqs)
+				readBytes, writeBytes := storeBytes(p, pl.Cost)
+				if got.WriteReqs != pl.Cost.WriteReqs || got.WriteBytes != writeBytes {
+					t.Errorf("%s plan %s workers=%d: store served writes (%d,%d B), predicted (%d,%d B)",
+						name, pl.Label, workers, got.WriteReqs, got.WriteBytes, pl.Cost.WriteReqs, writeBytes)
 				}
-				if writes != r.WriteReqs {
-					t.Errorf("%s plan %s workers=%d: store served %d writes, Result says %d",
-						name, pl.Label, workers, writes, r.WriteReqs)
+				if workers == 1 {
+					if got.ReadReqs != pl.Cost.ReadReqs || got.ReadBytes != readBytes {
+						t.Errorf("%s plan %s workers=1: store served reads (%d,%d B), predicted (%d,%d B)",
+							name, pl.Label, got.ReadReqs, got.ReadBytes, pl.Cost.ReadReqs, readBytes)
+					}
+					continue
 				}
-				bound := r.ReadReqs
-				if workers > 1 {
-					bound = dagReadBound(t, pl.Timeline, r.ReadReqs)
-				}
-				if reads > bound || (workers == 1 && reads != bound) {
-					t.Errorf("%s plan %s workers=%d capped=%v: store served %d reads, bound %d, Result says %d",
-						name, pl.Label, workers, run.capped, reads, bound, r.ReadReqs)
+				if bound := dagReadBound(t, pl.Timeline, pl.Cost.ReadReqs); got.ReadReqs > bound {
+					t.Errorf("%s plan %s workers=%d capped=%v: store served %d reads, bound %d, predicted %d",
+						name, pl.Label, workers, run.capped, got.ReadReqs, bound, pl.Cost.ReadReqs)
 				}
 			}
 		}
 	}
+}
+
+// storeBytes converts a plan's predicted per-array volumes into the bytes a
+// store moves for them: each array's logical block count times its physical
+// block size.
+func storeBytes(p *prog.Program, c cost.Cost) (read, write int64) {
+	for name, io := range c.PerArray {
+		arr := p.Arrays[name]
+		read += io.ReadBytes / arr.LogicalBlockBytes * arr.PhysicalBlockBytes()
+		write += io.WriteBytes / arr.LogicalBlockBytes * arr.PhysicalBlockBytes()
+	}
+	return read, write
 }
 
 // dagReadBound is the most store reads a DAG run of tl over the pass-through

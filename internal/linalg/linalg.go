@@ -25,15 +25,6 @@ func Gcd(a, b int64) int64 {
 	return a
 }
 
-// Lcm returns the least common multiple of a and b, or 0 if either is 0.
-func Lcm(a, b int64) int64 {
-	if a == 0 || b == 0 {
-		return 0
-	}
-	g := Gcd(a, b)
-	return a / g * b
-}
-
 // GcdVec returns the gcd of all entries of v (non-negative; 0 for the zero
 // vector).
 func GcdVec(v []int64) int64 {
@@ -261,18 +252,6 @@ func ratVecToInt(v []*big.Rat) []int64 {
 	}
 	NormalizeVec(out)
 	return out
-}
-
-// InSpan reports whether v lies in the linear span of the given rows.
-func InSpan(v []int64, rows [][]int64) bool {
-	if IsZeroVec(v) {
-		return true
-	}
-	r0 := Rank(rows)
-	aug := make([][]int64, 0, len(rows)+1)
-	aug = append(aug, rows...)
-	aug = append(aug, v)
-	return Rank(aug) == r0
 }
 
 // SolveExact solves A x = b exactly over the rationals, where A's rows are

@@ -18,17 +18,6 @@ func TestGcd(t *testing.T) {
 	}
 }
 
-func TestLcm(t *testing.T) {
-	cases := []struct{ a, b, want int64 }{
-		{0, 5, 0}, {4, 6, 12}, {3, 5, 15}, {7, 7, 7},
-	}
-	for _, c := range cases {
-		if got := Lcm(c.a, c.b); got != c.want {
-			t.Errorf("Lcm(%d,%d)=%d want %d", c.a, c.b, got, c.want)
-		}
-	}
-}
-
 func TestGcdProperties(t *testing.T) {
 	f := func(a, b int32) bool {
 		g := Gcd(int64(a), int64(b))
@@ -161,19 +150,6 @@ func TestRankNullityProperty(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestInSpan(t *testing.T) {
-	rows := [][]int64{{1, 0, 1}, {0, 1, 1}}
-	if !InSpan([]int64{1, 1, 2}, rows) {
-		t.Error("(1,1,2) should be in span")
-	}
-	if InSpan([]int64{0, 0, 1}, rows) {
-		t.Error("(0,0,1) should not be in span")
-	}
-	if !InSpan([]int64{0, 0, 0}, nil) {
-		t.Error("zero vector is in every span")
 	}
 }
 

@@ -247,18 +247,3 @@ func (p *Poly) ImpliedEqualities() []Constraint {
 	}
 	return eqs
 }
-
-// AffineHullRank returns the dimension of the affine hull of p restricted to
-// the given columns: len(cols) minus the rank of the implied-equality system
-// over those columns after eliminating all other columns' influence. It
-// measures the "degrees of freedom" of the listed variables within p, the
-// quantity Remark A.1 calls rank.
-func (p *Poly) AffineHullRank(cols []int) int {
-	proj, _ := p.ProjectOnto(cols)
-	eqs := proj.ImpliedEqualities()
-	rows := make([][]int64, 0, len(eqs))
-	for _, e := range eqs {
-		rows = append(rows, e.Coef)
-	}
-	return proj.Dim - linalg.Rank(rows)
-}

@@ -274,24 +274,6 @@ func TestImpliedEqualities(t *testing.T) {
 	}
 }
 
-func TestAffineHullRank(t *testing.T) {
-	// {0<=x<=3, y=x}: rank over both cols is 1; over [x] alone is 1.
-	p := box(1, 0, 3).InsertVars(1, 1)
-	p.AddEq([]int64{1, -1}, 0)
-	if r := p.AffineHullRank([]int{0, 1}); r != 1 {
-		t.Fatalf("rank over (x,y) = %d want 1", r)
-	}
-	if r := p.AffineHullRank([]int{0}); r != 1 {
-		t.Fatalf("rank over (x) = %d want 1", r)
-	}
-	// Degenerate: x pinned to 2.
-	q := NewPoly(1)
-	q.AddEq([]int64{1}, -2)
-	if r := q.AffineHullRank([]int{0}); r != 0 {
-		t.Fatalf("pinned var rank = %d want 0", r)
-	}
-}
-
 func TestProjectOnto(t *testing.T) {
 	// {x=y+z, 0<=y,z<=2} onto x: 0..4.
 	p := NewPoly(3)

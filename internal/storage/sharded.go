@@ -902,9 +902,6 @@ func (sm *ShardedManager) ShardStats() []ShardStats {
 	return out
 }
 
-// Shards returns the shard count.
-func (sm *ShardedManager) Shards() int { return len(sm.shards) }
-
 // Replicas returns the replication factor (1 = unreplicated).
 func (sm *ShardedManager) Replicas() int { return sm.replicas }
 
