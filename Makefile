@@ -15,15 +15,19 @@ test:
 # The race detector over the short suite (guards the pipelined executor and
 # the shared pool), then the schedule-sensitive tests repeated: block
 # ownership, failure-path pin release and admission order in exec, buffer
-# and govern; fairness, queue-wait stats, the tenant-label bound, result
-# fetch from the pool, streamed tenant attribution, the write-once plan
+# and govern; read coalescing and concurrent reads and writes in storage;
+# fairness, queue-wait stats, the tenant-label bound, result fetch from the
+# pool, streamed tenant attribution, streamed blocks against the whole
+# fetch, a drop-retained stream waiting for its query, the write-once plan
 # cache, lookups racing retirement, /metrics rendering the same Stats
 # snapshot /stats serves, and a snapshot registering no series in the
-# server.
+# server. The storage and stream tests drive the read-coalescing and
+# stream-readiness maps, which are shared between goroutines.
 test-race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -count=5 ./internal/exec/ ./internal/buffer/ ./internal/govern/
-	$(GO) test -race -count=5 -run 'Fairness|QueueWait|TenantLabel|ResultFetch|StreamAttributesTenant|PlanCacheConcurrentMiss|RetirementRacesLookups|MetricsRenderStats|StatsRegistersNoSeries' ./internal/server/
+	$(GO) test -race -count=5 -run 'TestCoalescedReadsShareOneRequest|TestConcurrentReadWrite' ./internal/storage/
+	$(GO) test -race -count=5 -run 'Fairness|QueueWait|TenantLabel|ResultFetch|StreamAttributesTenant|TestStreamedResultsMatchWholeFetch|TestStreamRetainDropWaitsForQuery|PlanCacheConcurrentMiss|RetirementRacesLookups|MetricsRenderStats|StatsRegistersNoSeries' ./internal/server/
 
 # Full suite, including the ~80s linear-regression plan-space search.
 test-full:
@@ -54,7 +58,8 @@ bench-record-smoke:
 # Run every program under examples/, then every §6 experiment in quick
 # mode: quickstart and linreg execute their plans physically and check the
 # numerics themselves, and Fig. 3(b), 4, 5, 6 and the system comparison
-# execute physically. `make test` is -short, which skips
+# execute physically; each Fig. 3(b)-6 run fails if the store's I/O
+# differs from the plan's prediction. `make test` is -short, which skips
 # TestFigureRunners, so this is the CI job that runs them. A non-zero exit
 # from any fails the target.
 examples:

@@ -109,7 +109,10 @@ func openFilled(p *prog.Program) (*storage.Manager, func(), error) {
 }
 
 // runPhysical executes a plan against real storage and returns the
-// measured result (volumes are logical, paper scale).
+// measured result (volumes are logical, paper scale). It fails when the I/O
+// the store served differs from the plan's predicted volumes: under the
+// in-order schedule they must be equal; the DAG schedule must write the same
+// and may read less (concurrent readers of a block share one read).
 func runPhysical(p *prog.Program, pl *core.EvaluatedPlan, opt Options) (exec.Result, error) {
 	m, closeAll, err := openFilled(p)
 	if err != nil {
@@ -117,7 +120,30 @@ func runPhysical(p *prog.Program, pl *core.EvaluatedPlan, opt Options) (exec.Res
 	}
 	defer closeAll()
 	eng := &exec.Engine{Store: m, Model: actualModel()}
-	return eng.RunOptions(pl.Timeline, exec.Options{Workers: opt.Workers})
+	before := m.Stats()
+	r, err := eng.RunOptions(pl.Timeline, exec.Options{Workers: opt.Workers})
+	if err != nil {
+		return r, err
+	}
+	got := m.Stats().Sub(before)
+	// The prediction in the store's physical bytes: each array's logical
+	// block count times its physical block size.
+	var want storage.Stats
+	want.ReadReqs, want.WriteReqs = pl.Cost.ReadReqs, pl.Cost.WriteReqs
+	for name, io := range pl.Cost.PerArray {
+		arr := p.Arrays[name]
+		want.ReadBytes += io.ReadBytes / arr.LogicalBlockBytes * arr.PhysicalBlockBytes()
+		want.WriteBytes += io.WriteBytes / arr.LogicalBlockBytes * arr.PhysicalBlockBytes()
+	}
+	writesOK := got.WriteReqs == want.WriteReqs && got.WriteBytes == want.WriteBytes
+	readsOK := got.ReadReqs == want.ReadReqs && got.ReadBytes == want.ReadBytes
+	if opt.Workers > 1 {
+		readsOK = got.ReadReqs <= want.ReadReqs && got.ReadBytes <= want.ReadBytes
+	}
+	if !writesOK || !readsOK {
+		return r, fmt.Errorf("measured I/O volumes diverge from prediction: store served %+v, predicted %+v", got, want)
+	}
+	return r, nil
 }
 
 func mb(b int64) float64 { return float64(b) / (1 << 20) }
@@ -214,9 +240,6 @@ func predictedVsActual(w io.Writer, p *prog.Program, plans []core.EvaluatedPlan,
 		r, err := runPhysical(p, pl, opt)
 		if err != nil {
 			return fmt.Errorf("plan %s: %w", pl.Label, err)
-		}
-		if r.ReadBytes != pl.Cost.ReadBytes || r.WriteBytes != pl.Cost.WriteBytes {
-			return fmt.Errorf("plan %s: measured I/O volumes diverge from prediction", pl.Label)
 		}
 		e := math.Abs(pl.Cost.IOTimeSec-r.SimulatedIOSec) / r.SimulatedIOSec * 100
 		errSum += e

@@ -296,7 +296,7 @@ func (s *Server) handle(version, op byte, payload []byte) (byte, []byte) {
 			return reply(nil, err)
 		}
 		e := new(blockproto.Enc).U32(uint32(blk.Rows)).U32(uint32(blk.Cols))
-		e.Blob(blockproto.EncodeBlock(blk))
+		e.Blob(blockproto.EncodeBlock(nil, blk))
 		return blockproto.StatusOK, e.Bytes()
 
 	case blockproto.OpWrite:

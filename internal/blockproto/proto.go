@@ -16,8 +16,9 @@
 // pipelines must match responses to requests by order. Integers inside
 // payloads are big-endian fixed width; strings and byte blobs are
 // uint16/uint32 length-prefixed. Block payloads are float64 elements in
-// little-endian IEEE-754 bit order, row-major — exactly the bytes a DAF
-// store persists.
+// little-endian IEEE-754 bit order, row-major — the same bytes a DAF
+// store persists (EncodeBlock and DecodeBlock are the one byte form of a
+// block for both).
 //
 // The full specification, including versioning rules, lives in
 // docs/remote-protocol.md; keep the two in sync.
@@ -29,6 +30,7 @@ import (
 	"io"
 	"math"
 	"math/bits"
+	"slices"
 
 	"riotshare/internal/blas"
 )
@@ -264,20 +266,23 @@ func (d *Dec) Blob() []byte {
 	return d.take(int(ln))
 }
 
-// EncodeBlock serializes a block matrix as little-endian IEEE-754 float64
-// bits, row-major — the byte layout the on-disk stores use, so the server
-// can pass payloads straight through.
-func EncodeBlock(blk *blas.Matrix) []byte {
-	buf := make([]byte, 8*len(blk.Data))
+// EncodeBlock appends blk to dst as little-endian IEEE-754 float64 bits,
+// row-major, and returns the extended slice. With DecodeBlock it is the one
+// byte form of a block, on the wire and in a DAF store (which appends into
+// its own scratch buffers). A block server does not pass a written payload
+// through to disk: it decodes it, and its store encodes the block again.
+func EncodeBlock(dst []byte, blk *blas.Matrix) []byte {
+	n := len(dst)
+	dst = slices.Grow(dst, 8*len(blk.Data))[:n+8*len(blk.Data)]
 	for i, v := range blk.Data {
-		binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(v))
+		binary.LittleEndian.PutUint64(dst[n+i*8:], math.Float64bits(v))
 	}
-	return buf
+	return dst
 }
 
-// DecodeBlock deserializes an EncodeBlock payload into a rows×cols matrix.
-// The shape comes off the wire, so it is checked against the payload
-// length — without overflow — before anything is allocated.
+// DecodeBlock deserializes an EncodeBlock payload into a new rows×cols
+// matrix. The shape may come off the wire, so it is checked against the
+// payload length — without overflow — before anything is allocated.
 func DecodeBlock(rows, cols int, payload []byte) (*blas.Matrix, error) {
 	hi, elems := bits.Mul64(uint64(rows), uint64(cols))
 	if rows < 0 || cols < 0 || hi != 0 || len(payload)%8 != 0 || elems != uint64(len(payload)/8) {

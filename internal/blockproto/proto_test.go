@@ -123,7 +123,7 @@ func TestFrameLengthBounds(t *testing.T) {
 func TestDecodeBlock(t *testing.T) {
 	blk := blas.NewMatrix(2, 3)
 	copy(blk.Data, []float64{1, -2.5, math.Inf(1), math.Copysign(0, -1), math.Float64frombits(0x7ff8dead), 6})
-	got, err := DecodeBlock(2, 3, EncodeBlock(blk))
+	got, err := DecodeBlock(2, 3, EncodeBlock(nil, blk))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func FuzzDecodeBlock(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if blk.Rows != int(rows) || blk.Cols != int(cols) || !bytes.Equal(EncodeBlock(blk), payload) {
+		if blk.Rows != int(rows) || blk.Cols != int(cols) || !bytes.Equal(EncodeBlock(nil, blk), payload) {
 			t.Fatal("decoded block does not re-encode to its payload")
 		}
 	})

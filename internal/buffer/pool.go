@@ -42,10 +42,10 @@ package buffer
 import (
 	"container/list"
 	"fmt"
-	"strconv"
 	"sync"
 
 	"riotshare/internal/blas"
+	"riotshare/internal/prog"
 	"riotshare/internal/storage"
 )
 
@@ -68,7 +68,7 @@ type Pool struct {
 	capBytes int64
 
 	mu     sync.Mutex
-	frames map[string]*frame
+	frames map[prog.BlockID]*frame
 	// lru orders the evictable (unpinned, resident) frames: a frame joins
 	// at the back when its last pin releases, and the front is the next
 	// victim.
@@ -95,9 +95,7 @@ type tenantCounters struct {
 
 // frame is one cached block.
 type frame struct {
-	array  string
-	r, c   int64
-	key    string
+	id     prog.BlockID
 	tenant string // installer, for residency accounting
 
 	blk   *blas.Matrix
@@ -125,7 +123,7 @@ func NewPool(store storage.Backend, capacityBytes int64) *Pool {
 	return &Pool{
 		store:    store,
 		capBytes: capacityBytes,
-		frames:   make(map[string]*frame),
+		frames:   make(map[prog.BlockID]*frame),
 		lru:      list.New(),
 		tenants:  make(map[string]*tenantCounters),
 	}
@@ -137,28 +135,6 @@ func NewPoolOptions(store storage.Backend, opt Options) (*Pool, error) {
 		return nil, fmt.Errorf("buffer: unknown replacement policy %q (only lru exists)", opt.Policy)
 	}
 	return NewPool(store, opt.CapacityBytes), nil
-}
-
-// appendKey appends the frame key "array[r,c]" to b.
-func appendKey(b []byte, array string, r, c int64) []byte {
-	b = append(b, array...)
-	b = append(b, '[')
-	b = strconv.AppendInt(b, r, 10)
-	b = append(b, ',')
-	b = strconv.AppendInt(b, c, 10)
-	return append(b, ']')
-}
-
-func poolKey(array string, r, c int64) string {
-	return string(appendKey(nil, array, r, c))
-}
-
-// frameLocked looks a block's frame up without allocating its key (the
-// bytes stay on the stack and a map index converts them in place), so the
-// hit path allocates nothing; nil when the block has no frame.
-func (p *Pool) frameLocked(array string, r, c int64) *frame {
-	var stack [64]byte
-	return p.frames[string(appendKey(stack[:0], array, r, c))]
 }
 
 // tenantLocked returns (creating on first use) the per-tenant counters;
@@ -204,8 +180,9 @@ func (p *Pool) Acquire(array string, r, c int64) (*blas.Matrix, error) {
 }
 
 func (p *Pool) acquire(tenant, array string, r, c int64) (*blas.Matrix, error) {
+	id := prog.BlockID{Array: array, R: r, C: c}
 	p.mu.Lock()
-	if f := p.frameLocked(array, r, c); f != nil {
+	if f := p.frames[id]; f != nil {
 		f.pins++
 		p.unlinkLocked(f)
 		if ch := f.loading; ch != nil {
@@ -227,9 +204,8 @@ func (p *Pool) acquire(tenant, array string, r, c int64) (*blas.Matrix, error) {
 	}
 
 	// Miss: install a loading frame and become the leader.
-	key := poolKey(array, r, c)
-	f := &frame{array: array, r: r, c: c, key: key, tenant: tenant, pins: 1, loading: make(chan struct{})}
-	p.frames[key] = f
+	f := &frame{id: id, tenant: tenant, pins: 1, loading: make(chan struct{})}
+	p.frames[id] = f
 	p.misses++
 	p.tenantLocked(tenant).misses++
 	p.mu.Unlock()
@@ -241,7 +217,7 @@ func (p *Pool) acquire(tenant, array string, r, c int64) (*blas.Matrix, error) {
 		// Dead frame: unregister so future acquires retry; waiting
 		// followers observe the error through their frame pointer.
 		f.err = err
-		delete(p.frames, key)
+		delete(p.frames, id)
 		close(f.loading)
 		p.mu.Unlock()
 		return nil, err
@@ -265,7 +241,7 @@ func (p *Pool) acquire(tenant, array string, r, c int64) (*blas.Matrix, error) {
 func (p *Pool) read(tenant, array string, r, c int64) (*blas.Matrix, error) {
 	p.mu.Lock()
 	tc := p.tenantLocked(tenant)
-	if f := p.frameLocked(array, r, c); f != nil && f.loading == nil {
+	if f := p.frames[prog.BlockID{Array: array, R: r, C: c}]; f != nil && f.loading == nil {
 		p.hits++
 		tc.hits++
 		blk := f.blk
@@ -305,9 +281,9 @@ func (p *Pool) Put(array string, r, c int64, blk *blas.Matrix) error {
 
 func (p *Pool) put(tenant, array string, r, c int64, blk *blas.Matrix) error {
 	cl := blk.Clone() // copy outside the lock; the caller keeps mutating blk
-	key := poolKey(array, r, c)
+	id := prog.BlockID{Array: array, R: r, C: c}
 	p.mu.Lock()
-	f := p.frames[key]
+	f := p.frames[id]
 	for f != nil && f.loading != nil {
 		// A miss read is in flight; wait for it so we never race its
 		// installation (the plan's dependence edges order same-query
@@ -316,11 +292,11 @@ func (p *Pool) put(tenant, array string, r, c int64, blk *blas.Matrix) error {
 		p.mu.Unlock()
 		<-ch
 		p.mu.Lock()
-		f = p.frames[key]
+		f = p.frames[id]
 	}
 	if f == nil {
-		f = &frame{array: array, r: r, c: c, key: key, tenant: tenant}
-		p.frames[key] = f
+		f = &frame{id: id, tenant: tenant}
+		p.frames[id] = f
 	} else {
 		// Re-written block: its bytes move to the writing tenant before
 		// they are re-accounted.
@@ -345,7 +321,7 @@ func (p *Pool) put(tenant, array string, r, c int64, blk *blas.Matrix) error {
 func (p *Pool) Unpin(array string, r, c int64, n int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	f := p.frameLocked(array, r, c)
+	f := p.frames[prog.BlockID{Array: array, R: r, C: c}]
 	if f == nil {
 		return
 	}
@@ -372,15 +348,15 @@ func (p *Pool) Unpin(array string, r, c int64, n int) {
 // for it, so the block is written once and is in storage when either
 // returns.
 func (p *Pool) ReleaseBlock(array string, r, c int64) error {
-	key := poolKey(array, r, c)
+	id := prog.BlockID{Array: array, R: r, C: c}
 	p.mu.Lock()
-	f, ok := p.frames[key]
+	f, ok := p.frames[id]
 	for ok && f.writing != nil {
 		ch := f.writing
 		p.mu.Unlock()
 		<-ch
 		p.mu.Lock()
-		f, ok = p.frames[key]
+		f, ok = p.frames[id]
 	}
 	if !ok || f.loading != nil {
 		p.mu.Unlock()
@@ -397,7 +373,7 @@ func (p *Pool) ReleaseBlock(array string, r, c int64) error {
 		f.writing = make(chan struct{})
 		p.unlinkLocked(f)
 		p.mu.Unlock()
-		err := p.store.WriteBlock(f.array, f.r, f.c, blk)
+		err := p.store.WriteBlock(array, r, c, blk)
 		p.mu.Lock()
 		f.pins--
 		close(f.writing)
@@ -408,7 +384,7 @@ func (p *Pool) ReleaseBlock(array string, r, c int64) error {
 			f.dirty = false
 			p.writebacks++
 		}
-		stale := p.frames[key] != f
+		stale := p.frames[id] != f
 		if err != nil || f.dirty {
 			// Write-back failed, or the frame was re-dirtied while the lock
 			// was down: keep the data and let it age out through the LRU
@@ -418,7 +394,7 @@ func (p *Pool) ReleaseBlock(array string, r, c int64) error {
 			}
 			p.mu.Unlock()
 			if err != nil {
-				return fmt.Errorf("buffer: release %s: %w", key, err)
+				return fmt.Errorf("buffer: release %s: %w", id, err)
 			}
 			return nil
 		}
@@ -432,7 +408,7 @@ func (p *Pool) ReleaseBlock(array string, r, c int64) error {
 		return nil
 	}
 	p.unlinkLocked(f)
-	delete(p.frames, key)
+	delete(p.frames, id)
 	p.forgetLocked(f)
 	p.mu.Unlock()
 	return nil
@@ -447,14 +423,14 @@ func (p *Pool) evictFrameLocked(f *frame) error {
 		// Write-back under p.mu is the documented eviction serialization
 		// point (see evictToCapLocked); the victim must leave atomically
 		// with its accounting. //riotvet:allow lockio
-		if err := p.store.WriteBlock(f.array, f.r, f.c, f.blk); err != nil {
+		if err := p.store.WriteBlock(f.id.Array, f.id.R, f.id.C, f.blk); err != nil {
 			f.elem = p.lru.PushFront(f)
-			return fmt.Errorf("buffer: write-back %s: %w", f.key, err)
+			return fmt.Errorf("buffer: write-back %s: %w", f.id, err)
 		}
 		f.dirty = false
 		p.writebacks++
 	}
-	delete(p.frames, f.key)
+	delete(p.frames, f.id)
 	p.forgetLocked(f)
 	p.evictions++
 	return nil
@@ -491,8 +467,8 @@ func (p *Pool) Flush() error {
 		// Flush holds p.mu across write-backs so no new dirty state can
 		// race the durability sweep; it runs at shutdown/checkpoint, not
 		// on the query path. //riotvet:allow lockio
-		if err := p.store.WriteBlock(f.array, f.r, f.c, f.blk); err != nil {
-			return fmt.Errorf("buffer: flush %s: %w", f.key, err)
+		if err := p.store.WriteBlock(f.id.Array, f.id.R, f.id.C, f.blk); err != nil {
+			return fmt.Errorf("buffer: flush %s: %w", f.id, err)
 		}
 		f.dirty = false
 		p.writebacks++
@@ -513,15 +489,15 @@ func (p *Pool) Flush() error {
 // loading are left alone (they are never dirty).
 func (p *Pool) InvalidateArray(array string) error {
 	p.mu.Lock()
-	var frames []*frame
-	for _, f := range p.frames {
-		if f.array == array {
-			frames = append(frames, f)
+	var ids []prog.BlockID
+	for id := range p.frames {
+		if id.Array == array {
+			ids = append(ids, id)
 		}
 	}
 	p.mu.Unlock()
-	for _, f := range frames { // a frame's coordinates never change
-		if err := p.ReleaseBlock(array, f.r, f.c); err != nil {
+	for _, id := range ids {
+		if err := p.ReleaseBlock(array, id.R, id.C); err != nil {
 			return err
 		}
 	}
@@ -536,7 +512,7 @@ func (p *Pool) InvalidateArray(array string) error {
 func (p *Pool) DiscardBlock(array string, r, c int64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if f := p.frameLocked(array, r, c); f != nil && f.loading == nil {
+	if f := p.frames[prog.BlockID{Array: array, R: r, C: c}]; f != nil && f.loading == nil {
 		p.discardLocked(f)
 	}
 }
@@ -548,8 +524,8 @@ func (p *Pool) DiscardBlock(array string, r, c int64) {
 func (p *Pool) DiscardArray(array string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for _, f := range p.frames {
-		if f.array == array && f.loading == nil {
+	for id, f := range p.frames {
+		if id.Array == array && f.loading == nil {
 			p.discardLocked(f)
 		}
 	}
@@ -565,7 +541,7 @@ func (p *Pool) discardLocked(f *frame) {
 		return
 	}
 	p.unlinkLocked(f)
-	delete(p.frames, f.key)
+	delete(p.frames, f.id)
 	p.forgetLocked(f)
 }
 

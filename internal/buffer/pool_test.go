@@ -222,7 +222,7 @@ func TestConcurrentAcquireCoalesces(t *testing.T) {
 				}
 				// Leader, coalesced followers and later hits all borrow
 				// the one frame matrix.
-				if first, _ := lent.LoadOrStore(poolKey("A", r, c), blk); first != blk {
+				if first, _ := lent.LoadOrStore(prog.BlockID{Array: "A", R: r, C: c}, blk); first != blk {
 					errs <- fmt.Errorf("A[%d,%d]: two acquirers got different matrices", r, c)
 					return
 				}

@@ -16,30 +16,31 @@ import (
 type BlockAccess struct {
 	// Acc indexes Events[i].St.Accesses.
 	Acc    int
-	Array  string
-	R, C   int64
-	Key    string
+	Block  prog.BlockID
 	Type   prog.AccessType
 	Action AccessAction
 }
 
 // AccessSets resolves every event's active accesses to concrete blocks.
 // Inactive accesses (false guards) are omitted; the slice for event i
-// preserves the statement's access order, which kernels depend on.
+// preserves the statement's access order, which kernels depend on. All
+// sets share one backing array, each capped at its own end.
 func (tl *Timeline) AccessSets() [][]BlockAccess {
+	n := 0
+	for _, ev := range tl.Events {
+		n += len(ev.St.Accesses)
+	}
+	all := make([]BlockAccess, 0, n)
 	sets := make([][]BlockAccess, len(tl.Events))
 	for i := range tl.Events {
-		sets[i] = tl.appendAccesses(nil, i)
-		for j := range sets[i] {
-			ba := &sets[i][j]
-			ba.Key = blockKey(ba.Array, ba.R, ba.C)
-		}
+		start := len(all)
+		all = tl.appendAccesses(all, i)
+		sets[i] = all[start:len(all):len(all)]
 	}
 	return sets
 }
 
-// appendAccesses appends event i's active accesses to dst, in access order
-// and without their Key.
+// appendAccesses appends event i's active accesses to dst, in access order.
 func (tl *Timeline) appendAccesses(dst []BlockAccess, i int) []BlockAccess {
 	ev := tl.Events[i]
 	for ai := range ev.St.Accesses {
@@ -49,7 +50,7 @@ func (tl *Timeline) appendAccesses(dst []BlockAccess, i int) []BlockAccess {
 		}
 		ac := &ev.St.Accesses[ai]
 		r, c := ac.BlockAt(ev.X, tl.Params)
-		dst = append(dst, BlockAccess{Acc: ai, Array: ac.Array, R: r, C: c, Type: ac.Type, Action: action})
+		dst = append(dst, BlockAccess{Acc: ai, Block: prog.BlockID{Array: ac.Array, R: r, C: c}, Type: ac.Type, Action: action})
 	}
 	return dst
 }
@@ -59,9 +60,7 @@ func (tl *Timeline) appendAccesses(dst []BlockAccess, i int) []BlockAccess {
 // and leaves it after the event at End completes, so events in (Start, End]
 // observe it as memory-resident.
 type HoldInterval struct {
-	Array string
-	R, C  int64
-	Key   string
+	Block prog.BlockID
 	Start int // event index that buffers the block
 	End   int // last event index through which it stays buffered
 }
@@ -74,19 +73,19 @@ type HoldInterval struct {
 func (tl *Timeline) HoldIntervals() []HoldInterval {
 	holds := slices.Clone(tl.Holds)
 	slices.SortFunc(holds, func(x, y Hold) int {
-		return cmp.Or(strings.Compare(x.Array, y.Array), cmp.Compare(x.R, y.R), cmp.Compare(x.C, y.C),
+		a, b := x.Block, y.Block
+		return cmp.Or(strings.Compare(a.Array, b.Array), cmp.Compare(a.R, b.R), cmp.Compare(a.C, b.C),
 			cmp.Compare(x.StartEvent, y.StartEvent))
 	})
 	var out []HoldInterval
 	for _, h := range holds {
 		if n := len(out); n > 0 {
-			if cur := &out[n-1]; cur.Array == h.Array && cur.R == h.R && cur.C == h.C && h.StartEvent <= cur.End {
+			if cur := &out[n-1]; cur.Block == h.Block && h.StartEvent <= cur.End {
 				cur.End = max(cur.End, h.EndEvent)
 				continue
 			}
 		}
-		out = append(out, HoldInterval{Array: h.Array, R: h.R, C: h.C,
-			Key: blockKey(h.Array, h.R, h.C), Start: h.StartEvent, End: h.EndEvent})
+		out = append(out, HoldInterval{Block: h.Block, Start: h.StartEvent, End: h.EndEvent})
 	}
 	return out
 }
@@ -126,10 +125,6 @@ type ArrayIO struct {
 // sets, when non-nil, is the timeline's AccessSets; a nil sets resolves
 // each event's accesses on the fly into one reused buffer.
 func (tl *Timeline) Account(sets [][]BlockAccess) Accounting {
-	type blockID struct {
-		array string
-		r, c  int64
-	}
 	arrays := tl.Prog.Arrays
 	acct := Accounting{PerArray: make(map[string]ArrayIO)}
 
@@ -138,22 +133,22 @@ func (tl *Timeline) Account(sets [][]BlockAccess) Accounting {
 	// release[i] is what leaves the buffer after event i.
 	ivs := tl.HoldIntervals()
 	slices.SortFunc(ivs, func(x, y HoldInterval) int { return cmp.Compare(x.Start, y.Start) })
-	heldUntil := make(map[blockID]int, len(ivs))
+	heldUntil := make(map[prog.BlockID]int, len(ivs))
 	release := make([]int64, len(tl.Events))
 	held := int64(0)
 	next := 0
 
 	var scratch []BlockAccess
 	type touched struct {
-		id   blockID
+		id   prog.BlockID
 		read bool // read from disk by this event already
 	}
 	var local []touched
 	for i := range tl.Events {
 		for ; next < len(ivs) && ivs[next].Start <= i; next++ {
 			iv := &ivs[next]
-			b := arrays[iv.Array].LogicalBlockBytes
-			heldUntil[blockID{iv.Array, iv.R, iv.C}] = iv.End
+			b := arrays[iv.Block.Array].LogicalBlockBytes
+			heldUntil[iv.Block] = iv.End
 			held += b
 			release[iv.End] += b
 		}
@@ -168,20 +163,19 @@ func (tl *Timeline) Account(sets [][]BlockAccess) Accounting {
 		mem := held
 		local = local[:0]
 		for _, ba := range set {
-			id := blockID{ba.Array, ba.R, ba.C}
-			b := arrays[ba.Array].LogicalBlockBytes
-			j := slices.IndexFunc(local, func(t touched) bool { return t.id == id })
+			b := arrays[ba.Block.Array].LogicalBlockBytes
+			j := slices.IndexFunc(local, func(t touched) bool { return t.id == ba.Block })
 			if j < 0 {
 				j = len(local)
-				local = append(local, touched{id: id})
-				if end, ok := heldUntil[id]; !ok || end < i {
+				local = append(local, touched{id: ba.Block})
+				if end, ok := heldUntil[ba.Block]; !ok || end < i {
 					mem += b
 				}
 			}
 			if ba.Action != DoIO || (ba.Type == prog.Read && local[j].read) {
 				continue
 			}
-			pa := acct.PerArray[ba.Array]
+			pa := acct.PerArray[ba.Block.Array]
 			if ba.Type == prog.Read {
 				local[j].read = true
 				acct.ReadBytes += b
@@ -192,7 +186,7 @@ func (tl *Timeline) Account(sets [][]BlockAccess) Accounting {
 				acct.WriteReqs++
 				pa.WriteBytes += b
 			}
-			acct.PerArray[ba.Array] = pa
+			acct.PerArray[ba.Block.Array] = pa
 		}
 		acct.PeakMemoryBytes = max(acct.PeakMemoryBytes, mem)
 		held -= release[i]

@@ -7,6 +7,7 @@ import (
 	"riotshare/internal/codegen"
 	"riotshare/internal/core"
 	"riotshare/internal/ops"
+	"riotshare/internal/prog"
 )
 
 func addMulPlans(t *testing.T) *core.Result {
@@ -52,8 +53,7 @@ func TestAccessSetsMirrorActions(t *testing.T) {
 				prevAcc = ba.Acc
 				ac := &ev.St.Accesses[ba.Acc]
 				r, c := ac.BlockAt(ev.X, tl.Params)
-				if ba.Array != ac.Array || ba.R != r || ba.C != c ||
-					ba.Key != codegen.BlockKey(ac.Array, r, c) ||
+				if ba.Block != (prog.BlockID{Array: ac.Array, R: r, C: c}) ||
 					ba.Type != ac.Type || ba.Action != tl.Actions[i][ba.Acc] {
 					t.Fatalf("plan %s event %d: access %+v does not match statement access", pl.Label, i, ba)
 				}
@@ -74,10 +74,9 @@ func TestHoldIntervalsMergeAndCover(t *testing.T) {
 			sawHolds = true
 		}
 		for _, h := range tl.Holds {
-			key := codegen.BlockKey(h.Array, h.R, h.C)
 			covered := false
 			for _, iv := range ivs {
-				if iv.Key == key && iv.Start <= h.StartEvent && h.EndEvent <= iv.End {
+				if iv.Block == h.Block && iv.Start <= h.StartEvent && h.EndEvent <= iv.End {
 					covered = true
 					break
 				}
@@ -86,15 +85,15 @@ func TestHoldIntervalsMergeAndCover(t *testing.T) {
 				t.Fatalf("plan %s: hold %+v not covered by any interval", pl.Label, h)
 			}
 		}
-		last := map[string]int{}
+		last := map[prog.BlockID]int{}
 		for _, iv := range ivs {
 			if iv.Start < 0 || iv.End >= len(tl.Events) || iv.Start > iv.End {
 				t.Fatalf("plan %s: interval %+v out of range", pl.Label, iv)
 			}
-			if prev, ok := last[iv.Key]; ok && iv.Start <= prev {
-				t.Fatalf("plan %s: intervals of %s overlap or unsorted", pl.Label, iv.Key)
+			if prev, ok := last[iv.Block]; ok && iv.Start <= prev {
+				t.Fatalf("plan %s: intervals of %s overlap or unsorted", pl.Label, iv.Block)
 			}
-			last[iv.Key] = iv.End
+			last[iv.Block] = iv.End
 		}
 	}
 	if !sawHolds {
@@ -112,7 +111,7 @@ func TestHoldIntervalStartAccessesBlock(t *testing.T) {
 		for _, iv := range tl.HoldIntervals() {
 			found := false
 			for _, ba := range sets[iv.Start] {
-				if ba.Key == iv.Key {
+				if ba.Block == iv.Block {
 					found = true
 					break
 				}
@@ -133,5 +132,24 @@ func TestAccountWithAndWithoutSets(t *testing.T) {
 		if got, want := tl.Account(tl.AccessSets()), tl.Account(nil); !reflect.DeepEqual(got, want) {
 			t.Fatalf("plan %s: Account(sets) = %+v, Account(nil) = %+v", pl.Label, got, want)
 		}
+	}
+}
+
+// AccessSets runs on every exec run, so it must not allocate per access:
+// its allocations may not grow with the number of accesses an event makes.
+func TestAccessSetsAllocations(t *testing.T) {
+	p := ops.AddMul(ops.AddMulConfig{
+		N1: 5, N2: 5, N3: 5,
+		ABBlock: ops.Dims{Rows: 64, Cols: 64},
+		DBlock:  ops.Dims{Rows: 64, Cols: 64},
+	})
+	res, err := core.Optimize(p, core.Options{BindParams: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tl := res.Plans[0].Timeline
+	allocs := testing.AllocsPerRun(10, func() { tl.AccessSets() })
+	if events := float64(len(tl.Events)); allocs > events {
+		t.Fatalf("AccessSets made %.0f allocations for %d events, want at most one per event", allocs, len(tl.Events))
 	}
 }

@@ -3,6 +3,8 @@ package codegen
 import (
 	"encoding/json"
 	"io"
+
+	"riotshare/internal/prog"
 )
 
 // ExportedPlan is the stable JSON form of a lowered plan: the execution
@@ -58,14 +60,14 @@ func (tl *Timeline) Export() *ExportedPlan {
 		}
 		for ai, ac := range ev.St.Accesses {
 			r, c := ac.BlockAt(ev.X, tl.Params)
-			ee.Accesses = append(ee.Accesses, ac.Type.String()+" "+blockKey(ac.Array, r, c))
+			ee.Accesses = append(ee.Accesses, ac.Type.String()+" "+prog.BlockID{Array: ac.Array, R: r, C: c}.String())
 			ee.Actions = append(ee.Actions, actionName(tl.Actions[i][ai]))
 		}
 		out.Events = append(out.Events, ee)
 	}
 	for _, h := range tl.Holds {
 		out.Holds = append(out.Holds, ExportedHold{
-			Block:      blockKey(h.Array, h.R, h.C),
+			Block:      h.Block.String(),
 			StartEvent: h.StartEvent,
 			EndEvent:   h.EndEvent,
 		})

@@ -11,6 +11,7 @@ package codegen
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"riotshare/internal/deps"
@@ -46,8 +47,7 @@ type Event struct {
 // Hold records that a block must stay buffered from one event to another to
 // realize sharing (it defines the plan's extra memory requirement, §5.4).
 type Hold struct {
-	Array      string
-	R, C       int64
+	Block      prog.BlockID
 	StartEvent int // index into Timeline.Events
 	EndEvent   int
 }
@@ -151,8 +151,7 @@ func Lower(an *deps.Analysis, plan sched.Plan) (*Timeline, error) {
 	}
 	for _, ww := range wws {
 		r, col := ww.c.SrcAccess().BlockAt(ww.pr[0], params)
-		key := blockKey(ww.c.Array(), r, col)
-		if tl.diskReadBetween(key, ww.si, ww.ti) {
+		if tl.diskReadBetween(prog.BlockID{Array: ww.c.Array(), R: r, C: col}, ww.si, ww.ti) {
 			continue // unrealizable pair; keep the write
 		}
 		tl.Actions[ww.si][ww.c.SrcAcc] = Elided
@@ -164,15 +163,14 @@ func Lower(an *deps.Analysis, plan sched.Plan) (*Timeline, error) {
 // diskReadBetween reports whether any read of the block in events
 // (si, ti] is served from disk (reads at event ti occur before its write,
 // so they are included).
-func (tl *Timeline) diskReadBetween(key string, si, ti int) bool {
+func (tl *Timeline) diskReadBetween(id prog.BlockID, si, ti int) bool {
 	for i := si + 1; i <= ti; i++ {
 		ev := tl.Events[i]
 		for ai, ac := range ev.St.Accesses {
 			if ac.Type != prog.Read || tl.Actions[i][ai] != DoIO {
 				continue
 			}
-			r, c := ac.BlockAt(ev.X, tl.Params)
-			if blockKey(ac.Array, r, c) == key {
+			if r, c := ac.BlockAt(ev.X, tl.Params); (prog.BlockID{Array: ac.Array, R: r, C: c}) == id {
 				return true
 			}
 		}
@@ -184,7 +182,7 @@ func (tl *Timeline) diskReadBetween(key string, si, ti int) bool {
 func (tl *Timeline) addHold(c *deps.CoAccess, pr [2][]int64, startEv, endEv int) {
 	r, col := c.SrcAccess().BlockAt(pr[0], tl.Params)
 	tl.Holds = append(tl.Holds, Hold{
-		Array: c.Array(), R: r, C: col,
+		Block:      prog.BlockID{Array: c.Array(), R: r, C: col},
 		StartEvent: startEv, EndEvent: endEv,
 	})
 }
@@ -195,12 +193,12 @@ func (tl *Timeline) addHold(c *deps.CoAccess, pr [2][]int64, startEv, endEv int)
 // with no later disk read of the same block are elided.
 func (tl *Timeline) elideDeadTransientWrites() {
 	// lastDiskRead[block] = last event index reading the block with DoIO.
-	lastDiskRead := make(map[string]int)
+	lastDiskRead := make(map[prog.BlockID]int)
 	for i, ev := range tl.Events {
 		for ai, ac := range ev.St.Accesses {
 			if ac.Type == prog.Read && tl.Actions[i][ai] == DoIO {
 				r, c := ac.BlockAt(ev.X, tl.Params)
-				lastDiskRead[blockKey(ac.Array, r, c)] = i
+				lastDiskRead[prog.BlockID{Array: ac.Array, R: r, C: c}] = i
 			}
 		}
 	}
@@ -214,7 +212,7 @@ func (tl *Timeline) elideDeadTransientWrites() {
 				continue
 			}
 			r, c := ac.BlockAt(ev.X, tl.Params)
-			if last, ok := lastDiskRead[blockKey(ac.Array, r, c)]; !ok || last <= i {
+			if last, ok := lastDiskRead[prog.BlockID{Array: ac.Array, R: r, C: c}]; !ok || last <= i {
 				tl.Actions[i][ai] = Elided
 			}
 		}
@@ -225,37 +223,11 @@ func evKey(stmtID int, x []int64) string {
 	buf := make([]byte, 0, 4+len(x)*4)
 	buf = append(buf, byte(stmtID), ':')
 	for _, v := range x {
-		buf = appendInt(buf, v)
+		buf = strconv.AppendInt(buf, v, 10)
 		buf = append(buf, ',')
 	}
 	return string(buf)
 }
-
-func blockKey(array string, r, c int64) string {
-	buf := make([]byte, 0, len(array)+10)
-	buf = append(buf, array...)
-	buf = append(buf, '[')
-	buf = appendInt(buf, r)
-	buf = append(buf, ',')
-	buf = appendInt(buf, c)
-	buf = append(buf, ']')
-	return string(buf)
-}
-
-func appendInt(buf []byte, v int64) []byte {
-	if v < 0 {
-		buf = append(buf, '-')
-		v = -v
-	}
-	if v >= 10 {
-		buf = appendInt(buf, v/10)
-	}
-	return append(buf, byte('0'+v%10))
-}
-
-// BlockKey exposes the canonical block identity BlockAccess.Key and
-// HoldInterval.Key carry.
-func BlockKey(array string, r, c int64) string { return blockKey(array, r, c) }
 
 // String summarizes the timeline (first events and action statistics).
 func (tl *Timeline) String() string {

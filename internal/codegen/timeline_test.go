@@ -179,14 +179,13 @@ func TestTimelineString(t *testing.T) {
 }
 
 func TestBlockKeyDisambiguation(t *testing.T) {
-	// "Y" must not match "Yh" keys.
-	a := BlockKey("Y", 1, 0)
-	b := BlockKey("Yh", 1, 0)
-	if a == b {
-		t.Fatal("keys must differ")
+	// Block Y[1,0] must not match block Yh[1,0].
+	y, yh := prog.BlockID{Array: "Y", R: 1, C: 0}, prog.BlockID{Array: "Yh", R: 1, C: 0}
+	if y == yh {
+		t.Fatal("block IDs of different arrays must differ")
 	}
-	if !strings.HasPrefix(b, "Yh[") {
-		t.Fatal("key format changed")
+	if y.String() != "Y[1,0]" || yh.String() != "Yh[1,0]" {
+		t.Fatalf("block IDs print as %s and %s, want Y[1,0] and Yh[1,0]", y, yh)
 	}
 }
 

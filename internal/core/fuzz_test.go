@@ -226,12 +226,12 @@ func fillRandomInputs(p *prog.Program, m *storage.Manager, seed int64) error {
 func readOutputs(t *testing.T, p *prog.Program, m *storage.Manager, tl *codegen.Timeline) map[string][]float64 {
 	t.Helper()
 	// Determine which blocks were physically written by this plan.
-	persisted := map[string]bool{}
+	persisted := map[prog.BlockID]bool{}
 	for i, ev := range tl.Events {
 		for ai, ac := range ev.St.Accesses {
 			if ac.Type == prog.Write && tl.Actions[i][ai] == codegen.DoIO {
 				r, c := ac.BlockAt(ev.X, tl.Params)
-				persisted[codegen.BlockKey(ac.Array, r, c)] = true
+				persisted[prog.BlockID{Array: ac.Array, R: r, C: c}] = true
 			}
 		}
 	}
@@ -244,7 +244,7 @@ func readOutputs(t *testing.T, p *prog.Program, m *storage.Manager, tl *codegen.
 		complete := true
 		for br := 0; br < arr.GridRows && complete; br++ {
 			for bc := 0; bc < arr.GridCols && complete; bc++ {
-				if !persisted[codegen.BlockKey(name, int64(br), int64(bc))] {
+				if !persisted[prog.BlockID{Array: name, R: int64(br), C: int64(bc)}] {
 					complete = false
 					break
 				}

@@ -8,7 +8,6 @@ import (
 
 	"riotshare/internal/blas"
 	"riotshare/internal/buffer"
-	"riotshare/internal/codegen"
 	"riotshare/internal/core"
 	"riotshare/internal/disk"
 	"riotshare/internal/ops"
@@ -22,20 +21,20 @@ import (
 type deathWatch struct {
 	BlockPool
 	mu   sync.Mutex
-	dead map[string]int // announcements per block key
+	dead map[prog.BlockID]int // announcements per block
 	errs []string
 }
 
 func newDeathWatch(pool BlockPool) *deathWatch {
-	return &deathWatch{BlockPool: pool, dead: make(map[string]int)}
+	return &deathWatch{BlockPool: pool, dead: make(map[prog.BlockID]int)}
 }
 
 func (d *deathWatch) touch(op, array string, r, c int64) {
-	key := codegen.BlockKey(array, r, c)
+	id := prog.BlockID{Array: array, R: r, C: c}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.dead[key] > 0 {
-		d.errs = append(d.errs, fmt.Sprintf("%s of %s after it was announced dead", op, key))
+	if d.dead[id] > 0 {
+		d.errs = append(d.errs, fmt.Sprintf("%s of %s after it was announced dead", op, id))
 	}
 }
 
@@ -51,7 +50,7 @@ func (d *deathWatch) Put(array string, r, c int64, blk *blas.Matrix) error {
 
 func (d *deathWatch) announce(array string, r, c int64) {
 	d.mu.Lock()
-	d.dead[codegen.BlockKey(array, r, c)]++
+	d.dead[prog.BlockID{Array: array, R: r, C: c}]++
 	d.mu.Unlock()
 }
 
@@ -128,11 +127,11 @@ func TestDeadBlocksAnnouncedAfterLastUse(t *testing.T) {
 		for _, pl := range res.Plans {
 			// The transient blocks the timeline touches (none in twomm,
 			// whose every array persists).
-			want := make(map[string]bool)
+			want := make(map[prog.BlockID]bool)
 			for _, set := range pl.Timeline.AccessSets() {
 				for _, ba := range set {
-					if p.Arrays[ba.Array].Transient {
-						want[ba.Key] = true
+					if p.Arrays[ba.Block.Array].Transient {
+						want[ba.Block] = true
 					}
 				}
 			}
@@ -159,11 +158,11 @@ func TestDeadBlocksAnnouncedAfterLastUse(t *testing.T) {
 					for _, e := range leg.watch.errs {
 						t.Errorf("%s: %s", name, e)
 					}
-					for key, n := range leg.watch.dead {
-						if !want[key] {
-							t.Errorf("%s: %s announced dead but is not a transient block of the timeline", name, key)
+					for id, n := range leg.watch.dead {
+						if !want[id] {
+							t.Errorf("%s: %s announced dead but is not a transient block of the timeline", name, id)
 						} else if n != 1 {
-							t.Errorf("%s: %s announced %d times, want once", name, key, n)
+							t.Errorf("%s: %s announced %d times, want once", name, id, n)
 						}
 					}
 					if len(leg.watch.dead) != len(want) {

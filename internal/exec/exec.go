@@ -166,7 +166,7 @@ func (e *Engine) RunOptions(tl *codegen.Timeline, opt Options) (Result, error) {
 	}
 	rs := &runState{
 		e: e, pool: pool, tl: tl, sets: sets, kernels: kernels,
-		buf: make(map[string]block),
+		buf: make(map[prog.BlockID]block),
 	}
 	defer func() { // a failed run leaves held blocks behind; a complete one, none
 		for _, b := range rs.buf {
@@ -222,7 +222,7 @@ type ivState struct {
 type block struct {
 	m        *blas.Matrix
 	borrowed bool
-	ref      blockRef
+	id       prog.BlockID
 	pins     int
 }
 
@@ -234,13 +234,13 @@ type runState struct {
 	tl      *codegen.Timeline
 	sets    [][]codegen.BlockAccess
 	kernels []kernel // by Statement.ID
-	// cover[i][key] is the merged hold interval covering event i for key
-	// (Start <= i <= End and event i touches key); nil map when event i
-	// covers nothing.
-	cover []map[string]*ivState
+	// cover[i][id] is the merged hold interval covering event i for block
+	// id (Start <= i <= End and event i touches the block); nil map when
+	// event i covers nothing.
+	cover []map[prog.BlockID]*ivState
 	// finalize[i] lists blocks whose final physical write is event i
 	// (nil when the engine has no OnBlockWritten callback).
-	finalize [][]blockRef
+	finalize [][]prog.BlockID
 	// dying[i] lists event i's accesses of transient blocks, each with its
 	// block's countdown (nil when the engine has no OnBlockDead callback).
 	dying [][]*countdown
@@ -249,7 +249,7 @@ type runState struct {
 	// buf holds the blocks of active hold intervals, with the pins their
 	// events took; each is dropped when its interval's last accessor
 	// completes.
-	buf map[string]block
+	buf map[prog.BlockID]block
 
 	kernelMu   sync.Mutex
 	stageTimes map[string]time.Duration // becomes Result.StageTimes
@@ -263,7 +263,7 @@ type runState struct {
 	// window tracks the prefetch walk's unconsumed entries; slots bounds
 	// how many of them the prefetcher may have pinned at once.
 	winMu  sync.Mutex
-	window map[string]*pfEntry
+	window map[prog.BlockID]*pfEntry
 	slots  chan struct{}
 	// pfWG tracks the prefetcher and every read goroutine it spawned;
 	// runDAG joins it so no straggler touches the pool or storage after
@@ -285,23 +285,23 @@ type runState struct {
 // interval must begin at an event that accesses its block: that event is
 // what buffers it.
 func (rs *runState) coverHolds() ([]*ivState, error) {
-	rs.cover = make([]map[string]*ivState, len(rs.sets))
+	rs.cover = make([]map[prog.BlockID]*ivState, len(rs.sets))
 	var out []*ivState
 	for _, iv := range rs.tl.HoldIntervals() {
 		st := &ivState{iv: iv}
 		for i := iv.Start; i <= iv.End; i++ {
-			if r, w := touch(rs.sets[i], iv.Key); !r && !w {
+			if r, w := touch(rs.sets[i], iv.Block); !r && !w {
 				continue
 			}
 			st.accessors = append(st.accessors, i)
 			if rs.cover[i] == nil {
-				rs.cover[i] = make(map[string]*ivState)
+				rs.cover[i] = make(map[prog.BlockID]*ivState)
 			}
-			rs.cover[i][iv.Key] = st
+			rs.cover[i][iv.Block] = st
 		}
 		if len(st.accessors) == 0 || st.accessors[0] != iv.Start {
 			return nil, fmt.Errorf("exec: hold interval %s[%d..%d] start event does not access the block",
-				iv.Key, iv.Start, iv.End)
+				iv.Block, iv.Start, iv.End)
 		}
 		st.refs = int32(len(st.accessors))
 		out = append(out, st)
@@ -310,9 +310,9 @@ func (rs *runState) coverHolds() ([]*ivState, error) {
 }
 
 // touch reports whether an event's access set reads and writes the block.
-func touch(set []codegen.BlockAccess, key string) (read, write bool) {
+func touch(set []codegen.BlockAccess, id prog.BlockID) (read, write bool) {
 	for i := range set {
-		if set[i].Key != key {
+		if set[i].Block != id {
 			continue
 		}
 		if set[i].Type == prog.Read {
@@ -327,7 +327,7 @@ func touch(set []codegen.BlockAccess, key string) (read, write bool) {
 // drop releases the pool pins a block record owns.
 func (rs *runState) drop(b block) {
 	if b.pins > 0 {
-		rs.pool.Unpin(b.ref.array, b.ref.r, b.ref.c, b.pins)
+		rs.pool.Unpin(b.id.Array, b.id.R, b.id.C, b.pins)
 	}
 }
 
@@ -347,7 +347,7 @@ func (rs *runState) execEvent(i int) (err error) {
 	// pins and all; the rest are dropped when the event finishes. Only then,
 	// with every pin of the event released, does a completed event count
 	// down the transient blocks it touched.
-	local := make(map[string]*block, len(set))
+	local := make(map[prog.BlockID]*block, len(set))
 	defer func() {
 		for _, b := range local {
 			rs.drop(*b)
@@ -363,37 +363,37 @@ func (rs *runState) execEvent(i int) (err error) {
 	var accRead *blas.Matrix // accumulator read operand, nil when inactive
 	fresh := false           // outBlk was allocated by this event and is still zero
 
-	// buffered returns the block an earlier event of key's hold interval
+	// buffered returns the block an earlier event of id's hold interval
 	// left in the shared buffer (its pins stay with the interval); ok
 	// reports whether there was such an event.
-	buffered := func(key string) (b block, ok bool) {
-		if iv, covered := cover[key]; !covered || i == iv.iv.Start {
+	buffered := func(id prog.BlockID) (b block, ok bool) {
+		if iv, covered := cover[id]; !covered || i == iv.iv.Start {
 			return block{}, false
 		}
 		rs.mu.Lock()
 		defer rs.mu.Unlock()
-		b = rs.buf[key]
+		b = rs.buf[id]
 		b.pins = 0
 		return b, true
 	}
 
 	for bi := range set {
 		ba := &set[bi]
-		mine := local[ba.Key]
+		mine := local[ba.Block]
 		if mine == nil {
-			mine = &block{ref: blockRef{array: ba.Array, r: ba.R, c: ba.C}}
-			local[ba.Key] = mine
+			mine = &block{id: ba.Block}
+			local[ba.Block] = mine
 		}
 		if ba.Type == prog.Read {
 			b := *mine // an earlier access of this event, if any
 			switch ba.Action {
 			case codegen.FromMemory:
-				if held, _ := buffered(ba.Key); held.m != nil {
+				if held, _ := buffered(ba.Block); held.m != nil {
 					b = held
 				}
 				if b.m == nil {
 					return fmt.Errorf("exec: %s%v expects %s in memory but it is not buffered",
-						ev.St.Name, ev.X, ba.Key)
+						ev.St.Name, ev.X, ba.Block)
 				}
 			case codegen.DoIO:
 				if mine.pins > 0 {
@@ -418,12 +418,12 @@ func (rs *runState) execEvent(i int) (err error) {
 		}
 		// Write access: the output block materializes in memory.
 		writeBA = ba
-		arr := tl.Prog.Arrays[ba.Array]
-		out, held := buffered(ba.Key)
+		arr := tl.Prog.Arrays[ba.Block.Array]
+		out, held := buffered(ba.Block)
 		switch {
 		case held && out.m == nil:
 			return fmt.Errorf("exec: %s%v writes held block %s but it is not buffered",
-				ev.St.Name, ev.X, ba.Key)
+				ev.St.Name, ev.X, ba.Block)
 		case !held, out.borrowed && out.m == accRead:
 			// A new block — also for the copy-on-write of a held block
 			// that is the accumulator's prior value: the kernel copies
@@ -454,26 +454,27 @@ func (rs *runState) execEvent(i int) (err error) {
 
 	// Write-back.
 	if writeBA != nil && writeBA.Action == codegen.DoIO {
-		if err := rs.pool.Put(writeBA.Array, writeBA.R, writeBA.C, outBlk); err != nil {
+		w := writeBA.Block
+		if err := rs.pool.Put(w.Array, w.R, w.C, outBlk); err != nil {
 			return err
 		}
-		local[writeBA.Key].pins++
+		local[w].pins++
 	}
 
 	// Retain blocks whose hold interval extends past this event, adding
 	// this event's pins to the interval's; drop a block when its
 	// interval's last accessor completes.
 	rs.mu.Lock()
-	for key, iv := range cover {
+	for id, iv := range cover {
 		if i < iv.iv.End {
-			b := *local[key]
-			b.pins += rs.buf[key].pins
-			rs.buf[key] = b
-			delete(local, key)
+			b := *local[id]
+			b.pins += rs.buf[id].pins
+			rs.buf[id] = b
+			delete(local, id)
 		}
 		if iv.refs--; iv.refs == 0 {
-			rs.drop(rs.buf[key])
-			delete(rs.buf, key)
+			rs.drop(rs.buf[id])
+			delete(rs.buf, id)
 		}
 	}
 	rs.mu.Unlock()
@@ -483,17 +484,11 @@ func (rs *runState) execEvent(i int) (err error) {
 	// the DAG's WAW and dataflow edges), so the value observed through
 	// Pool/Store from here on is final.
 	if rs.finalize != nil {
-		for _, br := range rs.finalize[i] {
-			rs.e.OnBlockWritten(br.array, br.r, br.c)
+		for _, id := range rs.finalize[i] {
+			rs.e.OnBlockWritten(id.Array, id.R, id.C)
 		}
 	}
 	return nil
-}
-
-// blockRef names one block of one array.
-type blockRef struct {
-	array string
-	r, c  int64
 }
 
 // finalWrites maps each event index to the blocks whose final write the
@@ -503,29 +498,23 @@ type blockRef struct {
 // such an event completes, the block's value is final and readable;
 // execEvent drives Engine.OnBlockWritten off these lists. Blocks whose
 // last write stays memory-only are omitted.
-func finalWrites(sets [][]codegen.BlockAccess) [][]blockRef {
+func finalWrites(sets [][]codegen.BlockAccess) [][]prog.BlockID {
 	type lastWrite struct {
 		event int
 		doIO  bool
-		ref   blockRef
 	}
-	last := make(map[string]lastWrite)
+	last := make(map[prog.BlockID]lastWrite)
 	for i, set := range sets {
 		for _, ba := range set {
-			if ba.Type != prog.Write {
-				continue
-			}
-			last[ba.Key] = lastWrite{
-				event: i,
-				doIO:  ba.Action == codegen.DoIO,
-				ref:   blockRef{array: ba.Array, r: ba.R, c: ba.C},
+			if ba.Type == prog.Write {
+				last[ba.Block] = lastWrite{event: i, doIO: ba.Action == codegen.DoIO}
 			}
 		}
 	}
-	out := make([][]blockRef, len(sets))
-	for _, lw := range last {
+	out := make([][]prog.BlockID, len(sets))
+	for id, lw := range last {
 		if lw.doIO {
-			out[lw.event] = append(out[lw.event], lw.ref)
+			out[lw.event] = append(out[lw.event], id)
 		}
 	}
 	return out
@@ -534,7 +523,7 @@ func finalWrites(sets [][]codegen.BlockAccess) [][]blockRef {
 // countdown is one transient block's count of accesses by events that have
 // not completed yet.
 type countdown struct {
-	ref  blockRef
+	id   prog.BlockID
 	left atomic.Int32
 }
 
@@ -542,17 +531,17 @@ type countdown struct {
 // sharing one countdown per block that starts at the number of such accesses;
 // an event touching a block twice is listed, and counts down, twice.
 func transientTouches(p *prog.Program, sets [][]codegen.BlockAccess) [][]*countdown {
-	byKey := make(map[string]*countdown)
+	byID := make(map[prog.BlockID]*countdown)
 	out := make([][]*countdown, len(sets))
 	for i, set := range sets {
 		for _, ba := range set {
-			if arr := p.Arrays[ba.Array]; arr == nil || !arr.Transient {
+			if arr := p.Arrays[ba.Block.Array]; arr == nil || !arr.Transient {
 				continue
 			}
-			cd := byKey[ba.Key]
+			cd := byID[ba.Block]
 			if cd == nil {
-				cd = &countdown{ref: blockRef{array: ba.Array, r: ba.R, c: ba.C}}
-				byKey[ba.Key] = cd
+				cd = &countdown{id: ba.Block}
+				byID[ba.Block] = cd
 			}
 			out[i] = append(out[i], cd)
 			cd.left.Add(1)
@@ -567,7 +556,7 @@ func transientTouches(p *prog.Program, sets [][]codegen.BlockAccess) [][]*countd
 func (rs *runState) countDown(i int) {
 	for _, cd := range rs.dying[i] {
 		if cd.left.Add(-1) == 0 {
-			rs.e.OnBlockDead(cd.ref.array, cd.ref.r, cd.ref.c)
+			rs.e.OnBlockDead(cd.id.Array, cd.id.R, cd.id.C)
 		}
 	}
 }

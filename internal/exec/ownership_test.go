@@ -50,7 +50,7 @@ func copyOnWriteTimeline() *codegen.Timeline {
 		{io, io, mem, skip},
 		{mem, io, io},
 	}
-	tl.Holds = []codegen.Hold{{Array: "X", StartEvent: 0, EndEvent: 3}}
+	tl.Holds = []codegen.Hold{{Block: prog.BlockID{Array: "X"}, StartEvent: 0, EndEvent: 3}}
 	return tl
 }
 

@@ -43,19 +43,12 @@ type pipeline struct {
 	indeg []int32
 	// prefetch is the ordered walk of coalesced prefetchable reads;
 	// consumers counts the events each entry must serve.
-	prefetch  []pfReq
-	consumers map[string]int
+	prefetch  []prog.BlockID
+	consumers map[prog.BlockID]int
 	maxBlock  int64 // largest prefetchable block, for the byte budget
-	// firstDiskWrite[key] is the earliest event writing the block to disk;
+	// firstDiskWrite[id] is the earliest event writing the block to disk;
 	// reads at later events are not part of the prefetch walk.
-	firstDiskWrite map[string]int
-}
-
-// pfReq identifies one block the prefetcher should read ahead.
-type pfReq struct {
-	key   string
-	array string
-	r, c  int64
+	firstDiskWrite map[prog.BlockID]int
 }
 
 // buildPipeline derives the dependence DAG from the timeline's block
@@ -78,7 +71,7 @@ func buildPipeline(tl *codegen.Timeline, sets [][]codegen.BlockAccess, intervals
 	pp := &pipeline{
 		succs:     make([][]int, n),
 		indeg:     make([]int32, n),
-		consumers: make(map[string]int),
+		consumers: make(map[prog.BlockID]int),
 	}
 	seen := make(map[int64]bool)
 	addEdge := func(from, to int) error {
@@ -107,7 +100,7 @@ func buildPipeline(tl *codegen.Timeline, sets [][]codegen.BlockAccess, intervals
 			if err := addEdge(producer, i); err != nil {
 				return nil, err
 			}
-			if _, w := touch(sets[i], st.iv.Key); !w {
+			if _, w := touch(sets[i], st.iv.Block); !w {
 				readers = append(readers, i)
 				continue
 			}
@@ -121,7 +114,7 @@ func buildPipeline(tl *codegen.Timeline, sets [][]codegen.BlockAccess, intervals
 
 		// Buffer-slot reuse: the previous interval of this block must fully
 		// release before the next one buffers.
-		if prev != nil && prev.iv.Key == st.iv.Key {
+		if prev != nil && prev.iv.Block == st.iv.Block {
 			for _, a := range prev.accessors {
 				if err := addEdge(a, st.iv.Start); err != nil {
 					return nil, err
@@ -136,13 +129,13 @@ func buildPipeline(tl *codegen.Timeline, sets [][]codegen.BlockAccess, intervals
 		event       int
 		read, write bool
 	}
-	diskByKey := make(map[string][]diskAcc)
+	diskByBlock := make(map[prog.BlockID][]diskAcc)
 	for i, set := range sets {
 		for _, ba := range set {
 			if ba.Action != codegen.DoIO {
 				continue
 			}
-			accs := diskByKey[ba.Key]
+			accs := diskByBlock[ba.Block]
 			if len(accs) > 0 && accs[len(accs)-1].event == i {
 				if ba.Type == prog.Read {
 					accs[len(accs)-1].read = true
@@ -152,12 +145,12 @@ func buildPipeline(tl *codegen.Timeline, sets [][]codegen.BlockAccess, intervals
 			} else {
 				accs = append(accs, diskAcc{event: i, read: ba.Type == prog.Read, write: ba.Type == prog.Write})
 			}
-			diskByKey[ba.Key] = accs
+			diskByBlock[ba.Block] = accs
 		}
 	}
-	firstDiskWrite := make(map[string]int)
+	firstDiskWrite := make(map[prog.BlockID]int)
 	pp.firstDiskWrite = firstDiskWrite
-	for key, accs := range diskByKey {
+	for id, accs := range diskByBlock {
 		lastWriter := -1
 		var readersSince []int
 		for _, a := range accs {
@@ -175,8 +168,8 @@ func buildPipeline(tl *codegen.Timeline, sets [][]codegen.BlockAccess, intervals
 					}
 				}
 				lastWriter, readersSince = a.event, readersSince[:0]
-				if _, ok := firstDiskWrite[key]; !ok {
-					firstDiskWrite[key] = a.event
+				if _, ok := firstDiskWrite[id]; !ok {
+					firstDiskWrite[id] = a.event
 				}
 			}
 			if a.read {
@@ -190,20 +183,17 @@ func buildPipeline(tl *codegen.Timeline, sets [][]codegen.BlockAccess, intervals
 	// see identical disk state and can share a single early read. Reads
 	// past a disk write are left to the executor, whose RAW edge orders
 	// them.
-	inWalk := make(map[string]bool)
 	for i, set := range sets {
 		for j, ba := range set {
 			if !firstRead(set, j) {
 				continue
 			}
-			if w, ok := firstDiskWrite[ba.Key]; ok && w < i {
+			if w, ok := firstDiskWrite[ba.Block]; ok && w < i {
 				continue
 			}
-			pp.consumers[ba.Key]++
-			if !inWalk[ba.Key] {
-				inWalk[ba.Key] = true
-				pp.prefetch = append(pp.prefetch, pfReq{key: ba.Key, array: ba.Array, r: ba.R, c: ba.C})
-				if b := tl.Prog.Arrays[ba.Array].LogicalBlockBytes; b > pp.maxBlock {
+			if pp.consumers[ba.Block]++; pp.consumers[ba.Block] == 1 {
+				pp.prefetch = append(pp.prefetch, ba.Block)
+				if b := tl.Prog.Arrays[ba.Block.Array].LogicalBlockBytes; b > pp.maxBlock {
 					pp.maxBlock = b
 				}
 			}
@@ -221,7 +211,7 @@ func firstRead(set []codegen.BlockAccess, j int) bool {
 		return false
 	}
 	for _, ba := range set[:j] {
-		if ba.Key == set[j].Key && isRead(ba) {
+		if ba.Block == set[j].Block && isRead(ba) {
 			return false
 		}
 	}
@@ -245,8 +235,8 @@ type pfEntry struct {
 
 // pinEntry acquires en's block for the window. An error is left for the
 // consumers' own Acquire to surface, or to survive.
-func (rs *runState) pinEntry(en *pfEntry, array string, r, c int64) {
-	_, err := rs.pool.Acquire(array, r, c)
+func (rs *runState) pinEntry(en *pfEntry, id prog.BlockID) {
+	_, err := rs.pool.Acquire(id.Array, id.R, id.C)
 	en.pinned = err == nil
 	close(en.done)
 }
@@ -280,9 +270,9 @@ func (rs *runState) runDAG(intervals []*ivState, opt Options, peakBytes int64) e
 	rs.pp = pp
 	rs.slots = make(chan struct{}, max(depth, 1))
 	rs.cancel = make(chan struct{})
-	window := make(map[string]*pfEntry, len(pp.prefetch))
-	for _, req := range pp.prefetch {
-		window[req.key] = &pfEntry{refs: int32(pp.consumers[req.key]), done: make(chan struct{})}
+	window := make(map[prog.BlockID]*pfEntry, len(pp.prefetch))
+	for _, id := range pp.prefetch {
+		window[id] = &pfEntry{refs: int32(pp.consumers[id]), done: make(chan struct{})}
 	}
 	rs.winMu.Lock()
 	rs.window = window
@@ -340,9 +330,9 @@ func (rs *runState) runDAG(intervals []*ivState, opt Options, peakBytes int64) e
 	rs.pfWG.Wait() // join prefetch reads so none outlives the run
 	// A failed run leaves entries unconsumed: release the window's pins.
 	rs.winMu.Lock()
-	for _, req := range pp.prefetch {
-		if en := rs.window[req.key]; en != nil && en.pinned {
-			rs.pool.Unpin(req.array, req.r, req.c, 1)
+	for _, id := range pp.prefetch {
+		if en := rs.window[id]; en != nil && en.pinned {
+			rs.pool.Unpin(id.Array, id.R, id.C, 1)
 		}
 	}
 	rs.winMu.Unlock()
@@ -354,14 +344,14 @@ func (rs *runState) runDAG(intervals []*ivState, opt Options, peakBytes int64) e
 // entry a consumer already reached is skipped.
 func (rs *runState) prefetcher() {
 	defer rs.pfWG.Done()
-	for _, req := range rs.pp.prefetch {
+	for _, id := range rs.pp.prefetch {
 		select {
 		case <-rs.cancel:
 			return
 		case rs.slots <- struct{}{}:
 		}
 		rs.winMu.Lock()
-		en := rs.window[req.key]
+		en := rs.window[id]
 		if en == nil || en.issued {
 			// Fully consumed (entry retired) or claimed inline already.
 			rs.winMu.Unlock()
@@ -373,10 +363,10 @@ func (rs *runState) prefetcher() {
 		rs.winMu.Unlock()
 		rs.pfIssued.Add(1)
 		rs.pfWG.Add(1)
-		go func(req pfReq, en *pfEntry) {
+		go func() {
 			defer rs.pfWG.Done()
-			rs.pinEntry(en, req.array, req.r, req.c)
-		}(req, en)
+			rs.pinEntry(en, id)
+		}()
 	}
 }
 
@@ -391,20 +381,21 @@ func (rs *runState) prefetcher() {
 func (rs *runState) readBlock(i int, ba *codegen.BlockAccess) (*blas.Matrix, error) {
 	var en *pfEntry
 	if rs.pp != nil {
-		if w, written := rs.pp.firstDiskWrite[ba.Key]; !written || w >= i {
+		if w, written := rs.pp.firstDiskWrite[ba.Block]; !written || w >= i {
 			rs.winMu.Lock()
-			en = rs.window[ba.Key]
+			en = rs.window[ba.Block]
 			claim := !en.issued
 			en.issued = true
 			rs.winMu.Unlock()
 			if claim {
 				rs.pfInline.Add(1)
-				rs.pinEntry(en, ba.Array, ba.R, ba.C)
+				rs.pinEntry(en, ba.Block)
 			}
 			<-en.done
 		}
 	}
-	m, err := rs.pool.Acquire(ba.Array, ba.R, ba.C)
+	id := ba.Block
+	m, err := rs.pool.Acquire(id.Array, id.R, id.C)
 	if err != nil || en == nil {
 		return m, err
 	}
@@ -412,12 +403,12 @@ func (rs *runState) readBlock(i int, ba *codegen.BlockAccess) (*blas.Matrix, err
 	en.refs--
 	last := en.refs == 0
 	if last {
-		delete(rs.window, ba.Key)
+		delete(rs.window, id)
 	}
 	rs.winMu.Unlock()
 	if last {
 		if en.pinned {
-			rs.pool.Unpin(ba.Array, ba.R, ba.C, 1)
+			rs.pool.Unpin(id.Array, id.R, id.C, 1)
 		}
 		if en.slot {
 			<-rs.slots

@@ -13,6 +13,7 @@ import (
 	"sync"
 
 	"riotshare/internal/blas"
+	"riotshare/internal/prog"
 	"riotshare/internal/storage"
 )
 
@@ -45,7 +46,7 @@ type directPool struct {
 	store storage.Backend
 
 	mu     sync.Mutex
-	frames map[blockRef]*directFrame
+	frames map[prog.BlockID]*directFrame
 }
 
 // directFrame is one pinned block; load fills blk and err from the store.
@@ -59,7 +60,7 @@ type directFrame struct {
 func newDirectPool(store storage.Backend, share bool) *directPool {
 	d := &directPool{store: store}
 	if share {
-		d.frames = make(map[blockRef]*directFrame)
+		d.frames = make(map[prog.BlockID]*directFrame)
 	}
 	return d
 }
@@ -68,12 +69,12 @@ func (d *directPool) Acquire(array string, r, c int64) (*blas.Matrix, error) {
 	if d.frames == nil {
 		return d.store.ReadBlock(array, r, c)
 	}
-	key := blockRef{array, r, c}
+	id := prog.BlockID{Array: array, R: r, C: c}
 	d.mu.Lock()
-	f := d.frames[key]
+	f := d.frames[id]
 	if f == nil {
 		f = &directFrame{}
-		d.frames[key] = f
+		d.frames[id] = f
 	}
 	f.pins++
 	d.mu.Unlock()
@@ -88,26 +89,26 @@ func (d *directPool) Put(array string, r, c int64, blk *blas.Matrix) error {
 	if err := d.store.WriteBlock(array, r, c, blk); err != nil || d.frames == nil {
 		return err
 	}
-	key := blockRef{array, r, c}
+	id := prog.BlockID{Array: array, R: r, C: c}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	// A new, unloaded frame takes over the pins: whoever acquired the old
 	// value keeps its matrix, later acquirers read the new one.
 	nf := &directFrame{pins: 1}
-	if f := d.frames[key]; f != nil {
+	if f := d.frames[id]; f != nil {
 		nf.pins += f.pins
 	}
-	d.frames[key] = nf
+	d.frames[id] = nf
 	return nil
 }
 
 func (d *directPool) Unpin(array string, r, c int64, n int) {
-	key := blockRef{array, r, c}
+	id := prog.BlockID{Array: array, R: r, C: c}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if f := d.frames[key]; f != nil {
+	if f := d.frames[id]; f != nil {
 		if f.pins -= n; f.pins <= 0 {
-			delete(d.frames, key)
+			delete(d.frames, id)
 		}
 	}
 }

@@ -8,6 +8,7 @@ package prog
 
 import (
 	"fmt"
+	"strconv"
 
 	"riotshare/internal/polyhedra"
 )
@@ -53,6 +54,19 @@ type Array struct {
 // PhysicalBlockBytes returns the actual bytes of a stored block.
 func (a *Array) PhysicalBlockBytes() int64 {
 	return int64(a.BlockRows) * int64(a.BlockCols) * 8
+}
+
+// BlockID names block (R, C) of an array. It is the one block identity from
+// the lowered plan down to the store: comparable, so every map of blocks
+// keys by it directly, and printed only when a person reads it.
+type BlockID struct {
+	Array string
+	R, C  int64
+}
+
+// String returns the block as "Array[R,C]", e.g. "Yh[1,0]".
+func (b BlockID) String() string {
+	return b.Array + "[" + strconv.FormatInt(b.R, 10) + "," + strconv.FormatInt(b.C, 10) + "]"
 }
 
 // Access is one array-block access of a statement: 〈s, t, A, Φ〉 in the

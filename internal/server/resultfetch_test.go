@@ -8,7 +8,6 @@ import (
 
 	"riotshare/internal/blas"
 	"riotshare/internal/buffer"
-	"riotshare/internal/codegen"
 	"riotshare/internal/prog"
 	"riotshare/internal/storage"
 )
@@ -18,23 +17,23 @@ import (
 type countingStore struct {
 	storage.Backend
 	mu            sync.Mutex
-	reads, writes map[string]int
+	reads, writes map[prog.BlockID]int
 }
 
 func newCountingStore(b storage.Backend) *countingStore {
-	return &countingStore{Backend: b, reads: make(map[string]int), writes: make(map[string]int)}
+	return &countingStore{Backend: b, reads: make(map[prog.BlockID]int), writes: make(map[prog.BlockID]int)}
 }
 
 func (c *countingStore) ReadBlock(array string, r, col int64) (*blas.Matrix, error) {
 	c.mu.Lock()
-	c.reads[codegen.BlockKey(array, r, col)]++
+	c.reads[prog.BlockID{Array: array, R: r, C: col}]++
 	c.mu.Unlock()
 	return c.Backend.ReadBlock(array, r, col)
 }
 
 func (c *countingStore) WriteBlock(array string, r, col int64, blk *blas.Matrix) error {
 	c.mu.Lock()
-	c.writes[codegen.BlockKey(array, r, col)]++
+	c.writes[prog.BlockID{Array: array, R: r, C: col}]++
 	c.mu.Unlock()
 	return c.Backend.WriteBlock(array, r, col, blk)
 }
@@ -89,9 +88,9 @@ func TestResultFetchReadsNothingBack(t *testing.T) {
 		arr := p.Arrays[name]
 		for br := int64(0); br < int64(arr.GridRows); br++ {
 			for bc := int64(0); bc < int64(arr.GridCols); bc++ {
-				key := codegen.BlockKey(id+"."+name, br, bc)
-				if cs.reads[key] != 0 || cs.writes[key] != want {
-					t.Errorf("%s: %d reads, %d writes; want 0, %d", key, cs.reads[key], cs.writes[key], want)
+				blk := prog.BlockID{Array: id + "." + name, R: br, C: bc}
+				if cs.reads[blk] != 0 || cs.writes[blk] != want {
+					t.Errorf("%s: %d reads, %d writes; want 0, %d", blk, cs.reads[blk], cs.writes[blk], want)
 				}
 			}
 		}

@@ -738,7 +738,6 @@ func (s *Server) runQuery(q *query) (retErr error) {
 	q.stream.noteAlias()
 	sess := s.pool.TenantSession(q.tenant, alias)
 	eng := &exec.Engine{
-		Store:       s.store,
 		Model:       disk.PaperModel(),
 		MemCapBytes: q.req.MemCapMB << 20,
 		Pool:        sess,

@@ -77,26 +77,21 @@ const (
 	RetainDrop = "drop"
 )
 
-// streamKey is the logical block key the completion signals are tracked
-// under (the program's array name, not the namespaced physical one).
-func streamKey(array string, r, c int64) string {
-	return fmt.Sprintf("%s[%d,%d]", array, r, c)
-}
-
 // streamState tracks one query's output-block completion so streamed
 // delivery can begin before the query finishes. The exec callback marks
-// blocks ready; waiters block on a broadcast channel replaced on every
-// state change. A query's terminal state (q.done) supersedes everything:
+// blocks ready, by logical block (the program's array name, not the
+// namespaced physical one); waiters block on a broadcast channel replaced
+// on every state change. A query's terminal state (q.done) supersedes everything:
 // after it, every block of a successful query is readable.
 type streamState struct {
 	mu      sync.Mutex
-	ready   map[string]bool
+	ready   map[prog.BlockID]bool
 	aliasOK bool
 	changed chan struct{}
 }
 
 func newStreamState() *streamState {
-	return &streamState{ready: make(map[string]bool), changed: make(chan struct{})}
+	return &streamState{ready: make(map[prog.BlockID]bool), changed: make(chan struct{})}
 }
 
 // signalLocked wakes every waiter; callers hold st.mu.
@@ -109,7 +104,7 @@ func (st *streamState) signalLocked() {
 // OnBlockWritten callback, possibly from a worker goroutine).
 func (st *streamState) noteBlock(array string, r, c int64) {
 	st.mu.Lock()
-	st.ready[streamKey(array, r, c)] = true
+	st.ready[prog.BlockID{Array: array, R: r, C: c}] = true
 	st.signalLocked()
 	st.mu.Unlock()
 }
@@ -122,12 +117,12 @@ func (st *streamState) noteAlias() {
 	st.mu.Unlock()
 }
 
-// check snapshots (block ready?, alias published?) and returns the
+// check snapshots (block id ready?, alias published?) and returns the
 // broadcast channel to wait on if not.
-func (st *streamState) check(key string) (ready, aliasOK bool, wait <-chan struct{}) {
+func (st *streamState) check(id prog.BlockID) (ready, aliasOK bool, wait <-chan struct{}) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return key == "" || st.ready[key], st.aliasOK, st.changed
+	return st.ready[id], st.aliasOK, st.changed
 }
 
 // StreamStats reports the streamed-result delivery path's lifetime
@@ -188,10 +183,10 @@ func (b binarySink) Block(name string, r, c int64, blk *blas.Matrix) error {
 	// A block too large for one frame fails before any byte of it reaches
 	// the client, so it is an encode error, not a disconnect.
 	if n := len(e.Bytes()) + 4 + 8*len(blk.Data) + 2; n > blockproto.MaxFrameBytes {
-		return &encodeError{err: fmt.Errorf("block %s[%d,%d] needs a %d-byte frame, over the %d-byte limit",
-			name, r, c, n, blockproto.MaxFrameBytes)}
+		return &encodeError{err: fmt.Errorf("block %s needs a %d-byte frame, over the %d-byte limit",
+			prog.BlockID{Array: name, R: r, C: c}, n, blockproto.MaxFrameBytes)}
 	}
-	e.Blob(blockproto.EncodeBlock(blk))
+	e.Blob(blockproto.EncodeBlock(nil, blk))
 	return blockproto.WriteFrame(b.w, StreamFrameBlock, e.Bytes())
 }
 
@@ -325,7 +320,7 @@ func (s *Server) streamBlocks(ctx context.Context, q *query, sink binarySink, fl
 	// map is published right after prepareArrays) or the query reaches a
 	// terminal state.
 	for {
-		_, aliasOK, wait := q.stream.check("")
+		_, aliasOK, wait := q.stream.check(prog.BlockID{})
 		if aliasOK {
 			break
 		}
@@ -373,7 +368,7 @@ func (s *Server) streamBlocks(ctx context.Context, q *query, sink binarySink, fl
 		arrays++
 		for br := int64(0); br < int64(arr.GridRows); br++ {
 			for bc := int64(0); bc < int64(arr.GridCols); bc++ {
-				if err := s.waitBlockReady(ctx, q, streamKey(name, br, bc)); err != nil {
+				if err := s.waitBlockReady(ctx, q, prog.BlockID{Array: name, R: br, C: bc}); err != nil {
 					return arrays, blocks, bytes, err
 				}
 				blk, err := sess.Acquire(phys, br, bc)
@@ -409,9 +404,9 @@ func (s *Server) streamBlocks(ctx context.Context, q *query, sink binarySink, fl
 // is then readable; a failed query errors), or the client disconnected.
 // A block the plan never writes to disk directly (or at all) resolves
 // when the query finishes.
-func (s *Server) waitBlockReady(ctx context.Context, q *query, key string) error {
+func (s *Server) waitBlockReady(ctx context.Context, q *query, id prog.BlockID) error {
 	for {
-		ready, _, wait := q.stream.check(key)
+		ready, _, wait := q.stream.check(id)
 		if ready {
 			return nil
 		}

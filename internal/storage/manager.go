@@ -7,10 +7,8 @@
 package storage
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"math/bits"
 	"os"
 	"path/filepath"
@@ -20,6 +18,7 @@ import (
 	"time"
 
 	"riotshare/internal/blas"
+	"riotshare/internal/blockproto"
 	"riotshare/internal/prog"
 )
 
@@ -117,7 +116,7 @@ type Manager struct {
 	// request. Logical I/O accounting is the executor's job, so sharing a
 	// physical read never distorts the paper-scale volumes.
 	inflightMu sync.Mutex
-	inflight   map[string]*inflightRead
+	inflight   map[prog.BlockID]*inflightRead
 
 	// Physical I/O counters (atomic): requests that actually reached a
 	// block store. Coalesced read followers and buffer-pool hits do not
@@ -195,7 +194,7 @@ func NewManager(dir string, format Format) (*Manager, error) {
 		Dir:      dir,
 		stores:   make(map[string]*DAF),
 		arrays:   make(map[string]*prog.Array),
-		inflight: make(map[string]*inflightRead),
+		inflight: make(map[prog.BlockID]*inflightRead),
 	}, nil
 }
 
@@ -297,10 +296,7 @@ func (m *Manager) WriteBlock(array string, r, c int64, blk *blas.Matrix) error {
 	}
 	bp := getScratch(8 * len(blk.Data))
 	defer putScratch(bp)
-	buf := *bp
-	for i, v := range blk.Data {
-		binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(v))
-	}
+	buf := blockproto.EncodeBlock((*bp)[:0], blk)
 	if err := st.Write(ColMajor(r, c, arr.GridRows, arr.GridCols), buf); err != nil {
 		return err
 	}
@@ -315,53 +311,45 @@ func (m *Manager) WriteBlock(array string, r, c int64, blk *blas.Matrix) error {
 // like one acquired from the buffer pool; a caller that wants to change it
 // writes to a copy.
 func (m *Manager) ReadBlock(array string, r, c int64) (*blas.Matrix, error) {
-	key := readKey(array, r, c)
+	id := prog.BlockID{Array: array, R: r, C: c}
 	m.inflightMu.Lock()
-	if call, ok := m.inflight[key]; ok {
+	if call, ok := m.inflight[id]; ok {
 		m.inflightMu.Unlock()
 		<-call.done
 		return call.blk, call.err
 	}
 	call := &inflightRead{done: make(chan struct{})}
-	m.inflight[key] = call
+	m.inflight[id] = call
 	m.inflightMu.Unlock()
 
-	call.blk, call.err = m.readBlock(array, r, c)
+	call.blk, call.err = m.readBlock(id)
 	m.inflightMu.Lock()
-	delete(m.inflight, key)
+	delete(m.inflight, id)
 	m.inflightMu.Unlock()
 	close(call.done)
 	return call.blk, call.err
 }
 
 // readBlock performs the physical read.
-func (m *Manager) readBlock(array string, r, c int64) (*blas.Matrix, error) {
-	arr, st, err := m.lookup(array)
+func (m *Manager) readBlock(id prog.BlockID) (*blas.Matrix, error) {
+	arr, st, err := m.lookup(id.Array)
 	if err != nil {
 		return nil, err
 	}
 	m.simulate(time.Duration(m.readLatency.Load()))
-	want := 8 * arr.BlockRows * arr.BlockCols
-	bp := getScratch(want)
+	bp := getScratch(int(arr.PhysicalBlockBytes()))
 	defer putScratch(bp)
-	buf, err := st.Read(ColMajor(r, c, arr.GridRows, arr.GridCols), *bp)
+	buf, err := st.Read(ColMajor(id.R, id.C, arr.GridRows, arr.GridCols), *bp)
 	if err != nil {
-		return nil, fmt.Errorf("storage: read %s[%d,%d]: %w", array, r, c, err)
+		return nil, fmt.Errorf("storage: read %s: %w", id, err)
 	}
 	m.physReadReqs.Add(1)
 	m.physReadBytes.Add(int64(len(buf)))
-	if len(buf) != want {
-		return nil, fmt.Errorf("storage: %s[%d,%d] payload %d bytes, want %d", array, r, c, len(buf), want)
-	}
-	blk := blas.NewMatrix(arr.BlockRows, arr.BlockCols)
-	for i := range blk.Data {
-		blk.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
+	blk, err := blockproto.DecodeBlock(arr.BlockRows, arr.BlockCols, buf)
+	if err != nil {
+		return nil, fmt.Errorf("storage: read %s: %w", id, err)
 	}
 	return blk, nil
-}
-
-func readKey(array string, r, c int64) string {
-	return fmt.Sprintf("%s[%d,%d]", array, r, c)
 }
 
 func (m *Manager) lookup(array string) (*prog.Array, *DAF, error) {

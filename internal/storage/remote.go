@@ -423,10 +423,10 @@ func (s *RemoteShard) CreateAll(p *prog.Program) error {
 func (s *RemoteShard) WriteBlock(array string, r, c int64, blk *blas.Matrix) error {
 	e := new(blockproto.Enc).Str(array).I64(r).I64(c).
 		U32(uint32(blk.Rows)).U32(uint32(blk.Cols)).
-		Blob(blockproto.EncodeBlock(blk))
+		Blob(blockproto.EncodeBlock(nil, blk))
 	_, err := s.do(blockproto.OpWrite, e.Bytes())
 	if err != nil {
-		return fmt.Errorf("storage: remote write %s[%d,%d] @%s: %w", array, r, c, s.addr, err)
+		return fmt.Errorf("storage: remote write %s @%s: %w", prog.BlockID{Array: array, R: r, C: c}, s.addr, err)
 	}
 	return nil
 }
@@ -437,7 +437,7 @@ func (s *RemoteShard) ReadBlock(array string, r, c int64) (*blas.Matrix, error) 
 	e := new(blockproto.Enc).Str(array).I64(r).I64(c)
 	payload, err := s.do(blockproto.OpRead, e.Bytes())
 	if err != nil {
-		return nil, fmt.Errorf("storage: remote read %s[%d,%d] @%s: %w", array, r, c, s.addr, err)
+		return nil, fmt.Errorf("storage: remote read %s @%s: %w", prog.BlockID{Array: array, R: r, C: c}, s.addr, err)
 	}
 	d := blockproto.NewDec(payload)
 	rows, cols := int(d.U32()), int(d.U32())

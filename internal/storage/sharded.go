@@ -600,7 +600,7 @@ func (sm *ShardedManager) WriteBlock(array string, r, c int64, blk *blas.Matrix)
 		return errors.Join(errs...)
 	}
 	if wrote == 0 {
-		return fmt.Errorf("storage: write %s[%d,%d]: every replica shard is degraded", array, r, c)
+		return fmt.Errorf("storage: write %s: every replica shard is degraded", prog.BlockID{Array: array, R: r, C: c})
 	}
 	return nil
 }
@@ -639,7 +639,7 @@ func (sm *ShardedManager) ReadBlock(array string, r, c int64) (*blas.Matrix, err
 		}
 	}
 	if firstErr == nil {
-		firstErr = fmt.Errorf("storage: read %s[%d,%d]: every replica shard is degraded", array, r, c)
+		firstErr = fmt.Errorf("storage: read %s: every replica shard is degraded", prog.BlockID{Array: array, R: r, C: c})
 	}
 	return nil, firstErr
 }
@@ -804,7 +804,7 @@ func (sm *ShardedManager) copyBlock(array string, r, c int64, primary, shard int
 		return nil // never written; nothing to mirror
 	}
 	if err := sm.shards[shard].WriteBlock(array, r, c, blk); err != nil {
-		return fmt.Errorf("storage: repair shard %d (%s): %s[%d,%d]: %w", shard, sm.specs[shard], array, r, c, err)
+		return fmt.Errorf("storage: repair shard %d (%s): %s: %w", shard, sm.specs[shard], prog.BlockID{Array: array, R: r, C: c}, err)
 	}
 	return nil
 }
