@@ -21,13 +21,17 @@ test:
 # fetch, a drop-retained stream waiting for its query, the write-once plan
 # cache, lookups racing retirement, /metrics rendering the same Stats
 # snapshot /stats serves, and a snapshot registering no series in the
-# server. The storage and stream tests drive the read-coalescing and
-# stream-readiness maps, which are shared between goroutines.
+# server; concurrent and sharded reads and writes through remote shards
+# in blockd. The storage and stream tests drive the read-coalescing and
+# stream-readiness maps, which are shared between goroutines; the blockd
+# tests drive the pipelined remote-shard client, whose requests and
+# replies encode and decode blocks on many connections at once.
 test-race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -count=5 ./internal/exec/ ./internal/buffer/ ./internal/govern/
 	$(GO) test -race -count=5 -run 'TestCoalescedReadsShareOneRequest|TestConcurrentReadWrite' ./internal/storage/
 	$(GO) test -race -count=5 -run 'Fairness|QueueWait|TenantLabel|ResultFetch|StreamAttributesTenant|TestStreamedResultsMatchWholeFetch|TestStreamRetainDropWaitsForQuery|PlanCacheConcurrentMiss|RetirementRacesLookups|MetricsRenderStats|StatsRegistersNoSeries' ./internal/server/
+	$(GO) test -race -count=5 -run 'TestRemoteShardConcurrent|TestRemoteShardedMatchesLocalDirs|TestMixedLocalRemoteShards' ./internal/blockd/
 
 # Full suite, including the ~80s linear-regression plan-space search.
 test-full:

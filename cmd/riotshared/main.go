@@ -295,21 +295,16 @@ func streamResults(addr, id string) error {
 			name := d.Str()
 			d.I64() // block row
 			d.I64() // block col
-			rows, cols := int(d.U32()), int(d.U32())
-			blob := d.Blob()
+			blk := d.Block()
 			if err := d.Err(); err != nil {
 				return fmt.Errorf("block frame: %w", err)
-			}
-			blk, err := blockproto.DecodeBlock(rows, cols, blob)
-			if err != nil {
-				return err
 			}
 			a := aggs[name]
 			if a == nil {
 				return fmt.Errorf("block frame for unannounced array %q", name)
 			}
 			a.blocks++
-			a.bytes += int64(len(blob))
+			a.bytes += int64(len(blk.Data)) * 8
 			for _, v := range blk.Data {
 				a.sum += v
 			}

@@ -22,7 +22,6 @@ import (
 	"io"
 	"io/fs"
 	"log"
-	"math"
 	"net"
 	"strings"
 	"sync"
@@ -235,10 +234,6 @@ func reply(payload []byte, err error) (byte, []byte) {
 	}
 }
 
-// maxBlockElems bounds a block's elements so that its largest frame — a
-// write request carrying a maximal array name — still fits MaxFrameBytes.
-const maxBlockElems = (blockproto.MaxFrameBytes - 2 - math.MaxUint16 - 64) / 8
-
 // checkGeometry refuses an array shape no request could ever serve: a
 // non-positive dimension, or a block too large for one frame (whose
 // read would otherwise allocate whatever the wire asked for).
@@ -247,7 +242,7 @@ func checkGeometry(arr *prog.Array) error {
 		return fmt.Errorf("blockd: array %q: non-positive geometry %dx%d blocks of %dx%d",
 			arr.Name, arr.GridRows, arr.GridCols, arr.BlockRows, arr.BlockCols)
 	}
-	if arr.BlockRows > maxBlockElems/arr.BlockCols {
+	if arr.BlockRows > blockproto.MaxBlockElems/arr.BlockCols {
 		return fmt.Errorf("blockd: array %q: %dx%d block exceeds the %d-byte frame limit",
 			arr.Name, arr.BlockRows, arr.BlockCols, blockproto.MaxFrameBytes)
 	}
@@ -295,19 +290,11 @@ func (s *Server) handle(version, op byte, payload []byte) (byte, []byte) {
 		if err != nil {
 			return reply(nil, err)
 		}
-		e := new(blockproto.Enc).U32(uint32(blk.Rows)).U32(uint32(blk.Cols))
-		e.Blob(blockproto.EncodeBlock(nil, blk))
-		return blockproto.StatusOK, e.Bytes()
+		return blockproto.StatusOK, new(blockproto.Enc).Block(blk).Bytes()
 
 	case blockproto.OpWrite:
-		name, r, c := d.Str(), d.I64(), d.I64()
-		rows, cols := int(d.U32()), int(d.U32())
-		raw := d.Blob()
+		name, r, c, blk := d.Str(), d.I64(), d.I64(), d.Block()
 		if err := d.Err(); err != nil {
-			return errStatus(blockproto.StatusBadRequest, err)
-		}
-		blk, err := blockproto.DecodeBlock(rows, cols, raw)
-		if err != nil {
 			return errStatus(blockproto.StatusBadRequest, err)
 		}
 		return reply(nil, s.mgr.WriteBlock(name, r, c, blk))

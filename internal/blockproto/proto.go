@@ -2,7 +2,7 @@
 // network block server and the remote-shard client in internal/storage: a
 // small length-prefixed binary protocol carrying block I/O (CREATE, READ,
 // WRITE, DROP), shard administration (STATS, MANIFEST get/put/del, STAT,
-// WIPE, LATENCY), and liveness (PING) over one TCP connection.
+// WIPE), and liveness (PING) over one TCP connection.
 //
 // Framing. Every request and every response is one frame:
 //
@@ -15,10 +15,11 @@
 // pipe, the server answers requests in arrival order, and a client that
 // pipelines must match responses to requests by order. Integers inside
 // payloads are big-endian fixed width; strings and byte blobs are
-// uint16/uint32 length-prefixed. Block payloads are float64 elements in
+// uint16/uint32 length-prefixed. A block inside a frame is u32 rows,
+// u32 cols and a blob (Enc.Block, Dec.Block) of float64 elements in
 // little-endian IEEE-754 bit order, row-major — the same bytes a DAF
 // store persists (EncodeBlock and DecodeBlock are the one byte form of a
-// block for both).
+// block for both). MaxBlockElems is the largest block a frame carries.
 //
 // The full specification, including versioning rules, lives in
 // docs/remote-protocol.md; keep the two in sync.
@@ -45,6 +46,12 @@ const ProtoVersion = 1
 // prefix cannot allocate unbounded memory. 64 MiB comfortably exceeds any
 // real block (the paper's largest physical blocks are tens of MB).
 const MaxFrameBytes = 64 << 20
+
+// MaxBlockElems bounds a block's elements so that its largest frame — a
+// write request carrying a maximal array name — still fits MaxFrameBytes.
+// A block server refuses to create arrays of larger blocks, and a result
+// stream refuses to encode one.
+const MaxBlockElems = (MaxFrameBytes - 2 - math.MaxUint16 - 64) / 8
 
 // Opcodes: the request kinds a block server answers.
 const (
@@ -190,6 +197,16 @@ func (e *Enc) Blob(b []byte) *Enc {
 	return e
 }
 
+// Block appends a block: u32 rows, u32 cols, then its EncodeBlock bytes
+// as a blob. The payload buffer grows once and the elements are encoded
+// straight into it.
+func (e *Enc) Block(blk *blas.Matrix) *Enc {
+	e.buf = slices.Grow(e.buf, 12+8*len(blk.Data))
+	e.U32(uint32(blk.Rows)).U32(uint32(blk.Cols)).U32(uint32(8 * len(blk.Data)))
+	e.buf = EncodeBlock(e.buf, blk)
+	return e
+}
+
 // Dec decodes a frame payload written by Enc. The first decode error
 // sticks: every later call returns zero values, and Err reports it.
 type Dec struct {
@@ -264,6 +281,19 @@ func (d *Dec) Blob() []byte {
 		return nil
 	}
 	return d.take(int(ln))
+}
+
+// Block reads a block written by Enc.Block into a new matrix. A shape
+// that does not match the blob's length is a decode error like any other,
+// found before anything is allocated for the shape.
+func (d *Dec) Block() *blas.Matrix {
+	rows, cols, raw := d.U32(), d.U32(), d.Blob()
+	if d.err != nil {
+		return nil
+	}
+	blk, err := DecodeBlock(int(rows), int(cols), raw)
+	d.err = err
+	return blk
 }
 
 // EncodeBlock appends blk to dst as little-endian IEEE-754 float64 bits,

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"math/bits"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -16,7 +17,15 @@ import (
 func TestEncDecRoundTrip(t *testing.T) {
 	long := strings.Repeat("n", math.MaxUint16+10)
 	blob := []byte{0, 1, 2, 0xff}
+	blk := blas.NewMatrix(2, 3)
+	copy(blk.Data, []float64{1, -2.5, math.Inf(1), math.Copysign(0, -1), math.Float64frombits(0x7ff8dead), 6})
 	e := new(Enc).U8(7).U32(math.MaxUint32).I64(-42).Str("q3.E with space").Str("").Str(long).Blob(blob).Blob(nil)
+	n := len(e.Bytes())
+	e.Block(blk)
+	// A block is u32 rows, u32 cols, then its EncodeBlock bytes as a blob.
+	if want := new(Enc).U32(2).U32(3).Blob(EncodeBlock(nil, blk)).Bytes(); !bytes.Equal(e.Bytes()[n:], want) {
+		t.Errorf("Block wrote % x, want % x", e.Bytes()[n:], want)
+	}
 	d := NewDec(e.Bytes())
 	if v := d.U8(); v != 7 {
 		t.Errorf("U8 = %d", v)
@@ -41,6 +50,9 @@ func TestEncDecRoundTrip(t *testing.T) {
 	}
 	if v := d.Blob(); len(v) != 0 {
 		t.Errorf("empty Blob = %v", v)
+	}
+	if v := d.Block(); v == nil || v.Rows != 2 || v.Cols != 3 || !bytes.Equal(EncodeBlock(nil, v), EncodeBlock(nil, blk)) {
+		t.Errorf("Block = %v", v)
 	}
 	if err := d.Err(); err != nil {
 		t.Fatal(err)
@@ -71,11 +83,47 @@ func TestDecTruncationSticks(t *testing.T) {
 		t.Errorf("Err changed to %v after later reads", d.Err())
 	}
 
+	// A block whose shape does not match its blob is an error that sticks
+	// the same way.
+	d = NewDec(append(new(Enc).U32(2).U32(2).Blob(make([]byte, 8)).Bytes(), 5))
+	if blk := d.Block(); blk != nil || d.Err() == nil {
+		t.Errorf("mis-shaped Block = %v, %v; want nil and an error", blk, d.Err())
+	}
+	if v := d.U8(); v != 0 {
+		t.Errorf("U8 after a bad block = %d, want 0 although a byte remains", v)
+	}
+
 	// A blob whose length prefix claims more than the frame limit fails
 	// without reading on.
 	d = NewDec(binary.BigEndian.AppendUint32(nil, MaxFrameBytes+1))
 	if b := d.Blob(); b != nil || d.Err() == nil {
 		t.Errorf("over-limit Blob = %v, %v; want nil and an error", b, d.Err())
+	}
+}
+
+// A block frame's payload — name, block row, block col, block: the
+// result stream's block frame and a write request alike — copies the
+// block once, into a buffer grown once. For a 32×32 block (8 KiB of
+// elements) that is at most 4 allocations and under 1.3× the element
+// bytes; a second copy of the block would need 2×.
+func TestBlockFramePayloadCopiesTheBlockOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	blk := blas.NewMatrix(32, 32)
+	const runs = 1000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(runs, func() {
+		var e Enc
+		e.Str("E").I64(0).I64(0).Block(blk)
+	})
+	runtime.ReadMemStats(&after)
+	perFrame := float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1) // AllocsPerRun adds a warm-up run
+	elems := float64(8 * len(blk.Data))
+	if allocs > 4 || perFrame >= 1.3*elems {
+		t.Errorf("a %dx%d block frame: %.0f allocations, %.0f bytes (%.2fx its %.0f element bytes); want <= 4 and < 1.3x",
+			blk.Rows, blk.Cols, allocs, perFrame, perFrame/elems, elems)
 	}
 }
 
@@ -178,12 +226,21 @@ func FuzzReadFrame(f *testing.F) {
 // FuzzDecodeBlock: a wire-supplied shape and payload either decode to a
 // block that re-encodes to the same bytes, or fail exactly when the
 // payload is not 8·rows·cols bytes — and never panic or over-allocate.
+// Dec.Block, reading the same shape and payload off a frame, agrees.
 func FuzzDecodeBlock(f *testing.F) {
 	f.Add(uint32(2), uint32(3), make([]byte, 48))
 	f.Add(uint32(1), uint32(1), []byte{1, 2, 3})
 	f.Add(uint32(0), uint32(7), []byte{})
 	f.Fuzz(func(t *testing.T, rows, cols uint32, payload []byte) {
 		blk, err := DecodeBlock(int(rows), int(cols), payload)
+		d := NewDec(new(Enc).U32(rows).U32(cols).Blob(payload).Bytes())
+		dblk := d.Block()
+		if (d.Err() == nil) != (err == nil) || (dblk == nil) != (err != nil) {
+			t.Fatalf("Dec.Block = %v, %v; DecodeBlock err = %v", dblk, d.Err(), err)
+		}
+		if err == nil && (dblk.Rows != blk.Rows || dblk.Cols != blk.Cols || !bytes.Equal(EncodeBlock(nil, dblk), payload)) {
+			t.Fatal("Dec.Block and DecodeBlock decoded different blocks")
+		}
 		hi, elems := bits.Mul64(uint64(rows), uint64(cols))
 		fits := hi == 0 && len(payload)%8 == 0 && elems == uint64(len(payload)/8)
 		if (err == nil) != fits {

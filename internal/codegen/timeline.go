@@ -219,9 +219,12 @@ func (tl *Timeline) elideDeadTransientWrites() {
 	}
 }
 
+// evKey keys one statement instance (statement ID, instance vector) in
+// Lower's event index.
 func evKey(stmtID int, x []int64) string {
-	buf := make([]byte, 0, 4+len(x)*4)
-	buf = append(buf, byte(stmtID), ':')
+	buf := make([]byte, 0, 8+len(x)*4)
+	buf = strconv.AppendInt(buf, int64(stmtID), 10)
+	buf = append(buf, ':')
 	for _, v := range x {
 		buf = strconv.AppendInt(buf, v, 10)
 		buf = append(buf, ',')

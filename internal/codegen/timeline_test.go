@@ -217,3 +217,15 @@ func TestExportJSON(t *testing.T) {
 		t.Fatalf("expected io and memory actions, got %v", seen)
 	}
 }
+
+// Statement IDs equal modulo 256 are different statements: their
+// instances must not share a key in Lower's event index.
+func TestEvKeyKeepsTheWholeStatementID(t *testing.T) {
+	x := []int64{1, 2}
+	if evKey(0, x) == evKey(256, x) {
+		t.Errorf("evKey(0, %v) == evKey(256, %v) = %q", x, x, evKey(0, x))
+	}
+	if evKey(1, []int64{23}) == evKey(12, []int64{3}) {
+		t.Error("evKey(1, [23]) collides with evKey(12, [3])")
+	}
+}

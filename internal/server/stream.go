@@ -54,8 +54,8 @@ const (
 	// Str name, U32 blockRows, U32 blockCols, U32 gridRows, U32 gridCols.
 	StreamFrameArray byte = 0x20
 	// StreamFrameBlock carries one block:
-	// Str name, I64 blockRow, I64 blockCol, U32 rows, U32 cols,
-	// Blob payload (EncodeBlock: row-major little-endian float64).
+	// Str name, I64 blockRow, I64 blockCol, Block (blockproto's
+	// U32 rows, U32 cols, Blob of row-major little-endian float64).
 	StreamFrameBlock byte = 0x21
 	// StreamFrameEnd closes a successful stream:
 	// U32 arrays, U32 blocks, I64 payload bytes.
@@ -176,17 +176,14 @@ func (b binarySink) Array(name string, arr *prog.Array) error {
 }
 
 func (b binarySink) Block(name string, r, c int64, blk *blas.Matrix) error {
-	var e blockproto.Enc
-	e.Str(name).I64(r).I64(c).
-		U32(uint32(blk.Rows)).U32(uint32(blk.Cols))
-	// Frame length = header + blob length prefix + payload + version/kind.
-	// A block too large for one frame fails before any byte of it reaches
+	// A block the wire does not carry fails before any byte of it reaches
 	// the client, so it is an encode error, not a disconnect.
-	if n := len(e.Bytes()) + 4 + 8*len(blk.Data) + 2; n > blockproto.MaxFrameBytes {
-		return &encodeError{err: fmt.Errorf("block %s needs a %d-byte frame, over the %d-byte limit",
-			prog.BlockID{Array: name, R: r, C: c}, n, blockproto.MaxFrameBytes)}
+	if len(blk.Data) > blockproto.MaxBlockElems {
+		return &encodeError{err: fmt.Errorf("block %s has %d elements, over the %d a frame carries",
+			prog.BlockID{Array: name, R: r, C: c}, len(blk.Data), blockproto.MaxBlockElems)}
 	}
-	e.Blob(blockproto.EncodeBlock(nil, blk))
+	var e blockproto.Enc
+	e.Str(name).I64(r).I64(c).Block(blk)
 	return blockproto.WriteFrame(b.w, StreamFrameBlock, e.Bytes())
 }
 

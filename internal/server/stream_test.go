@@ -56,16 +56,11 @@ func decodeStream(t *testing.T, data []byte) map[string]*streamedArray {
 			arrs[name] = &streamedArray{full: blas.NewMatrix(g.blockRows*g.gridRows, g.blockCols*g.gridCols)}
 		case StreamFrameBlock:
 			name := d.Str()
-			br, bc := d.I64(), d.I64()
-			rows, cols := int(d.U32()), int(d.U32())
-			blob := d.Blob()
+			br, bc, blk := d.I64(), d.I64(), d.Block()
 			if err := d.Err(); err != nil {
 				t.Fatalf("block frame: %v", err)
 			}
-			blk, err := blockproto.DecodeBlock(rows, cols, blob)
-			if err != nil {
-				t.Fatal(err)
-			}
+			rows, cols := blk.Rows, blk.Cols
 			a, g := arrs[name], geoms[name]
 			if a == nil {
 				t.Fatalf("block frame for unannounced array %q", name)

@@ -353,18 +353,13 @@ func (s *RemoteShard) Ping() error {
 	return err
 }
 
-// create registers an array's store on the server; ensure makes it
-// idempotent.
-func (s *RemoteShard) create(arr *prog.Array, ensure bool) error {
+// create registers an array's store on the server with the ensure flag
+// set, so the server runs Manager.Ensure for it.
+func (s *RemoteShard) create(arr *prog.Array) error {
 	e := new(blockproto.Enc).Str(arr.Name).
 		U32(uint32(arr.BlockRows)).U32(uint32(arr.BlockCols)).
 		U32(uint32(arr.GridRows)).U32(uint32(arr.GridCols)).
-		I64(arr.LogicalBlockBytes)
-	if ensure {
-		e.U8(1)
-	} else {
-		e.U8(0)
-	}
+		I64(arr.LogicalBlockBytes).U8(1)
 	_, err := s.do(blockproto.OpCreate, e.Bytes())
 	return err
 }
@@ -382,7 +377,7 @@ func (s *RemoteShard) Create(arr *prog.Array) error {
 	}
 	s.created[arr.Name] = struct{}{}
 	s.createdMu.Unlock()
-	if err := s.create(arr, true); err != nil {
+	if err := s.create(arr); err != nil {
 		s.forget(arr.Name)
 		return err
 	}
@@ -392,7 +387,7 @@ func (s *RemoteShard) Create(arr *prog.Array) error {
 // Ensure registers an array's store on the server with Manager.Ensure's
 // rule: same geometry is a no-op, a different one re-registers.
 func (s *RemoteShard) Ensure(arr *prog.Array) error {
-	if err := s.create(arr, true); err != nil {
+	if err := s.create(arr); err != nil {
 		return err
 	}
 	s.createdMu.Lock()
@@ -421,9 +416,7 @@ func (s *RemoteShard) CreateAll(p *prog.Program) error {
 
 // WriteBlock sends one block to the server.
 func (s *RemoteShard) WriteBlock(array string, r, c int64, blk *blas.Matrix) error {
-	e := new(blockproto.Enc).Str(array).I64(r).I64(c).
-		U32(uint32(blk.Rows)).U32(uint32(blk.Cols)).
-		Blob(blockproto.EncodeBlock(nil, blk))
+	e := new(blockproto.Enc).Str(array).I64(r).I64(c).Block(blk)
 	_, err := s.do(blockproto.OpWrite, e.Bytes())
 	if err != nil {
 		return fmt.Errorf("storage: remote write %s @%s: %w", prog.BlockID{Array: array, R: r, C: c}, s.addr, err)
@@ -440,12 +433,7 @@ func (s *RemoteShard) ReadBlock(array string, r, c int64) (*blas.Matrix, error) 
 		return nil, fmt.Errorf("storage: remote read %s @%s: %w", prog.BlockID{Array: array, R: r, C: c}, s.addr, err)
 	}
 	d := blockproto.NewDec(payload)
-	rows, cols := int(d.U32()), int(d.U32())
-	raw := d.Blob()
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	return blockproto.DecodeBlock(rows, cols, raw)
+	return d.Block(), d.Err()
 }
 
 // Drop closes and unregisters an array's store on the server.
