@@ -19,7 +19,8 @@ test:
 # fairness, queue-wait stats, the tenant-label bound, result fetch from the
 # pool, streamed tenant attribution, streamed blocks against the whole
 # fetch, a drop-retained stream waiting for its query, the write-once plan
-# cache, lookups racing retirement, /metrics rendering the same Stats
+# cache, Close stopping an in-flight plan fill, a budgeted fill ending at
+# its budget, lookups racing retirement, /metrics rendering the same Stats
 # snapshot /stats serves, and a snapshot registering no series in the
 # server; concurrent and sharded reads and writes through remote shards
 # in blockd. The storage and stream tests drive the read-coalescing and
@@ -30,7 +31,7 @@ test-race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -count=5 ./internal/exec/ ./internal/buffer/ ./internal/govern/
 	$(GO) test -race -count=5 -run 'TestCoalescedReadsShareOneRequest|TestConcurrentReadWrite' ./internal/storage/
-	$(GO) test -race -count=5 -run 'Fairness|QueueWait|TenantLabel|ResultFetch|StreamAttributesTenant|TestStreamedResultsMatchWholeFetch|TestStreamRetainDropWaitsForQuery|PlanCacheConcurrentMiss|RetirementRacesLookups|MetricsRenderStats|StatsRegistersNoSeries' ./internal/server/
+	$(GO) test -race -count=5 -run 'Fairness|QueueWait|TenantLabel|ResultFetch|StreamAttributesTenant|TestStreamedResultsMatchWholeFetch|TestStreamRetainDropWaitsForQuery|PlanCacheConcurrentMiss|CloseStopsPlanFill|BudgetedLongChain|RetirementRacesLookups|MetricsRenderStats|StatsRegistersNoSeries' ./internal/server/
 	$(GO) test -race -count=5 -run 'TestRemoteShardConcurrent|TestRemoteShardedMatchesLocalDirs|TestMixedLocalRemoteShards' ./internal/blockd/
 
 # Full suite, including the ~80s linear-regression plan-space search.

@@ -193,7 +193,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			return
 		}
 		t0 := time.Now()
-		status, resp := s.handle(version, op, payload)
+		status, resp := s.respond(version, op, payload)
 		s.observeOp(op, status, time.Since(t0))
 		if err := blockproto.WriteFrame(conn, status, resp); err != nil {
 			if !errors.Is(err, net.ErrClosed) && !isConnReset(err) {
@@ -212,14 +212,14 @@ func isConnReset(err error) bool {
 }
 
 // errStatus maps a handler error to its wire status and message payload.
-func errStatus(status byte, err error) (byte, []byte) {
-	return status, new(blockproto.Enc).Str(err.Error()).Bytes()
+func errStatus(status byte, err error) (byte, *blockproto.Enc) {
+	return status, new(blockproto.Enc).Str(err.Error())
 }
 
 // reply answers a Manager call: StatusOK with the payload, or the error's
 // status. Manager errors are classified by identity, never by message —
 // array names are legal with spaces and appear in the text.
-func reply(payload []byte, err error) (byte, []byte) {
+func reply(payload *blockproto.Enc, err error) (byte, *blockproto.Enc) {
 	switch {
 	case err == nil:
 		return blockproto.StatusOK, payload
@@ -249,10 +249,12 @@ func checkGeometry(arr *prog.Array) error {
 	return nil
 }
 
-// handle answers one decoded request frame. Shard-root operations are the
-// Manager's own methods — the same ones a local shard runs — so the server
-// only decodes requests, maps errors to statuses, and encodes replies.
-func (s *Server) handle(version, op byte, payload []byte) (byte, []byte) {
+// respond answers one decoded request frame with a status and the reply
+// payload's encoder, which serveConn frames in place. Shard-root operations
+// are the Manager's own methods — the same ones a local shard runs — so the
+// server only decodes requests, maps errors to statuses, and encodes
+// replies.
+func (s *Server) respond(version, op byte, payload []byte) (byte, *blockproto.Enc) {
 	if version != blockproto.ProtoVersion {
 		return errStatus(blockproto.StatusBadVersion,
 			fmt.Errorf("blockd: protocol version %d, server speaks %d", version, blockproto.ProtoVersion))
@@ -290,7 +292,7 @@ func (s *Server) handle(version, op byte, payload []byte) (byte, []byte) {
 		if err != nil {
 			return reply(nil, err)
 		}
-		return blockproto.StatusOK, new(blockproto.Enc).Block(blk).Bytes()
+		return blockproto.StatusOK, new(blockproto.Enc).Block(blk)
 
 	case blockproto.OpWrite:
 		name, r, c, blk := d.Str(), d.I64(), d.I64(), d.Block()
@@ -309,7 +311,7 @@ func (s *Server) handle(version, op byte, payload []byte) (byte, []byte) {
 	case blockproto.OpStats:
 		st := s.mgr.Stats()
 		e := new(blockproto.Enc).I64(st.ReadReqs).I64(st.ReadBytes).I64(st.WriteReqs).I64(st.WriteBytes)
-		return blockproto.StatusOK, e.Bytes()
+		return blockproto.StatusOK, e
 
 	case blockproto.OpManifest:
 		sub := d.U8()
@@ -323,7 +325,7 @@ func (s *Server) handle(version, op byte, payload []byte) (byte, []byte) {
 		switch sub {
 		case blockproto.ManifestGet:
 			data, err := s.mgr.ReadManifest()
-			return reply(new(blockproto.Enc).Blob(data).Bytes(), err)
+			return reply(new(blockproto.Enc).Blob(data), err)
 		case blockproto.ManifestPut:
 			return reply(nil, s.mgr.WriteManifest(put))
 		case blockproto.ManifestDel:
@@ -342,7 +344,7 @@ func (s *Server) handle(version, op byte, payload []byte) (byte, []byte) {
 		if exists {
 			flag = 1
 		}
-		return reply(new(blockproto.Enc).U8(flag).Bytes(), err)
+		return reply(new(blockproto.Enc).U8(flag), err)
 
 	case blockproto.OpWipe:
 		name := d.Str()

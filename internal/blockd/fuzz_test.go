@@ -62,3 +62,12 @@ func FuzzHandle(f *testing.F) {
 		}
 	})
 }
+
+// handle is respond with the reply as the payload bytes its frame carries.
+func (s *Server) handle(version, op byte, payload []byte) (byte, []byte) {
+	status, e := s.respond(version, op, payload)
+	if e == nil {
+		return status, nil
+	}
+	return status, e.Bytes()
+}

@@ -148,7 +148,7 @@ func TestShardRootContract(t *testing.T) {
 }
 
 // request sends one raw frame and returns the server's answer.
-func request(t *testing.T, conn net.Conn, op byte, payload []byte) (byte, []byte) {
+func request(t *testing.T, conn net.Conn, op byte, payload *blockproto.Enc) (byte, []byte) {
 	t.Helper()
 	if err := blockproto.WriteFrame(conn, op, payload); err != nil {
 		t.Fatal(err)
@@ -176,7 +176,7 @@ func dial(t *testing.T, addr string) net.Conn {
 func TestHostileWriteShapeIsBadRequest(t *testing.T) {
 	conn := dial(t, startServer(t, t.TempDir()).Addr())
 	e := new(blockproto.Enc).Str("A").I64(0).I64(0).U32(0xFFFFFFFF).U32(0xFFFFFFFF).Blob(make([]byte, 8))
-	if st, resp := request(t, conn, blockproto.OpWrite, e.Bytes()); st != blockproto.StatusBadRequest {
+	if st, resp := request(t, conn, blockproto.OpWrite, e); st != blockproto.StatusBadRequest {
 		t.Errorf("hostile write: status %d (%q), want StatusBadRequest", st, resp)
 	}
 	if st, _ := request(t, conn, blockproto.OpPing, nil); st != blockproto.StatusOK {
@@ -189,11 +189,11 @@ func TestHostileWriteShapeIsBadRequest(t *testing.T) {
 // a zero dimension — is a bad request, so there is nothing to read.
 func TestHostileCreateGeometryIsBadRequest(t *testing.T) {
 	conn := dial(t, startServer(t, t.TempDir()).Addr())
-	create := func(name string, blockRows, blockCols, gridRows, gridCols uint32) []byte {
-		return new(blockproto.Enc).Str(name).U32(blockRows).U32(blockCols).U32(gridRows).U32(gridCols).I64(0).U8(0).Bytes()
+	create := func(name string, blockRows, blockCols, gridRows, gridCols uint32) *blockproto.Enc {
+		return new(blockproto.Enc).Str(name).U32(blockRows).U32(blockCols).U32(gridRows).U32(gridCols).I64(0).U8(0)
 	}
 	stCreate, _ := request(t, conn, blockproto.OpCreate, create("H", 1<<20, 1<<20, 1, 1))
-	stRead, _ := request(t, conn, blockproto.OpRead, new(blockproto.Enc).Str("H").I64(0).I64(0).Bytes())
+	stRead, _ := request(t, conn, blockproto.OpRead, new(blockproto.Enc).Str("H").I64(0).I64(0))
 	if stCreate != blockproto.StatusBadRequest || stRead != blockproto.StatusUnknownArray {
 		t.Errorf("terabyte block: create status %d, read status %d; want StatusBadRequest, StatusUnknownArray", stCreate, stRead)
 	}

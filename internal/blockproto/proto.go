@@ -116,25 +116,25 @@ const (
 	StatusBadVersion byte = 6
 )
 
-// WriteFrame emits one frame (version, kind, payload) to w. kind is an
-// opcode on the request path and a status on the response path.
-func WriteFrame(w io.Writer, kind byte, payload []byte) error {
-	if len(payload)+2 > MaxFrameBytes {
-		return fmt.Errorf("blockproto: frame payload %d bytes exceeds limit %d", len(payload), MaxFrameBytes)
+// WriteFrame emits one frame (version, kind, e's payload) to w in a single
+// Write: the header goes into the room e keeps in front of its payload. kind
+// is an opcode on the request path and a status on the response path; a
+// nil e is an empty payload. Since the header is written into e, one Enc is
+// framed by one goroutine at a time.
+func WriteFrame(w io.Writer, kind byte, e *Enc) error {
+	if e == nil {
+		e = new(Enc)
 	}
-	var hdr [6]byte
-	binary.BigEndian.PutUint32(hdr[0:], uint32(len(payload)+2))
-	hdr[4] = ProtoVersion
-	hdr[5] = kind
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
+	frame := e.frame()
+	n := len(frame) - frameHeader
+	if n+2 > MaxFrameBytes {
+		return fmt.Errorf("blockproto: frame payload %d bytes exceeds limit %d", n, MaxFrameBytes)
 	}
-	if len(payload) > 0 {
-		if _, err := w.Write(payload); err != nil {
-			return err
-		}
-	}
-	return nil
+	binary.BigEndian.PutUint32(frame, uint32(n+2))
+	frame[4] = ProtoVersion
+	frame[5] = kind
+	_, err := w.Write(frame)
+	return err
 }
 
 // ReadFrame reads one frame from r, returning its version, kind (opcode or
@@ -157,25 +157,38 @@ func ReadFrame(r io.Reader) (version, kind byte, payload []byte, err error) {
 	return hdr[4], hdr[5], payload, nil
 }
 
+// frameHeader is a frame's length, version and kind bytes.
+const frameHeader = 6
+
 // Enc builds a frame payload: fixed-width big-endian integers,
-// length-prefixed strings and blobs.
+// length-prefixed strings and blobs. Its buffer keeps room for the frame
+// header in front of the payload, so WriteFrame sends both in one Write.
 type Enc struct{ buf []byte }
 
+// frame returns the buffer, header room first, allocating it on first use
+// with space for a typical request beside the header.
+func (e *Enc) frame() []byte {
+	if e.buf == nil {
+		e.buf = make([]byte, frameHeader, 64)
+	}
+	return e.buf
+}
+
 // Bytes returns the encoded payload.
-func (e *Enc) Bytes() []byte { return e.buf }
+func (e *Enc) Bytes() []byte { return e.frame()[frameHeader:] }
 
 // U8 appends one byte.
-func (e *Enc) U8(v byte) *Enc { e.buf = append(e.buf, v); return e }
+func (e *Enc) U8(v byte) *Enc { e.buf = append(e.frame(), v); return e }
 
 // U32 appends a big-endian uint32.
 func (e *Enc) U32(v uint32) *Enc {
-	e.buf = binary.BigEndian.AppendUint32(e.buf, v)
+	e.buf = binary.BigEndian.AppendUint32(e.frame(), v)
 	return e
 }
 
 // I64 appends a big-endian int64 (two's complement).
 func (e *Enc) I64(v int64) *Enc {
-	e.buf = binary.BigEndian.AppendUint64(e.buf, uint64(v))
+	e.buf = binary.BigEndian.AppendUint64(e.frame(), uint64(v))
 	return e
 }
 
@@ -184,7 +197,7 @@ func (e *Enc) Str(s string) *Enc {
 	if len(s) > math.MaxUint16 {
 		s = s[:math.MaxUint16]
 	}
-	e.buf = binary.BigEndian.AppendUint16(e.buf, uint16(len(s)))
+	e.buf = binary.BigEndian.AppendUint16(e.frame(), uint16(len(s)))
 	e.buf = append(e.buf, s...)
 	return e
 }
@@ -192,7 +205,7 @@ func (e *Enc) Str(s string) *Enc {
 // Blob appends a uint32-length-prefixed byte blob (block payloads,
 // manifest bytes).
 func (e *Enc) Blob(b []byte) *Enc {
-	e.buf = binary.BigEndian.AppendUint32(e.buf, uint32(len(b)))
+	e.buf = binary.BigEndian.AppendUint32(e.frame(), uint32(len(b)))
 	e.buf = append(e.buf, b...)
 	return e
 }
@@ -201,7 +214,7 @@ func (e *Enc) Blob(b []byte) *Enc {
 // as a blob. The payload buffer grows once and the elements are encoded
 // straight into it.
 func (e *Enc) Block(blk *blas.Matrix) *Enc {
-	e.buf = slices.Grow(e.buf, 12+8*len(blk.Data))
+	e.buf = slices.Grow(e.frame(), 12+8*len(blk.Data))
 	e.U32(uint32(blk.Rows)).U32(uint32(blk.Cols)).U32(uint32(8 * len(blk.Data)))
 	e.buf = EncodeBlock(e.buf, blk)
 	return e

@@ -36,8 +36,6 @@ type Options struct {
 	BindParams bool
 	// MaxCalls bounds the Apriori search (0 = default).
 	MaxCalls int
-	// NoPruning disables the Apriori property (ablation).
-	NoPruning bool
 	// SkipMultiplicityReduction disables Remark A.1 (ablation).
 	SkipMultiplicityReduction bool
 }
@@ -104,12 +102,15 @@ func OptimizeSubsetsCtx(ctx context.Context, p *prog.Program, opt Options, subse
 // OptimizeGreedy is the budgeted fast-path optimizer behind the serving
 // tier-2 planner: instead of the Apriori enumeration it runs
 // sched.SearchGreedy, scoring candidates by logical I/O bytes (lowering and
-// costing each tested combination). Canceling ctx mid-search degrades plan
-// quality — the best combination found so far is kept — rather than failing;
-// an error is returned only when analysis fails or not even the no-sharing
-// baseline could be planned before cancellation. The Result has the same
-// shape as Optimize's (Plans sorted by I/O time, Best per MemCapBytes) but
-// typically holds just the baseline and the greedy winner.
+// costing each tested combination). ctx bounds the search, not its answer:
+// canceling it mid-search keeps the best combination found so far, and
+// canceling it before the no-sharing baseline is planned serves the
+// program's original schedule as the baseline. The plans found are lowered
+// and costed even after ctx is done, so a deadline returns a plan table
+// rather than an error; an error means analysis failed or the program has
+// no legal schedule. Analysis itself runs to completion whatever ctx says.
+// The Result has the same shape as Optimize's (Plans sorted by I/O time,
+// Best per MemCapBytes) but holds just the baseline and the greedy winner.
 func OptimizeGreedy(ctx context.Context, p *prog.Program, opt Options) (*Result, error) {
 	return optimize(ctx, p, opt, greedy)
 }
@@ -158,7 +159,7 @@ func optimize(ctx context.Context, p *prog.Program, opt Options, search strategy
 
 // apriori is the full search (Algorithm 2): every feasible combination.
 func apriori(ctx context.Context, s *sched.Searcher, _ *evaluator, opt Options) ([]sched.Plan, error) {
-	plans, err := s.Search(ctx, sched.SearchOptions{MaxCalls: opt.MaxCalls, NoPruning: opt.NoPruning})
+	plans, err := s.Search(ctx, sched.SearchOptions{MaxCalls: opt.MaxCalls})
 	if err != nil {
 		return nil, fmt.Errorf("core: search: %w", err)
 	}
@@ -176,6 +177,14 @@ func greedy(ctx context.Context, s *sched.Searcher, ev *evaluator, opt Options) 
 	plans, err := s.SearchGreedy(ctx, sched.GreedyOptions{Score: score, MaxCalls: opt.MaxCalls})
 	if err != nil {
 		return nil, fmt.Errorf("core: greedy search: %w", err)
+	}
+	// The budget ends the search, not its answer: the (at most two) plans
+	// found are lowered and costed even once ctx is done, so the memo holds
+	// them when optimize evaluates the table.
+	for _, pl := range plans {
+		if _, err := ev.eval(context.WithoutCancel(ctx), pl); err != nil {
+			return nil, err
+		}
 	}
 	return plans, nil
 }

@@ -157,3 +157,30 @@ func TestEvaluatorCanceled(t *testing.T) {
 		t.Fatalf("live context: %d of %d plans, memo %d, err %v", len(out), len(plans), len(ev.memo), err)
 	}
 }
+
+// A greedy fill whose budget is gone before the baseline is searched still
+// answers: its one plan is the original schedule, lowered and costed after
+// the context is done, at the searched baseline's cost.
+func TestOptimizeGreedyCanceledServesOriginalSchedule(t *testing.T) {
+	opt := Options{BindParams: true}
+	full, err := Optimize(paperAddMul(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err := OptimizeGreedy(ctx, paperAddMul(), opt)
+	if err != nil {
+		t.Fatalf("greedy on a canceled context: %v", err)
+	}
+	if len(res.Plans) != 1 || res.Best != &res.Plans[0] {
+		t.Fatalf("want one plan, the best; got %d plans, best %v", len(res.Plans), res.Best)
+	}
+	got := res.Plans[0]
+	if got.Plan.Schedule != res.Analysis.Orig || got.Label != "{}" {
+		t.Fatalf("plan %s is not the original schedule", got.Label)
+	}
+	if want := full.Baseline().Cost; !reflect.DeepEqual(got.Cost, want) {
+		t.Fatalf("original-schedule cost %+v, searched baseline %+v", got.Cost, want)
+	}
+}

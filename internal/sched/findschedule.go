@@ -21,11 +21,15 @@ type feas struct {
 
 // refine intersects the space with a polyhedron and refreshes the witness;
 // ok=false means the refined space has no reachable integer point (within
-// the sampling radius, which suffices for schedule coefficients).
-func (s *Searcher) refine(f feas, p *polyhedra.Poly) (feas, bool) {
+// the sampling radius, which suffices for schedule coefficients), or that
+// ctx was done before a new witness had to be sampled.
+func (s *Searcher) refine(ctx context.Context, f feas, p *polyhedra.Poly) (feas, bool) {
 	x := f.set.IntersectPoly(p)
 	if f.wit != nil && p.Contains(f.wit) {
 		return feas{set: x, wit: f.wit}, true
+	}
+	if canceled(ctx) {
+		return feas{set: x}, false
 	}
 	if wit, ok := x.SampleInt(s.SampleRadius); ok {
 		return feas{set: x, wit: wit}, true
@@ -34,10 +38,13 @@ func (s *Searcher) refine(f feas, p *polyhedra.Poly) (feas, bool) {
 }
 
 // refineSet is refine for a union constraint.
-func (s *Searcher) refineSet(f feas, u *polyhedra.Set) (feas, bool) {
+func (s *Searcher) refineSet(ctx context.Context, f feas, u *polyhedra.Set) (feas, bool) {
 	x := polyhedra.IntersectSet(f.set, u)
 	if f.wit != nil && u.Contains(f.wit) {
 		return feas{set: x, wit: f.wit}, true
+	}
+	if canceled(ctx) {
+		return feas{set: x}, false
 	}
 	if wit, ok := x.SampleInt(s.SampleRadius); ok {
 		return feas{set: x, wit: wit}, true
@@ -51,11 +58,12 @@ func (s *Searcher) refineSet(f feas, u *polyhedra.Set) (feas, bool) {
 // schedule (d̃ affine rows plus the trailing constant dimension per
 // statement) or ok=false when the combination is infeasible.
 //
-// The search honors ctx between constraint refinements, so a deadline or
-// cancellation aborts mid-search (ok=false); callers that must distinguish
-// "infeasible" from "canceled" check ctx.Err() afterwards. This is what
-// lets the serving tier enforce a wall-clock planning budget and lets
-// server shutdown interrupt a background full search.
+// The search checks ctx between constraint refinements and before every
+// integer sample it draws for a dimension's coefficients, so a deadline or
+// cancellation aborts mid-search (ok=false) within one sample; callers
+// that must distinguish "infeasible" from "canceled" check ctx.Err()
+// afterwards. This is what lets the serving tier hold a wall-clock
+// planning budget and lets server shutdown stop an in-flight plan fill.
 func (s *Searcher) FindSchedule(ctx context.Context, q []*deps.CoAccess) (*prog.Schedule, bool) {
 	s.Stats.FindScheduleCalls++
 	p := s.Prog
@@ -104,7 +112,7 @@ func (s *Searcher) FindSchedule(ctx context.Context, q []*deps.CoAccess) (*prog.
 			if canceled(ctx) {
 				return nil, false
 			}
-			if f, ok = s.refine(f, s.constraintFor(dep.co, dep.piece, modeWeak)); !ok {
+			if f, ok = s.refine(ctx, f, s.constraintFor(dep.co, dep.piece, modeWeak)); !ok {
 				return nil, false
 			}
 		}
@@ -115,7 +123,7 @@ func (s *Searcher) FindSchedule(ctx context.Context, q []*deps.CoAccess) (*prog.
 				return nil, false
 			}
 			for _, piece := range c.Extent.Ps {
-				if f, ok = s.refine(f, s.constraintFor(c, piece, modeEqZero)); !ok {
+				if f, ok = s.refine(ctx, f, s.constraintFor(c, piece, modeEqZero)); !ok {
 					return nil, false
 				}
 			}
@@ -124,7 +132,7 @@ func (s *Searcher) FindSchedule(ctx context.Context, q []*deps.CoAccess) (*prog.
 		if d < dt {
 			for _, c := range append(append([]*deps.CoAccess(nil), qsw...), qsr...) {
 				for _, piece := range c.Extent.Ps {
-					if f, ok = s.refine(f, s.constraintFor(c, piece, modeEqZero)); !ok {
+					if f, ok = s.refine(ctx, f, s.constraintFor(c, piece, modeEqZero)); !ok {
 						return nil, false
 					}
 				}
@@ -132,7 +140,7 @@ func (s *Searcher) FindSchedule(ctx context.Context, q []*deps.CoAccess) (*prog.
 		} else {
 			for _, c := range qsw {
 				for _, piece := range c.Extent.Ps {
-					if f, ok = s.refine(f, s.constraintFor(c, piece, modeEqPlus)); !ok {
+					if f, ok = s.refine(ctx, f, s.constraintFor(c, piece, modeEqPlus)); !ok {
 						return nil, false
 					}
 				}
@@ -147,7 +155,7 @@ func (s *Searcher) FindSchedule(ctx context.Context, q []*deps.CoAccess) (*prog.
 					}
 					u.AddPiece(branch)
 				}
-				if f, ok = s.refineSet(f, u); !ok {
+				if f, ok = s.refineSet(ctx, f, u); !ok {
 					return nil, false
 				}
 			}
@@ -166,8 +174,8 @@ func (s *Searcher) FindSchedule(ctx context.Context, q []*deps.CoAccess) (*prog.
 				} else {
 					t = s.orthConstraints(st, loopRows[st.ID])
 				}
-				f2, ok := s.refine(f, t)
-				if ok && l == 1 && !s.hasNonzeroLoopPart(f2, st) {
+				f2, ok := s.refine(ctx, f, t)
+				if ok && l == 1 && !s.hasNonzeroLoopPart(ctx, f2, st) {
 					ok = false
 				}
 				if ok {
@@ -186,16 +194,21 @@ func (s *Searcher) FindSchedule(ctx context.Context, q []*deps.CoAccess) (*prog.
 		// (lines 39-43), piece by piece.
 		kept := remaining[:0]
 		for _, dep := range remaining {
-			if f2, ok := s.refine(f, s.constraintFor(dep.co, dep.piece, modeStrict)); ok {
+			if f2, ok := s.refine(ctx, f, s.constraintFor(dep.co, dep.piece, modeStrict)); ok {
 				f = f2
 			} else {
 				kept = append(kept, dep)
 			}
 		}
 		remaining = kept
+		// A refinement cut short by ctx reads as infeasible, which may have
+		// steered the choices above; a canceled search returns nothing.
+		if canceled(ctx) {
+			return nil, false
+		}
 		// Sample the dimension's coefficients (line 44), forcing nonzero
 		// loop parts for statements whose row must be independent.
-		u, ok := s.samplePoint(f, needIndep)
+		u, ok := s.samplePoint(ctx, f, needIndep)
 		if !ok {
 			return nil, false
 		}
@@ -244,8 +257,9 @@ func (s *Searcher) FindSchedule(ctx context.Context, q []*deps.CoAccess) (*prog.
 
 // canceled reports whether the context has been canceled or has passed
 // its deadline, without blocking. It is polled between constraint
-// refinements: each refinement involves polyhedral intersection and
-// integer sampling, so the poll is negligible against the work it gates.
+// refinements and before each coefficient sample: each involves polyhedral
+// intersection or integer sampling, so the poll is negligible against the
+// work it gates.
 func canceled(ctx context.Context) bool {
 	select {
 	case <-ctx.Done():
@@ -256,8 +270,9 @@ func canceled(ctx context.Context) bool {
 }
 
 // hasNonzeroLoopPart reports whether the feasible space admits a nonzero
-// loop coefficient for the statement (checking the witness first).
-func (s *Searcher) hasNonzeroLoopPart(f feas, st *prog.Statement) bool {
+// loop coefficient for the statement (checking the witness first). Once
+// ctx is done it reports false without sampling further.
+func (s *Searcher) hasNonzeroLoopPart(ctx context.Context, f feas, st *prog.Statement) bool {
 	if f.wit != nil {
 		for q := 0; q < st.Ds(); q++ {
 			if f.wit[s.offs[st.ID]+q] != 0 {
@@ -270,6 +285,9 @@ func (s *Searcher) hasNonzeroLoopPart(f feas, st *prog.Statement) bool {
 			coef := make([]int64, s.NU)
 			coef[s.offs[st.ID]+q] = 1
 			for _, piece := range f.set.Ps {
+				if canceled(ctx) {
+					return false
+				}
 				cand := piece.Clone().AddEq(coef, -val)
 				if _, ok := cand.SampleInt(s.SampleRadius); ok {
 					return true
@@ -283,8 +301,9 @@ func (s *Searcher) hasNonzeroLoopPart(f feas, st *prog.Statement) bool {
 // samplePoint draws an integer point from the feasible space, greedily
 // forcing a ±1 loop coefficient for every statement that needs an
 // independent (hence nonzero) row this dimension. The witness is used
-// directly when it already satisfies the nonzero requirements.
-func (s *Searcher) samplePoint(f feas, needIndep map[int]bool) ([]int64, bool) {
+// directly when it already satisfies the nonzero requirements. Once ctx is
+// done it reports false without sampling further.
+func (s *Searcher) samplePoint(ctx context.Context, f feas, needIndep map[int]bool) ([]int64, bool) {
 	var stmts []*prog.Statement
 	for _, st := range s.Prog.Stmts {
 		if needIndep[st.ID] {
@@ -311,14 +330,20 @@ func (s *Searcher) samplePoint(f feas, needIndep map[int]bool) ([]int64, bool) {
 		}
 	}
 	for _, piece := range f.set.Ps {
-		if pt, ok := s.samplePieceForced(piece, stmts, 0); ok {
+		if pt, ok := s.samplePieceForced(ctx, piece, stmts, 0); ok {
 			return pt, true
 		}
 	}
 	return nil, false
 }
 
-func (s *Searcher) samplePieceForced(piece *polyhedra.Poly, stmts []*prog.Statement, idx int) ([]int64, bool) {
+// samplePieceForced draws an integer point from one piece with a ±1 loop
+// coefficient forced for each of stmts[idx:], backtracking over the
+// choices. Every branch ends in a sample, so ctx is checked before each.
+func (s *Searcher) samplePieceForced(ctx context.Context, piece *polyhedra.Poly, stmts []*prog.Statement, idx int) ([]int64, bool) {
+	if canceled(ctx) {
+		return nil, false
+	}
 	if idx == len(stmts) {
 		return piece.SampleInt(s.SampleRadius)
 	}
@@ -328,7 +353,7 @@ func (s *Searcher) samplePieceForced(piece *polyhedra.Poly, stmts []*prog.Statem
 			coef := make([]int64, s.NU)
 			coef[s.offs[st.ID]+q] = 1
 			cand := piece.Clone().AddEq(coef, -val)
-			if pt, ok := s.samplePieceForced(cand, stmts, idx+1); ok {
+			if pt, ok := s.samplePieceForced(ctx, cand, stmts, idx+1); ok {
 				return pt, true
 			}
 		}

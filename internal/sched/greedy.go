@@ -29,8 +29,11 @@ type GreedyOptions struct {
 // ends with the best greedy combination found; intermediate accepted states
 // are not returned. If ctx expires mid-way the plans found so far are
 // returned with a nil error, so a wall-clock budget degrades plan quality
-// instead of failing the query; an error is returned only when not even the
-// baseline could be scheduled.
+// instead of failing the query. If it expires before the baseline's search
+// finishes, the baseline is the program's original schedule: it realizes
+// no sharing, is legal by construction and has the searched baseline's
+// I/O volumes, though not always its event order. An error is returned
+// only when the baseline is infeasible with ctx still live.
 func (s *Searcher) SearchGreedy(ctx context.Context, opt GreedyOptions) ([]Plan, error) {
 	if opt.Score == nil {
 		return nil, errf("greedy search requires a Score function")
@@ -46,7 +49,10 @@ func (s *Searcher) SearchGreedy(ctx context.Context, opt GreedyOptions) ([]Plan,
 
 	basePlan, err := s.baseline(ctx)
 	if err != nil {
-		return nil, err
+		if ctx.Err() == nil {
+			return nil, err
+		}
+		basePlan = Plan{Schedule: s.An.Orig}
 	}
 	plans := []Plan{basePlan}
 

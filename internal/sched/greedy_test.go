@@ -72,14 +72,23 @@ func TestSearchGreedyRequiresScore(t *testing.T) {
 	}
 }
 
-// Cancellation before the baseline exists is an error; cancellation after
-// degrades to whatever was found.
+// Cancellation before the baseline is searched serves the original
+// schedule as the baseline, with no error: it realizes no sharing and is
+// legal by construction. Cancellation later degrades to whatever was found.
 func TestSearchGreedyCanceled(t *testing.T) {
 	an := addMulAnalysis(t, 3, 4, 2, true)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := NewSearcher(an).SearchGreedy(ctx, GreedyOptions{Score: greedyScore}); err == nil {
-		t.Fatal("expected an error when canceled before the baseline")
+	s := NewSearcher(an)
+	plans, err := s.SearchGreedy(ctx, GreedyOptions{Score: greedyScore})
+	if err != nil {
+		t.Fatalf("canceled before the baseline: %v", err)
+	}
+	if len(plans) != 1 || len(plans[0].Shares) != 0 || plans[0].Schedule != an.Orig {
+		t.Fatalf("want just the original-schedule baseline, got %d plans", len(plans))
+	}
+	if !s.Legal(plans[0].Schedule) {
+		t.Fatal("the original-schedule baseline must be legal")
 	}
 }
 

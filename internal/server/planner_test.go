@@ -1,12 +1,17 @@
 package server
 
 import (
+	"context"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"riotshare/internal/blas"
+	"riotshare/internal/deps"
 	"riotshare/internal/prog"
+	"riotshare/internal/storage"
 )
 
 // The plan cache must hold at most PlanCacheEntries tables, retire the
@@ -210,4 +215,154 @@ func TestPlanCacheConcurrentMissPlansOnce(t *testing.T) {
 			}
 		}
 	}
+}
+
+// addChainSpec is an elementwise chain of n add statements over a 2×2
+// grid of 2×2 blocks: X1 = X0 + B, …, Xn = Xn-1 + B, with X1…Xn-1
+// transient. Its no-sharing baseline search grows about fourfold per
+// statement (tens of seconds at 10, minutes at 12), while lowering and
+// running any plan of it takes milliseconds.
+func addChainSpec(n int) *ProgramSpec {
+	sp := gridAddSpec(2, 2)
+	sp.Name = fmt.Sprintf("addchain-%d", n)
+	tmpl := sp.Stmts[0]
+	sp.Arrays = sp.Arrays[:2]
+	sp.Arrays[0].Name = "X0"
+	sp.Stmts = nil
+	for k := 1; k <= n; k++ {
+		dst, src := fmt.Sprintf("X%d", k), fmt.Sprintf("X%d", k-1)
+		arr := sp.Arrays[1]
+		arr.Name, arr.Transient = dst, k < n
+		sp.Arrays = append(sp.Arrays, arr)
+		st := tmpl
+		st.Name, st.NewNest = fmt.Sprintf("s%d", k), true
+		st.Accesses = append([]AccessSpec(nil), tmpl.Accesses...)
+		st.Accesses[0].Array, st.Accesses[2].Array = src, dst
+		st.Note = dst + "[i,j]=" + src + "[i,j]+B[i,j]"
+		sp.Stmts = append(sp.Stmts, st)
+	}
+	return sp
+}
+
+// closeWithin closes the server, failing the test if Close takes longer
+// than d. A Close that hangs is left behind rather than waited for.
+func closeWithin(t *testing.T, s *Server, d time.Duration) {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- s.Close() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	case <-time.After(d):
+		t.Errorf("Close did not return within %v", d)
+	}
+}
+
+// A 12-statement chain's baseline search alone would take minutes. Under a
+// 2 s plan budget the greedy tier answers by itself when the budget runs
+// out, with the original schedule as its baseline, so the query is done
+// within 3 s of submission and computes Xn = X0 + B + … + B.
+func TestBudgetedLongChainRunsWithinBudget(t *testing.T) {
+	const n = 12
+	s, err := New(Config{Dir: t.TempDir(), Seed: testSeed, PlanBudget: 2 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeWithin(t, s, time.Second)
+
+	spec := addChainSpec(n)
+	submitted := time.Now()
+	id, err := s.Submit(Request{Spec: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithDeadline(context.Background(), submitted.Add(3*time.Second))
+	defer cancel()
+	st, err := s.WaitCtx(ctx, id)
+	if err != nil {
+		t.Fatalf("query not finished %v after submission: %v", time.Since(submitted), err)
+	}
+	if st.State != StateDone {
+		t.Fatalf("state %v (%s), want done", st.State, st.Err)
+	}
+	t.Logf("done %v after submission, plan %s", time.Since(submitted), st.PlanLabel)
+
+	p, err := spec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := storage.NewManager(t.TempDir(), storage.FormatDAF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	in := map[string]*blas.Matrix{}
+	for _, name := range []string{"X0", "B"} {
+		arr := p.Arrays[name]
+		if err := m.Create(arr); err != nil {
+			t.Fatal(err)
+		}
+		if err := FillInput(m, arr, testSeed); err != nil {
+			t.Fatal(err)
+		}
+		if in[name], err = readFullArray(m, arr, name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := in["X0"].Clone()
+	for k := 0; k < n; k++ {
+		for i, b := range in["B"].Data {
+			want.Data[i] += b
+		}
+	}
+	got, err := s.Output(id, fmt.Sprintf("X%d", n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want.Data {
+		if got.Data[i] != want.Data[i] {
+			t.Fatalf("X%d[%d] = %v, want %v", n, i, got.Data[i], want.Data[i])
+		}
+	}
+}
+
+// Close stops a plan fill still in flight: with no plan budget the
+// 12-statement chain's full search would run for minutes, and Close must
+// neither wait for it nor let the query succeed. Analysis runs outside any
+// deadline, so the test first times one analysis of the spec and lets the
+// fill get past its own before closing.
+func TestCloseStopsPlanFill(t *testing.T) {
+	spec := addChainSpec(12)
+	p, err := spec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if _, err := deps.Analyze(p, deps.Options{BindParams: true}); err != nil {
+		t.Fatal(err)
+	}
+	analysis := time.Since(start)
+
+	s, err := New(Config{Dir: t.TempDir(), Seed: testSeed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := s.Submit(Request{Spec: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(2*analysis + 100*time.Millisecond)
+	closeWithin(t, s, time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	st, err := s.WaitCtx(ctx, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != StateFailed {
+		t.Fatalf("state %v, want failed", st.State)
+	}
+	t.Logf("query failed: %s", st.Err)
 }

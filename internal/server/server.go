@@ -325,6 +325,11 @@ type Server struct {
 	// tierHists holds the riotshare_planning_seconds{tier} series of the
 	// tiers that have served a query; see tierHistogram.
 	tierHists map[string]*telemetry.Histogram
+	// fillCtx is the context every plan fill runs under. A fill is shared
+	// by every waiter on its cache entry, so no one query's cancellation
+	// stops it; Close does, by calling stopFills.
+	fillCtx   context.Context
+	stopFills context.CancelFunc
 
 	gov *govern.Governor
 
@@ -448,6 +453,7 @@ func New(cfg Config) (*Server, error) {
 		reg:       reg,
 		slowLog:   slowLog,
 	}
+	s.fillCtx, s.stopFills = context.WithCancel(context.Background()) //riotvet:allow ctxflow — plan fills are shared by every waiter on a cache entry; one query's cancellation must not poison them, and Close cancels them
 	s.mPlanning = reg.Histogram(planningFamily, planningHelp, nil)
 	s.mQuery = reg.HistogramVec("riotshare_query_seconds",
 		"End-to-end query wall time (planning through result collection).", nil, "program")
@@ -568,9 +574,9 @@ func (s *Server) resolve(req Request) (*prog.Program, [][]string, error) {
 // the table: "cache" (tier 1, a resident entry), "greedy" (tier 2, the
 // budgeted fast-path search under Config.PlanBudget), or "full" (the
 // Apriori enumeration — every miss when no budget is set, and all
-// restricted-plan programs). An entry is planned once and never replaced.
-// The cache key ignores per-query memory caps: plan selection against a
-// cap happens on the cached table.
+// restricted-plan programs). An entry is planned once, by one optimizer
+// call, and never replaced. The cache key ignores per-query memory caps:
+// plan selection against a cap happens on the cached table.
 func (s *Server) plans(req Request, p *prog.Program, subsets [][]string) (*core.Result, string, error) {
 	key := "prog:" + req.Program
 	if req.Spec != nil {
@@ -591,27 +597,20 @@ func (s *Server) plans(req Request, p *prog.Program, subsets [][]string) (*core.
 	s.evictPlansLocked()
 	s.planMu.Unlock()
 
-	fill := context.Background() //riotvet:allow ctxflow — the plan fill is shared by every waiter on the cache entry; one query's cancellation must not poison it
 	opt := core.Options{BindParams: true}
 	tier := tierFull
 	var res *core.Result
 	var err error
 	switch {
 	case subsets != nil:
-		res, err = core.OptimizeSubsetsCtx(fill, p, opt, subsets)
+		res, err = core.OptimizeSubsetsCtx(s.fillCtx, p, opt, subsets)
 	case s.cfg.PlanBudget > 0:
 		tier = tierGreedy
-		ctx, cancel := context.WithTimeout(fill, s.cfg.PlanBudget)
+		ctx, cancel := context.WithTimeout(s.fillCtx, s.cfg.PlanBudget)
 		res, err = core.OptimizeGreedy(ctx, p, opt)
-		if err != nil && ctx.Err() != nil {
-			// The budget ran out before even the baseline was planned;
-			// plan just the baseline (no subsets) without a deadline so the
-			// query still runs.
-			res, err = core.OptimizeSubsetsCtx(fill, p, opt, nil)
-		}
 		cancel()
 	default:
-		res, err = core.OptimizeCtx(fill, p, opt)
+		res, err = core.OptimizeCtx(s.fillCtx, p, opt)
 	}
 
 	if res != nil { // keep the plan table, not the analysis and searcher behind it
@@ -1152,9 +1151,9 @@ func (s *Server) Stats() Stats {
 	return st
 }
 
-// Close stops accepting submissions, fails queries still waiting for
-// admission, waits for running queries to finish, flushes the pool and
-// closes storage.
+// Close stops accepting submissions, stops plan fills still in flight,
+// fails queries still waiting for admission, waits for running queries to
+// finish, flushes the pool and closes storage.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -1163,6 +1162,7 @@ func (s *Server) Close() error {
 	}
 	s.closed = true
 	s.mu.Unlock()
+	s.stopFills()
 	s.gov.Close()
 	s.wg.Wait()
 	err := s.pool.Flush()

@@ -172,7 +172,7 @@ func (b binarySink) Array(name string, arr *prog.Array) error {
 	e.Str(name).
 		U32(uint32(arr.BlockRows)).U32(uint32(arr.BlockCols)).
 		U32(uint32(arr.GridRows)).U32(uint32(arr.GridCols))
-	return blockproto.WriteFrame(b.w, StreamFrameArray, e.Bytes())
+	return blockproto.WriteFrame(b.w, StreamFrameArray, &e)
 }
 
 func (b binarySink) Block(name string, r, c int64, blk *blas.Matrix) error {
@@ -184,19 +184,19 @@ func (b binarySink) Block(name string, r, c int64, blk *blas.Matrix) error {
 	}
 	var e blockproto.Enc
 	e.Str(name).I64(r).I64(c).Block(blk)
-	return blockproto.WriteFrame(b.w, StreamFrameBlock, e.Bytes())
+	return blockproto.WriteFrame(b.w, StreamFrameBlock, &e)
 }
 
 func (b binarySink) End(arrays, blocks int, bytes int64) error {
 	var e blockproto.Enc
 	e.U32(uint32(arrays)).U32(uint32(blocks)).I64(bytes)
-	return blockproto.WriteFrame(b.w, StreamFrameEnd, e.Bytes())
+	return blockproto.WriteFrame(b.w, StreamFrameEnd, &e)
 }
 
 func (b binarySink) Error(msg string) error {
 	var e blockproto.Enc
 	e.Str(msg)
-	return blockproto.WriteFrame(b.w, StreamFrameError, e.Bytes())
+	return blockproto.WriteFrame(b.w, StreamFrameError, &e)
 }
 
 // handleResultsStream is GET /results/stream?id=q1: 404 for an id never

@@ -276,7 +276,7 @@ func classifyDial(err error) error {
 }
 
 // attempt performs one request/response round-trip on one connection.
-func (s *RemoteShard) attempt(op byte, req []byte) (byte, []byte, error) {
+func (s *RemoteShard) attempt(op byte, req *blockproto.Enc) (byte, []byte, error) {
 	rc, err := s.conn()
 	if err != nil {
 		return 0, nil, err
@@ -319,7 +319,7 @@ func (s *RemoteShard) attempt(op byte, req []byte) (byte, []byte, error) {
 // up to Retries times on fresh connections; persistent failures (refused,
 // retries exhausted) come back wrapping ErrShardUnavailable; server-side
 // application errors return as *ServerError immediately.
-func (s *RemoteShard) do(op byte, req []byte) ([]byte, error) {
+func (s *RemoteShard) do(op byte, req *blockproto.Enc) ([]byte, error) {
 	backoff := s.opt.RetryBackoff
 	for att := 0; ; att++ {
 		status, payload, err := s.attempt(op, req)
@@ -360,7 +360,7 @@ func (s *RemoteShard) create(arr *prog.Array) error {
 		U32(uint32(arr.BlockRows)).U32(uint32(arr.BlockCols)).
 		U32(uint32(arr.GridRows)).U32(uint32(arr.GridCols)).
 		I64(arr.LogicalBlockBytes).U8(1)
-	_, err := s.do(blockproto.OpCreate, e.Bytes())
+	_, err := s.do(blockproto.OpCreate, e)
 	return err
 }
 
@@ -417,7 +417,7 @@ func (s *RemoteShard) CreateAll(p *prog.Program) error {
 // WriteBlock sends one block to the server.
 func (s *RemoteShard) WriteBlock(array string, r, c int64, blk *blas.Matrix) error {
 	e := new(blockproto.Enc).Str(array).I64(r).I64(c).Block(blk)
-	_, err := s.do(blockproto.OpWrite, e.Bytes())
+	_, err := s.do(blockproto.OpWrite, e)
 	if err != nil {
 		return fmt.Errorf("storage: remote write %s @%s: %w", prog.BlockID{Array: array, R: r, C: c}, s.addr, err)
 	}
@@ -428,7 +428,7 @@ func (s *RemoteShard) WriteBlock(array string, r, c int64, blk *blas.Matrix) err
 // across the connection pool; the server coalesces duplicate reads.
 func (s *RemoteShard) ReadBlock(array string, r, c int64) (*blas.Matrix, error) {
 	e := new(blockproto.Enc).Str(array).I64(r).I64(c)
-	payload, err := s.do(blockproto.OpRead, e.Bytes())
+	payload, err := s.do(blockproto.OpRead, e)
 	if err != nil {
 		return nil, fmt.Errorf("storage: remote read %s @%s: %w", prog.BlockID{Array: array, R: r, C: c}, s.addr, err)
 	}
@@ -444,7 +444,7 @@ func (s *RemoteShard) Drop(array string, deleteFile bool) error {
 	} else {
 		e.U8(0)
 	}
-	_, err := s.do(blockproto.OpDrop, e.Bytes())
+	_, err := s.do(blockproto.OpDrop, e)
 	if err == nil {
 		s.forget(array)
 	}
@@ -468,7 +468,7 @@ func (s *RemoteShard) Stats() Stats {
 // an unreachable server reads as "manifest lost" too — which is exactly
 // what lets a replicated front-end open with a dead server degraded.
 func (s *RemoteShard) ReadManifest() ([]byte, error) {
-	payload, err := s.do(blockproto.OpManifest, new(blockproto.Enc).U8(blockproto.ManifestGet).Bytes())
+	payload, err := s.do(blockproto.OpManifest, new(blockproto.Enc).U8(blockproto.ManifestGet))
 	if err != nil {
 		return nil, err
 	}
@@ -480,19 +480,19 @@ func (s *RemoteShard) ReadManifest() ([]byte, error) {
 // WriteManifest atomically replaces the shard root's manifest.
 func (s *RemoteShard) WriteManifest(data []byte) error {
 	e := new(blockproto.Enc).U8(blockproto.ManifestPut).Blob(data)
-	_, err := s.do(blockproto.OpManifest, e.Bytes())
+	_, err := s.do(blockproto.OpManifest, e)
 	return err
 }
 
 // RemoveManifest deletes the shard root's manifest (absent is fine).
 func (s *RemoteShard) RemoveManifest() error {
-	_, err := s.do(blockproto.OpManifest, new(blockproto.Enc).U8(blockproto.ManifestDel).Bytes())
+	_, err := s.do(blockproto.OpManifest, new(blockproto.Enc).U8(blockproto.ManifestDel))
 	return err
 }
 
 // StoreExists reports whether the array's store file exists on the server.
 func (s *RemoteShard) StoreExists(array string) (bool, error) {
-	payload, err := s.do(blockproto.OpStat, new(blockproto.Enc).Str(array).Bytes())
+	payload, err := s.do(blockproto.OpStat, new(blockproto.Enc).Str(array))
 	if err != nil {
 		return false, err
 	}
@@ -503,7 +503,7 @@ func (s *RemoteShard) StoreExists(array string) (bool, error) {
 
 // WipeStore closes and deletes the array's store file on the server.
 func (s *RemoteShard) WipeStore(array string) error {
-	_, err := s.do(blockproto.OpWipe, new(blockproto.Enc).Str(array).Bytes())
+	_, err := s.do(blockproto.OpWipe, new(blockproto.Enc).Str(array))
 	if err == nil {
 		s.forget(array)
 	}
