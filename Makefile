@@ -19,8 +19,10 @@ test:
 # fairness, queue-wait stats, the tenant-label bound, result fetch from the
 # pool, streamed tenant attribution, streamed blocks against the whole
 # fetch, a drop-retained stream waiting for its query, the write-once plan
-# cache, Close stopping an in-flight plan fill, a budgeted fill ending at
-# its budget, lookups racing retirement, /metrics rendering the same Stats
+# cache, one program shape filled once for fills at eight sizes, Close
+# stopping an in-flight plan fill, a budgeted fill ending at its budget
+# (in its search, and in the analysis of a 64-statement chain), lookups
+# racing retirement, /metrics rendering the same Stats
 # snapshot /stats serves, and a snapshot registering no series in the
 # server; concurrent and sharded reads and writes through remote shards
 # in blockd. The storage and stream tests drive the read-coalescing and
@@ -31,7 +33,7 @@ test-race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -count=5 ./internal/exec/ ./internal/buffer/ ./internal/govern/
 	$(GO) test -race -count=5 -run 'TestCoalescedReadsShareOneRequest|TestConcurrentReadWrite' ./internal/storage/
-	$(GO) test -race -count=5 -run 'Fairness|QueueWait|TenantLabel|ResultFetch|StreamAttributesTenant|TestStreamedResultsMatchWholeFetch|TestStreamRetainDropWaitsForQuery|PlanCacheConcurrentMiss|CloseStopsPlanFill|BudgetedLongChain|RetirementRacesLookups|MetricsRenderStats|StatsRegistersNoSeries' ./internal/server/
+	$(GO) test -race -count=5 -run 'Fairness|QueueWait|TenantLabel|ResultFetch|StreamAttributesTenant|TestStreamedResultsMatchWholeFetch|TestStreamRetainDropWaitsForQuery|PlanCacheConcurrentMiss|PlanShapeConcurrentSizes|CloseStopsPlanFill|BudgetedLongChain|BudgetedAnalysisEnds|RetirementRacesLookups|MetricsRenderStats|StatsRegistersNoSeries' ./internal/server/
 	$(GO) test -race -count=5 -run 'TestRemoteShardConcurrent|TestRemoteShardedMatchesLocalDirs|TestMixedLocalRemoteShards' ./internal/blockd/
 
 # Full suite, including the ~80s linear-regression plan-space search.

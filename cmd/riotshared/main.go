@@ -21,7 +21,7 @@
 //	riotshared results -addr http://localhost:8377 -id q1 -stream
 //	riotshared stats   -addr http://localhost:8377 -tenant acme
 //	riotshared stats   -addr http://localhost:8377 -watch 2s   # live delta view
-//	riotshared stats   -addr http://localhost:8377 -planner    # planner tiers + plan cache
+//	riotshared stats   -addr http://localhost:8377 -planner    # planner tiers + plan and shape caches
 //	riotshared trace   -addr http://localhost:8377 q1          # span-tree breakdown
 //	riotshared trace   -addr http://localhost:8377 q1:stream   # its latest result stream
 //	riotshared repair  -addr http://localhost:8377 -shard 1
@@ -89,8 +89,8 @@ func serve(fs *flag.FlagSet, args []string) error {
 		seed    = fs.Int64("seed", 1, "synthetic input data seed")
 		full    = fs.Bool("full", false, "full plan-space search for linreg (minutes)")
 
-		planBudgetMs = fs.Int64("plan-budget-ms", 250, "wall-clock budget for the greedy fast-path planner on a cache miss (0 = full search every miss)")
-		planCacheN   = fs.Int("plan-cache", 256, "plan cache entry cap, LRU-evicted (-1 = unlimited)")
+		planBudgetMs = fs.Int64("plan-budget-ms", 250, "wall-clock budget for the greedy fast-path planner on a cache miss, analysis included; a program whose analysis outlasts it runs its original schedule (0 = full search every miss)")
+		planCacheN   = fs.Int("plan-cache", 256, "plan cache and program-shape cache entry cap, LRU-evicted (-1 = unlimited)")
 
 		shards     = fs.Int("shards", 1, "stripe the block store across N shard dirs under -data (devices)")
 		shardDirs  = fs.String("shard-dirs", "", "explicit comma-separated shard directories (overrides -shards; order matters)")
@@ -173,7 +173,7 @@ func client(sub string, fs *flag.FlagSet, args []string) error {
 		stream   = fs.Bool("stream", false, "stream the output blocks from /results/stream instead of fetching the JSON summary; delivery begins before the query finishes (results)")
 		shard    = fs.Int("shard", -1, "shard index to re-mirror from its replicas (repair)")
 		watch    = fs.Duration("watch", 0, "poll /stats at this interval and render counter deltas (stats)")
-		planner  = fs.Bool("planner", false, "render per-tier planning percentiles and the plan cache (stats)")
+		planner  = fs.Bool("planner", false, "render per-tier planning percentiles and the plan and shape caches (stats)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -371,8 +371,8 @@ func watchStats(addr string, interval time.Duration) error {
 }
 
 // printPlannerStats renders the tiered planner's view of one /stats
-// snapshot: per-tier planning latency percentiles and the bounded plan
-// cache.
+// snapshot: per-tier planning latency percentiles, the bounded plan cache
+// and the program-shape cache behind it.
 func printPlannerStats(addr string) error {
 	st, err := fetchStats(addr + "/stats")
 	if err != nil {
@@ -381,8 +381,10 @@ func printPlannerStats(addr string) error {
 	fmt.Printf("plan cache: %d entries, %d hits / %d misses (%.1f%% hit), %d evictions\n",
 		st.PlanCacheSize, st.PlanCacheHits, st.PlanCacheMisses,
 		st.PlanCacheHitRate*100, st.PlanCacheEvictions)
+	fmt.Printf("program shapes: %d entries, %d hits / %d misses\n",
+		st.PlanShapeEntries, st.PlanShapeHits, st.PlanShapeMisses)
 	fmt.Printf("%-8s %8s %10s %10s %10s\n", "tier", "plans", "p50ms", "p95ms", "p99ms")
-	for _, tier := range []string{"cache", "greedy", "full"} {
+	for _, tier := range []string{"cache", "shape", "greedy", "full"} {
 		ts, ok := st.PlanningTiers[tier]
 		if !ok {
 			continue

@@ -102,17 +102,118 @@ func OptimizeSubsetsCtx(ctx context.Context, p *prog.Program, opt Options, subse
 // OptimizeGreedy is the budgeted fast-path optimizer behind the serving
 // tier-2 planner: instead of the Apriori enumeration it runs
 // sched.SearchGreedy, scoring candidates by logical I/O bytes (lowering and
-// costing each tested combination). ctx bounds the search, not its answer:
-// canceling it mid-search keeps the best combination found so far, and
-// canceling it before the no-sharing baseline is planned serves the
-// program's original schedule as the baseline. The plans found are lowered
-// and costed even after ctx is done, so a deadline returns a plan table
-// rather than an error; an error means analysis failed or the program has
-// no legal schedule. Analysis itself runs to completion whatever ctx says.
-// The Result has the same shape as Optimize's (Plans sorted by I/O time,
-// Best per MemCapBytes) but holds just the baseline and the greedy winner.
+// costing each tested combination). ctx bounds the analysis and the
+// search, not their answer: canceling it mid-search keeps the best
+// combination found so far, and canceling it before the no-sharing
+// baseline is planned, analysis included, serves the program's original
+// schedule as the baseline (OriginalPlan when the analysis was cut off).
+// The plans found are lowered and costed even after ctx is done, so a
+// deadline returns a plan table rather than an error; an error means
+// analysis failed with ctx live or the program has no legal schedule. The
+// Result has the same shape as Optimize's (Plans sorted by I/O time, Best
+// per MemCapBytes) but holds just the baseline and the greedy winner.
 func OptimizeGreedy(ctx context.Context, p *prog.Program, opt Options) (*Result, error) {
-	return optimize(ctx, p, opt, greedy)
+	start := time.Now()
+	sh, err := PrepareShape(ctx, p, opt)
+	if err != nil {
+		if ctx.Err() == nil {
+			return nil, err
+		}
+		return originalPlan(ctx, start, p, opt)
+	}
+	return sh.optimizeGreedy(ctx, start, p, opt)
+}
+
+// OriginalPlan is the plan table of a program left unanalyzed: its
+// original schedule alone, which realizes no sharing and is legal by
+// construction, lowered and costed whatever ctx says. OptimizeGreedy
+// serves it when ctx ends before the analysis does, and so does a caller
+// whose PrepareShape a plan budget cut off.
+func OriginalPlan(ctx context.Context, p *prog.Program, opt Options) (*Result, error) {
+	return originalPlan(ctx, time.Now(), p, opt)
+}
+
+func originalPlan(ctx context.Context, start time.Time, p *prog.Program, opt Options) (*Result, error) {
+	an := &deps.Analysis{Prog: p, Orig: p.OriginalSchedule()}
+	return run(context.WithoutCancel(ctx), start, sched.NewSearcher(an), opt, original)
+}
+
+// Shape is the half of planning that depends only on a program's shape:
+// its statements, loop nests, domains and accesses, but not its parameter
+// values, block sizes or array names. It holds the prepared analysis
+// (deps.Prepare) and, per analysis signature, the memo of schedule-search
+// answers (sched.Memo). Every program of the shape is optimized from it by
+// binding the analysis at the program's own sizes, searching with the
+// memo of the signature that binding yields, and lowering and costing the
+// plans found at those sizes, so the plan table is the one the package
+// functions compute from scratch. A Shape is safe for concurrent use.
+type Shape struct {
+	prep  *deps.Prepared
+	mu    sync.Mutex
+	memos map[deps.Signature]*sched.Memo // guarded by mu
+}
+
+// PrepareShape starts the analysis of p under ctx (deps.Prepare);
+// canceling ctx stops it between access pairs with the context's error.
+// The analysis options (BindParams, SkipMultiplicityReduction) of opt hold
+// for every program later optimized from the Shape.
+func PrepareShape(ctx context.Context, p *prog.Program, opt Options) (*Shape, error) {
+	prep, err := deps.Prepare(ctx, p, deps.Options{
+		BindParams:                opt.BindParams,
+		SkipMultiplicityReduction: opt.SkipMultiplicityReduction,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("core: analysis: %w", err)
+	}
+	return &Shape{prep: prep, memos: make(map[deps.Signature]*sched.Memo)}, nil
+}
+
+// Optimize is OptimizeCtx for a program of the shape.
+func (sh *Shape) Optimize(ctx context.Context, p *prog.Program, opt Options) (*Result, error) {
+	return sh.optimize(ctx, time.Now(), p, opt, apriori)
+}
+
+// OptimizeGreedy is the package's OptimizeGreedy for a program of the
+// shape: when ctx ends before the analysis is bound at p's sizes, it
+// serves OriginalPlan.
+func (sh *Shape) OptimizeGreedy(ctx context.Context, p *prog.Program, opt Options) (*Result, error) {
+	return sh.optimizeGreedy(ctx, time.Now(), p, opt)
+}
+
+// OptimizeSubsets is OptimizeSubsetsCtx for a program of the shape.
+func (sh *Shape) OptimizeSubsets(ctx context.Context, p *prog.Program, opt Options, subsets [][]string) (*Result, error) {
+	return sh.optimize(ctx, time.Now(), p, opt, named(subsets))
+}
+
+// optimizeGreedy is OptimizeGreedy for a prepared shape, OptimizeTime
+// counting from start.
+func (sh *Shape) optimizeGreedy(ctx context.Context, start time.Time, p *prog.Program, opt Options) (*Result, error) {
+	s, err := sh.searcher(ctx, p)
+	if err != nil {
+		if ctx.Err() == nil {
+			return nil, err
+		}
+		return originalPlan(ctx, start, p, opt)
+	}
+	return run(ctx, start, s, opt, greedy)
+}
+
+// searcher binds the prepared analysis at p's sizes and returns a
+// Searcher over it that shares the memo of the binding's signature.
+func (sh *Shape) searcher(ctx context.Context, p *prog.Program) (*sched.Searcher, error) {
+	an, sig, err := sh.prep.Bind(ctx, p)
+	if err != nil {
+		return nil, fmt.Errorf("core: analysis: %w", err)
+	}
+	s := sched.NewSearcher(an)
+	sh.mu.Lock()
+	if m := sh.memos[sig]; m != nil {
+		s.Memo = m
+	} else {
+		sh.memos[sig] = s.Memo
+	}
+	sh.mu.Unlock()
+	return s, nil
 }
 
 // A strategy is the one step of the pipeline that varies: which legal plans
@@ -124,18 +225,31 @@ type strategy func(ctx context.Context, s *sched.Searcher, ev *evaluator, opt Op
 // every plan found (§5.4), ranking by I/O time, the pick under the cap.
 func optimize(ctx context.Context, p *prog.Program, opt Options, search strategy) (*Result, error) {
 	start := time.Now()
+	sh, err := PrepareShape(ctx, p, opt)
+	if err != nil {
+		return nil, err
+	}
+	return sh.optimize(ctx, start, p, opt, search)
+}
+
+// optimize is the pipeline after the analysis's first step: the analysis
+// bound at p's sizes, then run. OptimizeTime counts from start.
+func (sh *Shape) optimize(ctx context.Context, start time.Time, p *prog.Program, opt Options, search strategy) (*Result, error) {
+	s, err := sh.searcher(ctx, p)
+	if err != nil {
+		return nil, err
+	}
+	return run(ctx, start, s, opt, search)
+}
+
+// run is the pipeline after the analysis: the search, then lowering,
+// costing, ranking and the pick.
+func run(ctx context.Context, start time.Time, searcher *sched.Searcher, opt Options, search strategy) (*Result, error) {
 	model := opt.Model
 	if model.ReadBytesPerSec == 0 {
 		model = disk.PaperModel()
 	}
-	an, err := deps.Analyze(p, deps.Options{
-		BindParams:                opt.BindParams,
-		SkipMultiplicityReduction: opt.SkipMultiplicityReduction,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("core: analysis: %w", err)
-	}
-	searcher := sched.NewSearcher(an)
+	an := searcher.An
 	ev := &evaluator{an: an, model: model, memo: make(map[string]EvaluatedPlan)}
 	plans, err := search(ctx, searcher, ev, opt)
 	if err != nil {
@@ -189,6 +303,12 @@ func greedy(ctx context.Context, s *sched.Searcher, ev *evaluator, opt Options) 
 	return plans, nil
 }
 
+// original is the strategy of a program left unanalyzed: its original
+// schedule alone (see OriginalPlan).
+func original(_ context.Context, s *sched.Searcher, _ *evaluator, _ Options) ([]sched.Plan, error) {
+	return []sched.Plan{{Schedule: s.An.Orig}}, nil
+}
+
 // named is the restricted search: the baseline plus exactly the given
 // combinations of sharing-opportunity display names, each of which must
 // exist and be feasible.
@@ -227,15 +347,19 @@ type evaluator struct {
 	an    *deps.Analysis
 	model disk.Model
 	mu    sync.Mutex
-	memo  map[string]EvaluatedPlan // by Plan.Label; guarded by mu
+	// memo is keyed by the plan's sharing set (Plan.Shares), not its
+	// Label: two accesses of one statement to one array with the same
+	// type (a sliding window's two reads) give two sharing opportunities
+	// one display name, so distinct plans can share a label.
+	memo map[string]EvaluatedPlan // guarded by mu
 }
 
 // eval lowers and costs one plan unless the memo has it. Once ctx is
 // canceled nothing more is lowered.
 func (e *evaluator) eval(ctx context.Context, pl sched.Plan) (EvaluatedPlan, error) {
-	label := pl.Label(e.an)
+	key, label := fmt.Sprint(pl.Shares), pl.Label(e.an)
 	e.mu.Lock()
-	ev, ok := e.memo[label]
+	ev, ok := e.memo[key]
 	e.mu.Unlock()
 	if ok {
 		return ev, nil
@@ -249,7 +373,7 @@ func (e *evaluator) eval(ctx context.Context, pl sched.Plan) (EvaluatedPlan, err
 	}
 	ev = EvaluatedPlan{Plan: pl, Timeline: tl, Cost: cost.Evaluate(tl, e.model), Label: label}
 	e.mu.Lock()
-	e.memo[label] = ev
+	e.memo[key] = ev
 	e.mu.Unlock()
 	return ev, nil
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+	"time"
 
 	"riotshare/internal/deps"
 	"riotshare/internal/disk"
@@ -160,27 +161,56 @@ func TestEvaluatorCanceled(t *testing.T) {
 
 // A greedy fill whose budget is gone before the baseline is searched still
 // answers: its one plan is the original schedule, lowered and costed after
-// the context is done, at the searched baseline's cost.
+// the context is done, at the searched baseline's cost. A budget gone
+// before the analysis starts (OptimizeGreedy) or before its binding ends
+// (Shape.OptimizeGreedy) gives the same table as one gone only once the
+// analysis is complete.
 func TestOptimizeGreedyCanceledServesOriginalSchedule(t *testing.T) {
 	opt := Options{BindParams: true}
-	full, err := Optimize(paperAddMul(), opt)
+	p := paperAddMul()
+	full, err := Optimize(p, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := OptimizeGreedy(ctx, paperAddMul(), opt)
+	sh, err := PrepareShape(context.Background(), p, opt)
 	if err != nil {
-		t.Fatalf("greedy on a canceled context: %v", err)
+		t.Fatal(err)
 	}
-	if len(res.Plans) != 1 || res.Best != &res.Plans[0] {
-		t.Fatalf("want one plan, the best; got %d plans, best %v", len(res.Plans), res.Best)
+	s, err := sh.searcher(context.Background(), p)
+	if err != nil {
+		t.Fatal(err)
 	}
-	got := res.Plans[0]
-	if got.Plan.Schedule != res.Analysis.Orig || got.Label != "{}" {
-		t.Fatalf("plan %s is not the original schedule", got.Label)
+	analyzed, err := run(ctx, time.Now(), s, opt, greedy)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if want := full.Baseline().Cost; !reflect.DeepEqual(got.Cost, want) {
-		t.Fatalf("original-schedule cost %+v, searched baseline %+v", got.Cost, want)
+	fresh, err := PrepareShape(context.Background(), p, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, optimize := range map[string]func() (*Result, error){
+		"analysis complete":   func() (*Result, error) { return analyzed, nil },
+		"preparation cut off": func() (*Result, error) { return OptimizeGreedy(ctx, p, opt) },
+		"binding cut off":     func() (*Result, error) { return fresh.OptimizeGreedy(ctx, p, opt) },
+	} {
+		res, err := optimize()
+		if err != nil {
+			t.Fatalf("%s: greedy on a canceled context: %v", name, err)
+		}
+		if len(res.Plans) != 1 || res.Best != &res.Plans[0] {
+			t.Fatalf("%s: want one plan, the best; got %d plans, best %v", name, len(res.Plans), res.Best)
+		}
+		got := res.Plans[0]
+		if got.Plan.Schedule != res.Analysis.Orig || got.Label != "{}" {
+			t.Fatalf("%s: plan %s is not the original schedule", name, got.Label)
+		}
+		if want := full.Baseline().Cost; !reflect.DeepEqual(got.Cost, want) {
+			t.Fatalf("%s: original-schedule cost %+v, searched baseline %+v", name, got.Cost, want)
+		}
+		if want := analyzed.Plans[0].Timeline; !reflect.DeepEqual(got.Timeline.Events, want.Events) || !reflect.DeepEqual(got.Timeline.Actions, want.Actions) {
+			t.Fatalf("%s: timeline differs from the analyzed program's original schedule", name)
+		}
 	}
 }

@@ -1,9 +1,13 @@
 package deps
 
 import (
+	"context"
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 
+	"riotshare/internal/polyhedra"
 	"riotshare/internal/prog"
 )
 
@@ -38,14 +42,77 @@ type Options struct {
 }
 
 // Analyze extracts dependences and sharing opportunities from the program
-// (§4.3) and preprocesses them (§5.1).
+// (§4.3) and preprocesses them (§5.1). It is Prepare followed by Bind on
+// the same program, run to completion.
 func Analyze(p *prog.Program, opt Options) (*Analysis, error) {
+	ctx := context.Background() //riotvet:allow ctxflow — compatibility wrapper; cancelable callers use Prepare and Bind
+	pr, err := Prepare(ctx, p, opt)
+	if err != nil {
+		return nil, err
+	}
+	an, _, err := pr.Bind(ctx, p)
+	return an, err
+}
+
+// Prepared is the parametric half of the analysis of one program shape:
+// for every pair of accesses to the same array, the extent (Definition 1),
+// the extent after no-write-in-between, and the multiplicity-reduced
+// sharing extent (§5.1). None of it reads the parameter values, so it holds
+// for every program with the same statements, accesses and domains,
+// whatever its sizes and array names. Prepare builds the extents; the
+// other two steps, nine tenths of the work, run the first time a Bind
+// finds a pair's previous step non-empty at its program's sizes, and are
+// kept for every later Bind. A miss therefore costs what one whole
+// analysis of the program costs, and Binds of a prepared shape at sizes
+// it has seen test emptiness only. A Prepared is safe for concurrent
+// Binds.
+type Prepared struct {
+	prog  *prog.Program  // the program prepared, for the shape check in Bind
+	sch   *prog.Schedule // its original schedule
+	opt   Options
+	cands []*candidate
+}
+
+// candidate is one same-array access pair, named by statement IDs and
+// access indices so that Bind can attach it to any program of the shape.
+type candidate struct {
+	src, tgt       int
+	srcAcc, tgtAcc int
+	space          PairSpace // over the prepared program's statements
+	kind           Kind
+	raw            *polyhedra.Set // the extent under the original schedule
+	// nwib is raw without the pairs a write separates, computed once by
+	// Prepared.noWriteInBetween. share is nwib reduced to one-one form,
+	// computed once by Prepared.sharing for pairs other than R→W; reduced
+	// reports whether that form was reached.
+	nwibOnce, shareOnce sync.Once
+	nwib, share         *polyhedra.Set
+	reduced             bool
+}
+
+// Signature names which candidates of a Prepared became dependences,
+// sharing opportunities or dropped opportunities at one program's
+// parameter values. Two programs of one shape with equal signatures have
+// the same Deps, Shares and Dropped lists, extent for extent, so any
+// schedule search over one answers for the other.
+type Signature string
+
+// Candidate roles in a Signature byte.
+const (
+	sigDep     = 1 << iota // a dependence
+	sigShare               // a sharing opportunity
+	sigDropped             // an opportunity not reducible to one-one form
+)
+
+// Prepare starts the analysis of p: for every pair of accesses to the same
+// array it builds the extent under the original schedule, reading no
+// parameter value. It checks ctx between access pairs and returns the
+// context's error once it is done.
+func Prepare(ctx context.Context, p *prog.Program, opt Options) (*Prepared, error) {
 	if len(p.Stmts) == 0 {
 		return nil, fmt.Errorf("deps: program has no statements")
 	}
-	sch := p.OriginalSchedule()
-	an := &Analysis{Prog: p, Orig: sch}
-
+	pr := &Prepared{prog: p, sch: p.OriginalSchedule(), opt: opt}
 	for _, src := range p.Stmts {
 		for srcAcc := range src.Accesses {
 			for _, tgt := range p.Stmts {
@@ -54,57 +121,144 @@ func Analyze(p *prog.Program, opt Options) (*Analysis, error) {
 					if a.Array != b.Array {
 						continue
 					}
-					space, extent := buildExtent(p, sch, src, srcAcc, tgt, tgtAcc)
-					c := &CoAccess{
-						Prog: p, Src: src, Tgt: tgt,
-						SrcAcc: srcAcc, TgtAcc: tgtAcc,
-						Space: space, Extent: extent,
+					if err := ctx.Err(); err != nil {
+						return nil, fmt.Errorf("deps: analysis canceled: %w", err)
 					}
-					if c.empty(opt) {
-						continue
+					space, raw := buildExtent(p, pr.sch, src, srcAcc, tgt, tgtAcc)
+					if len(raw.Ps) == 0 {
+						continue // empty at every parameter value
 					}
-					applyNoWriteInBetween(p, sch, c)
-					if c.empty(opt) {
-						continue
-					}
-					kind := c.Kind()
-					if kind != RR { // R→W, W→R, W→W are dependences
-						an.Deps = append(an.Deps, c)
-					}
-					if kind != RW { // W→R, W→W, R→R are sharing opportunities
-						s := &CoAccess{
-							Prog: p, Src: src, Tgt: tgt,
-							SrcAcc: srcAcc, TgtAcc: tgtAcc,
-							Space: space, Extent: c.Extent.Clone(),
-						}
-						if opt.SkipMultiplicityReduction || ReduceMultiplicity(s) {
-							if !s.empty(opt) {
-								an.Shares = append(an.Shares, s)
-							}
-						} else {
-							an.Dropped = append(an.Dropped, s)
-						}
-					}
+					cd := &candidate{src: src.ID, tgt: tgt.ID, srcAcc: srcAcc, tgtAcc: tgtAcc, space: space, raw: raw}
+					cd.kind = pr.coAccess(cd, raw).Kind()
+					pr.cands = append(pr.cands, cd)
 				}
+			}
+		}
+	}
+	return pr, nil
+}
+
+// coAccess is the candidate over the prepared program, with extent ext.
+func (pr *Prepared) coAccess(cd *candidate, ext *polyhedra.Set) *CoAccess {
+	return &CoAccess{
+		Prog: pr.prog, Src: pr.prog.Stmts[cd.src], Tgt: pr.prog.Stmts[cd.tgt],
+		SrcAcc: cd.srcAcc, TgtAcc: cd.tgtAcc,
+		Space: cd.space, Extent: ext,
+	}
+}
+
+// noWriteInBetween returns cd's extent after no-write-in-between,
+// computing it on first use.
+func (pr *Prepared) noWriteInBetween(cd *candidate) *polyhedra.Set {
+	cd.nwibOnce.Do(func() {
+		c := pr.coAccess(cd, cd.raw)
+		applyNoWriteInBetween(pr.prog, pr.sch, c)
+		cd.nwib = c.Extent
+	})
+	return cd.nwib
+}
+
+// sharing returns cd's multiplicity-reduced sharing extent and whether the
+// reduction reached one-one form, computing both on first use.
+func (pr *Prepared) sharing(cd *candidate) (*polyhedra.Set, bool) {
+	cd.shareOnce.Do(func() {
+		s := pr.coAccess(cd, pr.noWriteInBetween(cd).Clone())
+		cd.reduced = pr.opt.SkipMultiplicityReduction || ReduceMultiplicity(s)
+		cd.share = s.Extent
+	})
+	return cd.share, cd.reduced
+}
+
+// Bind finishes the analysis for p, a program of the prepared shape: at
+// p's parameter values it runs the analysis's three emptiness tests on
+// each candidate (the extent, the extent after no-write-in-between, the
+// reduced sharing extent), computing the extent each test reads if no
+// earlier Bind has, and files the survivors as dependences and sharing
+// opportunities of p's own statements. It returns the analysis and its
+// Signature. It checks ctx between candidates and returns the context's
+// error once it is done; the extents computed by then are kept.
+func (pr *Prepared) Bind(ctx context.Context, p *prog.Program) (*Analysis, Signature, error) {
+	if err := pr.sameShape(p); err != nil {
+		return nil, "", err
+	}
+	an := &Analysis{Prog: p, Orig: p.OriginalSchedule()}
+	var vals []int64
+	if pr.opt.BindParams {
+		vals = p.ParamValues()
+	}
+	sig := make([]byte, len(pr.cands))
+	for i, cd := range pr.cands {
+		if err := ctx.Err(); err != nil {
+			return nil, "", fmt.Errorf("deps: analysis canceled: %w", err)
+		}
+		src, tgt := p.Stmts[cd.src], p.Stmts[cd.tgt]
+		space := NewPairSpace(p, src, tgt)
+		co := func(ext *polyhedra.Set) *CoAccess {
+			return &CoAccess{
+				Prog: p, Src: src, Tgt: tgt,
+				SrcAcc: cd.srcAcc, TgtAcc: cd.tgtAcc,
+				Space: space, Extent: ext.Clone(),
+			}
+		}
+		if emptyAt(cd.raw, space, vals) {
+			continue
+		}
+		nwib := pr.noWriteInBetween(cd)
+		if emptyAt(nwib, space, vals) {
+			continue
+		}
+		if cd.kind != RR { // R→W, W→R, W→W are dependences
+			an.Deps = append(an.Deps, co(nwib))
+			sig[i] |= sigDep
+		}
+		if cd.kind != RW { // W→R, W→W, R→R are sharing opportunities
+			share, reduced := pr.sharing(cd)
+			switch {
+			case !reduced:
+				an.Dropped = append(an.Dropped, co(share))
+				sig[i] |= sigDropped
+			case !emptyAt(share, space, vals):
+				an.Shares = append(an.Shares, co(share))
+				sig[i] |= sigShare
 			}
 		}
 	}
 	sortCo(an.Deps)
 	sortCo(an.Shares)
-	return an, nil
+	return an, Signature(sig), nil
 }
 
-// empty tests extent emptiness, optionally under the parameter binding.
-func (c *CoAccess) empty(opt Options) bool {
-	ext := c.Extent
-	if opt.BindParams {
-		vals := c.Prog.ParamValues()
-		np := c.Space.NP
-		base := c.Space.Src.Ds() + c.Space.Tgt.Ds()
-		for i := np - 1; i >= 0; i-- {
+// sameShape checks that p has the statements, loop nests, loop variables,
+// parameters and access types of the prepared program, so that the candidates' statement IDs
+// and access indices name the same accesses in p.
+func (pr *Prepared) sameShape(p *prog.Program) error {
+	q := pr.prog
+	if len(p.Stmts) != len(q.Stmts) || p.NumParams() != q.NumParams() {
+		return fmt.Errorf("deps: program %q is not of the prepared shape (%d statements, %d parameters; want %d, %d)",
+			p.Name, len(p.Stmts), p.NumParams(), len(q.Stmts), q.NumParams())
+	}
+	for i, st := range p.Stmts {
+		want := q.Stmts[i]
+		if st.Nest != want.Nest || st.Pos != want.Pos || !slices.Equal(st.Vars, want.Vars) || len(st.Accesses) != len(want.Accesses) {
+			return fmt.Errorf("deps: program %q statement %s is not of the prepared shape", p.Name, st.Name)
+		}
+		for a := range st.Accesses {
+			if st.Accesses[a].Type != want.Accesses[a].Type {
+				return fmt.Errorf("deps: program %q statement %s access %d is not of the prepared shape", p.Name, st.Name, a)
+			}
+		}
+	}
+	return nil
+}
+
+// emptyAt tests an extent for integer points, with the parameters bound to
+// vals first unless vals is nil (the fully parametric analysis).
+func emptyAt(ext *polyhedra.Set, space PairSpace, vals []int64) bool {
+	if vals != nil {
+		base := space.Src.Ds() + space.Tgt.Ds()
+		for i := space.NP - 1; i >= 0; i-- {
 			ext = ext.BindVar(base+i, vals[i])
 		}
-		return ext.IsEmptyInt(8)
 	}
 	return ext.IsEmptyInt(8)
 }

@@ -1,6 +1,9 @@
 package deps
 
 import (
+	"context"
+	"errors"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -91,6 +94,69 @@ func TestAddMulShareInventoryN3Eq1(t *testing.T) {
 	// E accumulator self-shares require n2 >= 2 (present here).
 	if !shares["s2WE→s2RE"] {
 		t.Errorf("missing s2WE→s2RE; have %v", an.ShareStrings())
+	}
+}
+
+// One Prepared binds at every size of its shape: at n3 = 1 it drops
+// s2RC→s2RC as Analyze does, the signature tells the two sizes apart,
+// and a program of another shape is refused.
+func TestPreparedBindsEverySize(t *testing.T) {
+	pr, err := Prepare(context.Background(), addMulProgram(3, 4, 2), Options{BindParams: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sigs := map[Signature]bool{}
+	for _, n3 := range []int64{2, 1} {
+		p := addMulProgram(3, 4, n3)
+		an, sig, err := pr.Bind(context.Background(), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := analyzeAddMul(t, 3, 4, n3, true)
+		if !reflect.DeepEqual(an.ShareStrings(), want.ShareStrings()) || !reflect.DeepEqual(an.DepStrings(), want.DepStrings()) {
+			t.Errorf("n3=%d: shares %v deps %v, Analyze has %v %v",
+				n3, an.ShareStrings(), an.DepStrings(), want.ShareStrings(), want.DepStrings())
+		}
+		if an.Prog != p || an.Shares[0].Prog != p || an.Shares[0].Src != p.Stmts[an.Shares[0].Src.ID] {
+			t.Errorf("n3=%d: the analysis is not of the bound program's statements", n3)
+		}
+		sigs[sig] = true
+	}
+	if len(sigs) != 2 {
+		t.Errorf("n3=1 and n3=2 share a signature")
+	}
+	other := prog.New("other", "n1", "n2", "n3")
+	other.AddArray(&prog.Array{Name: "A", BlockRows: 1, BlockCols: 1, GridRows: 1, GridCols: 1})
+	other.NewStatement("s1", "i").Access(prog.Write, "A", prog.V("i"), prog.C(0))
+	if _, _, err := pr.Bind(context.Background(), other); err == nil {
+		t.Error("Bind accepted a program of another shape")
+	}
+}
+
+// Prepare builds the extents only; a Bind cut off by its context fails
+// with the context's error and leaves the Prepared bindable.
+func TestPreparedBindCanceled(t *testing.T) {
+	p := addMulProgram(3, 4, 2)
+	pr, err := Prepare(context.Background(), p, Options{BindParams: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cd := range pr.cands {
+		if cd.nwib != nil || cd.share != nil {
+			t.Fatal("Prepare ran no-write-in-between or multiplicity reduction")
+		}
+	}
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, _, err := pr.Bind(canceled, p); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Bind on a canceled context: %v", err)
+	}
+	an, _, err := pr.Bind(context.Background(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := analyzeAddMul(t, 3, 4, 2, true); !reflect.DeepEqual(an.ShareStrings(), want.ShareStrings()) {
+		t.Errorf("shares %v after a canceled Bind, Analyze has %v", an.ShareStrings(), want.ShareStrings())
 	}
 }
 

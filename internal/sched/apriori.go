@@ -72,7 +72,7 @@ func (s *Searcher) Search(ctx context.Context, opt SearchOptions) ([]Plan, error
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("sched: search canceled: %w", err)
 		}
-		if s.Stats.FindScheduleCalls > maxCalls {
+		if s.Stats.tested() > maxCalls {
 			return errf("search exceeded %d FindSchedule calls", maxCalls)
 		}
 		return nil
@@ -162,8 +162,19 @@ func (s *Searcher) searchNoPruning(ctx context.Context, plans []Plan, n int, bud
 // the two apart). Every search strategy builds its plans here.
 func (s *Searcher) PlanFor(ctx context.Context, shares []int) (Plan, bool) {
 	pl := Plan{Shares: shares}
+	// The order of the set is part of the key: FindSchedule classifies
+	// the sharing opportunities in the order given.
+	key := fmt.Sprint(shares)
+	if a, hit := s.Memo.get(key); hit {
+		s.Stats.MemoHits++
+		pl.Schedule = a.sch
+		return pl, a.ok
+	}
 	sch, ok := s.FindSchedule(ctx, pl.ShareSet(s.An))
 	pl.Schedule = sch
+	if ok || ctx.Err() == nil {
+		s.Memo.put(key, memoAnswer{sch: sch, ok: ok})
+	}
 	return pl, ok
 }
 

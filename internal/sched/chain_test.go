@@ -54,3 +54,31 @@ func TestPlanForHonorsDeadlineInsideSampling(t *testing.T) {
 		t.Fatal("PlanFor returned before its deadline, so it did not test the deadline")
 	}
 }
+
+// A Memo shared by two Searchers answers the second from the first's
+// search, while an answer a canceled context cut short is never stored:
+// the next Searcher searches that set itself.
+func TestPlanForMemo(t *testing.T) {
+	an := addMulAnalysis(t, 3, 4, 2, true)
+	memo := NewMemo()
+	searcher := func() *Searcher {
+		s := NewSearcher(an)
+		s.Memo = memo
+		return s
+	}
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, ok := searcher().PlanFor(canceled, []int{0}); ok {
+		t.Fatal("PlanFor on a canceled context found a schedule")
+	}
+	s1 := searcher()
+	want, ok := s1.PlanFor(context.Background(), []int{0})
+	if !ok || s1.Stats.FindScheduleCalls != 1 || s1.Stats.MemoHits != 0 {
+		t.Fatalf("after a canceled search: ok %v, %+v; want a search of its own", ok, s1.Stats)
+	}
+	s2 := searcher()
+	got, ok := s2.PlanFor(context.Background(), []int{0})
+	if !ok || got.Schedule != want.Schedule || s2.Stats.FindScheduleCalls != 0 || s2.Stats.MemoHits != 1 {
+		t.Fatalf("memoized set: ok %v, same schedule %v, %+v; want the memo's answer", ok, got.Schedule == want.Schedule, s2.Stats)
+	}
+}

@@ -42,9 +42,9 @@ func (s *Searcher) SearchGreedy(ctx context.Context, opt GreedyOptions) ([]Plan,
 	if maxCalls == 0 {
 		maxCalls = 1000
 	}
-	startCalls := s.Stats.FindScheduleCalls
+	startCalls := s.Stats.tested()
 	expired := func() bool {
-		return ctx.Err() != nil || s.Stats.FindScheduleCalls-startCalls >= maxCalls
+		return ctx.Err() != nil || s.Stats.tested()-startCalls >= maxCalls
 	}
 
 	basePlan, err := s.baseline(ctx)

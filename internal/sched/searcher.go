@@ -9,6 +9,7 @@ package sched
 
 import (
 	"fmt"
+	"sync"
 
 	"riotshare/internal/deps"
 	"riotshare/internal/farkas"
@@ -42,6 +43,10 @@ type Searcher struct {
 	offs []int // per statement ID, offset of its coefficient block
 
 	cache map[*polyhedra.Poly]map[constraintMode]*polyhedra.Poly
+	// Memo answers PlanFor for sharing sets already tested, by this
+	// Searcher or, when shared, by another of the same shape and
+	// signature (see Memo). NewSearcher starts an empty one.
+	Memo *Memo
 	// SampleRadius bounds the integer-point search in unbounded coefficient
 	// directions (schedule coefficients are small in practice).
 	SampleRadius int64
@@ -54,7 +59,15 @@ type Stats struct {
 	FindScheduleCalls int
 	FarkasApps        int
 	CacheHits         int
+	// MemoHits counts PlanFor answers served by the Memo without a
+	// FindSchedule call. Call budgets count them as calls, so a memo
+	// changes how fast a search runs, never which sets it tests.
+	MemoHits int
 }
+
+// tested is the number of sharing sets PlanFor has answered, which the
+// searches' call budgets bound.
+func (st *Stats) tested() int { return st.FindScheduleCalls + st.MemoHits }
 
 // NewSearcher prepares schedule search for an analyzed program.
 func NewSearcher(an *deps.Analysis) *Searcher {
@@ -72,6 +85,7 @@ func NewSearcher(an *deps.Analysis) *Searcher {
 		NU:           nu,
 		offs:         offs,
 		cache:        make(map[*polyhedra.Poly]map[constraintMode]*polyhedra.Poly),
+		Memo:         NewMemo(),
 		SampleRadius: 3,
 	}
 }
@@ -210,3 +224,35 @@ func universeSet(nu int) *polyhedra.Set {
 }
 
 func errf(format string, args ...any) error { return fmt.Errorf("sched: "+format, args...) }
+
+// Memo remembers PlanFor's answers by sharing set: the schedule found, or
+// that the set is infeasible. FindSchedule reads a program's statements,
+// dependences and sharing opportunities but never its parameter values, so
+// one Memo serves every Searcher whose analysis comes from the same
+// deps.Prepared with the same deps.Signature. An answer cut short by a
+// context is never stored. A Memo is safe for concurrent use.
+type Memo struct {
+	mu      sync.Mutex
+	answers map[string]memoAnswer // by the ordered sharing set; guarded by mu
+}
+
+type memoAnswer struct {
+	sch *prog.Schedule // nil when infeasible
+	ok  bool
+}
+
+// NewMemo returns an empty memo.
+func NewMemo() *Memo { return &Memo{answers: make(map[string]memoAnswer)} }
+
+func (m *Memo) get(key string) (memoAnswer, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	a, ok := m.answers[key]
+	return a, ok
+}
+
+func (m *Memo) put(key string, a memoAnswer) {
+	m.mu.Lock()
+	m.answers[key] = a
+	m.mu.Unlock()
+}

@@ -58,6 +58,9 @@ func (st *Stats) emit(e *telemetry.Emit) {
 	e.Counter("riotshare_plan_cache_misses_total", "Plan cache misses (plans computed).", n(st.PlanCacheMisses))
 	e.Gauge("riotshare_plan_cache_entries", "Plan tables resident in the bounded cache.", float64(st.PlanCacheSize))
 	e.Counter("riotshare_plan_cache_evictions_total", "Plan cache entries retired by the LRU bound.", n(st.PlanCacheEvictions))
+	e.Counter("riotshare_plan_shape_hits_total", "Plan fills that found their program shape prepared.", n(st.PlanShapeHits))
+	e.Counter("riotshare_plan_shape_misses_total", "Plan fills that prepared their program shape.", n(st.PlanShapeMisses))
+	e.Gauge("riotshare_plan_shape_entries", "Program shapes resident in the bounded shape cache.", float64(st.PlanShapeEntries))
 	e.Counter("riotshare_input_fills_total", "Shared inputs synthesized and written.", n(st.InputFills))
 	e.Counter("riotshare_input_fills_skipped_total", "Shared inputs served from the persisted catalog.", n(st.InputFillsSkipped))
 	e.Counter("riotshare_prefetch_issued_total", "Prefetchable reads issued ahead of use by the async prefetcher.", n(st.PrefetchIssued))

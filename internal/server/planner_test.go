@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"riotshare/internal/blas"
-	"riotshare/internal/deps"
 	"riotshare/internal/prog"
 	"riotshare/internal/storage"
 )
@@ -223,25 +222,85 @@ func TestPlanCacheConcurrentMissPlansOnce(t *testing.T) {
 // statement (tens of seconds at 10, minutes at 12), while lowering and
 // running any plan of it takes milliseconds.
 func addChainSpec(n int) *ProgramSpec {
+	return sizedAddChainSpec(n, 2, 2, "")
+}
+
+// sizedAddChainSpec is addChainSpec over a rows×cols grid, every array
+// name ending in suffix, so that chains of several sizes can share one
+// server's inputs without clashing.
+func sizedAddChainSpec(n, rows, cols int, suffix string) *ProgramSpec {
 	sp := gridAddSpec(2, 2)
-	sp.Name = fmt.Sprintf("addchain-%d", n)
+	sp.Name = fmt.Sprintf("addchain-%d%s", n, suffix)
+	sp.Bind = map[string]int64{"n1": int64(rows), "n2": int64(cols)}
 	tmpl := sp.Stmts[0]
 	sp.Arrays = sp.Arrays[:2]
-	sp.Arrays[0].Name = "X0"
+	sp.Arrays[0].Name, sp.Arrays[1].Name = "X0"+suffix, "B"+suffix
+	for i := range sp.Arrays {
+		sp.Arrays[i].GridRows, sp.Arrays[i].GridCols = rows, cols
+	}
 	sp.Stmts = nil
 	for k := 1; k <= n; k++ {
-		dst, src := fmt.Sprintf("X%d", k), fmt.Sprintf("X%d", k-1)
+		dst, src := fmt.Sprintf("X%d%s", k, suffix), fmt.Sprintf("X%d%s", k-1, suffix)
 		arr := sp.Arrays[1]
 		arr.Name, arr.Transient = dst, k < n
 		sp.Arrays = append(sp.Arrays, arr)
 		st := tmpl
 		st.Name, st.NewNest = fmt.Sprintf("s%d", k), true
 		st.Accesses = append([]AccessSpec(nil), tmpl.Accesses...)
-		st.Accesses[0].Array, st.Accesses[2].Array = src, dst
-		st.Note = dst + "[i,j]=" + src + "[i,j]+B[i,j]"
+		st.Accesses[0].Array, st.Accesses[1].Array, st.Accesses[2].Array = src, "B"+suffix, dst
+		st.Note = dst + "[i,j]=" + src + "[i,j]+B" + suffix + "[i,j]"
 		sp.Stmts = append(sp.Stmts, st)
 	}
 	return sp
+}
+
+// checkAddChainOutput checks query id's last chain array against
+// X0 + B + … + B computed densely, in the same order, from the inputs
+// FillInput writes for the spec.
+func checkAddChainOutput(t *testing.T, s *Server, id string, spec *ProgramSpec) {
+	t.Helper()
+	n := len(spec.Stmts)
+	p, err := spec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := storage.NewManager(t.TempDir(), storage.FormatDAF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	in := make([]*blas.Matrix, 2)
+	for i, name := range []string{spec.Arrays[0].Name, spec.Arrays[1].Name} {
+		arr := p.Arrays[name]
+		if err := m.Create(arr); err != nil {
+			t.Fatal(err)
+		}
+		if err := FillInput(m, arr, testSeed); err != nil {
+			t.Fatal(err)
+		}
+		if in[i], err = readFullArray(m, arr, name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := in[0].Clone()
+	for k := 0; k < n; k++ {
+		for i, b := range in[1].Data {
+			want.Data[i] += b
+		}
+	}
+	out := spec.Arrays[len(spec.Arrays)-1].Name
+	got, err := s.Output(id, out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Data) != len(want.Data) {
+		t.Fatalf("%s: %d elements, want %d", out, len(got.Data), len(want.Data))
+	}
+	for i := range want.Data {
+		if got.Data[i] != want.Data[i] {
+			t.Fatalf("%s[%d] = %v, want %v", out, i, got.Data[i], want.Data[i])
+		}
+	}
 }
 
 // closeWithin closes the server, failing the test if Close takes longer
@@ -288,72 +347,23 @@ func TestBudgetedLongChainRunsWithinBudget(t *testing.T) {
 		t.Fatalf("state %v (%s), want done", st.State, st.Err)
 	}
 	t.Logf("done %v after submission, plan %s", time.Since(submitted), st.PlanLabel)
-
-	p, err := spec.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := storage.NewManager(t.TempDir(), storage.FormatDAF)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	in := map[string]*blas.Matrix{}
-	for _, name := range []string{"X0", "B"} {
-		arr := p.Arrays[name]
-		if err := m.Create(arr); err != nil {
-			t.Fatal(err)
-		}
-		if err := FillInput(m, arr, testSeed); err != nil {
-			t.Fatal(err)
-		}
-		if in[name], err = readFullArray(m, arr, name); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want := in["X0"].Clone()
-	for k := 0; k < n; k++ {
-		for i, b := range in["B"].Data {
-			want.Data[i] += b
-		}
-	}
-	got, err := s.Output(id, fmt.Sprintf("X%d", n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want.Data {
-		if got.Data[i] != want.Data[i] {
-			t.Fatalf("X%d[%d] = %v, want %v", n, i, got.Data[i], want.Data[i])
-		}
-	}
+	checkAddChainOutput(t, s, id, spec)
 }
 
-// Close stops a plan fill still in flight: with no plan budget the
-// 12-statement chain's full search would run for minutes, and Close must
-// neither wait for it nor let the query succeed. Analysis runs outside any
-// deadline, so the test first times one analysis of the spec and lets the
-// fill get past its own before closing.
+// Close stops a plan fill still in flight, analysis included: with no
+// plan budget the 12-statement chain's full search would run for
+// minutes, and Close, 100 ms after the submission, must neither wait for
+// the fill nor let the query succeed.
 func TestCloseStopsPlanFill(t *testing.T) {
-	spec := addChainSpec(12)
-	p, err := spec.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	if _, err := deps.Analyze(p, deps.Options{BindParams: true}); err != nil {
-		t.Fatal(err)
-	}
-	analysis := time.Since(start)
-
 	s, err := New(Config{Dir: t.TempDir(), Seed: testSeed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, err := s.Submit(Request{Spec: spec})
+	id, err := s.Submit(Request{Spec: addChainSpec(12)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(2*analysis + 100*time.Millisecond)
+	time.Sleep(100 * time.Millisecond)
 	closeWithin(t, s, time.Second)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
@@ -365,4 +375,157 @@ func TestCloseStopsPlanFill(t *testing.T) {
 		t.Fatalf("state %v, want failed", st.State)
 	}
 	t.Logf("query failed: %s", st.Err)
+}
+
+// The plan budget bounds the whole fill, analysis included, and a budget
+// the analysis outlasts still serves the query, with the original
+// schedule. A 16-statement chain's analysis takes ~0.9 s, over the
+// daemon's default 250 ms budget; a 64-statement chain's takes over 10 s,
+// over a 2 s budget. Each query is done within a second of its budget and
+// computes Xn = X0 + B + … + B.
+func TestBudgetedAnalysisEndsWithinBudget(t *testing.T) {
+	for _, tc := range []struct {
+		n      int
+		budget time.Duration
+	}{
+		{16, 250 * time.Millisecond},
+		{64, 2 * time.Second},
+	} {
+		t.Run(fmt.Sprintf("chain-%d", tc.n), func(t *testing.T) {
+			s, err := New(Config{Dir: t.TempDir(), Seed: testSeed, PlanBudget: tc.budget})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer closeWithin(t, s, time.Second)
+
+			spec := addChainSpec(tc.n)
+			submitted := time.Now()
+			id, err := s.Submit(Request{Spec: spec})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithDeadline(context.Background(), submitted.Add(tc.budget+time.Second))
+			defer cancel()
+			st, err := s.WaitCtx(ctx, id)
+			if err != nil {
+				t.Fatalf("query not finished %v after submission: %v", time.Since(submitted), err)
+			}
+			if st.State != StateDone {
+				t.Fatalf("state %v (%s), want done", st.State, st.Err)
+			}
+			t.Logf("done %v after submission, plan %s", time.Since(submitted), st.PlanLabel)
+			checkAddChainOutput(t, s, id, spec)
+		})
+	}
+}
+
+// Eight fills of one program shape at eight sizes, submitted at once:
+// exactly one prepares the shape, the other seven wait for it and bind it
+// at their own sizes, and every output is the chain's sum computed
+// densely from the filled inputs. Run under -race, this guards the
+// write-once shape entry and the shared schedule-search memos.
+func TestPlanShapeConcurrentSizes(t *testing.T) {
+	sizes := [][2]int{{1, 1}, {1, 2}, {2, 1}, {2, 2}, {2, 3}, {3, 2}, {3, 3}, {1, 3}}
+	s, err := New(Config{Dir: t.TempDir(), Seed: testSeed, MaxConcurrent: len(sizes)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	specs := make([]*ProgramSpec, len(sizes))
+	ids := make([]string, len(sizes))
+	errs := make([]error, len(sizes))
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i, sz := range sizes {
+		specs[i] = sizedAddChainSpec(2, sz[0], sz[1], fmt.Sprintf("_%dx%d", sz[0], sz[1]))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			ids[i], errs[i] = s.Submit(Request{Spec: specs[i]})
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for i, id := range ids {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if st, err := s.Wait(id); err != nil || st.State != StateDone {
+			t.Fatalf("query %s: state %v, err %v (%s)", id, st.State, err, st.Err)
+		}
+		checkAddChainOutput(t, s, id, specs[i])
+	}
+	st := s.Stats()
+	if st.PlanShapeMisses != 1 || st.PlanShapeHits != int64(len(sizes)-1) || st.PlanShapeEntries != 1 {
+		t.Errorf("shape hits/misses/entries = %d/%d/%d, want %d/1/1",
+			st.PlanShapeHits, st.PlanShapeMisses, st.PlanShapeEntries, len(sizes)-1)
+	}
+	if got := st.PlanningTiers[tierShape].Count; got != int64(len(sizes)-1) {
+		t.Errorf("shape-tier plannings = %d, want %d (tiers: %+v)", got, len(sizes)-1, st.PlanningTiers)
+	}
+}
+
+// Specs that differ only in what planning reads at a program's own sizes
+// share one program-shape key; any change to the program's structure
+// gives another.
+func TestProgramShapeKey(t *testing.T) {
+	base := func() *ProgramSpec { return sizedAddChainSpec(2, 2, 3, "") }
+	key := base().programShapeKey()
+	same := map[string]func(sp *ProgramSpec){
+		"program name": func(sp *ProgramSpec) { sp.Name = "other" },
+		"array names": func(sp *ProgramSpec) {
+			for i := range sp.Arrays {
+				old := sp.Arrays[i].Name
+				sp.Arrays[i].Name = "renamed" + old
+				for s := range sp.Stmts {
+					for a := range sp.Stmts[s].Accesses {
+						if sp.Stmts[s].Accesses[a].Array == old {
+							sp.Stmts[s].Accesses[a].Array = "renamed" + old
+						}
+					}
+				}
+			}
+		},
+		"block sizes":         func(sp *ProgramSpec) { sp.Arrays[0].BlockRows, sp.Arrays[1].BlockCols = 7, 9 },
+		"grid sizes":          func(sp *ProgramSpec) { sp.Arrays[2].GridRows, sp.Arrays[3].GridCols = 5, 6 },
+		"bind values":         func(sp *ProgramSpec) { sp.Bind["n1"], sp.Bind["n2"] = 1, 4 },
+		"logical block bytes": func(sp *ProgramSpec) { sp.Arrays[1].LogicalBlockBytes = 1 << 20 },
+		"notes":               func(sp *ProgramSpec) { sp.Stmts[0].Note = "changed" },
+	}
+	for name, change := range same {
+		sp := base()
+		change(sp)
+		if got := sp.programShapeKey(); got != key {
+			t.Errorf("%s: shape key changed:\n%s\n%s", name, key, got)
+		}
+	}
+	expr := func(terms map[string]int64, k int64) ExprSpec { return ExprSpec{Terms: terms, K: k} }
+	different := map[string]func(sp *ProgramSpec){
+		"kernel":      func(sp *ProgramSpec) { sp.Stmts[1].Kernel = "sub" },
+		"transient":   func(sp *ProgramSpec) { sp.Arrays[2].Transient = false },
+		"access type": func(sp *ProgramSpec) { sp.Stmts[0].Accesses[1].Type = "write" },
+		"access array": func(sp *ProgramSpec) {
+			sp.Stmts[1].Accesses[1].Array = sp.Arrays[0].Name
+		},
+		"expression": func(sp *ProgramSpec) { sp.Stmts[0].Accesses[0].Row = expr(map[string]int64{"j": 1}, 0) },
+		"guard": func(sp *ProgramSpec) {
+			sp.Stmts[0].Accesses[0].When = []CondSpec{{Expr: expr(map[string]int64{"i": 1}, -1)}}
+		},
+		"range":    func(sp *ProgramSpec) { sp.Stmts[1].Ranges[0].Lo = expr(nil, 1) },
+		"new nest": func(sp *ProgramSpec) { sp.Stmts[1].NewNest = false },
+		"parameter count": func(sp *ProgramSpec) {
+			sp.Params = append(sp.Params, "n3")
+			sp.Bind["n3"] = 2
+		},
+		"statement order": func(sp *ProgramSpec) { sp.Stmts[0], sp.Stmts[1] = sp.Stmts[1], sp.Stmts[0] },
+	}
+	for name, change := range different {
+		sp := base()
+		change(sp)
+		if sp.programShapeKey() == key {
+			t.Errorf("%s: shape key unchanged", name)
+		}
+	}
 }

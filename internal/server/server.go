@@ -115,12 +115,15 @@ type Config struct {
 	// PlanBudget, when > 0, enables the tiered planner's greedy fast path
 	// (tier 2): a cache-miss query is planned by the budgeted greedy
 	// search under this wall-clock budget instead of the full Apriori
-	// enumeration. 0 keeps the classic full search on every miss.
+	// enumeration. The budget bounds the analysis too: a program whose
+	// analysis outlasts it is served its original schedule, without
+	// sharing. 0 keeps the classic full search on every miss.
 	// Programs with a restricted plan list (linreg without FullSearch)
 	// always use their selected plans. See docs/planner.md.
 	PlanBudget time.Duration
-	// PlanCacheEntries bounds the plan cache; the least recently used
-	// entry is evicted past the cap (0 = default 256, < 0 = unlimited).
+	// PlanCacheEntries bounds the plan cache, and the program-shape
+	// cache behind it; the least recently used entry is evicted past the
+	// cap (0 = default 256, < 0 = unlimited).
 	PlanCacheEntries int
 	// Programs registers extra named programs next to the built-in
 	// benchmark set (addmul, twomm-a, twomm-b, linreg).
@@ -256,9 +259,16 @@ type Stats struct {
 	PlanningP50Ms float64 `json:"planningP50Ms"`
 	PlanningP95Ms float64 `json:"planningP95Ms"`
 	PlanningP99Ms float64 `json:"planningP99Ms"`
+	// PlanShapeHits and PlanShapeMisses count plan fills that found
+	// their program shape's prepared analysis resident or prepared it;
+	// PlanShapeEntries is the number of resident shapes, bounded like the
+	// plan cache by Config.PlanCacheEntries.
+	PlanShapeHits    int64 `json:"planShapeHits"`
+	PlanShapeMisses  int64 `json:"planShapeMisses"`
+	PlanShapeEntries int   `json:"planShapeEntries"`
 	// PlanningTiers breaks planning latency down per tier ("cache",
-	// "greedy", "full"); only tiers that served at least one query
-	// appear.
+	// "shape", "greedy", "full"); only tiers that served at least one
+	// query appear.
 	PlanningTiers map[string]PlanningTierStats `json:"planningTiers,omitempty"`
 
 	// SlowQueries counts the queries whose wall time met
@@ -292,6 +302,7 @@ type PlanningTierStats struct {
 // Stats.PlanningTiers.
 const (
 	tierCache  = "cache"
+	tierShape  = "shape"
 	tierGreedy = "greedy"
 	tierFull   = "full"
 )
@@ -315,13 +326,18 @@ type Server struct {
 
 	// Plan cache: bounded LRU over planEntry. planLRU's front is the most
 	// recently used entry; eviction walks from the back, skipping entries
-	// whose planning is still in flight.
+	// whose planning is still in flight. The program-shape cache behind
+	// it is a second such LRU, over shapeEntry, with the same bound.
 	planMu        sync.Mutex
 	planCache     map[string]*planEntry
 	planLRU       *list.List
 	planHits      int64
 	planMisses    int64
 	planEvictions int64
+	shapeCache    map[string]*shapeEntry
+	shapeLRU      *list.List
+	shapeHits     int64
+	shapeMisses   int64
 	// tierHists holds the riotshare_planning_seconds{tier} series of the
 	// tiers that have served a query; see tierHistogram.
 	tierHists map[string]*telemetry.Histogram
@@ -381,15 +397,29 @@ const maxTenantLabels = 512
 // overflowTenant is the label new tenants share past maxTenantLabels.
 const overflowTenant = "~other"
 
-type planEntry struct {
+// lruEntry is what the plan and shape caches' entries share: each is
+// filled once, and its payload is written before ready closes and never
+// again, so a reader that received from ready needs no lock. key and elem
+// tie the entry into its cache's LRU list (guarded by planMu).
+type lruEntry struct {
 	ready chan struct{}
-	// res and err are written once, before ready closes, and never
-	// again: a reader that received from ready needs no lock.
+	key   string
+	elem  *list.Element
+}
+
+// planEntry is one plan table.
+type planEntry struct {
+	lruEntry
 	res *core.Result
 	err error
-	// key/elem tie the entry into the LRU list (guarded by planMu).
-	key  string
-	elem *list.Element
+}
+
+// shapeEntry is one program shape's prepared analysis and schedule-search
+// memos (core.Shape).
+type shapeEntry struct {
+	lruEntry
+	shape *core.Shape
+	err   error
 }
 
 type inputState struct {
@@ -440,18 +470,20 @@ func New(cfg Config) (*Server, error) {
 		slowLog = os.Stderr
 	}
 	s := &Server{
-		cfg:       cfg,
-		store:     m,
-		pool:      pool,
-		queries:   make(map[string]*query),
-		planCache: make(map[string]*planEntry),
-		planLRU:   list.New(),
-		tierHists: make(map[string]*telemetry.Histogram),
-		gov:       govern.New(govern.Config{MaxConcurrent: cfg.MaxConcurrent, GlobalMemBytes: cfg.GlobalMemBytes}),
-		tenants:   make(map[string]*tenantCounters),
-		inputs:    make(map[string]*inputState),
-		reg:       reg,
-		slowLog:   slowLog,
+		cfg:        cfg,
+		store:      m,
+		pool:       pool,
+		queries:    make(map[string]*query),
+		planCache:  make(map[string]*planEntry),
+		planLRU:    list.New(),
+		shapeCache: make(map[string]*shapeEntry),
+		shapeLRU:   list.New(),
+		tierHists:  make(map[string]*telemetry.Histogram),
+		gov:        govern.New(govern.Config{MaxConcurrent: cfg.MaxConcurrent, GlobalMemBytes: cfg.GlobalMemBytes}),
+		tenants:    make(map[string]*tenantCounters),
+		inputs:     make(map[string]*inputState),
+		reg:        reg,
+		slowLog:    slowLog,
 	}
 	s.fillCtx, s.stopFills = context.WithCancel(context.Background()) //riotvet:allow ctxflow — plan fills are shared by every waiter on a cache entry; one query's cancellation must not poison them, and Close cancels them
 	s.mPlanning = reg.Histogram(planningFamily, planningHelp, nil)
@@ -571,16 +603,22 @@ func (s *Server) resolve(req Request) (*prog.Program, [][]string, error) {
 }
 
 // plans optimizes through the tiered planner, reporting which tier served
-// the table: "cache" (tier 1, a resident entry), "greedy" (tier 2, the
-// budgeted fast-path search under Config.PlanBudget), or "full" (the
+// the table: "cache" (tier 1, a resident entry), "shape" (a fill whose
+// program shape was already prepared: it binds that analysis at the
+// program's sizes and searches with the shape's memo), "greedy" (tier 2,
+// the budgeted fast-path search under Config.PlanBudget), or "full" (the
 // Apriori enumeration — every miss when no budget is set, and all
 // restricted-plan programs). An entry is planned once, by one optimizer
 // call, and never replaced. The cache key ignores per-query memory caps:
-// plan selection against a cap happens on the cached table.
+// plan selection against a cap happens on the cached table. The plan
+// budget bounds the whole fill, the analysis included: a greedy fill
+// whose budget ends before the analysis does serves the original schedule
+// alone (core.OriginalPlan), as it does when the budget ends before the
+// baseline's search.
 func (s *Server) plans(req Request, p *prog.Program, subsets [][]string) (*core.Result, string, error) {
-	key := "prog:" + req.Program
+	key, shapeKey := "prog:"+req.Program, "prog:"+req.Program
 	if req.Spec != nil {
-		key = req.Spec.cacheKey()
+		key, shapeKey = req.Spec.cacheKey(), req.Spec.programShapeKey()
 	}
 	s.planMu.Lock()
 	if e, ok := s.planCache[key]; ok {
@@ -590,28 +628,38 @@ func (s *Server) plans(req Request, p *prog.Program, subsets [][]string) (*core.
 		<-e.ready
 		return e.res, tierCache, e.err
 	}
-	e := &planEntry{ready: make(chan struct{}), key: key}
-	e.elem = s.planLRU.PushFront(e)
+	e := &planEntry{lruEntry: lruEntry{ready: make(chan struct{}), key: key}}
+	e.elem = s.planLRU.PushFront(&e.lruEntry)
 	s.planCache[key] = e
 	s.planMisses++
-	s.evictPlansLocked()
+	s.planEvictions += s.evictLocked(s.planLRU, func(k string) { delete(s.planCache, k) })
 	s.planMu.Unlock()
 
 	opt := core.Options{BindParams: true}
-	tier := tierFull
-	var res *core.Result
-	var err error
-	switch {
-	case subsets != nil:
-		res, err = core.OptimizeSubsetsCtx(s.fillCtx, p, opt, subsets)
-	case s.cfg.PlanBudget > 0:
+	ctx, cancel := s.fillCtx, context.CancelFunc(func() {})
+	tier, budgeted := tierFull, subsets == nil && s.cfg.PlanBudget > 0
+	if budgeted {
 		tier = tierGreedy
-		ctx, cancel := context.WithTimeout(s.fillCtx, s.cfg.PlanBudget)
-		res, err = core.OptimizeGreedy(ctx, p, opt)
-		cancel()
-	default:
-		res, err = core.OptimizeCtx(s.fillCtx, p, opt)
+		ctx, cancel = context.WithTimeout(s.fillCtx, s.cfg.PlanBudget)
 	}
+	sh, found, err := s.programShape(ctx, shapeKey, p, opt)
+	if found {
+		tier = tierShape
+	}
+	var res *core.Result
+	switch {
+	case err != nil:
+		if budgeted && ctx.Err() != nil { // the budget ended the preparation
+			res, err = core.OriginalPlan(ctx, p, opt)
+		}
+	case subsets != nil:
+		res, err = sh.OptimizeSubsets(ctx, p, opt, subsets)
+	case budgeted:
+		res, err = sh.OptimizeGreedy(ctx, p, opt)
+	default:
+		res, err = sh.Optimize(ctx, p, opt)
+	}
+	cancel()
 
 	if res != nil { // keep the plan table, not the analysis and searcher behind it
 		res = &core.Result{Plans: res.Plans, Best: res.Best, OptimizeTime: res.OptimizeTime, SearchStats: res.SearchStats}
@@ -621,30 +669,77 @@ func (s *Server) plans(req Request, p *prog.Program, subsets [][]string) (*core.
 	return res, tier, err
 }
 
-// evictPlansLocked enforces the plan cache's LRU bound. Entries whose
-// planning is still in flight are skipped: their waiters hold the entry
-// pointer, and evicting them would duplicate the running search. Callers
+// programShape returns the program shape keyed by key, preparing it from p
+// under ctx when no entry holds it; found reports that an entry did. A
+// preparation that fails, a cut-off one included, leaves no entry, and a
+// fill that was waiting on it with its own context still live prepares
+// the shape itself.
+func (s *Server) programShape(ctx context.Context, key string, p *prog.Program, opt core.Options) (*core.Shape, bool, error) {
+	for {
+		s.planMu.Lock()
+		e, found := s.shapeCache[key]
+		if found {
+			s.shapeHits++
+			s.shapeLRU.MoveToFront(e.elem)
+		} else {
+			e = &shapeEntry{lruEntry: lruEntry{ready: make(chan struct{}), key: key}}
+			e.elem = s.shapeLRU.PushFront(&e.lruEntry)
+			s.shapeCache[key] = e
+			s.shapeMisses++
+			s.evictLocked(s.shapeLRU, func(k string) { delete(s.shapeCache, k) })
+		}
+		s.planMu.Unlock()
+
+		if !found {
+			e.shape, e.err = core.PrepareShape(ctx, p, opt)
+			if e.err != nil {
+				s.planMu.Lock()
+				s.shapeLRU.Remove(e.elem)
+				delete(s.shapeCache, key)
+				s.planMu.Unlock()
+			}
+			close(e.ready)
+			return e.shape, false, e.err
+		}
+		select {
+		case <-e.ready:
+		case <-ctx.Done():
+			return nil, true, fmt.Errorf("server: waiting for the program shape: %w", ctx.Err())
+		}
+		if e.err == nil || ctx.Err() != nil {
+			return e.shape, true, e.err
+		}
+	}
+}
+
+// evictLocked enforces the PlanCacheEntries bound on one of the plan
+// caches, retiring from the least recently used end and reporting how
+// many entries it retired. Entries still being filled are skipped: their
+// waiters hold the entry pointer, and evicting them would duplicate the
+// running fill. drop removes a retired key from the cache's map. Callers
 // hold planMu.
-func (s *Server) evictPlansLocked() {
+func (s *Server) evictLocked(lru *list.List, drop func(key string)) int64 {
 	max := s.cfg.PlanCacheEntries
 	if max < 0 {
-		return
+		return 0
 	}
 	if max == 0 {
 		max = 256
 	}
-	for el := s.planLRU.Back(); el != nil && s.planLRU.Len() > max; {
+	var n int64
+	for el := lru.Back(); el != nil && lru.Len() > max; {
 		prev := el.Prev()
-		e := el.Value.(*planEntry)
+		e := el.Value.(*lruEntry)
 		select {
 		case <-e.ready:
-			s.planLRU.Remove(el)
-			delete(s.planCache, e.key)
-			s.planEvictions++
+			lru.Remove(el)
+			drop(e.key)
+			n++
 		default:
 		}
 		el = prev
 	}
+	return n
 }
 
 // selectPlan picks the forced plan index or the cheapest plan whose peak
@@ -1049,6 +1144,7 @@ func (s *Server) Stats() Stats {
 	s.planMu.Lock()
 	hits, misses := s.planHits, s.planMisses
 	cacheSize, evictions := s.planLRU.Len(), s.planEvictions
+	shapeHits, shapeMisses, shapeEntries := s.shapeHits, s.shapeMisses, s.shapeLRU.Len()
 	tierHists := maps.Clone(s.tierHists)
 	s.planMu.Unlock()
 	// One snapshot of the shards (one stats round trip per remote shard)
@@ -1078,6 +1174,9 @@ func (s *Server) Stats() Stats {
 		PlanCacheMisses:    misses,
 		PlanCacheSize:      cacheSize,
 		PlanCacheEvictions: evictions,
+		PlanShapeHits:      shapeHits,
+		PlanShapeMisses:    shapeMisses,
+		PlanShapeEntries:   shapeEntries,
 		InputFills:         s.inputFills.Load(),
 		InputFillsSkipped:  s.inputFillsSkipped.Load(),
 		SlowQueries:        s.slowQueries.Load(),

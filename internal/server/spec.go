@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"strconv"
 
 	"riotshare/internal/prog"
 	"riotshare/internal/storage"
@@ -240,4 +241,35 @@ func (sp *ProgramSpec) cacheKey() string {
 		return fmt.Sprintf("spec:%s:unmarshalable", sp.Name)
 	}
 	return "spec:" + string(b)
+}
+
+// programShapeKey keys the server's program-shape cache: the spec without
+// what planning reads only at a program's own sizes. The program name,
+// the Bind values, every array's block and grid sizes and
+// LogicalBlockBytes and the statements' notes are dropped, and array
+// names are replaced by their position in Arrays. Specs with equal keys
+// build programs whose statements, loop nests, domains and accesses
+// differ only in parameter values and array names, so one deps.Prepare
+// serves them all.
+func (sp *ProgramSpec) programShapeKey() string {
+	pos := make(map[string]string, len(sp.Arrays))
+	shape := ProgramSpec{Params: sp.Params, Arrays: make([]ArraySpec, len(sp.Arrays))}
+	for i, a := range sp.Arrays {
+		pos[a.Name] = strconv.Itoa(i)
+		shape.Arrays[i] = ArraySpec{Transient: a.Transient}
+	}
+	shape.Stmts = make([]StmtSpec, len(sp.Stmts))
+	for i, st := range sp.Stmts {
+		st.Note = ""
+		st.Accesses = append([]AccessSpec(nil), st.Accesses...)
+		for j := range st.Accesses {
+			st.Accesses[j].Array = pos[st.Accesses[j].Array]
+		}
+		shape.Stmts[i] = st
+	}
+	b, err := json.Marshal(shape)
+	if err != nil {
+		return fmt.Sprintf("shape:%s:unmarshalable", sp.Name)
+	}
+	return "shape:" + string(b)
 }

@@ -470,6 +470,9 @@ func TestMetricsRenderStats(t *testing.T) {
 		"riotshare_plan_cache_misses_total":    n(st.PlanCacheMisses),
 		"riotshare_plan_cache_entries":         float64(st.PlanCacheSize),
 		"riotshare_plan_cache_evictions_total": n(st.PlanCacheEvictions),
+		"riotshare_plan_shape_hits_total":      n(st.PlanShapeHits),
+		"riotshare_plan_shape_misses_total":    n(st.PlanShapeMisses),
+		"riotshare_plan_shape_entries":         float64(st.PlanShapeEntries),
 		"riotshare_input_fills_total":          n(st.InputFills),
 		"riotshare_input_fills_skipped_total":  n(st.InputFillsSkipped),
 		"riotshare_prefetch_issued_total":      n(st.PrefetchIssued),

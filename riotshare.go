@@ -162,8 +162,8 @@ func OptimizeSubsets(p *Program, opt Options, subsets [][]string) (*Result, erro
 // opportunities that runs O(n) schedule searches instead of the Apriori
 // enumeration's exponential worst case. Canceling ctx mid-search keeps the
 // best plan found so far rather than failing, and canceling it before the
-// no-sharing baseline is planned serves the original schedule as the
-// baseline. See docs/planner.md.
+// no-sharing baseline is planned, analysis included, serves the original
+// schedule as the baseline. See docs/planner.md.
 func OptimizeGreedy(ctx context.Context, p *Program, opt Options) (*Result, error) {
 	return core.OptimizeGreedy(ctx, p, opt)
 }
