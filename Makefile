@@ -24,8 +24,10 @@ test:
 # (in its search, and in the analysis of a 64-statement chain), lookups
 # racing retirement, /metrics rendering the same Stats
 # snapshot /stats serves, and a snapshot registering no series in the
-# server; concurrent and sharded reads and writes through remote shards
-# in blockd. The storage and stream tests drive the read-coalescing and
+# server; every plan of one analysis lowered from several goroutines at
+# once, with each share's instance pairs enumerated once for all of them,
+# in codegen; concurrent and sharded reads and writes through remote
+# shards in blockd. The storage and stream tests drive the read-coalescing and
 # stream-readiness maps, which are shared between goroutines; the blockd
 # tests drive the pipelined remote-shard client, whose requests and
 # replies encode and decode blocks on many connections at once.
@@ -34,6 +36,7 @@ test-race:
 	$(GO) test -race -count=5 ./internal/exec/ ./internal/buffer/ ./internal/govern/
 	$(GO) test -race -count=5 -run 'TestCoalescedReadsShareOneRequest|TestConcurrentReadWrite' ./internal/storage/
 	$(GO) test -race -count=5 -run 'Fairness|QueueWait|TenantLabel|ResultFetch|StreamAttributesTenant|TestStreamedResultsMatchWholeFetch|TestStreamRetainDropWaitsForQuery|PlanCacheConcurrentMiss|PlanShapeConcurrentSizes|CloseStopsPlanFill|BudgetedLongChain|BudgetedAnalysisEnds|RetirementRacesLookups|MetricsRenderStats|StatsRegistersNoSeries' ./internal/server/
+	$(GO) test -race -count=5 -run 'TestLowerConcurrentEnumeratesSharesOnce' ./internal/codegen/
 	$(GO) test -race -count=5 -run 'TestRemoteShardConcurrent|TestRemoteShardedMatchesLocalDirs|TestMixedLocalRemoteShards' ./internal/blockd/
 
 # Full suite, including the ~80s linear-regression plan-space search.

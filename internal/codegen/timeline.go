@@ -115,7 +115,7 @@ func Lower(an *deps.Analysis, plan sched.Plan) (*Timeline, error) {
 	}
 	var wws []wwPair
 	for _, c := range plan.ShareSet(an) {
-		pairs, err := c.ConcretePairs(10_000_000)
+		pairs, err := c.ConcretePairs()
 		if err != nil {
 			return nil, fmt.Errorf("codegen: pairs of %s: %w", c, err)
 		}

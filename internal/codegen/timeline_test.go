@@ -5,7 +5,9 @@ import (
 
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"riotshare/internal/deps"
@@ -227,5 +229,65 @@ func TestEvKeyKeepsTheWholeStatementID(t *testing.T) {
 	}
 	if evKey(1, []int64{23}) == evKey(12, []int64{3}) {
 		t.Error("evKey(1, [23]) collides with evKey(12, [3])")
+	}
+}
+
+// The plans of one analysis are lowered in parallel (core's evaluator), and
+// each share's instance pairs are enumerated once for all of them: lowering
+// every plan from several goroutines at once gives every goroutine the same
+// timelines and the same pair slices, and a later ConcretePairs allocates
+// nothing.
+func TestLowerConcurrentEnumeratesSharesOnce(t *testing.T) {
+	an, s := addMulSetup(t, 3, 4, 2)
+	plans, err := s.Search(context.Background(), sched.SearchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers = 4
+	tls := make([][]*Timeline, workers)
+	firsts := make([][]*[]int64, workers) // per share, the first pair's source
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			tls[w] = make([]*Timeline, len(plans))
+			for k := range plans {
+				i := (k + w*len(plans)/workers) % len(plans) // each worker starts elsewhere
+				tl, err := Lower(an, plans[i])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				tls[w][i] = tl
+			}
+			for _, c := range an.Shares {
+				pairs, err := c.ConcretePairs()
+				if err != nil || len(pairs) == 0 {
+					t.Errorf("%s: %d pairs, error %v", c, len(pairs), err)
+					return
+				}
+				firsts[w] = append(firsts[w], &pairs[0][0])
+			}
+		}(w)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for w := 1; w < workers; w++ {
+		if !reflect.DeepEqual(tls[w], tls[0]) {
+			t.Fatalf("worker %d lowered other timelines than worker 0", w)
+		}
+		for i, c := range an.Shares {
+			if firsts[w][i] != firsts[0][i] {
+				t.Fatalf("%s: worker %d got other pairs than worker 0", c, w)
+			}
+		}
+	}
+	for _, c := range an.Shares {
+		if n := testing.AllocsPerRun(10, func() { _, _ = c.ConcretePairs() }); n != 0 {
+			t.Fatalf("%s: ConcretePairs allocates %v times once computed", c, n)
+		}
 	}
 }

@@ -311,22 +311,25 @@ func original(_ context.Context, s *sched.Searcher, _ *evaluator, _ Options) ([]
 
 // named is the restricted search: the baseline plus exactly the given
 // combinations of sharing-opportunity display names, each of which must
-// exist and be feasible.
+// exist, name one opportunity and be feasible.
 func named(subsets [][]string) strategy {
 	return func(ctx context.Context, s *sched.Searcher, _ *evaluator, _ Options) ([]sched.Plan, error) {
-		index := make(map[string]int, len(s.An.Shares))
+		index := make(map[string][]int, len(s.An.Shares))
 		for i, c := range s.An.Shares {
-			index[c.String()] = i
+			index[c.String()] = append(index[c.String()], i)
 		}
 		plans := make([]sched.Plan, 0, 1+len(subsets))
 		for _, names := range append([][]string{{}}, subsets...) {
 			var shares []int
 			for _, n := range names {
-				i, ok := index[n]
-				if !ok {
+				is := index[n]
+				switch {
+				case len(is) == 0:
 					return nil, fmt.Errorf("core: unknown sharing opportunity in %v (have %v)", names, s.An.ShareStrings())
+				case len(is) > 1:
+					return nil, fmt.Errorf("core: sharing opportunity name %s is ambiguous: opportunities %v all have it", n, is)
 				}
-				shares = append(shares, i)
+				shares = append(shares, is[0])
 			}
 			pl, ok := s.PlanFor(ctx, shares)
 			if !ok {
@@ -425,11 +428,22 @@ func (r *Result) BestUnder(capBytes int64) *EvaluatedPlan {
 // original program's cost; Plan 0 in the paper's figures).
 func (r *Result) Baseline() *EvaluatedPlan { return r.PlanBySharing() }
 
-// PlanBySharing finds a plan realizing exactly the named opportunities.
+// PlanBySharing finds a plan realizing exactly the named opportunities. It
+// returns nil if there is none, or if a name is ambiguous: a statement
+// making two accesses of one type to one array (a sliding window's two
+// reads) can give two opportunities one display name.
 func (r *Result) PlanBySharing(names ...string) *EvaluatedPlan {
 	want := make(map[string]bool, len(names))
 	for _, n := range names {
 		want[n] = true
+	}
+	seen := make(map[string]bool, len(r.Analysis.Shares))
+	for _, c := range r.Analysis.Shares {
+		n := c.String()
+		if want[n] && seen[n] {
+			return nil
+		}
+		seen[n] = true
 	}
 	for i := range r.Plans {
 		pl := &r.Plans[i]

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"riotshare/internal/blas"
@@ -268,4 +269,44 @@ func newRandBlock(rng *rand.Rand, rows, cols int) *blas.Matrix {
 		blk.Data[i] = rng.NormFloat64()
 	}
 	return blk
+}
+
+// A sliding window's two reads of one array give two sharing
+// opportunities one display name (here s3WT2→s4RT2). Looking such a name
+// up is refused rather than resolved to one of them: the named search
+// fails naming both indices, and PlanBySharing finds no plan although a
+// plan realizing each exists.
+func TestAmbiguousShareNameRefused(t *testing.T) {
+	const name = "s3WT2→s4RT2"
+	p := randomProgram(rand.New(rand.NewSource(2)), 2)
+	opt := Options{BindParams: true, MaxCalls: 30000}
+	res, err := Optimize(p, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var idx []int
+	for i, c := range res.Analysis.Shares {
+		if c.String() == name {
+			idx = append(idx, i)
+		}
+	}
+	if len(idx) != 2 {
+		t.Fatalf("%d opportunities named %s in %v, want 2", len(idx), name, res.Analysis.ShareStrings())
+	}
+	_, err = OptimizeSubsets(randomProgram(rand.New(rand.NewSource(2)), 2), opt, [][]string{{name}})
+	if err == nil || !strings.Contains(err.Error(), "ambiguous") || !strings.Contains(err.Error(), fmt.Sprint(idx)) {
+		t.Fatalf("named search over %s: error %v, want one naming opportunities %v", name, err, idx)
+	}
+	realized := 0
+	for _, pl := range res.Plans {
+		if len(pl.Plan.Shares) == 1 && (pl.Plan.Shares[0] == idx[0] || pl.Plan.Shares[0] == idx[1]) {
+			realized++
+		}
+	}
+	if realized != 2 {
+		t.Fatalf("%d one-opportunity plans labelled %s, want 2", realized, name)
+	}
+	if pl := res.PlanBySharing(name); pl != nil {
+		t.Fatalf("PlanBySharing(%s) = plan %d, want nil", name, pl.Index)
+	}
 }

@@ -255,10 +255,7 @@ func (pr *Prepared) sameShape(p *prog.Program) error {
 // vals first unless vals is nil (the fully parametric analysis).
 func emptyAt(ext *polyhedra.Set, space PairSpace, vals []int64) bool {
 	if vals != nil {
-		base := space.Src.Ds() + space.Tgt.Ds()
-		for i := space.NP - 1; i >= 0; i-- {
-			ext = ext.BindVar(base+i, vals[i])
-		}
+		ext = ext.BindVars(space.Src.Ds()+space.Tgt.Ds(), vals)
 	}
 	return ext.IsEmptyInt(8)
 }
@@ -296,19 +293,29 @@ func (an *Analysis) DepStrings() []string {
 	return out
 }
 
+// MaxConcretePairs bounds the instance pairs ConcretePairs enumerates for
+// one co-access, counted over its whole extent: past it ConcretePairs fails
+// rather than hold more pairs in memory. Block-level extents are small, so
+// only a runaway binding reaches it.
+const MaxConcretePairs = 10_000_000
+
 // ConcretePairs enumerates the instance pairs of a co-access's extent under
 // the program's parameter binding: each element is (srcInstance,
 // tgtInstance). Block-level domains are small so enumeration is exact
-// (DESIGN.md substitution S3).
-func (c *CoAccess) ConcretePairs(limit int) ([][2][]int64, error) {
-	vals := c.Prog.ParamValues()
-	np := c.Space.NP
-	base := c.Space.Src.Ds() + c.Space.Tgt.Ds()
-	ext := c.Extent
-	for i := np - 1; i >= 0; i-- {
-		ext = ext.BindVar(base+i, vals[i])
-	}
-	pts, err := ext.Enumerate(limit)
+// (DESIGN.md substitution S3); more than MaxConcretePairs pairs is an error.
+//
+// The pairs are computed once per CoAccess, on the first call, and every
+// call returns the same slices, so callers must not modify them, and the
+// Extent must not change once ConcretePairs has been called. It is safe
+// for concurrent use: the plans of one analysis are lowered in parallel.
+func (c *CoAccess) ConcretePairs() ([][2][]int64, error) {
+	c.pairsOnce.Do(func() { c.pairs, c.pairsErr = c.enumeratePairs() })
+	return c.pairs, c.pairsErr
+}
+
+func (c *CoAccess) enumeratePairs() ([][2][]int64, error) {
+	ext := c.Extent.BindVars(c.Space.Src.Ds()+c.Space.Tgt.Ds(), c.Prog.ParamValues())
+	pts, err := ext.Enumerate(MaxConcretePairs)
 	if err != nil {
 		return nil, err
 	}

@@ -168,7 +168,7 @@ func TestAddMulPipelineReducedToFirstRead(t *testing.T) {
 	if c == nil {
 		t.Fatal("missing s1WC→s2RC")
 	}
-	pairs, err := c.ConcretePairs(100000)
+	pairs, err := c.ConcretePairs()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestAddMulAccumulatorConsecutive(t *testing.T) {
 	if c == nil {
 		t.Fatal("missing s2WE→s2RE")
 	}
-	pairs, err := c.ConcretePairs(100000)
+	pairs, err := c.ConcretePairs()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestAddMulAccumulatorConsecutive(t *testing.T) {
 func TestAddMulNoAccumulatorReadReadShare(t *testing.T) {
 	an := analyzeAddMul(t, 2, 4, 2, false)
 	if s := an.FindShare("s2RE→s2RE"); s != nil {
-		pairs, _ := s.ConcretePairs(100000)
+		pairs, _ := s.ConcretePairs()
 		t.Fatalf("s2RE→s2RE should be blocked by intervening writes; got %d pairs", len(pairs))
 	}
 }
@@ -229,7 +229,7 @@ func TestAddMulDSelfShareConsecutiveI(t *testing.T) {
 	if c == nil {
 		t.Fatal("missing s2RD→s2RD")
 	}
-	pairs, err := c.ConcretePairs(100000)
+	pairs, err := c.ConcretePairs()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestOppositeDirectionDependences(t *testing.T) {
 			fwd = d
 		}
 	}
-	pairs, err := fwd.ConcretePairs(10000)
+	pairs, err := fwd.ConcretePairs()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +328,7 @@ func TestTwoMMCrossShareRankPreserving(t *testing.T) {
 	if c == nil {
 		t.Fatalf("missing s1RA→s2RA; have %v", an.ShareStrings())
 	}
-	pairs, err := c.ConcretePairs(100000)
+	pairs, err := c.ConcretePairs()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +415,7 @@ func TestLinRegLastWriteToRead(t *testing.T) {
 	if c == nil {
 		t.Fatal("missing s1WU→s3RU")
 	}
-	pairs, err := c.ConcretePairs(10000)
+	pairs, err := c.ConcretePairs()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,7 +443,7 @@ func TestSharesAreOneOne(t *testing.T) {
 			t.Errorf("%s: %d opportunities dropped by reduction", p.Name, len(an.Dropped))
 		}
 		for _, s := range an.Shares {
-			pairs, err := s.ConcretePairs(100000)
+			pairs, err := s.ConcretePairs()
 			if err != nil {
 				t.Fatalf("%s %s: %v", p.Name, s, err)
 			}
@@ -476,7 +476,7 @@ func TestSharePairsAccessSameBlockInOrder(t *testing.T) {
 	}
 	params := p.ParamValues()
 	for _, s := range an.Shares {
-		pairs, err := s.ConcretePairs(100000)
+		pairs, err := s.ConcretePairs()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -505,7 +505,7 @@ func TestDepPairsValid(t *testing.T) {
 	}
 	params := p.ParamValues()
 	for _, d := range an.Deps {
-		pairs, err := d.ConcretePairs(100000)
+		pairs, err := d.ConcretePairs()
 		if err != nil {
 			t.Fatal(err)
 		}

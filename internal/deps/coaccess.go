@@ -2,6 +2,7 @@ package deps
 
 import (
 	"fmt"
+	"sync"
 
 	"riotshare/internal/polyhedra"
 	"riotshare/internal/prog"
@@ -49,6 +50,11 @@ type CoAccess struct {
 	// Extent is the (possibly preprocessed) extent polyhedron as a union of
 	// basic polyhedra over the pair space.
 	Extent *polyhedra.Set
+
+	// pairsOnce computes pairs and pairsErr, ConcretePairs' answer.
+	pairsOnce sync.Once
+	pairs     [][2][]int64
+	pairsErr  error
 }
 
 // SrcAccess returns the source access.

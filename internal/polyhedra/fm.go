@@ -218,13 +218,11 @@ func (p *Poly) cheapestVar() int {
 	return best
 }
 
-// IsEmptyInt reports whether the polyhedron has no integer points: it first
-// runs the rational test, and if rationally non-empty, attempts to sample an
-// integer point with the given search radius for unbounded directions.
+// IsEmptyInt reports whether the polyhedron has no integer points, by
+// attempting to sample one with the given search radius for unbounded
+// directions (see SampleInt, whose elimination chain also settles rational
+// emptiness).
 func (p *Poly) IsEmptyInt(radius int64) bool {
-	if p.IsEmptyRational() {
-		return true
-	}
 	_, ok := p.SampleInt(radius)
 	return !ok
 }

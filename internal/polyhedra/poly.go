@@ -14,7 +14,6 @@ package polyhedra
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 
 	"riotshare/internal/linalg"
@@ -141,7 +140,7 @@ func Intersect(a, b *Poly) *Poly {
 // polyhedron is still possibly non-empty (false means definitely empty).
 func (p *Poly) Simplify() bool {
 	out := p.Cons[:0]
-	seen := make(map[string]int) // key -> index into out
+	idx := make(conIndex)
 	for _, c := range p.Cons {
 		if linalg.IsZeroVec(c.Coef) {
 			if c.Eq && c.K != 0 {
@@ -184,8 +183,7 @@ func (p *Poly) Simplify() bool {
 				}
 			}
 		}
-		key := conKey(c)
-		if j, ok := seen[key]; ok {
+		if j := idx.find(out, c.Coef, c.Eq, false); j >= 0 {
 			// Same coefficient vector: keep the tighter constant.
 			if c.Eq {
 				if out[j].K != c.K {
@@ -198,7 +196,7 @@ func (p *Poly) Simplify() bool {
 			}
 			continue
 		}
-		seen[key] = len(out)
+		idx.add(c, len(out))
 		out = append(out, c)
 	}
 	p.Cons = out
@@ -209,8 +207,7 @@ func (p *Poly) Simplify() bool {
 		if c.Eq {
 			continue
 		}
-		neg := Constraint{Coef: linalg.ScaleVec(-1, c.Coef)}
-		if j, ok := seen[conKey(neg)]; ok && !p.Cons[j].Eq {
+		if j := idx.find(p.Cons, c.Coef, false, true); j >= 0 {
 			if c.K+p.Cons[j].K < 0 {
 				p.Cons = nil
 				p.Cons = append(p.Cons, falseCon(p.Dim))
@@ -242,16 +239,71 @@ func floorDiv(a, b int64) int64 {
 	return q
 }
 
-func conKey(c Constraint) string {
-	buf := make([]byte, 0, 1+len(c.Coef)*3)
-	if c.Eq {
-		buf = append(buf, '=')
+// conIndex finds a constraint list's entries by coefficient vector and
+// kind, without building a key per lookup: it maps a hash to the first
+// entry with it, and a lookup whose hash entry differs (a collision)
+// falls back to a scan of the list.
+type conIndex map[uint64]int
+
+// conHash hashes a coefficient vector, negated if neg, and its kind (FNV-1a
+// over whole words).
+func conHash(coef []int64, eq, neg bool) uint64 {
+	h := uint64(14695981039346656037)
+	if eq {
+		h ^= 1
+		h *= 1099511628211
 	}
-	for _, x := range c.Coef {
-		buf = strconv.AppendInt(buf, x, 10)
-		buf = append(buf, ',')
+	for _, x := range coef {
+		if neg {
+			x = -x
+		}
+		h ^= uint64(x)
+		h *= 1099511628211
 	}
-	return string(buf)
+	return h
+}
+
+// sameCon reports whether c has kind eq and the coefficient vector coef,
+// negated if neg.
+func sameCon(c Constraint, coef []int64, eq, neg bool) bool {
+	if c.Eq != eq {
+		return false
+	}
+	for i, x := range coef {
+		if neg {
+			x = -x
+		}
+		if c.Coef[i] != x {
+			return false
+		}
+	}
+	return true
+}
+
+// add records cons[i] == c.
+func (x conIndex) add(c Constraint, i int) {
+	h := conHash(c.Coef, c.Eq, false)
+	if _, ok := x[h]; !ok {
+		x[h] = i
+	}
+}
+
+// find returns the index in cons of the entry of kind eq with coefficient
+// vector coef (negated if neg), or -1.
+func (x conIndex) find(cons []Constraint, coef []int64, eq, neg bool) int {
+	j, ok := x[conHash(coef, eq, neg)]
+	if !ok {
+		return -1
+	}
+	if sameCon(cons[j], coef, eq, neg) {
+		return j
+	}
+	for j, c := range cons {
+		if sameCon(c, coef, eq, neg) {
+			return j
+		}
+	}
+	return -1
 }
 
 // name returns a printable name for variable i.
@@ -298,18 +350,28 @@ func (p *Poly) String() string {
 
 // BindVar substitutes x[i] = v and returns a polyhedron of dimension Dim-1
 // (column i removed).
-func (p *Poly) BindVar(i int, v int64) *Poly {
-	q := &Poly{Dim: p.Dim - 1, Rational: p.Rational}
+func (p *Poly) BindVar(i int, v int64) *Poly { return p.BindVars(i, []int64{v}) }
+
+// BindVars substitutes x[start+k] = vals[k] for every k and returns a
+// polyhedron of dimension Dim-len(vals) (those columns removed). It neither
+// simplifies nor tests the result.
+func (p *Poly) BindVars(start int, vals []int64) *Poly {
+	end := start + len(vals)
+	q := &Poly{Dim: p.Dim - len(vals), Rational: p.Rational}
 	if len(p.Names) == p.Dim {
-		q.Names = append(append([]string(nil), p.Names[:i]...), p.Names[i+1:]...)
+		q.Names = append(append([]string(nil), p.Names[:start]...), p.Names[end:]...)
 	}
-	for _, c := range p.Cons {
-		nc := Constraint{
-			Coef: append(append([]int64(nil), c.Coef[:i]...), c.Coef[i+1:]...),
-			K:    c.K + c.Coef[i]*v,
+	q.Cons = make([]Constraint, len(p.Cons))
+	for j, c := range p.Cons {
+		k := c.K
+		for i, v := range vals {
+			k += c.Coef[start+i] * v
+		}
+		q.Cons[j] = Constraint{
+			Coef: append(append(make([]int64, 0, q.Dim), c.Coef[:start]...), c.Coef[end:]...),
+			K:    k,
 			Eq:   c.Eq,
 		}
-		q.Cons = append(q.Cons, nc)
 	}
 	return q
 }

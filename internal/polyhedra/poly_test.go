@@ -374,3 +374,25 @@ func TestPolyString(t *testing.T) {
 		t.Fatalf("String should render constraints, got %q", s)
 	}
 }
+
+func ptKey(pt []int64) string { return string(appendPtKey(nil, pt)) }
+
+// Simplify's constraint index falls back to a scan when a lookup's hash
+// names an entry with another vector (a collision), and matches the kind.
+func TestConIndexCollision(t *testing.T) {
+	a := Constraint{Coef: []int64{1, 0}, K: 3}
+	b := Constraint{Coef: []int64{0, 1}, K: 2}
+	cons := []Constraint{a, b}
+	idx := conIndex{}
+	idx.add(a, 0)
+	idx[conHash(b.Coef, false, false)] = 0 // b's hash names a's entry
+	if got := idx.find(cons, b.Coef, false, false); got != 1 {
+		t.Fatalf("find(b) = %d, want 1", got)
+	}
+	if got := idx.find(cons, []int64{-1, 0}, false, true); got != 0 {
+		t.Fatalf("find(a, negated) = %d, want 0", got)
+	}
+	if got := idx.find(cons, a.Coef, true, false); got != -1 {
+		t.Fatalf("find(a as an equality) = %d, want -1", got)
+	}
+}

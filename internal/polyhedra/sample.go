@@ -78,16 +78,20 @@ func ceilDiv(a, b int64) int64 {
 }
 
 // eliminationChain returns chain[j] = p with variables j..Dim-1 projected
-// out, so chain[j] constrains variables 0..j-1 (chain[Dim] == p itself).
+// out, so chain[j] constrains variables 0..j-1 (chain[Dim] == p itself). It
+// returns nil as soon as a projection has no rational points: then p has
+// none either, which the 0-dimensional chain[0] would also have shown.
 func (p *Poly) eliminationChain() []*Poly {
 	chain := make([]*Poly, p.Dim+1)
 	chain[p.Dim] = p
-	cur := p.Clone()
+	cur := p
 	for j := p.Dim - 1; j >= 0; j-- {
 		cur, _ = cur.EliminateVar(j)
+		if !cur.hasPoints() {
+			return nil
+		}
 		chain[j] = cur
 	}
-	_ = chain[0]
 	return chain
 }
 
@@ -96,7 +100,8 @@ func (p *Poly) eliminationChain() []*Poly {
 // [-radius, +radius] (so a "not found" answer on an unbounded polyhedron is
 // relative to the radius; every coefficient space searched by the optimizer
 // admits small solutions when feasible). It returns the point and whether
-// one was found.
+// one was found. A polyhedron with no rational points is answered by its
+// elimination chain, before any search.
 func (p *Poly) SampleInt(radius int64) ([]int64, bool) {
 	q := p.Clone()
 	if !q.Simplify() {
@@ -109,6 +114,9 @@ func (p *Poly) SampleInt(radius int64) ([]int64, bool) {
 		return nil, false
 	}
 	chain := q.eliminationChain()
+	if chain == nil {
+		return nil, false
+	}
 	v := make([]int64, q.Dim)
 	if sampleDFS(q, chain, 0, v, radius) {
 		return v, true
@@ -204,6 +212,9 @@ func (p *Poly) Enumerate(limit int) ([][]int64, error) {
 		return nil, nil
 	}
 	chain := q.eliminationChain()
+	if chain == nil {
+		return nil, nil
+	}
 	var out [][]int64
 	v := make([]int64, q.Dim)
 	var rec func(j int) error

@@ -2,6 +2,7 @@ package polyhedra
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"riotshare/internal/linalg"
@@ -166,33 +167,42 @@ func (s *Set) ProjectOnto(keep []int) (*Set, bool) {
 	return out, exact
 }
 
-// Enumerate returns the integer points of the union, deduplicated, up to
-// limit per piece.
+// Enumerate returns the integer points of the union, deduplicated, in piece
+// order. It fails if some piece is unbounded or the union has more than
+// limit points.
 func (s *Set) Enumerate(limit int) ([][]int64, error) {
+	if len(s.Ps) == 1 {
+		return s.Ps[0].Enumerate(limit)
+	}
 	seen := make(map[string]bool)
 	var out [][]int64
+	var key []byte
 	for _, p := range s.Ps {
 		pts, err := p.Enumerate(limit)
 		if err != nil {
 			return nil, err
 		}
 		for _, pt := range pts {
-			k := ptKey(pt)
-			if !seen[k] {
-				seen[k] = true
-				out = append(out, pt)
+			key = appendPtKey(key[:0], pt)
+			if seen[string(key)] {
+				continue
 			}
+			if len(out) == limit {
+				return nil, fmt.Errorf("polyhedra: enumeration exceeds limit %d", limit)
+			}
+			seen[string(key)] = true
+			out = append(out, pt)
 		}
 	}
 	return out, nil
 }
 
-func ptKey(pt []int64) string {
-	var sb strings.Builder
+// appendPtKey appends the point's coordinates to buf as "x0,x1,...,".
+func appendPtKey(buf []byte, pt []int64) []byte {
 	for _, x := range pt {
-		fmt.Fprintf(&sb, "%d,", x)
+		buf = append(strconv.AppendInt(buf, x, 10), ',')
 	}
-	return sb.String()
+	return buf
 }
 
 // SampleInt finds an integer point in any piece.
@@ -205,7 +215,8 @@ func (s *Set) SampleInt(radius int64) ([]int64, bool) {
 	return nil, false
 }
 
-// BindVar substitutes a value for variable i in every piece.
+// BindVar substitutes a value for variable i in every piece, dropping the
+// pieces that become empty.
 func (s *Set) BindVar(i int, v int64) *Set {
 	var names []string
 	if len(s.Names) == s.Dim {
@@ -214,6 +225,26 @@ func (s *Set) BindVar(i int, v int64) *Set {
 	out := NewSet(s.Dim-1, names...)
 	for _, p := range s.Ps {
 		out.AddPiece(p.BindVar(i, v))
+	}
+	return out
+}
+
+// BindVars substitutes vals[k] for variable start+k in every piece, then
+// simplifies each bound piece and tests it for rational emptiness once,
+// dropping the pieces found empty. A piece empty after binding some of the
+// variables is empty after binding all of them, so one BindVars keeps the
+// pieces a chain of BindVar calls keeps, at one emptiness test per piece.
+func (s *Set) BindVars(start int, vals []int64) *Set {
+	var names []string
+	if len(s.Names) == s.Dim {
+		names = append(append([]string(nil), s.Names[:start]...), s.Names[start+len(vals):]...)
+	}
+	out := NewSet(s.Dim-len(vals), names...)
+	for _, p := range s.Ps {
+		q := p.BindVars(start, vals)
+		if q.Simplify() && !q.IsEmptyRational() {
+			out.Ps = append(out.Ps, q)
+		}
 	}
 	return out
 }

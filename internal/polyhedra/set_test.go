@@ -35,6 +35,19 @@ func TestSetEnumerateDedup(t *testing.T) {
 	}
 }
 
+// Enumerate's limit counts the points of the union, not of each piece.
+func TestSetEnumerateLimitCountsUnion(t *testing.T) {
+	s := NewSet(1)
+	s.AddPiece(interval(0, 2))
+	s.AddPiece(interval(2, 4)) // overlap 2: five points in all
+	if _, err := s.Enumerate(4); err == nil {
+		t.Fatal("five points under limit 4 should fail")
+	}
+	if pts, err := s.Enumerate(5); err != nil || len(pts) != 5 {
+		t.Fatalf("limit 5: %d points, error %v; want 5 points", len(pts), err)
+	}
+}
+
 func TestSetAddPieceDropsEmpty(t *testing.T) {
 	s := NewSet(1)
 	s.AddPiece(interval(5, 3))

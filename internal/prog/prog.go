@@ -428,12 +428,7 @@ func (p *Program) DomainWithContext(s *Statement) *polyhedra.Poly {
 // Instances enumerates the statement's concrete iteration instances under
 // the program's parameter binding (exact; block-level domains are small).
 func (p *Program) Instances(s *Statement, limit int) ([][]int64, error) {
-	vals := p.ParamValues()
-	d := s.Domain.Clone()
-	for i := len(p.Params) - 1; i >= 0; i-- {
-		d = d.BindVar(s.Ds()+i, vals[i])
-	}
-	return d.Enumerate(limit)
+	return s.Domain.BindVars(s.Ds(), p.ParamValues()).Enumerate(limit)
 }
 
 // EvalRow evaluates an affine row (len(x)+len(params)+1 coefficients) at a

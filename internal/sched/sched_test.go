@@ -71,7 +71,7 @@ func TestFindSchedulePlan7(t *testing.T) {
 	// differing only in the constant dimension.
 	params := an.Prog.ParamValues()
 	c := an.FindShare("s1WC→s2RC")
-	pairs, err := c.ConcretePairs(100000)
+	pairs, err := c.ConcretePairs()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestFindSchedulePlan7(t *testing.T) {
 	}
 	// And the self share s2WE→s2RE must be consecutive at depth d̃.
 	cs := an.FindShare("s2WE→s2RE")
-	pairs, err = cs.ConcretePairs(100000)
+	pairs, err = cs.ConcretePairs()
 	if err != nil {
 		t.Fatal(err)
 	}
