@@ -21,6 +21,21 @@
 // acquisition anyway (refusing would deadlock a running plan) and evicts
 // back down as pins release.
 //
+// No store I/O runs under the pool lock on the query path. A miss reads
+// with the lock released, and every write-back of a dirty frame — an
+// eviction victim, a released block — runs with the lock released too: a
+// temporary pin keeps the frame resident, counted and out of the eviction
+// order until the store has the data, so an Acquire of it meanwhile is a
+// hit and a re-Put keeps its fresh data dirty. The operation that pushed
+// the pool over capacity writes its own victims back and returns only when
+// residency is back at the capacity, so a slow store stalls that caller,
+// not the pool. Victims in flight stay counted, so the unlocked writes add
+// to the soft overage: residency can exceed the capacity by at most one
+// block for each goroutine evicting at that moment (each added at most one
+// block before it began, and none returns before residency is back at the
+// capacity or nothing is left to evict). Flush and DiscardArray wait for
+// in-flight write-backs before they act.
+//
 // Blocks are shared and immutable: Acquire hands out the frame's matrix
 // itself, the same one to every acquirer, and nobody — the pool included —
 // ever writes to it. Put never overwrites a frame's matrix either; it swaps
@@ -43,6 +58,7 @@ import (
 	"container/list"
 	"fmt"
 	"sync"
+	"time"
 
 	"riotshare/internal/blas"
 	"riotshare/internal/prog"
@@ -85,6 +101,9 @@ type Pool struct {
 	hits, misses, puts              int64
 	evictions, writebacks, discards int64
 	evictErr                        error // sticky write-back failure from capacity eviction
+	// evictWriteTime and releaseWriteTime total the time spent in store
+	// writes of dirty frames by eviction and by ReleaseBlock.
+	evictWriteTime, releaseWriteTime time.Duration
 }
 
 // tenantCounters aggregates one tenant's pool activity.
@@ -109,9 +128,10 @@ type frame struct {
 	// followers wait on it instead of issuing a duplicate read.
 	loading chan struct{}
 	err     error
-	// writing is non-nil while a ReleaseBlock write-back of the frame is in
-	// flight; a concurrent release waits on it instead of writing the same
-	// data a second time.
+	// writing is non-nil while a write-back of the frame (eviction or
+	// ReleaseBlock) is in flight; a concurrent release waits on it instead
+	// of writing the same data a second time, and Flush and DiscardArray
+	// wait on it before they act.
 	writing chan struct{}
 }
 
@@ -227,9 +247,11 @@ func (p *Pool) acquire(tenant, array string, r, c int64) (*blas.Matrix, error) {
 	p.installLocked(f)
 	close(f.loading)
 	f.loading = nil
-	p.noteEvictErr(p.evictToCapLocked())
-	p.notePeakLocked()
+	over := p.overCapLocked()
 	p.mu.Unlock()
+	if over {
+		p.evictToCap()
+	}
 	return blk, nil
 }
 
@@ -261,15 +283,16 @@ func (p *Pool) notePeakLocked() {
 	}
 }
 
-// noteEvictErr records a write-back failure from capacity eviction. The
-// acquisition that triggered it still succeeded (the victim was
-// re-inserted, no data lost), so the error is sticky and surfaced by
-// Stats.EvictErr and the next Flush instead of failing the caller — which
-// would leak its pin.
-func (p *Pool) noteEvictErr(err error) {
-	if err != nil && p.evictErr == nil {
-		p.evictErr = err
+// overCapLocked ends an operation that added cached bytes: it reports
+// whether the pool is over capacity with a victim to evict, in which case
+// the caller releases p.mu and runs evictToCap; otherwise it records the
+// residency peak itself.
+func (p *Pool) overCapLocked() bool {
+	if p.capBytes > 0 && p.bytes > p.capBytes && p.lru.Len() > 0 {
+		return true
 	}
+	p.notePeakLocked()
+	return false
 }
 
 // Put installs a written block (the pool keeps its own copy, marked dirty
@@ -310,9 +333,11 @@ func (p *Pool) put(tenant, array string, r, c int64, blk *blas.Matrix) error {
 	f.pins++
 	p.unlinkLocked(f)
 	p.puts++
-	p.noteEvictErr(p.evictToCapLocked())
-	p.notePeakLocked()
+	over := p.overCapLocked()
 	p.mu.Unlock()
+	if over {
+		p.evictToCap()
+	}
 	return nil
 }
 
@@ -320,19 +345,23 @@ func (p *Pool) put(tenant, array string, r, c int64, blk *blas.Matrix) error {
 // releases joins the eviction order and becomes evictable.
 func (p *Pool) Unpin(array string, r, c int64, n int) {
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	f := p.frames[prog.BlockID{Array: array, R: r, C: c}]
 	if f == nil {
+		p.mu.Unlock()
 		return
 	}
 	f.pins -= n
 	if f.pins < 0 {
 		f.pins = 0
 	}
+	over := false
 	if f.pins == 0 && f.blk != nil && f.loading == nil && f.elem == nil {
 		f.elem = p.lru.PushBack(f)
-		p.noteEvictErr(p.evictToCapLocked())
-		p.notePeakLocked()
+		over = p.overCapLocked()
+	}
+	p.mu.Unlock()
+	if over {
+		p.evictToCap()
 	}
 }
 
@@ -343,10 +372,10 @@ func (p *Pool) Unpin(array string, r, c int64, n int) {
 // result far larger than the pool never accumulates resident frames. A
 // pinned or still-loading frame keeps its data (only the write-back
 // happens) and ages out through the LRU order instead; an absent
-// frame is a no-op. A release that meets another one's write-back of the
-// same frame (a stream and InvalidateArray retiring one output block) waits
-// for it, so the block is written once and is in storage when either
-// returns.
+// frame is a no-op. A release that meets an in-flight write-back of the
+// same frame (another release's — a stream and InvalidateArray retiring
+// one output block — or an eviction's) waits for it, so the block is
+// written once and is in storage when either returns.
 func (p *Pool) ReleaseBlock(array string, r, c int64) error {
 	id := prog.BlockID{Array: array, R: r, C: c}
 	p.mu.Lock()
@@ -366,24 +395,15 @@ func (p *Pool) ReleaseBlock(array string, r, c int64) error {
 		// Write back outside the pool lock: release runs once per
 		// delivered block on the streaming path, and holding p.mu across a
 		// potentially networked WriteBlock would stall every concurrent
-		// pool operation for its duration. A temporary pin keeps the frame
-		// resident and out of the eviction order while the lock is down.
-		blk := f.blk
-		f.pins++
-		f.writing = make(chan struct{})
-		p.unlinkLocked(f)
+		// pool operation for its duration.
+		blk := p.beginWriteLocked(f)
 		p.mu.Unlock()
+		start := time.Now()
 		err := p.store.WriteBlock(array, r, c, blk)
+		took := time.Since(start)
 		p.mu.Lock()
-		f.pins--
-		close(f.writing)
-		f.writing = nil
-		// A concurrent re-Put swaps the frame's block pointer and its
-		// fresh data must stay dirty; only the unchanged frame is cleaned.
-		if err == nil && f.blk == blk {
-			f.dirty = false
-			p.writebacks++
-		}
+		p.endWriteLocked(f, blk, err)
+		p.releaseWriteTime += took
 		stale := p.frames[id] != f
 		if err != nil || f.dirty {
 			// Write-back failed, or the frame was re-dirtied while the lock
@@ -414,52 +434,119 @@ func (p *Pool) ReleaseBlock(array string, r, c int64) error {
 	return nil
 }
 
-// evictFrameLocked writes one victim back if dirty and drops it. A
-// write-back failure re-inserts the victim as the next victim (its data
-// must not be lost) and reports the error; eviction stops.
-func (p *Pool) evictFrameLocked(f *frame) error {
+// beginWriteLocked starts a write-back of f's current block, which the
+// caller writes with p.mu released and then settles with endWriteLocked.
+// A temporary pin keeps the frame resident and out of the eviction order
+// meanwhile, and f.writing lets others wait for the write.
+func (p *Pool) beginWriteLocked(f *frame) *blas.Matrix {
+	f.pins++
+	f.writing = make(chan struct{})
 	p.unlinkLocked(f)
-	if f.dirty {
-		// Write-back under p.mu is the documented eviction serialization
-		// point (see evictToCapLocked); the victim must leave atomically
-		// with its accounting. //riotvet:allow lockio
-		if err := p.store.WriteBlock(f.id.Array, f.id.R, f.id.C, f.blk); err != nil {
-			f.elem = p.lru.PushFront(f)
-			return fmt.Errorf("buffer: write-back %s: %w", f.id, err)
-		}
+	return f.blk
+}
+
+// endWriteLocked settles a write-back of blk begun by beginWriteLocked: it
+// drops the temporary pin, wakes the frame's waiters and, when the write
+// succeeded and no re-Put swapped the frame's block meanwhile, marks the
+// frame clean (a re-Put's fresh data must stay dirty).
+func (p *Pool) endWriteLocked(f *frame, blk *blas.Matrix, err error) {
+	f.pins--
+	close(f.writing)
+	f.writing = nil
+	if err == nil && f.blk == blk {
 		f.dirty = false
 		p.writebacks++
 	}
-	delete(p.frames, f.id)
-	p.forgetLocked(f)
-	p.evictions++
-	return nil
 }
 
-// evictToCapLocked evicts unpinned frames in LRU order until cached
-// bytes fit the capacity, writing dirty victims back first. Dirty
-// write-back happens under the pool lock — a known serialization point
-// when the pool runs over capacity on slow storage; size the pool to keep
-// hot working sets resident.
-func (p *Pool) evictToCapLocked() error {
+// evictToCap takes p.mu and evicts unpinned frames in LRU order until
+// cached bytes fit the capacity, then records the residency peak. A clean
+// victim leaves at once. A dirty one is written back with p.mu released,
+// as ReleaseBlock does, so a slow or networked store stalls the caller
+// whose operation pushed the pool over capacity and no other pool
+// operation. When the write settles the victim leaves, unless it was
+// re-pinned meanwhile (it stays resident until its Unpin re-admits it) or
+// re-dirtied by a re-Put (it rejoins the eviction order). A write-back
+// failure puts the victim back as the next victim (its data must not be
+// lost), records the sticky error and ends the pass.
+func (p *Pool) evictToCap() {
+	p.mu.Lock()
 	for p.capBytes > 0 && p.bytes > p.capBytes {
 		e := p.lru.Front()
 		if e == nil {
-			break // everything pinned: soft bound, admit the overage
+			break // everything pinned or in flight: soft bound, admit the overage
 		}
-		if err := p.evictFrameLocked(e.Value.(*frame)); err != nil {
-			return err
+		f := e.Value.(*frame)
+		if f.dirty {
+			blk := p.beginWriteLocked(f)
+			p.mu.Unlock()
+			start := time.Now()
+			err := p.store.WriteBlock(f.id.Array, f.id.R, f.id.C, blk)
+			took := time.Since(start)
+			p.mu.Lock()
+			p.endWriteLocked(f, blk, err)
+			p.evictWriteTime += took
+			if err != nil {
+				// The operation that pushed the pool over capacity still
+				// succeeds (failing it would leak its pin, and no data is
+				// lost), so the error is sticky: Stats.EvictErr and the
+				// next Flush surface it.
+				if p.evictErr == nil {
+					p.evictErr = fmt.Errorf("buffer: write-back %s: %w", f.id, err)
+				}
+				if f.pins == 0 {
+					f.elem = p.lru.PushFront(f)
+				}
+				break
+			}
+			if f.pins > 0 {
+				continue
+			}
+			if f.dirty {
+				f.elem = p.lru.PushBack(f)
+				continue
+			}
 		}
+		p.unlinkLocked(f)
+		delete(p.frames, f.id)
+		p.forgetLocked(f)
+		p.evictions++
 	}
-	return nil
+	p.notePeakLocked()
+	p.mu.Unlock()
+}
+
+// awaitWritesLocked waits until no frame of the array ("" = any array)
+// has a write-back in flight. It releases p.mu while it waits and holds it
+// on return, so no further write-back of those frames can begin until the
+// caller unlocks.
+func (p *Pool) awaitWritesLocked(array string) {
+	for {
+		var ch chan struct{}
+		for id, f := range p.frames {
+			if f.writing != nil && (array == "" || id.Array == array) {
+				ch = f.writing
+				break
+			}
+		}
+		if ch == nil {
+			return
+		}
+		p.mu.Unlock()
+		<-ch
+		p.mu.Lock()
+	}
 }
 
 // Flush writes every dirty frame back to storage (queries' outputs become
-// durable and readable through the manager). It also surfaces any sticky
-// eviction write-back error.
+// durable and readable through the manager). It first waits for in-flight
+// write-backs, so none of them can land an older value after the sweep
+// wrote a newer one. It also surfaces any sticky eviction write-back
+// error.
 func (p *Pool) Flush() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	p.awaitWritesLocked("")
 	for _, f := range p.frames {
 		if !f.dirty || f.blk == nil {
 			continue
@@ -520,10 +607,12 @@ func (p *Pool) DiscardBlock(array string, r, c int64) {
 // DiscardArray is DiscardBlock for every frame of one array — for arrays
 // about to be deleted (a failed or retired query's outputs) or never read
 // again (a finished query's intermediates), where flushing dirty data would
-// be wasted I/O.
+// be wasted I/O. It first waits for the array's in-flight write-backs, so a
+// caller that drops the array from storage next never races one of them.
 func (p *Pool) DiscardArray(array string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	p.awaitWritesLocked(array)
 	for id, f := range p.frames {
 		if id.Array == array && f.loading == nil {
 			p.discardLocked(f)
@@ -583,6 +672,10 @@ type Stats struct {
 	// EvictErr surfaces the sticky eviction write-back failure (empty =
 	// none): daemons see a failing device before a Flush trips over it.
 	EvictErr string
+	// EvictWriteTime and ReleaseWriteTime total the time spent in store
+	// writes of dirty frames by capacity eviction and by ReleaseBlock
+	// (InvalidateArray included); both run with the pool lock released.
+	EvictWriteTime, ReleaseWriteTime time.Duration
 	// Tenants breaks hits, misses, and residency down per tenant label;
 	// acquisitions outside a tenant session land on the anonymous tenant
 	// "". Nil only while the pool is untouched.
@@ -607,6 +700,8 @@ func (p *Pool) Stats() Stats {
 		BytesCached: p.bytes, BytesCap: p.capBytes,
 		PeakBytes: p.peakBytes,
 		Frames:    len(p.frames),
+
+		EvictWriteTime: p.evictWriteTime, ReleaseWriteTime: p.releaseWriteTime,
 	}
 	if p.evictErr != nil {
 		st.EvictErr = p.evictErr.Error()

@@ -304,6 +304,31 @@ func (b *blockingStore) WriteBlock(array string, r, c int64, blk *blas.Matrix) e
 	return b.Backend.WriteBlock(array, r, c, blk)
 }
 
+// setArmed turns the gate on or off for later writes.
+func (b *blockingStore) setArmed(armed bool) {
+	b.mu.Lock()
+	b.armed = armed
+	b.mu.Unlock()
+}
+
+// within runs op while a write-back is parked in the store; an op stuck
+// behind the pool lock releases the store (so the test unwinds) and fails
+// the test.
+func (b *blockingStore) within(t *testing.T, what string, op func() error) {
+	t.Helper()
+	res := make(chan error, 1)
+	go func() { res <- op() }()
+	select {
+	case err := <-res:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		close(b.release)
+		t.Fatalf("%s stalled behind a parked write-back", what)
+	}
+}
+
 // TestReleaseBlockWritebackOutsideLock pins two properties of the release
 // path: the dirty write-back runs without the pool lock held (other pool
 // operations proceed while it is in flight), and a re-Put landing during
@@ -328,9 +353,7 @@ func TestReleaseBlockWritebackOutsideLock(t *testing.T) {
 	}
 	p.Unpin("A", 0, 0, 1)
 
-	bs.mu.Lock()
-	bs.armed = true
-	bs.mu.Unlock()
+	bs.setArmed(true)
 	done := make(chan error, 1)
 	go func() { done <- p.ReleaseBlock("A", 0, 0) }()
 	<-bs.entered // the release's write-back is now parked inside the store
@@ -345,9 +368,7 @@ func TestReleaseBlockWritebackOutsideLock(t *testing.T) {
 	}
 	p.Unpin("A", 0, 0, 1)
 
-	bs.mu.Lock()
-	bs.armed = false
-	bs.mu.Unlock()
+	bs.setArmed(false)
 	close(bs.release)
 	if err := <-done; err != nil {
 		t.Fatal(err)
@@ -426,45 +447,25 @@ func TestInvalidateArrayWritebackOutsideLock(t *testing.T) {
 	}
 	p.Unpin("Out", 0, 0, 1)
 
-	bs.mu.Lock()
-	bs.armed = true
-	bs.mu.Unlock()
+	bs.setArmed(true)
 	done := make(chan error, 1)
 	go func() { done <- p.InvalidateArray("Out") }()
 	<-bs.entered // the write-back is now parked inside the store
 
-	// within runs op while the write-back is parked; an op stuck behind the
-	// pool lock releases the store (so the test unwinds) and fails.
-	within := func(what string, op func() error) {
-		t.Helper()
-		res := make(chan error, 1)
-		go func() { res <- op() }()
-		select {
-		case err := <-res:
-			if err != nil {
-				t.Fatal(err)
-			}
-		case <-time.After(5 * time.Second):
-			close(bs.release)
-			t.Fatalf("%s stalled behind InvalidateArray's write-back", what)
-		}
-	}
-	within("Acquire of another array", func() error {
+	bs.within(t, "Acquire of another array", func() error {
 		_, err := p.Acquire("A", 0, 0)
 		p.Unpin("A", 0, 0, 1)
 		return err
 	})
 	blk2 := blas.NewMatrix(8, 8)
 	blk2.Data[0] = 2
-	within("re-Put of the parked block", func() error {
+	bs.within(t, "re-Put of the parked block", func() error {
 		err := p.Put("Out", 0, 0, blk2)
 		p.Unpin("Out", 0, 0, 1)
 		return err
 	})
 
-	bs.mu.Lock()
-	bs.armed = false
-	bs.mu.Unlock()
+	bs.setArmed(false)
 	close(bs.release)
 	if err := <-done; err != nil {
 		t.Fatal(err)
@@ -602,9 +603,7 @@ func TestConcurrentReleaseWritesOnce(t *testing.T) {
 	p.Unpin("Out", 0, 0, 1)
 	writes := m.Stats().WriteReqs
 
-	bs.mu.Lock()
-	bs.armed = true
-	bs.mu.Unlock()
+	bs.setArmed(true)
 	first, second := make(chan error, 1), make(chan error, 1)
 	go func() { first <- p.ReleaseBlock("Out", 0, 0) }()
 	<-bs.entered // the first write-back is parked inside the store
@@ -674,5 +673,312 @@ func TestEvictErrSurfacedInStats(t *testing.T) {
 	}
 	if got := p.Stats().EvictErr; got != "" {
 		t.Fatalf("Stats.EvictErr = %q after Flush cleared it", got)
+	}
+}
+
+// newGatedPool builds a pool of capBlocks test blocks over a gated store
+// that holds newTestPool's seeded grid "A" and an empty 1x2 grid "Out".
+// It leaves Out[0,0] resident, dirty (value 1) and unpinned: the next
+// victim once the pool goes over capacity.
+func newGatedPool(t *testing.T, capBlocks int64) (*Pool, *storage.Manager, *blockingStore) {
+	t.Helper()
+	_, m := newTestPool(t, 0)
+	if err := m.Create(&prog.Array{Name: "Out", BlockRows: 8, BlockCols: 8, GridRows: 1, GridCols: 2}); err != nil {
+		t.Fatal(err)
+	}
+	bs := &blockingStore{Backend: m, entered: make(chan struct{}), release: make(chan struct{})}
+	p := NewPool(bs, capBlocks*testBlockBytes)
+	blk := blas.NewMatrix(8, 8)
+	blk.Data[0] = 1
+	if err := p.Put("Out", 0, 0, blk); err != nil {
+		t.Fatal(err)
+	}
+	p.Unpin("Out", 0, 0, 1)
+	return p, m, bs
+}
+
+// evictParked arms the gate and acquires A[r,c] on a new goroutine, which
+// pushes the pool over capacity; it returns once that acquisition's
+// eviction write-back of Out[0,0] is parked in the store, with the channel
+// the acquisition reports to.
+func evictParked(p *Pool, bs *blockingStore, r, c int64) chan error {
+	bs.setArmed(true)
+	done := make(chan error, 1)
+	go func() {
+		_, err := p.Acquire("A", r, c)
+		done <- err
+	}()
+	<-bs.entered
+	return done
+}
+
+// TestEvictionWritebackOutsideLock: eviction writes its dirty victim back
+// without the pool lock held. While the write is parked in the store, a hit
+// on another block, an Unpin, a Put, a DiscardBlock and Stats all return,
+// and an Acquire of the victim itself is a hit that reads nothing from the
+// store; re-pinned, the victim stays resident and clean once its write
+// lands.
+func TestEvictionWritebackOutsideLock(t *testing.T) {
+	p, m, bs := newGatedPool(t, 2)
+	if _, err := p.Acquire("A", 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	evicting := evictParked(p, bs, 0, 1)
+	reads := m.Stats().ReadReqs
+
+	bs.within(t, "Acquire hit on another block", func() error {
+		_, err := p.Acquire("A", 0, 0)
+		return err
+	})
+	bs.within(t, "Unpin", func() error {
+		p.Unpin("A", 0, 0, 1)
+		return nil
+	})
+	bs.within(t, "Put", func() error { return p.Put("Out", 0, 1, blas.NewMatrix(8, 8)) })
+	bs.within(t, "DiscardBlock", func() error {
+		p.DiscardBlock("Out", 0, 1)
+		return nil
+	})
+	var hits int64
+	bs.within(t, "Stats", func() error {
+		hits = p.Stats().Hits
+		return nil
+	})
+	var victim *blas.Matrix
+	bs.within(t, "Acquire of the victim", func() error {
+		var err error
+		victim, err = p.Acquire("Out", 0, 0)
+		return err
+	})
+	if victim.Data[0] != 1 {
+		t.Fatalf("victim acquired during its write-back = %g, want 1", victim.Data[0])
+	}
+	if got := p.Stats().Hits - hits; got != 1 {
+		t.Fatalf("Acquire of the victim counted %d hits, want 1", got)
+	}
+	if got := m.Stats().ReadReqs - reads; got != 0 {
+		t.Fatalf("%d store reads while the write-back was parked, want 0", got)
+	}
+
+	bs.setArmed(false)
+	close(bs.release)
+	if err := <-evicting; err != nil {
+		t.Fatal(err)
+	}
+	// Everything left is pinned: the victim was written once and stayed.
+	if st := p.Stats(); st.Writebacks != 1 || st.Evictions != 0 || st.Frames != 4 {
+		t.Fatalf("writebacks=%d evictions=%d frames=%d, want 1, 0, 4", st.Writebacks, st.Evictions, st.Frames)
+	}
+	onDisk, err := m.ReadBlock("Out", 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if onDisk.Data[0] != 1 {
+		t.Fatalf("storage after the write-back = %g, want 1", onDisk.Data[0])
+	}
+}
+
+// TestEvictionWritebackKeepsRePut: a re-Put of the victim while its
+// write-back is parked keeps the frame resident and dirty, so a clean frame
+// is evicted in its place. A Flush started meanwhile waits for the parked
+// write, so the stale value cannot land after the sweep wrote the new one.
+func TestEvictionWritebackKeepsRePut(t *testing.T) {
+	p, m, bs := newGatedPool(t, 2)
+	if _, err := p.Acquire("A", 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	p.Unpin("A", 0, 0, 1) // clean, behind Out[0,0] in the eviction order
+	evicting := evictParked(p, bs, 0, 1)
+	bs.within(t, "re-Put of the victim", func() error {
+		blk := blas.NewMatrix(8, 8)
+		blk.Data[0] = 2
+		if err := p.Put("Out", 0, 0, blk); err != nil {
+			return err
+		}
+		p.Unpin("Out", 0, 0, 1)
+		return nil
+	})
+	bs.setArmed(false)
+	flushed := make(chan error, 1)
+	go func() { flushed <- p.Flush() }()
+	select {
+	case err := <-flushed:
+		close(bs.release)
+		t.Fatalf("Flush returned (%v) while a write-back was in flight", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(bs.release)
+	for _, ch := range []chan error{evicting, flushed} {
+		if err := <-ch; err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The stale write cleaned nothing, so only Flush's counts.
+	if st := p.Stats(); st.Writebacks != 1 || st.Evictions != 1 || st.Frames != 2 {
+		t.Fatalf("writebacks=%d evictions=%d frames=%d, want 1, 1 (A[0,0]), 2", st.Writebacks, st.Evictions, st.Frames)
+	}
+	onDisk, err := m.ReadBlock("Out", 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if onDisk.Data[0] != 2 {
+		t.Fatalf("storage after Flush = %g, want 2 (re-Put lost to the stale write-back)", onDisk.Data[0])
+	}
+}
+
+// TestDiscardArrayWaitsForEvictionWriteback: DiscardArray does not return
+// while a write-back of one of its array's frames is in flight, so the
+// array can be dropped from storage right after it without failing that
+// write into the sticky eviction error.
+func TestDiscardArrayWaitsForEvictionWriteback(t *testing.T) {
+	p, m, bs := newGatedPool(t, 1)
+	evicting := evictParked(p, bs, 0, 0)
+	discarded := make(chan struct{})
+	go func() {
+		p.DiscardArray("Out")
+		close(discarded)
+	}()
+	bs.within(t, "Stats", func() error {
+		p.Stats()
+		return nil
+	})
+	select {
+	case <-discarded:
+		close(bs.release)
+		t.Fatal("DiscardArray returned while its array's write-back was in flight")
+	case <-time.After(100 * time.Millisecond):
+	}
+	bs.setArmed(false)
+	close(bs.release)
+	if err := <-evicting; err != nil {
+		t.Fatal(err)
+	}
+	<-discarded
+	if err := m.Drop("Out", true); err != nil {
+		t.Fatal(err)
+	}
+	if st := p.Stats(); st.EvictErr != "" || st.Frames != 1 {
+		t.Fatalf("EvictErr=%q frames=%d, want none and A[0,0] only", st.EvictErr, st.Frames)
+	}
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestEvictionWritebackFailureKeepsData: an unlocked eviction write-back
+// that fails leaves the victim resident and dirty with its data, and
+// reports the failure through Stats.EvictErr; the acquisition that
+// triggered it still succeeds.
+func TestEvictionWritebackFailureKeepsData(t *testing.T) {
+	p, m, bs := newGatedPool(t, 1)
+	evicting := evictParked(p, bs, 0, 0)
+	// The victim's array vanishes from storage while its write is parked.
+	if err := m.Drop("Out", true); err != nil {
+		t.Fatal(err)
+	}
+	bs.within(t, "Stats", func() error {
+		p.Stats()
+		return nil
+	})
+	bs.setArmed(false)
+	close(bs.release)
+	if err := <-evicting; err != nil {
+		t.Fatal(err)
+	}
+	st := p.Stats()
+	if st.EvictErr == "" {
+		t.Fatal("Stats.EvictErr empty after a failed eviction write-back")
+	}
+	if st.Frames != 2 || st.Evictions != 0 || st.Writebacks != 0 {
+		t.Fatalf("frames=%d evictions=%d writebacks=%d, want the victim kept: 2, 0, 0", st.Frames, st.Evictions, st.Writebacks)
+	}
+	reads := m.Stats().ReadReqs
+	blk, err := p.Acquire("Out", 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if blk.Data[0] != 1 || m.Stats().ReadReqs != reads {
+		t.Fatalf("victim after the failed write-back = %g read from the store %d times, want 1 from the pool",
+			blk.Data[0], m.Stats().ReadReqs-reads)
+	}
+}
+
+// TestConcurrentEvictionKeepsLatestValues drives a pool far smaller than
+// its working set from several goroutines at once, so eviction write-backs
+// run unlocked while other goroutines re-Put, acquire and release the same
+// blocks. Each goroutine owns one row of blocks: every Acquire must see
+// the row's latest Put, and after Flush so must the store.
+func TestConcurrentEvictionKeepsLatestValues(t *testing.T) {
+	const rows, cols, iters = 8, 4, 40
+	m, err := storage.NewManager(t.TempDir(), storage.FormatDAF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { m.Close() })
+	if err := m.Create(&prog.Array{Name: "W", BlockRows: 8, BlockCols: 8, GridRows: rows, GridCols: cols}); err != nil {
+		t.Fatal(err)
+	}
+	p := NewPool(m, 4*testBlockBytes)
+	var wg sync.WaitGroup
+	errs := make(chan error, rows)
+	for g := int64(0); g < rows; g++ {
+		wg.Add(1)
+		go func(g int64) {
+			defer wg.Done()
+			for it := 0; it < iters; it++ {
+				want := float64(g*1000) + float64(it)
+				for c := int64(0); c < cols; c++ {
+					blk := blas.NewMatrix(8, 8)
+					blk.Data[0] = want
+					if err := p.Put("W", g, c, blk); err != nil {
+						errs <- err
+						return
+					}
+					p.Unpin("W", g, c, 1)
+				}
+				for c := int64(0); c < cols; c++ {
+					blk, err := p.Acquire("W", g, c)
+					if err != nil {
+						errs <- err
+						return
+					}
+					p.Unpin("W", g, c, 1)
+					if blk.Data[0] != want {
+						errs <- fmt.Errorf("W[%d,%d] = %g after Put %g", g, c, blk.Data[0], want)
+						return
+					}
+					if it%8 == 7 {
+						if err := p.ReleaseBlock("W", g, c); err != nil {
+							errs <- err
+							return
+						}
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	st := p.Stats()
+	if st.PinnedFrames != 0 || st.BytesCached > st.BytesCap || st.EvictErr != "" {
+		t.Fatalf("pinned=%d bytes=%d cap=%d evictErr=%q, want 0 pinned, bytes within the capacity, no error",
+			st.PinnedFrames, st.BytesCached, st.BytesCap, st.EvictErr)
+	}
+	for g := int64(0); g < rows; g++ {
+		for c := int64(0); c < cols; c++ {
+			onDisk, err := m.ReadBlock("W", g, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := float64(g*1000 + iters - 1); onDisk.Data[0] != want {
+				t.Fatalf("store W[%d,%d] = %g after Flush, want %g", g, c, onDisk.Data[0], want)
+			}
+		}
 	}
 }

@@ -29,11 +29,17 @@
 //
 // # History
 //
-// PR 9's ReleaseBlock stall: the buffer pool wrote an evicted dirty
-// block back to the store while still holding the pool mutex, stalling
-// every concurrent acquire behind one device write. The fix moved the
-// write-back outside the critical section; this analyzer makes the fix
-// a build invariant.
+// The streaming ReleaseBlock stall: the buffer pool wrote a retired
+// dirty block back to the store while still holding the pool mutex,
+// stalling every concurrent acquire behind one device write. The fix
+// moved the write-back outside the critical section; this analyzer
+// makes the fix a build invariant. Capacity eviction kept its
+// write-back under the lock as an annotated exception until it too
+// moved out, since on a replicated remote store every victim held the
+// pool mutex across two network writes. Eviction now takes the mutex
+// itself and releases it around each victim's write, the shape the
+// fixture's evictToCap records; the same loop in a *Locked function
+// stays flagged.
 package lockio
 
 import (

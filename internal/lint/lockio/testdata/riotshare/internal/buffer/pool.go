@@ -40,6 +40,39 @@ func (p *Pool) ReleaseBlock(key string) error {
 	return p.store.WriteBlock(key, 0, 0, data)
 }
 
+// evictToCap is the pool's eviction shape: it takes the mutex itself
+// and releases it around each victim's write-back, so every unlock is
+// on this function's timeline.
+func (p *Pool) evictToCap() {
+	p.mu.Lock()
+	for key, data, ok := p.victimLocked(); ok; key, data, ok = p.victimLocked() {
+		p.mu.Unlock()
+		_ = p.store.WriteBlock(key, 0, 0, data)
+		p.mu.Lock()
+	}
+	p.mu.Unlock()
+}
+
+// evictToCapLocked is the same loop run under its caller's lock: the
+// unlock releases p.mu, which the analyzer cannot tie to the caller's
+// lock, so the write is still I/O under a lock.
+func (p *Pool) evictToCapLocked() {
+	for key, data, ok := p.victimLocked(); ok; key, data, ok = p.victimLocked() {
+		p.mu.Unlock()
+		_ = p.store.WriteBlock(key, 0, 0, data) // want `storage block I/O \(WriteBlock\) while the caller's lock is held`
+		p.mu.Lock()
+	}
+}
+
+// victimLocked takes one dirty block out of the pool.
+func (p *Pool) victimLocked() (string, []byte, bool) {
+	for key, data := range p.dirty {
+		delete(p.dirty, key)
+		return key, data, true
+	}
+	return "", nil, false
+}
+
 // Fill reads while holding the lock: reads stall the pool just like
 // writes.
 func (p *Pool) Fill(key string) error {

@@ -73,6 +73,9 @@ func (st *Stats) emit(e *telemetry.Emit) {
 	e.Counter("riotshare_pool_evictions_total", "Frames evicted by the replacement policy.", n(p.Evictions))
 	e.Counter("riotshare_pool_writebacks_total", "Dirty frames written back to storage.", n(p.Writebacks))
 	e.Counter("riotshare_pool_discards_total", "Dirty frames dropped without write-back.", n(p.Discards))
+	const writebackHelp = "Time spent writing dirty frames back to storage, by path (eviction or release)."
+	e.Counter("riotshare_pool_writeback_seconds_total", writebackHelp, p.EvictWriteTime.Seconds(), telemetry.L("path", "evict"))
+	e.Counter("riotshare_pool_writeback_seconds_total", writebackHelp, p.ReleaseWriteTime.Seconds(), telemetry.L("path", "release"))
 	e.Gauge("riotshare_pool_bytes_cached", "Bytes currently resident in the pool.", n(p.BytesCached))
 	e.Gauge("riotshare_pool_bytes_cap", "Pool soft byte capacity.", n(p.BytesCap))
 	e.Gauge("riotshare_pool_frames", "Resident frames in the pool.", float64(p.Frames))

@@ -490,6 +490,9 @@ func TestMetricsRenderStats(t *testing.T) {
 		"riotshare_pool_pinned_frames":    float64(st.Pool.PinnedFrames),
 		"riotshare_pool_hit_rate":         st.Pool.HitRate(),
 
+		`riotshare_pool_writeback_seconds_total{path="evict"}`:   st.Pool.EvictWriteTime.Seconds(),
+		`riotshare_pool_writeback_seconds_total{path="release"}`: st.Pool.ReleaseWriteTime.Seconds(),
+
 		"riotshare_store_read_reqs_total":   n(st.Store.ReadReqs),
 		"riotshare_store_read_bytes_total":  n(st.Store.ReadBytes),
 		"riotshare_store_write_reqs_total":  n(st.Store.WriteReqs),
