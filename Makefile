@@ -17,8 +17,11 @@ test:
 # ownership, failure-path pin release and admission order in exec, buffer
 # and govern; read coalescing and concurrent reads and writes in storage;
 # fairness, queue-wait stats, the tenant-label bound, result fetch from the
-# pool, streamed tenant attribution, streamed blocks against the whole
-# fetch, a drop-retained stream waiting for its query, the write-once plan
+# pool, output sums taken by the final-write hook on DAG workers (against
+# the stored output, across schedules, pools, stores and streams, and the
+# read-back of a block no event writes), streamed tenant attribution,
+# streamed blocks against the whole fetch, a drop-retained stream waiting
+# for its query, the write-once plan
 # cache, one program shape filled once for fills at eight sizes, Close
 # stopping an in-flight plan fill, a budgeted fill ending at its budget
 # (in its search, and in the analysis of a 64-statement chain), lookups
@@ -27,7 +30,8 @@ test:
 # server; every plan of one analysis lowered from several goroutines at
 # once, with each share's instance pairs enumerated once for all of them,
 # in codegen; concurrent and sharded reads and writes through remote
-# shards in blockd. The storage and stream tests drive the read-coalescing and
+# shards, and the remote client's write-lock wait and pending depth under
+# concurrent requests, in blockd. The storage and stream tests drive the read-coalescing and
 # stream-readiness maps, which are shared between goroutines; the blockd
 # tests drive the pipelined remote-shard client, whose requests and
 # replies encode and decode blocks on many connections at once.
@@ -35,9 +39,9 @@ test-race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -count=5 ./internal/exec/ ./internal/buffer/ ./internal/govern/
 	$(GO) test -race -count=5 -run 'TestCoalescedReadsShareOneRequest|TestConcurrentReadWrite' ./internal/storage/
-	$(GO) test -race -count=5 -run 'Fairness|QueueWait|TenantLabel|ResultFetch|StreamAttributesTenant|TestStreamedResultsMatchWholeFetch|TestStreamRetainDropWaitsForQuery|PlanCacheConcurrentMiss|PlanShapeConcurrentSizes|CloseStopsPlanFill|BudgetedLongChain|BudgetedAnalysisEnds|RetirementRacesLookups|MetricsRenderStats|StatsRegistersNoSeries' ./internal/server/
+	$(GO) test -race -count=5 -run 'Fairness|QueueWait|TenantLabel|ResultFetch|OutputSum|StreamAttributesTenant|TestStreamedResultsMatchWholeFetch|TestStreamRetainDropWaitsForQuery|PlanCacheConcurrentMiss|PlanShapeConcurrentSizes|CloseStopsPlanFill|BudgetedLongChain|BudgetedAnalysisEnds|RetirementRacesLookups|MetricsRenderStats|StatsRegistersNoSeries' ./internal/server/
 	$(GO) test -race -count=5 -run 'TestLowerConcurrentEnumeratesSharesOnce' ./internal/codegen/
-	$(GO) test -race -count=5 -run 'TestRemoteShardConcurrent|TestRemoteShardedMatchesLocalDirs|TestMixedLocalRemoteShards' ./internal/blockd/
+	$(GO) test -race -count=5 -run 'TestRemoteShardConcurrent|TestRemoteShardedMatchesLocalDirs|TestMixedLocalRemoteShards|TestRemoteWriteLockWaitAndPendingDepth' ./internal/blockd/
 
 # Full suite, including the ~80s linear-regression plan-space search.
 test-full:

@@ -251,9 +251,9 @@ func client(sub string, fs *flag.FlagSet, args []string) error {
 
 // streamResults consumes GET /results/stream, decoding
 // the blockproto frames as they arrive and printing one summary line
-// per output array. Sums accumulate in frame-arrival order — blocks
-// row-major across the grid, elements row-major within each block —
-// which is exactly the order the server sums for OutputInfo.Sum, so
+// per output array. Each block's elements are summed row-major from 0
+// and the block sums added in frame-arrival order (blocks row-major
+// across the grid) — exactly the two-level fold of OutputInfo.Sum — so
 // the printed sum is bit-identical to the "sum" field of a whole
 // /results fetch (both are rendered through encoding/json).
 func streamResults(addr, id string) error {
@@ -305,9 +305,11 @@ func streamResults(addr, id string) error {
 			}
 			a.blocks++
 			a.bytes += int64(len(blk.Data)) * 8
+			blkSum := 0.0
 			for _, v := range blk.Data {
-				a.sum += v
+				blkSum += v
 			}
+			a.sum += blkSum
 		case server.StreamFrameEnd:
 			arrays, blocks := d.U32(), d.U32()
 			total := d.I64()

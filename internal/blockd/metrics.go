@@ -26,8 +26,8 @@ var opNames = map[byte]string{
 // initMetrics builds the server's registry: per-op latency histograms
 // and error counters (pre-registered so the serve path never takes
 // the registry's registration lock), plus a collector over the error
-// counters, the manager's physical I/O counters and the live
-// connection count.
+// counters, the manager's physical I/O counters, the live connection
+// count and the process's CPU, allocation and GC counters.
 func (s *Server) initMetrics() {
 	s.reg = telemetry.New()
 	s.opLat = make(map[byte]*telemetry.Histogram, len(opNames))
@@ -51,6 +51,7 @@ func (s *Server) initMetrics() {
 		conns := len(s.conns)
 		s.mu.Unlock()
 		e.Gauge("riotblockd_connections", "Currently open client connections.", float64(conns))
+		telemetry.ReadProcess().Emit(e, "riotblockd")
 	})
 }
 

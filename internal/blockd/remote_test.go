@@ -276,13 +276,17 @@ func TestMixedLocalRemoteShards(t *testing.T) {
 
 // stallProxy stalls its first N accepted connections (reads requests,
 // never answers — the timeout case), then transparently forwards later
-// connections to target. It counts every connection it accepts.
+// connections to target. It counts every connection it accepts. With hold
+// set, a stalled connection is not even read, so a client's writes back up
+// once the socket buffers fill.
 type stallProxy struct {
 	ln       net.Listener
 	target   string
 	mu       sync.Mutex
 	stall    int
 	accepted int
+	hold     bool
+	held     []net.Conn
 }
 
 // accepts returns how many connections the proxy has accepted.
@@ -299,8 +303,25 @@ func newStallProxy(t *testing.T, target string, stallConns int) *stallProxy {
 		t.Fatal(err)
 	}
 	p := &stallProxy{ln: ln, target: target, stall: stallConns}
-	t.Cleanup(func() { ln.Close() })
+	t.Cleanup(func() {
+		ln.Close()
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		for _, c := range p.held {
+			c.Close()
+		}
+	})
 	go p.run()
+	return p
+}
+
+// newHoldProxy is a stallProxy whose every connection is held unread.
+func newHoldProxy(t *testing.T) *stallProxy {
+	t.Helper()
+	p := newStallProxy(t, "", 1<<30)
+	p.mu.Lock()
+	p.hold = true
+	p.mu.Unlock()
 	return p
 }
 
@@ -315,6 +336,11 @@ func (p *stallProxy) run() {
 		stall := p.stall > 0
 		if stall {
 			p.stall--
+		}
+		if stall && p.hold {
+			p.held = append(p.held, conn)
+			p.mu.Unlock()
+			continue
 		}
 		p.mu.Unlock()
 		if stall {
@@ -397,6 +423,92 @@ func TestRemoteExhaustedRetriesAreUnavailable(t *testing.T) {
 	defer rs.Close()
 	if err := rs.Ping(); !errors.Is(err, storage.ErrShardUnavailable) {
 		t.Fatalf("exhausted retries classified as %v, want ErrShardUnavailable", err)
+	}
+}
+
+// answerOnce serves one connection that answers its first request OK and
+// then reads every later one without answering; it returns its address.
+func answerOnce(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		if _, _, _, err := blockproto.ReadFrame(conn); err != nil {
+			return
+		}
+		if blockproto.WriteFrame(conn, blockproto.StatusOK, nil) != nil {
+			return
+		}
+		io.Copy(io.Discard, conn)
+	}()
+	return ln.Addr().String()
+}
+
+// A connection's write-lock wait counts only contention, and its pending
+// depth only requests written and not yet answered. Requests issued one
+// after another never wait and queue one deep. Concurrent requests to a
+// server that never answers all queue on the one connection. Concurrent
+// block writes to a server that stops reading wait for the write lock: the
+// first request's frame is stuck in the full socket until its write
+// deadline, holding the lock, while the others wait for it.
+func TestRemoteWriteLockWaitAndPendingDepth(t *testing.T) {
+	srv := startServer(t, t.TempDir())
+	opt := storage.RemoteOptions{PoolSize: 1, OpTimeout: 500 * time.Millisecond, Retries: -1}
+	rs := storage.NewRemoteShard(srv.Addr(), opt)
+	defer rs.Close()
+	for i := 0; i < 5; i++ {
+		if err := rs.Ping(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := rs.RemoteStats(); st.WriteLockWait != 0 || st.PendingMax != 1 {
+		t.Errorf("sequential pings: write-lock wait %v, pending max %d; want 0 and 1", st.WriteLockWait, st.PendingMax)
+	}
+
+	// concurrently runs n calls of op released together and waits for them.
+	concurrently := func(n int, op func()) {
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				op()
+			}()
+		}
+		close(start)
+		wg.Wait()
+	}
+
+	const callers = 4
+	quiet := storage.NewRemoteShard(answerOnce(t), opt)
+	defer quiet.Close()
+	if err := quiet.Ping(); err != nil { // dials the one connection
+		t.Fatal(err)
+	}
+	concurrently(callers, func() { _ = quiet.Ping() }) // each times out
+	if st := quiet.RemoteStats(); st.PendingMax != callers {
+		t.Errorf("%d concurrent unanswered pings: pending max %d, want %d", callers, st.PendingMax, callers)
+	}
+
+	held := newHoldProxy(t)
+	opt.OpTimeout = 200 * time.Millisecond
+	stuck := storage.NewRemoteShard(held.ln.Addr().String(), opt)
+	defer stuck.Close()
+	// 6 MiB per frame, past what the loopback socket buffers hold unread.
+	blk := blas.NewMatrix(768, 1024)
+	concurrently(3, func() { _ = stuck.WriteBlock("A", 0, 0, blk) }) // each fails
+	if st := stuck.RemoteStats(); st.WriteLockWait <= 0 {
+		t.Errorf("concurrent writes to a server that stopped reading: write-lock wait %v, want > 0", st.WriteLockWait)
 	}
 }
 

@@ -98,14 +98,17 @@ type Engine struct {
 	// right after the block's final write reaches the run's BlockPool —
 	// from that moment an Acquire through the same pool returns its final
 	// value, even while later pipeline stages still run (WAW and dataflow
-	// edges order every earlier write before the final one). With a
-	// buffer pool the write is a deferred dirty install, not yet durable
-	// in the store; without one it is the store write itself. The
-	// multi-query server uses it to begin streaming finished output
-	// blocks early. Calls may come from worker goroutines; the callback
-	// must be cheap and safe for concurrent use. Blocks whose last write
-	// is memory-only (transient state) produce no call.
-	OnBlockWritten func(array string, r, c int64)
+	// edges order every earlier write before the final one). blk is that
+	// final value, borrowed for the duration of the call: the callback
+	// may read it but must neither write it nor keep it. With a buffer
+	// pool the write is a deferred dirty install, not yet durable in the
+	// store; without one it is the store write itself. The multi-query
+	// server uses it to sum each output block and to begin streaming
+	// finished output blocks early. Calls may come from worker
+	// goroutines; the callback must be cheap and safe for concurrent use.
+	// Blocks whose last write is memory-only (transient state) produce no
+	// call.
+	OnBlockWritten func(id prog.BlockID, blk *blas.Matrix)
 	// OnBlockDead, when non-nil, is invoked once per block of a transient
 	// array after the last event touching it has completed and released
 	// its pins: the run will neither Acquire nor Put the block again, so
@@ -178,7 +181,7 @@ func (e *Engine) RunOptions(tl *codegen.Timeline, opt Options) (Result, error) {
 		return res, err
 	}
 	if e.OnBlockWritten != nil {
-		rs.finalize = finalWrites(sets)
+		rs.final = finalWrites(sets)
 	}
 	if e.OnBlockDead != nil {
 		rs.dying = transientTouches(tl.Prog, sets)
@@ -238,9 +241,9 @@ type runState struct {
 	// id (Start <= i <= End and event i touches the block); nil map when
 	// event i covers nothing.
 	cover []map[prog.BlockID]*ivState
-	// finalize[i] lists blocks whose final physical write is event i
-	// (nil when the engine has no OnBlockWritten callback).
-	finalize [][]prog.BlockID
+	// final[i] reports that event i makes the final physical write of the
+	// block it writes (nil when the engine has no OnBlockWritten callback).
+	final []bool
 	// dying[i] lists event i's accesses of transient blocks, each with its
 	// block's countdown (nil when the engine has no OnBlockDead callback).
 	dying [][]*countdown
@@ -479,26 +482,24 @@ func (rs *runState) execEvent(i int) (err error) {
 	}
 	rs.mu.Unlock()
 
-	// Announce blocks whose final physical write was this event. Every
+	// Announce the block whose final physical write was this event. Every
 	// earlier write of the block is ordered before it (timeline order, or
-	// the DAG's WAW and dataflow edges), so the value observed through
-	// Pool/Store from here on is final.
-	if rs.finalize != nil {
-		for _, id := range rs.finalize[i] {
-			rs.e.OnBlockWritten(id.Array, id.R, id.C)
-		}
+	// the DAG's WAW and dataflow edges), so outBlk, and the value observed
+	// through Pool/Store from here on, is final.
+	if rs.final != nil && rs.final[i] {
+		rs.e.OnBlockWritten(writeBA.Block, outBlk)
 	}
 	return nil
 }
 
-// finalWrites maps each event index to the blocks whose final write the
-// event performs and persists (the last write access of the block across
-// the whole timeline, with action DoIO — through the pool that is a
-// deferred dirty install, directly it is the disk write itself). After
-// such an event completes, the block's value is final and readable;
-// execEvent drives Engine.OnBlockWritten off these lists. Blocks whose
-// last write stays memory-only are omitted.
-func finalWrites(sets [][]codegen.BlockAccess) [][]prog.BlockID {
+// finalWrites marks each event that performs and persists the final write
+// of the block it writes (the last write access of the block across the
+// whole timeline, with action DoIO — through the pool that is a deferred
+// dirty install, directly it is the disk write itself). After such an event
+// completes, the block's value is final and readable; execEvent drives
+// Engine.OnBlockWritten off these marks. An event writes at most one block
+// (§4.1). Blocks whose last write stays memory-only are left unmarked.
+func finalWrites(sets [][]codegen.BlockAccess) []bool {
 	type lastWrite struct {
 		event int
 		doIO  bool
@@ -511,11 +512,9 @@ func finalWrites(sets [][]codegen.BlockAccess) [][]prog.BlockID {
 			}
 		}
 	}
-	out := make([][]prog.BlockID, len(sets))
-	for id, lw := range last {
-		if lw.doIO {
-			out[lw.event] = append(out[lw.event], id)
-		}
+	out := make([]bool, len(sets))
+	for _, lw := range last {
+		out[lw.event] = lw.doIO
 	}
 	return out
 }

@@ -78,8 +78,9 @@ func eachViolation(dep *deps.CoAccess, sch *prog.Schedule, np int, f func(*polyh
 
 // VerifyConcrete checks legality at the instance level for the program's
 // bound parameters: it enumerates every dependence pair and compares actual
-// schedule times. Used by tests and the execution engine as a second,
-// enumeration-based line of defence.
+// schedule times. The scheduler's and core's tests use it as a second,
+// enumeration-based check on the symbolic legality test; no serving or
+// execution path calls it.
 func (s *Searcher) VerifyConcrete(sch *prog.Schedule) error {
 	params := s.Prog.ParamValues()
 	for _, dep := range s.An.Deps {

@@ -65,6 +65,8 @@ func (st *Stats) emit(e *telemetry.Emit) {
 	e.Counter("riotshare_input_fills_skipped_total", "Shared inputs served from the persisted catalog.", n(st.InputFillsSkipped))
 	e.Counter("riotshare_prefetch_issued_total", "Prefetchable reads issued ahead of use by the async prefetcher.", n(st.PrefetchIssued))
 	e.Counter("riotshare_prefetch_inline_total", "Prefetchable reads a consumer claimed inline (prefetch too late).", n(st.PrefetchInline))
+	e.Counter("riotshare_result_read_blocks_total", "Output blocks the result summary read back because no final write summed them.", n(st.ResultReadBlocks))
+	st.Process.Emit(e, "riotshare")
 
 	p := &st.Pool
 	e.Counter("riotshare_pool_hits_total", "Pool acquisitions served from cache.", n(p.Hits))
@@ -111,6 +113,9 @@ func (st *Stats) emit(e *telemetry.Emit) {
 			e.Counter("riotshare_remote_dials_total", "TCP connections established to riotblockd servers.", n(r.Dials), lbl, addr)
 			e.Counter("riotshare_remote_retries_total", "Remote attempts re-issued after a transient failure.", n(r.Retries), lbl, addr)
 			e.Counter("riotshare_remote_timeouts_total", "Remote attempts that exceeded the op timeout.", n(r.Timeouts), lbl, addr)
+			e.Counter("riotshare_remote_write_lock_wait_seconds_total",
+				"Time requests waited for a connection's write lock while another request was being written.", r.WriteLockWait.Seconds(), lbl, addr)
+			e.Gauge("riotshare_remote_pending_max", "Deepest queue of requests awaiting replies seen on one connection.", n(r.PendingMax), lbl, addr)
 		}
 	}
 

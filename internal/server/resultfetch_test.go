@@ -101,17 +101,7 @@ func TestResultFetchReadsNothingBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum := 0.0 // block row-major, elements row-major: collectOutputs' order
-	for br := 0; br < e.GridRows; br++ {
-		for bc := 0; bc < e.GridCols; bc++ {
-			for r := 0; r < e.BlockRows; r++ {
-				for c := 0; c < e.BlockCols; c++ {
-					sum += full.At(br*e.BlockRows+r, bc*e.BlockCols+c)
-				}
-			}
-		}
-	}
-	if st.Outputs[0].Sum != sum {
+	if sum := twoLevelSum(full, e); st.Outputs[0].Sum != sum {
 		t.Errorf("OutputInfo.Sum = %v, want the stored output's sum %v", st.Outputs[0].Sum, sum)
 	}
 }

@@ -171,11 +171,15 @@ const (
 type OutputInfo struct {
 	// Array is the program's name for the output; Physical is the
 	// namespaced on-disk array ("q3.E") it was written to.
-	Array    string  `json:"array"`
-	Physical string  `json:"physical"`
-	Rows     int     `json:"rows"`
-	Cols     int     `json:"cols"`
-	Sum      float64 `json:"sum"` // element sum, a cheap cross-check
+	Array    string `json:"array"`
+	Physical string `json:"physical"`
+	Rows     int    `json:"rows"`
+	Cols     int    `json:"cols"`
+	// Sum is a cheap cross-check of the output's values: each block's
+	// elements summed in row-major order from 0, and those block sums
+	// added in row-major block order (collectOutputs). It is
+	// bit-identical under every schedule, pool and store.
+	Sum float64 `json:"sum"`
 }
 
 // QueryStatus is a point-in-time snapshot of one query.
@@ -280,6 +284,15 @@ type Stats struct {
 	// summed over every execution).
 	PrefetchIssued int64 `json:"prefetchIssued"`
 	PrefetchInline int64 `json:"prefetchInline"`
+	// ResultReadBlocks counts the output blocks the result summary read
+	// back from the store because no final write summed them (a block no
+	// event writes). Exec's final-write hook sums every other output
+	// block, so it is 0 while every output is fully written.
+	ResultReadBlocks int64 `json:"resultReadBlocks"`
+
+	// Process is the daemon process's CPU time, allocation and GC
+	// counters; in-process block servers and clients count toward it.
+	Process telemetry.Process `json:"process"`
 
 	// Streams reports the streamed result delivery path (/results/stream):
 	// active streams, finished ones by outcome, and delivered totals.
@@ -372,6 +385,7 @@ type Server struct {
 	// Counters the server increments itself, read by Stats.
 	slowQueries                    atomic.Int64
 	prefetchIssued, prefetchInline atomic.Int64
+	resultReadBlocks               atomic.Int64
 	// Streamed result delivery (stream.go), read into Stats.Streams.
 	streamsActive                                atomic.Int64
 	streamedBlocks, streamedBytes                atomic.Int64
@@ -831,13 +845,18 @@ func (s *Server) runQuery(q *query) (retErr error) {
 	// The output namespace exists: streams may start resolving blocks.
 	q.stream.noteAlias()
 	sess := s.pool.TenantSession(q.tenant, alias)
+	sums := newOutputSums(q.prog, alias)
 	eng := &exec.Engine{
 		Model:       disk.PaperModel(),
 		MemCapBytes: q.req.MemCapMB << 20,
 		Pool:        sess,
-		// Early streamed delivery: each output block's final write wakes
-		// any /results/stream waiting on it.
-		OnBlockWritten: q.stream.noteBlock,
+		// Each output block's final write is summed while exec still
+		// holds it, then wakes any /results/stream waiting on it (early
+		// streamed delivery).
+		OnBlockWritten: func(id prog.BlockID, blk *blas.Matrix) {
+			sums.note(id, blk)
+			q.stream.noteBlock(id)
+		},
 		// An intermediate block past its last use leaves the pool
 		// unwritten.
 		OnBlockDead: sess.DiscardBlock,
@@ -850,23 +869,24 @@ func (s *Server) runQuery(q *query) (retErr error) {
 		s.dropOutputs(q) // partial outputs are garbage; reclaim frames + stores
 		return err
 	}
-	// Summarize the outputs from the pool, where they still are, then make
-	// them durable — each output block is written once — and retire the
-	// query's private frames so they stop competing with shared inputs for
-	// pool capacity; intermediates are dropped unwritten. Targeted
-	// invalidation only: a global flush would write back other running
-	// queries' dirty accumulator frames.
+	// Make the outputs durable — each output block is written once — and
+	// retire the query's private frames so they stop competing with shared
+	// inputs for pool capacity; intermediates are dropped unwritten.
+	// Targeted invalidation only: a global flush would write back other
+	// running queries' dirty accumulator frames. Then summarize the outputs
+	// from the sums their final writes left; a block no event wrote is
+	// read from the store, where it now reads as it will for any client.
 	sp = root.Child("result-fetch")
-	outs, err := s.collectOutputs(q, sess)
 	for name, phys := range alias {
-		if err != nil {
-			break
-		}
 		if q.prog.Arrays[name].Transient {
 			s.pool.DiscardArray(phys)
-		} else {
-			err = s.pool.InvalidateArray(phys)
+		} else if err = s.pool.InvalidateArray(phys); err != nil {
+			break
 		}
+	}
+	var outs []OutputInfo
+	if err == nil {
+		outs, err = s.collectOutputs(q, sess, sums)
 	}
 	sp.End()
 	if err != nil {
@@ -1089,17 +1109,65 @@ func FillInput(m storage.Backend, arr *prog.Array, seed int64) error {
 	return nil
 }
 
-// collectOutputs summarizes the query's persistent outputs one block at a
-// time — never materializing a full output matrix, so the server's
-// resident memory stays bounded by one block regardless of result size
-// (the same discipline the streamed delivery path follows). Blocks come
-// through the query's own pool session: a block still resident from
-// execution is a hit, and one already evicted (or released by a stream) is
-// read from the store without being installed again. The summation order
-// (row-major blocks, row-major elements within each block) matches the
-// streamed frame order, so a streaming client accumulating in arrival order
-// reproduces Sum bit for bit.
-func (s *Server) collectOutputs(q *query, sess *buffer.Session) ([]OutputInfo, error) {
+// outputSums holds, per persistent output array of one running query, one
+// slot per block: the block's row-major element sum, taken by exec's
+// final-write hook while the block's final value is still in hand. Each
+// slot is written once, by the worker that made the block's final write;
+// collectOutputs reads them after the run has joined its workers. The map
+// itself is built before the run and only read during it.
+type outputSums map[string]*blockSums
+
+// blockSums is one array's slots, row-major over its block grid; set marks
+// the slots a final write filled.
+type blockSums struct {
+	gridCols int64
+	sum      []float64
+	set      []bool
+}
+
+// newOutputSums allocates the slots of every persistent array the query
+// writes (alias's keys).
+func newOutputSums(p *prog.Program, alias map[string]string) outputSums {
+	sums := make(outputSums)
+	for name := range alias {
+		arr := p.Arrays[name]
+		if arr == nil || arr.Transient {
+			continue
+		}
+		n := arr.GridRows * arr.GridCols
+		sums[name] = &blockSums{gridCols: int64(arr.GridCols), sum: make([]float64, n), set: make([]bool, n)}
+	}
+	return sums
+}
+
+// note fills the slot of a block whose final write produced blk; blocks of
+// transient arrays have no slot.
+func (o outputSums) note(id prog.BlockID, blk *blas.Matrix) {
+	if bs := o[id.Array]; bs != nil {
+		i := id.R*bs.gridCols + id.C
+		bs.sum[i], bs.set[i] = blockSum(blk), true
+	}
+}
+
+// blockSum is a block's elements summed in row-major order from 0.
+func blockSum(blk *blas.Matrix) float64 {
+	s := 0.0
+	for _, v := range blk.Data {
+		s += v
+	}
+	return s
+}
+
+// collectOutputs summarizes the query's persistent outputs. An output's
+// Sum is the sum, in row-major block order, of each block's own row-major
+// element sum (blockSum): a two-level fold whose per-block terms exec's
+// final-write hook leaves in sums, so the summary reads nothing back and
+// its value is the same under every schedule. A block whose slot no final
+// write filled (the program never writes it) is read through the query's
+// pool session, which does not install it again, and counted in
+// Stats.ResultReadBlocks. A streaming client that sums each block frame
+// and adds the block sums in arrival order reproduces Sum bit for bit.
+func (s *Server) collectOutputs(q *query, sess *buffer.Session, sums outputSums) ([]OutputInfo, error) {
 	names := make([]string, 0, len(q.alias))
 	for name := range q.alias {
 		names = append(names, name)
@@ -1111,16 +1179,20 @@ func (s *Server) collectOutputs(q *query, sess *buffer.Session) ([]OutputInfo, e
 		if arr == nil || arr.Transient {
 			continue
 		}
+		bs := sums[name]
 		sum := 0.0
 		for br := int64(0); br < int64(arr.GridRows); br++ {
 			for bc := int64(0); bc < int64(arr.GridCols); bc++ {
+				if i := br*bs.gridCols + bc; bs.set[i] {
+					sum += bs.sum[i]
+					continue
+				}
 				blk, err := sess.Read(name, br, bc)
 				if err != nil {
 					return nil, err
 				}
-				for _, v := range blk.Data {
-					sum += v
-				}
+				s.resultReadBlocks.Add(1)
+				sum += blockSum(blk)
 			}
 		}
 		outs = append(outs, OutputInfo{
@@ -1182,6 +1254,8 @@ func (s *Server) Stats() Stats {
 		SlowQueries:        s.slowQueries.Load(),
 		PrefetchIssued:     s.prefetchIssued.Load(),
 		PrefetchInline:     s.prefetchInline.Load(),
+		ResultReadBlocks:   s.resultReadBlocks.Load(),
+		Process:            telemetry.ReadProcess(),
 		Streams: StreamStats{
 			Active:    int(s.streamsActive.Load()),
 			Completed: s.streamsDone.Load(),

@@ -100,11 +100,11 @@ func (st *streamState) signalLocked() {
 	st.changed = make(chan struct{})
 }
 
-// noteBlock marks one logical block's final write complete (the exec
-// OnBlockWritten callback, possibly from a worker goroutine).
-func (st *streamState) noteBlock(array string, r, c int64) {
+// noteBlock marks one logical block's final write complete (from the exec
+// OnBlockWritten callback, possibly on a worker goroutine).
+func (st *streamState) noteBlock(id prog.BlockID) {
 	st.mu.Lock()
-	st.ready[prog.BlockID{Array: array, R: r, C: c}] = true
+	st.ready[id] = true
 	st.signalLocked()
 	st.mu.Unlock()
 }

@@ -20,8 +20,8 @@ import (
 type streamedArray struct {
 	full   *blas.Matrix
 	blocks int
-	// sum accumulates in frame-arrival order — block row-major, elements
-	// row-major — the order collectOutputs uses for OutputInfo.Sum, so
+	// sum adds each block's row-major element sum in frame-arrival order
+	// (blocks row-major) — the two-level fold of OutputInfo.Sum — so
 	// equality can be asserted bit-for-bit.
 	sum float64
 }
@@ -72,9 +72,11 @@ func decodeStream(t *testing.T, data []byte) map[string]*streamedArray {
 			}
 			a.blocks++
 			totalBlocks++
+			blkSum := 0.0
 			for _, v := range blk.Data {
-				a.sum += v
+				blkSum += v
 			}
+			a.sum += blkSum
 		case StreamFrameEnd:
 			arrays, blocks := int(d.U32()), int(d.U32())
 			d.I64() // payload bytes

@@ -457,9 +457,20 @@ func TestMetricsRenderStats(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
+	// The process counters move while the scrape runs: each sample must
+	// lie between a reading taken before it and the snapshot after it.
+	pre := telemetry.ReadProcess()
 	got := samples(t, scrape(t, ts))
 	st := s.Stats()
 	n := func(v int64) float64 { return float64(v) }
+	u := func(v uint64) float64 { return float64(v) }
+	moving := map[string][2]float64{
+		`riotshare_process_cpu_seconds_total{mode="user"}`:   {pre.UserCPU.Seconds(), st.Process.UserCPU.Seconds()},
+		`riotshare_process_cpu_seconds_total{mode="system"}`: {pre.SystemCPU.Seconds(), st.Process.SystemCPU.Seconds()},
+		"riotshare_process_alloc_bytes_total":                {u(pre.AllocBytes), u(st.Process.AllocBytes)},
+		"riotshare_process_alloc_objects_total":              {u(pre.AllocObjects), u(st.Process.AllocObjects)},
+		"riotshare_process_gc_cycles_total":                  {u(pre.GCCycles), u(st.Process.GCCycles)},
+	}
 	want := map[string]float64{
 		"riotshare_queries_running":            float64(st.Running),
 		"riotshare_queries_queued":             float64(st.Queued),
@@ -477,6 +488,7 @@ func TestMetricsRenderStats(t *testing.T) {
 		"riotshare_input_fills_skipped_total":  n(st.InputFillsSkipped),
 		"riotshare_prefetch_issued_total":      n(st.PrefetchIssued),
 		"riotshare_prefetch_inline_total":      n(st.PrefetchInline),
+		"riotshare_result_read_blocks_total":   n(st.ResultReadBlocks),
 
 		"riotshare_pool_hits_total":       n(st.Pool.Hits),
 		"riotshare_pool_misses_total":     n(st.Pool.Misses),
@@ -528,6 +540,8 @@ func TestMetricsRenderStats(t *testing.T) {
 		want["riotshare_remote_dials_total"+lbl] = n(sh.Remote.Dials)
 		want["riotshare_remote_retries_total"+lbl] = n(sh.Remote.Retries)
 		want["riotshare_remote_timeouts_total"+lbl] = n(sh.Remote.Timeouts)
+		want["riotshare_remote_write_lock_wait_seconds_total"+lbl] = sh.Remote.WriteLockWait.Seconds()
+		want["riotshare_remote_pending_max"+lbl] = n(sh.Remote.PendingMax)
 	}
 
 	// The snapshot must carry what it is checked on, or equality is vacuous.
@@ -535,7 +549,8 @@ func TestMetricsRenderStats(t *testing.T) {
 		t.Fatalf("shards %+v: want one local and one dialed remote shard", st.Shards)
 	}
 	if st.Finished != 1 || st.SlowQueries != 1 || st.Streams.Blocks == 0 ||
-		st.PrefetchIssued+st.PrefetchInline == 0 || st.Pool.Tenants["acme"].Misses == 0 {
+		st.PrefetchIssued+st.PrefetchInline == 0 || st.Pool.Tenants["acme"].Misses == 0 ||
+		st.Shards[1].Remote.PendingMax == 0 || st.Process.UserCPU == 0 || st.Process.AllocObjects == 0 {
 		t.Fatalf("snapshot lacks the query, slow-query line, stream or prefetch it is checked on: %+v", st)
 	}
 	for series, w := range want {
@@ -545,8 +560,16 @@ func TestMetricsRenderStats(t *testing.T) {
 			t.Errorf("/metrics %s = %v, Stats says %v", series, g, w)
 		}
 	}
+	for series, r := range moving {
+		if g, ok := got[series]; !ok {
+			t.Errorf("/metrics lacks %s (Stats: %v)", series, r[1])
+		} else if g < r[0] || g > r[1] {
+			t.Errorf("/metrics %s = %v, outside [%v, %v] read around the scrape", series, g, r[0], r[1])
+		}
+	}
 	for series := range got {
-		if _, ok := want[series]; !ok {
+		_, fixed := want[series]
+		if _, moves := moving[series]; !fixed && !moves {
 			t.Errorf("/metrics emits %s, which renders no Stats field", series)
 		}
 	}
@@ -567,17 +590,35 @@ func TestStatsRegistersNoSeries(t *testing.T) {
 	if st, err := s.Wait(id); err != nil || st.State != StateFailed {
 		t.Fatalf("plan 99: state %s, err %v; want a failure before admission", st.State, err)
 	}
-	before := scrape(t, ts)
+	before := seriesOf(scrape(t, ts))
 	s.Stats()
-	after := scrape(t, ts)
+	after := seriesOf(scrape(t, ts))
 	if before != after {
 		t.Errorf("Stats() changed the next scrape:\n--- before ---\n%s--- after ---\n%s", before, after)
+	}
+	for _, family := range []string{"riotshare_process_cpu_seconds_total", "riotshare_process_alloc_bytes_total",
+		"riotshare_process_alloc_objects_total", "riotshare_process_gc_cycles_total", "riotshare_result_read_blocks_total"} {
+		if !strings.Contains(after, "\n"+family) {
+			t.Errorf("/metrics lacks %s", family)
+		}
 	}
 	for _, series := range []string{`riotshare_admission_wait_seconds_count{tenant="x"}`, `tier="greedy"`, `tier="cache"`} {
 		if strings.Contains(after, series) {
 			t.Errorf("/metrics has %s, which nothing observed", series)
 		}
 	}
+}
+
+// seriesOf keeps an exposition's text but blanks the values of the
+// process counters, which the scrape itself moves.
+func seriesOf(exposition string) string {
+	lines := strings.Split(exposition, "\n")
+	for i, line := range lines {
+		if sp := strings.LastIndexByte(line, ' '); strings.HasPrefix(line, "riotshare_process_") && sp > 0 {
+			lines[i] = line[:sp]
+		}
+	}
+	return strings.Join(lines, "\n")
 }
 
 // metricFamily matches the family name of an exposition TYPE line.

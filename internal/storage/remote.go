@@ -104,6 +104,11 @@ type RemoteShard struct {
 	dials    atomic.Int64
 	retries  atomic.Int64
 	timeouts atomic.Int64
+	// wlockWait totals, in nanoseconds, the time requests waited for a
+	// connection's write lock held by another request; pendingMax is the
+	// deepest pending queue seen on any connection.
+	wlockWait  atomic.Int64
+	pendingMax atomic.Int64
 }
 
 // RemoteStats counts a client's connection-level events — the
@@ -115,6 +120,14 @@ type RemoteStats struct {
 	Retries int64 `json:"retries"`
 	// Timeouts counts attempts that exceeded OpTimeout.
 	Timeouts int64 `json:"timeouts"`
+	// WriteLockWait totals the time requests waited for a connection's
+	// write lock while another request held it (an uncontended lock adds
+	// nothing). Each request frame is written under that lock, so this is
+	// the time requests queued behind other requests' writes.
+	WriteLockWait time.Duration `json:"writeLockWait"`
+	// PendingMax is the deepest queue of requests awaiting their replies
+	// seen on any one connection, counting the request just queued.
+	PendingMax int64 `json:"pendingMax"`
 }
 
 // NewRemoteShard creates a client for the riotblockd server at addr
@@ -128,7 +141,10 @@ func NewRemoteShard(addr string, opt RemoteOptions) *RemoteShard {
 
 // RemoteStats snapshots the client's connection-level counters.
 func (s *RemoteShard) RemoteStats() RemoteStats {
-	return RemoteStats{Dials: s.dials.Load(), Retries: s.retries.Load(), Timeouts: s.timeouts.Load()}
+	return RemoteStats{
+		Dials: s.dials.Load(), Retries: s.retries.Load(), Timeouts: s.timeouts.Load(),
+		WriteLockWait: time.Duration(s.wlockWait.Load()), PendingMax: s.pendingMax.Load(),
+	}
 }
 
 // remoteConn is one pooled connection: writes are serialized, responses
@@ -282,12 +298,17 @@ func (s *RemoteShard) attempt(op byte, req *blockproto.Enc) (byte, []byte, error
 		return 0, nil, err
 	}
 	call := &pendingCall{done: make(chan struct{})}
-	rc.wmu.Lock()
+	if !rc.wmu.TryLock() {
+		t0 := time.Now()
+		rc.wmu.Lock()
+		s.wlockWait.Add(int64(time.Since(t0)))
+	}
 	if rc.broken.Load() {
 		rc.wmu.Unlock()
 		return 0, nil, &transientError{errors.New("connection already failed")}
 	}
 	rc.pending <- call
+	s.notePending(int64(len(rc.pending)))
 	rc.conn.SetWriteDeadline(time.Now().Add(s.opt.OpTimeout))
 	err = blockproto.WriteFrame(rc.conn, op, req)
 	rc.conn.SetWriteDeadline(time.Time{})
@@ -313,6 +334,15 @@ func (s *RemoteShard) attempt(op byte, req *blockproto.Enc) (byte, []byte, error
 		return 0, nil, call.err
 	}
 	return call.status, call.payload, nil
+}
+
+// notePending raises pendingMax to a connection's pending-queue depth.
+func (s *RemoteShard) notePending(depth int64) {
+	for seen := s.pendingMax.Load(); depth > seen; seen = s.pendingMax.Load() {
+		if s.pendingMax.CompareAndSwap(seen, depth) {
+			return
+		}
+	}
 }
 
 // do runs one operation with retry-with-backoff: transient failures retry
