@@ -19,7 +19,8 @@ test:
 # fairness, queue-wait stats, the tenant-label bound, result fetch from the
 # pool, output sums taken by the final-write hook on DAG workers (against
 # the stored output, across schedules, pools, stores and streams, and the
-# read-back of a block no event writes), streamed tenant attribution,
+# read-back of a block no event writes, before or past the end of its
+# file), streamed tenant attribution,
 # streamed blocks against the whole fetch, a drop-retained stream waiting
 # for its query, the write-once plan
 # cache, one program shape filled once for fills at eight sizes, Close
@@ -30,8 +31,9 @@ test:
 # server; every plan of one analysis lowered from several goroutines at
 # once, with each share's instance pairs enumerated once for all of them,
 # in codegen; concurrent and sharded reads and writes through remote
-# shards, and the remote client's write-lock wait and pending depth under
-# concurrent requests, in blockd. The storage and stream tests drive the read-coalescing and
+# shards, the remote client's write-lock wait and pending depth under
+# concurrent requests, and its dial slots under concurrent first requests,
+# in blockd. The storage and stream tests drive the read-coalescing and
 # stream-readiness maps, which are shared between goroutines; the blockd
 # tests drive the pipelined remote-shard client, whose requests and
 # replies encode and decode blocks on many connections at once.
@@ -41,7 +43,7 @@ test-race:
 	$(GO) test -race -count=5 -run 'TestCoalescedReadsShareOneRequest|TestConcurrentReadWrite' ./internal/storage/
 	$(GO) test -race -count=5 -run 'Fairness|QueueWait|TenantLabel|ResultFetch|OutputSum|StreamAttributesTenant|TestStreamedResultsMatchWholeFetch|TestStreamRetainDropWaitsForQuery|PlanCacheConcurrentMiss|PlanShapeConcurrentSizes|CloseStopsPlanFill|BudgetedLongChain|BudgetedAnalysisEnds|RetirementRacesLookups|MetricsRenderStats|StatsRegistersNoSeries' ./internal/server/
 	$(GO) test -race -count=5 -run 'TestLowerConcurrentEnumeratesSharesOnce' ./internal/codegen/
-	$(GO) test -race -count=5 -run 'TestRemoteShardConcurrent|TestRemoteShardedMatchesLocalDirs|TestMixedLocalRemoteShards|TestRemoteWriteLockWaitAndPendingDepth' ./internal/blockd/
+	$(GO) test -race -count=5 -run 'TestRemoteShardConcurrent|TestRemoteShardedMatchesLocalDirs|TestMixedLocalRemoteShards|TestRemoteWriteLockWaitAndPendingDepth|TestRemoteShardDialsAtMostPoolSize' ./internal/blockd/
 
 # Full suite, including the ~80s linear-regression plan-space search.
 test-full:

@@ -40,7 +40,6 @@ func run() error {
 	memMB := fs.Int64("mem", 0, "memory cap in MB (0 = unlimited)")
 	planIdx := fs.Int("plan", -1, "plan index for run (-1 = best)")
 	full := fs.Bool("full", false, "full plan-space searches (slow for linreg)")
-	asJSON := fs.Bool("json", false, "emit the lowered plan as JSON (codegen subcommand)")
 	workers := fs.Int("workers", 1, "parallel kernel workers for run and exp (1 = in-order schedule)")
 	shards := fs.Int("shards", 1, "stripe the run's block store across N shard dirs (per-shard I/O is reported)")
 	replicas := fs.Int("replicas", 1, "mirror each block on k shards (needs -shards >= k); write amplification and degraded reads are reported")
@@ -105,9 +104,6 @@ func run() error {
 		}
 		if res.Best == nil {
 			return fmt.Errorf("no plan fits the memory cap")
-		}
-		if *asJSON {
-			return res.Best.Timeline.WriteJSON(os.Stdout)
 		}
 		fmt.Printf("best plan %s\nschedule:\n%s\npseudo-code:\n%s",
 			res.Best.Label, res.Best.Plan.Schedule.StringFor(p), riotshare.Pseudocode(res.Best))
@@ -195,10 +191,6 @@ func run() error {
 			if *replicas > 1 {
 				fmt.Printf("  %d-way replication: %d degraded reads total\n", sharded.Replicas(), sharded.DegradedReads())
 			}
-		}
-		if *workers > 1 {
-			fmt.Printf("pipelined wall-clock estimate (I/O overlapped with compute): %.0fs\n",
-				model.PipelinedTime(r.ReadBytes, r.WriteBytes, r.ReadReqs, r.WriteReqs, r.CPUTime.Seconds()))
 		}
 		return nil
 

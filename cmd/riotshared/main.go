@@ -87,7 +87,6 @@ func serve(fs *flag.FlagSet, args []string) error {
 		memMB   = fs.Int64("mem-mb", 0, "global cap on combined plan peak memory in MB (0 = unlimited)")
 		workers = fs.Int("workers", 1, "kernel workers per query (1 = in-order schedule)")
 		seed    = fs.Int64("seed", 1, "synthetic input data seed")
-		full    = fs.Bool("full", false, "full plan-space search for linreg (minutes)")
 
 		planBudgetMs = fs.Int64("plan-budget-ms", 250, "wall-clock budget for the greedy fast-path planner on a cache miss, analysis included; a program whose analysis outlasts it runs its original schedule (0 = full search every miss)")
 		planCacheN   = fs.Int("plan-cache", 256, "plan cache and program-shape cache entry cap, LRU-evicted (-1 = unlimited)")
@@ -137,7 +136,6 @@ func serve(fs *flag.FlagSet, args []string) error {
 		GlobalMemBytes:   *memMB << 20,
 		Workers:          *workers,
 		Seed:             *seed,
-		FullSearch:       *full,
 		PlanBudget:       time.Duration(*planBudgetMs) * time.Millisecond,
 		PlanCacheEntries: *planCacheN,
 		SlowQueryMs:      *slowMs,

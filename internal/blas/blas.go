@@ -61,14 +61,6 @@ func Sub(dst, a, b *Matrix) {
 	}
 }
 
-// Scale computes dst = alpha * a.
-func Scale(dst *Matrix, alpha float64, a *Matrix) {
-	checkSame(dst, a)
-	for i := range dst.Data {
-		dst.Data[i] = alpha * a.Data[i]
-	}
-}
-
 func checkSame(a, b *Matrix) {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
 		panic(fmt.Sprintf("blas: shape mismatch %dx%d vs %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))

@@ -27,10 +27,6 @@ func TestAddSubScale(t *testing.T) {
 	if dst.Data[0] != 3 || dst.Data[2] != 3 {
 		t.Fatal("Sub wrong")
 	}
-	Scale(dst, 2, a)
-	if dst.Data[1] != 4 {
-		t.Fatal("Scale wrong")
-	}
 }
 
 func TestGemmSmall(t *testing.T) {

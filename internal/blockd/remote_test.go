@@ -806,3 +806,124 @@ func TestRemoteWriteNamedUnknownArray(t *testing.T) {
 		t.Errorf("unknown-array read status = %d, want StatusUnknownArray (%d)", st, blockproto.StatusUnknownArray)
 	}
 }
+
+// Concurrent first requests on a fresh client dial at most PoolSize
+// connections: a dial holds its pool slot while it is in flight, so the
+// callers that find every slot taken wait for it or pipeline onto a live
+// connection instead of dialing their own.
+func TestRemoteShardDialsAtMostPoolSize(t *testing.T) {
+	srv := startServer(t, t.TempDir())
+	arr := testArray("A")
+	setup := storage.NewRemoteShard(srv.Addr(), storage.RemoteOptions{})
+	if err := setup.Create(arr); err != nil {
+		t.Fatal(err)
+	}
+	fillBlocks(t, setup, arr, 5)
+	setup.Close()
+
+	const rounds, callers = 20, 8
+	for _, poolSize := range []int{1, 2} {
+		over := 0
+		for round := 0; round < rounds; round++ {
+			rs := storage.NewRemoteShard(srv.Addr(), storage.RemoteOptions{PoolSize: poolSize})
+			start := make(chan struct{})
+			errs := make(chan error, callers)
+			var wg sync.WaitGroup
+			for i := 0; i < callers; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					<-start
+					_, err := rs.ReadBlock(arr.Name, int64(i%arr.GridRows), 0)
+					errs <- err
+				}(i)
+			}
+			close(start)
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			if rs.RemoteStats().Dials > int64(poolSize) {
+				over++
+			}
+			rs.Close()
+		}
+		if over > 0 {
+			t.Errorf("PoolSize %d: %d of %d rounds dialed more than %d connections", poolSize, over, rounds, poolSize)
+		}
+	}
+}
+
+// A block no one wrote reads as zeros, on a local Manager and through a
+// riotblockd alike, whether it lies in a hole before a written block or
+// past the end of its DAF: in a 2×1 grid the column-major file holds block
+// row 0 first, so leaving row 1 unwritten leaves the file ending before
+// it. A file that ends partway through a block is still a read error.
+func TestUnwrittenBlockReadsZeros(t *testing.T) {
+	arr := &prog.Array{Name: "C", BlockRows: 2, BlockCols: 3, GridRows: 2, GridCols: 1}
+	ones := blas.NewMatrix(arr.BlockRows, arr.BlockCols)
+	for i := range ones.Data {
+		ones.Data[i] = 1
+	}
+	stores := []struct {
+		name string
+		open func(t *testing.T, dir string) storage.Backend
+	}{
+		{"manager", func(t *testing.T, dir string) storage.Backend {
+			m, err := storage.NewManager(dir, storage.FormatDAF)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return m
+		}},
+		{"riotblockd", func(t *testing.T, dir string) storage.Backend {
+			return storage.NewRemoteShard(startServer(t, dir).Addr(), storage.RemoteOptions{})
+		}},
+	}
+	for _, st := range stores {
+		for _, tc := range []struct {
+			name               string
+			written, unwritten int64
+		}{
+			{"first-row-unwritten", 1, 0},
+			{"last-row-unwritten", 0, 1},
+		} {
+			t.Run(st.name+"/"+tc.name, func(t *testing.T) {
+				dir := t.TempDir()
+				b := st.open(t, dir)
+				defer b.Close()
+				if err := b.Create(arr); err != nil {
+					t.Fatal(err)
+				}
+				if err := b.WriteBlock(arr.Name, tc.written, 0, ones); err != nil {
+					t.Fatal(err)
+				}
+				got, err := b.ReadBlock(arr.Name, tc.unwritten, 0)
+				if err != nil {
+					t.Fatalf("read unwritten block row %d: %v", tc.unwritten, err)
+				}
+				for i, v := range got.Data {
+					if v != 0 {
+						t.Fatalf("unwritten block row %d element %d = %v, want 0", tc.unwritten, i, v)
+					}
+				}
+				assertBlocks(t, b, arr, map[[2]int64]*blas.Matrix{{tc.written, 0}: ones})
+
+				// Cut the file off partway through block row 1.
+				if err := b.WriteBlock(arr.Name, tc.unwritten, 0, ones); err != nil {
+					t.Fatal(err)
+				}
+				blockBytes := int64(8 * arr.BlockRows * arr.BlockCols)
+				if err := os.Truncate(filepath.Join(dir, arr.Name+".daf"), 2*blockBytes-8); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := b.ReadBlock(arr.Name, 1, 0); err == nil {
+					t.Fatal("a block cut off by the end of its file read without error")
+				}
+			})
+		}
+	}
+}

@@ -2,9 +2,6 @@ package codegen
 
 import (
 	"context"
-
-	"bytes"
-	"encoding/json"
 	"reflect"
 	"strings"
 	"sync"
@@ -188,35 +185,6 @@ func TestBlockKeyDisambiguation(t *testing.T) {
 	}
 	if y.String() != "Y[1,0]" || yh.String() != "Yh[1,0]" {
 		t.Fatalf("block IDs print as %s and %s, want Y[1,0] and Yh[1,0]", y, yh)
-	}
-}
-
-func TestExportJSON(t *testing.T) {
-	an, s := addMulSetup(t, 2, 2, 1)
-	tl := lower(t, an, s, "s1WC→s2RC")
-	var buf bytes.Buffer
-	if err := tl.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var back ExportedPlan
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Program != "addmul" || len(back.Events) != len(tl.Events) {
-		t.Fatalf("round trip wrong: %s %d", back.Program, len(back.Events))
-	}
-	if len(back.Holds) != len(tl.Holds) {
-		t.Fatal("holds missing in export")
-	}
-	// Actions must use the stable names.
-	seen := map[string]bool{}
-	for _, ev := range back.Events {
-		for _, a := range ev.Actions {
-			seen[a] = true
-		}
-	}
-	if !seen["io"] || !seen["memory"] {
-		t.Fatalf("expected io and memory actions, got %v", seen)
 	}
 }
 

@@ -463,36 +463,3 @@ func (r *Result) PlanBySharing(names ...string) *EvaluatedPlan {
 	}
 	return nil
 }
-
-// BlockSizeChoice is one evaluated (block shape, plan) combination from the
-// joint optimizer.
-type BlockSizeChoice struct {
-	Scale  float64 // row-scaling factor applied to the base block shape
-	Result *Result
-	Best   *EvaluatedPlan
-}
-
-// OptimizeBlockSizeCtx implements the future-work extension sketched in §7
-// (and the ♣ experiment of §6.1): it co-optimizes the array block size with
-// I/O sharing by sweeping scaling factors over a program-template builder
-// and returning the evaluated choices, best first. build must return the
-// program for a given scale. Each per-scale optimization runs under ctx, so
-// a deadline or shutdown can interrupt the sweep between (or inside) full
-// searches.
-func OptimizeBlockSizeCtx(ctx context.Context, build func(scale float64) *prog.Program, scales []float64, opt Options) ([]BlockSizeChoice, error) {
-	var out []BlockSizeChoice
-	for _, s := range scales {
-		r, err := OptimizeCtx(ctx, build(s), opt)
-		if err != nil {
-			return nil, fmt.Errorf("core: block-size scale %.2f: %w", s, err)
-		}
-		if r.Best == nil {
-			continue // no plan fits the cap at this block size
-		}
-		out = append(out, BlockSizeChoice{Scale: s, Result: r, Best: r.Best})
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		return out[i].Best.Cost.IOTimeSec < out[j].Best.Cost.IOTimeSec
-	})
-	return out, nil
-}

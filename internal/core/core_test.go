@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"testing"
 
 	"riotshare/internal/disk"
@@ -186,36 +185,6 @@ func TestRefinedCostModel(t *testing.T) {
 	}
 	if r2.Plans[0].Cost.IOTimeSec <= r1.Plans[0].Cost.IOTimeSec {
 		t.Error("per-request overhead must increase estimated time")
-	}
-}
-
-// OptimizeBlockSizeCtx (the §7 future-work extension): the joint optimizer
-// must return choices sorted by I/O time and include multiple scales.
-func TestOptimizeBlockSize(t *testing.T) {
-	build := func(scale float64) *prog.Program {
-		r := int(6 * scale)
-		if r < 1 {
-			r = 1
-		}
-		return ops.AddMul(ops.AddMulConfig{
-			N1: 12, N2: 12, N3: 1,
-			ABBlock:   ops.Dims{Rows: r, Cols: 4},
-			DBlock:    ops.Dims{Rows: 4, Cols: 5},
-			LogicalAB: ops.Dims{Rows: 1000 * r, Cols: 4000},
-			LogicalD:  ops.Dims{Rows: 4000, Cols: 5000},
-		})
-	}
-	choices, err := OptimizeBlockSizeCtx(context.Background(), build, []float64{0.5, 1, 2}, Options{BindParams: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(choices) != 3 {
-		t.Fatalf("want 3 choices, got %d", len(choices))
-	}
-	for i := 1; i < len(choices); i++ {
-		if choices[i-1].Best.Cost.IOTimeSec > choices[i].Best.Cost.IOTimeSec {
-			t.Fatal("choices must be sorted by I/O time")
-		}
 	}
 }
 

@@ -2,12 +2,13 @@ package core
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
 
+	"riotshare/internal/codegen"
 	"riotshare/internal/deps"
 	"riotshare/internal/disk"
 	"riotshare/internal/ops"
@@ -29,13 +30,38 @@ func paperTwoMMB() *prog.Program {
 	})
 }
 
-func timelineJSON(t *testing.T, pl *EvaluatedPlan) string {
-	t.Helper()
-	b, err := json.Marshal(pl.Timeline.Export())
-	if err != nil {
-		t.Fatal(err)
+// timelineDiff describes the first difference between two lowered plans
+// of separately built copies of one program: statement, instance and time
+// of each event, the block and I/O action of each access, and every hold
+// interval. It returns "" when they agree.
+func timelineDiff(a, b *codegen.Timeline) string {
+	if a.Prog.Name != b.Prog.Name || !reflect.DeepEqual(a.Params, b.Params) {
+		return fmt.Sprintf("program %s%v vs %s%v", a.Prog.Name, a.Params, b.Prog.Name, b.Params)
 	}
-	return string(b)
+	if len(a.Events) != len(b.Events) {
+		return fmt.Sprintf("%d events vs %d", len(a.Events), len(b.Events))
+	}
+	for i := range a.Events {
+		ea, eb := a.Events[i], b.Events[i]
+		if ea.St.Name != eb.St.Name || !reflect.DeepEqual(ea.X, eb.X) || !reflect.DeepEqual(ea.Time, eb.Time) {
+			return fmt.Sprintf("event %d: %s%v@%v vs %s%v@%v", i, ea.St.Name, ea.X, ea.Time, eb.St.Name, eb.X, eb.Time)
+		}
+		if len(ea.St.Accesses) != len(eb.St.Accesses) || !reflect.DeepEqual(a.Actions[i], b.Actions[i]) {
+			return fmt.Sprintf("event %d: actions %v vs %v", i, a.Actions[i], b.Actions[i])
+		}
+		for j, ac := range ea.St.Accesses {
+			bc := eb.St.Accesses[j]
+			ra, ca := ac.BlockAt(ea.X, a.Params)
+			rb, cb := bc.BlockAt(eb.X, b.Params)
+			if ac.Type != bc.Type || ac.Array != bc.Array || ra != rb || ca != cb {
+				return fmt.Sprintf("event %d access %d: %s %s[%d,%d] vs %s %s[%d,%d]", i, j, ac.Type, ac.Array, ra, ca, bc.Type, bc.Array, rb, cb)
+			}
+		}
+	}
+	if !reflect.DeepEqual(a.Holds, b.Holds) {
+		return fmt.Sprintf("holds %v vs %v", a.Holds, b.Holds)
+	}
+	return ""
 }
 
 // The three search strategies feed one pipeline, so where their plan sets
@@ -76,8 +102,8 @@ func TestStrategiesAgree(t *testing.T) {
 				if f.Label != s.Label || f.Index != i || s.Index != i || !reflect.DeepEqual(f.Cost, s.Cost) {
 					t.Fatalf("row %d: full %d %s %+v, named %d %s %+v", i, f.Index, f.Label, f.Cost, s.Index, s.Label, s.Cost)
 				}
-				if timelineJSON(t, f) != timelineJSON(t, s) {
-					t.Fatalf("row %d %s: timelines differ", i, f.Label)
+				if d := timelineDiff(f.Timeline, s.Timeline); d != "" {
+					t.Fatalf("row %d %s: timelines differ: %s", i, f.Label, d)
 				}
 			}
 			if full.Best == nil || sub.Best == nil || full.Best.Index != sub.Best.Index {

@@ -106,8 +106,8 @@ func sameTable(t *testing.T, what string, got, want *Result) {
 			t.Fatalf("%s plan %d %s: cost %+v, want %+v", what, i, w.Label, g.Cost, w.Cost)
 		case !reflect.DeepEqual(g.Plan.Schedule, w.Plan.Schedule):
 			t.Fatalf("%s plan %d %s: schedule differs", what, i, w.Label)
-		case timelineJSON(t, g) != timelineJSON(t, w):
-			t.Fatalf("%s plan %d %s: timeline differs", what, i, w.Label)
+		case timelineDiff(g.Timeline, w.Timeline) != "":
+			t.Fatalf("%s plan %d %s: timeline differs: %s", what, i, w.Label, timelineDiff(g.Timeline, w.Timeline))
 		}
 	}
 }

@@ -40,15 +40,3 @@ func (m Model) Time(readBytes, writeBytes int64, readReqs, writeReqs int64) floa
 	t += m.PerRequestOverhead * float64(readReqs+writeReqs)
 	return t
 }
-
-// PipelinedTime estimates the wall time of an execution that overlaps the
-// device with compute: a pipelined engine hides the shorter of the two
-// behind the longer, so the ideal wall clock is their maximum rather than
-// their sum (the §5.4-style refinement the parallel executor targets).
-func (m Model) PipelinedTime(readBytes, writeBytes, readReqs, writeReqs int64, cpuSec float64) float64 {
-	io := m.Time(readBytes, writeBytes, readReqs, writeReqs)
-	if cpuSec > io {
-		return cpuSec
-	}
-	return io
-}

@@ -36,14 +36,3 @@ func TestTimeMonotone(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestPipelinedTimeOverlaps(t *testing.T) {
-	m := PaperModel()
-	io := m.Time(96*MB, 0, 1, 0) // 1 second of reads
-	if got := m.PipelinedTime(96*MB, 0, 1, 0, 0.25); got != io {
-		t.Fatalf("I/O-bound pipeline = %g, want %g", got, io)
-	}
-	if got := m.PipelinedTime(96*MB, 0, 1, 0, 4.0); got != 4.0 {
-		t.Fatalf("CPU-bound pipeline = %g, want 4.0", got)
-	}
-}

@@ -35,18 +35,6 @@ func GcdVec(v []int64) int64 {
 	return g
 }
 
-// NormalizeVec divides v in place by the gcd of its entries, if nonzero.
-// It returns v for chaining.
-func NormalizeVec(v []int64) []int64 {
-	g := GcdVec(v)
-	if g > 1 {
-		for i := range v {
-			v[i] /= g
-		}
-	}
-	return v
-}
-
 // Dot returns the inner product of two equal-length integer vectors.
 func Dot(a, b []int64) int64 {
 	if len(a) != len(b) {
@@ -81,30 +69,6 @@ func ScaleVec(k int64, v []int64) []int64 {
 	c := make([]int64, len(v))
 	for i, x := range v {
 		c[i] = k * x
-	}
-	return c
-}
-
-// AddVec returns a+b as a new vector.
-func AddVec(a, b []int64) []int64 {
-	if len(a) != len(b) {
-		panic("linalg: AddVec length mismatch")
-	}
-	c := make([]int64, len(a))
-	for i := range a {
-		c[i] = a[i] + b[i]
-	}
-	return c
-}
-
-// SubVec returns a-b as a new vector.
-func SubVec(a, b []int64) []int64 {
-	if len(a) != len(b) {
-		panic("linalg: SubVec length mismatch")
-	}
-	c := make([]int64, len(a))
-	for i := range a {
-		c[i] = a[i] - b[i]
 	}
 	return c
 }
@@ -250,45 +214,10 @@ func ratVecToInt(v []*big.Rat) []int64 {
 		}
 		out[i] = n.Int64()
 	}
-	NormalizeVec(out)
-	return out
-}
-
-// SolveExact solves A x = b exactly over the rationals, where A's rows are
-// the given integer vectors. It returns the solution scaled to a rational
-// pair (num, den) per coordinate via big.Rat, or ok=false if the system is
-// inconsistent or underdetermined (multiple solutions: the minimal-index
-// solution with free variables set to zero is returned with ok=true and
-// unique=false).
-func SolveExact(a [][]int64, b []int64) (x []*big.Rat, unique, ok bool) {
-	if len(a) != len(b) {
-		panic("linalg: SolveExact dimension mismatch")
-	}
-	if len(a) == 0 {
-		return nil, false, false
-	}
-	cols := len(a[0])
-	aug := make([][]int64, len(a))
-	for i := range a {
-		row := make([]int64, cols+1)
-		copy(row, a[i])
-		row[cols] = b[i]
-		aug[i] = row
-	}
-	m := newRatMat(aug)
-	pivots := m.rowEchelon()
-	// Inconsistent if a pivot lands in the augmented column.
-	for _, p := range pivots {
-		if p == cols {
-			return nil, false, false
+	if g := GcdVec(out); g > 1 {
+		for i := range out {
+			out[i] /= g
 		}
 	}
-	x = make([]*big.Rat, cols)
-	for j := range x {
-		x[j] = new(big.Rat)
-	}
-	for i, p := range pivots {
-		x[p].Set(m.at(i, cols))
-	}
-	return x, len(pivots) == cols, true
+	return out
 }

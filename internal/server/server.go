@@ -109,17 +109,14 @@ type Config struct {
 	// daemon stays bounded; its id then answers expired (HTTP 410).
 	// 0 = default (64), < 0 = unlimited.
 	RetainOutputs int
-	// FullSearch enables the full linreg plan-space search (minutes);
-	// default uses the paper's selected plans.
-	FullSearch bool
 	// PlanBudget, when > 0, enables the tiered planner's greedy fast path
 	// (tier 2): a cache-miss query is planned by the budgeted greedy
 	// search under this wall-clock budget instead of the full Apriori
 	// enumeration. The budget bounds the analysis too: a program whose
 	// analysis outlasts it is served its original schedule, without
 	// sharing. 0 keeps the classic full search on every miss.
-	// Programs with a restricted plan list (linreg without FullSearch)
-	// always use their selected plans. See docs/planner.md.
+	// Programs with a restricted plan list (linreg) always use their
+	// selected plans. See docs/planner.md.
 	PlanBudget time.Duration
 	// PlanCacheEntries bounds the plan cache, and the program-shape
 	// cache behind it; the least recently used entry is evicted past the
@@ -595,7 +592,7 @@ func (s *Server) tenantLocked(name string) *tenantCounters {
 
 // resolve builds the request's program: an ad-hoc spec, a Config.Programs
 // entry, or one of the paper's named programs with the plan restriction
-// bench.PaperProgram attaches (lifted by Config.FullSearch).
+// bench.PaperProgram attaches.
 func (s *Server) resolve(req Request) (*prog.Program, [][]string, error) {
 	if req.Spec != nil {
 		p, err := req.Spec.Build()
@@ -604,7 +601,7 @@ func (s *Server) resolve(req Request) (*prog.Program, [][]string, error) {
 	if build, ok := s.cfg.Programs[req.Program]; ok {
 		return build(), nil, nil
 	}
-	p, subsets, err := bench.PaperProgram(req.Program, s.cfg.FullSearch)
+	p, subsets, err := bench.PaperProgram(req.Program, false)
 	if err != nil {
 		extra := make([]string, 0, len(s.cfg.Programs))
 		for n := range s.cfg.Programs {

@@ -201,47 +201,57 @@ func checkOutputSums(t *testing.T, s *Server, ts *httptest.Server, req Request, 
 // TestOutputSumReadsUnwrittenBlock: an output block no event writes has no
 // final write to sum it, so the summary reads it — once, counted in
 // ResultReadBlocks — and Sum still equals the stored output's two-level
-// sum. The unwritten block is C's first block row: a DAF store is
-// column-major, and a block past the end of its file does not read at all
-// (TestDAFReadBeyondEOF), while one before a written block reads as zeros.
+// sum. C is 2×1 blocks and its DAF is column-major, so an unwritten first
+// block row lies in a hole before the written one, and an unwritten last
+// block row lies past the end of the file; both read as zeros.
 func TestOutputSumReadsUnwrittenBlock(t *testing.T) {
-	spec := gridAddSpec(2, 4)
-	spec.Arrays[2].GridCols = 1 // C is 2×1 blocks
-	spec.Bind["n2"] = 1
-	// 1 <= i: the statement leaves C's first block row unwritten.
-	spec.Stmts[0].Ranges[0].Lo = ExprSpec{K: 1}
-	s, err := New(Config{Dir: t.TempDir(), MaxConcurrent: 1, Seed: testSeed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	cs := newCountingStore(s.store)
-	s.pool = buffer.NewPool(cs, 0)
+	for _, tc := range []struct {
+		name      string
+		rows      RangeSpec // the statement's range over C's block rows
+		unwritten int64
+	}{
+		{"first-row", RangeSpec{Var: "i", Lo: ExprSpec{K: 1}, Hi: ExprSpec{Terms: map[string]int64{"n1": 1}}}, 0},
+		{"last-row", RangeSpec{Var: "i", Lo: ExprSpec{}, Hi: ExprSpec{K: 1}}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := gridAddSpec(2, 4)
+			spec.Arrays[2].GridCols = 1 // C is 2×1 blocks
+			spec.Bind["n2"] = 1
+			spec.Stmts[0].Ranges[0] = tc.rows
+			s, err := New(Config{Dir: t.TempDir(), MaxConcurrent: 1, Seed: testSeed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			cs := newCountingStore(s.store)
+			s.pool = buffer.NewPool(cs, 0)
 
-	id, err := s.Submit(Request{Spec: spec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := s.Wait(id)
-	if err != nil || st.State != StateDone || len(st.Outputs) != 1 {
-		t.Fatalf("query %s: %v, state %s (%s), outputs %+v", id, err, st.State, st.Err, st.Outputs)
-	}
-	if n := s.Stats().ResultReadBlocks; n != 1 {
-		t.Errorf("ResultReadBlocks = %d, want 1 (the unwritten block)", n)
-	}
-	unwritten := prog.BlockID{Array: id + ".C", R: 0, C: 0}
-	if n := cs.reads[unwritten]; n != 1 {
-		t.Errorf("%s read %d times from the store, want once", unwritten, n)
-	}
-	full, err := s.Output(id, "C")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := spec.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ref := twoLevelSum(full, p.Arrays["C"]); st.Outputs[0].Sum != ref {
-		t.Errorf("Sum %v, two-level sum of the stored output %v", st.Outputs[0].Sum, ref)
+			id, err := s.Submit(Request{Spec: spec})
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := s.Wait(id)
+			if err != nil || st.State != StateDone || len(st.Outputs) != 1 {
+				t.Fatalf("query %s: %v, state %s (%s), outputs %+v", id, err, st.State, st.Err, st.Outputs)
+			}
+			if n := s.Stats().ResultReadBlocks; n != 1 {
+				t.Errorf("ResultReadBlocks = %d, want 1 (the unwritten block)", n)
+			}
+			unwritten := prog.BlockID{Array: id + ".C", R: tc.unwritten, C: 0}
+			if n := cs.reads[unwritten]; n != 1 {
+				t.Errorf("%s read %d times from the store, want once", unwritten, n)
+			}
+			full, err := s.Output(id, "C")
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := spec.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ref := twoLevelSum(full, p.Arrays["C"]); st.Outputs[0].Sum != ref {
+				t.Errorf("Sum %v, two-level sum of the stored output %v", st.Outputs[0].Sum, ref)
+			}
+		})
 	}
 }

@@ -9,6 +9,7 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"io"
 	"math/bits"
 	"os"
 	"path/filepath"
@@ -49,14 +50,20 @@ func (d *DAF) Write(idx uint64, data []byte) error {
 	return err
 }
 
-// Read fetches a block payload, into buf when it is large enough.
+// Read fetches a block payload, into buf when it is large enough. A block
+// that was never written reads as zeros: one before the last written block
+// lies in a hole of the file, and one at or past the end of the file is
+// filled here. A file that ends partway through the block is an error.
 func (d *DAF) Read(idx uint64, buf []byte) ([]byte, error) {
 	if int64(cap(buf)) < d.blockBytes {
 		buf = make([]byte, d.blockBytes)
 	}
 	buf = buf[:d.blockBytes]
 	n, err := d.f.ReadAt(buf, int64(idx)*d.blockBytes)
-	if err != nil && n != len(buf) {
+	switch {
+	case n == 0 && errors.Is(err, io.EOF):
+		clear(buf)
+	case err != nil && n != len(buf):
 		return nil, fmt.Errorf("storage: DAF read block %d: %w", idx, err)
 	}
 	return buf, nil

@@ -92,6 +92,10 @@ type RemoteShard struct {
 	conns  []*remoteConn
 	next   int
 	closed bool
+	// dialing counts dials in flight; each holds a pool slot until it
+	// ends. dialed (over mu) wakes callers waiting for one to end.
+	dialing int
+	dialed  sync.Cond
 
 	// created tracks arrays registered through THIS client, mirroring a
 	// local Manager's registry: Create refuses duplicates within a
@@ -136,7 +140,9 @@ type RemoteStats struct {
 // which case operations fail with ErrShardUnavailable and the shard runs
 // degraded.
 func NewRemoteShard(addr string, opt RemoteOptions) *RemoteShard {
-	return &RemoteShard{addr: addr, opt: opt.withDefaults(), created: make(map[string]struct{})}
+	s := &RemoteShard{addr: addr, opt: opt.withDefaults(), created: make(map[string]struct{})}
+	s.dialed.L = &s.mu
+	return s
 }
 
 // RemoteStats snapshots the client's connection-level counters.
@@ -237,47 +243,64 @@ func (e *ServerError) Is(target error) bool {
 
 // conn returns a healthy pooled connection, dialing a new one while the
 // pool is below PoolSize (so concurrency spreads across connections before
-// it pipelines onto them).
+// it pipelines onto them). A dial holds its pool slot from the moment it is
+// decided, so concurrent callers never dial more than PoolSize connections:
+// once the slots are taken a caller pipelines onto a live connection, or
+// waits for an in-flight dial when none is live yet.
 func (s *RemoteShard) conn() (*remoteConn, error) {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, errors.New("storage: remote shard client closed")
-	}
-	// Drop broken connections.
-	live := s.conns[:0]
-	for _, rc := range s.conns {
-		if !rc.broken.Load() {
-			live = append(live, rc)
+	for {
+		if s.closed {
+			s.mu.Unlock()
+			return nil, errors.New("storage: remote shard client closed")
 		}
+		// Drop broken connections.
+		live := s.conns[:0]
+		for _, rc := range s.conns {
+			if !rc.broken.Load() {
+				live = append(live, rc)
+			}
+		}
+		s.conns = live
+		if len(s.conns)+s.dialing < s.opt.PoolSize {
+			break
+		}
+		if len(s.conns) > 0 {
+			rc := s.conns[s.next%len(s.conns)]
+			s.next++
+			s.mu.Unlock()
+			return rc, nil
+		}
+		s.dialed.Wait()
 	}
-	s.conns = live
-	if len(s.conns) >= s.opt.PoolSize {
-		rc := s.conns[s.next%len(s.conns)]
-		s.next++
-		s.mu.Unlock()
-		return rc, nil
-	}
+	s.dialing++
 	s.mu.Unlock()
 
 	c, err := net.DialTimeout("tcp", s.addr, s.opt.DialTimeout)
-	if err != nil {
-		return nil, classifyDial(err)
+	var rc *remoteConn
+	if err == nil {
+		s.dials.Add(1)
+		if tc, ok := c.(*net.TCPConn); ok {
+			tc.SetNoDelay(true)
+		}
+		rc = &remoteConn{conn: c, pending: make(chan *pendingCall, 1024)}
+		go rc.readLoop()
 	}
-	s.dials.Add(1)
-	if tc, ok := c.(*net.TCPConn); ok {
-		tc.SetNoDelay(true)
-	}
-	rc := &remoteConn{conn: c, pending: make(chan *pendingCall, 1024)}
-	go rc.readLoop()
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	s.dialing--
+	s.dialed.Broadcast()
+	closed := s.closed
+	if err == nil && !closed {
+		s.conns = append(s.conns, rc)
+	}
+	s.mu.Unlock()
+	switch {
+	case err != nil:
+		return nil, classifyDial(err)
+	case closed:
 		c.Close()
 		return nil, errors.New("storage: remote shard client closed")
 	}
-	s.conns = append(s.conns, rc)
-	s.mu.Unlock()
 	return rc, nil
 }
 

@@ -1,7 +1,6 @@
 package riotshare_test
 
 import (
-	"context"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -142,28 +141,6 @@ func TestPseudocode(t *testing.T) {
 	t.Logf("best plan pseudocode:\n%s", code)
 }
 
-// The block-size co-optimizer is reachable through the public API.
-func TestPublicOptimizeBlockSize(t *testing.T) {
-	build := func(scale float64) *riotshare.Program {
-		r := int(6 * scale)
-		if r < 1 {
-			r = 1
-		}
-		return riotshare.AddMul(riotshare.AddMulConfig{
-			N1: 6, N2: 6, N3: 1,
-			ABBlock: riotshare.Dims{Rows: r, Cols: 4},
-			DBlock:  riotshare.Dims{Rows: 4, Cols: 5},
-		})
-	}
-	choices, err := riotshare.OptimizeBlockSizeCtx(context.Background(), build, []float64{0.5, 1}, riotshare.Options{BindParams: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(choices) != 2 {
-		t.Fatalf("want 2 choices, got %d", len(choices))
-	}
-}
-
 // A shared buffer pool through the public API: two executions of one plan
 // over the same pool must produce identical results while the second run's
 // reads are served from memory (no new physical reads).
@@ -252,8 +229,23 @@ func TestPublicAPISubsetsAndRefinedModel(t *testing.T) {
 	if err := store.CreateAll(p); err != nil {
 		t.Fatal(err)
 	}
-	// Execution without inputs must fail cleanly (reads of unwritten blocks).
-	if _, err := riotshare.Execute(&res.Plans[0], store, riotshare.PaperDiskModel(), 0); err == nil {
-		t.Fatal("executing without inputs should error")
+	// A block no one wrote reads as zeros, so executing without inputs
+	// computes E = (A+B)·D over zero blocks: every block of E is zero.
+	if _, err := riotshare.Execute(&res.Plans[0], store, riotshare.PaperDiskModel(), 0); err != nil {
+		t.Fatal(err)
+	}
+	e := p.Arrays["E"]
+	for r := int64(0); r < int64(e.GridRows); r++ {
+		for c := int64(0); c < int64(e.GridCols); c++ {
+			blk, err := store.ReadBlock("E", r, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, v := range blk.Data {
+				if v != 0 {
+					t.Fatalf("E[%d,%d] element %d = %v over never-written inputs, want 0", r, c, i, v)
+				}
+			}
+		}
 	}
 }
