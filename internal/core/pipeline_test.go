@@ -58,8 +58,13 @@ func timelineDiff(a, b *codegen.Timeline) string {
 			}
 		}
 	}
-	if !reflect.DeepEqual(a.Holds, b.Holds) {
-		return fmt.Sprintf("holds %v vs %v", a.Holds, b.Holds)
+	if len(a.Holds) != len(b.Holds) {
+		return fmt.Sprintf("%d holds vs %d", len(a.Holds), len(b.Holds))
+	}
+	for i := range a.Holds {
+		if a.Holds[i] != b.Holds[i] {
+			return fmt.Sprintf("hold %d: %v vs %v", i, a.Holds[i], b.Holds[i])
+		}
 	}
 	return ""
 }
