@@ -45,6 +45,7 @@ import (
 	"net/url"
 	"os"
 	"os/signal"
+	"sort"
 	"strings"
 	"syscall"
 	"time"
@@ -88,7 +89,7 @@ func serve(fs *flag.FlagSet, args []string) error {
 		workers = fs.Int("workers", 1, "kernel workers per query (1 = in-order schedule)")
 		seed    = fs.Int64("seed", 1, "synthetic input data seed")
 
-		planBudgetMs = fs.Int64("plan-budget-ms", 250, "wall-clock budget for the greedy fast-path planner on a cache miss, analysis included; a program whose analysis outlasts it runs its original schedule (0 = full search every miss)")
+		planBudgetMs = fs.Int64("plan-budget-ms", 250, "wall-clock budget for the greedy planner on a cache miss, analysis included; a program whose analysis outlasts it runs its original schedule (0 = no deadline)")
 		planCacheN   = fs.Int("plan-cache", 256, "plan cache and program-shape cache entry cap, LRU-evicted (-1 = unlimited)")
 
 		shards     = fs.Int("shards", 1, "stripe the block store across N shard dirs under -data (devices)")
@@ -384,11 +385,13 @@ func printPlannerStats(addr string) error {
 	fmt.Printf("program shapes: %d entries, %d hits / %d misses\n",
 		st.PlanShapeEntries, st.PlanShapeHits, st.PlanShapeMisses)
 	fmt.Printf("%-8s %8s %10s %10s %10s\n", "tier", "plans", "p50ms", "p95ms", "p99ms")
-	for _, tier := range []string{"cache", "shape", "greedy", "full"} {
-		ts, ok := st.PlanningTiers[tier]
-		if !ok {
-			continue
-		}
+	tiers := make([]string, 0, len(st.PlanningTiers))
+	for tier := range st.PlanningTiers {
+		tiers = append(tiers, tier)
+	}
+	sort.Strings(tiers)
+	for _, tier := range tiers {
+		ts := st.PlanningTiers[tier]
 		fmt.Printf("%-8s %8d %10.2f %10.2f %10.2f\n", tier, ts.Count, ts.P50Ms, ts.P95Ms, ts.P99Ms)
 	}
 	return nil

@@ -34,7 +34,9 @@ type Options struct {
 	// the program's bound parameter values (the paper's per-configuration
 	// analysis, e.g. n3=1 removing s2RC→s2RC).
 	BindParams bool
-	// MaxCalls bounds the Apriori search (0 = default).
+	// MaxCalls caps the FindSchedule calls of the search: the Apriori
+	// search's (0 = default 100000) and greedy accretion's (0 = default
+	// 1000).
 	MaxCalls int
 	// SkipMultiplicityReduction disables Remark A.1 (ablation).
 	SkipMultiplicityReduction bool
@@ -142,11 +144,12 @@ func originalPlan(ctx context.Context, start time.Time, p *prog.Program, opt Opt
 // its statements, loop nests, domains and accesses, but not its parameter
 // values, block sizes or array names. It holds the prepared analysis
 // (deps.Prepare) and, per analysis signature, the memo of schedule-search
-// answers (sched.Memo). Every program of the shape is optimized from it by
-// binding the analysis at the program's own sizes, searching with the
-// memo of the signature that binding yields, and lowering and costing the
-// plans found at those sizes, so the plan table is the one the package
-// functions compute from scratch. A Shape is safe for concurrent use.
+// answers (sched.Memo). Shape.OptimizeGreedy optimizes every program of
+// the shape from it by binding the analysis at the program's own sizes,
+// searching with the memo of the signature that binding yields, and
+// lowering and costing the plans found at those sizes, so the plan table
+// is the one the package's OptimizeGreedy computes from scratch. A Shape
+// is safe for concurrent use.
 type Shape struct {
 	prep  *deps.Prepared
 	mu    sync.Mutex
@@ -168,21 +171,11 @@ func PrepareShape(ctx context.Context, p *prog.Program, opt Options) (*Shape, er
 	return &Shape{prep: prep, memos: make(map[deps.Signature]*sched.Memo)}, nil
 }
 
-// Optimize is OptimizeCtx for a program of the shape.
-func (sh *Shape) Optimize(ctx context.Context, p *prog.Program, opt Options) (*Result, error) {
-	return sh.optimize(ctx, time.Now(), p, opt, apriori)
-}
-
 // OptimizeGreedy is the package's OptimizeGreedy for a program of the
 // shape: when ctx ends before the analysis is bound at p's sizes, it
 // serves OriginalPlan.
 func (sh *Shape) OptimizeGreedy(ctx context.Context, p *prog.Program, opt Options) (*Result, error) {
 	return sh.optimizeGreedy(ctx, time.Now(), p, opt)
-}
-
-// OptimizeSubsets is OptimizeSubsetsCtx for a program of the shape.
-func (sh *Shape) OptimizeSubsets(ctx context.Context, p *prog.Program, opt Options, subsets [][]string) (*Result, error) {
-	return sh.optimize(ctx, time.Now(), p, opt, named(subsets))
 }
 
 // optimizeGreedy is OptimizeGreedy for a prepared shape, OptimizeTime
@@ -229,12 +222,6 @@ func optimize(ctx context.Context, p *prog.Program, opt Options, search strategy
 	if err != nil {
 		return nil, err
 	}
-	return sh.optimize(ctx, start, p, opt, search)
-}
-
-// optimize is the pipeline after the analysis's first step: the analysis
-// bound at p's sizes, then run. OptimizeTime counts from start.
-func (sh *Shape) optimize(ctx context.Context, start time.Time, p *prog.Program, opt Options, search strategy) (*Result, error) {
 	s, err := sh.searcher(ctx, p)
 	if err != nil {
 		return nil, err

@@ -115,55 +115,34 @@ func sameTable(t *testing.T, what string, got, want *Result) {
 // shapeCase is one program shape at several sizes: build returns the
 // program at size i, fresh on every call.
 type shapeCase struct {
-	name    string
-	sizes   int
-	build   func(i int) *prog.Program
-	apriori bool       // also compare the full search (false where it takes minutes)
-	subsets [][]string // also compare the named search over these
+	name  string
+	sizes int
+	build func(i int) *prog.Program
 	// signatures is the least number of analysis signatures the sizes
 	// must span, so that the memos are shared across a signature change.
 	signatures int
 }
 
-// checkShapeCase optimizes every size of the case twice: from scratch
-// through the package functions, and from one Shape prepared at the first
-// size and shared by all sizes, its schedule-search memos included. The
-// plan tables must be identical, strategy for strategy.
+// checkShapeCase plans every size of the case twice with the greedy
+// search the server runs: from scratch through OptimizeGreedy, and from
+// one Shape prepared at the first size and shared by all sizes, its
+// schedule-search memos included. The plan tables must be identical.
 func checkShapeCase(t *testing.T, tc shapeCase) {
-	opt := Options{BindParams: true, MaxCalls: 30000}
+	opt := Options{BindParams: true}
 	ctx := context.Background()
 	sh, err := PrepareShape(ctx, tc.build(0), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < tc.sizes; i++ {
-		type strategy struct {
-			name        string
-			scratch, sh func(p *prog.Program) (*Result, error)
+		what := fmt.Sprintf("%s size %d %v", tc.name, i, tc.build(i).ParamValues())
+		want, wantErr := OptimizeGreedy(ctx, tc.build(i), opt)
+		got, gotErr := sh.OptimizeGreedy(ctx, tc.build(i), opt)
+		if (wantErr != nil) != (gotErr != nil) {
+			t.Fatalf("%s: error %v, from scratch %v", what, gotErr, wantErr)
 		}
-		strategies := []strategy{{"greedy",
-			func(p *prog.Program) (*Result, error) { return OptimizeGreedy(ctx, p, opt) },
-			func(p *prog.Program) (*Result, error) { return sh.OptimizeGreedy(ctx, p, opt) }}}
-		if tc.apriori {
-			strategies = append(strategies, strategy{"apriori",
-				func(p *prog.Program) (*Result, error) { return OptimizeCtx(ctx, p, opt) },
-				func(p *prog.Program) (*Result, error) { return sh.Optimize(ctx, p, opt) }})
-		}
-		if tc.subsets != nil {
-			strategies = append(strategies, strategy{"named",
-				func(p *prog.Program) (*Result, error) { return OptimizeSubsetsCtx(ctx, p, opt, tc.subsets) },
-				func(p *prog.Program) (*Result, error) { return sh.OptimizeSubsets(ctx, p, opt, tc.subsets) }})
-		}
-		for _, st := range strategies {
-			what := fmt.Sprintf("%s size %d %v %s", tc.name, i, tc.build(i).ParamValues(), st.name)
-			want, wantErr := st.scratch(tc.build(i))
-			got, gotErr := st.sh(tc.build(i))
-			if (wantErr != nil) != (gotErr != nil) {
-				t.Fatalf("%s: error %v, from scratch %v", what, gotErr, wantErr)
-			}
-			if wantErr == nil {
-				sameTable(t, what, got, want)
-			}
+		if wantErr == nil {
+			sameTable(t, what, got, want)
 		}
 	}
 	if len(sh.memos) < tc.signatures {
@@ -181,14 +160,13 @@ func TestShapeTablesMatchScratch(t *testing.T) {
 	var cases []shapeCase
 	for name, tmpl := range coldTemplates {
 		cases = append(cases, shapeCase{
-			name: name, sizes: len(extents), apriori: true, signatures: 2,
+			name: name, sizes: len(extents), signatures: 2,
 			build: func(i int) *prog.Program { return coldTemplate(name, extents[i], tmpl) },
 		})
 	}
 	addMul := [][3]int64{{12, 12, 1}, {12, 12, 2}, {3, 4, 2}, {2, 2, 1}}
 	cases = append(cases, shapeCase{
-		name: "addmul-paper", sizes: len(addMul), apriori: true, signatures: 2,
-		subsets: [][]string{{"s1WC→s2RC"}, {"s2WE→s2RE", "s2WE→s2WE"}},
+		name: "addmul-paper", sizes: len(addMul), signatures: 2,
 		build: func(i int) *prog.Program {
 			return ops.AddMul(ops.AddMulConfig{
 				N1: addMul[i][0], N2: addMul[i][1], N3: addMul[i][2],
@@ -199,17 +177,12 @@ func TestShapeTablesMatchScratch(t *testing.T) {
 	})
 	twoMM := []func() *prog.Program{paperTwoMMA, paperTwoMMB}
 	cases = append(cases, shapeCase{
-		name: "twomm-paper", sizes: len(twoMM), apriori: true,
+		name: "twomm-paper", sizes: len(twoMM),
 		build: func(i int) *prog.Program { return twoMM[i]() },
 	})
 	linReg := []int64{25, 4, 1}
 	cases = append(cases, shapeCase{
 		name: "linreg-paper", sizes: len(linReg),
-		subsets: [][]string{
-			{"s1WU→s1RU", "s1WU→s1WU", "s2WV→s2RV", "s2WV→s2WV"},
-			{"s1RX→s2RX", "s1WU→s1RU", "s1WU→s1WU", "s2WV→s2RV", "s2WV→s2WV",
-				"s1WU→s3RU", "s2WV→s4RV", "s3WW→s4RW", "s4WBh→s5RBh", "s5WYh→s6RYh", "s6WEv→s7REv"},
-		},
 		build: func(i int) *prog.Program {
 			return ops.LinReg(ops.LinRegConfig{
 				N:      linReg[i],
@@ -223,7 +196,7 @@ func TestShapeTablesMatchScratch(t *testing.T) {
 	fuzzSizes := [][2]int64{{2, 2}, {1, 1}, {2, 3}}
 	for idx := 0; idx < 6; idx++ {
 		cases = append(cases, shapeCase{
-			name: fmt.Sprintf("fuzz%d", idx), sizes: len(fuzzSizes), apriori: true, signatures: 1,
+			name: fmt.Sprintf("fuzz%d", idx), sizes: len(fuzzSizes), signatures: 1,
 			build: func(i int) *prog.Program {
 				rng := rand.New(rand.NewSource(123))
 				var p *prog.Program

@@ -3,12 +3,15 @@ package server
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"riotshare/internal/bench"
 	"riotshare/internal/blas"
+	"riotshare/internal/core"
 	"riotshare/internal/prog"
 	"riotshare/internal/storage"
 )
@@ -86,76 +89,140 @@ func TestPlanCacheLRUBound(t *testing.T) {
 	}
 }
 
-// A budgeted server plans cold queries on the greedy tier, serves repeats
-// from the cache tier, keeps outputs bit-identical to a standalone run,
-// and exposes the tier split in Stats and as separated
-// riotshare_planning_seconds{tier} histograms.
+// A server plans cold queries on the greedy tier whatever its plan budget
+// (0 is no deadline, not another search), serves repeats from the cache
+// tier, keeps outputs bit-identical to a standalone run, and exposes the
+// tier split in Stats and as separated riotshare_planning_seconds{tier}
+// histograms. No "full" tier exists at any budget.
 func TestGreedyTierPlanning(t *testing.T) {
 	_, wantOuts, _ := standaloneRun(t, smallAddMul)
 
-	s, err := New(Config{
-		Dir:        t.TempDir(),
-		Seed:       testSeed,
-		Programs:   map[string]func() *prog.Program{"addmul-small": smallAddMul},
-		PlanBudget: 10 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	var ids [2]string
-	for i := range ids {
-		id, err := s.Submit(Request{Program: "addmul-small"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st, err := s.Wait(id); err != nil || st.State != StateDone {
-			t.Fatalf("query %d: state %v, err %v (%s)", i, st.State, err, st.Err)
-		}
-		ids[i] = id
-	}
-
-	stats := s.Stats()
-	if got := stats.PlanningTiers["greedy"].Count; got != 1 {
-		t.Errorf("greedy-tier plannings = %d, want 1 (tiers: %+v)", got, stats.PlanningTiers)
-	}
-	if got := stats.PlanningTiers["cache"].Count; got != 1 {
-		t.Errorf("cache-tier plannings = %d, want 1 (tiers: %+v)", got, stats.PlanningTiers)
-	}
-	if got := stats.PlanningTiers["full"].Count; got != 0 {
-		t.Errorf("full-tier plannings = %d, want 0 under a plan budget", got)
-	}
-
-	// Greedy-planned queries still produce bit-identical outputs.
-	for _, id := range ids {
-		for name, want := range wantOuts {
-			got, err := s.Output(id, name)
+	for _, budget := range []time.Duration{0, 10 * time.Second} {
+		t.Run(budget.String(), func(t *testing.T) {
+			s, err := New(Config{
+				Dir:        t.TempDir(),
+				Seed:       testSeed,
+				Programs:   map[string]func() *prog.Program{"addmul-small": smallAddMul},
+				PlanBudget: budget,
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i := range want.Data {
-				if got.Data[i] != want.Data[i] {
-					t.Fatalf("query %s: %s[%d] = %v, want %v (not bit-identical)",
-						id, name, i, got.Data[i], want.Data[i])
+			defer s.Close()
+
+			var ids [2]string
+			for i := range ids {
+				id, err := s.Submit(Request{Program: "addmul-small"})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st, err := s.Wait(id); err != nil || st.State != StateDone {
+					t.Fatalf("query %d: state %v, err %v (%s)", i, st.State, err, st.Err)
+				}
+				ids[i] = id
+			}
+
+			stats := s.Stats()
+			if got := stats.PlanningTiers["greedy"].Count; got != 1 {
+				t.Errorf("greedy-tier plannings = %d, want 1 (tiers: %+v)", got, stats.PlanningTiers)
+			}
+			if got := stats.PlanningTiers["cache"].Count; got != 1 {
+				t.Errorf("cache-tier plannings = %d, want 1 (tiers: %+v)", got, stats.PlanningTiers)
+			}
+			if _, ok := stats.PlanningTiers["full"]; ok {
+				t.Errorf("a full tier exists (tiers: %+v)", stats.PlanningTiers)
+			}
+
+			// Greedy-planned queries still produce bit-identical outputs.
+			for _, id := range ids {
+				for name, want := range wantOuts {
+					got, err := s.Output(id, name)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i := range want.Data {
+						if got.Data[i] != want.Data[i] {
+							t.Fatalf("query %s: %s[%d] = %v, want %v (not bit-identical)",
+								id, name, i, got.Data[i], want.Data[i])
+						}
+					}
 				}
 			}
-		}
-	}
 
-	var sb strings.Builder
-	if err := s.Metrics().WritePrometheus(&sb); err != nil {
+			var sb strings.Builder
+			if err := s.Metrics().WritePrometheus(&sb); err != nil {
+				t.Fatal(err)
+			}
+			text := sb.String()
+			for _, want := range []string{
+				`riotshare_planning_seconds_bucket{tier="greedy"`,
+				`riotshare_planning_seconds_bucket{tier="cache"`,
+				`riotshare_planning_seconds_count{tier="greedy"} 1`,
+			} {
+				if !strings.Contains(text, want) {
+					t.Errorf("metrics missing separated tier series %q", want)
+				}
+			}
+			if strings.Contains(text, `tier="full"`) {
+				t.Errorf("metrics have a full-tier series")
+			}
+		})
+	}
+}
+
+// Named programs are planned like every other one, by the greedy search,
+// at any budget: under budget 0 and under 10 s, named twomm-a is served
+// the plan table (labels and costs) core.OptimizeGreedy computes from
+// scratch, and named linreg a best plan at least as cheap as the best of
+// the paper's §6.3 selected plans.
+func TestNamedProgramsPlannedByGreedy(t *testing.T) {
+	opt := core.Options{BindParams: true}
+	want, err := core.OptimizeGreedy(context.Background(), bench.TwoMMPaperA(), opt)
+	if err != nil {
 		t.Fatal(err)
 	}
-	text := sb.String()
-	for _, want := range []string{
-		`riotshare_planning_seconds_bucket{tier="greedy"`,
-		`riotshare_planning_seconds_bucket{tier="cache"`,
-		`riotshare_planning_seconds_count{tier="greedy"} 1`,
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("metrics missing separated tier series %q", want)
-		}
+	selected, err := core.OptimizeSubsets(bench.LinRegPaper(), opt, bench.LinRegSelectedPlans())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, budget := range []time.Duration{0, 10 * time.Second} {
+		t.Run(budget.String(), func(t *testing.T) {
+			s, err := New(Config{Dir: t.TempDir(), Seed: testSeed, PlanBudget: budget})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			plan := func(name string) (*core.Result, string) {
+				req := Request{Program: name}
+				p, err := s.resolve(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, tier, err := s.plans(req, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res, tier
+			}
+			got, tier := plan("twomm-a")
+			if tier != tierGreedy {
+				t.Errorf("twomm-a planned on tier %q, want %q", tier, tierGreedy)
+			}
+			if len(got.Plans) != len(want.Plans) {
+				t.Fatalf("twomm-a served %d plans, want the greedy table's %d", len(got.Plans), len(want.Plans))
+			}
+			for i := range want.Plans {
+				g, w := &got.Plans[i], &want.Plans[i]
+				if g.Label != w.Label || !reflect.DeepEqual(g.Cost, w.Cost) {
+					t.Errorf("twomm-a plan %d: %s %+v, want %s %+v", i, g.Label, g.Cost, w.Label, w.Cost)
+				}
+			}
+			lr, _ := plan("linreg")
+			if got, sel := lr.Best.Cost.IOTimeSec, selected.Best.Cost.IOTimeSec; got > sel {
+				t.Errorf("linreg best plan %s: %.1f s of I/O, want ≤ the selected plans' best %s at %.1f s",
+					lr.Best.Label, got, selected.Best.Label, sel)
+			}
+		})
 	}
 }
 

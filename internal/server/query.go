@@ -19,11 +19,10 @@ import (
 
 // query is the server-side record, kept from Submit until it retires.
 type query struct {
-	id      string
-	seq     int // the N of id "qN"
-	req     Request
-	prog    *prog.Program
-	subsets [][]string // restricted plan search, when the program wants one
+	id   string
+	seq  int // the N of id "qN"
+	req  Request
+	prog *prog.Program
 
 	// tenant is the label admission, the pool session, the wait histogram
 	// and the tenant counters key by: req.Tenant, or overflowTenant once

@@ -109,14 +109,12 @@ type Config struct {
 	// daemon stays bounded; its id then answers expired (HTTP 410).
 	// 0 = default (64), < 0 = unlimited.
 	RetainOutputs int
-	// PlanBudget, when > 0, enables the tiered planner's greedy fast path
-	// (tier 2): a cache-miss query is planned by the budgeted greedy
-	// search under this wall-clock budget instead of the full Apriori
-	// enumeration. The budget bounds the analysis too: a program whose
-	// analysis outlasts it is served its original schedule, without
-	// sharing. 0 keeps the classic full search on every miss.
-	// Programs with a restricted plan list (linreg) always use their
-	// selected plans. See docs/planner.md.
+	// PlanBudget, when > 0, is the wall-clock deadline of a cache-miss
+	// query's plan fill: the budgeted greedy search (core's
+	// Shape.OptimizeGreedy), analysis included. A fill the deadline cuts
+	// off keeps the best plan found so far, and a program whose analysis
+	// outlasts it is served its original schedule, without sharing. 0 =
+	// no deadline. See docs/planner.md.
 	PlanBudget time.Duration
 	// PlanCacheEntries bounds the plan cache, and the program-shape
 	// cache behind it; the least recently used entry is evicted past the
@@ -148,8 +146,9 @@ type Request struct {
 	// MemCapMB bounds the chosen plan's peak (logical) memory and is
 	// enforced during execution (0 = unlimited: the cheapest plan wins).
 	MemCapMB int64 `json:"memCapMB,omitempty"`
-	// Plan forces a plan index from the optimizer's table (nil = cheapest
-	// plan fitting MemCapMB).
+	// Plan forces a plan index from the planner's greedy table, which
+	// holds the best plan found and the no-sharing baseline (nil =
+	// cheapest plan fitting MemCapMB).
 	Plan *int `json:"plan,omitempty"`
 }
 
@@ -268,8 +267,8 @@ type Stats struct {
 	PlanShapeMisses  int64 `json:"planShapeMisses"`
 	PlanShapeEntries int   `json:"planShapeEntries"`
 	// PlanningTiers breaks planning latency down per tier ("cache",
-	// "shape", "greedy", "full"); only tiers that served at least one
-	// query appear.
+	// "shape", "greedy"); only tiers that served at least one query
+	// appear.
 	PlanningTiers map[string]PlanningTierStats `json:"planningTiers,omitempty"`
 
 	// SlowQueries counts the queries whose wall time met
@@ -314,7 +313,6 @@ const (
 	tierCache  = "cache"
 	tierShape  = "shape"
 	tierGreedy = "greedy"
-	tierFull   = "full"
 )
 
 // Server is the multi-query analytics service.
@@ -537,7 +535,7 @@ func (s *Server) Submit(req Request) (string, error) {
 	if (req.Program == "") == (req.Spec == nil) {
 		return "", errors.New("server: exactly one of Program or Spec must be set")
 	}
-	p, subsets, err := s.resolve(req)
+	p, err := s.resolve(req)
 	if err != nil {
 		return "", err
 	}
@@ -548,13 +546,12 @@ func (s *Server) Submit(req Request) (string, error) {
 	}
 	s.nextID++
 	q := &query{
-		id:      "q" + strconv.Itoa(s.nextID),
-		seq:     s.nextID,
-		req:     req,
-		prog:    p,
-		subsets: subsets,
-		stream:  newStreamState(),
-		done:    make(chan struct{}),
+		id:     "q" + strconv.Itoa(s.nextID),
+		seq:    s.nextID,
+		req:    req,
+		prog:   p,
+		stream: newStreamState(),
+		done:   make(chan struct{}),
 	}
 	q.status = QueryStatus{
 		ID:        q.id,
@@ -591,42 +588,39 @@ func (s *Server) tenantLocked(name string) *tenantCounters {
 }
 
 // resolve builds the request's program: an ad-hoc spec, a Config.Programs
-// entry, or one of the paper's named programs with the plan restriction
-// bench.PaperProgram attaches.
-func (s *Server) resolve(req Request) (*prog.Program, [][]string, error) {
+// entry, or one of the paper's named programs.
+func (s *Server) resolve(req Request) (*prog.Program, error) {
 	if req.Spec != nil {
-		p, err := req.Spec.Build()
-		return p, nil, err
+		return req.Spec.Build()
 	}
 	if build, ok := s.cfg.Programs[req.Program]; ok {
-		return build(), nil, nil
+		return build(), nil
 	}
-	p, subsets, err := bench.PaperProgram(req.Program, false)
+	p, _, err := bench.PaperProgram(req.Program, false)
 	if err != nil {
 		extra := make([]string, 0, len(s.cfg.Programs))
 		for n := range s.cfg.Programs {
 			extra = append(extra, n)
 		}
 		sort.Strings(extra)
-		return nil, nil, fmt.Errorf("server: %w; configured programs: %q", err, extra)
+		return nil, fmt.Errorf("server: %w; configured programs: %q", err, extra)
 	}
-	return p, subsets, nil
+	return p, nil
 }
 
 // plans optimizes through the tiered planner, reporting which tier served
-// the table: "cache" (tier 1, a resident entry), "shape" (a fill whose
-// program shape was already prepared: it binds that analysis at the
-// program's sizes and searches with the shape's memo), "greedy" (tier 2,
-// the budgeted fast-path search under Config.PlanBudget), or "full" (the
-// Apriori enumeration — every miss when no budget is set, and all
-// restricted-plan programs). An entry is planned once, by one optimizer
-// call, and never replaced. The cache key ignores per-query memory caps:
-// plan selection against a cap happens on the cached table. The plan
-// budget bounds the whole fill, the analysis included: a greedy fill
-// whose budget ends before the analysis does serves the original schedule
-// alone (core.OriginalPlan), as it does when the budget ends before the
-// baseline's search.
-func (s *Server) plans(req Request, p *prog.Program, subsets [][]string) (*core.Result, string, error) {
+// the table: "cache" (a resident entry), "shape" (a fill whose program
+// shape was already prepared: it binds that analysis at the program's
+// sizes and searches with the shape's memo), or "greedy" (a fill that
+// prepared the shape). Every fill runs one search, the greedy one
+// (core's Shape.OptimizeGreedy), under Config.PlanBudget as its deadline
+// when one is set. An entry is planned once and never replaced. The cache
+// key ignores per-query memory caps: plan selection against a cap happens
+// on the cached table. The plan budget bounds the whole fill, the
+// analysis included: a fill whose budget ends before the analysis does
+// serves the original schedule alone (core.OriginalPlan), as it does when
+// the budget ends before the baseline's search.
+func (s *Server) plans(req Request, p *prog.Program) (*core.Result, string, error) {
 	key, shapeKey := "prog:"+req.Program, "prog:"+req.Program
 	if req.Spec != nil {
 		key, shapeKey = req.Spec.cacheKey(), req.Spec.programShapeKey()
@@ -648,27 +642,19 @@ func (s *Server) plans(req Request, p *prog.Program, subsets [][]string) (*core.
 
 	opt := core.Options{BindParams: true}
 	ctx, cancel := s.fillCtx, context.CancelFunc(func() {})
-	tier, budgeted := tierFull, subsets == nil && s.cfg.PlanBudget > 0
-	if budgeted {
-		tier = tierGreedy
+	if s.cfg.PlanBudget > 0 {
 		ctx, cancel = context.WithTimeout(s.fillCtx, s.cfg.PlanBudget)
 	}
+	tier := tierGreedy
 	sh, found, err := s.programShape(ctx, shapeKey, p, opt)
 	if found {
 		tier = tierShape
 	}
 	var res *core.Result
-	switch {
-	case err != nil:
-		if budgeted && ctx.Err() != nil { // the budget ended the preparation
-			res, err = core.OriginalPlan(ctx, p, opt)
-		}
-	case subsets != nil:
-		res, err = sh.OptimizeSubsets(ctx, p, opt, subsets)
-	case budgeted:
+	if err == nil {
 		res, err = sh.OptimizeGreedy(ctx, p, opt)
-	default:
-		res, err = sh.Optimize(ctx, p, opt)
+	} else if ctx.Err() != nil { // the budget, or Close, ended the preparation
+		res, err = core.OriginalPlan(ctx, p, opt)
 	}
 	cancel()
 
@@ -790,7 +776,7 @@ func (s *Server) runQuery(q *query) (retErr error) {
 	}()
 
 	sp := root.Child("planning")
-	res, tier, err := s.plans(q.req, q.prog, q.subsets)
+	res, tier, err := s.plans(q.req, q.prog)
 	sp.End()
 	s.mPlanning.ObserveDuration(sp.Duration())
 	s.tierHistogram(tier).ObserveDuration(sp.Duration())

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -25,14 +26,14 @@ func smallAddMul() *prog.Program {
 	})
 }
 
-// standaloneRun executes the program's cheapest plan on a private manager
-// without a pool — the reference the server's per-query results must
-// match — and reports the result, the persistent outputs, and the physical
-// read count.
+// standaloneRun executes the cheapest plan of the greedy table the server
+// serves on a private manager without a pool — the reference the server's
+// per-query results must match — and reports the result, the persistent
+// outputs, and the physical read count.
 func standaloneRun(t *testing.T, build func() *prog.Program) (exec.Result, map[string]*blas.Matrix, int64) {
 	t.Helper()
 	p := build()
-	res, err := core.Optimize(p, core.Options{BindParams: true})
+	res, err := core.OptimizeGreedy(context.Background(), p, core.Options{BindParams: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +297,7 @@ func TestAvgQueueWaitSubMillisecond(t *testing.T) {
 // the chosen plan's peak respects it.
 func TestPerQueryMemCapSelectsFittingPlan(t *testing.T) {
 	p := smallAddMul()
-	res, err := core.Optimize(p, core.Options{BindParams: true})
+	res, err := core.OptimizeGreedy(context.Background(), p, core.Options{BindParams: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -90,7 +91,7 @@ func TestOutputSumContract(t *testing.T) {
 	names := []string{"addmul", "twomm", "stream-mul"}
 	plans := map[string][]*int{"stream-mul": {nil}} // nil: the cheapest plan
 	for _, name := range []string{"addmul", "twomm"} {
-		res, err := core.Optimize(programs[name](), core.Options{BindParams: true})
+		res, err := core.OptimizeGreedy(context.Background(), programs[name](), core.Options{BindParams: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -602,7 +602,7 @@ func TestStatsRegistersNoSeries(t *testing.T) {
 			t.Errorf("/metrics lacks %s", family)
 		}
 	}
-	for _, series := range []string{`riotshare_admission_wait_seconds_count{tenant="x"}`, `tier="greedy"`, `tier="cache"`} {
+	for _, series := range []string{`riotshare_admission_wait_seconds_count{tenant="x"}`, `tier="shape"`, `tier="cache"`} {
 		if strings.Contains(after, series) {
 			t.Errorf("/metrics has %s, which nothing observed", series)
 		}
