@@ -23,14 +23,17 @@ test:
 # file), streamed tenant attribution,
 # streamed blocks against the whole fetch, a drop-retained stream waiting
 # for its query, the write-once plan
-# cache, one program shape filled once for fills at eight sizes, Close
-# stopping an in-flight plan fill, a budgeted fill ending at its budget
+# cache, a plan entry's one timeline and another plan lowered once for
+# concurrent selectors, one program shape filled once for fills at eight
+# sizes, Close stopping an in-flight plan fill, a budgeted fill ending at its budget
 # (in its search, and in the analysis of a 64-statement chain), lookups
 # racing retirement, /metrics rendering the same Stats
 # snapshot /stats serves, and a snapshot registering no series in the
 # server; every plan of one analysis lowered from several goroutines at
-# once, with each share's instance pairs enumerated once for all of them,
-# in codegen; concurrent and sharded reads and writes through remote
+# once, with each statement's instances and each share's instance pairs
+# enumerated once for all of them, in codegen; the schedule search testing
+# the ready sets of one step on several goroutines, over one Farkas cache,
+# in sched; concurrent and sharded reads and writes through remote
 # shards, the remote client's write-lock wait and pending depth under
 # concurrent requests, and its dial slots under concurrent first requests,
 # in blockd. The storage and stream tests drive the read-coalescing and
@@ -41,8 +44,9 @@ test-race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -count=5 ./internal/exec/ ./internal/buffer/ ./internal/govern/
 	$(GO) test -race -count=5 -run 'TestCoalescedReadsShareOneRequest|TestConcurrentReadWrite' ./internal/storage/
-	$(GO) test -race -count=5 -run 'Fairness|QueueWait|TenantLabel|ResultFetch|OutputSum|StreamAttributesTenant|TestStreamedResultsMatchWholeFetch|TestStreamRetainDropWaitsForQuery|PlanCacheConcurrentMiss|PlanShapeConcurrentSizes|CloseStopsPlanFill|BudgetedLongChain|BudgetedAnalysisEnds|RetirementRacesLookups|MetricsRenderStats|StatsRegistersNoSeries' ./internal/server/
+	$(GO) test -race -count=5 -run 'Fairness|QueueWait|TenantLabel|ResultFetch|OutputSum|StreamAttributesTenant|TestStreamedResultsMatchWholeFetch|TestStreamRetainDropWaitsForQuery|PlanCacheConcurrentMiss|PlanEntryKeepsOneTimeline|PlanShapeConcurrentSizes|CloseStopsPlanFill|BudgetedLongChain|BudgetedAnalysisEnds|RetirementRacesLookups|MetricsRenderStats|StatsRegistersNoSeries' ./internal/server/
 	$(GO) test -race -count=5 -run 'TestLowerConcurrentEnumeratesSharesOnce' ./internal/codegen/
+	$(GO) test -race -count=5 -run 'TestAprioriMatchesNoPruning|TestSearchRankKeepsTestedSets|TestSearchMaxCallsBudget' ./internal/sched/
 	$(GO) test -race -count=5 -run 'TestRemoteShardConcurrent|TestRemoteShardedMatchesLocalDirs|TestMixedLocalRemoteShards|TestRemoteWriteLockWaitAndPendingDepth|TestRemoteShardDialsAtMostPoolSize' ./internal/blockd/
 
 # Full suite, including the ~80s linear-regression plan-space search.

@@ -89,7 +89,7 @@ func serve(fs *flag.FlagSet, args []string) error {
 		workers = fs.Int("workers", 1, "kernel workers per query (1 = in-order schedule)")
 		seed    = fs.Int64("seed", 1, "synthetic input data seed")
 
-		planBudgetMs = fs.Int64("plan-budget-ms", 250, "wall-clock budget for the greedy planner on a cache miss, analysis included; a program whose analysis outlasts it runs its original schedule (0 = no deadline)")
+		planBudgetMs = fs.Int64("plan-budget-ms", 250, "wall-clock deadline of the plan search on a cache miss, analysis included: the best plan found by then is served, and a program whose analysis outlasts it runs its original schedule (0 = no deadline: the fill ends when the search completes or has tested its 100000-set call budget)")
 		planCacheN   = fs.Int("plan-cache", 256, "plan cache and program-shape cache entry cap, LRU-evicted (-1 = unlimited)")
 
 		shards     = fs.Int("shards", 1, "stripe the block store across N shard dirs under -data (devices)")

@@ -10,8 +10,8 @@ package codegen
 
 import (
 	"fmt"
-	"sort"
-	"strconv"
+	"reflect"
+	"slices"
 	"strings"
 
 	"riotshare/internal/deps"
@@ -70,19 +70,35 @@ func Lower(an *deps.Analysis, plan sched.Plan) (*Timeline, error) {
 	p := an.Prog
 	params := p.ParamValues()
 	tl := &Timeline{Prog: p, Params: params}
-
+	insts, err := an.Instances()
+	if err != nil {
+		return nil, fmt.Errorf("codegen: %w", err)
+	}
+	// Events by instance ordinal, then in time order: at maps an ordinal
+	// to its event's index.
+	byOrd := make([]Event, 0, insts.N)
 	for _, st := range p.Stmts {
-		insts, err := p.Instances(st, 10_000_000)
-		if err != nil {
-			return nil, fmt.Errorf("codegen: enumerating %s: %w", st.Name, err)
-		}
-		for _, x := range insts {
-			tl.Events = append(tl.Events, Event{St: st, X: x, Time: plan.Schedule.TimeOf(st, x, params)})
+		for _, x := range insts.Of[st.ID] {
+			byOrd = append(byOrd, Event{St: st, X: x, Time: plan.Schedule.TimeOf(st, x, params)})
 		}
 	}
-	sort.SliceStable(tl.Events, func(i, j int) bool {
-		return prog.LexLess(tl.Events[i].Time, tl.Events[j].Time)
-	})
+	order := make([]int32, len(byOrd))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortStableFunc(order, func(a, b int32) int { return prog.LexCompare(byOrd[a].Time, byOrd[b].Time) })
+	tl.Events = make([]Event, len(byOrd))
+	at := make([]int32, len(byOrd))
+	for i, o := range order {
+		tl.Events[i], at[o] = byOrd[o], int32(i)
+	}
+	event := func(st *prog.Statement, x []int64) (int, bool) {
+		o, ok := insts.Ordinal(st.ID, x)
+		if !ok {
+			return 0, false
+		}
+		return int(at[o]), true
+	}
 	// Injectivity: neighbouring equal times are an error.
 	for i := 1; i < len(tl.Events); i++ {
 		if prog.LexCompare(tl.Events[i-1].Time, tl.Events[i].Time) == 0 {
@@ -92,7 +108,6 @@ func Lower(an *deps.Analysis, plan sched.Plan) (*Timeline, error) {
 	}
 	// Default actions.
 	tl.Actions = make([][]AccessAction, len(tl.Events))
-	index := make(map[string]int, len(tl.Events))
 	for i, ev := range tl.Events {
 		tl.Actions[i] = make([]AccessAction, len(ev.St.Accesses))
 		for ai := range ev.St.Accesses {
@@ -100,7 +115,6 @@ func Lower(an *deps.Analysis, plan sched.Plan) (*Timeline, error) {
 				tl.Actions[i][ai] = Inactive
 			}
 		}
-		index[evKey(ev.St.ID, ev.X)] = i
 	}
 	// Apply the realized sharing opportunities: reads first (W→R, R→R),
 	// then write elisions (W→W), which must see the final read actions — a
@@ -120,8 +134,8 @@ func Lower(an *deps.Analysis, plan sched.Plan) (*Timeline, error) {
 			return nil, fmt.Errorf("codegen: pairs of %s: %w", c, err)
 		}
 		for _, pr := range pairs {
-			si, ok1 := index[evKey(c.Src.ID, pr[0])]
-			ti, ok2 := index[evKey(c.Tgt.ID, pr[1])]
+			si, ok1 := event(c.Src, pr[0])
+			ti, ok2 := event(c.Tgt, pr[1])
 			if !ok1 || !ok2 {
 				return nil, fmt.Errorf("codegen: share %s references unknown instance", c)
 			}
@@ -219,17 +233,43 @@ func (tl *Timeline) elideDeadTransientWrites() {
 	}
 }
 
-// evKey keys one statement instance (statement ID, instance vector) in
-// Lower's event index.
-func evKey(stmtID int, x []int64) string {
-	buf := make([]byte, 0, 8+len(x)*4)
-	buf = strconv.AppendInt(buf, int64(stmtID), 10)
-	buf = append(buf, ':')
-	for _, v := range x {
-		buf = strconv.AppendInt(buf, v, 10)
-		buf = append(buf, ',')
+// Diff describes the first difference between two lowered plans of
+// separately built copies of one program: statement, instance and time
+// of each event, the block and I/O action of each access, and every hold
+// interval. It returns "" when they agree.
+func Diff(a, b *Timeline) string {
+	if a.Prog.Name != b.Prog.Name || !reflect.DeepEqual(a.Params, b.Params) {
+		return fmt.Sprintf("program %s%v vs %s%v", a.Prog.Name, a.Params, b.Prog.Name, b.Params)
 	}
-	return string(buf)
+	if len(a.Events) != len(b.Events) {
+		return fmt.Sprintf("%d events vs %d", len(a.Events), len(b.Events))
+	}
+	for i := range a.Events {
+		ea, eb := a.Events[i], b.Events[i]
+		if ea.St.Name != eb.St.Name || !reflect.DeepEqual(ea.X, eb.X) || !reflect.DeepEqual(ea.Time, eb.Time) {
+			return fmt.Sprintf("event %d: %s%v@%v vs %s%v@%v", i, ea.St.Name, ea.X, ea.Time, eb.St.Name, eb.X, eb.Time)
+		}
+		if len(ea.St.Accesses) != len(eb.St.Accesses) || !reflect.DeepEqual(a.Actions[i], b.Actions[i]) {
+			return fmt.Sprintf("event %d: actions %v vs %v", i, a.Actions[i], b.Actions[i])
+		}
+		for j, ac := range ea.St.Accesses {
+			bc := eb.St.Accesses[j]
+			ra, ca := ac.BlockAt(ea.X, a.Params)
+			rb, cb := bc.BlockAt(eb.X, b.Params)
+			if ac.Type != bc.Type || ac.Array != bc.Array || ra != rb || ca != cb {
+				return fmt.Sprintf("event %d access %d: %s %s[%d,%d] vs %s %s[%d,%d]", i, j, ac.Type, ac.Array, ra, ca, bc.Type, bc.Array, rb, cb)
+			}
+		}
+	}
+	if len(a.Holds) != len(b.Holds) {
+		return fmt.Sprintf("%d holds vs %d", len(a.Holds), len(b.Holds))
+	}
+	for i := range a.Holds {
+		if a.Holds[i] != b.Holds[i] {
+			return fmt.Sprintf("hold %d: %v vs %v", i, a.Holds[i], b.Holds[i])
+		}
+	}
+	return ""
 }
 
 // String summarizes the timeline (first events and action statistics).

@@ -188,23 +188,12 @@ func TestBlockKeyDisambiguation(t *testing.T) {
 	}
 }
 
-// Statement IDs equal modulo 256 are different statements: their
-// instances must not share a key in Lower's event index.
-func TestEvKeyKeepsTheWholeStatementID(t *testing.T) {
-	x := []int64{1, 2}
-	if evKey(0, x) == evKey(256, x) {
-		t.Errorf("evKey(0, %v) == evKey(256, %v) = %q", x, x, evKey(0, x))
-	}
-	if evKey(1, []int64{23}) == evKey(12, []int64{3}) {
-		t.Error("evKey(1, [23]) collides with evKey(12, [3])")
-	}
-}
-
 // The plans of one analysis are lowered in parallel (core's evaluator), and
-// each share's instance pairs are enumerated once for all of them: lowering
-// every plan from several goroutines at once gives every goroutine the same
-// timelines and the same pair slices, and a later ConcretePairs allocates
-// nothing.
+// each statement's instances and each share's instance pairs are
+// enumerated once for all of them: lowering every plan from several
+// goroutines at once gives every goroutine the same timelines, whose
+// events share their instance vectors, and the same pair slices, and a
+// later ConcretePairs allocates nothing.
 func TestLowerConcurrentEnumeratesSharesOnce(t *testing.T) {
 	an, s := addMulSetup(t, 3, 4, 2)
 	plans, err := s.Search(context.Background(), sched.SearchOptions{})
@@ -247,9 +236,29 @@ func TestLowerConcurrentEnumeratesSharesOnce(t *testing.T) {
 		if !reflect.DeepEqual(tls[w], tls[0]) {
 			t.Fatalf("worker %d lowered other timelines than worker 0", w)
 		}
+
 		for i, c := range an.Shares {
 			if firsts[w][i] != firsts[0][i] {
 				t.Fatalf("%s: worker %d got other pairs than worker 0", c, w)
+			}
+		}
+	}
+	insts, err := an.Instances()
+	if err != nil {
+		t.Fatal(err)
+	}
+	enumerated := map[*int64]bool{}
+	for _, xs := range insts.Of {
+		for _, x := range xs {
+			enumerated[&x[0]] = true
+		}
+	}
+	for w := range tls {
+		for i, tl := range tls[w] {
+			for j, ev := range tl.Events {
+				if !enumerated[&ev.X[0]] {
+					t.Fatalf("worker %d plan %d event %d: instance %s%v enumerated again", w, i, j, ev.St.Name, ev.X)
+				}
 			}
 		}
 	}

@@ -2,16 +2,19 @@
 // pipeline: sharing-opportunity analysis, a search for legal plans, lowering
 // of each to an executable timeline, costing, and the pick of the cheapest
 // plan that fits the memory cap. Only the search varies: the Apriori-style
-// enumeration (Optimize), named combinations (OptimizeSubsets) or budgeted
-// greedy accretion (OptimizeGreedy). This is the paper's primary
+// enumeration (Optimize, and Shape.Optimize, the search the server runs on
+// every plan-cache miss, under its plan budget as a deadline), named
+// combinations (OptimizeSubsets) or greedy accretion (OptimizeGreedy,
+// kept to compare plan quality against). This is the paper's primary
 // contribution assembled from the substrate packages.
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,9 +37,10 @@ type Options struct {
 	// the program's bound parameter values (the paper's per-configuration
 	// analysis, e.g. n3=1 removing s2RC→s2RC).
 	BindParams bool
-	// MaxCalls caps the FindSchedule calls of the search: the Apriori
-	// search's (0 = default 100000) and greedy accretion's (0 = default
-	// 1000).
+	// MaxCalls caps the sharing sets the search tests, the no-sharing
+	// baseline included: the Apriori search's (0 = default 100000) and
+	// greedy accretion's (0 = default 1000). A search that reaches it
+	// ends with the plans found so far, as one its deadline ends does.
 	MaxCalls int
 	// SkipMultiplicityReduction disables Remark A.1 (ablation).
 	SkipMultiplicityReduction bool
@@ -75,9 +79,10 @@ func Optimize(p *prog.Program, opt Options) (*Result, error) {
 	return OptimizeCtx(context.Background(), p, opt) //riotvet:allow ctxflow — compatibility wrapper; cancelable callers use OptimizeCtx
 }
 
-// OptimizeCtx is Optimize with cancellation: canceling ctx aborts the
-// enumeration, or the lowering of its plans, with the context's error, so
-// shutdown and deadlines can interrupt a multi-minute full search.
+// OptimizeCtx is Optimize with cancellation: canceling ctx ends the
+// enumeration, and the lowering of its plans then fails with the
+// context's error, so shutdown and deadlines can interrupt a multi-minute
+// full search. (Shape.Optimize instead serves the plans found.)
 func OptimizeCtx(ctx context.Context, p *prog.Program, opt Options) (*Result, error) {
 	return optimize(ctx, p, opt, apriori)
 }
@@ -101,8 +106,9 @@ func OptimizeSubsetsCtx(ctx context.Context, p *prog.Program, opt Options, subse
 	return optimize(ctx, p, opt, named(subsets))
 }
 
-// OptimizeGreedy is the budgeted fast-path optimizer behind the serving
-// tier-2 planner: instead of the Apriori enumeration it runs
+// OptimizeGreedy is the budgeted greedy optimizer, kept beside the served
+// search to measure what plan quality greedy accretion gives up: instead
+// of the Apriori enumeration it runs
 // sched.SearchGreedy, scoring candidates by logical I/O bytes (lowering and
 // costing each tested combination). ctx bounds the analysis and the
 // search, not their answer: canceling it mid-search keeps the best
@@ -123,14 +129,14 @@ func OptimizeGreedy(ctx context.Context, p *prog.Program, opt Options) (*Result,
 		}
 		return originalPlan(ctx, start, p, opt)
 	}
-	return sh.optimizeGreedy(ctx, start, p, opt)
+	return sh.optimize(ctx, start, p, opt, greedy)
 }
 
 // OriginalPlan is the plan table of a program left unanalyzed: its
 // original schedule alone, which realizes no sharing and is legal by
-// construction, lowered and costed whatever ctx says. OptimizeGreedy
-// serves it when ctx ends before the analysis does, and so does a caller
-// whose PrepareShape a plan budget cut off.
+// construction, lowered and costed whatever ctx says. OptimizeGreedy and
+// Shape.Optimize serve it when ctx ends before the analysis does, and so
+// does a caller whose PrepareShape a plan budget cut off.
 func OriginalPlan(ctx context.Context, p *prog.Program, opt Options) (*Result, error) {
 	return originalPlan(ctx, time.Now(), p, opt)
 }
@@ -144,12 +150,13 @@ func originalPlan(ctx context.Context, start time.Time, p *prog.Program, opt Opt
 // its statements, loop nests, domains and accesses, but not its parameter
 // values, block sizes or array names. It holds the prepared analysis
 // (deps.Prepare) and, per analysis signature, the memo of schedule-search
-// answers (sched.Memo). Shape.OptimizeGreedy optimizes every program of
-// the shape from it by binding the analysis at the program's own sizes,
+// answers (sched.Memo). Shape.Optimize optimizes every program of the
+// shape from it by binding the analysis at the program's own sizes,
 // searching with the memo of the signature that binding yields, and
-// lowering and costing the plans found at those sizes, so the plan table
-// is the one the package's OptimizeGreedy computes from scratch. A Shape
-// is safe for concurrent use.
+// lowering and costing the plans found at those sizes, so a search that
+// completes gives the plan table the package's Optimize computes from
+// scratch. Shape.Lower lowers one plan of such a table again. A Shape is
+// safe for concurrent use.
 type Shape struct {
 	prep  *deps.Prepared
 	mu    sync.Mutex
@@ -171,16 +178,21 @@ func PrepareShape(ctx context.Context, p *prog.Program, opt Options) (*Shape, er
 	return &Shape{prep: prep, memos: make(map[deps.Signature]*sched.Memo)}, nil
 }
 
-// OptimizeGreedy is the package's OptimizeGreedy for a program of the
-// shape: when ctx ends before the analysis is bound at p's sizes, it
-// serves OriginalPlan.
-func (sh *Shape) OptimizeGreedy(ctx context.Context, p *prog.Program, opt Options) (*Result, error) {
-	return sh.optimizeGreedy(ctx, time.Now(), p, opt)
+// Optimize is the server's search for a program of the shape: the
+// package's Optimize, except that ctx bounds the analysis and the search,
+// not their answer. When ctx ends the search, or Options.MaxCalls does,
+// the plans found so far are lowered and costed anyway, so a deadline
+// returns a plan table rather than an error; when ctx ends before the
+// analysis is bound at p's sizes, or before the baseline is planned, it
+// serves the original schedule (OriginalPlan). An error means the
+// binding failed with ctx live or the program has no legal schedule.
+func (sh *Shape) Optimize(ctx context.Context, p *prog.Program, opt Options) (*Result, error) {
+	return sh.optimize(ctx, time.Now(), p, opt, served)
 }
 
-// optimizeGreedy is OptimizeGreedy for a prepared shape, OptimizeTime
-// counting from start.
-func (sh *Shape) optimizeGreedy(ctx context.Context, start time.Time, p *prog.Program, opt Options) (*Result, error) {
+// optimize optimizes p, a program of the shape, by the given strategy,
+// OptimizeTime counting from start.
+func (sh *Shape) optimize(ctx context.Context, start time.Time, p *prog.Program, opt Options, search strategy) (*Result, error) {
 	s, err := sh.searcher(ctx, p)
 	if err != nil {
 		if ctx.Err() == nil {
@@ -188,7 +200,22 @@ func (sh *Shape) optimizeGreedy(ctx context.Context, start time.Time, p *prog.Pr
 		}
 		return originalPlan(ctx, start, p, opt)
 	}
-	return run(ctx, start, s, opt, greedy)
+	return run(ctx, start, s, opt, search)
+}
+
+// Lower lowers one plan of a table Optimize computed for p, at p's sizes,
+// under ctx: the plan's sharing set indexes the analysis that binding the
+// shape at p's sizes gives, which is the one Optimize searched.
+func (sh *Shape) Lower(ctx context.Context, p *prog.Program, pl sched.Plan) (*codegen.Timeline, error) {
+	an, _, err := sh.prep.Bind(ctx, p)
+	if err != nil {
+		return nil, fmt.Errorf("core: analysis: %w", err)
+	}
+	tl, err := codegen.Lower(an, pl)
+	if err != nil {
+		return nil, fmt.Errorf("core: lowering plan %s: %w", pl.Label(an), err)
+	}
+	return tl, nil
 }
 
 // searcher binds the prepared analysis at p's sizes and returns a
@@ -246,8 +273,8 @@ func run(ctx context.Context, start time.Time, searcher *sched.Searcher, opt Opt
 	if res.Plans, err = ev.all(ctx, plans); err != nil {
 		return nil, err
 	}
-	sort.SliceStable(res.Plans, func(i, j int) bool {
-		return res.Plans[i].Cost.IOTimeSec < res.Plans[j].Cost.IOTimeSec
+	slices.SortFunc(res.Plans, func(a, b EvaluatedPlan) int {
+		return cmp.Or(cmp.Compare(a.Cost.IOTimeSec, b.Cost.IOTimeSec), compareShares(a.Plan.Shares, b.Plan.Shares))
 	})
 	for i := range res.Plans {
 		res.Plans[i].Index = i
@@ -258,11 +285,39 @@ func run(ctx context.Context, start time.Time, searcher *sched.Searcher, opt Opt
 	return res, nil
 }
 
-// apriori is the full search (Algorithm 2): every feasible combination.
-func apriori(ctx context.Context, s *sched.Searcher, _ *evaluator, opt Options) ([]sched.Plan, error) {
-	plans, err := s.Search(ctx, sched.SearchOptions{MaxCalls: opt.MaxCalls})
+// compareShares orders plans of equal I/O time by their sharing sets,
+// smaller sets first and then lexicographically, which is the order the
+// level-by-level Apriori enumeration finds them in: the table and its
+// pick do not depend on the order the search walks.
+func compareShares(a, b []int) int {
+	return cmp.Or(cmp.Compare(len(a), len(b)), slices.Compare(a, b))
+}
+
+// apriori is the full search (Algorithm 2): every feasible combination,
+// opportunities added in the order of their one-opportunity plans' I/O
+// time.
+func apriori(ctx context.Context, s *sched.Searcher, ev *evaluator, opt Options) ([]sched.Plan, error) {
+	rank := func(pl sched.Plan) (float64, error) {
+		e, err := ev.eval(ctx, pl)
+		return e.Cost.IOTimeSec, err
+	}
+	plans, err := s.Search(ctx, sched.SearchOptions{MaxCalls: opt.MaxCalls, Rank: rank})
 	if err != nil {
 		return nil, fmt.Errorf("core: search: %w", err)
+	}
+	return plans, nil
+}
+
+// served is apriori as the server runs it: ctx ends the search, not its
+// answer, so the plans found are lowered and costed even once ctx is
+// done, and the memo holds them when run evaluates the table.
+func served(ctx context.Context, s *sched.Searcher, ev *evaluator, opt Options) ([]sched.Plan, error) {
+	plans, err := apriori(ctx, s, ev, opt)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := ev.all(context.WithoutCancel(ctx), plans); err != nil {
+		return nil, err
 	}
 	return plans, nil
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -28,45 +27,6 @@ func paperTwoMMB() *prog.Program {
 		LogicalB: ops.Dims{Rows: 8000, Cols: 6000},
 		LogicalD: ops.Dims{Rows: 8000, Cols: 7000},
 	})
-}
-
-// timelineDiff describes the first difference between two lowered plans
-// of separately built copies of one program: statement, instance and time
-// of each event, the block and I/O action of each access, and every hold
-// interval. It returns "" when they agree.
-func timelineDiff(a, b *codegen.Timeline) string {
-	if a.Prog.Name != b.Prog.Name || !reflect.DeepEqual(a.Params, b.Params) {
-		return fmt.Sprintf("program %s%v vs %s%v", a.Prog.Name, a.Params, b.Prog.Name, b.Params)
-	}
-	if len(a.Events) != len(b.Events) {
-		return fmt.Sprintf("%d events vs %d", len(a.Events), len(b.Events))
-	}
-	for i := range a.Events {
-		ea, eb := a.Events[i], b.Events[i]
-		if ea.St.Name != eb.St.Name || !reflect.DeepEqual(ea.X, eb.X) || !reflect.DeepEqual(ea.Time, eb.Time) {
-			return fmt.Sprintf("event %d: %s%v@%v vs %s%v@%v", i, ea.St.Name, ea.X, ea.Time, eb.St.Name, eb.X, eb.Time)
-		}
-		if len(ea.St.Accesses) != len(eb.St.Accesses) || !reflect.DeepEqual(a.Actions[i], b.Actions[i]) {
-			return fmt.Sprintf("event %d: actions %v vs %v", i, a.Actions[i], b.Actions[i])
-		}
-		for j, ac := range ea.St.Accesses {
-			bc := eb.St.Accesses[j]
-			ra, ca := ac.BlockAt(ea.X, a.Params)
-			rb, cb := bc.BlockAt(eb.X, b.Params)
-			if ac.Type != bc.Type || ac.Array != bc.Array || ra != rb || ca != cb {
-				return fmt.Sprintf("event %d access %d: %s %s[%d,%d] vs %s %s[%d,%d]", i, j, ac.Type, ac.Array, ra, ca, bc.Type, bc.Array, rb, cb)
-			}
-		}
-	}
-	if len(a.Holds) != len(b.Holds) {
-		return fmt.Sprintf("%d holds vs %d", len(a.Holds), len(b.Holds))
-	}
-	for i := range a.Holds {
-		if a.Holds[i] != b.Holds[i] {
-			return fmt.Sprintf("hold %d: %v vs %v", i, a.Holds[i], b.Holds[i])
-		}
-	}
-	return ""
 }
 
 // The three search strategies feed one pipeline, so where their plan sets
@@ -107,7 +67,7 @@ func TestStrategiesAgree(t *testing.T) {
 				if f.Label != s.Label || f.Index != i || s.Index != i || !reflect.DeepEqual(f.Cost, s.Cost) {
 					t.Fatalf("row %d: full %d %s %+v, named %d %s %+v", i, f.Index, f.Label, f.Cost, s.Index, s.Label, s.Cost)
 				}
-				if d := timelineDiff(f.Timeline, s.Timeline); d != "" {
+				if d := codegen.Diff(f.Timeline, s.Timeline); d != "" {
 					t.Fatalf("row %d %s: timelines differ: %s", i, f.Label, d)
 				}
 			}
@@ -190,12 +150,12 @@ func TestEvaluatorCanceled(t *testing.T) {
 	}
 }
 
-// A greedy fill whose budget is gone before the baseline is searched still
-// answers: its one plan is the original schedule, lowered and costed after
-// the context is done, at the searched baseline's cost. A budget gone
-// before the analysis starts (OptimizeGreedy) or before its binding ends
-// (Shape.OptimizeGreedy) gives the same table as one gone only once the
-// analysis is complete.
+// A fill whose budget is gone before the baseline is searched still
+// answers, by either search: its one plan is the original schedule,
+// lowered and costed after the context is done, at the searched
+// baseline's cost. A budget gone before the analysis starts
+// (OptimizeGreedy) or before its binding ends (Shape.Optimize) gives the
+// same table as one gone only once the analysis is complete.
 func TestOptimizeGreedyCanceledServesOriginalSchedule(t *testing.T) {
 	opt := Options{BindParams: true}
 	p := paperAddMul()
@@ -217,18 +177,27 @@ func TestOptimizeGreedyCanceledServesOriginalSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	s, err = sh.searcher(context.Background(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	searched, err := run(ctx, time.Now(), s, opt, served)
+	if err != nil {
+		t.Fatal(err)
+	}
 	fresh, err := PrepareShape(context.Background(), p, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for name, optimize := range map[string]func() (*Result, error){
-		"analysis complete":   func() (*Result, error) { return analyzed, nil },
-		"preparation cut off": func() (*Result, error) { return OptimizeGreedy(ctx, p, opt) },
-		"binding cut off":     func() (*Result, error) { return fresh.OptimizeGreedy(ctx, p, opt) },
+		"analysis complete":         func() (*Result, error) { return analyzed, nil },
+		"analysis complete, served": func() (*Result, error) { return searched, nil },
+		"preparation cut off":       func() (*Result, error) { return OptimizeGreedy(ctx, p, opt) },
+		"binding cut off, served":   func() (*Result, error) { return fresh.Optimize(ctx, p, opt) },
 	} {
 		res, err := optimize()
 		if err != nil {
-			t.Fatalf("%s: greedy on a canceled context: %v", name, err)
+			t.Fatalf("%s: planning on a canceled context: %v", name, err)
 		}
 		if len(res.Plans) != 1 || res.Best != &res.Plans[0] {
 			t.Fatalf("%s: want one plan, the best; got %d plans, best %v", name, len(res.Plans), res.Best)
@@ -244,4 +213,44 @@ func TestOptimizeGreedyCanceledServesOriginalSchedule(t *testing.T) {
 			t.Fatalf("%s: timeline differs from the analyzed program's original schedule", name)
 		}
 	}
+}
+
+// A search its deadline cuts off serves the best plan found so far: on
+// linreg, whose complete search takes minutes, a 250 ms budget ends the
+// search with a table of legal plans whose best is no costlier than the
+// baseline.
+func TestCutOffSearchServesBestFound(t *testing.T) {
+	p := ops.LinReg(ops.LinRegConfig{
+		N:      25,
+		XBlock: ops.Dims{Rows: 60, Cols: 40}, YBlock: ops.Dims{Rows: 60, Cols: 4},
+		LogicalX: ops.Dims{Rows: 60000, Cols: 4000}, LogicalY: ops.Dims{Rows: 60000, Cols: 400},
+	})
+	opt := Options{BindParams: true}
+	sh, err := PrepareShape(context.Background(), p, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 250*time.Millisecond)
+	defer cancel()
+	res, err := sh.Optimize(ctx, p, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ctx.Err() == nil {
+		t.Fatalf("the search of %d plans completed within its budget", len(res.Plans))
+	}
+	base := res.Baseline()
+	if base == nil || res.Best == nil {
+		t.Fatalf("%d plans: baseline %v, best %v", len(res.Plans), base, res.Best)
+	}
+	if res.Best.Cost.IOTimeSec > base.Cost.IOTimeSec {
+		t.Fatalf("best plan %s costs %.1f s, the baseline %.1f s", res.Best.Label, res.Best.Cost.IOTimeSec, base.Cost.IOTimeSec)
+	}
+	for _, pl := range res.Plans {
+		if err := res.Searcher.VerifyConcrete(pl.Plan.Schedule); err != nil {
+			t.Fatalf("plan %s: %v", pl.Label, err)
+		}
+	}
+	t.Logf("%d plans in %v, best %s at %.1f s (baseline %.1f s)",
+		len(res.Plans), res.OptimizeTime, res.Best.Label, res.Best.Cost.IOTimeSec, base.Cost.IOTimeSec)
 }

@@ -6,7 +6,9 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 
+	"riotshare/internal/codegen"
 	"riotshare/internal/ops"
 	"riotshare/internal/prog"
 )
@@ -106,8 +108,8 @@ func sameTable(t *testing.T, what string, got, want *Result) {
 			t.Fatalf("%s plan %d %s: cost %+v, want %+v", what, i, w.Label, g.Cost, w.Cost)
 		case !reflect.DeepEqual(g.Plan.Schedule, w.Plan.Schedule):
 			t.Fatalf("%s plan %d %s: schedule differs", what, i, w.Label)
-		case timelineDiff(g.Timeline, w.Timeline) != "":
-			t.Fatalf("%s plan %d %s: timeline differs: %s", what, i, w.Label, timelineDiff(g.Timeline, w.Timeline))
+		case codegen.Diff(g.Timeline, w.Timeline) != "":
+			t.Fatalf("%s plan %d %s: timeline differs: %s", what, i, w.Label, codegen.Diff(g.Timeline, w.Timeline))
 		}
 	}
 }
@@ -118,31 +120,52 @@ type shapeCase struct {
 	name  string
 	sizes int
 	build func(i int) *prog.Program
+	// maxCalls caps the served search's leg (0 = the server's default),
+	// for shapes whose complete search takes minutes.
+	maxCalls int
 	// signatures is the least number of analysis signatures the sizes
 	// must span, so that the memos are shared across a signature change.
 	signatures int
 }
 
-// checkShapeCase plans every size of the case twice with the greedy
-// search the server runs: from scratch through OptimizeGreedy, and from
-// one Shape prepared at the first size and shared by all sizes, its
-// schedule-search memos included. The plan tables must be identical.
+// checkShapeCase plans every size of the case twice with each search,
+// the served one and greedy accretion: from scratch through the package
+// functions, and from one Shape prepared at the first size and shared by
+// all sizes, its schedule-search memos included. The plan tables must be
+// identical, search for search.
 func checkShapeCase(t *testing.T, tc shapeCase) {
-	opt := Options{BindParams: true}
 	ctx := context.Background()
-	sh, err := PrepareShape(ctx, tc.build(0), opt)
+	sh, err := PrepareShape(ctx, tc.build(0), Options{BindParams: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < tc.sizes; i++ {
-		what := fmt.Sprintf("%s size %d %v", tc.name, i, tc.build(i).ParamValues())
-		want, wantErr := OptimizeGreedy(ctx, tc.build(i), opt)
-		got, gotErr := sh.OptimizeGreedy(ctx, tc.build(i), opt)
-		if (wantErr != nil) != (gotErr != nil) {
-			t.Fatalf("%s: error %v, from scratch %v", what, gotErr, wantErr)
-		}
-		if wantErr == nil {
-			sameTable(t, what, got, want)
+		for _, search := range []struct {
+			name        string
+			scratch, sh func(p *prog.Program) (*Result, error)
+		}{
+			{"served",
+				func(p *prog.Program) (*Result, error) {
+					return OptimizeCtx(ctx, p, Options{BindParams: true, MaxCalls: tc.maxCalls})
+				},
+				func(p *prog.Program) (*Result, error) {
+					return sh.Optimize(ctx, p, Options{BindParams: true, MaxCalls: tc.maxCalls})
+				}},
+			{"greedy",
+				func(p *prog.Program) (*Result, error) { return OptimizeGreedy(ctx, p, Options{BindParams: true}) },
+				func(p *prog.Program) (*Result, error) {
+					return sh.optimize(ctx, time.Now(), p, Options{BindParams: true}, greedy)
+				}},
+		} {
+			what := fmt.Sprintf("%s size %d %v %s", tc.name, i, tc.build(i).ParamValues(), search.name)
+			want, wantErr := search.scratch(tc.build(i))
+			got, gotErr := search.sh(tc.build(i))
+			if (wantErr != nil) != (gotErr != nil) {
+				t.Fatalf("%s: error %v, from scratch %v", what, gotErr, wantErr)
+			}
+			if wantErr == nil {
+				sameTable(t, what, got, want)
+			}
 		}
 	}
 	if len(sh.memos) < tc.signatures {
@@ -182,7 +205,7 @@ func TestShapeTablesMatchScratch(t *testing.T) {
 	})
 	linReg := []int64{25, 4, 1}
 	cases = append(cases, shapeCase{
-		name: "linreg-paper", sizes: len(linReg),
+		name: "linreg-paper", sizes: len(linReg), maxCalls: 300,
 		build: func(i int) *prog.Program {
 			return ops.LinReg(ops.LinRegConfig{
 				N:      linReg[i],

@@ -26,6 +26,11 @@ type Analysis struct {
 	// Dropped lists sharing opportunities that could not be reduced to
 	// one-one form and were discarded (none occur in the paper's programs).
 	Dropped []*CoAccess
+
+	// instOnce computes insts and instErr, Instances' answer.
+	instOnce sync.Once
+	insts    *Instances
+	instErr  error
 }
 
 // Options controls analysis behaviour.

@@ -33,28 +33,40 @@ func (p *Poly) EliminateVar(i int) (*Poly, bool) {
 		if abs64(e.Coef[i]) != 1 {
 			exact = false
 		}
+		out := newDerived(q, i, len(p.Cons)-1)
 		for j, c := range p.Cons {
 			if j == bestEq {
 				continue
 			}
 			if c.Coef[i] == 0 {
-				q.Cons = append(q.Cons, dropCol(c, i))
+				out.add(1, c, 0, e, c.Eq)
 				continue
 			}
 			// Cancel variable i: h = e_i*c - c_i*e. On points of the
 			// polyhedron e == 0, so h = e_i*c; flip if e_i < 0 to preserve the
 			// inequality direction.
-			h := combine(e.Coef[i], c, -c.Coef[i], e)
-			if e.Coef[i] < 0 && !c.Eq {
-				h = Constraint{Coef: linalg.ScaleVec(-1, h.Coef), K: -h.K, Eq: h.Eq}
+			a, b := e.Coef[i], -c.Coef[i]
+			if a < 0 && !c.Eq {
+				a, b = -a, -b
 			}
-			q.Cons = append(q.Cons, dropCol(h, i))
+			out.add(a, c, b, e, c.Eq)
 		}
 		q.Simplify()
 		return q, exact
 	}
-	// Pure inequality elimination.
-	var lowers, uppers, free []Constraint
+	// Pure inequality elimination: the constraints without variable i
+	// first, then every lower bound combined with every upper bound.
+	var nLo, nUp int
+	for _, c := range p.Cons {
+		switch {
+		case c.Coef[i] > 0:
+			nLo++
+		case c.Coef[i] < 0:
+			nUp++
+		}
+	}
+	out := newDerived(q, i, len(p.Cons)-nLo-nUp+nLo*nUp)
+	lowers, uppers := make([]Constraint, 0, nLo), make([]Constraint, 0, nUp)
 	for _, c := range p.Cons {
 		switch {
 		case c.Coef[i] > 0:
@@ -62,11 +74,8 @@ func (p *Poly) EliminateVar(i int) (*Poly, bool) {
 		case c.Coef[i] < 0:
 			uppers = append(uppers, c)
 		default:
-			free = append(free, c)
+			out.add(1, c, 0, c, c.Eq)
 		}
-	}
-	for _, c := range free {
-		q.Cons = append(q.Cons, dropCol(c, i))
 	}
 	for _, lo := range lowers {
 		for _, up := range uppers {
@@ -75,27 +84,51 @@ func (p *Poly) EliminateVar(i int) (*Poly, bool) {
 			}
 			// h = (-up_i)*lo + lo_i*up has zero coefficient on i and is a
 			// nonnegative combination of nonnegative expressions.
-			h := combine(-up.Coef[i], lo, lo.Coef[i], up)
-			q.Cons = append(q.Cons, dropCol(h, i))
+			out.add(-up.Coef[i], lo, lo.Coef[i], up, false)
 		}
 	}
 	q.Simplify()
 	return q, exact
 }
 
-// combine returns a*c1 + b*c2 as a constraint; the result is an equality only
-// if both inputs are equalities.
-func combine(a int64, c1 Constraint, b int64, c2 Constraint) Constraint {
-	coef := make([]int64, len(c1.Coef))
-	for k := range coef {
-		coef[k] = a*c1.Coef[k] + b*c2.Coef[k]
-	}
-	return Constraint{Coef: coef, K: a*c1.K + b*c2.K, Eq: c1.Eq && c2.Eq}
+// derived writes the constraints of a projection that drops column col
+// straight into their reduced width, all rows in one backing array.
+type derived struct {
+	q   *Poly
+	col int
+	buf []int64
 }
 
-func dropCol(c Constraint, i int) Constraint {
-	coef := append(append([]int64(nil), c.Coef[:i]...), c.Coef[i+1:]...)
-	return Constraint{Coef: coef, K: c.K, Eq: c.Eq}
+// newDerived prepares room for n constraints of q, the projection.
+func newDerived(q *Poly, col, n int) *derived {
+	q.Cons = make([]Constraint, 0, n)
+	return &derived{q: q, col: col, buf: make([]int64, n*q.Dim)}
+}
+
+// add appends a*c1 + b*c2 without column col (c2 is not read when b is
+// zero); eq says whether the result is an equality.
+func (d *derived) add(a int64, c1 Constraint, b int64, c2 Constraint, eq bool) {
+	w := d.q.Dim
+	coef := d.buf[:w:w]
+	d.buf = d.buf[w:]
+	k := a * c1.K
+	if b == 0 {
+		for m, x := range c1.Coef[:d.col] {
+			coef[m] = a * x
+		}
+		for m, x := range c1.Coef[d.col+1:] {
+			coef[d.col+m] = a * x
+		}
+	} else {
+		k += b * c2.K
+		for m := 0; m < d.col; m++ {
+			coef[m] = a*c1.Coef[m] + b*c2.Coef[m]
+		}
+		for m := d.col + 1; m <= w; m++ {
+			coef[m-1] = a*c1.Coef[m] + b*c2.Coef[m]
+		}
+	}
+	d.q.Cons = append(d.q.Cons, Constraint{Coef: coef, K: k, Eq: eq})
 }
 
 func abs64(x int64) int64 {
@@ -172,7 +205,7 @@ func (p *Poly) hasPoints() bool {
 // that prefers equality substitutions and minimizes the inequality-pair
 // product, which keeps the optimizer's large coefficient spaces tractable.
 func (p *Poly) IsEmptyRational() bool {
-	q := p.Clone()
+	q := p.shallow()
 	if !q.Simplify() {
 		return true
 	}

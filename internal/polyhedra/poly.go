@@ -69,14 +69,31 @@ func NewPoly(dim int, names ...string) *Poly {
 	return &Poly{Dim: dim, Names: append([]string(nil), names...)}
 }
 
-// Clone returns a deep copy.
+// Clone returns a deep copy. The copied coefficient vectors share one
+// backing array, each capped at its own end.
 func (p *Poly) Clone() *Poly {
-	q := &Poly{Dim: p.Dim, Names: p.Names, Rational: p.Rational}
-	q.Cons = make([]Constraint, len(p.Cons))
-	for i, c := range p.Cons {
-		q.Cons[i] = c.Clone()
+	q := p.shallow()
+	n := 0
+	for _, c := range p.Cons {
+		n += len(c.Coef)
+	}
+	buf := make([]int64, n)
+	for i, c := range q.Cons {
+		coef := buf[:len(c.Coef):len(c.Coef)]
+		buf = buf[len(c.Coef):]
+		copy(coef, c.Coef)
+		q.Cons[i].Coef = coef
 	}
 	return q
+}
+
+// shallow returns a copy whose constraint list is its own but whose
+// constraints share p's coefficient vectors: enough for Simplify, which
+// rewrites the list in place but replaces a vector rather than write to
+// it. The list has room for one more constraint, which copies often get.
+func (p *Poly) shallow() *Poly {
+	cons := append(make([]Constraint, 0, len(p.Cons)+1), p.Cons...)
+	return &Poly{Dim: p.Dim, Names: p.Names, Cons: cons, Rational: p.Rational}
 }
 
 // Add appends a constraint (which must have len(Coef) == Dim).
@@ -140,7 +157,7 @@ func Intersect(a, b *Poly) *Poly {
 // polyhedron is still possibly non-empty (false means definitely empty).
 func (p *Poly) Simplify() bool {
 	out := p.Cons[:0]
-	idx := make(conIndex)
+	idx := make(conIndex, len(p.Cons))
 	for _, c := range p.Cons {
 		if linalg.IsZeroVec(c.Coef) {
 			if c.Eq && c.K != 0 {
@@ -183,7 +200,8 @@ func (p *Poly) Simplify() bool {
 				}
 			}
 		}
-		if j := idx.find(out, c.Coef, c.Eq, false); j >= 0 {
+		h := conHash(c.Coef, c.Eq, false)
+		if j := idx.find(out, h, c.Coef, c.Eq, false); j >= 0 {
 			// Same coefficient vector: keep the tighter constant.
 			if c.Eq {
 				if out[j].K != c.K {
@@ -196,7 +214,7 @@ func (p *Poly) Simplify() bool {
 			}
 			continue
 		}
-		idx.add(c, len(out))
+		idx.add(h, len(out))
 		out = append(out, c)
 	}
 	p.Cons = out
@@ -207,7 +225,7 @@ func (p *Poly) Simplify() bool {
 		if c.Eq {
 			continue
 		}
-		if j := idx.find(p.Cons, c.Coef, false, true); j >= 0 {
+		if j := idx.find(p.Cons, conHash(c.Coef, false, true), c.Coef, false, true); j >= 0 {
 			if c.K+p.Cons[j].K < 0 {
 				p.Cons = nil
 				p.Cons = append(p.Cons, falseCon(p.Dim))
@@ -280,18 +298,17 @@ func sameCon(c Constraint, coef []int64, eq, neg bool) bool {
 	return true
 }
 
-// add records cons[i] == c.
-func (x conIndex) add(c Constraint, i int) {
-	h := conHash(c.Coef, c.Eq, false)
+// add records that the entry at i hashes to h.
+func (x conIndex) add(h uint64, i int) {
 	if _, ok := x[h]; !ok {
 		x[h] = i
 	}
 }
 
 // find returns the index in cons of the entry of kind eq with coefficient
-// vector coef (negated if neg), or -1.
-func (x conIndex) find(cons []Constraint, coef []int64, eq, neg bool) int {
-	j, ok := x[conHash(coef, eq, neg)]
+// vector coef (negated if neg), whose hash is h, or -1.
+func (x conIndex) find(cons []Constraint, h uint64, coef []int64, eq, neg bool) int {
+	j, ok := x[h]
 	if !ok {
 		return -1
 	}

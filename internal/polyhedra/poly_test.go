@@ -384,15 +384,15 @@ func TestConIndexCollision(t *testing.T) {
 	b := Constraint{Coef: []int64{0, 1}, K: 2}
 	cons := []Constraint{a, b}
 	idx := conIndex{}
-	idx.add(a, 0)
+	idx.add(conHash(a.Coef, false, false), 0)
 	idx[conHash(b.Coef, false, false)] = 0 // b's hash names a's entry
-	if got := idx.find(cons, b.Coef, false, false); got != 1 {
+	if got := idx.find(cons, conHash(b.Coef, false, false), b.Coef, false, false); got != 1 {
 		t.Fatalf("find(b) = %d, want 1", got)
 	}
-	if got := idx.find(cons, []int64{-1, 0}, false, true); got != 0 {
+	if got := idx.find(cons, conHash([]int64{-1, 0}, false, true), []int64{-1, 0}, false, true); got != 0 {
 		t.Fatalf("find(a, negated) = %d, want 0", got)
 	}
-	if got := idx.find(cons, a.Coef, true, false); got != -1 {
+	if got := idx.find(cons, conHash(a.Coef, true, false), a.Coef, true, false); got != -1 {
 		t.Fatalf("find(a as an equality) = %d, want -1", got)
 	}
 }

@@ -103,7 +103,7 @@ func (p *Poly) eliminationChain() []*Poly {
 // one was found. A polyhedron with no rational points is answered by its
 // elimination chain, before any search.
 func (p *Poly) SampleInt(radius int64) ([]int64, bool) {
-	q := p.Clone()
+	q := p.shallow()
 	if !q.Simplify() {
 		return nil, false
 	}

@@ -2,9 +2,15 @@ package sched
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"math"
+	"math/bits"
+	"runtime"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"riotshare/internal/deps"
 	"riotshare/internal/prog"
@@ -41,108 +47,178 @@ func (pl *Plan) Label(an *deps.Analysis) string {
 	return "{" + strings.Join(parts, ", ") + "}"
 }
 
-// SearchOptions bounds the Apriori enumeration.
+// SearchOptions bounds and orders the Apriori enumeration.
 type SearchOptions struct {
-	// MaxCalls caps FindSchedule invocations (0 = default 100000).
+	// MaxCalls caps the sharing sets the search tests, the no-sharing
+	// baseline included (0 = default 100000). A memo hit counts as a
+	// test.
 	MaxCalls int
 	// NoPruning disables the Apriori property and tests every subset, for
 	// the ablation experiment.
 	NoPruning bool
-	// MaxLevel, when nonzero, caps the size of sharing-opportunity
-	// combinations considered — the paper's §6 suggestion for cutting
-	// optimization time on large programs ("localizing optimization" /
-	// terminating enumeration early). Plans realizing more than MaxLevel
-	// opportunities are then not discovered.
-	MaxLevel int
+	// Rank scores a one-opportunity plan (lower is better; typically its
+	// I/O time). The search adds opportunities in ascending score, index
+	// breaking ties, so a search cut short has tried the cheapest
+	// opportunities' combinations first. A scoring error ranks the
+	// opportunity last; nil ranks by index.
+	Rank func(pl Plan) (float64, error)
 }
 
 // Search is Algorithm 2: Apriori-style enumeration of sharing-opportunity
-// combinations. A k-subset is considered only if all its (k-1)-subsets were
-// feasible (Lemma 2); each candidate is tested with FindSchedule. It returns
-// one plan per feasible combination, including the empty combination (the
-// no-sharing baseline plan). Canceling ctx aborts the enumeration with the
-// context's error, so shutdown and test deadlines can interrupt the
-// potentially minutes-long full search.
+// combinations, each tested with FindSchedule, returning one plan per
+// feasible combination, the empty one (the no-sharing baseline) first.
+// It tests every single opportunity, ranks the feasible ones by
+// opt.Rank, and then walks the lattice in colex order over that ranking:
+// adding the opportunity e, it tests S∪{e} for every feasible S found
+// so far, but only when every (S∖{x})∪{e} is feasible too. So every set
+// is decided before its supersets, a set is tested only when all its
+// subsets one smaller are feasible (Lemma 2), and a search that
+// completes tests exactly the sets a level-by-level enumeration tests.
+// The sets of one step that are ready together (those S∪{e} with S of
+// one size, and the single opportunities) are tested on up to
+// GOMAXPROCS goroutines.
+//
+// When ctx is done or opt.MaxCalls sets have been tested, the search
+// stops and returns the plans found so far with a nil error. If that
+// happens before the baseline is planned, the baseline is the program's
+// original schedule: it realizes no sharing and is legal by construction.
+// An error means the baseline is infeasible with ctx live.
 func (s *Searcher) Search(ctx context.Context, opt SearchOptions) ([]Plan, error) {
 	maxCalls := opt.MaxCalls
 	if maxCalls == 0 {
 		maxCalls = 100000
 	}
-	budget := func() error {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("sched: search canceled: %w", err)
-		}
-		if s.Stats.tested() > maxCalls {
-			return errf("search exceeded %d FindSchedule calls", maxCalls)
-		}
-		return nil
-	}
+	start := s.Stats.tested()
+	left := func() int { return maxCalls - (s.Stats.tested() - start) }
 
 	base, err := s.baseline(ctx)
 	if err != nil {
-		return nil, err
+		if ctx.Err() == nil {
+			return nil, err
+		}
+		base = Plan{Schedule: s.An.Orig}
 	}
 	plans := []Plan{base}
-
 	n := len(s.An.Shares)
-	if n == 0 {
+	if opt.NoPruning {
+		return s.searchNoPruning(ctx, plans, n, func() bool { return ctx.Err() != nil || left() <= 0 }), nil
+	}
+
+	// Every single opportunity, ranked.
+	singles := make([][]int, n)
+	for i := range singles {
+		singles[i] = []int{i}
+	}
+	answers, stop := s.testAll(ctx, singles, left(), opt.Rank)
+	type single struct {
+		idx   int
+		score float64
+	}
+	var ranked []single
+	for i, a := range answers {
+		if a.ok {
+			plans = append(plans, a.pl)
+			ranked = append(ranked, single{idx: i, score: a.score})
+		}
+	}
+	if stop {
 		return plans, nil
 	}
+	sort.SliceStable(ranked, func(a, b int) bool { return ranked[a].score < ranked[b].score })
 
-	if opt.NoPruning {
-		return s.searchNoPruning(ctx, plans, n, budget)
+	// The colex walk, over sets of ranks. bySize[k] lists the feasible
+	// k-sets found so far; feasible holds them all.
+	bySize := [][]rankSet{{newRankSet(len(ranked))}}
+	feasible := map[string]bool{bySize[0][0].key(): true}
+	add := func(set rankSet, size int) {
+		if len(bySize) == size {
+			bySize = append(bySize, nil)
+		}
+		bySize[size] = append(bySize[size], set)
+		feasible[set.key()] = true
 	}
-
-	// Levels k >= 1 (lines 2-9), each grown from the feasible sets of the
-	// level below; level 0 is the baseline.
-	maxLevel := n
-	if opt.MaxLevel > 0 && opt.MaxLevel < n {
-		maxLevel = opt.MaxLevel
-	}
-	feasible := map[string]bool{subsetKey(nil): true}
-	level := [][]int{nil}
-	for k := 1; len(level) > 0 && k <= maxLevel; k++ {
-		var next [][]int
-		for _, a := range level {
-			first := 0
-			if k > 1 {
-				first = a[k-2] + 1
-			}
-			for b := first; b < n; b++ {
-				cand := append(append([]int(nil), a...), b)
-				// Apriori property: all (k-1)-subsets must be feasible.
-				allFeasible := true
-				for drop := 0; drop < len(cand); drop++ {
-					sub := append(append([]int(nil), cand[:drop]...), cand[drop+1:]...)
-					if !feasible[subsetKey(sub)] {
-						allFeasible = false
-						break
-					}
-				}
-				if !allFeasible {
+	for e := range ranked {
+		sizes := make([]int, len(bySize))
+		for k := range bySize {
+			sizes[k] = len(bySize[k])
+		}
+		add(bySize[0][0].with(e), 1) // {e} itself was tested above
+		for k := 1; k < len(sizes); k++ {
+			var cands []rankSet
+			var sets [][]int
+			for _, sub := range bySize[k][:sizes[k]] {
+				cand := sub.with(e)
+				if !cand.subsetsFeasible(e, feasible) {
 					continue
 				}
-				if err := budget(); err != nil {
-					return nil, err
-				}
-				if pl, ok := s.PlanFor(ctx, cand); ok {
-					next = append(next, cand)
-					feasible[subsetKey(cand)] = true
-					plans = append(plans, pl)
+				cands = append(cands, cand)
+				shares := make([]int, 0, k+1)
+				cand.each(func(r int) { shares = append(shares, ranked[r].idx) })
+				sort.Ints(shares)
+				sets = append(sets, shares)
+			}
+			answers, stop := s.testAll(ctx, sets, left(), nil)
+			for i, a := range answers {
+				if a.ok {
+					plans = append(plans, a.pl)
+					add(cands[i], k+1)
 				}
 			}
+			if stop {
+				return plans, nil
+			}
 		}
-		level = next
 	}
 	return plans, nil
 }
 
-// searchNoPruning tests the full power set (ablation baseline).
-func (s *Searcher) searchNoPruning(ctx context.Context, plans []Plan, n int, budget func() error) ([]Plan, error) {
-	for mask := 1; mask < 1<<n; mask++ {
-		if err := budget(); err != nil {
-			return nil, err
+// answer is PlanFor's answer for one set, and its plan's score.
+type answer struct {
+	pl    Plan
+	ok    bool
+	score float64
+}
+
+// testAll answers PlanFor for the given sets, or for as many of the first
+// ones as left allows, on up to GOMAXPROCS goroutines. rank, when set,
+// scores each feasible set's plan as that set's score (a scoring error
+// scores +Inf); without it a set's score is its position. stop reports
+// that the search must end: left did not cover every set, or ctx is done.
+func (s *Searcher) testAll(ctx context.Context, sets [][]int, left int, rank func(Plan) (float64, error)) (answers []answer, stop bool) {
+	if len(sets) > left {
+		sets, stop = sets[:max(left, 0)], true
+	}
+	answers = make([]answer, len(sets))
+	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1) - 1); i < len(sets); i = int(next.Add(1) - 1) {
+			a := &answers[i]
+			a.pl, a.ok = s.PlanFor(ctx, sets[i])
+			a.score = float64(i)
+			if a.ok && rank != nil {
+				var err error
+				if a.score, err = rank(a.pl); err != nil {
+					a.score = math.Inf(1)
+				}
+			}
 		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < runtime.GOMAXPROCS(0) && w < len(sets); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	return answers, stop || ctx.Err() != nil
+}
+
+// searchNoPruning tests the full power set (ablation baseline) until over.
+func (s *Searcher) searchNoPruning(ctx context.Context, plans []Plan, n int, over func() bool) []Plan {
+	for mask := 1; mask < 1<<n && !over(); mask++ {
 		var q []int
 		for i := 0; i < n; i++ {
 			if mask&(1<<i) != 0 {
@@ -153,7 +229,54 @@ func (s *Searcher) searchNoPruning(ctx context.Context, plans []Plan, n int, bud
 			plans = append(plans, pl)
 		}
 	}
-	return plans, nil
+	return plans
+}
+
+// rankSet is a set of opportunity ranks, one bit each.
+type rankSet []uint64
+
+func newRankSet(n int) rankSet { return make(rankSet, (n+63)/64) }
+
+func (rs rankSet) with(r int) rankSet {
+	out := append(rankSet(nil), rs...)
+	out[r/64] |= 1 << (r % 64)
+	return out
+}
+
+// each calls f on every rank in the set, in ascending order.
+func (rs rankSet) each(f func(r int)) {
+	for i, w := range rs {
+		for w != 0 {
+			f(i*64 + bits.TrailingZeros64(w))
+			w &= w - 1
+		}
+	}
+}
+
+// key is the set as a map key.
+func (rs rankSet) key() string {
+	b := make([]byte, 0, 8*len(rs))
+	for _, w := range rs {
+		b = binary.LittleEndian.AppendUint64(b, w)
+	}
+	return string(b)
+}
+
+// subsetsFeasible reports whether every subset of rs one smaller that
+// holds e is in feasible (the subset without e is feasible by
+// construction).
+func (rs rankSet) subsetsFeasible(e int, feasible map[string]bool) bool {
+	sub := append(rankSet(nil), rs...)
+	ok := true
+	rs.each(func(x int) {
+		if x == e || !ok {
+			return
+		}
+		sub[x/64] &^= 1 << (x % 64)
+		ok = feasible[sub.key()]
+		sub[x/64] |= 1 << (x % 64)
+	})
+	return ok
 }
 
 // PlanFor tests one combination of sharing opportunities (indices into the
@@ -166,7 +289,9 @@ func (s *Searcher) PlanFor(ctx context.Context, shares []int) (Plan, bool) {
 	// the sharing opportunities in the order given.
 	key := fmt.Sprint(shares)
 	if a, hit := s.Memo.get(key); hit {
+		s.mu.Lock()
 		s.Stats.MemoHits++
+		s.mu.Unlock()
 		pl.Schedule = a.sch
 		return pl, a.ok
 	}
@@ -189,14 +314,4 @@ func (s *Searcher) baseline(ctx context.Context) (Plan, error) {
 		return base, errf("no legal schedule exists even without sharing (program %q)", s.Prog.Name)
 	}
 	return base, nil
-}
-
-func subsetKey(q []int) string {
-	c := append([]int(nil), q...)
-	sort.Ints(c)
-	parts := make([]string, len(c))
-	for i, v := range c {
-		parts[i] = fmt.Sprint(v)
-	}
-	return strings.Join(parts, ",")
 }

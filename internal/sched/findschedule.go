@@ -65,7 +65,9 @@ func (s *Searcher) refineSet(ctx context.Context, f feas, u *polyhedra.Set) (fea
 // afterwards. This is what lets the serving tier hold a wall-clock
 // planning budget and lets server shutdown stop an in-flight plan fill.
 func (s *Searcher) FindSchedule(ctx context.Context, q []*deps.CoAccess) (*prog.Schedule, bool) {
+	s.mu.Lock()
 	s.Stats.FindScheduleCalls++
+	s.mu.Unlock()
 	p := s.Prog
 	dt := p.DTilde()
 

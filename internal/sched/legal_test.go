@@ -19,12 +19,14 @@ func TestLegalViolationPiecesEmptiness(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		p    *prog.Program
-		opt  SearchOptions
+		// level1 stops the search once every single opportunity is
+		// tested: the baseline and one test per opportunity.
+		level1 bool
 	}{
 		{"addmul", ops.AddMul(ops.AddMulConfig{N1: 3, N2: 4, N3: 2,
-			ABBlock: ops.Dims{Rows: 8, Cols: 8}, DBlock: ops.Dims{Rows: 8, Cols: 8}}), SearchOptions{}},
+			ABBlock: ops.Dims{Rows: 8, Cols: 8}, DBlock: ops.Dims{Rows: 8, Cols: 8}}), false},
 		{"linreg", ops.LinReg(ops.LinRegConfig{N: 4,
-			XBlock: ops.Dims{Rows: 8, Cols: 4}, YBlock: ops.Dims{Rows: 8, Cols: 2}}), SearchOptions{MaxLevel: 1}},
+			XBlock: ops.Dims{Rows: 8, Cols: 4}, YBlock: ops.Dims{Rows: 8, Cols: 2}}), true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			an, err := deps.Analyze(tc.p, deps.Options{})
@@ -32,7 +34,11 @@ func TestLegalViolationPiecesEmptiness(t *testing.T) {
 				t.Fatal(err)
 			}
 			s := NewSearcher(an)
-			plans, err := s.Search(context.Background(), tc.opt)
+			var opt SearchOptions
+			if tc.level1 {
+				opt.MaxCalls = 1 + len(an.Shares)
+			}
+			plans, err := s.Search(context.Background(), opt)
 			if err != nil {
 				t.Fatal(err)
 			}

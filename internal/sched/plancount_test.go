@@ -14,8 +14,9 @@ import (
 // on the paper's three programs. The full linear-regression search
 // explores its ~2^16 combination space and takes over a minute — the space
 // depends on the program's structure, not its matrix sizes — so -short
-// runs it with the paper's own §6 mitigation instead, a MaxLevel cap on
-// combination size, alongside reduced problem sizes for the other two.
+// runs it with the paper's own §6 mitigation instead, terminating the
+// enumeration early (a MaxCalls cap), alongside reduced problem sizes for
+// the other two.
 // Every search path still executes; the full statistics run locally.
 func TestPlanCountsPaperConfigs(t *testing.T) {
 	addMulN1, addMulN2 := int64(12), int64(12)
@@ -28,7 +29,7 @@ func TestPlanCountsPaperConfigs(t *testing.T) {
 		twomm = ops.TwoMMConfig{N1: 3, N2: 4, N3: 3, N4: 4,
 			ABlock: ops.Dims{Rows: 4, Cols: 4}, BBlock: ops.Dims{Rows: 4, Cols: 4}, DBlock: ops.Dims{Rows: 4, Cols: 4}}
 		linreg = ops.LinRegConfig{N: 4, XBlock: ops.Dims{Rows: 12, Cols: 5}, YBlock: ops.Dims{Rows: 12, Cols: 3}}
-		linregOpt.MaxLevel = 2
+		linregOpt.MaxCalls = 200
 	}
 
 	// Example 1 paper config: 12x12 blocks, n3=1.

@@ -2,7 +2,10 @@ package sched
 
 import (
 	"context"
-
+	"fmt"
+	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"riotshare/internal/deps"
@@ -343,35 +346,85 @@ func TestEnumRow(t *testing.T) {
 	}
 }
 
-// MaxLevel bounds combination size (the §6 early-termination knob).
-func TestSearchMaxLevel(t *testing.T) {
-	an := addMulAnalysis(t, 3, 3, 1, true)
-	s := NewSearcher(an)
-	plans, err := s.Search(context.Background(), SearchOptions{MaxLevel: 1})
+// MaxCalls is exact: a search with budget k tests exactly k sharing sets,
+// the baseline included, and returns the plans found among them with no
+// error; a budget the search does not reach changes nothing.
+func TestSearchMaxCallsBudget(t *testing.T) {
+	an := addMulAnalysis(t, 3, 3, 2, true)
+	full := NewSearcher(an)
+	all, err := full.Search(context.Background(), SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pl := range plans {
-		if len(pl.Shares) > 1 {
-			t.Fatalf("MaxLevel=1 returned a %d-combination", len(pl.Shares))
+	total := full.Stats.tested()
+	inFull := map[string]bool{}
+	for _, pl := range all {
+		inFull[subsetKey(pl.Shares)] = true
+	}
+	for k := 1; k <= total+1; k++ {
+		s := NewSearcher(an)
+		plans, err := s.Search(context.Background(), SearchOptions{MaxCalls: k})
+		if err != nil {
+			t.Fatalf("MaxCalls %d: %v", k, err)
 		}
-	}
-	full, err := NewSearcher(an).Search(context.Background(), SearchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plans) >= len(full) {
-		t.Fatalf("level cap should reduce the plan count: %d vs %d", len(plans), len(full))
+		if got, want := s.Stats.tested(), min(k, total); got != want {
+			t.Fatalf("MaxCalls %d: %d sets tested, want %d", k, got, want)
+		}
+		if len(plans) == 0 || len(plans) > k || plans[0].Shares != nil {
+			t.Fatalf("MaxCalls %d: %d plans, want the baseline first and at most %d", k, len(plans), k)
+		}
+		for _, pl := range plans {
+			if !inFull[subsetKey(pl.Shares)] {
+				t.Fatalf("MaxCalls %d: plan %v is not in the complete search's table", k, pl.Shares)
+			}
+		}
+		if k >= total && len(plans) != len(all) {
+			t.Fatalf("MaxCalls %d: %d plans, the complete search %d", k, len(plans), len(all))
+		}
 	}
 }
 
-// The call budget must abort runaway searches with an error.
-func TestSearchMaxCallsBudget(t *testing.T) {
+// The ranking orders the walk, not what a complete walk tests: ranked by
+// a score that reverses the opportunities, the search tests the same
+// sets and finds the same plans as in index order.
+func TestSearchRankKeepsTestedSets(t *testing.T) {
 	an := addMulAnalysis(t, 3, 3, 2, true)
-	s := NewSearcher(an)
-	if _, err := s.Search(context.Background(), SearchOptions{MaxCalls: 2}); err == nil {
-		t.Fatal("tiny budget should error")
+	plain := NewSearcher(an)
+	want, err := plain.Search(context.Background(), SearchOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
+	ranked := NewSearcher(an)
+	reverse := func(pl Plan) (float64, error) { return -float64(pl.Shares[0]), nil }
+	got, err := ranked.Search(context.Background(), SearchOptions{Rank: reverse})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ranked.Stats.FindScheduleCalls != plain.Stats.FindScheduleCalls {
+		t.Fatalf("ranked search made %d FindSchedule calls, index order %d",
+			ranked.Stats.FindScheduleCalls, plain.Stats.FindScheduleCalls)
+	}
+	keys := func(plans []Plan) []string {
+		var out []string
+		for _, pl := range plans {
+			out = append(out, subsetKey(pl.Shares))
+		}
+		sort.Strings(out)
+		return out
+	}
+	if !reflect.DeepEqual(keys(got), keys(want)) {
+		t.Fatalf("ranked search found %v, index order %v", keys(got), keys(want))
+	}
+	if len(want) < 4 {
+		t.Fatalf("only %d plans: the test needs combinations", len(want))
+	}
+}
+
+// subsetKey names a sharing set independently of its order.
+func subsetKey(q []int) string {
+	c := slices.Clone(q)
+	slices.Sort(c)
+	return fmt.Sprint(c)
 }
 
 // The Farkas cache must hit across FindSchedule calls.

@@ -34,7 +34,9 @@ const (
 // layout (one block of ds+np+1 coefficients per statement, solved one time
 // dimension at a time) and a cache of Farkas applications, which depend only
 // on the extent piece and mode and are therefore shared across all
-// FindSchedule calls.
+// FindSchedule calls. FindSchedule and PlanFor may run on several
+// goroutines at once (Search tests the sets of one step concurrently);
+// the settings fields must not change while they do.
 type Searcher struct {
 	Prog *prog.Program
 	An   *deps.Analysis
@@ -42,7 +44,10 @@ type Searcher struct {
 	NU   int
 	offs []int // per statement ID, offset of its coefficient block
 
-	cache map[*polyhedra.Poly]map[constraintMode]*polyhedra.Poly
+	// mu guards the Farkas cache, and the Stats counters while
+	// FindSchedule calls run concurrently.
+	mu    sync.Mutex
+	cache map[*polyhedra.Poly]map[constraintMode]*polyhedra.Poly // guarded by mu
 	// Memo answers PlanFor for sharing sets already tested, by this
 	// Searcher or, when shared, by another of the same shape and
 	// signature (see Memo). NewSearcher starts an empty one.
@@ -51,6 +56,7 @@ type Searcher struct {
 	// directions (schedule coefficients are small in practice).
 	SampleRadius int64
 	// Stats counts work done, for the optimization-time experiments.
+	// Read it once the search has returned.
 	Stats Stats
 }
 
@@ -66,7 +72,8 @@ type Stats struct {
 }
 
 // tested is the number of sharing sets PlanFor has answered, which the
-// searches' call budgets bound.
+// searches' call budgets bound. Callers read it while no FindSchedule
+// call runs.
 func (st *Stats) tested() int { return st.FindScheduleCalls + st.MemoHits }
 
 // NewSearcher prepares schedule search for an analyzed program.
@@ -122,16 +129,13 @@ func (s *Searcher) template(c *deps.CoAccess) *farkas.Template {
 // constraintFor returns (caching) the polyhedron over u derived from one
 // extent piece in the given mode.
 func (s *Searcher) constraintFor(c *deps.CoAccess, piece *polyhedra.Poly, mode constraintMode) *polyhedra.Poly {
-	byMode, ok := s.cache[piece]
-	if ok {
-		if res, hit := byMode[mode]; hit {
-			s.Stats.CacheHits++
-			return res
-		}
-	} else {
-		byMode = make(map[constraintMode]*polyhedra.Poly)
-		s.cache[piece] = byMode
+	s.mu.Lock()
+	if res, hit := s.cache[piece][mode]; hit {
+		s.Stats.CacheHits++
+		s.mu.Unlock()
+		return res
 	}
+	s.mu.Unlock()
 	t := s.template(c)
 	var res *polyhedra.Poly
 	switch mode {
@@ -146,7 +150,17 @@ func (s *Searcher) constraintFor(c *deps.CoAccess, piece *polyhedra.Poly, mode c
 	case modeEqMinus:
 		res = farkas.ApplyEq(piece, t.Shifted(-1))
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.Stats.FarkasApps++
+	byMode := s.cache[piece]
+	if byMode == nil {
+		byMode = make(map[constraintMode]*polyhedra.Poly)
+		s.cache[piece] = byMode
+	}
+	if first, ok := byMode[mode]; ok { // another goroutine applied it meanwhile
+		return first
+	}
 	byMode[mode] = res
 	return res
 }

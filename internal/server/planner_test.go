@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"sync"
@@ -11,6 +12,7 @@ import (
 
 	"riotshare/internal/bench"
 	"riotshare/internal/blas"
+	"riotshare/internal/codegen"
 	"riotshare/internal/core"
 	"riotshare/internal/prog"
 	"riotshare/internal/storage"
@@ -170,16 +172,26 @@ func TestGreedyTierPlanning(t *testing.T) {
 	}
 }
 
-// Named programs are planned like every other one, by the greedy search,
-// at any budget: under budget 0 and under 10 s, named twomm-a is served
-// the plan table (labels and costs) core.OptimizeGreedy computes from
-// scratch, and named linreg a best plan at least as cheap as the best of
-// the paper's §6.3 selected plans.
-func TestNamedProgramsPlannedByGreedy(t *testing.T) {
+// Named programs are planned like every other one, by the Apriori search
+// under the plan budget: under budget 0 and under 10 s, named twomm-a is
+// served the plan table (labels and costs) core.Optimize computes from
+// scratch, 58 plans whose best beats greedy accretion's. Under 10 s named
+// linreg, whose complete search takes minutes, is served a best plan at
+// least as cheap as the best of the paper's §6.3 selected plans (Plan 2);
+// budget 0 would search it to the end.
+func TestNamedProgramsPlannedByFullSearch(t *testing.T) {
 	opt := core.Options{BindParams: true}
-	want, err := core.OptimizeGreedy(context.Background(), bench.TwoMMPaperA(), opt)
+	want, err := core.Optimize(bench.TwoMMPaperA(), opt)
 	if err != nil {
 		t.Fatal(err)
+	}
+	greedy, err := core.OptimizeGreedy(context.Background(), bench.TwoMMPaperA(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Plans) != 58 || want.Best.Cost.IOTimeSec >= greedy.Best.Cost.IOTimeSec {
+		t.Fatalf("twomm-a: %d plans, best %.1f s; greedy's best %.1f s: want 58 plans and a cheaper best",
+			len(want.Plans), want.Best.Cost.IOTimeSec, greedy.Best.Cost.IOTimeSec)
 	}
 	selected, err := core.OptimizeSubsets(bench.LinRegPaper(), opt, bench.LinRegSelectedPlans())
 	if err != nil {
@@ -198,18 +210,18 @@ func TestNamedProgramsPlannedByGreedy(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, tier, err := s.plans(req, p)
+				e, tier, err := s.plans(req, p)
 				if err != nil {
 					t.Fatal(err)
 				}
-				return res, tier
+				return e.res, tier
 			}
 			got, tier := plan("twomm-a")
 			if tier != tierGreedy {
 				t.Errorf("twomm-a planned on tier %q, want %q", tier, tierGreedy)
 			}
 			if len(got.Plans) != len(want.Plans) {
-				t.Fatalf("twomm-a served %d plans, want the greedy table's %d", len(got.Plans), len(want.Plans))
+				t.Fatalf("twomm-a served %d plans, want the full table's %d", len(got.Plans), len(want.Plans))
 			}
 			for i := range want.Plans {
 				g, w := &got.Plans[i], &want.Plans[i]
@@ -217,12 +229,113 @@ func TestNamedProgramsPlannedByGreedy(t *testing.T) {
 					t.Errorf("twomm-a plan %d: %s %+v, want %s %+v", i, g.Label, g.Cost, w.Label, w.Cost)
 				}
 			}
+			if budget == 0 {
+				return
+			}
 			lr, _ := plan("linreg")
 			if got, sel := lr.Best.Cost.IOTimeSec, selected.Best.Cost.IOTimeSec; got > sel {
 				t.Errorf("linreg best plan %s: %.1f s of I/O, want ≤ the selected plans' best %s at %.1f s",
 					lr.Best.Label, got, selected.Best.Label, sel)
 			}
+			t.Logf("linreg: %d plans in %v, best %s at %.1f s", len(lr.Plans), lr.OptimizeTime, lr.Best.Label, lr.Best.Cost.IOTimeSec)
 		})
+	}
+}
+
+// A plan-cache entry holds one timeline, its cheapest plan's. A query
+// that forces another plan index has that plan lowered once, however many
+// selectors want it at once, and the timeline it gets is the one lowering
+// the plan from scratch gives; the query runs it and computes the
+// outputs the cheapest plan computes.
+func TestPlanEntryKeepsOneTimeline(t *testing.T) {
+	s, err := New(Config{
+		Dir:      t.TempDir(),
+		Seed:     testSeed,
+		Programs: map[string]func() *prog.Program{"addmul-small": smallAddMul},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	req := Request{Program: "addmul-small"}
+	p, err := s.resolve(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, _, err := s.plans(req, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scratch := servedTable(t, smallAddMul())
+	if len(e.res.Plans) != len(scratch.Plans) || len(e.res.Plans) < 3 {
+		t.Fatalf("entry holds %d plans, the table from scratch %d (want at least 3)", len(e.res.Plans), len(scratch.Plans))
+	}
+	for i, pl := range e.res.Plans {
+		if pl.Timeline != nil {
+			t.Fatalf("plan %d %s keeps its timeline in the table", i, pl.Label)
+		}
+	}
+	if e.best == nil || len(e.lowered) != 0 {
+		t.Fatalf("a filled entry holds best %v and %d lowered timelines, want one timeline", e.best != nil, len(e.lowered))
+	}
+	if d := codegen.Diff(e.best, scratch.Plans[0].Timeline); d != "" {
+		t.Fatalf("best timeline differs from scratch: %s", d)
+	}
+
+	idx := len(e.res.Plans) - 1
+	const selectors = 8
+	got := make([]*codegen.Timeline, selectors)
+	errs := make([]error, selectors)
+	var wg sync.WaitGroup
+	for w := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[w], errs[w] = s.timeline(e, idx, req, p)
+		}()
+	}
+	wg.Wait()
+	for w := range got {
+		if errs[w] != nil {
+			t.Fatal(errs[w])
+		}
+		if got[w] != got[0] {
+			t.Fatalf("selector %d got another lowering of plan %d than selector 0", w, idx)
+		}
+	}
+	if len(e.lowered) != 1 {
+		t.Fatalf("%d lowered timelines after selecting plan %d, want 1", len(e.lowered), idx)
+	}
+	want := &scratch.Plans[idx]
+	if want.Label != e.res.Plans[idx].Label {
+		t.Fatalf("plan %d: %s, from scratch %s", idx, e.res.Plans[idx].Label, want.Label)
+	}
+	if d := codegen.Diff(got[0], want.Timeline); d != "" {
+		t.Fatalf("plan %d %s lowered on demand differs from scratch: %s", idx, want.Label, d)
+	}
+
+	_, wantOuts, _ := standaloneRun(t, smallAddMul)
+	id, err := s.Submit(Request{Program: "addmul-small", Plan: &idx})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := s.Wait(id)
+	if err != nil || st.State != StateDone || st.PlanIndex != idx {
+		t.Fatalf("forced plan %d: state %v, plan %d, err %v (%s)", idx, st.State, st.PlanIndex, err, st.Err)
+	}
+	if len(e.lowered) != 1 {
+		t.Fatalf("the query lowered plan %d again", idx)
+	}
+	for name, w := range wantOuts {
+		out, err := s.Output(id, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range w.Data {
+			if math.Abs(out.Data[i]-w.Data[i]) > 1e-9*math.Max(1, math.Abs(w.Data[i])) {
+				t.Fatalf("plan %d: %s[%d] = %v, cheapest plan %v", idx, name, i, out.Data[i], w.Data[i])
+			}
+		}
 	}
 }
 

@@ -30,6 +30,7 @@ import (
 	"maps"
 	"math/rand"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -39,6 +40,7 @@ import (
 	"riotshare/internal/bench"
 	"riotshare/internal/blas"
 	"riotshare/internal/buffer"
+	"riotshare/internal/codegen"
 	"riotshare/internal/core"
 	"riotshare/internal/disk"
 	"riotshare/internal/exec"
@@ -110,11 +112,12 @@ type Config struct {
 	// 0 = default (64), < 0 = unlimited.
 	RetainOutputs int
 	// PlanBudget, when > 0, is the wall-clock deadline of a cache-miss
-	// query's plan fill: the budgeted greedy search (core's
-	// Shape.OptimizeGreedy), analysis included. A fill the deadline cuts
-	// off keeps the best plan found so far, and a program whose analysis
-	// outlasts it is served its original schedule, without sharing. 0 =
-	// no deadline. See docs/planner.md.
+	// query's plan fill: the Apriori search (core's Shape.Optimize),
+	// analysis included. A fill the deadline cuts off serves the best plan
+	// among those found so far, and a program whose analysis outlasts it
+	// is served its original schedule, without sharing. 0 = no deadline:
+	// the fill ends when the search completes or reaches its call budget
+	// (core.Options.MaxCalls' default). See docs/planner.md.
 	PlanBudget time.Duration
 	// PlanCacheEntries bounds the plan cache, and the program-shape
 	// cache behind it; the least recently used entry is evicted past the
@@ -146,9 +149,10 @@ type Request struct {
 	// MemCapMB bounds the chosen plan's peak (logical) memory and is
 	// enforced during execution (0 = unlimited: the cheapest plan wins).
 	MemCapMB int64 `json:"memCapMB,omitempty"`
-	// Plan forces a plan index from the planner's greedy table, which
-	// holds the best plan found and the no-sharing baseline (nil =
-	// cheapest plan fitting MemCapMB).
+	// Plan forces a plan index from the planner's table, which holds
+	// every legal plan the search found, cheapest I/O time first (nil =
+	// cheapest plan fitting MemCapMB). A plan other than the cheapest is
+	// lowered at the program's sizes the first time a query selects it.
 	Plan *int `json:"plan,omitempty"`
 }
 
@@ -259,8 +263,9 @@ type Stats struct {
 	PlanningP50Ms float64 `json:"planningP50Ms"`
 	PlanningP95Ms float64 `json:"planningP95Ms"`
 	PlanningP99Ms float64 `json:"planningP99Ms"`
-	// PlanShapeHits and PlanShapeMisses count plan fills that found
-	// their program shape's prepared analysis resident or prepared it;
+	// PlanShapeHits and PlanShapeMisses count plan fills, and lowerings
+	// of a plan other than a table's cheapest, that found their program
+	// shape's prepared analysis resident or prepared it;
 	// PlanShapeEntries is the number of resident shapes, bounded like the
 	// plan cache by Config.PlanCacheEntries.
 	PlanShapeHits    int64 `json:"planShapeHits"`
@@ -308,7 +313,9 @@ type PlanningTierStats struct {
 }
 
 // Planner tier labels for riotshare_planning_seconds{tier=...} and
-// Stats.PlanningTiers.
+// Stats.PlanningTiers. tierGreedy labels a fill that prepared its program
+// shape; it keeps the name of the search such fills once ran, which the
+// benchmark's per-layer pass reads.
 const (
 	tierCache  = "cache"
 	tierShape  = "shape"
@@ -416,11 +423,17 @@ type lruEntry struct {
 	elem  *list.Element
 }
 
-// planEntry is one plan table.
+// planEntry is one plan table: every plan's label, cost and schedule, and
+// of their timelines only best's, the cheapest plan's (BestUnder(0)). A
+// query that selects another plan lowers it once, into lowered.
 type planEntry struct {
 	lruEntry
-	res *core.Result
-	err error
+	res  *core.Result // without analysis, searcher or timelines
+	best *codegen.Timeline
+	err  error
+
+	mu      sync.Mutex
+	lowered map[int]*codegen.Timeline // by plan index; guarded by mu
 }
 
 // shapeEntry is one program shape's prepared analysis and schedule-search
@@ -612,26 +625,25 @@ func (s *Server) resolve(req Request) (*prog.Program, error) {
 // the table: "cache" (a resident entry), "shape" (a fill whose program
 // shape was already prepared: it binds that analysis at the program's
 // sizes and searches with the shape's memo), or "greedy" (a fill that
-// prepared the shape). Every fill runs one search, the greedy one
-// (core's Shape.OptimizeGreedy), under Config.PlanBudget as its deadline
-// when one is set. An entry is planned once and never replaced. The cache
-// key ignores per-query memory caps: plan selection against a cap happens
-// on the cached table. The plan budget bounds the whole fill, the
-// analysis included: a fill whose budget ends before the analysis does
-// serves the original schedule alone (core.OriginalPlan), as it does when
-// the budget ends before the baseline's search.
-func (s *Server) plans(req Request, p *prog.Program) (*core.Result, string, error) {
-	key, shapeKey := "prog:"+req.Program, "prog:"+req.Program
-	if req.Spec != nil {
-		key, shapeKey = req.Spec.cacheKey(), req.Spec.programShapeKey()
-	}
+// prepared the shape; the label predates the search it now runs). Every
+// fill runs one search, the Apriori one (core's Shape.Optimize), under
+// Config.PlanBudget as its deadline when one is set, and keeps the
+// timeline of the cheapest plan only (see timeline). An entry is planned
+// once and never replaced. The cache key ignores per-query memory caps:
+// plan selection against a cap happens on the cached table. The plan
+// budget bounds the whole fill, the analysis included: a fill whose
+// budget ends before the analysis does serves the original schedule
+// alone (core.OriginalPlan), as it does when the budget ends before the
+// baseline's search.
+func (s *Server) plans(req Request, p *prog.Program) (*planEntry, string, error) {
+	key, shapeKey := planKeys(req)
 	s.planMu.Lock()
 	if e, ok := s.planCache[key]; ok {
 		s.planHits++
 		s.planLRU.MoveToFront(e.elem)
 		s.planMu.Unlock()
 		<-e.ready
-		return e.res, tierCache, e.err
+		return e, tierCache, e.err
 	}
 	e := &planEntry{lruEntry: lruEntry{ready: make(chan struct{}), key: key}}
 	e.elem = s.planLRU.PushFront(&e.lruEntry)
@@ -652,18 +664,62 @@ func (s *Server) plans(req Request, p *prog.Program) (*core.Result, string, erro
 	}
 	var res *core.Result
 	if err == nil {
-		res, err = sh.OptimizeGreedy(ctx, p, opt)
+		res, err = sh.Optimize(ctx, p, opt)
 	} else if ctx.Err() != nil { // the budget, or Close, ended the preparation
 		res, err = core.OriginalPlan(ctx, p, opt)
 	}
 	cancel()
 
-	if res != nil { // keep the plan table, not the analysis and searcher behind it
-		res = &core.Result{Plans: res.Plans, Best: res.Best, OptimizeTime: res.OptimizeTime, SearchStats: res.SearchStats}
+	if res != nil { // keep the plan table, not the analysis, searcher and timelines behind it
+		plans := slices.Clone(res.Plans)
+		for i := range plans {
+			plans[i].Timeline = nil
+		}
+		e.best = res.Plans[0].Timeline
+		e.res = &core.Result{Plans: plans, OptimizeTime: res.OptimizeTime, SearchStats: res.SearchStats}
+		e.res.Best = e.res.BestUnder(0)
 	}
-	e.res, e.err = res, err
+	e.err = err
 	close(e.ready)
-	return res, tier, err
+	return e, tier, err
+}
+
+// planKeys returns the request's plan-cache key and program-shape key.
+func planKeys(req Request) (key, shapeKey string) {
+	if req.Spec != nil {
+		return req.Spec.cacheKey(), req.Spec.programShapeKey()
+	}
+	return "prog:" + req.Program, "prog:" + req.Program
+}
+
+// timeline returns the timeline of the entry's plan i for p, the program
+// the entry was filled for: best for plan 0, and otherwise the plan
+// lowered at p's sizes from the program shape, once per entry however
+// many queries select it at once. Close stops a lowering that has to
+// prepare the shape again.
+func (s *Server) timeline(e *planEntry, i int, req Request, p *prog.Program) (*codegen.Timeline, error) {
+	if i == 0 {
+		return e.best, nil
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if tl := e.lowered[i]; tl != nil {
+		return tl, nil
+	}
+	_, shapeKey := planKeys(req)
+	sh, _, err := s.programShape(s.fillCtx, shapeKey, p, core.Options{BindParams: true})
+	if err != nil {
+		return nil, err
+	}
+	tl, err := sh.Lower(s.fillCtx, p, e.res.Plans[i].Plan)
+	if err != nil {
+		return nil, err
+	}
+	if e.lowered == nil {
+		e.lowered = make(map[int]*codegen.Timeline)
+	}
+	e.lowered[i] = tl
+	return tl, nil
 }
 
 // programShape returns the program shape keyed by key, preparing it from p
@@ -776,7 +832,14 @@ func (s *Server) runQuery(q *query) (retErr error) {
 	}()
 
 	sp := root.Child("planning")
-	res, tier, err := s.plans(q.req, q.prog)
+	e, tier, err := s.plans(q.req, q.prog)
+	var pl *core.EvaluatedPlan
+	var tl *codegen.Timeline
+	if err == nil {
+		if pl, err = selectPlan(e.res, q.req); err == nil {
+			tl, err = s.timeline(e, pl.Index, q.req, q.prog)
+		}
+	}
 	sp.End()
 	s.mPlanning.ObserveDuration(sp.Duration())
 	s.tierHistogram(tier).ObserveDuration(sp.Duration())
@@ -786,10 +849,6 @@ func (s *Server) runQuery(q *query) (retErr error) {
 	} else {
 		sp.Annotate("cache", "miss")
 	}
-	if err != nil {
-		return err
-	}
-	pl, err := selectPlan(res, q.req)
 	if err != nil {
 		return err
 	}
@@ -845,7 +904,7 @@ func (s *Server) runQuery(q *query) (retErr error) {
 		OnBlockDead: sess.DiscardBlock,
 	}
 	sp = root.Child("exec")
-	r, err := eng.RunOptions(pl.Timeline, exec.Options{Workers: s.cfg.Workers})
+	r, err := eng.RunOptions(tl, exec.Options{Workers: s.cfg.Workers})
 	sp.End()
 	s.recordExec(sp, r)
 	if err != nil {

@@ -26,18 +26,30 @@ func smallAddMul() *prog.Program {
 	})
 }
 
-// standaloneRun executes the cheapest plan of the greedy table the server
-// serves on a private manager without a pool — the reference the server's
+// servedTable is the plan table a server with no plan budget serves p:
+// core's Shape.Optimize, run to completion, every timeline kept.
+func servedTable(t *testing.T, p *prog.Program) *core.Result {
+	t.Helper()
+	opt := core.Options{BindParams: true}
+	sh, err := core.PrepareShape(context.Background(), p, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sh.Optimize(context.Background(), p, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// standaloneRun executes the cheapest plan of the table the server serves
+// on a private manager without a pool — the reference the server's
 // per-query results must match — and reports the result, the persistent
 // outputs, and the physical read count.
 func standaloneRun(t *testing.T, build func() *prog.Program) (exec.Result, map[string]*blas.Matrix, int64) {
 	t.Helper()
 	p := build()
-	res, err := core.OptimizeGreedy(context.Background(), p, core.Options{BindParams: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl := &res.Plans[0]
+	pl := &servedTable(t, p).Plans[0]
 	m, err := storage.NewManager(t.TempDir(), storage.FormatDAF)
 	if err != nil {
 		t.Fatal(err)
@@ -296,11 +308,7 @@ func TestAvgQueueWaitSubMillisecond(t *testing.T) {
 // A per-query memory cap steers plan selection to a plan that fits, and
 // the chosen plan's peak respects it.
 func TestPerQueryMemCapSelectsFittingPlan(t *testing.T) {
-	p := smallAddMul()
-	res, err := core.OptimizeGreedy(context.Background(), p, core.Options{BindParams: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := servedTable(t, smallAddMul())
 	// Pick a cap below the cheapest plan's peak but above the baseline's.
 	base := res.Baseline()
 	best := &res.Plans[0]

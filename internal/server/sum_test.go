@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -10,7 +9,6 @@ import (
 
 	"riotshare/internal/blas"
 	"riotshare/internal/buffer"
-	"riotshare/internal/core"
 	"riotshare/internal/ops"
 	"riotshare/internal/prog"
 )
@@ -91,11 +89,7 @@ func TestOutputSumContract(t *testing.T) {
 	names := []string{"addmul", "twomm", "stream-mul"}
 	plans := map[string][]*int{"stream-mul": {nil}} // nil: the cheapest plan
 	for _, name := range []string{"addmul", "twomm"} {
-		res, err := core.OptimizeGreedy(context.Background(), programs[name](), core.Options{BindParams: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		plans[name] = []*int{nil, &res.Baseline().Index}
+		plans[name] = []*int{nil, &servedTable(t, programs[name]()).Baseline().Index}
 	}
 	stores := []struct {
 		name string
