@@ -15,7 +15,8 @@ test:
 # The race detector over the short suite (guards the pipelined executor and
 # the shared pool), then the schedule-sensitive tests repeated: block
 # ownership, failure-path pin release and admission order in exec, buffer
-# and govern; read coalescing and concurrent reads and writes in storage;
+# and govern; read coalescing, concurrent reads and writes, and a repair
+# racing live writes and an explicit degrade, in storage;
 # fairness, queue-wait stats, the tenant-label bound, result fetch from the
 # pool, output sums taken by the final-write hook on DAG workers (against
 # the stored output, across schedules, pools, stores and streams, and the
@@ -35,19 +36,22 @@ test:
 # the ready sets of one step on several goroutines, over one Farkas cache,
 # in sched; concurrent and sharded reads and writes through remote
 # shards, the remote client's write-lock wait and pending depth under
-# concurrent requests, and its dial slots under concurrent first requests,
-# in blockd. The storage and stream tests drive the read-coalescing and
-# stream-readiness maps, which are shared between goroutines; the blockd
-# tests drive the pipelined remote-shard client, whose requests and
-# replies encode and decode blocks on many connections at once.
+# concurrent requests, its dial slots under concurrent first requests, and
+# a killed server's automatic degrade (and its refusal when it would lose
+# coverage) and repair after a restart, in blockd. The storage and stream
+# tests drive the read-coalescing and stream-readiness maps, which are
+# shared between goroutines, and the sharded store's degrade and repair
+# paths; the blockd tests drive the pipelined remote-shard client, whose
+# requests and replies encode and decode blocks on many connections at
+# once, and the store's automatic degrade on its failures.
 test-race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -count=5 ./internal/exec/ ./internal/buffer/ ./internal/govern/
-	$(GO) test -race -count=5 -run 'TestCoalescedReadsShareOneRequest|TestConcurrentReadWrite' ./internal/storage/
+	$(GO) test -race -count=5 -run 'TestCoalescedReadsShareOneRequest|TestConcurrentReadWrite|TestRepairConcurrentWrites|TestDegradeAndRepair' ./internal/storage/
 	$(GO) test -race -count=5 -run 'Fairness|QueueWait|TenantLabel|ResultFetch|OutputSum|StreamAttributesTenant|TestStreamedResultsMatchWholeFetch|TestStreamRetainDropWaitsForQuery|PlanCacheConcurrentMiss|PlanEntryKeepsOneTimeline|PlanShapeConcurrentSizes|CloseStopsPlanFill|BudgetedLongChain|BudgetedAnalysisEnds|RetirementRacesLookups|MetricsRenderStats|StatsRegistersNoSeries' ./internal/server/
 	$(GO) test -race -count=5 -run 'TestLowerConcurrentEnumeratesSharesOnce' ./internal/codegen/
 	$(GO) test -race -count=5 -run 'TestAprioriMatchesNoPruning|TestSearchRankKeepsTestedSets|TestSearchMaxCallsBudget' ./internal/sched/
-	$(GO) test -race -count=5 -run 'TestRemoteShardConcurrent|TestRemoteShardedMatchesLocalDirs|TestMixedLocalRemoteShards|TestRemoteWriteLockWaitAndPendingDepth|TestRemoteShardDialsAtMostPoolSize' ./internal/blockd/
+	$(GO) test -race -count=5 -run 'TestRemoteShardConcurrent|TestRemoteShardedMatchesLocalDirs|TestMixedLocalRemoteShards|TestRemoteWriteLockWaitAndPendingDepth|TestRemoteShardDialsAtMostPoolSize|TestRemoteServerKillDegradesAndFallsBack|TestRemoteRepairAfterServerRestart|TestRemoteAutoDegradeRefusesCoverageLoss' ./internal/blockd/
 
 # Full suite, including the ~80s linear-regression plan-space search.
 test-full:

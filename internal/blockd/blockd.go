@@ -225,8 +225,6 @@ func reply(payload *blockproto.Enc, err error) (byte, *blockproto.Enc) {
 		return blockproto.StatusOK, payload
 	case errors.Is(err, storage.ErrUnknownArray):
 		return errStatus(blockproto.StatusUnknownArray, err)
-	case errors.Is(err, storage.ErrArrayExists):
-		return errStatus(blockproto.StatusExists, err)
 	case errors.Is(err, fs.ErrNotExist):
 		return errStatus(blockproto.StatusNotFound, err)
 	default:
@@ -271,17 +269,14 @@ func (s *Server) respond(version, op byte, payload []byte) (byte, *blockproto.En
 			GridRows: int(d.U32()), GridCols: int(d.U32()),
 			LogicalBlockBytes: d.I64(),
 		}
-		ensure := d.U8() != 0
+		d.U8() // the ensure flag: every client sends 1, and every create is an Ensure
 		if err := d.Err(); err != nil {
 			return errStatus(blockproto.StatusBadRequest, err)
 		}
 		if err := checkGeometry(arr); err != nil {
 			return errStatus(blockproto.StatusBadRequest, err)
 		}
-		if ensure {
-			return reply(nil, s.mgr.Ensure(arr))
-		}
-		return reply(nil, s.mgr.Create(arr))
+		return reply(nil, s.mgr.Ensure(arr))
 
 	case blockproto.OpRead:
 		name, r, c := d.Str(), d.I64(), d.I64()

@@ -561,6 +561,80 @@ func TestRemoteServerKillDegradesAndFallsBack(t *testing.T) {
 	}
 }
 
+// An automatic degrade obeys the coverage rule an explicit one does. With
+// servers 1 and 2 of four dead under 2-way replication, shard 1 degrades
+// and shard 2 may not follow: a block replicated on {1, 2} fails to read,
+// and a {2, 3} block still reads from shard 3 as a degraded read.
+func TestRemoteAutoDegradeRefusesCoverageLoss(t *testing.T) {
+	const shards = 4
+	servers := make([]*blockd.Server, shards)
+	addrs := make([]string, shards)
+	for i := range servers {
+		servers[i] = startServer(t, t.TempDir())
+		addrs[i] = servers[i].Addr()
+	}
+	sm, err := storage.OpenSharded(addrs, storage.ShardedOptions{
+		Replicas: 2,
+		Remote:   storage.RemoteOptions{OpTimeout: time.Second, Retries: 1, RetryBackoff: 5 * time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sm.Close()
+
+	arr := testArray("A")
+	if err := sm.Create(arr); err != nil {
+		t.Fatal(err)
+	}
+	want := fillBlocks(t, sm, arr, 71)
+
+	// onPrimary[i] is a block whose primary is shard i: the shard that
+	// serves it while every shard is healthy.
+	onPrimary := map[int][2]int64{}
+	for coord := range want {
+		before := sm.ShardStats()
+		if _, err := sm.ReadBlock(arr.Name, coord[0], coord[1]); err != nil {
+			t.Fatal(err)
+		}
+		for i, st := range sm.ShardStats() {
+			if st.ReadReqs > before[i].ReadReqs {
+				onPrimary[i] = coord
+			}
+		}
+	}
+	b12, ok12 := onPrimary[1]
+	b23, ok23 := onPrimary[2]
+	if !ok12 || !ok23 {
+		t.Fatalf("no block with primary shard 1 or 2 among %d blocks: %v", len(want), onPrimary)
+	}
+
+	servers[1].Close()
+	servers[2].Close()
+
+	// Shard 1 fails first and degrades; shard 2 then fails too, and
+	// degrading it would leave the {1, 2} blocks with no live replica.
+	_, err = sm.ReadBlock(arr.Name, b12[0], b12[1])
+	if !errors.Is(err, storage.ErrShardUnavailable) {
+		t.Fatalf("read of a block on shards {1, 2} with both servers dead: %v, want an error wrapping ErrShardUnavailable", err)
+	}
+	if got := sm.Degraded(); len(got) != 1 || got[0] != 1 {
+		t.Fatalf("Degraded() = %v, want [1]", got)
+	}
+
+	fallbacks := sm.DegradedReads()
+	before := sm.ShardStats()[3].ReadReqs
+	assertBlocks(t, sm, arr, map[[2]int64]*blas.Matrix{b23: want[b23]})
+	if got := sm.ShardStats()[3].ReadReqs - before; got != 1 {
+		t.Errorf("shard 3 served %d reads of the {2, 3} block, want 1", got)
+	}
+	if got := sm.DegradedReads() - fallbacks; got != 1 {
+		t.Errorf("the {2, 3} block's read counted %d degraded reads, want 1", got)
+	}
+	if got := sm.Degraded(); len(got) != 1 || got[0] != 1 {
+		t.Fatalf("Degraded() = %v after reading past dead shard 2, want [1]", got)
+	}
+}
+
 // A shard whose server comes back heals with Repair: re-mirrored from
 // replicas, degraded flag cleared, counter reset.
 func TestRemoteRepairAfterServerRestart(t *testing.T) {

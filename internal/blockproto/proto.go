@@ -57,8 +57,9 @@ const MaxBlockElems = (MaxFrameBytes - 2 - math.MaxUint16 - 64) / 8
 const (
 	// OpPing is a liveness probe; the response carries no payload.
 	OpPing byte = 1
-	// OpCreate registers an array's store: name, block/grid shape,
-	// logical block bytes, and an "ensure" flag making it idempotent.
+	// OpCreate registers an array's store with Manager.Ensure's rule:
+	// name, block/grid shape, logical block bytes, and an "ensure" byte
+	// that clients set to 1 and servers ignore.
 	OpCreate byte = 2
 	// OpRead fetches one block: name, block row, block col → shape +
 	// payload.
@@ -102,9 +103,8 @@ const (
 	StatusErr byte = 1
 	// StatusUnknownArray means the named array has no registered store.
 	StatusUnknownArray byte = 2
-	// StatusExists means OpCreate (without ensure) hit an already-created
-	// array.
-	StatusExists byte = 3
+	// 3 is retired (OpCreate without ensure hit an already-created array;
+	// every create is an ensure) and never reused.
 	// StatusBadRequest means the frame decoded but the request is
 	// malformed (bad opcode, truncated payload, shape mismatch).
 	StatusBadRequest byte = 4

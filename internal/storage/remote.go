@@ -406,8 +406,9 @@ func (s *RemoteShard) Ping() error {
 	return err
 }
 
-// create registers an array's store on the server with the ensure flag
-// set, so the server runs Manager.Ensure for it.
+// create registers an array's store on the server, which runs
+// Manager.Ensure for it. The trailing ensure byte is always 1; the server
+// ignores it.
 func (s *RemoteShard) create(arr *prog.Array) error {
 	e := new(blockproto.Enc).Str(arr.Name).
 		U32(uint32(arr.BlockRows)).U32(uint32(arr.BlockCols)).
@@ -421,7 +422,7 @@ func (s *RemoteShard) create(arr *prog.Array) error {
 // like Manager.Create). Duplicate detection is client-session-scoped: a
 // registration left on the server by an earlier session is stale and
 // reused, the way a fresh local Manager reuses an existing store file —
-// so the wire request always carries the ensure flag.
+// so the server ensures every create.
 func (s *RemoteShard) Create(arr *prog.Array) error {
 	s.createdMu.Lock()
 	if _, dup := s.created[arr.Name]; dup {

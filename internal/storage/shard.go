@@ -32,7 +32,7 @@ type shard interface {
 	// WriteManifest atomically replaces the manifest (crash-safe).
 	WriteManifest(data []byte) error
 	// RemoveManifest deletes the manifest; removing an absent one is not
-	// an error. DegradeShard commits a shard's offline state through it.
+	// an error. A degrade commits a shard's offline state through it.
 	RemoveManifest() error
 	// StoreExists reports whether the array's store file exists — the
 	// catalog-reopen intactness probe.

@@ -11,16 +11,19 @@
 // shard is its own device), and coalescing still works because one block
 // always routes to one shard.
 //
-// With Replicas = k > 1 every block is mirrored on its primary shard plus
-// the next k-1 shards in ring order. Losing a shard then degrades reads
-// instead of losing data: reads whose primary is gone fall back to a
-// surviving replica (counted per shard as DegradedReads),
-// writes skip the lost shard, and Repair re-mirrors the lost shard's blocks
-// from the survivors so the store heals in place. A remote shard whose
-// server stops answering (connection refused, retries exhausted — see
-// ErrShardUnavailable) is degraded automatically the same way, replication
-// permitting, so a killed riotblockd costs fallback reads, not failed
-// queries.
+// With Replicas = k > 1 every block is mirrored on its replica set: its
+// primary shard plus the next k-1 shards in ring order (replicaOf). Losing
+// a shard then degrades reads instead of losing data: reads whose primary
+// is gone fall back to a surviving replica (counted per shard as
+// DegradedReads), writes skip the lost shard, and Repair re-mirrors the
+// lost shard's blocks from the survivors so the store heals in place. A
+// remote shard whose server stops answering (connection refused, retries
+// exhausted — see ErrShardUnavailable) is degraded automatically the same
+// way, so a killed riotblockd costs fallback reads, not failed queries.
+//
+// Every degrade, explicit (DegradeShard) or automatic, obeys one rule: a
+// shard whose loss would leave some block with no live replica is not
+// degraded — it stays live, and the op that hit its failure errors.
 //
 // A sharded store can be persistent: a manifest (MANIFEST.json, written
 // atomically and fsynced) in every shard root records the layout (format,
@@ -176,11 +179,10 @@ type ShardedManager struct {
 	readLat  []*telemetry.Histogram
 	writeLat []*telemetry.Histogram
 
-	// degradeMu serializes the degrade decision (flag flip + coverage
-	// check + manifest removal) between explicit DegradeShard calls and
-	// the automatic degrade a persistent remote failure triggers, so two
-	// concurrent degrades cannot both pass the coverage check and leave a
-	// block with no live replica.
+	// degradeMu serializes degrade's decision (flag flip + coverage check
+	// + manifest removal), so two concurrent degrades, explicit or
+	// automatic, cannot both pass the coverage check and leave a block
+	// with no live replica.
 	degradeMu sync.Mutex
 
 	// healMu orders Repair's per-block copies against concurrent writes:
@@ -235,7 +237,6 @@ func OpenSharded(specs []string, opt ShardedOptions) (*ShardedManager, error) {
 	sm := &ShardedManager{
 		specs:         specs,
 		replicas:      replicas,
-		persist:       opt.Persist,
 		degraded:      make([]atomic.Bool, len(specs)),
 		healing:       make([]atomic.Bool, len(specs)),
 		degradedReads: make([]atomic.Int64, len(specs)),
@@ -255,6 +256,10 @@ func OpenSharded(specs []string, opt ShardedOptions) (*ShardedManager, error) {
 			sm.Close()
 			return nil, err
 		}
+		// Set only once the manifests are loaded: a shard the open
+		// degrades has no usable manifest, and degrade must neither
+		// delete a torn one nor ask a dead server to.
+		sm.persist = true
 		if err := sm.reopenCatalog(); err != nil {
 			sm.Close()
 			return nil, err
@@ -335,26 +340,18 @@ func (sm *ShardedManager) loadManifests() error {
 		}
 		survivors = append(survivors, mf)
 	}
-	// Shards without a usable manifest: degrade them if every block is
-	// still covered by a surviving replica, otherwise fail with the first
-	// shard's error.
-	for i := range manifests {
-		if manifests[i] == nil {
-			sm.degraded[i].Store(true)
+	// Shards without a usable manifest are degraded under degrade's rule;
+	// the first one it refuses fails the open with that shard's error.
+	for i, mf := range manifests {
+		if mf != nil {
+			continue
 		}
-	}
-	if p := sm.uncoveredPrimary(); p >= 0 {
-		first := 0
-		for i := range manifests {
-			if manifests[i] == nil {
-				first = i
-				break
+		if err := sm.degrade(i, false); err != nil {
+			if sm.replicas > 1 {
+				return fmt.Errorf("storage: coverage lost — %v: %w", err, lost[i])
 			}
+			return lost[i]
 		}
-		if sm.replicas > 1 {
-			return fmt.Errorf("storage: coverage lost — blocks with primary shard %d have no surviving replica (%d-way replication): %w", p, sm.replicas, lost[first])
-		}
-		return lost[first]
 	}
 	// Effective catalog: entries identical across every surviving shard.
 	for name, e := range survivors[0].Arrays {
@@ -373,16 +370,19 @@ func (sm *ShardedManager) loadManifests() error {
 	return nil
 }
 
+// replicaOf returns shard j (0 <= j < Replicas) of the replica set of the
+// blocks whose primary shard is p: the primary, then the next shards in
+// ring order. Every walk over a replica set goes through it.
+func (sm *ShardedManager) replicaOf(p, j int) int { return (p + j) % len(sm.shards) }
+
 // uncoveredPrimary returns the first primary shard whose whole replica set
-// (the k consecutive shards starting at it, in ring order) is degraded —
-// the coverage-lost condition — or -1 when every block still has a live
-// copy.
+// is degraded — the coverage-lost condition — or -1 when every block still
+// has a live copy.
 func (sm *ShardedManager) uncoveredPrimary() int {
-	n := len(sm.specs)
-	for p := 0; p < n; p++ {
+	for p := range sm.shards {
 		covered := false
 		for j := 0; j < sm.replicas; j++ {
-			if !sm.degraded[(p+j)%n].Load() {
+			if !sm.degraded[sm.replicaOf(p, j)].Load() {
 				covered = true
 				break
 			}
@@ -470,11 +470,10 @@ func (sm *ShardedManager) saveManifestsLocked() error {
 // holds the blocks whose replica sets include it). On a mid-loop failure
 // the stores already created are unwound — closed and unregistered — so the
 // error leaks no file descriptors and a retry does not trip over "already
-// created" on the shards that had succeeded. A shard whose server became
-// unreachable is degraded (replication permitting) instead of failing the
-// create. With ensure set the per-shard creates are idempotent — the
-// catalog-reopen path, where a remote shard's long-lived server may still
-// have the store registered.
+// created" on the shards that had succeeded. A shard failure skip forgives
+// does not fail the create. With ensure set the per-shard creates are
+// idempotent — the catalog-reopen path, where a remote shard's long-lived
+// server may still have the store registered.
 func (sm *ShardedManager) createStores(arr *prog.Array, ensure bool) error {
 	var created []int
 	for i, sd := range sm.shards {
@@ -486,10 +485,7 @@ func (sm *ShardedManager) createStores(arr *prog.Array, ensure bool) error {
 			create = sd.Ensure
 		}
 		if err := create(arr); err != nil {
-			if sm.healing[i].Load() {
-				continue // best effort on a mid-repair shard; fallback covers it
-			}
-			if errors.Is(err, ErrShardUnavailable) && sm.autoDegrade(i) {
+			if sm.skip(i, err) {
 				continue
 			}
 			for _, j := range created {
@@ -533,68 +529,102 @@ func (sm *ShardedManager) offline(i int) bool {
 	return sm.degraded[i].Load() && !sm.healing[i].Load()
 }
 
-// autoDegrade takes shard i offline in response to a persistent remote
-// failure (ErrShardUnavailable), if replication still covers every block.
-// It is the automatic twin of DegradeShard: same coverage check, but
-// manifest removal is best effort — the failing server cannot answer a
-// removal either, and a restart against a still-dead server degrades the
-// shard again at open (see docs/operations.md for the recovered-server
-// caveat). Returns whether the shard ended up degraded.
-func (sm *ShardedManager) autoDegrade(i int) bool {
-	sm.degradeMu.Lock()
-	defer sm.degradeMu.Unlock()
-	if sm.degraded[i].Load() {
+// skip is the one rule for what shard i's failure err means to an op: it is
+// forgiven on a healing shard (its Repair re-mirrors what it misses) and
+// once degrade takes an unreachable shard offline; otherwise it is the
+// op's failure.
+func (sm *ShardedManager) skip(i int, err error) bool {
+	if sm.healing[i].Load() {
 		return true
 	}
-	if sm.healing[i].Load() {
-		return false // mid-repair failures surface to the repair, not here
-	}
-	sm.degraded[i].Store(true)
-	if sm.uncoveredPrimary() >= 0 {
-		sm.degraded[i].Store(false)
-		return false
-	}
-	if sm.persist {
-		_ = sm.shards[i].RemoveManifest()
-	}
-	return true
+	return unreachable(err) && sm.degrade(i, false) == nil
 }
 
-// WriteBlock stores one block on every live shard of its replica set (the
-// primary plus the next Replicas-1 shards in ring order). Degraded shards
-// are skipped — Repair re-mirrors them later — and a shard whose server
-// became unreachable mid-write is degraded on the spot, replication
-// permitting; a write with no live replica at all is an error (the open
-// refuses such a store, so this only guards racing DegradeShard calls).
+// unreachable reports whether err is a shard's persistent connection
+// failure (ErrShardUnavailable): its server serves nothing, stale or
+// fresh, until it is back and repaired.
+func unreachable(err error) bool { return errors.Is(err, ErrShardUnavailable) }
+
+// degrade takes shard i offline — reads fall back to its replicas, writes
+// skip it, and a persistent store removes its manifest so a reopen sees it
+// degraded too — unless it is being repaired or its loss would leave some
+// block with no live replica. explicit (DegradeShard) also refuses when
+// the manifest cannot be removed, since a restart would reopen the shard
+// healthy while this process skipped its writes (an unreachable server is
+// exempt: it serves no stale data while down), and then closes the
+// shard's stores so no read is served from descriptors of lost files. An
+// automatic degrade (skip) removes the manifest best effort: the failing
+// server cannot answer a removal either (see docs/operations.md for the
+// recovered-server caveat).
+func (sm *ShardedManager) degrade(i int, explicit bool) error {
+	sm.degradeMu.Lock()
+	if sm.healing[i].Load() {
+		sm.degradeMu.Unlock()
+		return fmt.Errorf("storage: shard %d is being repaired", i)
+	}
+	if sm.degraded[i].Load() {
+		sm.degradeMu.Unlock()
+		return nil
+	}
+	sm.degraded[i].Store(true)
+	var err error
+	if p := sm.uncoveredPrimary(); p >= 0 {
+		err = fmt.Errorf("storage: cannot degrade shard %d: blocks with primary shard %d would have no surviving replica (%d-way replication)", i, p, sm.replicas)
+	} else if sm.persist {
+		if rmErr := sm.shards[i].RemoveManifest(); rmErr != nil && explicit && !unreachable(rmErr) {
+			err = fmt.Errorf("storage: shard %d (%s): remove manifest: %w", i, sm.specs[i], rmErr)
+		}
+	}
+	if err != nil {
+		sm.degraded[i].Store(false)
+	}
+	sm.degradeMu.Unlock()
+	if err != nil || !explicit {
+		return err
+	}
+	for _, arr := range sm.registered() {
+		_ = sm.shards[i].Drop(arr.Name, false) // best effort: the files may already be gone
+	}
+	return nil
+}
+
+// registered snapshots every registered array, in name order.
+func (sm *ShardedManager) registered() []*prog.Array {
+	sm.mu.Lock()
+	defer sm.mu.Unlock()
+	arrays := make([]*prog.Array, 0, len(sm.arrays))
+	for _, arr := range sm.arrays {
+		arrays = append(arrays, arr)
+	}
+	sort.Slice(arrays, func(a, b int) bool { return arrays[a].Name < arrays[b].Name })
+	return arrays
+}
+
+// WriteBlock stores one block on every live shard of its replica set.
+// Degraded shards are skipped — Repair re-mirrors them later — and so is a
+// failing shard skip forgives; a write with no live replica at all is an
+// error (the open refuses such a store, so this only guards racing
+// DegradeShard calls).
 func (sm *ShardedManager) WriteBlock(array string, r, c int64, blk *blas.Matrix) error {
 	sm.healMu.RLock()
 	defer sm.healMu.RUnlock()
-	n := len(sm.shards)
 	p := sm.primaryFor(array, r, c)
 	wrote := 0
 	var errs []error
 	for j := 0; j < sm.replicas; j++ {
-		i := (p + j) % n
+		i := sm.replicaOf(p, j)
 		if sm.offline(i) {
 			continue
 		}
 		t0 := time.Now()
-		if err := sm.shards[i].WriteBlock(array, r, c, blk); err != nil {
-			observeSince(sm.writeLat, i, t0)
-			// Write-through to a healing shard is best effort: a store the
-			// repair scan has not ensured yet just means the block is
-			// re-mirrored (or served by fallback) later.
-			if sm.healing[i].Load() {
-				continue
-			}
-			if errors.Is(err, ErrShardUnavailable) && sm.autoDegrade(i) {
-				continue
-			}
-			errs = append(errs, fmt.Errorf("storage: shard %d (%s): %w", i, sm.specs[i], err))
-			continue
-		}
+		err := sm.shards[i].WriteBlock(array, r, c, blk)
 		observeSince(sm.writeLat, i, t0)
-		wrote++
+		switch {
+		case err == nil:
+			wrote++
+		case !sm.skip(i, err):
+			errs = append(errs, fmt.Errorf("storage: shard %d (%s): %w", i, sm.specs[i], err))
+		}
 	}
 	if len(errs) > 0 {
 		return errors.Join(errs...)
@@ -605,20 +635,19 @@ func (sm *ShardedManager) WriteBlock(array string, r, c int64, blk *blas.Matrix)
 	return nil
 }
 
-// ReadBlock fetches one block from its primary shard, falling back to the
-// next replicas in ring order when the primary is degraded or fails — each
-// fallback served is counted against the primary as a DegradedRead. A
-// shard whose server became unreachable mid-read is degraded on the spot,
-// replication permitting, so later reads skip straight to the replicas.
-// Concurrent reads of blocks on different shards proceed fully in parallel
-// (independent devices); concurrent reads of the same block coalesce inside
-// the shard that serves them.
+// ReadBlock fetches one block from its primary shard, falling back along
+// its replica set when the primary is degraded or fails — each fallback
+// served is counted against the primary as a DegradedRead. A failing
+// shard goes through skip, so an unreachable one is degraded on the spot
+// and later reads go straight to the replicas. Concurrent reads of blocks
+// on different shards proceed fully in parallel (independent devices);
+// concurrent reads of the same block coalesce inside the shard that
+// serves them.
 func (sm *ShardedManager) ReadBlock(array string, r, c int64) (*blas.Matrix, error) {
-	n := len(sm.shards)
 	p := sm.primaryFor(array, r, c)
 	var firstErr error
 	for j := 0; j < sm.replicas; j++ {
-		i := (p + j) % n
+		i := sm.replicaOf(p, j)
 		if sm.degraded[i].Load() {
 			continue
 		}
@@ -631,9 +660,7 @@ func (sm *ShardedManager) ReadBlock(array string, r, c int64) (*blas.Matrix, err
 			}
 			return blk, nil
 		}
-		if errors.Is(err, ErrShardUnavailable) {
-			sm.autoDegrade(i)
-		}
+		sm.skip(i, err) // the next replica is tried either way
 		if firstErr == nil {
 			firstErr = fmt.Errorf("storage: shard %d (%s): %w", i, sm.specs[i], err)
 		}
@@ -644,55 +671,15 @@ func (sm *ShardedManager) ReadBlock(array string, r, c int64) (*blas.Matrix, err
 	return nil, firstErr
 }
 
-// DegradeShard takes one shard offline: its open stores are closed (so
-// reads cannot be served from file descriptors of lost files), subsequent
-// reads fall back to replicas, writes skip it, and — on a persistent store
-// — its manifest is removed so a crash or reopen sees it degraded too. It
-// fails when losing the shard would leave some block with no live replica.
-// Repair undoes it.
+// DegradeShard takes one shard offline by hand (see degrade): its open
+// stores are closed, reads fall back to replicas, writes skip it, and on a
+// persistent store its manifest is removed. It fails when losing the shard
+// would leave some block with no live replica. Repair undoes it.
 func (sm *ShardedManager) DegradeShard(shard int) error {
 	if shard < 0 || shard >= len(sm.shards) {
 		return fmt.Errorf("storage: shard %d out of range (%d shards)", shard, len(sm.shards))
 	}
-	sm.degradeMu.Lock()
-	if sm.healing[shard].Load() {
-		sm.degradeMu.Unlock()
-		return fmt.Errorf("storage: shard %d is being repaired", shard)
-	}
-	if sm.degraded[shard].Load() {
-		sm.degradeMu.Unlock()
-		return nil
-	}
-	sm.degraded[shard].Store(true)
-	if p := sm.uncoveredPrimary(); p >= 0 {
-		sm.degraded[shard].Store(false)
-		sm.degradeMu.Unlock()
-		return fmt.Errorf("storage: cannot degrade shard %d: blocks with primary shard %d would have no surviving replica (%d-way replication)", shard, p, sm.replicas)
-	}
-	// The on-disk state must commit to "degraded" before the in-memory
-	// state does anything irreversible: if the manifest cannot be removed,
-	// a restart would reopen the shard healthy while this process skipped
-	// its writes — stale data with no error. Refuse and stay healthy
-	// instead. An unreachable server is the one exception: its manifest
-	// cannot be removed, but it cannot serve stale data either while down.
-	if sm.persist {
-		if err := sm.shards[shard].RemoveManifest(); err != nil && !errors.Is(err, ErrShardUnavailable) {
-			sm.degraded[shard].Store(false)
-			sm.degradeMu.Unlock()
-			return fmt.Errorf("storage: shard %d (%s): remove manifest: %w", shard, sm.specs[shard], err)
-		}
-	}
-	sm.degradeMu.Unlock()
-	sm.mu.Lock()
-	names := make([]string, 0, len(sm.arrays))
-	for name := range sm.arrays {
-		names = append(names, name)
-	}
-	sm.mu.Unlock()
-	for _, name := range names {
-		_ = sm.shards[shard].Drop(name, false) // best effort: the files may already be gone
-	}
-	return nil
+	return sm.degrade(shard, true)
 }
 
 // Repair re-mirrors one degraded shard from the surviving replicas: the
@@ -730,17 +717,7 @@ func (sm *ShardedManager) Repair(shard int) error {
 		return fmt.Errorf("storage: shard %d is already being repaired", shard)
 	}
 	defer sm.healing[shard].Store(false)
-	sm.mu.Lock()
-	names := make([]string, 0, len(sm.arrays))
-	for name := range sm.arrays {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	arrays := make([]*prog.Array, len(names))
-	for i, name := range names {
-		arrays[i] = sm.arrays[name]
-	}
-	sm.mu.Unlock()
+	arrays := sm.registered()
 	// The lost shard may be gone directory and all (or its server may have
 	// just come back); ready it, then start every store from an empty file
 	// — anything left on disk predates the loss and must not survive the
@@ -760,18 +737,7 @@ func (sm *ShardedManager) Repair(shard int) error {
 	for _, arr := range arrays {
 		for r := int64(0); r < int64(arr.GridRows); r++ {
 			for c := int64(0); c < int64(arr.GridCols); c++ {
-				p := sm.primaryFor(arr.Name, r, c)
-				mirrored := false
-				for j := 0; j < sm.replicas; j++ {
-					if (p+j)%n == shard {
-						mirrored = true
-						break
-					}
-				}
-				if !mirrored {
-					continue
-				}
-				if err := sm.copyBlock(arr.Name, r, c, p, shard); err != nil {
+				if err := sm.copyBlock(arr.Name, r, c, shard); err != nil {
 					return err
 				}
 			}
@@ -782,16 +748,24 @@ func (sm *ShardedManager) Repair(shard int) error {
 	return sm.saveManifests()
 }
 
-// copyBlock re-mirrors one block onto the healing shard under the
-// exclusive side of healMu, so it cannot interleave with (and then
-// overwrite) a concurrent replica-set write of the same block.
-func (sm *ShardedManager) copyBlock(array string, r, c int64, primary, shard int) error {
+// copyBlock re-mirrors one block onto the healing shard if the shard is in
+// the block's replica set. The copy runs under the exclusive side of
+// healMu, so it cannot interleave with (and then overwrite) a concurrent
+// replica-set write of the same block.
+func (sm *ShardedManager) copyBlock(array string, r, c int64, shard int) error {
+	p := sm.primaryFor(array, r, c)
+	j := 0
+	for j < sm.replicas && sm.replicaOf(p, j) != shard {
+		j++
+	}
+	if j == sm.replicas {
+		return nil // not one of the shard's blocks
+	}
 	sm.healMu.Lock()
 	defer sm.healMu.Unlock()
-	n := len(sm.shards)
 	var blk *blas.Matrix
 	for j := 0; j < sm.replicas; j++ {
-		i := (primary + j) % n
+		i := sm.replicaOf(p, j)
 		if i == shard || sm.degraded[i].Load() {
 			continue
 		}
@@ -812,18 +786,14 @@ func (sm *ShardedManager) copyBlock(array string, r, c int64, primary, shard int
 // Drop closes and unregisters the array's stores on every live shard and,
 // if the array was cataloged, removes it from the persisted catalog. Shard
 // failures are aggregated — every failed shard is named — rather than
-// reported first-only; a shard whose server became unreachable is degraded
-// instead, replication permitting.
+// reported first-only; a failure skip forgives is not reported.
 func (sm *ShardedManager) Drop(array string, deleteFile bool) error {
 	var errs []error
 	for i, sd := range sm.shards {
 		if sm.offline(i) {
 			continue
 		}
-		if err := sd.Drop(array, deleteFile); err != nil && !sm.healing[i].Load() {
-			if errors.Is(err, ErrShardUnavailable) && sm.autoDegrade(i) {
-				continue
-			}
+		if err := sd.Drop(array, deleteFile); err != nil && !sm.skip(i, err) {
 			errs = append(errs, fmt.Errorf("storage: shard %d (%s): %w", i, sm.specs[i], err))
 		}
 	}
@@ -839,23 +809,26 @@ func (sm *ShardedManager) Drop(array string, deleteFile bool) error {
 	return errors.Join(errs...)
 }
 
-// Stats sums the physical I/O counters across shards — exactly the sum of
-// ShardStats. Remote shards report their server's counters (cumulative
-// since the server started); degraded shards are not polled and, like an
-// unreachable server, contribute zeros.
+// Stats sums the physical I/O counters of one ShardStats snapshot. Remote
+// shards report their server's counters (cumulative since the server
+// started); degraded shards are not polled and, like an unreachable
+// server, contribute zeros.
 func (sm *ShardedManager) Stats() Stats {
-	var total Stats
-	for i, sd := range sm.shards {
-		if sm.degraded[i].Load() {
-			continue
-		}
-		st := sd.Stats()
-		total.ReadReqs += st.ReadReqs
-		total.ReadBytes += st.ReadBytes
-		total.WriteReqs += st.WriteReqs
-		total.WriteBytes += st.WriteBytes
-	}
+	total, _ := sumShards(sm.ShardStats())
 	return total
+}
+
+// sumShards folds a ShardStats snapshot into the store's totals: physical
+// I/O and degraded reads.
+func sumShards(shards []ShardStats) (total Stats, degradedReads int64) {
+	for _, sh := range shards {
+		total.ReadReqs += sh.ReadReqs
+		total.ReadBytes += sh.ReadBytes
+		total.WriteReqs += sh.WriteReqs
+		total.WriteBytes += sh.WriteBytes
+		degradedReads += sh.DegradedReads
+	}
+	return total, degradedReads
 }
 
 // ShardStats is one shard's physical I/O with its spec (directory or
@@ -916,14 +889,11 @@ func (sm *ShardedManager) Degraded() []int {
 	return out
 }
 
-// DegradedReads sums the fallback reads across every shard — zero on a
-// fully healthy store.
+// DegradedReads sums the fallback reads of one ShardStats snapshot — zero
+// on a fully healthy store.
 func (sm *ShardedManager) DegradedReads() int64 {
-	var total int64
-	for i := range sm.degradedReads {
-		total += sm.degradedReads[i].Load()
-	}
-	return total
+	_, n := sumShards(sm.ShardStats())
+	return n
 }
 
 // Reopened reports whether OpenSharded found an existing manifest — the
